@@ -52,7 +52,6 @@ from .modelfile import ModelParseError, parse_model_file, parse_model_text
 from .quadrature import (
     DivergenceError,
     IndexReport,
-    QuadratureSpec,
     delta_pairing,
     index_character,
     integrate_top_form,

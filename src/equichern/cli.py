@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -21,7 +22,6 @@ from .modelfile import ModelParseError, parse_model_file
 from .quadrature import (
     TEST_FUNCTIONS,
     DeltaReport,
-    QuadratureSpec,
     delta_pairing,
     index_character,
 )
@@ -32,6 +32,9 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 
 SCHEMA_VERSION = "1"
+
+# Contour samples of the c-plane Fourier fit; the window must stay below half.
+FOURIER_SAMPLES = 128
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -57,9 +60,9 @@ def validate_report(doc: dict) -> None:
 
 def _run_c_plane(args, out_dir: Path) -> int:
     model = builtin_model("c-plane-uv")
-    spec = QuadratureSpec(gh_order=args.gh_order)
-    report = index_character(model, theta_samples=args.theta_samples, spec=spec,
-                             fourier_window=args.fourier_window)
+    report = index_character(model, theta_samples=args.theta_samples,
+                             fourier_window=args.fourier_window,
+                             fourier_samples=FOURIER_SAMPLES)
     golden_dev = 0.0
     for t, v in zip(report.theta_samples, report.values):
         ref = -np.exp(1j * t) / (1 - np.exp(1j * t))
@@ -96,8 +99,7 @@ def _run_zero_op(args, out_dir: Path) -> int:
         print(f"unknown test function {args.test!r}; "
               f"choose from {sorted(TEST_FUNCTIONS)}", file=sys.stderr)
         return EXIT_USAGE
-    eps = [float(e) for e in args.eps.split(",")]
-    report: DeltaReport = delta_pairing(model, test_fn, eps)
+    report: DeltaReport = delta_pairing(model, test_fn, args.eps)
     err = abs(report.extrapolated - report.test_at_zero)
     passed = err < args.tol
     payload = report.to_dict()
@@ -192,6 +194,34 @@ def cmd_report(args) -> int:
     return EXIT_PASS
 
 
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer in [lo, hi] (no upper bound when hi is None)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < lo or (hi is not None and value > hi):
+            bound = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+            raise argparse.ArgumentTypeError(f"{value} is not {bound}")
+        return value
+    return parse
+
+
+def _eps_list(text: str) -> list[float]:
+    """argparse type: distinct positive finite regularization values."""
+    try:
+        eps = [float(e) for e in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of numbers") from None
+    if not all(math.isfinite(e) and e > 0 for e in eps):
+        raise argparse.ArgumentTypeError(f"{text!r}: values must be positive and finite")
+    if len(set(eps)) != len(eps):
+        raise argparse.ArgumentTypeError(f"{text!r}: values must be distinct")
+    return eps
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equichern",
@@ -201,16 +231,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run-example", help="run a built-in worked example")
     run.add_argument("name", help="c-plane or zero-op")
-    run.add_argument("--theta-samples", type=int, default=32)
-    run.add_argument("--fourier-window", type=int, default=16)
-    run.add_argument("--gh-order", type=int, default=24)
-    run.add_argument("--eps", default="1e-2,1e-3,1e-4",
+    run.add_argument("--theta-samples", type=_int_in(2), default=32)
+    run.add_argument("--fourier-window", type=_int_in(0, (FOURIER_SAMPLES - 2) // 2),
+                     default=16)
+    # Ignored (fiber integration is exact); kept so existing invocations still parse.
+    run.add_argument("--gh-order", type=int, help=argparse.SUPPRESS)
+    run.add_argument("--eps", type=_eps_list, default="1e-2,1e-3,1e-4",
                      help="comma-separated regularization values (zero-op)")
     run.add_argument("--test", default="gaussian",
                      help="test function name (zero-op)")
     run.add_argument("--tol", type=float, default=1e-4)
     run.add_argument("--out-dir", default=".")
-    run.add_argument("--format", choices=("json", "csv"), default="json")
     run.set_defaults(func=cmd_run_example)
 
     chk = sub.add_parser("check-symbol", help="symbol-algebra and ellipticity checks")
@@ -220,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--seed", type=int, default=0)
     chk.add_argument("--tol", type=float, default=1e-6)
     chk.add_argument("--out-dir", default=".")
-    chk.add_argument("--format", choices=("json", "csv"), default="json")
     chk.set_defaults(func=cmd_check_symbol)
 
     rep = sub.add_parser("report", help="merge prior run reports")

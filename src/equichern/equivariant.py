@@ -24,6 +24,7 @@ from .geometry import ANGLE, COMPLEX, ActionModel, augmented_symbol
 from .supermatrix import (
     SuperMatrix,
     UnsupportedShapeError,
+    duhamel_paths,
     exp_divided_difference,
     super_exp,
 )
@@ -212,29 +213,11 @@ def symbolic_chern(model: ActionModel, theta: complex,
         diag_term = alg.scalar(cmath.exp(offsets[i]))
         total = total + (diag_term if grading.sign(i) > 0 else -diag_term)
 
-    max_depth = len(alg.generators)
-    acc = [total]
-
-    def walk(i0: int, j: int, prod: Form, nodes: tuple):
-        if len(nodes) > max_depth:
-            return
-        for nxt in range(d):
-            edge = soul.entries[j][nxt]
-            if edge.is_zero:
-                continue
-            p2 = prod.wedge(edge)
-            if p2.is_zero:
-                continue
-            nodes2 = nodes + (offsets[nxt],)
-            if nxt == i0:
-                term = p2.scale(exp_divided_difference(nodes2, dd_tol))
-                acc[0] = acc[0] + (term if grading.sign(i0) > 0 else -term)
-            walk(i0, nxt, p2, nodes2)
-
-    one = alg.one(SYMBOLIC)
-    for i0 in range(d):
-        walk(i0, i0, one, (offsets[i0],))
-    return GaussianForm(exponent=shared, form=acc[0])
+    for i, j, prod, nodes in duhamel_paths(soul, offsets):
+        if i == j:
+            term = prod.scale(exp_divided_difference(nodes, dd_tol))
+            total = total + (term if grading.sign(i) > 0 else -term)
+    return GaussianForm(exponent=shared, form=total)
 
 
 def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex],

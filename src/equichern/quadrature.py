@@ -1,27 +1,28 @@
 """Fiberwise integration of Chern-form top components and index assembly.
 
 Integration extracts the coefficient of the oriented volume (Berezin rule)
-from the squared-A-hat times the transverse Chern form, factors the
-Gaussian body analytically into Gauss-Hermite weights, and evaluates the
-remaining polynomial on the tensor node grid.  The volume orientation is
-symplectic: for p complex coordinate pairs it differs from the literal
-conjugate-first wedge word by (-1)^{p(p-1)/2}, the single global sign pinned
-by the golden index value.  Oscillatory non-decaying models are rejected
-with a divergence error and handled by the regularized delta pairing.
+from the squared-A-hat times the transverse Chern form.  That coefficient is
+a polynomial times the Gaussian body exp(-sum_p s_p z_p zbar_p), so each
+monomial integrates in closed form by the Isserlis/Wick moment
+int z^a zbar^b e^{-s|z|^2} d^2z = delta_ab pi a!/s^{a+1}.  The volume
+orientation is symplectic: for p complex coordinate pairs it differs from
+the literal conjugate-first wedge word by (-1)^{p(p-1)/2}, the single global
+sign pinned by the golden index value.  Oscillatory non-decaying models are
+rejected with a divergence error and handled by the regularized delta
+pairing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import characters
 from .characters import CharacterSeries
-from .equivariant import GaussianForm, transverse_chern
+from .equivariant import transverse_chern
 from .exterior import Poly
 from .geometry import COMPLEX, ActionModel
 from .supermatrix import UnsupportedShapeError
@@ -29,22 +30,6 @@ from .supermatrix import UnsupportedShapeError
 
 class DivergenceError(ValueError):
     """Integrand lacks Gaussian decay; use delta_pairing for oscillatory models."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Gauss-Hermite order, normalization convention and coordinate factors."""
-
-    gh_order: int = 24
-    normalization: str = "symplectic"
-    jacobian: float = 1.0
-    prune_tol: float = 1e-16
-
-    def __post_init__(self):
-        if self.gh_order < 8:
-            raise ValueError("Gauss-Hermite order must be at least 8")
-        if self.jacobian == 0:
-            raise ValueError("jacobian must be nonzero")
 
 
 def orientation_sign(model: ActionModel) -> int:
@@ -95,88 +80,48 @@ def _gaussian_scales(model: ActionModel, exponent: Poly) -> list[float]:
     return scales
 
 
-@lru_cache(maxsize=8)
-def _gh_grid(order: int, scales: tuple[float, ...], prune_tol: float):
-    """Tensor Gauss-Hermite nodes/weights for paired real dimensions.
+def gaussian_integral(model: ActionModel, poly: Poly, exponent: Poly) -> complex:
+    """Exact integral of poly * e^exponent over the complex pairs (d^2z each).
 
-    Each complex pair contributes two real dimensions with weight
-    exp(-a (x^2 + y^2)); nodes are rescaled by 1/sqrt(a) and the measure
-    factor 1/a is absorbed into the weight product.
+    The exponent must be exactly -sum s_p z_p zbar_p with every s_p > 0; each
+    monomial of poly then integrates by the Gaussian moment
+    delta_ab pi a!/s^{a+1} per pair.
     """
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    dims = []
-    for a in scales:
-        r = math.sqrt(a)
-        dims.extend([(nodes / r, weights / r)] * 2)
-    grids = np.meshgrid(*[d[0] for d in dims], indexing="ij")
-    wgrids = np.meshgrid(*[d[1] for d in dims], indexing="ij")
-    w = np.ones_like(wgrids[0])
-    for wg in wgrids:
-        w = w * wg
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    w = w.ravel()
-    keep = np.abs(w) >= prune_tol
-    return pts[keep], w[keep]
+    scales = _gaussian_scales(model, exponent)
+    idx = model.algebra.coord_index
+    pairs = [(idx[a], idx[b]) for a, b in _complex_pairs(model)]
+    paired = {i for pair in pairs for i in pair}
+    total = 0.0 + 0.0j
+    for m, c in poly.terms.items():
+        if any(e and i not in paired for i, e in enumerate(m)):
+            raise DivergenceError(
+                f"integrand monomial {m} grows in a coordinate without Gaussian "
+                "decay; use delta_pairing")
+        for (i, j), s in zip(pairs, scales):
+            if m[i] != m[j]:
+                break
+            c *= math.pi * math.factorial(m[i]) / s ** (m[i] + 1)
+        else:
+            total += c
+    return total
 
 
-def _pair_coordinate_arrays(model: ActionModel, pts: np.ndarray) -> dict[str, np.ndarray]:
-    out = {}
-    for k, (a, b) in enumerate(_complex_pairs(model)):
-        x = pts[:, 2 * k]
-        y = pts[:, 2 * k + 1]
-        out[a] = x + 1j * y
-        out[b] = x - 1j * y
-    return out
-
-
-def _shell_growth_probe(model: ActionModel, gform: GaussianForm, top: Poly,
-                        radii=(2.0, 4.0, 8.0), n_dirs: int = 16) -> bool:
-    """True when the top-coefficient magnitude decays along radial shells."""
-    rng = np.random.default_rng(11)
-    pairs = _complex_pairs(model)
-    if not pairs:
-        return False
-    dim = 2 * len(pairs)
-    dirs = rng.standard_normal((n_dirs, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    sups = []
-    for r in radii:
-        arrays = _pair_coordinate_arrays(model, r * dirs)
-        mag = np.abs(top.eval_grid(arrays)) * np.exp(
-            gform.exponent.eval_grid(arrays).real)
-        sups.append(float(mag.max()))
-    floor = 1e-12 * max(sups[0], 1e-300)
-    return all(b <= max(a, floor) for a, b in zip(sups, sups[1:])) and sups[-1] < max(
-        0.5 * sups[0], 1e-300)
-
-
-def integrate_top_form(model: ActionModel, theta: complex,
-                       spec: QuadratureSpec = QuadratureSpec()) -> complex:
-    """Index density at theta: oriented-volume Gauss-Hermite integral over TM.
+def integrate_top_form(model: ActionModel, theta: complex) -> complex:
+    """Index density at theta: oriented-volume Gaussian integral over TM.
 
     Assembles A-hat squared times the transverse Chern form symbolically,
-    extracts the top coefficient against the oriented volume, checks Gaussian
-    decay (shell probe plus exact body parse), and integrates with the
+    extracts the top coefficient against the oriented volume, integrates it
+    against the Gaussian body by exact moments, and applies the
     1/(2 pi i) per complex pair normalization.
     """
     gform = transverse_chern(model, theta)
-    ahat = characters.ahat_squared(theta)
-    total = gform.scale(ahat)
+    total = gform.scale(characters.ahat_squared(theta))
     top = oriented_volume_coefficient(model, total.form)
     if not isinstance(top, Poly):
         raise UnsupportedShapeError("expected a symbolic top coefficient")
-    if not _shell_growth_probe(model, total, top):
-        raise DivergenceError(
-            "integrand fails the shell decay probe; use delta_pairing")
-    scales = _gaussian_scales(model, total.exponent)
-    pts, w = _gh_grid(spec.gh_order, tuple(scales), spec.prune_tol)
-    arrays = _pair_coordinate_arrays(model, pts)
-    vals = top.eval_grid(arrays)
-    quad = complex(np.dot(w, vals))
-    const = 1.0 + 0.0j
-    for _ in scales:
-        const *= (2j) / (2j * math.pi)
-    return quad * const * spec.jacobian
+    quad = gaussian_integral(model, top, total.exponent)
+    # dzbar^dz = 2i d^2z, so each pair contributes (2i)/(2 pi i) = 1/pi
+    return quad / math.pi ** len(_complex_pairs(model))
 
 
 def fit_fourier(thetas: Sequence[complex], values: Sequence[complex],
@@ -222,7 +167,6 @@ class IndexReport:
 
 
 def index_character(model: ActionModel, theta_samples: int = 32,
-                    spec: QuadratureSpec = QuadratureSpec(),
                     fourier_window: int = 16, fourier_samples: int = 128,
                     eta: float = 1.0) -> IndexReport:
     """Index values on a uniform pole-avoiding theta grid plus Fourier extraction.
@@ -237,11 +181,11 @@ def index_character(model: ActionModel, theta_samples: int = 32,
     if fourier_samples < 2 * fourier_window + 2:
         raise ValueError("fourier_samples must exceed twice the window")
     thetas = [2 * math.pi * (j + 0.5) / theta_samples for j in range(theta_samples)]
-    values = [integrate_top_form(model, t, spec) for t in thetas]
+    values = [integrate_top_form(model, t) for t in thetas]
 
     fthetas = [2 * math.pi * (j + 0.5) / fourier_samples + 1j * eta
                for j in range(fourier_samples)]
-    fvalues = [integrate_top_form(model, t, spec) for t in fthetas]
+    fvalues = [integrate_top_form(model, t) for t in fthetas]
     damped = fit_fourier(fthetas, fvalues, fourier_window)
 
     recon = np.zeros(len(fthetas), dtype=complex)
@@ -256,10 +200,7 @@ def index_character(model: ActionModel, theta_samples: int = 32,
         sym_dev = max(sym_dev, abs(values[k] - values[j].conjugate()))
 
     diagnostics = {
-        "gh_order": spec.gh_order,
-        "normalization": spec.normalization,
         "orientation_sign": orientation_sign(model),
-        "jacobian": spec.jacobian,
         "fourier_eta": eta,
         "fourier_samples": fourier_samples,
         "fourier_residual_rms": residual_rms,
@@ -352,7 +293,6 @@ def richardson_extrapolate(eps: Sequence[float], values: Sequence[complex]) -> c
 
 
 def delta_pairing(model: ActionModel, test_fn: Callable, eps_list: Sequence[float],
-                  spec: QuadratureSpec = QuadratureSpec(),
                   x_halfwidth: float = 12.0, xi_halfwidth: float = 14.0,
                   x_panels: int = 48, xi_panels: int = 32,
                   panel_order: int = 16) -> DeltaReport:
@@ -385,7 +325,7 @@ def delta_pairing(model: ActionModel, test_fn: Callable, eps_list: Sequence[floa
         inner = phases @ (qw * damp)
         total = np.dot(xw, test_vals * tops * inner)
         norm = angle_volume / (2j * math.pi) / (2 * math.pi)
-        values.append(complex(total * norm * spec.jacobian))
+        values.append(complex(total * norm))
     extrap = richardson_extrapolate(eps, values)
     return DeltaReport(eps=eps, values=values, extrapolated=extrap,
                        test_at_zero=complex(np.asarray(test_fn(np.zeros(1)))[0]),

@@ -382,6 +382,36 @@ def exp_divided_difference(nodes: Sequence[complex], tol: float = 1e-18) -> comp
     return cmath.exp(shift) * total
 
 
+def duhamel_paths(soul: SuperMatrix, diag: Sequence[complex]):
+    """Every soul path with a non-zero product, for the Duhamel expansion.
+
+    Yields (start, end, product, nodes) for each walk start -> ... -> end of
+    one or more soul entries whose wedge product is non-zero; nodes are the
+    diagonal values at the visited indices, start first.  Walks stop at the
+    generator count, past which every product of soul entries vanishes.
+    """
+    d = soul.dim
+    max_depth = len(soul.algebra.generators)
+
+    def walk(start: int, j: int, prod: Form, nodes: tuple):
+        if len(nodes) > max_depth:
+            return
+        for nxt in range(d):
+            edge = soul.entries[j][nxt]
+            if edge.is_zero:
+                continue
+            p2 = prod.wedge(edge)
+            if p2.is_zero:
+                continue
+            nodes2 = nodes + (diag[nxt],)
+            yield start, nxt, p2, nodes2
+            yield from walk(start, nxt, p2, nodes2)
+
+    one = soul.algebra.one(soul.backend)
+    for i in range(d):
+        yield from walk(i, i, one, (diag[i],))
+
+
 def super_exp_duhamel(a: SuperMatrix, degree0_part: SuperMatrix | None = None,
                       tol: float = 1e-18) -> SuperMatrix:
     """Matrix exponential via the Duhamel expansion around a diagonal body.
@@ -418,25 +448,6 @@ def super_exp_duhamel(a: SuperMatrix, degree0_part: SuperMatrix | None = None,
     out = [[z for _ in range(d)] for _ in range(d)]
     for i in range(d):
         out[i][i] = a.algebra.scalar(cmath.exp(beta[i]), NUMERIC)
-
-    max_depth = len(a.algebra.generators)
-
-    def walk(i0: int, j: int, prod: Form, nodes: tuple):
-        if len(nodes) > max_depth:
-            return
-        for nxt in range(d):
-            edge = soul.entries[j][nxt]
-            if edge.is_zero:
-                continue
-            p2 = prod.wedge(edge)
-            if p2.is_zero:
-                continue
-            nodes2 = nodes + (beta[nxt],)
-            out[i0][nxt] = out[i0][nxt] + p2.scale(
-                exp_divided_difference(nodes2, tol))
-            walk(i0, nxt, p2, nodes2)
-
-    one = a.algebra.one(NUMERIC)
-    for i0 in range(d):
-        walk(i0, i0, one, (beta[i0],))
+    for i, j, prod, nodes in duhamel_paths(soul, beta):
+        out[i][j] = out[i][j] + prod.scale(exp_divided_difference(nodes, tol))
     return SuperMatrix(a.algebra, a.grading, out)

@@ -26,7 +26,6 @@ from equichern.geometry import (
     zero_op_s1,
 )
 from equichern.quadrature import (
-    QuadratureSpec,
     delta_pairing,
     gaussian_test,
     index_character,
@@ -83,10 +82,9 @@ def test_criterion_1_plane_chern_closed_form():
 def test_criterion_2_plane_index_and_fourier():
     """Index values match -e^{i theta}/(1-e^{i theta}); Fourier pattern holds."""
     model = c_plane_uv()
-    spec = QuadratureSpec(gh_order=24)
     start = time.perf_counter()
-    result = index_character(model, theta_samples=32, spec=spec,
-                             fourier_window=16, fourier_samples=128)
+    result = index_character(model, theta_samples=32, fourier_window=16,
+                             fourier_samples=128)
     elapsed = time.perf_counter() - start
     value_dev = max(
         abs(v - (-cmath.exp(1j * t.real) / (1 - cmath.exp(1j * t.real))))

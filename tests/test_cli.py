@@ -1,10 +1,15 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from equichern.characters import series_from_csv, series_to_csv
-from equichern.cli import main, validate_report
+from equichern.cli import build_parser, main, validate_report
 from equichern.modelfile import builtin_model_text
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv):
@@ -34,6 +39,30 @@ class TestRunExample:
 
     def test_unknown_example_usage_error(self, tmp_path):
         assert run(["run-example", "bogus", "--out-dir", tmp_path]) == 2
+
+    @pytest.mark.parametrize("name, flag, value", [
+        ("zero-op", "--eps", "0.1,0.1"),
+        ("zero-op", "--eps", "abc"),
+        ("zero-op", "--eps", "1e-2,-1"),
+        ("c-plane", "--theta-samples", "1"),
+        ("c-plane", "--theta-samples", "0"),
+        ("c-plane", "--fourier-window", "-1"),
+        ("c-plane", "--fourier-window", "80"),
+    ])
+    def test_bad_argument_usage_error(self, tmp_path, capsys, name, flag, value):
+        code = run(["run-example", name, flag, value, "--out-dir", tmp_path])
+        assert code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_gh_order_is_accepted_and_inert(self, tmp_path):
+        run(["run-example", "c-plane", "--theta-samples", 4, "--fourier-window", 2,
+             "--out-dir", tmp_path / "a"])
+        code = run(["run-example", "c-plane", "--theta-samples", 4,
+                    "--fourier-window", 2, "--gh-order", 4, "--out-dir", tmp_path / "b"])
+        assert code == 0
+        assert ((tmp_path / "a" / "index_report.json").read_bytes()
+                == (tmp_path / "b" / "index_report.json").read_bytes())
 
     def test_determinism(self, tmp_path):
         run(["run-example", "c-plane", "--theta-samples", 4,
@@ -129,3 +158,20 @@ class TestFourierCsv:
         text = (tmp_path / "fourier.csv").read_text()
         series = series_from_csv(text)
         assert series_to_csv(series) == text
+
+
+def readme_commands():
+    """Every `equichern ...` invocation in the README's Command line block."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("equichern ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) == 4
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -4,17 +4,30 @@ import math
 import numpy as np
 import pytest
 
-from equichern.geometry import c_plane, c_plane_uv, zero_op_s1
+from equichern.characters import ahat_squared
+from equichern.equivariant import transverse_chern
+from equichern.exterior import Poly
+from equichern.geometry import (
+    COMPLEX,
+    REAL,
+    ActionModel,
+    BundleSpec,
+    Coordinate,
+    c_plane,
+    c_plane_uv,
+    zero_op_s1,
+)
 from equichern.quadrature import (
     DivergenceError,
-    QuadratureSpec,
     TEST_FUNCTIONS,
     delta_pairing,
     fit_fourier,
+    gaussian_integral,
     gaussian_test,
     index_character,
     integrate_top_form,
     orientation_sign,
+    oriented_volume_coefficient,
     richardson_extrapolate,
     shifted_gaussian_test,
 )
@@ -22,6 +35,52 @@ from equichern.quadrature import (
 
 def golden_index(theta):
     return -cmath.exp(1j * theta) / (1 - cmath.exp(1j * theta))
+
+
+def _pairs(model):
+    return [(c.name, model.conj_pairs[c.name])
+            for c in model.coordinates_meta if c.kind == COMPLEX]
+
+
+def gauss_hermite_integral(model, poly, exponent, order=16):
+    """Independent oracle: poly * e^exponent on a tensor Gauss-Hermite grid.
+
+    Each complex pair z = x + iy spans two real dimensions whose weight
+    exp(-s (x^2 + y^2)) is taken from the z zbar coefficient of the exponent;
+    any remaining part of the exponent is evaluated on the grid.
+    """
+    pairs = _pairs(model)
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    grids = [g.ravel() for g in np.meshgrid(*[nodes] * (2 * len(pairs)), indexing="ij")]
+    wgrid = np.ones(1)
+    for _ in range(2 * len(pairs)):
+        wgrid = np.multiply.outer(wgrid, weights).ravel()
+    arrays, gaussian = {}, np.zeros(len(wgrid))
+    idx = model.algebra.coord_index
+    for k, (a, b) in enumerate(pairs):
+        m = [0] * len(model.algebra.coordinates)
+        m[idx[a]] = m[idx[b]] = 1
+        s = -exponent.terms[tuple(m)].real
+        z = (grids[2 * k] + 1j * grids[2 * k + 1]) / math.sqrt(s)
+        arrays[a], arrays[b] = z, z.conj()
+        gaussian -= s * np.abs(z) ** 2
+        wgrid = wgrid / s
+    vals = poly.eval_grid(arrays) * np.exp(exponent.eval_grid(arrays) - gaussian)
+    return complex(np.dot(wgrid, vals))
+
+
+def gauss_hermite_index(model, theta):
+    """The index density with the fiber integral done by the oracle grid."""
+    total = transverse_chern(model, theta).scale(ahat_squared(theta))
+    top = oriented_volume_coefficient(model, total.form)
+    return (gauss_hermite_integral(model, top, total.exponent)
+            / math.pi ** len(_pairs(model)))
+
+
+def mixed_model():
+    """One complex pair plus a real coordinate that carries no Gaussian."""
+    coords = (Coordinate("u", COMPLEX, 1, "base"), Coordinate("x", REAL, 0, "fiber"))
+    return ActionModel("mixed", coords, BundleSpec((0,), (0,)))
 
 
 class TestIntegrateTopForm:
@@ -37,19 +96,63 @@ class TestIntegrateTopForm:
         with pytest.raises(DivergenceError, match="delta_pairing"):
             integrate_top_form(zero_op_s1(), 0.8)
 
-    def test_odd_moments_vanish(self):
-        # the tensor Gauss-Hermite grid integrates odd monomials to zero
-        from equichern.quadrature import _gh_grid, _pair_coordinate_arrays
+    @pytest.mark.parametrize("model", [c_plane_uv, c_plane])
+    def test_exact_moments_match_gauss_hermite(self, model):
+        # the order-16 grid integrates these low-degree coefficients exactly
+        m = model()
+        for theta in (0.3, 1.3, math.pi, 2 + 1j, 5.9 + 1j):
+            exact = integrate_top_form(m, theta)
+            assert abs(exact - gauss_hermite_index(m, theta)) < 1e-12
+            assert abs(exact - golden_index(theta)) < 1e-12
 
+
+class TestGaussianMoments:
+    def _poly(self, model, **powers):
+        alg = model.algebra
+        m = [0] * len(alg.coordinates)
+        for name, e in powers.items():
+            m[alg.coord_index[name]] = e
+        return Poly(alg, {tuple(m): 1.0})
+
+    def _exponent(self, model, su=1.0, sv=1.0):
+        alg = model.algebra
+        u, ub, v, vb = (alg.coord(c) for c in ("u", "ubar", "v", "vbar"))
+        return -su * (u * ub) - sv * (v * vb)
+
+    def test_unequal_powers_vanish(self):
         model = c_plane_uv()
-        pts, w = _gh_grid(12, (1.0, 1.0), 1e-16)
-        arrays = _pair_coordinate_arrays(model, pts)
-        vals = arrays["u"]  # odd in the first pair
-        assert abs(np.dot(w, vals)) < 1e-14
+        exponent = self._exponent(model, 2.0, 0.5)
+        for powers in ({"u": 1}, {"u": 2, "ubar": 1}, {"u": 1, "vbar": 1},
+                       {"u": 3, "ubar": 3, "v": 2, "vbar": 1}):
+            assert gaussian_integral(model, self._poly(model, **powers), exponent) == 0
 
-    def test_gh_order_floor(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(gh_order=4)
+    def test_high_moment(self):
+        # |u|^20 e^{-|u|^2-|v|^2} integrates to pi^2 10!
+        model = c_plane_uv()
+        got = gaussian_integral(model, self._poly(model, u=10, ubar=10),
+                                self._exponent(model))
+        want = math.pi**2 * math.factorial(10)
+        assert abs(got - want) < 1e-12 * want
+
+    def test_random_polynomial_matches_gauss_hermite(self):
+        model = c_plane_uv()
+        rng = np.random.default_rng(3)
+        terms = {tuple(rng.integers(0, 4, size=4)):
+                 complex(rng.standard_normal(), rng.standard_normal())
+                 for _ in range(40)}
+        terms.update({(k, k, j, j): 1.0 for k in range(4) for j in range(4)})
+        poly = Poly(model.algebra, terms)
+        exponent = self._exponent(model, 2.0, 0.5)
+        exact = gaussian_integral(model, poly, exponent)
+        oracle = gauss_hermite_integral(model, poly, exponent)
+        assert abs(exact - oracle) < 1e-12 * abs(exact)
+
+    def test_unpaired_coordinate_diverges(self):
+        model = mixed_model()
+        alg = model.algebra
+        u, ub, x = alg.coord("u"), alg.coord("ubar"), alg.coord("x")
+        with pytest.raises(DivergenceError, match="delta_pairing"):
+            gaussian_integral(model, x * u * ub, -1.0 * (u * ub))
 
 
 class TestIndexCharacter:
@@ -79,18 +182,12 @@ class TestIndexCharacter:
 
 
 class TestQuadratureInvariants:
-    def test_order_doubling(self):
-        a = integrate_top_form(c_plane_uv(), math.pi, QuadratureSpec(gh_order=12))
-        b = integrate_top_form(c_plane_uv(), math.pi, QuadratureSpec(gh_order=24))
-        assert abs(a - b) < 1e-8
-
     def test_coordinate_route_independence(self):
-        # the sheared and unsheared coordinates carry jacobian 1: forms
-        # transform covariantly, so both routes give the index directly
-        spec = QuadratureSpec(jacobian=1.0)
+        # the shear has jacobian 1: forms transform covariantly, so both
+        # coordinate routes give the index directly
         for theta in (1.0, 2.2, math.pi):
-            a = integrate_top_form(c_plane_uv(), theta, spec)
-            b = integrate_top_form(c_plane(), theta, spec)
+            a = integrate_top_form(c_plane_uv(), theta)
+            b = integrate_top_form(c_plane(), theta)
             assert abs(a - b) < 1e-6
 
     def test_orientation_signs(self):
@@ -99,9 +196,7 @@ class TestQuadratureInvariants:
 
     def test_prefactor_cancellation_near_zero(self):
         # A-hat squared times the Chern top term stays bounded as theta -> 0
-        from equichern.characters import ahat_squared
         from equichern.equivariant import symbolic_chern
-        from equichern.quadrature import oriented_volume_coefficient
 
         model = c_plane_uv()
         vals = []
