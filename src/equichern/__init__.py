@@ -14,7 +14,6 @@ from .characters import (
     ahat_squared_series,
     geometric_expand,
     localized_index,
-    series_arith,
 )
 from .equivariant import (
     GaussianForm,
@@ -63,7 +62,6 @@ from .supermatrix import (
     UnsupportedShapeError,
     exp_divided_difference,
     graded_commutator,
-    smat_mul,
     super_exp,
     super_exp_duhamel,
     supertrace,

@@ -115,14 +115,6 @@ def monomial(n: int, value: complex = 1.0, window=DEFAULT_WINDOW) -> CharacterSe
     return CharacterSeries({n: value}, window)
 
 
-def series_arith(a: CharacterSeries, b: CharacterSeries, op: str) -> CharacterSeries:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def geometric_expand(c: complex, m: int, direction: str,
                      window=DEFAULT_WINDOW) -> CharacterSeries:
     """Expansion of 1/(1 - c t^m) in the requested power direction.

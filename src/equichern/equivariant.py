@@ -1,15 +1,13 @@
 """Cartan-model superconnection calculus for circle-action models.
 
-Builds the equivariant curvature i dA - A^2 + mu(theta) - iota_zeta A of a
-superconnection with odd term stored as iA, takes its exponential and
-grading-signed trace to obtain the Chern form, and divides by the character
-of the auxiliary Clifford-model bundle to obtain the transverse Chern form.
-Two evaluation routes exist: a pointwise numeric one through the dense
-exponential, and a symbolic one that factors the curvature body into a
-shared scalar exponent plus constant offsets and expands the rest as a
-finite Duhamel sum.  The symbolic route yields polynomial coefficients
-times a managed scalar exponential, which is what fiberwise integration
-and the closedness residual consume.
+Builds the equivariant curvature F(theta) = F0 + theta F1 (F0 = dA + A^2,
+F1 = mu(1) - iota_zeta(1) A) of a superconnection with odd term stored as
+iA, takes the grading-signed trace of its exponential (the Chern form), and
+divides by the Clifford-model bundle character (the transverse Chern form).
+Pointwise, the dense exponential evaluates it; symbolically, chern_plan
+compiles it once per model as the shared Gaussian exponent times closed
+soul-path forms weighted by divided differences of exp, grouped by their
+nodes, so only those scalar weights are computed per theta.
 """
 
 from __future__ import annotations
@@ -18,6 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from .exterior import SYMBOLIC, Form, Poly
 from .geometry import ANGLE, COMPLEX, ActionModel, augmented_symbol
@@ -94,42 +94,42 @@ class EquivariantCurvature:
     matrix: SuperMatrix
     theta: complex
 
-    def split_body(self) -> tuple[Poly, tuple[complex, ...], SuperMatrix]:
-        """Factor the degree-0 part as shared_poly + constant diagonal offsets.
 
-        Returns (shared polynomial, per-diagonal constant offsets, soul), the
-        shape required by the closed-form Duhamel expansion.  Raises when the
-        degree-0 part is non-diagonal or the diagonal entries differ by
-        non-constants.
-        """
-        mat = self.matrix
-        d = mat.dim
-        alg = mat.algebra
-        for i in range(d):
-            for j in range(d):
-                if i != j and not mat.entries[i][j].component(0).is_zero:
-                    raise UnsupportedShapeError("degree-0 part is not diagonal")
-        diag0 = [mat.entries[i][i].component(0) for i in range(d)]
-        polys = [f.terms.get(0, alg.const(0.0)) for f in diag0]
-        shared = polys[0].without_constant()
-        offsets = []
-        for p in polys:
-            diff = p - shared
-            if not diff.is_constant:
-                raise UnsupportedShapeError(
-                    "diagonal degree-0 entries differ by non-constant terms")
-            offsets.append(diff.constant_value())
-        soul_rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                f = mat.entries[i][j]
-                if i == j:
-                    f = f - diag0[i]
-                row.append(f)
-            soul_rows.append(row)
-        soul = SuperMatrix(alg, mat.grading, soul_rows)
-        return shared, tuple(offsets), soul
+def split_body(mat: SuperMatrix) -> tuple[Poly, tuple[complex, ...], SuperMatrix]:
+    """Factor the degree-0 part as shared_poly + constant diagonal offsets.
+
+    Returns (shared polynomial, per-diagonal constant offsets, soul), the
+    shape required by the closed-form Duhamel expansion.  Raises when the
+    degree-0 part is non-diagonal or the diagonal entries differ by
+    non-constants.
+    """
+    d = mat.dim
+    alg = mat.algebra
+    for i in range(d):
+        for j in range(d):
+            if i != j and not mat.entries[i][j].component(0).is_zero:
+                raise UnsupportedShapeError("degree-0 part is not diagonal")
+    diag0 = [mat.entries[i][i].component(0) for i in range(d)]
+    polys = [f.terms.get(0, alg.const(0.0)) for f in diag0]
+    shared = polys[0].without_constant()
+    offsets = []
+    for p in polys:
+        diff = p - shared
+        if not diff.is_constant:
+            raise UnsupportedShapeError(
+                "diagonal degree-0 entries differ by non-constant terms")
+        offsets.append(diff.constant_value())
+    soul_rows = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            f = mat.entries[i][j]
+            if i == j:
+                f = f - diag0[i]
+            row.append(f)
+        soul_rows.append(row)
+    soul = SuperMatrix(alg, mat.grading, soul_rows)
+    return shared, tuple(offsets), soul
 
 
 def equivariant_curvature(sc: Superconnection, model: ActionModel,
@@ -185,6 +185,96 @@ class GaussianForm:
         return self.form.evaluate(point).scale(self.prefactor(point))
 
 
+@dataclass(frozen=True)
+class ChernPlan:
+    """The supertrace of exp(F0 + theta F1), compiled once for every theta.
+
+    With the body split as shared(theta) + offsets(theta) and the soul as
+    soul0 + theta soul1, the supertrace is e^{shared(theta)} times
+    sum_g Delta[nodes_g(theta)]exp sum_p theta^p forms_g[p]: one group g per
+    multiset of diagonal node values visited by a closed soul path (divided
+    differences are symmetric in their nodes), the empty paths of the
+    diagonal included.  A node is the pair (o0, o1) of the offset
+    o0 + theta o1.  Only the scalar divided differences depend on theta.
+    """
+
+    shared: tuple[Poly, Poly]
+    groups: tuple[tuple[np.ndarray, tuple[Form, ...]], ...]
+
+    @property
+    def forms(self) -> list[Form]:
+        """Every group's theta-power forms, in the row order of ``weights``."""
+        return [f for _, forms in self.groups for f in forms]
+
+    def weights(self, thetas, dd_tol: float = 1e-18) -> np.ndarray:
+        """theta^p times the group's divided difference: one row per form."""
+        th = np.asarray(thetas, dtype=complex)
+        rows = []
+        for nodes, forms in self.groups:
+            dd = exp_divided_difference(nodes[:, :1] + nodes[:, 1:] * th, dd_tol)
+            rows += [dd * th**p for p in range(len(forms))]
+        return np.array(rows).reshape(len(rows), th.size)
+
+    def evaluate(self, theta: complex, dd_tol: float = 1e-18) -> GaussianForm:
+        """The supertrace at one theta, with its Gaussian exponent factored out."""
+        total = self.shared[0].algebra.zero(SYMBOLIC)
+        for c, f in zip(self.weights([theta], dd_tol)[:, 0], self.forms):
+            total = total + f.scale(complex(c))
+        exponent = self.shared[0] + self.shared[1] * theta
+        return GaussianForm(exponent=exponent, form=total)
+
+
+def chern_plan(model: ActionModel,
+               moment_perturbation: tuple[int, complex] | None = None) -> ChernPlan:
+    """Walk the closed soul paths of the model's curvature once, for all theta.
+
+    The curvature is affine in theta, F = F0 + theta F1 with
+    F1 = mu(1) - iota_zeta(1) A, so F0 and F1 each split into shared
+    polynomial, constant offsets and soul, and every path product is a
+    polynomial in theta.  A moment perturbation adds a constant to one
+    diagonal entry of F0 (the closedness negative control).
+    """
+    sc = superconnection(model)
+    f0 = equivariant_curvature(sc, model, 0.0).matrix
+    f1 = moment(model, 1.0) - sc.odd_term.interior(cartan_field(model, 1.0))
+    if moment_perturbation is not None:
+        idx, amount = moment_perturbation
+        f0 = f0 + SuperMatrix.diagonal(
+            model.algebra, f0.grading,
+            [model.algebra.scalar(amount if i == idx else 0.0)
+             for i in range(f0.dim)])
+    shared0, offsets0, soul0 = split_body(f0)
+    shared1, offsets1, soul1 = split_body(f1)
+    nodes = list(zip(offsets0, offsets1))
+    grading = f0.grading
+
+    groups: dict[tuple, list[Form]] = {}
+
+    def add(path_nodes: tuple, sign: int, product: list[Form]):
+        key = tuple(sorted(path_nodes, key=lambda n: (n[0].real, n[0].imag,
+                                                      n[1].real, n[1].imag)))
+        acc = groups.setdefault(key, [])
+        for p, f in enumerate(product):
+            f = f if sign > 0 else -f
+            if p < len(acc):
+                acc[p] = acc[p] + f
+            else:
+                acc.append(f)
+
+    for i in range(f0.dim):
+        add((nodes[i],), grading.sign(i), [model.algebra.one()])
+    for i, j, product, path_nodes in duhamel_paths([soul0, soul1], nodes):
+        if i == j:
+            add(path_nodes, grading.sign(i), product)
+    kept = []
+    for key, forms in groups.items():
+        while forms and forms[-1].is_zero:
+            forms.pop()
+        if forms:
+            kept.append((np.array(key, dtype=complex), tuple(forms)))
+    return ChernPlan(shared=(shared0, shared1), groups=tuple(kept))
+
+
 def symbolic_chern(model: ActionModel, theta: complex,
                    moment_perturbation: tuple[int, complex] | None = None,
                    dd_tol: float = 1e-18) -> GaussianForm:
@@ -193,31 +283,9 @@ def symbolic_chern(model: ActionModel, theta: complex,
     The degree-0 body contributes a shared scalar exponential and constant
     diagonal offsets; the positive-degree soul enters through a finite sum
     over closed paths weighted by divided differences of exp at the offsets.
+    This is the model's Chern plan evaluated at one theta.
     """
-    sc = superconnection(model)
-    curv = equivariant_curvature(sc, model, theta)
-    if moment_perturbation is not None:
-        idx, amount = moment_perturbation
-        bump = SuperMatrix.diagonal(
-            model.algebra, curv.matrix.grading,
-            [model.algebra.scalar(amount if i == idx else 0.0)
-             for i in range(curv.matrix.dim)])
-        curv = EquivariantCurvature(curv.matrix + bump, theta)
-    shared, offsets, soul = curv.split_body()
-    alg = model.algebra
-    grading = curv.matrix.grading
-    d = curv.matrix.dim
-
-    total = alg.zero(SYMBOLIC)
-    for i in range(d):
-        diag_term = alg.scalar(cmath.exp(offsets[i]))
-        total = total + (diag_term if grading.sign(i) > 0 else -diag_term)
-
-    for i, j, prod, nodes in duhamel_paths(soul, offsets):
-        if i == j:
-            term = prod.scale(exp_divided_difference(nodes, dd_tol))
-            total = total + (term if grading.sign(i) > 0 else -term)
-    return GaussianForm(exponent=shared, form=total)
+    return chern_plan(model, moment_perturbation).evaluate(theta, dd_tol)
 
 
 def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex],
@@ -231,6 +299,18 @@ def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex],
     return super_exp(fnum, tol).supertrace()
 
 
+def w_character(model: ActionModel, theta: complex,
+                allow_near_pole: bool = False) -> complex:
+    """Character of the Clifford-model bundle W, guarded against its poles."""
+    if model.bundle_w is None:
+        return 1.0 + 0.0j
+    chw = bundle_character(model.bundle_w.weights, model.bundle_w.parities, theta)
+    if abs(chw) < POLE_GUARD_W and not allow_near_pole:
+        raise PoleGuardError(
+            f"W character {chw} below guard {POLE_GUARD_W}; theta near a pole")
+    return chw
+
+
 def transverse_chern(model: ActionModel, theta: complex,
                      point: Mapping[str, complex] | None = None,
                      tol: float = 1e-12, allow_near_pole: bool = False):
@@ -239,13 +319,7 @@ def transverse_chern(model: ActionModel, theta: complex,
     With a point, returns a numeric form through the dense exponential;
     without one, returns the symbolic Gaussian-factored form.
     """
-    if model.bundle_w is None:
-        chw = 1.0 + 0.0j
-    else:
-        chw = bundle_character(model.bundle_w.weights, model.bundle_w.parities, theta)
-    if abs(chw) < POLE_GUARD_W and not allow_near_pole:
-        raise PoleGuardError(
-            f"W character {chw} below guard {POLE_GUARD_W}; theta near a pole")
+    chw = w_character(model, theta, allow_near_pole)
     if point is not None:
         return chern_form(model, theta, point, tol, allow_near_pole).scale(1.0 / chw)
     return symbolic_chern(model, theta).scale(1.0 / chw)

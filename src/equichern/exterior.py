@@ -505,21 +505,3 @@ class Form:
             word = "^".join(names) if names else "1"
             parts.append(f"({self.terms[mask]})*{word}")
         return " + ".join(parts)
-
-
-# Functional aliases for the module operations ---------------------------------
-
-def wedge(a: Form, b: Form) -> Form:
-    return a.wedge(b)
-
-
-def interior_product(vector: Mapping[str, object], a: Form) -> Form:
-    return a.interior(vector)
-
-
-def exterior_derivative(a: Form) -> Form:
-    return a.d()
-
-
-def evaluate(a: Form, point: Mapping[str, complex]) -> Form:
-    return a.evaluate(point)

@@ -239,11 +239,6 @@ def orbital_projection(model: ActionModel, point: Mapping[str, complex], xi) -> 
     return {b.name: rho1[b.name] * s for b in model.base_coords}
 
 
-def rho_norm_sq(model: ActionModel, point: Mapping[str, complex]) -> float:
-    rho1 = infinitesimal_generator(model, 1.0, point)
-    return sum(abs(v) ** 2 for v in rho1.values())
-
-
 def phi_xi_norms_grid(model: ActionModel, base_arrays: Mapping[str, np.ndarray],
                       fiber_arrays: Mapping[str, np.ndarray]):
     """Vectorized (|phi|^2, |xi|^2) over matching point/covector grids."""

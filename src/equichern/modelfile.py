@@ -32,7 +32,7 @@ from importlib import resources
 from typing import Sequence
 
 from .exterior import Poly
-from .geometry import ActionModel, BundleSpec, Coordinate
+from .geometry import COMPLEX, ActionModel, BundleSpec, Coordinate
 
 
 class ModelParseError(ValueError):
@@ -189,13 +189,22 @@ def _parse_kv(parts: Sequence[str], line: int) -> dict[str, str]:
     return out
 
 
+def _int_value(kv: dict[str, str], key: str, line: int) -> int:
+    try:
+        return int(kv.get(key, "0"))
+    except ValueError:
+        raise ModelParseError(f"{key} must be an integer, got {kv[key]!r}", line) from None
+
+
 def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
     """Parse a model document into an ActionModel; errors carry line/column."""
     name = None
     coords: list[Coordinate] = []
+    taken: dict[str, int] = {}  # coordinate names, conjugates included -> line
     bundles: dict[str, list[tuple[int, int]]] = {}
+    bundle_lines: dict[str, int] = {}
     symbol_lines: list[tuple[int, str]] = []
-    options: dict[str, str] = {}
+    options: dict[str, tuple[str, int]] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -208,6 +217,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
             section = stripped[1:-1].strip().lower()
             if section.startswith("bundle."):
                 bundles.setdefault(section.split(".", 1)[1], [])
+                bundle_lines.setdefault(section.split(".", 1)[1], lineno)
             continue
         if section == "coordinates":
             parts = stripped.split()
@@ -215,12 +225,20 @@ def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
                 raise ModelParseError("expected: name kind [weight=..] [role=..]",
                                       lineno)
             kv = _parse_kv(parts[2:], lineno)
+            weight = _int_value(kv, "weight", lineno)
             try:
-                coords.append(Coordinate(parts[0], parts[1],
-                                         int(kv.get("weight", "0")),
-                                         kv.get("role", "base")))
+                coord = Coordinate(parts[0], parts[1], weight, kv.get("role", "base"))
             except ValueError as exc:
                 raise ModelParseError(str(exc), lineno) from None
+            # a complex coordinate z also declares its conjugate zbar
+            names = [coord.name] + ([coord.name + "bar"] if coord.kind == COMPLEX else [])
+            for n in names:
+                if n in taken:
+                    raise ModelParseError(
+                        f"coordinate name {n!r} already declared on line {taken[n]}",
+                        lineno)
+                taken[n] = lineno
+            coords.append(coord)
         elif section is not None and section.startswith("bundle."):
             parts = stripped.split()
             if parts[0] != "summand":
@@ -229,12 +247,13 @@ def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
             parity = {"even": 0, "odd": 1}.get(kv.get("parity", "even"))
             if parity is None:
                 raise ModelParseError(f"bad parity {kv.get('parity')!r}", lineno)
-            bundles[section.split(".", 1)[1]].append((int(kv.get("weight", "0")), parity))
+            bundles[section.split(".", 1)[1]].append(
+                (_int_value(kv, "weight", lineno), parity))
         elif section == "symbol":
             symbol_lines.append((lineno, stripped))
         elif section == "options":
             kv = _parse_kv([stripped.replace(" ", "")], lineno)
-            options.update(kv)
+            options.update({k: (v, lineno) for k, v in kv.items()})
         else:
             raise ModelParseError(f"content outside a known section: {stripped!r}",
                                   lineno)
@@ -244,6 +263,18 @@ def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
         raise ModelParseError("no coordinates declared", 1)
     if "e" not in bundles or not bundles["e"]:
         raise ModelParseError("missing [bundle.E] section", 1)
+    if "w" not in bundles or not bundles["w"]:
+        raise ModelParseError("missing [bundle.W] section (the Clifford-model bundle)", 1)
+    if len(bundles["w"]) != 2:
+        raise ModelParseError("[bundle.W] must have two summands", bundle_lines["w"])
+    if not symbol_lines:
+        raise ModelParseError("missing [symbol] section", 1)
+    x_support, x_line = options.get("x_support", ("2.0", 1))
+    try:
+        x_support = float(x_support)
+    except ValueError:
+        raise ModelParseError(f"x_support must be a number, got {x_support!r}",
+                              x_line) from None
 
     def spec_of(key: str) -> BundleSpec | None:
         if key not in bundles or not bundles[key]:
@@ -251,36 +282,34 @@ def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
         ws, ps = zip(*bundles[key])
         return BundleSpec(tuple(ws), tuple(ps))
 
-    model = ActionModel(name, coords, spec_of("e"), spec_of("w"),
-                        x_support=float(options.get("x_support", "2.0")))
+    model = ActionModel(name, coords, spec_of("e"), spec_of("w"), x_support=x_support)
 
-    if symbol_lines:
-        dim = model.bundle_e.rank
-        if len(symbol_lines) != dim:
+    dim = model.bundle_e.rank
+    if len(symbol_lines) != dim:
+        raise ModelParseError(
+            f"symbol must have {dim} rows, found {len(symbol_lines)}",
+            symbol_lines[0][0])
+    rows = []
+    for r, (lineno, content) in enumerate(symbol_lines):
+        cells = content.split(",")
+        if len(cells) != dim:
             raise ModelParseError(
-                f"symbol must have {dim} rows, found {len(symbol_lines)}",
-                symbol_lines[0][0])
-        rows = []
-        for r, (lineno, content) in enumerate(symbol_lines):
-            cells = content.split(",")
-            if len(cells) != dim:
+                f"symbol row {r + 1} must have {dim} comma-separated entries",
+                lineno)
+        row = []
+        for c, cell in enumerate(cells):
+            try:
+                poly = parse_polynomial(cell.strip(), model, lineno)
+            except ModelParseError as exc:
                 raise ModelParseError(
-                    f"symbol row {r + 1} must have {dim} comma-separated entries",
-                    lineno)
-            row = []
-            for c, cell in enumerate(cells):
-                try:
-                    poly = parse_polynomial(cell.strip(), model, lineno)
-                except ModelParseError as exc:
-                    raise ModelParseError(
-                        f"symbol entry ({r + 1},{c + 1}): {exc.message}",
-                        lineno, exc.col) from None
-                row.append(model.algebra.scalar(poly))
-            rows.append(row)
-        try:
-            model.set_symbol(rows)
-        except ValueError as exc:
-            raise ModelParseError(str(exc), symbol_lines[0][0]) from None
+                    f"symbol entry ({r + 1},{c + 1}): {exc.message}",
+                    lineno, exc.col) from None
+            row.append(model.algebra.scalar(poly))
+        rows.append(row)
+    try:
+        model.set_symbol(rows)
+    except ValueError as exc:
+        raise ModelParseError(str(exc), symbol_lines[0][0]) from None
     return model
 
 

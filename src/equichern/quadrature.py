@@ -7,9 +7,13 @@ monomial integrates in closed form by the Isserlis/Wick moment
 int z^a zbar^b e^{-s|z|^2} d^2z = delta_ab pi a!/s^{a+1}.  The volume
 orientation is symplectic: for p complex coordinate pairs it differs from
 the literal conjugate-first wedge word by (-1)^{p(p-1)/2}, the single global
-sign pinned by the golden index value.  Oscillatory non-decaying models are
-rejected with a divergence error and handled by the regularized delta
-pairing.
+sign pinned by the golden index value.  Each top coefficient of the
+model's Chern plan is integrated once; index characters then evaluate the
+plan over all sampled thetas at once, and Fourier coefficients come from one
+FFT of uniform samples on the damped contour.  Oscillatory non-decaying
+models are rejected with a divergence error and handled by the regularized
+delta pairing, which reads its density at every parameter point from one
+plan evaluation.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import characters
 from .characters import CharacterSeries
-from .equivariant import transverse_chern
+from .equivariant import ChernPlan, chern_plan, w_character
 from .exterior import Poly
 from .geometry import COMPLEX, ActionModel
 from .supermatrix import UnsupportedShapeError
@@ -106,38 +110,59 @@ def gaussian_integral(model: ActionModel, poly: Poly, exponent: Poly) -> complex
     return total
 
 
+def _index_density(model: ActionModel, plan: ChernPlan, thetas) -> np.ndarray:
+    """Index density at every theta from one evaluation of the Chern plan.
+
+    The top coefficient of each plan form is integrated once against the
+    Gaussian body by exact moments; per theta only the plan weights, the
+    W character and the A-hat factor change.  The body must not depend on
+    theta: a theta-dependent exponent is an oscillatory fiber.
+    """
+    if not plan.shared[1].is_zero:
+        raise DivergenceError("body exponent depends on theta (an oscillatory "
+                              "fiber); use delta_pairing")
+    moments = np.array([
+        gaussian_integral(model, oriented_volume_coefficient(model, f), plan.shared[0])
+        for f in plan.forms])
+    factors = np.array([1.0 / w_character(model, t) * characters.ahat_squared(t)
+                        for t in thetas])
+    # dzbar^dz = 2i d^2z, so each pair contributes (2i)/(2 pi i) = 1/pi
+    return (factors * (moments @ plan.weights(thetas))
+            / math.pi ** len(_complex_pairs(model)))
+
+
 def integrate_top_form(model: ActionModel, theta: complex) -> complex:
     """Index density at theta: oriented-volume Gaussian integral over TM.
 
-    Assembles A-hat squared times the transverse Chern form symbolically,
-    extracts the top coefficient against the oriented volume, integrates it
-    against the Gaussian body by exact moments, and applies the
-    1/(2 pi i) per complex pair normalization.
+    Takes A-hat squared times the transverse Chern form, extracts the top
+    coefficient against the oriented volume, integrates it against the
+    Gaussian body by exact moments, and applies the 1/(2 pi i) per complex
+    pair normalization; the model's Chern plan evaluated at one theta.
     """
-    gform = transverse_chern(model, theta)
-    total = gform.scale(characters.ahat_squared(theta))
-    top = oriented_volume_coefficient(model, total.form)
-    if not isinstance(top, Poly):
-        raise UnsupportedShapeError("expected a symbolic top coefficient")
-    quad = gaussian_integral(model, top, total.exponent)
-    # dzbar^dz = 2i d^2z, so each pair contributes (2i)/(2 pi i) = 1/pi
-    return quad / math.pi ** len(_complex_pairs(model))
+    return complex(_index_density(model, chern_plan(model), [theta])[0])
 
 
 def fit_fourier(thetas: Sequence[complex], values: Sequence[complex],
                 window: int) -> CharacterSeries:
-    """Least-squares fit of sampled values against e^{i n theta} on [-N, N].
+    """Fourier coefficients on [-window, window] of samples on a uniform contour.
 
-    Columns are norm-equilibrated before solving so that damped (complex)
-    sample contours stay well conditioned.
+    The thetas must be x0 + 2 pi j/N + i eta for j = 0..N-1 with
+    N >= 2 window + 1; the coefficients are then the DFT of the values,
+    c_n = fft(v)[n mod N]/N e^{-i n theta_0}, which is also the least-squares
+    fit on that window (its columns are orthogonal on the contour).  The
+    factor e^{-i n theta_0} undoes the shift and the damping of the contour.
     """
     th = np.asarray(thetas, dtype=complex)
     vals = np.asarray(values, dtype=complex)
+    n_samples = len(th)
+    if n_samples < 2 * window + 1:
+        raise ValueError(f"{n_samples} samples cannot resolve window {window}")
+    step = 2 * math.pi * np.arange(n_samples) / n_samples
+    if np.abs(th - th[0] - step).max() > 1e-9:
+        raise ValueError("Fourier samples must be uniform on a contour "
+                         "x0 + 2 pi j/N + i eta")
     ns = np.arange(-window, window + 1)
-    design = np.exp(1j * np.outer(th, ns))
-    col_norm = np.linalg.norm(design, axis=0)
-    coeffs, *_ = np.linalg.lstsq(design / col_norm, vals, rcond=None)
-    coeffs = coeffs / col_norm
+    coeffs = np.fft.fft(vals)[ns % n_samples] / n_samples * np.exp(-1j * ns * th[0])
     return CharacterSeries({int(n): complex(c) for n, c in zip(ns, coeffs)},
                            (-window, window))
 
@@ -172,27 +197,26 @@ def index_character(model: ActionModel, theta_samples: int = 32,
     """Index values on a uniform pole-avoiding theta grid plus Fourier extraction.
 
     Values are sampled on the real grid 2 pi (j + 1/2)/K.  Fourier
-    coefficients come from a least-squares fit on the upper-half-plane
+    coefficients come from the DFT of samples on the upper-half-plane
     contour theta + i eta, the positive-power regularization under which the
     coefficient series converges; the damping is undone per coefficient.
+    Both grids are evaluated from one Chern plan in one call.
     """
     if theta_samples < 2:
         raise ValueError("need at least two theta samples")
     if fourier_samples < 2 * fourier_window + 2:
         raise ValueError("fourier_samples must exceed twice the window")
-    thetas = [2 * math.pi * (j + 0.5) / theta_samples for j in range(theta_samples)]
-    values = [integrate_top_form(model, t) for t in thetas]
-
-    fthetas = [2 * math.pi * (j + 0.5) / fourier_samples + 1j * eta
-               for j in range(fourier_samples)]
-    fvalues = [integrate_top_form(model, t) for t in fthetas]
+    thetas = 2 * math.pi * (np.arange(theta_samples) + 0.5) / theta_samples
+    fthetas = 2 * math.pi * (np.arange(fourier_samples) + 0.5) / fourier_samples + 1j * eta
+    density = _index_density(model, chern_plan(model),
+                             np.concatenate([thetas, fthetas]))
+    values = [complex(v) for v in density[:theta_samples]]
+    fvalues = density[theta_samples:]
     damped = fit_fourier(fthetas, fvalues, fourier_window)
 
-    recon = np.zeros(len(fthetas), dtype=complex)
     ns = np.arange(-fourier_window, fourier_window + 1)
-    for n in ns:
-        recon += damped.coeff(int(n)) * np.exp(1j * n * np.asarray(fthetas))
-    residual_rms = float(np.sqrt(np.mean(np.abs(recon - np.asarray(fvalues)) ** 2)))
+    recon = np.exp(1j * np.outer(fthetas, ns)) @ [damped.coeff(int(n)) for n in ns]
+    residual_rms = float(np.sqrt(np.mean(np.abs(recon - fvalues) ** 2)))
 
     sym_dev = 0.0
     for j in range(theta_samples):
@@ -238,25 +262,33 @@ def _panel_gauss_legendre(lo: float, hi: float, panels: int, order: int):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _oscillatory_density(model: ActionModel, x: float):
-    """Constant top coefficient and linear-exponent rate of the model at parameter x."""
-    gform = transverse_chern(model, x)
-    top = oriented_volume_coefficient(model, gform.form)
-    if not top.is_constant:
+def _fiber_rate(exponent: Poly, idx: int) -> complex:
+    """Coefficient of the fiber coordinate in an exponent linear in it."""
+    rate = 0.0 + 0.0j
+    for m, c in exponent.terms.items():
+        if sum(m) == 1 and m[idx] == 1:
+            rate = c
+        elif any(m):
+            raise UnsupportedShapeError("exponent is not linear in the fiber coordinate")
+    return rate
+
+
+def _oscillatory_density(model: ActionModel, plan: ChernPlan, xs: np.ndarray):
+    """Constant top coefficient and linear-exponent rate at every parameter x."""
+    tops = [oriented_volume_coefficient(model, f) for f in plan.forms]
+    if not all(t.is_constant for t in tops):
         raise UnsupportedShapeError("delta pairing expects a constant top coefficient")
     fiber = [c for c in model.fiber_coords]
     if len(fiber) != 1 or fiber[0].kind == COMPLEX:
         raise UnsupportedShapeError("delta pairing expects one real fiber coordinate")
     idx = model.algebra.coord_index[fiber[0].name]
-    rate = 0.0 + 0.0j
-    for m, c in gform.exponent.terms.items():
-        if sum(m) == 1 and m[idx] == 1:
-            rate = c
-        elif any(m):
-            raise UnsupportedShapeError("exponent is not linear in the fiber coordinate")
-    if abs(rate.real) > 1e-10 * max(1.0, abs(rate)):
+    rate0, rate1 = (_fiber_rate(e, idx) for e in plan.shared)
+    rates = rate0 + xs * rate1
+    if np.any(np.abs(rates.real) > 1e-10 * np.maximum(1.0, np.abs(rates))):
         raise UnsupportedShapeError("fiber exponent must be purely oscillatory")
-    return complex(top.constant_value()), rate
+    chw = np.array([w_character(model, x) for x in xs])
+    top_values = np.array([t.constant_value() for t in tops]) @ plan.weights(xs)
+    return top_values / chw, rates
 
 
 @dataclass
@@ -308,10 +340,7 @@ def delta_pairing(model: ActionModel, test_fn: Callable, eps_list: Sequence[floa
     xn, xw = _panel_gauss_legendre(-x_halfwidth, x_halfwidth, x_panels, panel_order)
     qn, qw = _panel_gauss_legendre(-xi_halfwidth, xi_halfwidth, xi_panels, panel_order)
 
-    tops = np.empty(len(xn), dtype=complex)
-    rates = np.empty(len(xn), dtype=complex)
-    for k, x in enumerate(xn):
-        tops[k], rates[k] = _oscillatory_density(model, float(x))
+    tops, rates = _oscillatory_density(model, chern_plan(model), xn)
     angle_volume = 1.0
     for c in model.coordinates_meta:
         if c.kind == "angle":

@@ -5,8 +5,11 @@ supertrace, and two independent matrix exponentials: a scaling-and-squaring
 truncated Taylor sum on a dense component array, and a Duhamel expansion in
 divided differences of the diagonal degree-0 part.  The Duhamel route is a
 finite sum (the soul terminates by form degree) and serves as the oracle for
-the Taylor route.  Matrix grading is metadata consumed only by the
-supertrace; products carry no Koszul signs beyond those of the wedge.
+the Taylor route.  Its soul-path walk (duhamel_paths) also compiles the
+symbolic Chern plan, whose soul is a polynomial in theta, and the divided
+differences of exp broadcast over batches of nodes (a whole theta axis).
+Matrix grading is metadata consumed only by the supertrace; products carry
+no Koszul signs beyond those of the wedge.
 """
 
 from __future__ import annotations
@@ -269,10 +272,6 @@ class SuperMatrix:
         return f"SuperMatrix(dim={self.dim}, parities={self.grading.parities})"
 
 
-def smat_mul(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
-    return a @ b
-
-
 def supertrace(a: SuperMatrix) -> Form:
     return a.supertrace()
 
@@ -338,76 +337,103 @@ def super_exp(a: SuperMatrix, tol: float = 1e-12) -> SuperMatrix:
 # -- divided differences of exp ------------------------------------------------
 
 
-def exp_divided_difference(nodes: Sequence[complex], tol: float = 1e-18) -> complex:
+def exp_divided_difference(nodes, tol: float = 1e-18):
     """Divided difference of exp over the given nodes, confluent-safe.
 
-    Well-separated node pairs use the classical quotient; otherwise (the
-    confluence threshold |a-b| < 1e-8, and any higher order) a mean-shifted
-    series in complete homogeneous symmetric polynomials is used, which
-    reduces to the derivative formula at exact confluence.
+    The k+1 nodes run along the first axis of ``nodes``; any further axes are
+    a batch, evaluated elementwise (a plain sequence of nodes gives a
+    complex).  Well-separated node pairs use the classical quotient;
+    otherwise (the confluence threshold |a-b| < 1e-8, and any higher order) a
+    mean-shifted series in complete homogeneous symmetric polynomials is
+    used, which reduces to the derivative formula at exact confluence.  Each
+    batch element stops summing once its own series has converged.
     """
-    xs = [complex(x) for x in nodes]
-    k = len(xs) - 1
-    if k < 0:
+    xs = np.asarray(nodes, dtype=complex)
+    if xs.ndim == 0 or len(xs) == 0:
         raise ValueError("need at least one node")
-    if k == 0:
-        return cmath.exp(xs[0])
+    k = len(xs) - 1
+    shift = xs.sum(axis=0) / (k + 1)
+    separated = np.zeros(shift.shape, dtype=bool)
     if k == 1:
-        scale = max(1.0, abs(xs[0]), abs(xs[1]))
-        if abs(xs[0] - xs[1]) >= 1e-8 * scale:
-            return (cmath.exp(xs[0]) - cmath.exp(xs[1])) / (xs[0] - xs[1])
-    shift = sum(xs) / (k + 1)
-    ds = [x - shift for x in xs]
+        scale = np.maximum(1.0, np.maximum(abs(xs[0]), abs(xs[1])))
+        separated = abs(xs[0] - xs[1]) >= 1e-8 * scale
+    # separated pairs take the quotient, so their series is left at zero
+    ds = np.where(separated, 0.0, xs - shift)
     # sum_m h_m(ds) / (m+k)!  with h_m complete homogeneous symmetric
-    prev = [1.0 + 0.0j] * (k + 1)
+    prev = np.ones_like(ds)
     coeff = 1.0 / math.factorial(k)
-    total = coeff
-    small = 0
-    for m in range(1, 400):
-        cur = [prev[0] * ds[0]]
+    total = np.full(shift.shape, coeff, dtype=complex)
+    small = np.zeros(shift.shape, dtype=int)
+    active = ~separated
+    m = 0
+    while active.any():
+        m += 1
+        if m >= 400:
+            raise ConvergenceError("divided-difference series did not converge")
+        cur = np.empty_like(ds)
+        cur[0] = prev[0] * ds[0]
         for j in range(1, k + 1):
-            cur.append(cur[j - 1] + ds[j] * prev[j])
+            cur[j] = cur[j - 1] + ds[j] * prev[j]
         coeff /= m + k
         term = cur[k] * coeff
-        total += term
+        total = total + np.where(active, term, 0.0)
         prev = cur
-        if abs(term) < tol * max(1.0, abs(total)):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    else:
-        raise ConvergenceError("divided-difference series did not converge")
-    return cmath.exp(shift) * total
+        small = np.where(abs(term) < tol * np.maximum(1.0, abs(total)), small + 1, 0)
+        active &= small < 3
+    out = np.exp(shift) * total
+    if k == 1:
+        diff = np.where(separated, xs[0] - xs[1], 1.0)
+        out = np.where(separated, (np.exp(xs[0]) - np.exp(xs[1])) / diff, out)
+    return complex(out) if xs.ndim == 1 else out
 
 
-def duhamel_paths(soul: SuperMatrix, diag: Sequence[complex]):
+def duhamel_paths(soul: Sequence[SuperMatrix], diag: Sequence):
     """Every soul path with a non-zero product, for the Duhamel expansion.
 
+    The soul is a polynomial in a parameter t given by its coefficient
+    matrices, soul = sum_p t^p soul[p] (one matrix for a numeric soul).
     Yields (start, end, product, nodes) for each walk start -> ... -> end of
-    one or more soul entries whose wedge product is non-zero; nodes are the
-    diagonal values at the visited indices, start first.  Walks stop at the
-    generator count, past which every product of soul entries vanishes.
+    one or more soul entries whose product is non-zero; the product is the
+    list of its t-power coefficient forms without trailing zeros, and nodes
+    are the diagonal values at the visited indices, start first.  Walks stop
+    at the generator count, past which every product of soul entries
+    vanishes.
     """
-    d = soul.dim
-    max_depth = len(soul.algebra.generators)
+    d = soul[0].dim
+    alg = soul[0].algebra
+    zero = alg.zero(soul[0].backend)
+    max_depth = len(alg.generators)
 
-    def walk(start: int, j: int, prod: Form, nodes: tuple):
+    def trim(forms: list) -> list:
+        while forms and forms[-1].is_zero:
+            forms.pop()
+        return forms
+
+    edges = [[trim([m.entries[j][k] for m in soul]) for k in range(d)]
+             for j in range(d)]
+
+    def times(prod: list, edge: list) -> list:
+        out = [zero] * (len(prod) + len(edge) - 1)
+        for a, f in enumerate(prod):
+            for b, g in enumerate(edge):
+                if not (f.is_zero or g.is_zero):
+                    out[a + b] = out[a + b] + f.wedge(g)
+        return trim(out)
+
+    def walk(start: int, j: int, prod: list, nodes: tuple):
         if len(nodes) > max_depth:
             return
         for nxt in range(d):
-            edge = soul.entries[j][nxt]
-            if edge.is_zero:
+            if not edges[j][nxt]:
                 continue
-            p2 = prod.wedge(edge)
-            if p2.is_zero:
+            p2 = times(prod, edges[j][nxt])
+            if not p2:
                 continue
             nodes2 = nodes + (diag[nxt],)
             yield start, nxt, p2, nodes2
             yield from walk(start, nxt, p2, nodes2)
 
-    one = soul.algebra.one(soul.backend)
+    one = [alg.one(soul[0].backend)]
     for i in range(d):
         yield from walk(i, i, one, (diag[i],))
 
@@ -448,6 +474,12 @@ def super_exp_duhamel(a: SuperMatrix, degree0_part: SuperMatrix | None = None,
     out = [[z for _ in range(d)] for _ in range(d)]
     for i in range(d):
         out[i][i] = a.algebra.scalar(cmath.exp(beta[i]), NUMERIC)
-    for i, j, prod, nodes in duhamel_paths(soul, beta):
-        out[i][j] = out[i][j] + prod.scale(exp_divided_difference(nodes, tol))
+    by_length: dict[int, list] = {}
+    for path in duhamel_paths([soul], beta):
+        by_length.setdefault(len(path[3]), []).append(path)
+    for paths in by_length.values():
+        # one batched divided difference per path length
+        dds = exp_divided_difference(np.array([nodes for *_, nodes in paths]).T, tol)
+        for (i, j, prod, _), dd in zip(paths, dds):
+            out[i][j] = out[i][j] + prod[0].scale(dd)
     return SuperMatrix(a.algebra, a.grading, out)

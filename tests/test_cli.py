@@ -103,6 +103,29 @@ class TestCheckSymbol:
         assert "symbol entry (2,1)" in err
         assert "line" in err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("summand weight=1 parity=odd\n[bundle.W]",
+         "summand weight=x parity=odd\n[bundle.W]", "line 8,.*weight"),
+        ("x_support = 2.0", "x_support = big", "line 16,.*x_support"),
+        ("[symbol]\n0, conj(z) - i*conj(xi)\nz + i*xi, 0\n", "",
+         r"line 1,.*\[symbol\]"),
+        ("[bundle.W]\nsummand weight=0 parity=even\nsummand weight=1 parity=odd\n", "",
+         r"line 1,.*\[bundle.W\]"),
+        ("xi complex weight=1 role=fiber",
+         "xi complex weight=1 role=fiber\nzbar real weight=0 role=base",
+         "line 6,.*'zbar'"),
+        ("[bundle.W]\n", "[bundle.W]\nsummand weight=2 parity=even\n",
+         r"line 9,.*two summands"),
+    ])
+    def test_model_semantics_exit_three(self, tmp_path, capsys, old, new, message):
+        text = builtin_model_text("c-plane")
+        assert old in text
+        path = tmp_path / "bad.model"
+        path.write_text(text.replace(old, new))
+        code = run(["check-symbol", path, "--out-dir", tmp_path])
+        assert code == 3
+        assert re.search(message, capsys.readouterr().err)
+
     def test_missing_file_exit_three(self, tmp_path):
         assert run(["check-symbol", tmp_path / "no.model",
                     "--out-dir", tmp_path]) == 3

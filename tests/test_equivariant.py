@@ -3,14 +3,18 @@ import cmath
 import numpy as np
 import pytest
 
+from equichern.characters import ahat_squared
 from equichern.equivariant import (
+    GaussianForm,
     PoleGuardError,
     bundle_character,
     cartan_field,
     chern_form,
+    chern_plan,
     closedness_residual,
     equivariant_curvature,
     moment,
+    split_body,
     superconnection,
     symbolic_chern,
     transverse_chern,
@@ -25,8 +29,19 @@ from equichern.geometry import (
     c_plane_uv,
     zero_op_s1,
 )
-from equichern.quadrature import orientation_sign
-from equichern.supermatrix import UnsupportedShapeError
+from equichern.quadrature import (
+    DivergenceError,
+    gaussian_integral,
+    index_character,
+    integrate_top_form,
+    orientation_sign,
+    oriented_volume_coefficient,
+)
+from equichern.supermatrix import (
+    UnsupportedShapeError,
+    duhamel_paths,
+    exp_divided_difference,
+)
 
 
 def closed_form_reference(model, u, v, theta):
@@ -84,7 +99,7 @@ class TestEquivariantCurvature:
         m = c_plane_uv()
         theta = 1.1
         curv = equivariant_curvature(superconnection(m), m, theta)
-        shared, offsets, soul = curv.split_body()
+        shared, offsets, soul = split_body(curv.matrix)
         # body: -(|u|^2 + |v|^2) plus the moment offsets
         alg = m.algebra
         expected = -(alg.coord("u") * alg.coord("ubar")
@@ -290,3 +305,109 @@ class TestInvariants:
         zeta = cartan_field(m, 1.0)
         assert zeta["du"] == m.algebra.coord("u") * 1j
         assert zeta["dubar"] == m.algebra.coord("ubar") * (-1j)
+
+
+def per_theta_chern(model, theta):
+    """Reference route: curvature at theta, split, path walk, scalar divided differences."""
+    curv = equivariant_curvature(superconnection(model), model, theta)
+    shared, offsets, soul = split_body(curv.matrix)
+    grading = curv.matrix.grading
+    total = model.algebra.zero(SYMBOLIC)
+    for i, o in enumerate(offsets):
+        total = total + model.algebra.scalar(grading.sign(i) * cmath.exp(o))
+    for i, j, prod, nodes in duhamel_paths([soul], offsets):
+        if i == j:
+            dd = exp_divided_difference(list(nodes))
+            total = total + prod[0].scale(grading.sign(i) * dd)
+    return GaussianForm(exponent=shared, form=total)
+
+
+def per_theta_index(model, theta):
+    """The index density at theta by the reference route and exact moments."""
+    chw = bundle_character(model.bundle_w.weights, model.bundle_w.parities, theta)
+    gform = per_theta_chern(model, theta).scale(ahat_squared(theta) / chw)
+    top = oriented_volume_coefficient(model, gform.form)
+    return gaussian_integral(model, top, gform.exponent) / cmath.pi ** 2
+
+
+def sloped_soul_model():
+    """c-plane-uv with 0.3 du^dv added to odd-term entry (0,2).
+
+    The contraction slope iota_zeta A then has a degree-1 entry, so the soul
+    of the curvature depends on theta; the change is a homotopy of the
+    superconnection, so the index is unchanged.
+    """
+    m = c_plane_uv()
+    alg = m.algebra
+    rows = [list(row) for row in m.odd_term.entries]
+    rows[0][2] = rows[0][2] + alg.gen("du").wedge(alg.gen("dv")).scale(0.3)
+    m.set_odd_term(SuperMatrix(alg, m.odd_term.grading, rows))
+    return m
+
+
+PLAN_THETAS = (0.3, 1.3, cmath.pi, 2 + 1j, 5.9 + 1j)
+PLAN_POINTS = {
+    "c_plane_uv": {"u": 0.45 + 0.2j, "v": -0.3 + 0.9j},
+    "c_plane": {"z": 0.45 + 0.2j, "xi": -0.3 + 0.9j},
+    "zero_op_s1": {"theta": 0.3, "xi": 1.7},
+    "sloped_soul_model": {"u": 0.45 + 0.2j, "v": -0.3 + 0.9j},
+}
+
+
+class TestChernPlan:
+    @pytest.mark.parametrize("make", [c_plane, c_plane_uv, zero_op_s1,
+                                      sloped_soul_model])
+    def test_forms_match_per_theta_route(self, make):
+        m = make()
+        plan = chern_plan(m)
+        pt = m.full_point(PLAN_POINTS[make.__name__])
+        for theta in PLAN_THETAS:
+            got = plan.evaluate(theta)
+            ref = per_theta_chern(m, theta)
+            assert got.exponent == ref.exponent
+            a, b = got.evaluate(pt), ref.evaluate(pt)
+            assert a.isclose(b, 1e-12 * max(1.0, b.norm_max()))
+
+    @pytest.mark.parametrize("make", [c_plane, c_plane_uv, sloped_soul_model])
+    def test_index_density_matches_per_theta_route(self, make):
+        m = make()
+        for theta in PLAN_THETAS:
+            assert abs(integrate_top_form(m, theta) - per_theta_index(m, theta)) < 1e-12
+
+    def test_oscillatory_model_has_theta_dependent_body(self):
+        plan = chern_plan(zero_op_s1())
+        assert plan.shared[0].is_zero and not plan.shared[1].is_zero
+        with pytest.raises(DivergenceError, match="delta_pairing"):
+            integrate_top_form(zero_op_s1(), 0.8)
+
+    def test_plane_paths_collapse_to_seven_groups(self):
+        # 24 closed paths reach the top degree; they share 7 node multisets,
+        # each with the nodes 0, i theta, 2 i theta
+        m = c_plane_uv()
+        plan = chern_plan(m)
+        top = [nodes for nodes, forms in plan.groups
+               if not oriented_volume_coefficient(m, forms[0]).is_zero]
+        assert len(top) == 7
+        for nodes in top:
+            assert len(nodes) == 5
+            assert set(nodes[:, 0]) == {0} and set(nodes[:, 1]) <= {0, 1j, 2j}
+
+    def test_theta_dependent_soul_keeps_the_index(self):
+        m = sloped_soul_model()
+        plan = chern_plan(m)
+        assert any(len(forms) > 1 for _, forms in plan.groups)
+        ref = c_plane_uv()
+        for theta in PLAN_THETAS:
+            assert abs(integrate_top_form(m, theta) - integrate_top_form(ref, theta)) < 1e-12
+        a = index_character(m, theta_samples=8, fourier_window=4, fourier_samples=32)
+        b = index_character(ref, theta_samples=8, fourier_window=4, fourier_samples=32)
+        assert max(abs(x - y) for x, y in zip(a.values, b.values)) < 1e-12
+        assert all(abs(a.fourier.coeff(n) - b.fourier.coeff(n)) < 1e-12
+                   for n in range(-4, 5))
+
+    def test_plan_is_not_stored_on_the_model(self):
+        m = c_plane_uv()
+        before = set(vars(m))
+        chern_plan(m)
+        integrate_top_form(m, 1.3)
+        assert set(vars(m)) - before <= {"_curvature_cache"}

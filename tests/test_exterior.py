@@ -6,10 +6,6 @@ from equichern.exterior import (
     BackendError,
     EvaluationError,
     ExteriorAlgebra,
-    evaluate,
-    exterior_derivative,
-    interior_product,
-    wedge,
 )
 
 from conftest import random_form, random_poly
@@ -19,18 +15,18 @@ class TestWedge:
     def test_adjacent_generators(self, plane_algebra):
         du = plane_algebra.gen("du")
         dubar = plane_algebra.gen("dubar")
-        prod = wedge(du, dubar)
+        prod = du.wedge(dubar)
         mask, _ = plane_algebra.mask_of(("du", "dubar"))
         assert prod.terms[mask].constant_value() == 1.0
 
     def test_transposition_sign(self, plane_algebra):
         du = plane_algebra.gen("du")
         dubar = plane_algebra.gen("dubar")
-        assert wedge(dubar, du) == -wedge(du, dubar)
+        assert dubar.wedge(du) == -du.wedge(dubar)
 
     def test_one_form_squares_to_zero(self, plane_algebra):
         a = plane_algebra.gen("du") + plane_algebra.gen("dv")
-        assert wedge(a, a).is_zero
+        assert a.wedge(a).is_zero
 
     def test_bilinear_and_associative(self, plane_algebra, rng):
         a, b, c = (random_form(plane_algebra, rng) for _ in range(3))
@@ -40,7 +36,7 @@ class TestWedge:
     def test_algebra_mismatch(self, plane_algebra):
         other = ExteriorAlgebra(["dx"], ["x"])
         with pytest.raises(AlgebraMismatchError):
-            wedge(plane_algebra.gen("du"), other.gen("dx"))
+            plane_algebra.gen("du").wedge(other.gen("dx"))
 
     def test_odd_anticommutativity(self, plane_algebra, rng):
         for _ in range(20):
@@ -54,11 +50,11 @@ class TestInteriorProduct:
         alg = ExteriorAlgebra(["dtheta", "dxi"], ["theta", "xi"])
         form = alg.scalar(alg.coord("xi")) * alg.gen("dtheta")
         x_big = 2.5
-        out = interior_product({"dtheta": x_big}, form)
+        out = form.interior({"dtheta": x_big})
         assert out == alg.scalar(x_big * alg.coord("xi"))
 
     def test_degree_zero_input(self, plane_algebra):
-        assert interior_product({"du": 1.0}, plane_algebra.one()).is_zero
+        assert plane_algebra.one().interior({"du": 1.0}).is_zero
 
     def test_nilpotency_exact_on_single_component(self, plane_algebra, rng):
         # one nonzero component: the cancellation shares one float path, so
@@ -66,7 +62,7 @@ class TestInteriorProduct:
         vec = {"du": 1.5 - 0.25j}
         for _ in range(20):
             omega = random_form(plane_algebra, rng, degrees={2, 3})
-            assert interior_product(vec, interior_product(vec, omega)).is_zero
+            assert omega.interior(vec).interior(vec).is_zero
 
     def test_nilpotency_general_fields(self, plane_algebra, rng):
         # Grassmann cancellation is structural; mixed components leave only
@@ -76,27 +72,27 @@ class TestInteriorProduct:
                "dvbar": random_poly(plane_algebra, rng)}
         for _ in range(20):
             omega = random_form(plane_algebra, rng, degrees={2, 3})
-            out = interior_product(vec, interior_product(vec, omega))
+            out = omega.interior(vec).interior(vec)
             assert out.norm_max() < 1e-12
 
     def test_graded_derivation_degree_minus_one(self, plane_algebra, rng):
         vec = {"du": 1.5 + 0.5j, "dv": -0.25j}
         a = random_form(plane_algebra, rng, degrees={1})
         b = random_form(plane_algebra, rng, degrees={1})
-        lhs = interior_product(vec, a * b)
-        rhs = interior_product(vec, a) * b - a * interior_product(vec, b)
+        lhs = (a * b).interior(vec)
+        rhs = a.interior(vec) * b - a * b.interior(vec)
         assert lhs == rhs
 
 
 class TestExteriorDerivative:
     def test_coordinate_differential(self, plane_algebra):
         f = plane_algebra.scalar(plane_algebra.coord("u"))
-        assert exterior_derivative(f) == plane_algebra.gen("du")
+        assert f.d() == plane_algebra.gen("du")
 
     def test_leibniz(self, plane_algebra):
         u = plane_algebra.coord("u")
         vbar = plane_algebra.coord("vbar")
-        d = exterior_derivative(plane_algebra.scalar(u * vbar))
+        d = plane_algebra.scalar(u * vbar).d()
         expected = (plane_algebra.gen("du").scale(vbar)
                     + plane_algebra.gen("dvbar").scale(u))
         assert d == expected
@@ -116,7 +112,7 @@ class TestExteriorDerivative:
                "dvbar": plane_algebra.coord("vbar") * (-1.5)}
         for _ in range(10):
             f = plane_algebra.scalar(random_poly(plane_algebra, rng))
-            lhs = interior_product(vec, f.d()) + interior_product(vec, f).d()
+            lhs = f.d().interior(vec) + f.interior(vec).d()
             p = f.terms.get(0, plane_algebra.const(0))
             directional = (p.diff("u") * (plane_algebra.coord("u") * 2.0)
                            + p.diff("vbar") * (plane_algebra.coord("vbar") * (-1.5)))
@@ -127,7 +123,7 @@ class TestEvaluate:
     def test_direct_substitution(self, plane_algebra):
         u = plane_algebra.coord("u")
         form = plane_algebra.gen("du").scale(u) + plane_algebra.gen("dv")
-        out = evaluate(form, {"u": 2 + 1j, "v": 0})
+        out = form.evaluate({"u": 2 + 1j, "v": 0})
         du_mask, _ = plane_algebra.mask_of(("du",))
         dv_mask, _ = plane_algebra.mask_of(("dv",))
         assert out.terms[du_mask] == 2 + 1j
@@ -138,7 +134,7 @@ class TestEvaluate:
         u, ubar = plane_algebra.coord("u"), plane_algebra.coord("ubar")
         form = plane_algebra.scalar(u * ubar).d()
         pt = {"u": 1 + 1j, "ubar": 1 - 1j}
-        out = evaluate(form, pt)
+        out = form.evaluate(pt)
         h = 1e-6
 
         def f(uu, ub):
@@ -154,12 +150,12 @@ class TestEvaluate:
         assert abs(out.terms[dubar_mask] - (1 + 1j)) < 1e-8
 
     def test_zero(self, plane_algebra):
-        assert evaluate(plane_algebra.zero(), {}).is_zero
+        assert plane_algebra.zero().evaluate({}).is_zero
 
     def test_missing_coordinate_named(self, plane_algebra):
         form = plane_algebra.scalar(plane_algebra.coord("vbar"))
         with pytest.raises(EvaluationError, match="vbar"):
-            evaluate(form, {"u": 1.0})
+            form.evaluate({"u": 1.0})
 
     def test_homomorphism_under_wedge(self, plane_algebra, rng):
         point = {c: complex(rng.standard_normal(), rng.standard_normal())
@@ -167,11 +163,11 @@ class TestEvaluate:
         for _ in range(100):
             a = random_form(plane_algebra, rng)
             b = random_form(plane_algebra, rng)
-            lhs = evaluate(a * b, point)
-            rhs = evaluate(a, point) * evaluate(b, point)
+            lhs = (a * b).evaluate(point)
+            rhs = a.evaluate(point) * b.evaluate(point)
             assert lhs.isclose(rhs, 1e-12 * max(1.0, lhs.norm_max()))
-            lhs_sum = evaluate(a + b, point)
-            rhs_sum = evaluate(a, point) + evaluate(b, point)
+            lhs_sum = (a + b).evaluate(point)
+            rhs_sum = a.evaluate(point) + b.evaluate(point)
             assert lhs_sum.isclose(rhs_sum, 1e-12)
 
 

@@ -227,6 +227,39 @@ class TestFitFourier:
         assert abs(fitted.coeff(-1) + 0.5) < 1e-10
 
 
+def lstsq_fourier(thetas, values, window):
+    """Reference fit: least squares against e^{i n theta} with equilibrated columns."""
+    ns = np.arange(-window, window + 1)
+    design = np.exp(1j * np.outer(np.asarray(thetas, dtype=complex), ns))
+    col_norm = np.linalg.norm(design, axis=0)
+    coeffs, *_ = np.linalg.lstsq(design / col_norm, values, rcond=None)
+    return dict(zip(ns.tolist(), coeffs / col_norm))
+
+
+class TestFourierOracle:
+    @pytest.mark.parametrize("window", [0, 4, 8, 12, 16, 24])
+    def test_dft_is_the_least_squares_fit(self, window):
+        # on a uniform contour with 2W+1 <= N both fits are the same
+        # projection.  Both solve for the contour coefficients c_n e^{-n eta},
+        # compared here before the undamping e^{n eta} (up to e^24) magnifies
+        # the roundoff of either fit.
+        eta = 1.0
+        thetas = 2 * math.pi * (np.arange(128) + 0.5) / 128 + 1j * eta
+        golden = np.array([golden_index(t) for t in thetas])
+        noise = [1, 1j] @ np.random.default_rng(11).standard_normal((2, 128))
+        for values in (golden, noise):
+            dft = fit_fourier(thetas, values, window)
+            for n, c in lstsq_fourier(thetas, values, window).items():
+                assert abs(dft.coeff(n) - c) * math.exp(-n * eta) < 1e-13
+
+    def test_rejects_non_uniform_contour(self):
+        thetas = 2 * math.pi * (np.arange(32) + 0.5) / 32
+        with pytest.raises(ValueError, match="uniform"):
+            fit_fourier(thetas ** 1.01, np.ones(32), 4)
+        with pytest.raises(ValueError, match="window"):
+            fit_fourier(thetas, np.ones(32), 16)
+
+
 class TestDeltaPairing:
     def test_gaussian_oracle(self):
         # closed form of the regularized double integral: 1/sqrt(1 + 4 eps)

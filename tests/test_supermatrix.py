@@ -12,7 +12,6 @@ from equichern.supermatrix import (
     UnsupportedShapeError,
     exp_divided_difference,
     graded_commutator,
-    smat_mul,
     super_exp,
     super_exp_duhamel,
     supertrace,
@@ -45,7 +44,7 @@ class TestProduct:
     def test_identity(self, plane_algebra, grading, rng):
         m = random_supermatrix(plane_algebra, grading, rng)
         eye = SuperMatrix.identity(plane_algebra, grading, NUMERIC)
-        assert smat_mul(eye, m).isclose(m, 0.0)
+        assert (eye @ m).isclose(m, 0.0)
 
     def test_normal_form_squares_to_scalar(self):
         # the constant-coefficient 4x4 endpoint squares to (|u|^2+|v|^2) I
@@ -71,7 +70,7 @@ class TestProduct:
         small = SuperMatrix.identity(plane_algebra, Grading.from_string("+-"), NUMERIC)
         big = SuperMatrix.identity(plane_algebra, grading, NUMERIC)
         with pytest.raises(ShapeError):
-            smat_mul(small, big)
+            small @ big
 
 
 class TestSupertrace:
@@ -244,6 +243,55 @@ class TestDividedDifferences:
         hi = exp_divided_difference(nodes[1:])
         lo = exp_divided_difference(nodes[:-1])
         assert abs(base - (hi - lo) / (nodes[3] - nodes[0])) < 1e-10
+
+
+def opitz_divided_difference(nodes):
+    """Independent oracle: Delta[x0..xk]exp = (exp J)_{0k}, J = diag(x) + superdiagonal 1."""
+    from scipy.linalg import expm
+
+    k = len(nodes) - 1
+    jordan = np.diag(np.asarray(nodes, dtype=complex)) + np.diag(np.ones(k), 1)
+    return expm(jordan)[0, k]
+
+
+def mixed_node_batch(k):
+    """k+1 nodes per column: separated, confluent and nearly confluent columns."""
+    theta = 5.9 + 1j
+    cols = {
+        1: [(1.0, 3.0), (0.5j, -2.0), (2.0, 2.0), (2.0, 2.0 + 1e-12),
+            (0.31j, 0.31j + 1e-9), (1j * theta, 2j * theta), (0.0, 0.0)],
+        3: [(0.2, -1.1 + 0.4j, 0.7j, 1.5), (0.31j,) * 4,
+            (1.0, 1.0, -0.5, -0.5 + 1e-10), (0.0, 1j * theta, 2j * theta, 2j * theta),
+            (0.0, 0.3, 0.0, 0.3)],
+    }[k]
+    return np.array(cols, dtype=complex).T
+
+
+class TestBatchedDividedDifferences:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_batch_matches_scalar_calls(self, k):
+        nodes = mixed_node_batch(k)
+        batch = exp_divided_difference(nodes)
+        assert batch.shape == (nodes.shape[1],)
+        for col in range(nodes.shape[1]):
+            one = exp_divided_difference(list(nodes[:, col]))
+            assert isinstance(one, complex)
+            assert abs(batch[col] - one) <= 1e-14 * abs(one)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_batch_matches_opitz_identity(self, k):
+        nodes = mixed_node_batch(k)
+        batch = exp_divided_difference(nodes)
+        for col in range(nodes.shape[1]):
+            ref = opitz_divided_difference(nodes[:, col])
+            assert abs(batch[col] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_two_batch_axes(self):
+        nodes = mixed_node_batch(3)
+        grid = np.stack([nodes, nodes[::-1]], axis=2)  # (4, columns, 2)
+        out = exp_divided_difference(grid)
+        assert out.shape == grid.shape[1:]
+        assert np.allclose(out[:, 0], out[:, 1], rtol=1e-12, atol=0)
 
 
 class TestInvariants:
