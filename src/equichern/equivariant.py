@@ -206,19 +206,19 @@ class ChernPlan:
         """Every group's theta-power forms, in the row order of ``weights``."""
         return [f for _, forms in self.groups for f in forms]
 
-    def weights(self, thetas, dd_tol: float = 1e-18) -> np.ndarray:
+    def weights(self, thetas) -> np.ndarray:
         """theta^p times the group's divided difference: one row per form."""
         th = np.asarray(thetas, dtype=complex)
         rows = []
         for nodes, forms in self.groups:
-            dd = exp_divided_difference(nodes[:, :1] + nodes[:, 1:] * th, dd_tol)
+            dd = exp_divided_difference(nodes[:, :1] + nodes[:, 1:] * th)
             rows += [dd * th**p for p in range(len(forms))]
         return np.array(rows).reshape(len(rows), th.size)
 
-    def evaluate(self, theta: complex, dd_tol: float = 1e-18) -> GaussianForm:
+    def evaluate(self, theta: complex) -> GaussianForm:
         """The supertrace at one theta, with its Gaussian exponent factored out."""
         total = self.shared[0].algebra.zero(SYMBOLIC)
-        for c, f in zip(self.weights([theta], dd_tol)[:, 0], self.forms):
+        for c, f in zip(self.weights([theta])[:, 0], self.forms):
             total = total + f.scale(complex(c))
         exponent = self.shared[0] + self.shared[1] * theta
         return GaussianForm(exponent=exponent, form=total)
@@ -276,8 +276,8 @@ def chern_plan(model: ActionModel,
 
 
 def symbolic_chern(model: ActionModel, theta: complex,
-                   moment_perturbation: tuple[int, complex] | None = None,
-                   dd_tol: float = 1e-18) -> GaussianForm:
+                   moment_perturbation: tuple[int, complex] | None = None
+                   ) -> GaussianForm:
     """Supertrace of exp(curvature) with the Gaussian body factored exactly.
 
     The degree-0 body contributes a shared scalar exponential and constant
@@ -285,7 +285,7 @@ def symbolic_chern(model: ActionModel, theta: complex,
     over closed paths weighted by divided differences of exp at the offsets.
     This is the model's Chern plan evaluated at one theta.
     """
-    return chern_plan(model, moment_perturbation).evaluate(theta, dd_tol)
+    return chern_plan(model, moment_perturbation).evaluate(theta)
 
 
 def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex],

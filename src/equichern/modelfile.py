@@ -265,8 +265,11 @@ def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
         raise ModelParseError("missing [bundle.E] section", 1)
     if "w" not in bundles or not bundles["w"]:
         raise ModelParseError("missing [bundle.W] section (the Clifford-model bundle)", 1)
-    if len(bundles["w"]) != 2:
-        raise ModelParseError("[bundle.W] must have two summands", bundle_lines["w"])
+    # the orbital Clifford augmentation is built for rank-2 E and W
+    for key in ("e", "w"):
+        if len(bundles[key]) != 2:
+            raise ModelParseError(f"[bundle.{key.upper()}] must have two summands",
+                                  bundle_lines[key])
     if not symbol_lines:
         raise ModelParseError("missing [symbol] section", 1)
     x_support, x_line = options.get("x_support", ("2.0", 1))

@@ -345,41 +345,43 @@ def exp_divided_difference(nodes, tol: float = 1e-18):
     complex).  Well-separated node pairs use the classical quotient;
     otherwise (the confluence threshold |a-b| < 1e-8, and any higher order) a
     mean-shifted series in complete homogeneous symmetric polynomials is
-    used, which reduces to the derivative formula at exact confluence.  Each
-    batch element stops summing once its own series has converged.
+    used, which reduces to the derivative formula at exact confluence.  Its
+    number of terms is fixed in advance by a bound on the tail.
     """
     xs = np.asarray(nodes, dtype=complex)
     if xs.ndim == 0 or len(xs) == 0:
         raise ValueError("need at least one node")
     k = len(xs) - 1
     shift = xs.sum(axis=0) / (k + 1)
-    separated = np.zeros(shift.shape, dtype=bool)
+    separated = False
     if k == 1:
         scale = np.maximum(1.0, np.maximum(abs(xs[0]), abs(xs[1])))
         separated = abs(xs[0] - xs[1]) >= 1e-8 * scale
     # separated pairs take the quotient, so their series is left at zero
     ds = np.where(separated, 0.0, xs - shift)
-    # sum_m h_m(ds) / (m+k)!  with h_m complete homogeneous symmetric
+    # sum_m h_m(ds) / (m+k)!  with h_m complete homogeneous symmetric; as
+    # |h_m(ds)| / (m+k)! <= r^m / (m! k!) with r = max |ds|, the terms past
+    # m_max sum to at most e^r r^(m_max+1) / ((m_max+1)! k!) < tol
+    r = float(np.abs(ds).max(initial=0.0))
+    log_r = math.log(r) if r > 0 else -math.inf
+    m_max = 0
+    while (r + (m_max + 1) * log_r - math.lgamma(m_max + 2) - math.lgamma(k + 1)
+           >= math.log(tol)):
+        m_max += 1
+        if m_max >= 400:
+            raise ConvergenceError("divided-difference series did not converge")
     prev = np.ones_like(ds)
     coeff = 1.0 / math.factorial(k)
     total = np.full(shift.shape, coeff, dtype=complex)
-    small = np.zeros(shift.shape, dtype=int)
-    active = ~separated
-    m = 0
-    while active.any():
-        m += 1
-        if m >= 400:
-            raise ConvergenceError("divided-difference series did not converge")
+    for m in range(1, m_max + 1):
         cur = np.empty_like(ds)
         cur[0] = prev[0] * ds[0]
         for j in range(1, k + 1):
             cur[j] = cur[j - 1] + ds[j] * prev[j]
         coeff /= m + k
         term = cur[k] * coeff
-        total = total + np.where(active, term, 0.0)
+        total = total + term
         prev = cur
-        small = np.where(abs(term) < tol * np.maximum(1.0, abs(total)), small + 1, 0)
-        active &= small < 3
     out = np.exp(shift) * total
     if k == 1:
         diff = np.where(separated, xs[0] - xs[1], 1.0)
@@ -474,12 +476,6 @@ def super_exp_duhamel(a: SuperMatrix, degree0_part: SuperMatrix | None = None,
     out = [[z for _ in range(d)] for _ in range(d)]
     for i in range(d):
         out[i][i] = a.algebra.scalar(cmath.exp(beta[i]), NUMERIC)
-    by_length: dict[int, list] = {}
-    for path in duhamel_paths([soul], beta):
-        by_length.setdefault(len(path[3]), []).append(path)
-    for paths in by_length.values():
-        # one batched divided difference per path length
-        dds = exp_divided_difference(np.array([nodes for *_, nodes in paths]).T, tol)
-        for (i, j, prod, _), dd in zip(paths, dds):
-            out[i][j] = out[i][j] + prod[0].scale(dd)
+    for i, j, prod, nodes in duhamel_paths([soul], beta):
+        out[i][j] = out[i][j] + prod[0].scale(exp_divided_difference(nodes, tol))
     return SuperMatrix(a.algebra, a.grading, out)

@@ -76,6 +76,12 @@ class TestRunExample:
                 == (tmp_path / "b" / "fourier.csv").read_bytes())
 
 
+# c-plane from its second E summand to the end of its symbol
+_E_TAIL = ("summand weight=1 parity=odd\n[bundle.W]\nsummand weight=0 parity=even\n"
+           "summand weight=1 parity=odd\n[symbol]\n0, conj(z) - i*conj(xi)\n"
+           "z + i*xi, 0\n")
+
+
 class TestCheckSymbol:
     def test_plane_model_passes(self, tmp_path):
         path = tmp_path / "cp.model"
@@ -116,6 +122,14 @@ class TestCheckSymbol:
          "line 6,.*'zbar'"),
         ("[bundle.W]\n", "[bundle.W]\nsummand weight=2 parity=even\n",
          r"line 9,.*two summands"),
+        # E of rank 1 and of rank 3, each with an odd symbol of matching size
+        (_E_TAIL, _E_TAIL.replace("summand weight=1 parity=odd\n[bundle.W]", "[bundle.W]")
+         .replace("0, conj(z) - i*conj(xi)\nz + i*xi, 0\n", "0\n"),
+         r"line 6,.*\[bundle.E\] must have two summands"),
+        (_E_TAIL, _E_TAIL.replace("[bundle.W]", "summand weight=2 parity=even\n[bundle.W]")
+         .replace("0, conj(z) - i*conj(xi)\nz + i*xi, 0\n",
+                  "0, conj(z) - i*conj(xi), 0\nz + i*xi, 0, 0\n0, 0, 0\n"),
+         r"line 6,.*\[bundle.E\] must have two summands"),
     ])
     def test_model_semantics_exit_three(self, tmp_path, capsys, old, new, message):
         text = builtin_model_text("c-plane")
