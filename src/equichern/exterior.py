@@ -57,6 +57,9 @@ class ExteriorAlgebra:
     differentials:
         optional map ``coordinate -> generator`` used by the exterior
         derivative; defaults to ``x -> dx`` whenever ``"d" + x`` is declared.
+    conjugates:
+        declared conjugate pairs ``z -> zbar``; a coordinate in no pair is
+        real.  Only numeric sampling (the ellipticity scan) reads this.
     """
 
     def __init__(
@@ -64,6 +67,7 @@ class ExteriorAlgebra:
         generators: Sequence[str],
         coordinates: Sequence[str] = (),
         differentials: Mapping[str, str] | None = None,
+        conjugates: Mapping[str, str] | None = None,
     ):
         if len(set(generators)) != len(generators):
             raise AlgebraError("generator names must be unique")
@@ -82,6 +86,10 @@ class ExteriorAlgebra:
             if c not in self.coord_index or g not in self.gen_index:
                 raise AlgebraError(f"bad differential pairing {c!r} -> {g!r}")
         self.differentials = dict(differentials)
+        self.conjugates = dict(conjugates or {})
+        paired = list(self.conjugates) + list(self.conjugates.values())
+        if len(set(paired)) != len(paired) or not set(paired) <= set(self.coordinates):
+            raise AlgebraError("conjugate pairs must be disjoint declared coordinates")
         self._pair_table = None
 
     # -- polynomial constructors ------------------------------------------

@@ -108,8 +108,8 @@ class ActionModel:
             else:
                 coord_names.append(c.name)
                 gen_names.append("d" + c.name)
-        self.algebra = ExteriorAlgebra(gen_names, coord_names)
-        self.conj_pairs = conj_pairs
+        self.algebra = ExteriorAlgebra(gen_names, coord_names, conjugates=conj_pairs)
+        self.conj_pairs = self.algebra.conjugates
         self.bundle_e = bundle_e
         self.bundle_w = bundle_w
         if bundle_w is not None:
@@ -381,7 +381,6 @@ class ScanGrid:
     seed: int = 0
     threshold: float = 1e-6
     r0: float = 2.0
-    refine: bool = True
     refine_iters: int = 80
     refine_candidates: int = 4
     degenerate_tol: float = 1e-12
@@ -422,53 +421,46 @@ class ScanReport:
 
 
 def _real_structure(algebra: ExteriorAlgebra):
-    """Split coordinates into conjugate pairs and real singles by naming."""
-    coords = list(algebra.coordinates)
-    pairs, singles, used = [], [], set()
-    for c in coords:
-        if c in used:
-            continue
-        if c + "bar" in coords:
-            pairs.append((c, c + "bar"))
-            used.update({c, c + "bar"})
-        elif not c.endswith("bar"):
-            singles.append(c)
-            used.add(c)
+    """Split coordinates into declared conjugate pairs and real singles."""
+    pairs = list(algebra.conjugates.items())
+    paired = {c for pair in pairs for c in pair}
+    singles = [c for c in algebra.coordinates if c not in paired]
     return pairs, singles
 
 
 def _coords_from_real(algebra: ExteriorAlgebra, pts: np.ndarray) -> dict[str, np.ndarray]:
+    """Coordinate arrays from real points ``(..., dim)``: each pair takes two reals."""
     pairs, singles = _real_structure(algebra)
     out = {}
     k = 0
     for a, b in pairs:
-        out[a] = pts[:, k] + 1j * pts[:, k + 1]
-        out[b] = pts[:, k] - 1j * pts[:, k + 1]
+        out[a] = pts[..., k] + 1j * pts[..., k + 1]
+        out[b] = pts[..., k] - 1j * pts[..., k + 1]
         k += 2
     for s in singles:
-        out[s] = pts[:, k].astype(complex)
+        out[s] = pts[..., k].astype(complex)
         k += 1
     return out
 
 
-def _real_dim(algebra: ExteriorAlgebra) -> int:
-    pairs, singles = _real_structure(algebra)
-    return 2 * len(pairs) + len(singles)
-
-
 def _eval_matrix_grid(matrix: SuperMatrix, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Values ``shape + (d, d)`` of a degree-0 matrix on coordinate arrays of one shape."""
     d = matrix.dim
-    n = len(next(iter(arrays.values())))
-    out = np.zeros((n, d, d), dtype=np.complex128)
+    shape = np.shape(next(iter(arrays.values())))
+    out = np.zeros(shape + (d, d), dtype=np.complex128)
     for i in range(d):
         for j in range(d):
             f = matrix.entries[i][j]
             if f.is_zero:
                 continue
             if f.max_degree > 0:
-                raise ValueError("ellipticity scan expects a degree-0 symbol matrix")
-            out[:, i, j] = f.terms[0].eval_grid(arrays)
+                raise ValueError("expected a degree-0 symbol matrix")
+            out[..., i, j] = f.terms[0].eval_grid(arrays)
     return out
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanReport:
@@ -477,76 +469,82 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
     Reports min |det| of the operator-norm-normalized symbol per shell and a
     least-squares growth exponent of |det|.  Points where the symbol norm
     collapses below ``degenerate_tol`` times the shell scale count as
-    determinant zeros.  The worst sample per shell is refined by a local
+    determinant zeros.  The worst samples per shell are refined by a local
     search minimizing the smallest singular value, so conic zero sets are
-    found and not merely straddled.
+    found and not merely straddled.  Every shell is sampled in one batch and
+    all shells' candidates are refined in lock-step, one batch per step.
     """
     if grid.samples <= 0 or not grid.radii:
         raise ValueError("empty scan grid")
     rng = np.random.default_rng(grid.seed)
     algebra = matrix.algebra
-    dim_real = _real_dim(algebra)
+    pairs, singles = _real_structure(algebra)
+    dim_real = 2 * len(pairs) + len(singles)
     d = matrix.dim
 
     def stats(pts: np.ndarray):
-        arrays = _coords_from_real(algebra, pts)
-        mats = _eval_matrix_grid(matrix, arrays)
+        mats = _eval_matrix_grid(matrix, _coords_from_real(algebra, pts))
         dets = np.abs(np.linalg.det(mats))
         svals = np.linalg.svd(mats, compute_uv=False)
-        return dets, svals[:, 0], svals[:, -1]
+        return dets, svals[..., 0], svals[..., -1]
+
+    radii = np.asarray(grid.radii, dtype=float)
+    r = radii[:, None, None]
+    dirs = _unit(rng.standard_normal((len(radii), grid.samples, dim_real)))
+    pts = r * dirs
+    dets, opnorms, smins = stats(pts)
+    scale = np.median(opnorms, axis=1)
+    floor = grid.degenerate_tol * np.maximum(scale, 1e-30)
+
+    # random search from each shell's worst samples, all candidates at once;
+    # a candidate that reaches the degenerate floor is frozen
+    cand_idx = np.argsort(smins, axis=1)[:, : grid.refine_candidates]
+    p = np.take_along_axis(dirs, cand_idx[..., None], axis=1)
+    start = r * p
+    best = np.take_along_axis(smins, cand_idx, axis=1)
+    step = np.full(best.shape, 0.5)
+    active = best >= floor[:, None]
+    for _ in range(grid.refine_iters):
+        if not active.any():
+            break
+        noise = rng.standard_normal(p.shape[:2] + (24, dim_real))
+        prop = _unit(p[:, :, None, :] + step[..., None, None] * noise)
+        _, _, sm = stats(r[..., None] * prop)
+        k = np.argmin(sm, axis=-1)[..., None]
+        sm_k = np.take_along_axis(sm, k, axis=-1)[..., 0]
+        improved = active & (sm_k < best)
+        best = np.where(improved, sm_k, best)
+        p = np.where(improved[..., None],
+                     np.take_along_axis(prop, k[..., None], axis=2)[:, :, 0], p)
+        step = np.where(active & ~improved, step * 0.6, step)
+        active &= best >= floor[:, None]
+
+    cand = np.concatenate([start, r * p], axis=1)
+    cdets, copn, _ = stats(cand)
+    all_pts = np.concatenate([pts, cand], axis=1)
+    all_dets = np.concatenate([dets, cdets], axis=1)
+    all_opn = np.concatenate([opnorms, copn], axis=1)
+    degenerate = all_opn < floor[:, None]
+    normalized = np.where(
+        degenerate, 0.0, all_dets / np.maximum(all_opn, floor[:, None]) ** d)
+    median_det = np.median(dets, axis=1)
 
     shells: list[ShellResult] = []
     degenerate_points = []
-    log_r, log_det = [], []
-    for r in grid.radii:
-        dirs = rng.standard_normal((grid.samples, dim_real))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        pts = r * dirs
-        dets, opnorms, smins = stats(pts)
-        scale = float(np.median(opnorms))
-        cand_idx = np.argsort(smins)[: grid.refine_candidates]
-        cand = [pts[i] for i in cand_idx]
-        if grid.refine:
-            for c0 in cand_idx:
-                p = dirs[c0].copy()
-                step = 0.5
-                best = smins[c0]
-                for _ in range(grid.refine_iters):
-                    prop = p + step * rng.standard_normal((24, dim_real))
-                    prop /= np.linalg.norm(prop, axis=1, keepdims=True)
-                    _, _, sm = stats(r * prop)
-                    k = int(np.argmin(sm))
-                    if sm[k] < best:
-                        best = sm[k]
-                        p = prop[k]
-                    else:
-                        step *= 0.6
-                    if best < grid.degenerate_tol * max(scale, 1e-30):
-                        break
-                cand.append(r * p)
-        cdets, copn, csmin = stats(np.asarray(cand))
-        all_dets = np.concatenate([dets, cdets])
-        all_opn = np.concatenate([opnorms, copn])
-        floor = grid.degenerate_tol * max(scale, 1e-30)
-        degenerate = all_opn < floor
-        normalized = np.where(
-            degenerate, 0.0, all_dets / np.maximum(all_opn, floor) ** d)
-        n_deg = int(degenerate.sum())
-        if n_deg:
-            for idx in np.nonzero(degenerate)[0][:3]:
-                pt = np.concatenate([pts, np.asarray(cand)])[idx]
-                degenerate_points.append(list(pt))
+    for i, rad in enumerate(radii):
+        n_deg = int(degenerate[i].sum())
+        for idx in np.nonzero(degenerate[i])[0][:3]:
+            degenerate_points.append(list(all_pts[i, idx]))
         shells.append(ShellResult(
-            radius=float(r),
-            min_normalized_det=float(normalized.min()),
-            median_opnorm=scale,
-            median_det=float(np.median(dets)),
+            radius=float(rad),
+            min_normalized_det=float(normalized[i].min()),
+            median_opnorm=float(scale[i]),
+            median_det=float(median_det[i]),
             degenerate=n_deg,
         ))
-        log_r.append(np.log(r))
-        log_det.append(np.log(max(float(np.median(dets)), 1e-300)))
 
-    growth = float(np.polyfit(log_r, log_det, 1)[0]) if len(log_r) > 1 else 0.0
+    log_det = np.log(np.maximum(median_det, 1e-300))
+    growth = float(np.polyfit(np.log(radii), log_det, 1)[0]) if len(radii) > 1 else 0.0
     passed = all(
         s.min_normalized_det > grid.threshold
         for s in shells if s.radius >= grid.r0)

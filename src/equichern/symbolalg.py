@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import ANGLE, COMPLEX, ActionModel, phi_xi_norms_grid
+from .geometry import ANGLE, COMPLEX, ActionModel, _eval_matrix_grid, phi_xi_norms_grid
 
 STABILITY_RATIO = 1.1   # heuristic: c_eps(R)/c_eps(R/2) below this counts as stable
 DECAY_DELTA = 1e-3
@@ -229,7 +229,6 @@ def normalized_remainder_symbol(model: ActionModel, cutoff_radius: float,
     """a(x) (1 - sigma_hat^2) with the order-zero normalized symbol sigma_hat."""
     name_x = model.base_coords[0].name
     name_f = model.fiber_coords[0].name
-    entries = model.symbol.entries
     d = model.symbol.dim
 
     def evaluator(base_arrays, fiber_arrays):
@@ -239,14 +238,7 @@ def normalized_remainder_symbol(model: ActionModel, cutoff_radius: float,
         for a, bb in model.conj_pairs.items():
             if a in arrays:
                 arrays[bb] = np.conj(arrays[a])
-        shape = x.shape
-        sig = np.zeros(shape + (d, d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                f = entries[i][j]
-                if f.is_zero:
-                    continue
-                sig[..., i, j] = f.terms[0].eval_grid(arrays)
+        sig = _eval_matrix_grid(model.symbol, arrays)
         scale = np.sqrt(1.0 + np.abs(x) ** 2 + np.abs(xi) ** 2)
         sig = sig / scale[..., None, None]
         eye = np.eye(d)

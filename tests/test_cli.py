@@ -82,6 +82,23 @@ _E_TAIL = ("summand weight=1 parity=odd\n[bundle.W]\nsummand weight=0 parity=eve
            "z + i*xi, 0\n")
 
 
+# complex base, real fiber named FIBER; the c-plane symbol with xi -> FIBER
+_REAL_FIBER_MODEL = """model real-fiber
+[coordinates]
+z  complex weight=1 role=base
+FIBER real weight=0 role=fiber
+[bundle.E]
+summand weight=0 parity=even
+summand weight=1 parity=odd
+[bundle.W]
+summand weight=0 parity=even
+summand weight=1 parity=odd
+[symbol]
+0, conj(z) - i*FIBER
+z + i*FIBER, 0
+"""
+
+
 class TestCheckSymbol:
     def test_plane_model_passes(self, tmp_path):
         path = tmp_path / "cp.model"
@@ -98,6 +115,32 @@ class TestCheckSymbol:
         code = run(["check-symbol", path, "--scan-samples", 600,
                     "--out-dir", tmp_path])
         assert code == 1
+
+    def test_real_fiber_named_like_a_conjugate(self, tmp_path):
+        # a real coordinate whose name ends in "bar" is still one real
+        # direction of the scan: renaming side -> sidebar changes nothing
+        reports = []
+        for fiber in ("side", "sidebar"):
+            path = tmp_path / f"{fiber}.model"
+            path.write_text(_REAL_FIBER_MODEL.replace("FIBER", fiber))
+            code = run(["check-symbol", path, "--scan-samples", 300,
+                        "--out-dir", tmp_path / fiber])
+            assert code in (0, 1)
+            reports.append((tmp_path / fiber / "symbol_report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_determinism(self, tmp_path):
+        path = tmp_path / "cp.model"
+        path.write_text(builtin_model_text("c-plane"))
+        sections = []
+        for out, seed in (("a", 0), ("b", 0), ("c", 5)):
+            run(["check-symbol", path, "--scan-samples", 300, "--seed", seed,
+                 "--out-dir", tmp_path / out])
+            sections.append((tmp_path / out / "symbol_report.json").read_bytes())
+        assert sections[0] == sections[1]
+        # the seed drives the scan only, not the transversality check
+        a, c = (json.loads(doc)["runs"][0]["payload"] for doc in sections[::2])
+        assert a["transversal_ellipticity"] == c["transversal_ellipticity"]
 
     def test_malformed_entry_exit_three(self, tmp_path, capsys):
         path = tmp_path / "bad.model"

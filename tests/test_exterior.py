@@ -2,6 +2,7 @@ import pytest
 
 from equichern.exterior import (
     NUMERIC,
+    AlgebraError,
     AlgebraMismatchError,
     BackendError,
     EvaluationError,
@@ -37,6 +38,11 @@ class TestWedge:
         other = ExteriorAlgebra(["dx"], ["x"])
         with pytest.raises(AlgebraMismatchError):
             plane_algebra.gen("du").wedge(other.gen("dx"))
+
+    @pytest.mark.parametrize("conjugates", [{"u": "w"}, {"u": "v", "v": "ubar"}])
+    def test_conjugates_must_be_disjoint_declared_coordinates(self, conjugates):
+        with pytest.raises(AlgebraError):
+            ExteriorAlgebra(["du"], ["u", "ubar", "v"], conjugates=conjugates)
 
     def test_odd_anticommutativity(self, plane_algebra, rng):
         for _ in range(20):

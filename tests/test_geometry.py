@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from equichern import geometry
 from equichern.exterior import NUMERIC, SYMBOLIC
 from equichern.geometry import (
     ActionModel,
@@ -202,6 +203,22 @@ class TestEllipticityScan:
         m = c_plane()
         with pytest.raises(ValueError):
             ellipticity_scan(m.symbol, ScanGrid(samples=0))
+
+    def test_one_evaluation_per_refinement_step(self, monkeypatch):
+        # all shells are sampled together and every candidate refined in
+        # lock-step: one batch for the shells, one per step, one to score
+        calls = []
+        evaluate = geometry._eval_matrix_grid
+
+        def counting(matrix, arrays):
+            calls.append(np.shape(next(iter(arrays.values()))))
+            return evaluate(matrix, arrays)
+
+        monkeypatch.setattr(geometry, "_eval_matrix_grid", counting)
+        grid = ScanGrid()
+        ellipticity_scan(augmented_symbol(c_plane()), grid)
+        assert len(calls) <= grid.refine_iters + 2
+        assert calls[0] == (len(grid.radii), grid.samples)
 
 
 class TestHomotopy:
