@@ -18,14 +18,10 @@ from .characters import (
 from .equivariant import (
     GaussianForm,
     PoleGuardError,
-    Superconnection,
     bundle_character,
-    cartan_field,
     chern_form,
     closedness_residual,
     equivariant_curvature,
-    moment,
-    superconnection,
     symbolic_chern,
     transverse_chern,
 )
@@ -40,10 +36,12 @@ from .geometry import (
     builtin_model,
     c_plane,
     c_plane_uv,
+    cartan_field,
     clifford_multiplication,
     ellipticity_scan,
     homotopy_path,
     infinitesimal_generator,
+    moment,
     orbital_projection,
     zero_op_s1,
 )
@@ -64,7 +62,6 @@ from .supermatrix import (
     graded_commutator,
     super_exp,
     super_exp_duhamel,
-    supertrace,
 )
 from .symbolalg import (
     GridSpec,

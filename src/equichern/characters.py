@@ -168,23 +168,15 @@ def ahat_squared_det_form(theta: complex) -> complex:
     return (x / s) ** 2
 
 
-@dataclass(frozen=True)
-class PrefactoredSeries:
-    """A character series carrying a separate (i theta)^k rational prefactor."""
+def ahat_squared_series(window=DEFAULT_WINDOW) -> CharacterSeries:
+    """e^{i theta}/(1-e^{i theta})^2 as a series: ahat_squared without (i theta)^2.
 
-    series: CharacterSeries
-    theta_power: int
-
-
-def ahat_squared_series(window=DEFAULT_WINDOW) -> PrefactoredSeries:
-    """e^{i theta}/(1-e^{i theta})^2 as a series, with the (i theta)^2 flagged apart.
-
-    The rational prefactor cancels against the Chern form's top-degree
-    1/(i theta)^2 during index assembly and is therefore not expanded.
+    The rational prefactor (i theta)^2 cancels against the Chern form's
+    top-degree 1/(i theta)^2 during index assembly and is therefore not
+    expanded.
     """
     geo = geometric_expand(1.0, 1, POSITIVE, window)
-    series = monomial(1, 1.0, window) * geo * geo
-    return PrefactoredSeries(series=series, theta_power=2)
+    return monomial(1, 1.0, window) * geo * geo
 
 
 def localized_index(numerator: CharacterSeries, normal_weights: Iterable[int],

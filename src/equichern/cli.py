@@ -208,15 +208,20 @@ def _int_in(lo: int, hi: int | None = None):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive and finite")
+    return value
+
+
 def _eps_list(text: str) -> list[float]:
     """argparse type: distinct positive finite regularization values."""
-    try:
-        eps = [float(e) for e in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a comma-separated list of numbers") from None
-    if not all(math.isfinite(e) and e > 0 for e in eps):
-        raise argparse.ArgumentTypeError(f"{text!r}: values must be positive and finite")
+    eps = [_positive_float(e) for e in text.split(",")]
     if len(set(eps)) != len(eps):
         raise argparse.ArgumentTypeError(f"{text!r}: values must be distinct")
     return eps
@@ -240,16 +245,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated regularization values (zero-op)")
     run.add_argument("--test", default="gaussian",
                      help="test function name (zero-op)")
-    run.add_argument("--tol", type=float, default=1e-4)
+    run.add_argument("--tol", type=_positive_float, default=1e-4)
     run.add_argument("--out-dir", default=".")
     run.set_defaults(func=cmd_run_example)
 
     chk = sub.add_parser("check-symbol", help="symbol-algebra and ellipticity checks")
     chk.add_argument("model_file")
-    chk.add_argument("--xi-max", type=float, default=1e3)
-    chk.add_argument("--scan-samples", type=int, default=2000)
-    chk.add_argument("--seed", type=int, default=0)
-    chk.add_argument("--tol", type=float, default=1e-6)
+    chk.add_argument("--xi-max", type=_positive_float, default=1e3)
+    chk.add_argument("--scan-samples", type=_int_in(1), default=2000)
+    chk.add_argument("--seed", type=_int_in(0), default=0)
+    chk.add_argument("--tol", type=_positive_float, default=1e-6)
     chk.add_argument("--out-dir", default=".")
     chk.set_defaults(func=cmd_check_symbol)
 

@@ -1,13 +1,15 @@
-"""Cartan-model superconnection calculus for circle-action models.
+"""Cartan-model Chern forms for circle-action models.
 
-Builds the equivariant curvature F(theta) = F0 + theta F1 (F0 = dA + A^2,
-F1 = mu(1) - iota_zeta(1) A) of a superconnection with odd term stored as
-iA, takes the grading-signed trace of its exponential (the Chern form), and
+A model stores the equivariant curvature of its superconnection as the pair
+(F0, F1) of F(theta) = F0 + theta F1 (F0 = dA + A^2, F1 = mu(1) -
+iota_zeta(1) A, for the odd term A stored multiplied by i).  This module
+takes the grading-signed trace of its exponential (the Chern form) and
 divides by the Clifford-model bundle character (the transverse Chern form).
-Pointwise, the dense exponential evaluates it; symbolically, chern_plan
-compiles it once per model as the shared Gaussian exponent times closed
-soul-path forms weighted by divided differences of exp, grouped by their
-nodes, so only those scalar weights are computed per theta.
+Pointwise, the dense exponential of the component array evaluates it;
+symbolically, chern_plan compiles it once per model as the shared Gaussian
+exponent times closed soul-path forms weighted by divided differences of
+exp, grouped by their nodes, so only those scalar weights are computed per
+theta.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .exterior import SYMBOLIC, Form, Poly
-from .geometry import ANGLE, COMPLEX, ActionModel, augmented_symbol
+from .exterior import NUMERIC, SYMBOLIC, Form, Poly
+from .geometry import ActionModel, cartan_field
 from .supermatrix import (
     SuperMatrix,
     UnsupportedShapeError,
     duhamel_paths,
     exp_divided_difference,
-    super_exp,
+    taylor_exp_array,
 )
 
 POLE_GUARD_THETA = 1e-6
@@ -37,62 +39,12 @@ class PoleGuardError(ValueError):
     """theta too close to a localization pole (2 pi Z) for this operation."""
 
 
-@dataclass(frozen=True)
-class Superconnection:
-    """Trivial flat connection plus an odd matrix term (stored multiplied by i)."""
-
-    odd_term: SuperMatrix
-
-    def __post_init__(self):
-        nonzero = any(not f.is_zero for row in self.odd_term.entries for f in row)
-        if nonzero and self.odd_term.homogeneous_parity() != 1:
-            raise UnsupportedShapeError("superconnection odd term must be odd")
-
-
-def superconnection(model: ActionModel) -> Superconnection:
-    """The model's superconnection; falls back to i times the augmented symbol."""
-    if model.odd_term is not None:
-        return Superconnection(model.odd_term)
-    return Superconnection(augmented_symbol(model).scale(1j))
-
-
-def cartan_field(model: ActionModel, theta: complex) -> dict[str, Poly]:
-    """Vector-field components (dual to the generators) paired with the moment.
-
-    Complex weight-w coordinates contribute i w theta c on dc and the
-    conjugate on dcbar; angle coordinates rotate at rate w theta.  This is
-    the orientation for which the Chern form is equivariantly closed against
-    the moment i theta diag(weights).
-    """
-    comps: dict[str, Poly] = {}
-    for c in model.coordinates_meta:
-        if c.weight == 0:
-            continue
-        if c.kind == COMPLEX:
-            comps["d" + c.name] = (1j * c.weight * theta) * model.coord_poly(c.name)
-            bar = model.conj_pairs[c.name]
-            comps["d" + bar] = (-1j * c.weight * theta) * model.coord_poly(bar)
-        elif c.kind == ANGLE:
-            comps["d" + c.name] = model.algebra.const(c.weight * theta)
-    return comps
-
-
-def moment(model: ActionModel, theta: complex) -> SuperMatrix:
-    """Moment of the action: i theta times the diagonal of full-bundle weights."""
-    spec = model.bundle_script_e
-    if spec is None:
-        raise UnsupportedShapeError("model carries no bundle weights")
-    alg = model.algebra
-    diag = [alg.scalar(1j * theta * w) for w in spec.weights]
-    return SuperMatrix.diagonal(alg, spec.grading(), diag)
-
-
-@dataclass
-class EquivariantCurvature:
-    """Curvature of the equivariant superconnection at a numeric theta."""
-
-    matrix: SuperMatrix
-    theta: complex
+def _curvature(model: ActionModel) -> tuple[SuperMatrix, SuperMatrix]:
+    if model.curvature is None:
+        raise UnsupportedShapeError(
+            f"model {model.name!r} has no superconnection odd term; "
+            "set one with set_odd_term")
+    return model.curvature
 
 
 def split_body(mat: SuperMatrix) -> tuple[Poly, tuple[complex, ...], SuperMatrix]:
@@ -132,26 +84,10 @@ def split_body(mat: SuperMatrix) -> tuple[Poly, tuple[complex, ...], SuperMatrix
     return shared, tuple(offsets), soul
 
 
-def equivariant_curvature(sc: Superconnection, model: ActionModel,
-                          theta: complex) -> EquivariantCurvature:
-    """F = dA + A^2 + mu(theta) - iota_zeta A for odd term A (already times i).
-
-    The theta-independent part dA + A^2 and the contraction slope
-    iota_{zeta(1)} A (the field is linear in theta) are cached per model.
-    """
-    a = sc.odd_term
-    cache = getattr(model, "_curvature_cache", None)
-    if cache is None or cache[0] is not a:
-        static = a.d() + (a @ a)
-        slope = a.interior(cartan_field(model, 1.0))
-        cache = [a, static, slope, None, None]
-        model._curvature_cache = cache
-    _, static, slope, last_theta, last_f = cache
-    if last_theta == theta and last_f is not None:
-        return EquivariantCurvature(matrix=last_f, theta=theta)
-    f = static + moment(model, theta) - slope.scale(theta)
-    cache[3], cache[4] = theta, f
-    return EquivariantCurvature(matrix=f, theta=theta)
+def equivariant_curvature(model: ActionModel, theta: complex) -> SuperMatrix:
+    """F(theta) = dA + A^2 + mu(theta) - iota_zeta(theta) A = F0 + theta F1."""
+    f0, f1 = _curvature(model)
+    return f0 + f1.scale(theta)
 
 
 def bundle_character(weights, parities, theta: complex) -> complex:
@@ -228,15 +164,12 @@ def chern_plan(model: ActionModel,
                moment_perturbation: tuple[int, complex] | None = None) -> ChernPlan:
     """Walk the closed soul paths of the model's curvature once, for all theta.
 
-    The curvature is affine in theta, F = F0 + theta F1 with
-    F1 = mu(1) - iota_zeta(1) A, so F0 and F1 each split into shared
-    polynomial, constant offsets and soul, and every path product is a
-    polynomial in theta.  A moment perturbation adds a constant to one
-    diagonal entry of F0 (the closedness negative control).
+    The curvature is affine in theta, F = F0 + theta F1, so F0 and F1 each
+    split into shared polynomial, constant offsets and soul, and every path
+    product is a polynomial in theta.  A moment perturbation adds a constant
+    to one diagonal entry of F0 (the closedness negative control).
     """
-    sc = superconnection(model)
-    f0 = equivariant_curvature(sc, model, 0.0).matrix
-    f1 = moment(model, 1.0) - sc.odd_term.interior(cartan_field(model, 1.0))
+    f0, f1 = _curvature(model)
     if moment_perturbation is not None:
         idx, amount = moment_perturbation
         f0 = f0 + SuperMatrix.diagonal(
@@ -290,13 +223,18 @@ def symbolic_chern(model: ActionModel, theta: complex,
 
 def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex],
                tol: float = 1e-12, allow_near_pole: bool = False) -> Form:
-    """Pointwise Chern form: supertrace of the dense exponential of the curvature."""
+    """Pointwise Chern form: supertrace of the dense exponential of the curvature.
+
+    F0 and F1 are evaluated at the point into one component array
+    F0 + theta F1, whose exponential is traced with the grading signs.
+    """
     if _near_pole(theta) and not allow_near_pole:
         raise PoleGuardError(f"theta={theta} within {POLE_GUARD_THETA} of a 2*pi*Z pole")
-    sc = superconnection(model)
-    curv = equivariant_curvature(sc, model, theta)
-    fnum = curv.matrix.evaluate(model.full_point(point))
-    return super_exp(fnum, tol).supertrace()
+    f0, f1 = _curvature(model)
+    pt = model.full_point(point)
+    expf = taylor_exp_array(f0.to_array(pt) + theta * f1.to_array(pt), model.algebra, tol)
+    signs = [f0.grading.sign(i) for i in range(f0.dim)]
+    return Form(model.algebra, NUMERIC, dict(enumerate(np.diagonal(expf) @ signs)))
 
 
 def w_character(model: ActionModel, theta: complex,

@@ -2,13 +2,15 @@
 
 An action model declares coordinates with integer rotation weights, the
 graded bundles the symbol acts on, an auxiliary rank-2 Clifford-model bundle
-used to absorb the orbital directions, and the symbol matrix itself.  The
-module provides the orbital projection (composition of the action derivative
-with its metric adjoint), Clifford multiplication on the model bundle, the
-graded augmentation of a symbol by orbital Clifford multiplication, a
-determinant-based ellipticity scan along shells, and the two-stage linear
-homotopy connecting the augmented symbol to its constant-coefficient
-normal form.
+used to absorb the orbital directions, the symbol matrix itself, and the
+odd term of a superconnection with its equivariant curvature, which is affine
+in theta and stored once per model as (F0, F1).  The module provides the
+Cartan vector field and the moment of the action, the orbital projection
+(composition of the action derivative with its metric adjoint), Clifford
+multiplication on the model bundle, the graded augmentation of a symbol by
+orbital Clifford multiplication, a determinant-based ellipticity scan along
+shells, and the two-stage linear homotopy connecting the augmented symbol to
+its constant-coefficient normal form.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def _tensor_bundle(e: BundleSpec, w: BundleSpec) -> tuple[BundleSpec, tuple]:
 
 
 class ActionModel:
-    """Coordinates, weights, bundles and symbol of one group-action model."""
+    """Coordinates, weights, bundles, symbol and curvature of one group-action model."""
 
     def __init__(
         self,
@@ -90,7 +92,6 @@ class ActionModel:
         bundle_e: BundleSpec,
         bundle_w: BundleSpec | None = None,
         symbol_rows=None,
-        odd_term_rows=None,
         volume: Sequence[str] | None = None,
         x_support: float = 2.0,
     ):
@@ -122,8 +123,7 @@ class ActionModel:
             self.set_symbol(symbol_rows)
 
         self.odd_term = None
-        if odd_term_rows is not None:
-            self.set_odd_term(odd_term_rows)
+        self.curvature = None  # (F0, F1), set with the odd term by set_odd_term
 
         if volume is None:
             volume = []
@@ -148,11 +148,22 @@ class ActionModel:
         self.symbol = mat
 
     def set_odd_term(self, rows) -> None:
+        """Set the superconnection's odd term A (stored times i) and its curvature.
+
+        The equivariant curvature is affine in theta,
+        F(theta) = F0 + theta F1 with F0 = dA + A^2 and
+        F1 = mu(1) - iota_zeta(1) A, so ``curvature`` holds the pair (F0, F1).
+        """
         mat = rows if isinstance(rows, SuperMatrix) else SuperMatrix(
             self.algebra, self.bundle_script_e.grading(), rows)
         if mat.dim != self.bundle_script_e.rank:
             raise ValueError("odd term dimension must match the full bundle rank")
+        nonzero = any(not f.is_zero for row in mat.entries for f in row)
+        if nonzero and mat.homogeneous_parity() != 1:
+            raise UnsupportedShapeError("superconnection odd term must be odd")
         self.odd_term = mat
+        self.curvature = (mat.d() + (mat @ mat),
+                          moment(self, 1.0) - mat.interior(cartan_field(self, 1.0)))
 
     # -- coordinate helpers ----------------------------------------------------
 
@@ -198,6 +209,37 @@ class ActionModel:
 
 
 # -- infinitesimal action and orbital projection --------------------------------
+
+
+def cartan_field(model: ActionModel, theta: complex) -> dict[str, Poly]:
+    """Vector-field components (dual to the generators) paired with the moment.
+
+    Complex weight-w coordinates contribute i w theta c on dc and the
+    conjugate on dcbar; angle coordinates rotate at rate w theta.  This is
+    the orientation for which the Chern form is equivariantly closed against
+    the moment i theta diag(weights).
+    """
+    comps: dict[str, Poly] = {}
+    for c in model.coordinates_meta:
+        if c.weight == 0:
+            continue
+        if c.kind == COMPLEX:
+            comps["d" + c.name] = (1j * c.weight * theta) * model.coord_poly(c.name)
+            bar = model.conj_pairs[c.name]
+            comps["d" + bar] = (-1j * c.weight * theta) * model.coord_poly(bar)
+        elif c.kind == ANGLE:
+            comps["d" + c.name] = model.algebra.const(c.weight * theta)
+    return comps
+
+
+def moment(model: ActionModel, theta: complex) -> SuperMatrix:
+    """Moment of the action: i theta times the diagonal of full-bundle weights."""
+    spec = model.bundle_script_e
+    if spec is None:
+        raise UnsupportedShapeError("model carries no bundle weights")
+    alg = model.algebra
+    diag = [alg.scalar(1j * theta * w) for w in spec.weights]
+    return SuperMatrix.diagonal(alg, spec.grading(), diag)
 
 
 def infinitesimal_generator(model: ActionModel, v: float, point: Mapping[str, complex]) -> dict:

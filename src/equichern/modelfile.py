@@ -32,7 +32,8 @@ from importlib import resources
 from typing import Sequence
 
 from .exterior import Poly
-from .geometry import COMPLEX, ActionModel, BundleSpec, Coordinate
+from .geometry import COMPLEX, ActionModel, BundleSpec, Coordinate, augmented_symbol
+from .supermatrix import UnsupportedShapeError
 
 
 class ModelParseError(ValueError):
@@ -197,12 +198,16 @@ def _int_value(kv: dict[str, str], key: str, line: int) -> int:
 
 
 def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
-    """Parse a model document into an ActionModel; errors carry line/column."""
+    """Parse a model document into an ActionModel; errors carry line/column.
+
+    The model's superconnection odd term is i times its augmented symbol.
+    """
     name = None
     coords: list[Coordinate] = []
     taken: dict[str, int] = {}  # coordinate names, conjugates included -> line
+    roles: dict[str, list[tuple[Coordinate, int]]] = {"base": [], "fiber": []}
     bundles: dict[str, list[tuple[int, int]]] = {}
-    bundle_lines: dict[str, int] = {}
+    section_lines: dict[str, int] = {}
     symbol_lines: list[tuple[int, str]] = []
     options: dict[str, tuple[str, int]] = {}
     section = None
@@ -215,9 +220,9 @@ def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip().lower()
+            section_lines.setdefault(section, lineno)
             if section.startswith("bundle."):
                 bundles.setdefault(section.split(".", 1)[1], [])
-                bundle_lines.setdefault(section.split(".", 1)[1], lineno)
             continue
         if section == "coordinates":
             parts = stripped.split()
@@ -239,6 +244,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
                         lineno)
                 taken[n] = lineno
             coords.append(coord)
+            roles[coord.role].append((coord, lineno))
         elif section is not None and section.startswith("bundle."):
             parts = stripped.split()
             if parts[0] != "summand":
@@ -261,6 +267,18 @@ def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
         raise ModelParseError("missing 'model <name>' header", 1)
     if not coords:
         raise ModelParseError("no coordinates declared", 1)
+    # the orbital projection is built for one complex base and one fiber
+    for role, declared in roles.items():
+        if not declared:
+            raise ModelParseError(f"no {role} coordinate declared",
+                                  section_lines["coordinates"])
+        if len(declared) > 1:
+            raise ModelParseError(f"a second {role} coordinate "
+                                  f"{declared[1][0].name!r}; exactly one is supported",
+                                  declared[1][1])
+    base, base_line = roles["base"][0]
+    if base.kind != COMPLEX:
+        raise ModelParseError(f"base coordinate {base.name!r} must be complex", base_line)
     if "e" not in bundles or not bundles["e"]:
         raise ModelParseError("missing [bundle.E] section", 1)
     if "w" not in bundles or not bundles["w"]:
@@ -269,7 +287,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
     for key in ("e", "w"):
         if len(bundles[key]) != 2:
             raise ModelParseError(f"[bundle.{key.upper()}] must have two summands",
-                                  bundle_lines[key])
+                                  section_lines["bundle." + key])
     if not symbol_lines:
         raise ModelParseError("missing [symbol] section", 1)
     x_support, x_line = options.get("x_support", ("2.0", 1))
@@ -313,6 +331,14 @@ def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
         model.set_symbol(rows)
     except ValueError as exc:
         raise ModelParseError(str(exc), symbol_lines[0][0]) from None
+    odd_term = augmented_symbol(model).scale(1j)
+    try:
+        model.set_odd_term(odd_term)
+    except UnsupportedShapeError:
+        # the symbol is odd, so only an ungraded W makes the Clifford part even
+        raise ModelParseError(
+            "[bundle.W] must have one even and one odd summand",
+            section_lines["bundle.w"]) from None
     return model
 
 

@@ -237,31 +237,26 @@ class SuperMatrix:
                 out[i][l] = acc
         return SuperMatrix(self.algebra, self.grading, out)
 
-    # -- dense component array (numeric backend) --------------------------------
+    # -- dense component array ------------------------------------------------------
 
-    def to_array(self) -> np.ndarray:
-        if self.backend != NUMERIC:
-            raise BackendError("component arrays require the numeric backend")
+    def to_array(self, point: Mapping[str, complex] | None = None) -> np.ndarray:
+        """Components ``(d, d, 2^n)``; symbolic entries are evaluated at ``point``."""
+        numeric = self.backend == NUMERIC
+        if not numeric and point is None:
+            raise BackendError("component arrays of symbolic entries need a point")
         d = self.dim
         out = np.zeros((d, d, self.algebra.n_components), dtype=np.complex128)
         for i, row in enumerate(self.entries):
             for j, f in enumerate(row):
                 for mask, c in f.terms.items():
-                    out[i, j, mask] = c
+                    out[i, j, mask] = c if numeric else c.evaluate(point)
         return out
 
     @classmethod
-    def from_array(cls, algebra, grading, arr: np.ndarray, tol: float = 0.0) -> "SuperMatrix":
-        d = grading.dim
-        rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                terms = {m: arr[i, j, m] for m in range(arr.shape[2])
-                         if abs(arr[i, j, m]) > tol}
-                row.append(Form(algebra, NUMERIC, terms))
-            rows.append(row)
-        return cls(algebra, grading, rows)
+    def from_array(cls, algebra, grading, arr: np.ndarray) -> "SuperMatrix":
+        """Numeric supermatrix from components ``(d, d, 2^n)``."""
+        return cls(algebra, grading, [[Form(algebra, NUMERIC, dict(enumerate(f)))
+                                       for f in row] for row in arr])
 
     def isclose(self, other: "SuperMatrix", tol: float = 1e-12) -> bool:
         self._check(other)
@@ -270,10 +265,6 @@ class SuperMatrix:
 
     def __repr__(self):
         return f"SuperMatrix(dim={self.dim}, parities={self.grading.parities})"
-
-
-def supertrace(a: SuperMatrix) -> Form:
-    return a.supertrace()
 
 
 def graded_commutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
@@ -301,23 +292,22 @@ def _array_norm(A: np.ndarray) -> float:
     return float(np.abs(A).sum(axis=2).sum(axis=1).max(initial=0.0))
 
 
-def super_exp(a: SuperMatrix, tol: float = 1e-12) -> SuperMatrix:
-    """Matrix exponential by scaling-and-squaring with a truncated Taylor sum.
+def taylor_exp_array(A: np.ndarray, algebra: ExteriorAlgebra,
+                     tol: float = 1e-12) -> np.ndarray:
+    """Exponential of a component array ``(d, d, 2^n)`` over the algebra.
 
-    The Grassmann soul terminates exactly; the scaling controls the
-    degree-0 body.  Terms are added until the next term's max coefficient
-    norm drops below ``tol`` times the accumulated norm.
+    Scaling-and-squaring with a truncated Taylor sum: the Grassmann soul
+    terminates exactly; the scaling controls the degree-0 body.  Terms are
+    added until the next term's max coefficient norm drops below ``tol``
+    times the accumulated norm.
     """
-    if a.backend != NUMERIC:
-        raise BackendError("super_exp requires the numeric backend")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    table = a.algebra.pair_table()
-    A = a.to_array()
+    table = algebra.pair_table()
     norm = _array_norm(A)
     s = 0 if norm <= 0.5 else max(0, math.ceil(math.log2(norm / 0.5)))
     As = A / (2.0**s)
-    d = a.dim
+    d = A.shape[0]
     eye = np.zeros_like(A)
     eye[np.arange(d), np.arange(d), 0] = 1.0
     acc = eye.copy()
@@ -331,6 +321,14 @@ def super_exp(a: SuperMatrix, tol: float = 1e-12) -> SuperMatrix:
         raise ConvergenceError("Taylor series did not converge")
     for _ in range(s):
         acc = _array_matmul(acc, acc, table)
+    return acc
+
+
+def super_exp(a: SuperMatrix, tol: float = 1e-12) -> SuperMatrix:
+    """Matrix exponential of a numeric supermatrix by ``taylor_exp_array``."""
+    if a.backend != NUMERIC:
+        raise BackendError("super_exp requires the numeric backend")
+    acc = taylor_exp_array(a.to_array(), a.algebra, tol)
     return SuperMatrix.from_array(a.algebra, a.grading, acc)
 
 
@@ -440,33 +438,23 @@ def duhamel_paths(soul: Sequence[SuperMatrix], diag: Sequence):
         yield from walk(i, i, one, (diag[i],))
 
 
-def super_exp_duhamel(a: SuperMatrix, degree0_part: SuperMatrix | None = None,
-                      tol: float = 1e-18) -> SuperMatrix:
+def super_exp_duhamel(a: SuperMatrix, tol: float = 1e-18) -> SuperMatrix:
     """Matrix exponential via the Duhamel expansion around a diagonal body.
 
     exp(body + soul) is the sum over products of soul entries weighted by
     simplex integrals of body exponentials, which reduce to divided
     differences of exp at the diagonal entries.  The sum is finite because
-    each soul factor raises the form degree.
+    each soul factor raises the form degree.  The body is the degree-0 part
+    of the diagonal; degree-0 content off the diagonal is rejected.
     """
     if a.backend != NUMERIC:
         raise BackendError("super_exp_duhamel requires the numeric backend")
     d = a.dim
     z = a.algebra.zero(NUMERIC)
-    if degree0_part is None:
-        degree0_part = SuperMatrix(
-            a.algebra, a.grading,
-            [[a.entries[i][j].component(0) if i == j else z for j in range(d)]
-             for i in range(d)])
-    for i in range(d):
-        for j in range(d):
-            body_ij = degree0_part.entries[i][j]
-            if i != j and not body_ij.is_zero:
-                raise UnsupportedShapeError("Duhamel expansion needs a diagonal body")
-            if body_ij.max_degree > 0:
-                raise UnsupportedShapeError("body must be purely degree 0")
-    beta = [degree0_part.entries[i][i].terms.get(0, 0.0 + 0.0j) for i in range(d)]
-    soul = a - degree0_part
+    body = SuperMatrix.diagonal(a.algebra, a.grading,
+                                [a.entries[i][i].component(0) for i in range(d)], NUMERIC)
+    beta = [body.entries[i][i].terms.get(0, 0.0 + 0.0j) for i in range(d)]
+    soul = a - body
     for i in range(d):
         for j in range(d):
             if not soul.entries[i][j].component(0).is_zero:

@@ -52,7 +52,6 @@ class GridSpec:
     n_radii: int = 24
     r_max: float = 1e3
     r_min: float = 0.5
-    seed: int = 7
 
 
 def _base_points(model: ActionModel, b: SymbolFunction, grid: GridSpec) -> dict:

@@ -113,12 +113,11 @@ class TestAhatSquared:
             ahat_squared(0.0)
 
     def test_series_form(self):
-        ps = ahat_squared_series((-16, 16))
-        assert ps.theta_power == 2
+        series = ahat_squared_series((-16, 16))
         # e^{i theta}/(1-e^{i theta})^2 = sum n t^n
         for n in range(1, 17):
-            assert ps.series.coeff(n) == n
-        assert ps.series.coeff(0) == 0.0
+            assert series.coeff(n) == n
+        assert series.coeff(0) == 0.0
 
 
 class TestLocalizedIndex:

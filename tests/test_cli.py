@@ -5,11 +5,13 @@ from pathlib import Path
 
 import pytest
 
+import equichern
 from equichern.characters import series_from_csv, series_to_csv
 from equichern.cli import build_parser, main, validate_report
 from equichern.modelfile import builtin_model_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PLANE_MODEL = Path(equichern.__file__).parent / "models" / "c_plane.model"
 
 
 def run(argv):
@@ -48,9 +50,20 @@ class TestRunExample:
         ("c-plane", "--theta-samples", "0"),
         ("c-plane", "--fourier-window", "-1"),
         ("c-plane", "--fourier-window", "80"),
+        ("c-plane", "--tol", "nan"),
+        ("check-symbol", "--scan-samples", "0"),
+        ("check-symbol", "--scan-samples", "-3"),
+        ("check-symbol", "--seed", "-1"),
+        ("check-symbol", "--xi-max", "0"),
+        ("check-symbol", "--xi-max", "-5"),
+        ("check-symbol", "--xi-max", "nan"),
+        ("check-symbol", "--tol", "nan"),
     ])
     def test_bad_argument_usage_error(self, tmp_path, capsys, name, flag, value):
-        code = run(["run-example", name, flag, value, "--out-dir", tmp_path])
+        # name is a run-example example, or check-symbol on the shipped c-plane
+        command = (["check-symbol", PLANE_MODEL] if name == "check-symbol"
+                   else ["run-example", name])
+        code = run(command + [flag, value, "--out-dir", tmp_path])
         assert code == 2
         assert f"argument {flag}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
@@ -80,6 +93,11 @@ class TestRunExample:
 _E_TAIL = ("summand weight=1 parity=odd\n[bundle.W]\nsummand weight=0 parity=even\n"
            "summand weight=1 parity=odd\n[symbol]\n0, conj(z) - i*conj(xi)\n"
            "z + i*xi, 0\n")
+
+
+# c-plane from its first coordinate to the end of its symbol
+_COORDS_TO_SYMBOL = ("z  complex weight=1 role=base\nxi complex weight=1 role=fiber\n"
+                     "[bundle.E]\nsummand weight=0 parity=even\n" + _E_TAIL)
 
 
 # complex base, real fiber named FIBER; the c-plane symbol with xi -> FIBER
@@ -173,6 +191,21 @@ class TestCheckSymbol:
          .replace("0, conj(z) - i*conj(xi)\nz + i*xi, 0\n",
                   "0, conj(z) - i*conj(xi), 0\nz + i*xi, 0, 0\n0, 0, 0\n"),
          r"line 6,.*\[bundle.E\] must have two summands"),
+        # one complex base and one fiber, with symbols that parse
+        (_COORDS_TO_SYMBOL, _COORDS_TO_SYMBOL.replace("z  complex", "z  real")
+         .replace("conj(z)", "z"), "line 4,.*base coordinate 'z' must be complex"),
+        (_COORDS_TO_SYMBOL, _COORDS_TO_SYMBOL.replace("z  complex", "z  angle")
+         .replace("conj(z)", "z"), "line 4,.*base coordinate 'z' must be complex"),
+        ("xi complex weight=1 role=fiber",
+         "w  complex weight=1 role=base\nxi complex weight=1 role=fiber",
+         "line 5,.*second base coordinate 'w'"),
+        (_COORDS_TO_SYMBOL, _COORDS_TO_SYMBOL.replace("xi complex weight=1 role=fiber\n", "")
+         .replace(" - i*conj(xi)", "").replace(" + i*xi", ""),
+         "line 3,.*no fiber coordinate"),
+        # an ungraded W makes the orbital Clifford part, so the odd term, even
+        ("[bundle.W]\nsummand weight=0 parity=even\nsummand weight=1 parity=odd",
+         "[bundle.W]\nsummand weight=0 parity=even\nsummand weight=1 parity=even",
+         r"line 9,.*\[bundle.W\] must have one even and one odd summand"),
     ])
     def test_model_semantics_exit_three(self, tmp_path, capsys, old, new, message):
         text = builtin_model_text("c-plane")

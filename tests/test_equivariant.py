@@ -1,21 +1,20 @@
 import cmath
+import sys
 
 import numpy as np
 import pytest
 
+from equichern import geometry
 from equichern.characters import ahat_squared
 from equichern.equivariant import (
     GaussianForm,
     PoleGuardError,
     bundle_character,
-    cartan_field,
     chern_form,
     chern_plan,
     closedness_residual,
     equivariant_curvature,
-    moment,
     split_body,
-    superconnection,
     symbolic_chern,
     transverse_chern,
 )
@@ -27,8 +26,11 @@ from equichern.geometry import (
     SuperMatrix,
     c_plane,
     c_plane_uv,
+    cartan_field,
+    moment,
     zero_op_s1,
 )
+from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.quadrature import (
     DivergenceError,
     gaussian_integral,
@@ -41,6 +43,7 @@ from equichern.supermatrix import (
     UnsupportedShapeError,
     duhamel_paths,
     exp_divided_difference,
+    super_exp,
 )
 
 
@@ -94,12 +97,55 @@ class TestMoment:
             moment(bare, 1.0)
 
 
+def bare_plane_model():
+    """The c-plane coordinates and bundles with no superconnection odd term."""
+    coords = (Coordinate("z", "complex", 1, "base"),
+              Coordinate("xi", "complex", 1, "fiber"))
+    graded = BundleSpec((0, 1), (0, 1))
+    return ActionModel("bare-plane", coords, graded, graded)
+
+
 class TestEquivariantCurvature:
+    def test_set_odd_term_recomputes_the_curvature(self):
+        m = c_plane_uv()
+        old = m.curvature
+        rows = [list(row) for row in m.odd_term.entries]
+        rows[0][2] = rows[0][2] + m.algebra.gen("du").wedge(m.algebra.gen("dv"))
+        m.set_odd_term(SuperMatrix(m.algebra, m.odd_term.grading, rows))
+        a = m.odd_term
+        for theta in (0.0, 1.3, 2 + 1j):
+            ref = (a.d() + (a @ a) + moment(m, theta)
+                   - a.interior(cartan_field(m, theta)))
+            got = equivariant_curvature(m, theta)
+            assert all(x == y for r1, r2 in zip(got.entries, ref.entries)
+                       for x, y in zip(r1, r2))
+        assert any(x != y for r1, r2 in zip(m.curvature[0].entries, old[0].entries)
+                   for x, y in zip(r1, r2))
+
+    def test_even_odd_term_rejected(self):
+        m = c_plane_uv()
+        old = (m.odd_term, m.curvature)
+        even = SuperMatrix.identity(m.algebra, m.odd_term.grading)
+        with pytest.raises(UnsupportedShapeError, match="must be odd"):
+            m.set_odd_term(even)
+        assert (m.odd_term, m.curvature) == old
+
+    @pytest.mark.parametrize("call", [
+        lambda m: equivariant_curvature(m, 1.3),
+        lambda m: chern_plan(m),
+        lambda m: symbolic_chern(m, 1.3),
+        lambda m: chern_form(m, 1.3, {"z": 0.2, "xi": 0.1j}),
+        lambda m: transverse_chern(m, 1.3),
+    ])
+    def test_model_without_odd_term_raises(self, call):
+        with pytest.raises(UnsupportedShapeError, match="set_odd_term"):
+            call(bare_plane_model())
+
     def test_plane_body_and_one_form_part(self):
         m = c_plane_uv()
         theta = 1.1
-        curv = equivariant_curvature(superconnection(m), m, theta)
-        shared, offsets, soul = split_body(curv.matrix)
+        curv = equivariant_curvature(m, theta)
+        shared, offsets, soul = split_body(curv)
         # body: -(|u|^2 + |v|^2) plus the moment offsets
         alg = m.algebra
         expected = -(alg.coord("u") * alg.coord("ubar")
@@ -118,15 +164,15 @@ class TestEquivariantCurvature:
                            BundleSpec((0, 0), (0, 1)))
         flat.set_odd_term(SuperMatrix.zero(flat.algebra,
                                            flat.bundle_e.grading(), SYMBOLIC))
-        curv = equivariant_curvature(superconnection(flat), flat, 0.7)
-        assert all(f.is_zero for row in curv.matrix.entries for f in row)
+        curv = equivariant_curvature(flat, 0.7)
+        assert all(f.is_zero for row in curv.entries for f in row)
 
     def test_circle_zero_operator(self):
         # F = i(dxi ^ dtheta - X xi) for the tautological-form superconnection
         m = zero_op_s1()
         x_param = 1.6
-        curv = equivariant_curvature(superconnection(m), m, x_param)
-        f = curv.matrix.entries[0][0]
+        curv = equivariant_curvature(m, x_param)
+        f = curv.entries[0][0]
         assert f.coefficient(("dxi", "dtheta")).constant_value() == 1j
         deg0 = f.terms[0]
         assert deg0 == m.algebra.coord("xi") * (-1j * x_param)
@@ -158,6 +204,35 @@ class TestChernForm:
         assert gf.exponent.is_zero
         got = gf.form.terms[0].constant_value()
         assert abs(got - (1 - cmath.exp(1j * theta))) < 1e-14
+
+    @pytest.mark.parametrize("make", [c_plane_uv, c_plane, zero_op_s1])
+    def test_matches_supermatrix_route(self, make):
+        # the supermatrix route: F(theta) evaluated entrywise, super_exp, supertrace
+        m = make()
+        base = PLAN_POINTS[make.__name__]
+        points = (base, {k: 0.5 * v - 0.25 for k, v in base.items()})
+        for theta in PLAN_THETAS:
+            for point in points:
+                got = chern_form(m, theta, point)
+                fnum = equivariant_curvature(m, theta).evaluate(m.full_point(point))
+                ref = super_exp(fnum).supertrace()
+                assert got.isclose(ref, 1e-13 * ref.norm_max())
+
+    def test_parsed_model_builds_no_augmented_symbol_per_call(self, monkeypatch):
+        m = parse_model_text(builtin_model_text("c-plane"))
+        calls = []
+
+        def counted(model):
+            calls.append(model)
+            return geometry.augmented_symbol(model)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("equichern") and hasattr(module, "augmented_symbol"):
+                monkeypatch.setattr(module, "augmented_symbol", counted)
+        a = chern_form(m, 1.3, PLAN_POINTS["c_plane"])
+        b = chern_form(m, 1.3, PLAN_POINTS["c_plane"])
+        assert not calls
+        assert a.isclose(b, 0.0)
 
     def test_pole_guard(self):
         m = c_plane_uv()
@@ -272,16 +347,14 @@ class TestInvariants:
     def test_conjugation_naturality(self, rng):
         m = c_plane_uv()
         theta = 1.3
-        curv = equivariant_curvature(superconnection(m), m, theta)
+        curv = equivariant_curvature(m, theta)
         pt = m.full_point({"u": 0.4 - 0.1j, "v": 0.2 + 0.3j})
-        fnum = curv.matrix.evaluate(pt)
+        fnum = curv.evaluate(pt)
         g = np.eye(4, dtype=complex)
         g[0, 1], g[1, 0], g[2, 3], g[3, 2] = 0.2, -0.3j, 0.15 + 0.1j, 0.4
         g += np.eye(4)
-        from equichern.supermatrix import super_exp, supertrace
-
-        lhs = supertrace(super_exp(fnum.similarity(g), tol=1e-14))
-        rhs = supertrace(super_exp(fnum, tol=1e-14))
+        lhs = super_exp(fnum.similarity(g), tol=1e-14).supertrace()
+        rhs = super_exp(fnum, tol=1e-14).supertrace()
         assert (lhs - rhs).norm_max() < 1e-10
 
     def test_top_coefficient_pole_order(self):
@@ -309,9 +382,9 @@ class TestInvariants:
 
 def per_theta_chern(model, theta):
     """Reference route: curvature at theta, split, path walk, scalar divided differences."""
-    curv = equivariant_curvature(superconnection(model), model, theta)
-    shared, offsets, soul = split_body(curv.matrix)
-    grading = curv.matrix.grading
+    curv = equivariant_curvature(model, theta)
+    shared, offsets, soul = split_body(curv)
+    grading = curv.grading
     total = model.algebra.zero(SYMBOLIC)
     for i, o in enumerate(offsets):
         total = total + model.algebra.scalar(grading.sign(i) * cmath.exp(o))
@@ -407,7 +480,9 @@ class TestChernPlan:
 
     def test_plan_is_not_stored_on_the_model(self):
         m = c_plane_uv()
-        before = set(vars(m))
+        before = dict(vars(m))
         chern_plan(m)
         integrate_top_form(m, 1.3)
-        assert set(vars(m)) - before <= {"_curvature_cache"}
+        chern_form(m, 1.3, PLAN_POINTS["c_plane_uv"])
+        assert vars(m).keys() == before.keys()
+        assert all(vars(m)[k] is v for k, v in before.items())

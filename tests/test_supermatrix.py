@@ -14,7 +14,6 @@ from equichern.supermatrix import (
     graded_commutator,
     super_exp,
     super_exp_duhamel,
-    supertrace,
 )
 
 
@@ -76,14 +75,14 @@ class TestProduct:
 class TestSupertrace:
     def test_identity_balanced_grading(self, plane_algebra, grading):
         eye = SuperMatrix.identity(plane_algebra, grading, NUMERIC)
-        assert supertrace(eye).is_zero
+        assert eye.supertrace().is_zero
 
     def test_signed_character_diagonal(self, plane_algebra, grading):
         # oracle: direct scalar arithmetic of the signed exponential sum
         theta = 1.37
         diag = [1.0, cmath.exp(2j * theta), cmath.exp(1j * theta), cmath.exp(1j * theta)]
         m = SuperMatrix.diagonal(plane_algebra, grading, diag, NUMERIC)
-        got = supertrace(m).terms.get(0, 0.0)
+        got = m.supertrace().terms.get(0, 0.0)
         oracle = diag[0] + diag[1] - diag[2] - diag[3]
         assert abs(got - oracle) < 1e-15
         assert abs(got - (1 - cmath.exp(1j * theta)) ** 2) < 1e-14
@@ -94,7 +93,7 @@ class TestSupertrace:
             for _ in range(10):
                 a = _homogeneous(plane_algebra, grading, rng, parity)
                 b = _homogeneous(plane_algebra, grading, rng, parity)
-                st = supertrace(graded_commutator(a, b))
+                st = graded_commutator(a, b).supertrace()
                 assert st.norm_max() < 1e-12
 
 
@@ -141,15 +140,15 @@ class TestSuperExp:
 
     def test_curvature_point_against_duhamel(self):
         # the worked curvature at the fixed point, both exponential routes
-        from equichern.equivariant import equivariant_curvature, superconnection
+        from equichern.equivariant import equivariant_curvature
 
         model = c_plane_uv()
-        curv = equivariant_curvature(superconnection(model), model, cmath.pi)
-        fnum = curv.matrix.evaluate(model.full_point({"u": 0.0, "v": 0.0}))
+        curv = equivariant_curvature(model, cmath.pi)
+        fnum = curv.evaluate(model.full_point({"u": 0.0, "v": 0.0}))
         a = super_exp(fnum, tol=1e-14)
         b = super_exp_duhamel(fnum)
         assert a.isclose(b, 1e-10)
-        st = supertrace(a)
+        st = a.supertrace()
         fac = (1 - cmath.exp(1j * cmath.pi)) ** 2
         assert abs(st.terms[0] - fac) < 1e-12
 
@@ -163,7 +162,7 @@ class TestDuhamel:
         assert super_exp_duhamel(n).isclose(super_exp(n, tol=1e-15), 1e-11)
 
     def test_worked_supertrace_matches_closed_form(self, rng):
-        from equichern.equivariant import equivariant_curvature, superconnection
+        from equichern.equivariant import equivariant_curvature
         from equichern.quadrature import orientation_sign
 
         model = c_plane_uv()
@@ -173,9 +172,9 @@ class TestDuhamel:
             u = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             v = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             theta = rng.uniform(0.3, 5.9)
-            curv = equivariant_curvature(superconnection(model), model, theta)
-            fnum = curv.matrix.evaluate(model.full_point({"u": u, "v": v}))
-            st = supertrace(super_exp_duhamel(fnum))
+            curv = equivariant_curvature(model, theta)
+            fnum = curv.evaluate(model.full_point({"u": u, "v": v}))
+            st = super_exp_duhamel(fnum).supertrace()
             it = 1j * theta
             fac = (1 - cmath.exp(1j * theta)) ** 2
             scale = cmath.exp(-(abs(u) ** 2 + abs(v) ** 2)) * fac
@@ -301,10 +300,10 @@ class TestInvariants:
         h = 1e-5
 
         def val(s):
-            return supertrace(super_exp(f.scale(s), tol=1e-14)).terms.get(0, 0.0)
+            return super_exp(f.scale(s), tol=1e-14).supertrace().terms.get(0, 0.0)
 
         lhs = (val(1 + h) - val(1 - h)) / (2 * h)
-        rhs = supertrace(f @ super_exp(f, tol=1e-14)).terms.get(0, 0.0)
+        rhs = (f @ super_exp(f, tol=1e-14)).supertrace().terms.get(0, 0.0)
         assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs))
 
     def test_conjugation_invariance(self, plane_algebra, grading, rng):
@@ -315,8 +314,8 @@ class TestInvariants:
         g[1, 0] = -0.1j
         g[2, 3] = 0.4
         g[3, 2] = 0.25 - 0.5j
-        lhs = supertrace(super_exp(f.similarity(g), tol=1e-14))
-        rhs = supertrace(super_exp(f, tol=1e-14))
+        lhs = super_exp(f.similarity(g), tol=1e-14).supertrace()
+        rhs = super_exp(f, tol=1e-14).supertrace()
         assert (lhs - rhs).norm_max() < 1e-10
 
     def test_parity_audit(self, plane_algebra, grading):
