@@ -71,16 +71,7 @@ def split_body(mat: SuperMatrix) -> tuple[Poly, tuple[complex, ...], SuperMatrix
             raise UnsupportedShapeError(
                 "diagonal degree-0 entries differ by non-constant terms")
         offsets.append(diff.constant_value())
-    soul_rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            f = mat.entries[i][j]
-            if i == j:
-                f = f - diag0[i]
-            row.append(f)
-        soul_rows.append(row)
-    soul = SuperMatrix(alg, mat.grading, soul_rows)
+    soul = mat - SuperMatrix.diagonal(alg, mat.grading, diag0, mat.backend)
     return shared, tuple(offsets), soul
 
 

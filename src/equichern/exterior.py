@@ -151,26 +151,15 @@ class ExteriorAlgebra:
     # -- numeric multiplication table ---------------------------------------
 
     def pair_table(self):
-        """Wedge structure table grouped by result component, for array kernels."""
+        """Wedge structure: every disjoint pair (a, b), its union c and sign."""
         if self._pair_table is None:
-            ai, bi, sg, starts = [], [], [], []
-            for c in range(self.n_components):
-                starts.append(len(ai))
-                sub = c
-                while True:
-                    a = sub
-                    b = c ^ a
-                    ai.append(a)
-                    bi.append(b)
-                    sg.append(_merge_sign(a, b))
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & c
+            K = self.n_components
+            ai, bi = zip(*((a, b) for a in range(K) for b in range(K) if not a & b))
             self._pair_table = (
                 np.asarray(ai),
                 np.asarray(bi),
-                np.asarray(sg, dtype=np.complex128),
-                np.asarray(starts),
+                np.bitwise_or(ai, bi),
+                np.asarray([_merge_sign(a, b) for a, b in zip(ai, bi)], dtype=float),
             )
         return self._pair_table
 

@@ -142,8 +142,7 @@ class ActionModel:
             self.algebra, self.bundle_e.grading(), rows)
         if mat.dim != self.bundle_e.rank:
             raise ValueError("symbol dimension must match the E bundle rank")
-        is_zero = all(f.is_zero for row in mat.entries for f in row)
-        if not is_zero and mat.homogeneous_parity() != 1:
+        if not mat.is_odd():
             raise ValueError("symbol must be odd with respect to the E-grading")
         self.symbol = mat
 
@@ -158,8 +157,7 @@ class ActionModel:
             self.algebra, self.bundle_script_e.grading(), rows)
         if mat.dim != self.bundle_script_e.rank:
             raise ValueError("odd term dimension must match the full bundle rank")
-        nonzero = any(not f.is_zero for row in mat.entries for f in row)
-        if nonzero and mat.homogeneous_parity() != 1:
+        if not mat.is_odd():
             raise UnsupportedShapeError("superconnection odd term must be odd")
         self.odd_term = mat
         self.curvature = (mat.d() + (mat @ mat),
@@ -200,9 +198,6 @@ class ActionModel:
             if a in out and b not in out:
                 out[b] = complex(out[a]).conjugate()
         return out
-
-    def evaluate_symbol(self, point: Mapping[str, complex]) -> SuperMatrix:
-        return self.symbol.evaluate(self.full_point(point))
 
     def __repr__(self):
         return f"ActionModel({self.name!r})"

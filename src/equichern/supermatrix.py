@@ -2,14 +2,15 @@
 
 Provides the graded product (entrywise wedge), the grading-signed
 supertrace, and two independent matrix exponentials: a scaling-and-squaring
-truncated Taylor sum on a dense component array, and a Duhamel expansion in
-divided differences of the diagonal degree-0 part.  The Duhamel route is a
-finite sum (the soul terminates by form degree) and serves as the oracle for
-the Taylor route.  Its soul-path walk (duhamel_paths) also compiles the
-symbolic Chern plan, whose soul is a polynomial in theta, and the divided
-differences of exp broadcast over batches of nodes (a whole theta axis).
-Matrix grading is metadata consumed only by the supertrace; products carry
-no Koszul signs beyond those of the wedge.
+truncated Taylor sum on a dense component array, of degree fixed up front,
+with the wedge applied as one right-multiplication matrix; and a Duhamel
+expansion in divided differences of the diagonal degree-0 part.  The Duhamel
+route is a finite sum (the soul terminates by form degree) and serves as the
+oracle for the Taylor route.  Its soul-path walk (duhamel_paths) also
+compiles the symbolic Chern plan, whose soul is a polynomial in theta, and
+the divided differences of exp broadcast over batches of nodes (a whole
+theta axis).  Matrix grading is metadata consumed only by the supertrace;
+products carry no Koszul signs beyond those of the wedge.
 """
 
 from __future__ import annotations
@@ -216,6 +217,11 @@ class SuperMatrix:
             return None
         return seen.pop() if seen else EVEN
 
+    def is_odd(self) -> bool:
+        """Whether the matrix is homogeneous of odd total parity, or zero."""
+        return (self.homogeneous_parity() == ODD
+                or all(f.is_zero for row in self.entries for f in row))
+
     def norm_max(self) -> float:
         return max((f.norm_max() for row in self.entries for f in row), default=0.0)
 
@@ -276,15 +282,18 @@ def graded_commutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     return (a @ b) - (ba if (pa * pb) % 2 == 0 else -ba)
 
 
-# -- dense-array wedge kernel ----------------------------------------------------
+# -- dense-array exponential ------------------------------------------------------
 
 
-def _array_matmul(A: np.ndarray, B: np.ndarray, table) -> np.ndarray:
-    ai, bi, sg, starts = table
-    ap = np.ascontiguousarray((A[:, :, ai] * sg).transpose(2, 0, 1))
-    bp = np.ascontiguousarray(B[:, :, bi].transpose(2, 0, 1))
-    prod = ap @ bp
-    return np.add.reduceat(prod, starts, axis=0).transpose(1, 2, 0)
+def _right_operator(B: np.ndarray, table) -> np.ndarray:
+    # R[(j, a), (k, c)] = sign(a, b) B[j, k, b] with b = c ^ a, so that a
+    # component array X held as (d, d*2^n) gives X @ R = X B, wedge products
+    # included; no (a, c) pair repeats, so the assignment has no collisions
+    ai, bi, ci, sg = table
+    d, _, K = B.shape
+    R = np.zeros((d, K, d, K), dtype=np.complex128)
+    R[:, ai, :, ci] = (B[:, :, bi] * sg).transpose(2, 0, 1)
+    return R.reshape(d * K, d * K)
 
 
 def _array_norm(A: np.ndarray) -> float:
@@ -292,36 +301,46 @@ def _array_norm(A: np.ndarray) -> float:
     return float(np.abs(A).sum(axis=2).sum(axis=1).max(initial=0.0))
 
 
+def taylor_parameters(norm: float, tol: float) -> tuple[int, int]:
+    """Scaling exponent s, least with r = norm / 2^s <= 0.5, and Taylor degree m.
+
+    The degree-m sum of exp(X), ||X|| = r, is exp(X)(I + E) with ||E|| at most
+    e^r r^(m+1) / (m+1)! (m+2) / (m+2-r); m is the least with 2^s ||E|| <= tol,
+    so the 2^s-th power is within about ``tol ||exp(A)||`` of exp(A).
+    """
+    s = 0 if norm <= 0.5 else max(0, math.ceil(math.log2(norm / 0.5)))
+    r = norm / 2.0**s
+    m, tail = 0, r  # tail = r^(m+1) / (m+1)!
+    while 2.0**s * math.exp(r) * tail * (m + 2) / (m + 2 - r) > tol:
+        m += 1
+        tail *= r / (m + 1)
+    return s, m
+
+
 def taylor_exp_array(A: np.ndarray, algebra: ExteriorAlgebra,
                      tol: float = 1e-12) -> np.ndarray:
     """Exponential of a component array ``(d, d, 2^n)`` over the algebra.
 
-    Scaling-and-squaring with a truncated Taylor sum: the Grassmann soul
-    terminates exactly; the scaling controls the degree-0 body.  Terms are
-    added until the next term's max coefficient norm drops below ``tol``
-    times the accumulated norm.
+    Scaling-and-squaring with a truncated Taylor sum of the scaling and degree
+    of ``taylor_parameters``.  The running term is held as ``(d, d * 2^n)``,
+    so each product is one matmul against the factor's right-multiplication
+    operator, which carries the wedge signs.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     table = algebra.pair_table()
-    norm = _array_norm(A)
-    s = 0 if norm <= 0.5 else max(0, math.ceil(math.log2(norm / 0.5)))
-    As = A / (2.0**s)
-    d = A.shape[0]
-    eye = np.zeros_like(A)
-    eye[np.arange(d), np.arange(d), 0] = 1.0
-    acc = eye.copy()
-    term = eye.copy()
-    for k in range(1, 120):
-        term = _array_matmul(term, As, table) / k
+    s, m = taylor_parameters(_array_norm(A), tol)
+    d, _, K = A.shape
+    R = _right_operator(A / 2.0**s, table)
+    term = np.zeros((d, d * K), dtype=np.complex128)
+    term[np.arange(d), np.arange(d) * K] = 1.0
+    acc = term.copy()
+    for k in range(1, m + 1):
+        term = term @ R / k
         acc += term
-        if np.abs(term).max() < tol * max(np.abs(acc).max(), 1.0):
-            break
-    else:
-        raise ConvergenceError("Taylor series did not converge")
     for _ in range(s):
-        acc = _array_matmul(acc, acc, table)
-    return acc
+        acc = acc @ _right_operator(acc.reshape(d, d, K), table)
+    return acc.reshape(d, d, K)
 
 
 def super_exp(a: SuperMatrix, tol: float = 1e-12) -> SuperMatrix:

@@ -218,6 +218,21 @@ class TestChernForm:
                 ref = super_exp(fnum).supertrace()
                 assert got.isclose(ref, 1e-13 * ref.norm_max())
 
+    def test_dense_route_closed_form_digits(self):
+        # acceptance 1's closed form, at a tighter bound than its 1e-8
+        m = c_plane_uv()
+        rng = np.random.default_rng(1306)
+        worst = 0.0
+        for _ in range(300):
+            theta = rng.uniform(0.1, 2 * cmath.pi - 0.1)
+            u, v = rng.uniform(-2, 2, 2) + 1j * rng.uniform(-2, 2, 2)
+            got = chern_form(m, theta, {"u": u, "v": v})
+            ref = closed_form_reference(m, u, v, theta)
+            worst = max(worst, max(abs(got.terms.get(k, 0) - ref.terms.get(k, 0))
+                                   / max(1.0, abs(ref.terms.get(k, 0)))
+                                   for k in set(got.terms) | set(ref.terms)))
+        assert worst <= 1e-13
+
     def test_parsed_model_builds_no_augmented_symbol_per_call(self, monkeypatch):
         m = parse_model_text(builtin_model_text("c-plane"))
         calls = []

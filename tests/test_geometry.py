@@ -264,6 +264,16 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             m.set_symbol([[one, z], [z, one]])
 
+    def test_setters_accept_zero_and_reject_even(self):
+        m = c_plane()
+        for setter, grading, error in (
+                (m.set_symbol, m.bundle_e.grading(), ValueError),
+                (m.set_odd_term, m.bundle_script_e.grading(), UnsupportedShapeError)):
+            setter(SuperMatrix.zero(m.algebra, grading, SYMBOLIC))
+            with pytest.raises(ValueError, match="odd") as info:
+                setter(SuperMatrix.identity(m.algebra, grading))
+            assert type(info.value) is error
+
     def test_tensor_bundle_weights(self):
         m = c_plane()
         assert m.bundle_script_e.weights == (0, 2, 1, 1)

@@ -3,17 +3,21 @@ import cmath
 import numpy as np
 import pytest
 
-from equichern.exterior import NUMERIC, SYMBOLIC, BackendError
+from equichern.exterior import NUMERIC, SYMBOLIC, BackendError, ExteriorAlgebra
 from equichern.geometry import c_plane_uv
 from equichern.supermatrix import (
     Grading,
     ShapeError,
     SuperMatrix,
     UnsupportedShapeError,
+    _array_norm,
+    _right_operator,
     exp_divided_difference,
     graded_commutator,
     super_exp,
     super_exp_duhamel,
+    taylor_exp_array,
+    taylor_parameters,
 )
 
 
@@ -151,6 +155,136 @@ class TestSuperExp:
         st = a.supertrace()
         fac = (1 - cmath.exp(1j * cmath.pi)) ** 2
         assert abs(st.terms[0] - fac) < 1e-12
+
+
+# -- the replaced Taylor route, kept as an oracle for taylor_exp_array ----------------
+#
+# Wedge products by gathering every pair (a, b) of disjoint components, one
+# batched matmul per pair and a reduceat over the pairs of each result
+# component c = a | b; the Taylor sum stops adaptively.  The signs come from
+# Form.wedge, not from the kernel's table.
+
+
+def reduceat_table(algebra):
+    ai, bi, sg, starts = [], [], [], []
+    for c in range(algebra.n_components):
+        starts.append(len(ai))
+        for a in range(algebra.n_components):
+            if a & c == a:
+                left = algebra.form({a: 1.0}, NUMERIC)
+                right = algebra.form({c ^ a: 1.0}, NUMERIC)
+                ai.append(a)
+                bi.append(c ^ a)
+                sg.append(left.wedge(right).terms[c])
+    return np.array(ai), np.array(bi), np.array(sg), np.array(starts)
+
+
+def reduceat_matmul(A, B, table):
+    ai, bi, sg, starts = table
+    ap = np.ascontiguousarray((A[:, :, ai] * sg).transpose(2, 0, 1))
+    bp = np.ascontiguousarray(B[:, :, bi].transpose(2, 0, 1))
+    return np.add.reduceat(ap @ bp, starts, axis=0).transpose(1, 2, 0)
+
+
+def reduceat_taylor_exp(A, algebra, tol):
+    table = reduceat_table(algebra)
+    norm = _array_norm(A)
+    s = 0 if norm <= 0.5 else max(0, int(np.ceil(np.log2(norm / 0.5))))
+    As = A / 2.0**s
+    d = A.shape[0]
+    acc = np.zeros_like(A)
+    acc[np.arange(d), np.arange(d), 0] = 1.0
+    term = acc.copy()
+    for k in range(1, 120):
+        term = reduceat_matmul(term, As, table) / k
+        acc += term
+        if np.abs(term).max() < tol * max(np.abs(acc).max(), 1.0):
+            break
+    else:
+        raise AssertionError("oracle Taylor sum did not converge")
+    for _ in range(s):
+        acc = reduceat_matmul(acc, acc, table)
+    return acc
+
+
+def random_array(n_gen, rng):
+    """A 4x4 array over n_gen generators, 30 % of its components non-zero."""
+    alg = ExteriorAlgebra([f"e{i}" for i in range(n_gen)])
+    shape = (4, 4, alg.n_components)
+    arr = np.where(rng.random(shape) < 0.3,
+                   rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0.0)
+    return alg, arr
+
+
+class TestTaylorKernel:
+    @pytest.mark.parametrize("n_gen", [4, 6])
+    def test_products_match_form_wedge(self, n_gen, rng):
+        alg, A = random_array(n_gen, rng)
+        _, B = random_array(n_gen, rng)
+        d, _, K = A.shape
+        gr = Grading((0,) * d)
+        want = (SuperMatrix.from_array(alg, gr, A)
+                @ SuperMatrix.from_array(alg, gr, B)).to_array()
+        kernel = (A.reshape(d, d * K) @ _right_operator(B, alg.pair_table()))
+        oracle = reduceat_matmul(A, B, reduceat_table(alg))
+        scale = np.abs(want).max()
+        assert np.abs(kernel.reshape(d, d, K) - want).max() <= 1e-12 * scale
+        assert np.abs(oracle - want).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n_gen", [4, 6])
+    @pytest.mark.parametrize("target", [0.4, 30.0])
+    def test_exp_matches_reduceat_route(self, n_gen, target, rng):
+        alg, A = random_array(n_gen, rng)
+        A *= target / _array_norm(A)
+        s, _ = taylor_parameters(_array_norm(A), 1e-12)
+        assert s == 0 if target < 0.5 else s >= 5
+        got = taylor_exp_array(A, alg)
+        want = reduceat_taylor_exp(A, alg, 1e-15)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_zero_array_is_identity(self, plane_algebra):
+        A = np.zeros((4, 4, plane_algebra.n_components), dtype=complex)
+        assert taylor_parameters(0.0, 1e-12) == (0, 0)
+        want = np.zeros_like(A)
+        want[np.arange(4), np.arange(4), 0] = 1.0
+        assert np.array_equal(taylor_exp_array(A, plane_algebra), want)
+
+    def test_nilpotent_soul_above_half(self, plane_algebra, grading, rng):
+        # exp of a pure soul is its Taylor sum through the generator count,
+        # taken here by pure-Python wedge products
+        m = random_supermatrix(plane_algebra, grading, rng, coeff_scale=2.0)
+        arr = m.to_array()
+        arr[:, :, 0] = 0.0
+        assert taylor_parameters(_array_norm(arr), 1e-12)[0] > 0
+        soul = SuperMatrix.from_array(plane_algebra, grading, arr)
+        term = SuperMatrix.identity(plane_algebra, grading, NUMERIC)
+        want = term
+        for k in range(1, len(plane_algebra.generators) + 1):
+            term = (term @ soul).scale(1.0 / k)
+            want = want + term
+        got = taylor_exp_array(arr, plane_algebra)
+        want = want.to_array()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_norm_at_the_scaling_boundary(self, plane_algebra):
+        assert taylor_parameters(0.5, 1e-12)[0] == 0
+        assert taylor_parameters(np.nextafter(0.5, 1.0), 1e-12)[0] == 1
+        body = np.array([0.5, -0.5, 0.5j, -0.5j])
+        A = np.zeros((4, 4, plane_algebra.n_components), dtype=complex)
+        A[np.arange(4), np.arange(4), 0] = body
+        assert _array_norm(A) == 0.5
+        got = np.diagonal(taylor_exp_array(A, plane_algebra)[:, :, 0])
+        assert np.abs(got - np.exp(body)).max() <= 1e-12 * np.exp(0.5)
+
+    def test_smaller_tol_never_lowers_the_degree(self):
+        norms = [0.0, 1e-300, 1e-8, 0.25, 0.5, float(np.nextafter(0.5, 1.0)),
+                 0.75, 1.0, 3.7, 16.0, 40.0, 1e6]
+        tols = [1e-2, 1e-6, 1e-10, 1e-12, 1e-14, 1e-16, 1e-20]
+        for norm in norms:
+            params = [taylor_parameters(norm, tol) for tol in tols]
+            assert len({s for s, _ in params}) == 1
+            degrees = [m for _, m in params]
+            assert degrees == sorted(degrees)
 
 
 class TestDuhamel:
@@ -332,3 +466,19 @@ class TestInvariants:
         assert even.homogeneous_parity() == 0
         mixed = odd + even
         assert mixed.homogeneous_parity() is None
+
+    def test_is_odd(self, plane_algebra, grading):
+        z = plane_algebra.zero(NUMERIC)
+        du = plane_algebra.gen("du", NUMERIC)
+        one = plane_algebra.one(NUMERIC)
+
+        def single(i, j, f):
+            rows = [[z] * 4 for _ in range(4)]
+            rows[i][j] = f
+            return SuperMatrix(plane_algebra, grading, rows)
+
+        assert SuperMatrix.zero(plane_algebra, grading, NUMERIC).is_odd()
+        assert single(0, 2, one).is_odd()
+        assert single(0, 1, du).is_odd()
+        assert not single(0, 2, du).is_odd()
+        assert not (single(0, 2, one) + single(0, 2, du)).is_odd()
