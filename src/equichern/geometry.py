@@ -10,7 +10,10 @@ Cartan vector field and the moment of the action, the orbital projection
 multiplication on the model bundle, the graded augmentation of a symbol by
 orbital Clifford multiplication, a determinant-based ellipticity scan along
 shells, and the two-stage linear homotopy connecting the augmented symbol to
-its constant-coefficient normal form.
+its constant-coefficient normal form.  The scan reads |det| and the extreme
+singular values of a graded matrix from its 1x1 and 2x2 grading blocks in
+closed form, and finds determinant zeros by damped Gauss-Newton on the
+smallest singular value.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .exterior import NUMERIC, SYMBOLIC, ExteriorAlgebra, Poly
-from .supermatrix import Grading, SuperMatrix, UnsupportedShapeError
+from .supermatrix import ODD, Grading, SuperMatrix, UnsupportedShapeError
 
 COMPLEX = "complex"
 ANGLE = "angle"
@@ -480,24 +483,128 @@ def _coords_from_real(algebra: ExteriorAlgebra, pts: np.ndarray) -> dict[str, np
     return out
 
 
-def _eval_matrix_grid(matrix: SuperMatrix, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Values ``shape + (d, d)`` of a degree-0 matrix on coordinate arrays of one shape."""
+def _entry_polys(matrix: SuperMatrix) -> np.ndarray:
+    """Object array ``(d, d)`` of a degree-0 matrix's entry polynomials, None for zero."""
     d = matrix.dim
-    shape = np.shape(next(iter(arrays.values())))
-    out = np.zeros(shape + (d, d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            f = matrix.entries[i][j]
+    out = np.full((d, d), None, dtype=object)
+    for i, row in enumerate(matrix.entries):
+        for j, f in enumerate(row):
             if f.is_zero:
                 continue
             if f.max_degree > 0:
                 raise ValueError("expected a degree-0 symbol matrix")
-            out[..., i, j] = f.terms[0].eval_grid(arrays)
+            out[i, j] = f.terms[0]
     return out
+
+
+def _eval_matrix_grid(matrix, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Values of a degree-0 matrix on coordinate arrays of one shape.
+
+    ``matrix`` is a SuperMatrix, giving ``shape + (d, d)``, or an object array
+    of entry polynomials (None for zero) such as `_entry_polys` returns, giving
+    ``shape + polys.shape``; a matrix stacked with its derivatives is one call.
+    """
+    polys = _entry_polys(matrix) if isinstance(matrix, SuperMatrix) else matrix
+    shape = np.shape(next(iter(arrays.values())))
+    out = np.zeros(shape + polys.shape, dtype=np.complex128)
+    for idx, f in np.ndenumerate(polys):
+        if f is not None:
+            out[(Ellipsis,) + idx] = f.eval_grid(arrays)
+    return out
+
+
+def _real_derivatives(polys: np.ndarray, algebra: ExteriorAlgebra) -> np.ndarray:
+    """Entry polynomials of dM/dt_k, one per real coordinate of `_coords_from_real`.
+
+    A conjugate pair (a, b) = (x + iy, x - iy) gives d/dx = d/da + d/db and
+    d/dy = i (d/da - d/db); a real single is differentiated as it stands.
+    """
+    pairs, singles = _real_structure(algebra)
+
+    def table(op):
+        out = np.full(polys.shape, None, dtype=object)
+        for idx, f in np.ndenumerate(polys):
+            if f is not None:
+                g = op(f)
+                out[idx] = None if g.is_zero else g
+        return out
+
+    tables = []
+    for a, b in pairs:
+        tables.append(table(lambda f: f.diff(a) + f.diff(b)))
+        tables.append(table(lambda f: 1j * (f.diff(a) - f.diff(b))))
+    for s in singles:
+        tables.append(table(lambda f: f.diff(s)))
+    return np.stack(tables)
+
+
+def block_singular_values(a, b, c, d):
+    """``(|det|, sigma_max, sigma_min)`` of the 2x2 blocks [[a, b], [c, d]], elementwise.
+
+    sigma_max^2 is the larger eigenvalue of M M^H,
+    (|M|_F^2 + hypot(|a|^2 + |b|^2 - |c|^2 - |d|^2, 2|a conj(c) + b conj(d)|)) / 2,
+    and sigma_min = |det| / sigma_max (0 where sigma_max is 0).  Unlike the
+    textbook sqrt(f^2 - 4|det|^2) form, no digits cancel when the two
+    singular values nearly coincide.
+    """
+    top = a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2
+    bottom = c.real ** 2 + c.imag ** 2 + d.real ** 2 + d.imag ** 2
+    gap = np.hypot(top - bottom, 2.0 * np.abs(a * np.conj(c) + b * np.conj(d)))
+    smax = np.sqrt((top + bottom + gap) / 2.0)
+    det = np.abs(a * d - b * c)
+    smin = np.divide(det, smax, out=np.zeros_like(smax), where=smax > 0)
+    return det, smax, smin
+
+
+def _grading_blocks(matrix: SuperMatrix):
+    """Row and column indices of the grading blocks holding every entry, or None.
+
+    An odd matrix lives on its two off-diagonal blocks, an even one on its
+    two diagonal blocks, so its singular values are the union of theirs and
+    its |det| their product.  None (use a full svd) when the matrix is not
+    homogeneous or a non-empty block is not square of size 1 or 2.
+    """
+    parity = matrix.homogeneous_parity()
+    if parity is None:
+        return None
+    parities = matrix.grading.parities
+    even = [i for i, q in enumerate(parities) if q == 0]
+    odd = [i for i, q in enumerate(parities) if q == 1]
+    pairs = [(even, odd), (odd, even)] if parity == ODD else [(even, even), (odd, odd)]
+    blocks = [(rows, cols) for rows, cols in pairs if rows or cols]
+    if any(len(rows) != len(cols) or len(rows) > 2 for rows, cols in blocks):
+        return None
+    return blocks
+
+
+def _singular_stats(mats: np.ndarray, blocks):
+    """``(|det|, sigma_max, sigma_min)`` of ``(..., d, d)`` values with `_grading_blocks`."""
+    if blocks is None:
+        svals = np.linalg.svd(mats, compute_uv=False)
+        return np.abs(np.linalg.det(mats)), svals[..., 0], svals[..., -1]
+    dets = smax = smin = None
+    for rows, cols in blocks:
+        if len(rows) == 1:
+            bdet = bmax = bmin = np.abs(mats[..., rows[0], cols[0]])
+        else:
+            (i, k), (j, l) = rows, cols
+            bdet, bmax, bmin = block_singular_values(
+                mats[..., i, j], mats[..., i, l], mats[..., k, j], mats[..., k, l])
+        if dets is None:
+            dets, smax, smin = bdet, bmax, bmin
+        else:
+            dets = dets * bdet
+            smax = np.maximum(smax, bmax)
+            smin = np.minimum(smin, bmin)
+    return dets, smax, smin
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+# Damping below which a Gauss-Newton candidate that stops improving is frozen.
+_GN_MIN_DAMPING = 2.0 ** -6
 
 
 def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanReport:
@@ -506,10 +613,14 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
     Reports min |det| of the operator-norm-normalized symbol per shell and a
     least-squares growth exponent of |det|.  Points where the symbol norm
     collapses below ``degenerate_tol`` times the shell scale count as
-    determinant zeros.  The worst samples per shell are refined by a local
-    search minimizing the smallest singular value, so conic zero sets are
-    found and not merely straddled.  Every shell is sampled in one batch and
-    all shells' candidates are refined in lock-step, one batch per step.
+    determinant zeros.  Singular values and |det| come in closed form from
+    the 1x1 and 2x2 grading blocks of a homogeneous matrix (a full svd
+    otherwise).  The worst samples per shell are refined by damped
+    Gauss-Newton on the smallest singular value, projected onto the shell
+    sphere, so a transversal zero set is converged to and not merely
+    straddled.  Every shell is sampled in one batch and all shells'
+    candidates advance in lock-step, one batch of the matrix and its
+    derivatives per step; the refinement draws no random numbers.
     """
     if grid.samples <= 0 or not grid.radii:
         raise ValueError("empty scan grid")
@@ -518,46 +629,65 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
     pairs, singles = _real_structure(algebra)
     dim_real = 2 * len(pairs) + len(singles)
     d = matrix.dim
-
-    def stats(pts: np.ndarray):
-        mats = _eval_matrix_grid(matrix, _coords_from_real(algebra, pts))
-        dets = np.abs(np.linalg.det(mats))
-        svals = np.linalg.svd(mats, compute_uv=False)
-        return dets, svals[..., 0], svals[..., -1]
+    polys = _entry_polys(matrix)
+    blocks = _grading_blocks(matrix)
 
     radii = np.asarray(grid.radii, dtype=float)
     r = radii[:, None, None]
     dirs = _unit(rng.standard_normal((len(radii), grid.samples, dim_real)))
     pts = r * dirs
-    dets, opnorms, smins = stats(pts)
+    dets, opnorms, smins = _singular_stats(
+        _eval_matrix_grid(polys, _coords_from_real(algebra, pts)), blocks)
     scale = np.median(opnorms, axis=1)
     floor = grid.degenerate_tol * np.maximum(scale, 1e-30)
 
-    # random search from each shell's worst samples, all candidates at once;
-    # a candidate that reaches the degenerate floor is frozen
     cand_idx = np.argsort(smins, axis=1)[:, : grid.refine_candidates]
     p = np.take_along_axis(dirs, cand_idx[..., None], axis=1)
     start = r * p
-    best = np.take_along_axis(smins, cand_idx, axis=1)
-    step = np.full(best.shape, 0.5)
-    active = best >= floor[:, None]
-    for _ in range(grid.refine_iters):
-        if not active.any():
-            break
-        noise = rng.standard_normal(p.shape[:2] + (24, dim_real))
-        prop = _unit(p[:, :, None, :] + step[..., None, None] * noise)
-        _, _, sm = stats(r[..., None] * prop)
-        k = np.argmin(sm, axis=-1)[..., None]
-        sm_k = np.take_along_axis(sm, k, axis=-1)[..., 0]
-        improved = active & (sm_k < best)
-        best = np.where(improved, sm_k, best)
-        p = np.where(improved[..., None],
-                     np.take_along_axis(prop, k[..., None], axis=2)[:, :, 0], p)
-        step = np.where(active & ~improved, step * 0.6, step)
-        active &= best >= floor[:, None]
+    start_dets = np.take_along_axis(dets, cand_idx, axis=1)
+    start_opn = np.take_along_axis(opnorms, cand_idx, axis=1)
+    ref_dets, ref_opn = start_dets.copy(), start_opn.copy()
+    active = np.take_along_axis(smins, cand_idx, axis=1) >= floor[:, None]
+    if grid.refine_iters > 0 and active.any():
+        jet = np.concatenate([polys[None], _real_derivatives(polys, algebra)])
+        rad = np.broadcast_to(radii[:, None], active.shape)
+
+        def evaluate(q: np.ndarray, rq: np.ndarray):
+            """Stats and tangential gradient of sigma_min at unit directions q."""
+            vals = _eval_matrix_grid(jet, _coords_from_real(algebra, rq[:, None] * q))
+            mats, dmats = vals[:, 0], vals[:, 1:]
+            det, opn, smin = _singular_stats(mats, blocks)
+            u, _, vh = np.linalg.svd(mats)
+            g = rq[:, None] * np.einsum("ni,nkij,nj->nk", np.conj(u[:, :, -1]),
+                                        dmats, np.conj(vh[:, -1, :])).real
+            g -= np.sum(g * q, axis=-1, keepdims=True) * q
+            return det, opn, smin, g
+
+        # damped Gauss-Newton from each shell's worst samples: step to the
+        # zero of the linearized sigma_min, halve the step when sigma_min
+        # does not fall, freeze at the degenerate floor or at small damping
+        best = np.zeros(active.shape)
+        grad = np.zeros(p.shape)
+        _, _, best[active], grad[active] = evaluate(p[active], rad[active])
+        damping = np.ones(active.shape)
+        for _ in range(grid.refine_iters):
+            gsq = np.sum(grad ** 2, axis=-1)
+            active &= (best >= floor[:, None]) & (damping >= _GN_MIN_DAMPING) & (gsq > 0)
+            if not active.any():
+                break
+            delta = -(best[active] / gsq[active])[:, None] * grad[active]
+            q = _unit(p[active] + damping[active][:, None] * delta)
+            det, opn, smin, g = evaluate(q, rad[active])
+            accept = smin < best[active]
+            moved = active.copy()
+            moved[active] = accept
+            p[moved], best[moved], grad[moved] = q[accept], smin[accept], g[accept]
+            ref_dets[moved], ref_opn[moved] = det[accept], opn[accept]
+            damping[active & ~moved] /= 2.0
 
     cand = np.concatenate([start, r * p], axis=1)
-    cdets, copn, _ = stats(cand)
+    cdets = np.concatenate([start_dets, ref_dets], axis=1)
+    copn = np.concatenate([start_opn, ref_opn], axis=1)
     all_pts = np.concatenate([pts, cand], axis=1)
     all_dets = np.concatenate([dets, cdets], axis=1)
     all_opn = np.concatenate([opnorms, copn], axis=1)

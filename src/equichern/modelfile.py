@@ -26,6 +26,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -190,11 +191,18 @@ def _parse_kv(parts: Sequence[str], line: int) -> dict[str, str]:
     return out
 
 
+# Largest integer magnitude a float holds exactly; weights enter float arithmetic.
+_MAX_WEIGHT = 2 ** 53
+
+
 def _int_value(kv: dict[str, str], key: str, line: int) -> int:
     try:
-        return int(kv.get(key, "0"))
+        value = int(kv.get(key, "0"))
     except ValueError:
         raise ModelParseError(f"{key} must be an integer, got {kv[key]!r}", line) from None
+    if abs(value) > _MAX_WEIGHT:
+        raise ModelParseError(f"{key} must be at most 2**53 in magnitude", line)
+    return value
 
 
 def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
@@ -296,6 +304,9 @@ def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
     except ValueError:
         raise ModelParseError(f"x_support must be a number, got {x_support!r}",
                               x_line) from None
+    if not (math.isfinite(x_support) and x_support > 0):
+        raise ModelParseError(f"x_support must be positive and finite, got {x_support!r}",
+                              x_line)
 
     def spec_of(key: str) -> BundleSpec | None:
         if key not in bundles or not bundles[key]:

@@ -17,7 +17,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import ANGLE, COMPLEX, ActionModel, _eval_matrix_grid, phi_xi_norms_grid
+from .geometry import (
+    ANGLE,
+    COMPLEX,
+    ActionModel,
+    _eval_matrix_grid,
+    block_singular_values,
+    phi_xi_norms_grid,
+)
 
 STABILITY_RATIO = 1.1   # heuristic: c_eps(R)/c_eps(R/2) below this counts as stable
 DECAY_DELTA = 1e-3
@@ -29,7 +36,8 @@ class SymbolFunction:
 
     The evaluator maps coordinate arrays (one complex array per base and
     fiber coordinate, broadcastable) to complex values or (... , k, k)
-    matrices; magnitudes are taken pointwise (operator norm for matrices).
+    matrices; magnitudes are taken pointwise (operator norm for matrices,
+    in closed form for 2x2 values).
     """
 
     evaluator: Callable
@@ -38,6 +46,9 @@ class SymbolFunction:
 
     def magnitude(self, base_arrays, fiber_arrays) -> np.ndarray:
         vals = np.asarray(self.evaluator(base_arrays, fiber_arrays))
+        if vals.shape[-2:] == (2, 2):
+            return block_singular_values(vals[..., 0, 0], vals[..., 0, 1],
+                                         vals[..., 1, 0], vals[..., 1, 1])[1]
         if vals.ndim >= 2 and vals.shape[-1] == vals.shape[-2]:
             return np.linalg.svd(vals, compute_uv=False)[..., 0]
         return np.abs(vals)

@@ -288,3 +288,110 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+# -- exit codes under mutated input ---------------------------------------------------
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # an optional test tool, not a declared dependency
+    hypothesis = None
+
+needs_hypothesis = pytest.mark.skipif(hypothesis is None,
+                                      reason="hypothesis is not installed")
+
+BAD_NUMBERS = ("nan", "inf", "-inf", "-1", "0", "-0", "1e999", "1e-400", "1.5.2",
+               "0x1f", "2^", "", "99999999999999999999999", "9" * 400)
+WORDS = ("complex", "real", "angle", "bogus", "base", "fiber", "summand",
+         "weight=1", "parity=odd", "parity=even", "role=base", "[coordinates]",
+         "[bundle.E]", "[bundle.W]", "[symbol]", "[options]", "model", "x_support",
+         "=", ",", "conj(z)", "i*xi", "(", "#")
+
+
+def _mutate_lines(text, ops):
+    """Drop, duplicate or retype lines, or put a bad number in place of a number."""
+    lines = text.splitlines()
+    for kind, at, pos, word in ops:
+        if not lines:
+            break
+        k = at % len(lines)
+        if kind == "drop":
+            del lines[k]
+        elif kind == "duplicate":
+            lines.insert(k, lines[k])
+        elif kind == "retype":
+            words = lines[k].split() or [""]
+            words[pos % len(words)] = word
+            lines[k] = " ".join(words)
+        else:
+            numbers = list(re.finditer(r"\d+(\.\d*)?", lines[k]))
+            if numbers:
+                m = numbers[pos % len(numbers)]
+                lines[k] = lines[k][:m.start()] + word + lines[k][m.end():]
+    return "\n".join(lines) + "\n"
+
+
+def _exit_code_and_stderr(argv):
+    import contextlib
+    import io
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@needs_hypothesis
+def test_mutated_model_files_exit_cleanly(tmp_path):
+    line, pos = st.integers(0, 40), st.integers(0, 8)
+    op = st.one_of(
+        st.tuples(st.sampled_from(("drop", "duplicate")), line, pos, st.just("")),
+        st.tuples(st.just("retype"), line, pos, st.sampled_from(WORDS)),
+        st.tuples(st.just("number"), line, pos, st.sampled_from(BAD_NUMBERS)))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.sampled_from(("c-plane", "constant-symbol")),
+                      st.lists(op, min_size=1, max_size=4))
+    def check(name, ops):
+        path = tmp_path / "mutated.model"
+        path.write_text(_mutate_lines(builtin_model_text(name), ops))
+        code, err = _exit_code_and_stderr(["check-symbol", path, "--scan-samples", 40,
+                                           "--xi-max", 50, "--out-dir", tmp_path])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+    check()
+
+
+@needs_hypothesis
+def test_mutated_arguments_exit_cleanly(tmp_path):
+    flags = ("--theta-samples", "--fourier-window", "--gh-order", "--eps", "--test",
+             "--tol", "--xi-max", "--scan-samples", "--seed", "--format", "--bogus")
+    values = ("0", "1", "2", "3", "-1", "1.5", "abc", "nan", "inf", "1e-300", "1e300",
+              "1e999", "", "1e-2,1e-3", "0.1,0.1", "1e-2,-1", "gaussian",
+              "99999999999999999999")
+    bases = (["check-symbol", PLANE_MODEL, "--scan-samples", 40, "--xi-max", 50],
+             ["run-example", "c-plane", "--theta-samples", 4, "--fourier-window", 2],
+             ["run-example", "zero-op"],
+             ["run-example", "bogus"],
+             ["check-symbol", "missing.model"])
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.sampled_from(range(len(bases))),
+                      st.lists(st.tuples(st.sampled_from(flags), st.sampled_from(values)),
+                               max_size=3),
+                      st.integers(0, 6))
+    def check(which, extra, drop):
+        argv = list(bases[which])
+        if drop < len(argv):
+            del argv[drop]
+        for flag, value in extra:
+            argv += [flag, value]
+        code, err = _exit_code_and_stderr(argv + ["--out-dir", tmp_path])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+    check()

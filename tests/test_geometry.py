@@ -7,10 +7,12 @@ from equichern.geometry import (
     ActionModel,
     BundleSpec,
     Coordinate,
+    Grading,
     ScanGrid,
     SuperMatrix,
     UnsupportedShapeError,
     augmented_symbol,
+    block_singular_values,
     builtin_model,
     c_plane,
     clifford_multiplication,
@@ -20,6 +22,8 @@ from equichern.geometry import (
     orbital_projection,
     zero_op_s1,
 )
+from equichern.modelfile import builtin_model_text, parse_model_text
+from equichern.symbolalg import SymbolFunction
 
 
 def entry_values(matrix, point):
@@ -219,6 +223,220 @@ class TestEllipticityScan:
         ellipticity_scan(augmented_symbol(c_plane()), grid)
         assert len(calls) <= grid.refine_iters + 2
         assert calls[0] == (len(grid.radii), grid.samples)
+
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_unaugmented_symbol_fails_on_every_seed(self, seed):
+        # the Gauss-Newton refinement lands on the conic zero set whatever
+        # the draws, so the negative control does not rest on the seed
+        m = c_plane()
+        report = ellipticity_scan(m.symbol, ScanGrid(samples=1500, seed=seed))
+        assert not report.passed
+        assert report.degenerate_points
+        pt = report.degenerate_points[0]
+        z = pt[0] + 1j * pt[1]
+        xi = pt[2] + 1j * pt[3]
+        assert abs(z + 1j * xi) < 1e-3 * max(1.0, abs(z))
+
+    @pytest.mark.parametrize("samples", [500, 2000])
+    @pytest.mark.parametrize("name", ["c-plane", "constant-symbol"])
+    def test_augmented_models_pass_on_every_seed(self, name, samples):
+        # both augmented symbols are scalar multiples of unitaries pointwise,
+        # so the normalized determinant is 1 up to rounding everywhere
+        aug = augmented_symbol(parse_model_text(builtin_model_text(name)))
+        for seed in range(40):
+            report = ellipticity_scan(aug, ScanGrid(samples=samples, seed=seed))
+            assert report.passed
+            assert min(s.min_normalized_det for s in report.shells) >= 1 - 1e-13
+
+    def test_negative_control_reaches_floor_in_three_batches(self, monkeypatch):
+        calls = []
+        evaluate = geometry._eval_matrix_grid
+
+        def counting(matrix, arrays):
+            calls.append(np.shape(next(iter(arrays.values()))))
+            return evaluate(matrix, arrays)
+
+        monkeypatch.setattr(geometry, "_eval_matrix_grid", counting)
+        symbol = c_plane().symbol
+        for seed in range(40):
+            calls.clear()
+            report = ellipticity_scan(symbol, ScanGrid(samples=1500, seed=seed))
+            assert report.degenerate_points
+            assert len(calls) - 1 <= 3  # the shell batch, then refinement batches
+
+
+def svd_oracle(mats):
+    svals = np.linalg.svd(mats, compute_uv=False)
+    return np.abs(np.linalg.det(mats)), svals[..., 0], svals[..., -1]
+
+
+def assert_matches_svd(got, mats, tol=1e-13):
+    """(|det|, sigma_max, sigma_min) against svd + det, relative to sigma_max."""
+    dets, smax, smin = got
+    ref_det, ref_max, ref_min = svd_oracle(mats)
+    d = mats.shape[-1]
+    assert np.all(np.abs(smax - ref_max) <= tol * ref_max)
+    assert np.all(np.abs(smin - ref_min) <= tol * ref_max)
+    assert np.all(np.abs(dets - ref_det) <= tol * ref_max ** d)
+
+
+def random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def odd_matrices(x, y):
+    """[[0, X], [Y, 0]] in the (even, even, odd, odd) basis of the augmented symbol."""
+    mats = np.zeros(x.shape[:-2] + (4, 4), dtype=complex)
+    mats[..., :2, 2:] = x
+    mats[..., 2:, :2] = y
+    return mats
+
+
+def random_unitary(rng, n):
+    q, _ = np.linalg.qr(random_complex(rng, (n, 2, 2)))
+    return q
+
+
+class TestBlockSingularValues:
+    """The closed-form graded singular values against np.linalg.svd."""
+
+    odd_blocks = geometry._grading_blocks(augmented_symbol(c_plane()))
+
+    def stats(self, mats):
+        return geometry._singular_stats(mats, self.odd_blocks)
+
+    def test_odd_augmented_symbol_splits_into_two_blocks(self):
+        assert self.odd_blocks == [([0, 1], [2, 3]), ([2, 3], [0, 1])]
+
+    def test_single_blocks(self, rng):
+        blocks = random_complex(rng, (2000, 2, 2)) * np.exp(rng.uniform(-5, 5, (2000, 1, 1)))
+        got = block_singular_values(blocks[:, 0, 0], blocks[:, 0, 1],
+                                    blocks[:, 1, 0], blocks[:, 1, 1])
+        assert_matches_svd(got, blocks)
+
+    def test_random_odd_matrices(self, rng):
+        mats = odd_matrices(random_complex(rng, (2000, 2, 2)),
+                            random_complex(rng, (2000, 2, 2)))
+        assert_matches_svd(self.stats(mats), mats)
+
+    def test_near_equal_singular_values(self, rng):
+        # scaled unitaries plus a 1e-10 perturbation: the textbook
+        # sqrt(f^2 - 4|det|^2) form loses about eight digits here
+        n = 500
+        x = 3.0 * random_unitary(rng, n) + 1e-10 * random_complex(rng, (n, 2, 2))
+        y = 3.0 * random_unitary(rng, n) + 1e-10 * random_complex(rng, (n, 2, 2))
+        mats = odd_matrices(x, y)
+        _, ref_max, ref_min = svd_oracle(x)
+        assert np.all(ref_max / ref_min - 1 < 1e-8)
+        assert_matches_svd(self.stats(mats), mats)
+        _, smax, smin = block_singular_values(x[:, 0, 0], x[:, 0, 1], x[:, 1, 0], x[:, 1, 1])
+        assert np.all(np.abs(smin - ref_min) <= 1e-13 * ref_min)
+
+    def test_rank_deficient_blocks(self, rng):
+        n = 500
+        u = random_complex(rng, (n, 2, 1))
+        v = random_complex(rng, (n, 1, 2))
+        x = u @ v  # rank one
+        mats = np.concatenate([odd_matrices(x, random_complex(rng, (n, 2, 2))),
+                               odd_matrices(x, np.zeros((n, 2, 2))),
+                               odd_matrices(np.zeros((n, 2, 2)), x)])
+        got = self.stats(mats)
+        assert_matches_svd(got, mats)
+        _, smax, smin = block_singular_values(x[:, 0, 0], x[:, 0, 1], x[:, 1, 0], x[:, 1, 1])
+        assert np.all(smin <= 1e-15 * smax)
+
+    def test_one_by_one_blocks(self, rng):
+        symbol = c_plane().symbol
+        blocks = geometry._grading_blocks(symbol)
+        assert blocks == [([0], [1]), ([1], [0])]
+        pts = random_complex(rng, (300, 2))
+        mats = geometry._eval_matrix_grid(symbol, {
+            "z": pts[:, 0], "zbar": np.conj(pts[:, 0]),
+            "xi": pts[:, 1], "xibar": np.conj(pts[:, 1])})
+        assert_matches_svd(geometry._singular_stats(mats, blocks), mats)
+
+    def test_zero_matrix(self):
+        m = c_plane()
+        zero = SuperMatrix.zero(m.algebra, augmented_symbol(m).grading, SYMBOLIC)
+        blocks = geometry._grading_blocks(zero)
+        assert blocks is not None
+        mats = np.zeros((5, 4, 4), dtype=complex)
+        dets, smax, smin = geometry._singular_stats(mats, blocks)
+        assert not dets.any() and not smax.any() and not smin.any()
+        assert_matches_svd((dets, smax, smin), mats)
+
+    def test_even_identity(self):
+        m = c_plane()
+        eye = SuperMatrix.identity(m.algebra, augmented_symbol(m).grading, SYMBOLIC)
+        blocks = geometry._grading_blocks(eye)
+        assert blocks == [([0, 1], [0, 1]), ([2, 3], [2, 3])]
+        mats = np.broadcast_to(np.eye(4, dtype=complex), (5, 4, 4))
+        dets, smax, smin = geometry._singular_stats(mats, blocks)
+        assert np.all(dets == 1) and np.all(smax == 1) and np.all(smin == 1)
+
+    def test_fallback_to_svd(self, monkeypatch):
+        m = c_plane()
+        aug = augmented_symbol(m)
+        alg = m.algebra
+        mixed = aug + SuperMatrix.identity(alg, aug.grading, SYMBOLIC)
+        assert geometry._grading_blocks(mixed) is None
+        # an odd matrix whose blocks are 3x3
+        grading = Grading((0, 0, 0, 1, 1, 1))
+        z = alg.coord("z")
+        rows = [[alg.scalar(z + i - j) if (i < 3) != (j < 3) else 0.0
+                 for j in range(6)] for i in range(6)]
+        large = SuperMatrix(alg, grading, rows)
+        assert large.is_odd()
+        assert geometry._grading_blocks(large) is None
+
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        grid = ScanGrid(samples=50, refine_iters=0)
+        ellipticity_scan(aug, grid)
+        assert calls == []
+        for matrix in (mixed, large):
+            calls.clear()
+            ellipticity_scan(matrix, grid)
+            d = matrix.dim
+            assert calls == [((len(grid.radii), grid.samples, d, d), False)]
+
+    def test_scan_stats_match_svd_on_model_samples(self, monkeypatch):
+        # the scan's own statistics on every batch it evaluates
+        seen = []
+        evaluate = geometry._eval_matrix_grid
+
+        def recording(matrix, arrays):
+            out = evaluate(matrix, arrays)
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(geometry, "_eval_matrix_grid", recording)
+        aug = augmented_symbol(c_plane())
+        report = ellipticity_scan(aug, ScanGrid(samples=300, refine_iters=0))
+        mats = seen[0]
+        assert_matches_svd(geometry._singular_stats(mats, self.odd_blocks), mats)
+        ref_det, ref_max, _ = svd_oracle(mats)
+        for shell, det, opn in zip(report.shells, ref_det, ref_max):
+            assert abs(shell.median_opnorm - np.median(opn)) <= 1e-13 * np.median(opn)
+            assert abs(shell.median_det - np.median(det)) <= 1e-13 * np.median(det)
+
+    def test_magnitude_matches_svd(self, rng):
+        vals = random_complex(rng, (40, 30, 2, 2))
+        b = SymbolFunction(evaluator=lambda base, fiber: vals, x_support_radius=1.0)
+        got = b.magnitude({}, {})
+        ref = np.linalg.svd(vals, compute_uv=False)[..., 0]
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+        big = random_complex(rng, (40, 3, 3))
+        b3 = SymbolFunction(evaluator=lambda base, fiber: big, x_support_radius=1.0)
+        ref3 = np.linalg.svd(big, compute_uv=False)[..., 0]
+        assert np.all(np.abs(b3.magnitude({}, {}) - ref3) <= 1e-13 * ref3)
 
 
 class TestHomotopy:

@@ -85,3 +85,24 @@ class TestModelFiles:
 
     def test_options_parsed(self, parsed_plane):
         assert parsed_plane.x_support == 2.0
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("z  complex weight=1", "z  complex weight=" + "9" * 400, r"line 4,.*2\*\*53"),
+        ("summand weight=1 parity=odd\n[symbol]",
+         f"summand weight={-2 ** 53 - 1} parity=odd\n[symbol]", r"line 11,.*2\*\*53"),
+        ("x_support = 2.0", "x_support = nan", "line 16,.*positive and finite"),
+        ("x_support = 2.0", "x_support = 1e999", "line 16,.*positive and finite"),
+        ("x_support = 2.0", "x_support = 0", "line 16,.*positive and finite"),
+    ])
+    def test_out_of_range_numbers_rejected(self, old, new, message):
+        # a weight beyond float range once crashed the augmentation
+        text = builtin_model_text("c-plane")
+        assert old in text
+        with pytest.raises(ModelParseError, match=message):
+            parse_model_text(text.replace(old, new))
+
+    def test_largest_weight_accepted(self):
+        text = builtin_model_text("c-plane").replace(
+            "summand weight=1 parity=odd\n[symbol]",
+            f"summand weight={2 ** 53} parity=odd\n[symbol]")
+        assert parse_model_text(text).bundle_w.weights == (0, 2 ** 53)
