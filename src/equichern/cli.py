@@ -36,6 +36,11 @@ SCHEMA_VERSION = "1"
 # Contour samples of the c-plane Fourier fit; the window must stay below half.
 FOURIER_SAMPLES = 128
 
+# Largest sample counts accepted, so an oversized count is a usage error and
+# not an array that cannot be allocated.
+MAX_THETA_SAMPLES = 4096
+MAX_SCAN_SAMPLES = 100_000
+
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
@@ -236,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run-example", help="run a built-in worked example")
     run.add_argument("name", help="c-plane or zero-op")
-    run.add_argument("--theta-samples", type=_int_in(2), default=32)
+    run.add_argument("--theta-samples", type=_int_in(2, MAX_THETA_SAMPLES), default=32)
     run.add_argument("--fourier-window", type=_int_in(0, (FOURIER_SAMPLES - 2) // 2),
                      default=16)
     # Ignored (fiber integration is exact); kept so existing invocations still parse.
@@ -252,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check-symbol", help="symbol-algebra and ellipticity checks")
     chk.add_argument("model_file")
     chk.add_argument("--xi-max", type=_positive_float, default=1e3)
-    chk.add_argument("--scan-samples", type=_int_in(1), default=2000)
+    chk.add_argument("--scan-samples", type=_int_in(1, MAX_SCAN_SAMPLES), default=2000)
     chk.add_argument("--seed", type=_int_in(0), default=0)
     chk.add_argument("--tol", type=_positive_float, default=1e-6)
     chk.add_argument("--out-dir", default=".")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 import shlex
@@ -48,11 +50,15 @@ class TestRunExample:
         ("zero-op", "--eps", "1e-2,-1"),
         ("c-plane", "--theta-samples", "1"),
         ("c-plane", "--theta-samples", "0"),
+        ("c-plane", "--theta-samples", "4097"),
+        ("c-plane", "--theta-samples", "99999999999999999999"),
         ("c-plane", "--fourier-window", "-1"),
         ("c-plane", "--fourier-window", "80"),
         ("c-plane", "--tol", "nan"),
         ("check-symbol", "--scan-samples", "0"),
         ("check-symbol", "--scan-samples", "-3"),
+        ("check-symbol", "--scan-samples", "100001"),
+        ("check-symbol", "--scan-samples", "99999999999999999999"),
         ("check-symbol", "--seed", "-1"),
         ("check-symbol", "--xi-max", "0"),
         ("check-symbol", "--xi-max", "-5"),
@@ -333,9 +339,6 @@ def _mutate_lines(text, ops):
 
 
 def _exit_code_and_stderr(argv):
-    import contextlib
-    import io
-
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
