@@ -41,6 +41,10 @@ FOURIER_SAMPLES = 128
 MAX_THETA_SAMPLES = 4096
 MAX_SCAN_SAMPLES = 100_000
 
+# Largest --xi-max accepted: the scan squares |xi| and its powers, which
+# overflow on the c-plane model from between 1e150 and 1e154.
+MAX_XI = 1e100
+
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
@@ -224,6 +228,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_at_most(hi: float):
+    """argparse type: a positive number no larger than hi."""
+    def parse(text: str) -> float:
+        value = _positive_float(text)
+        if value > hi:
+            raise argparse.ArgumentTypeError(f"{text!r} is larger than {hi:g}")
+        return value
+    return parse
+
+
 def _eps_list(text: str) -> list[float]:
     """argparse type: distinct positive finite regularization values."""
     eps = [_positive_float(e) for e in text.split(",")]
@@ -256,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check-symbol", help="symbol-algebra and ellipticity checks")
     chk.add_argument("model_file")
-    chk.add_argument("--xi-max", type=_positive_float, default=1e3)
+    chk.add_argument("--xi-max", type=_positive_at_most(MAX_XI), default=1e3)
     chk.add_argument("--scan-samples", type=_int_in(1, MAX_SCAN_SAMPLES), default=2000)
     chk.add_argument("--seed", type=_int_in(0), default=0)
     chk.add_argument("--tol", type=_positive_float, default=1e-6)

@@ -28,7 +28,7 @@ from .supermatrix import (
     UnsupportedShapeError,
     duhamel_paths,
     exp_divided_difference,
-    taylor_exp_array,
+    taylor_exp_blocked,
 )
 
 POLE_GUARD_THETA = 1e-6
@@ -216,16 +216,17 @@ def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex],
                tol: float = 1e-12, allow_near_pole: bool = False) -> Form:
     """Pointwise Chern form: supertrace of the dense exponential of the curvature.
 
-    F0 and F1 are evaluated at the point into one component array
-    F0 + theta F1, whose exponential is traced with the grading signs.
+    The model's compiled curvature gives the blocked component array of
+    F0 + theta F1 at the point in one product; its exponential is traced
+    with the grading signs.
     """
     if _near_pole(theta) and not allow_near_pole:
         raise PoleGuardError(f"theta={theta} within {POLE_GUARD_THETA} of a 2*pi*Z pole")
-    f0, f1 = _curvature(model)
-    pt = model.full_point(point)
-    expf = taylor_exp_array(f0.to_array(pt) + theta * f1.to_array(pt), model.algebra, tol)
-    signs = [f0.grading.sign(i) for i in range(f0.dim)]
-    return Form(model.algebra, NUMERIC, dict(enumerate(np.diagonal(expf) @ signs)))
+    _curvature(model)
+    curv = model.curvature_array
+    expf = taylor_exp_blocked(curv.at(theta, model.full_point(point)), curv.layout, tol)
+    values = curv.layout.supertrace(expf)
+    return Form(model.algebra, NUMERIC, dict(zip(curv.layout.trace_masks, values)))
 
 
 def w_character(model: ActionModel, theta: complex,

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .exterior import NUMERIC, SYMBOLIC, ExteriorAlgebra, Poly
-from .supermatrix import ODD, Grading, SuperMatrix, UnsupportedShapeError
+from .supermatrix import ODD, AffineArray, Grading, SuperMatrix, UnsupportedShapeError
 
 COMPLEX = "complex"
 ANGLE = "angle"
@@ -127,6 +127,7 @@ class ActionModel:
 
         self.odd_term = None
         self.curvature = None  # (F0, F1), set with the odd term by set_odd_term
+        self.curvature_array = None  # the same pair compiled, an AffineArray
 
         if volume is None:
             volume = []
@@ -154,7 +155,9 @@ class ActionModel:
 
         The equivariant curvature is affine in theta,
         F(theta) = F0 + theta F1 with F0 = dA + A^2 and
-        F1 = mu(1) - iota_zeta(1) A, so ``curvature`` holds the pair (F0, F1).
+        F1 = mu(1) - iota_zeta(1) A, so ``curvature`` holds the pair (F0, F1)
+        and ``curvature_array`` the pair compiled into polynomial component
+        arrays, in two grading blocks as the curvature is even.
         """
         mat = rows if isinstance(rows, SuperMatrix) else SuperMatrix(
             self.algebra, self.bundle_script_e.grading(), rows)
@@ -165,6 +168,7 @@ class ActionModel:
         self.odd_term = mat
         self.curvature = (mat.d() + (mat @ mat),
                           moment(self, 1.0) - mat.interior(cartan_field(self, 1.0)))
+        self.curvature_array = AffineArray.compile(*self.curvature)
 
     # -- coordinate helpers ----------------------------------------------------
 

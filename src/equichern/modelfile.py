@@ -57,6 +57,11 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
+# Largest power accepted after ``^``: Poly.__pow__ multiplies once per unit of
+# the exponent, and symbols of interest have low degree.
+MAX_EXPONENT = 64
+
+
 @dataclass
 class _Token:
     kind: str
@@ -131,7 +136,11 @@ class _PolyParser:
             if t.kind != "num" or "." in t.text:
                 raise ModelParseError("exponent must be a nonnegative integer",
                                       self.line, t.col)
-            p = p ** int(t.text)
+            digits = t.text.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ModelParseError(f"exponent above {MAX_EXPONENT}",
+                                      self.line, t.col)
+            p = p ** int(digits)
         return p
 
     def atom(self) -> Poly:

@@ -2,17 +2,23 @@
 
 Provides the graded product (entrywise wedge), the grading-signed
 supertrace, and two independent matrix exponentials: a scaling-and-squaring
-truncated Taylor sum on a dense component array, of degree fixed up front,
-with the wedge applied as one right-multiplication matrix; and a Duhamel
-expansion in divided differences of the diagonal degree-0 part.  The Duhamel
-route is a finite sum (the soul terminates by form degree) and serves as the
-oracle for the Taylor route.  Its soul-path walk (duhamel_paths) also
-compiles the symbolic Chern plan, whose soul is a polynomial in theta, and
-the divided differences of exp broadcast over batches of nodes (a whole
-theta axis).  Matrix grading is metadata consumed only by the supertrace;
-products carry no Koszul signs beyond those of the wedge.
+truncated Taylor sum on a dense component array, of degree fixed up front;
+and a Duhamel expansion in divided differences of the diagonal degree-0
+part.  The Taylor route first takes off the trace shift (the mean of the
+degree-0 diagonal, central, so its exponential factors out exactly) and
+applies the wedge as a right-multiplication operator; for an even array,
+such as a superconnection's curvature, the operator keeps the class
+p_k + |c| of a row-space element (column k, generator subset c) and splits
+into two half-size grading blocks, so each product is one batched matmul.
+A symbolic pair M0 + t M1 compiles once into polynomial component arrays in
+that blocked order.  The Duhamel route is a finite sum (the soul terminates
+by form degree) and serves as the oracle for the Taylor route.  Its
+soul-path walk (duhamel_paths) also compiles the symbolic Chern plan, whose
+soul is a polynomial in theta, and the divided differences of exp broadcast
+over batches of nodes (a whole theta axis).  Matrix grading is metadata
+consumed by the supertrace and the grading blocks; products carry no Koszul
+signs beyond those of the wedge.
 """
-
 from __future__ import annotations
 
 import cmath
@@ -27,6 +33,7 @@ from .exterior import (
     SYMBOLIC,
     AlgebraMismatchError,
     BackendError,
+    EvaluationError,
     ExteriorAlgebra,
     Form,
 )
@@ -245,17 +252,16 @@ class SuperMatrix:
 
     # -- dense component array ------------------------------------------------------
 
-    def to_array(self, point: Mapping[str, complex] | None = None) -> np.ndarray:
-        """Components ``(d, d, 2^n)``; symbolic entries are evaluated at ``point``."""
-        numeric = self.backend == NUMERIC
-        if not numeric and point is None:
-            raise BackendError("component arrays of symbolic entries need a point")
+    def to_array(self) -> np.ndarray:
+        """Components ``(d, d, 2^n)`` of a numeric matrix."""
+        if self.backend != NUMERIC:
+            raise BackendError("component arrays need numeric entries")
         d = self.dim
         out = np.zeros((d, d, self.algebra.n_components), dtype=np.complex128)
         for i, row in enumerate(self.entries):
             for j, f in enumerate(row):
                 for mask, c in f.terms.items():
-                    out[i, j, mask] = c if numeric else c.evaluate(point)
+                    out[i, j, mask] = c
         return out
 
     @classmethod
@@ -285,15 +291,106 @@ def graded_commutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
 # -- dense-array exponential ------------------------------------------------------
 
 
-def _right_operator(B: np.ndarray, table) -> np.ndarray:
-    # R[(j, a), (k, c)] = sign(a, b) B[j, k, b] with b = c ^ a, so that a
-    # component array X held as (d, d*2^n) gives X @ R = X B, wedge products
-    # included; no (a, c) pair repeats, so the assignment has no collisions
-    ai, bi, ci, sg = table
-    d, _, K = B.shape
-    R = np.zeros((d, K, d, K), dtype=np.complex128)
-    R[:, ai, :, ci] = (B[:, :, bi] * sg).transpose(2, 0, 1)
-    return R.reshape(d * K, d * K)
+def _degrees(n_components: int) -> np.ndarray:
+    return np.array([m.bit_count() for m in range(n_components)])
+
+
+def is_even(A: np.ndarray, parities: Sequence[int]) -> bool:
+    """Whether every non-zero component ``A[j, k, b]`` has p_j + p_k + |b| even."""
+    p = np.asarray(parities)
+    odd = (p[:, None, None] + p[None, :, None] + _degrees(A.shape[2])) % 2 == 1
+    return not np.any(A[odd])
+
+
+@dataclass(frozen=True, eq=False)
+class BlockLayout:
+    """Where the components of a ``(d, d, 2^n)`` array sit in the blocked form.
+
+    A component array X is a ``d``-row matrix over the row space of pairs
+    (k, c), column and generator subset, and ``X B = X @ R(B)`` with R the
+    right-multiplication operator of B, wedge signs included.  The class of
+    (k, c) is p_k + |c| mod 2.  When B is even, right multiplication keeps
+    the class, so R is block diagonal; with two classes of one size (any
+    algebra with generators), the blocked form of X is ``(2, d, d 2^n / 2)``,
+    block q holding the columns of class q, and every product is one batched
+    matmul.  Otherwise there is one block, the whole row space.
+
+    ``index`` is the flat blocked position of every component; ``dest``,
+    ``src`` and ``sign`` scatter a blocked array into its operator; the
+    supertrace reads the diagonal components ``trace_masks`` (for two blocks,
+    the even ones: the odd ones of an even array are zero) at ``trace_index``
+    and weights its rows with ``signs``.
+    """
+
+    shape: tuple[int, int, int]
+    index: np.ndarray
+    dest: np.ndarray
+    src: np.ndarray
+    sign: np.ndarray
+    trace_masks: tuple[int, ...]
+    trace_index: np.ndarray
+    signs: np.ndarray
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """Blocked positions of the degree-0 diagonal components."""
+        return self.trace_index[:, 0]
+
+    def block(self, A: np.ndarray) -> np.ndarray:
+        out = np.empty(A.size, dtype=np.complex128)
+        out[self.index.ravel()] = A.ravel()
+        return out.reshape(self.shape)
+
+    def unblock(self, X: np.ndarray) -> np.ndarray:
+        return X.ravel()[self.index]
+
+    def operator(self, X: np.ndarray) -> np.ndarray:
+        """Right-multiplication operator ``(blocks, h, h)`` of a blocked array."""
+        nb, _, h = self.shape
+        R = np.zeros(nb * h * h, dtype=np.complex128)
+        R[self.dest] = X.ravel()[self.src] * self.sign
+        return R.reshape(nb, h, h)
+
+    def supertrace(self, X: np.ndarray) -> np.ndarray:
+        """Grading-signed trace of a blocked array, one value per ``trace_masks``."""
+        return self.signs @ X.ravel()[self.trace_index]
+
+
+def block_layout(algebra: ExteriorAlgebra, parities: Sequence[int],
+                 even: bool) -> BlockLayout:
+    """The layout of ``(d, d, 2^n)`` arrays, in two class blocks when ``even`` allows.
+
+    ``even`` says that the arrays to be multiplied are even (``is_even``);
+    the classes are split only then and when they are equal in size.
+    """
+    K = algebra.n_components
+    d = len(parities)
+    p = np.asarray(parities, dtype=int)
+    cls = ((p[:, None] + _degrees(K)[None, :]) % 2).ravel()
+    nb = 2 if even and 2 * cls.sum() == d * K else 1
+    if nb == 1:
+        cls = np.zeros_like(cls)
+    h = d * K // nb
+    where = np.empty(d * K, dtype=int)
+    where[np.argsort(cls, kind="stable")] = np.arange(d * K)
+    q, t = where // h, where % h
+    index = (q * d * h + np.arange(d)[:, None] * h + t).reshape(d, d, K)
+    # R[(j, a), (k, c)] = sign(a, b) B[j, k, b] with b = c ^ a, kept within a class
+    ai, bi, ci, sg = algebra.pair_table()
+    j, k = (x.ravel()[:, None] for x in np.indices((d, d)))
+    rows, cols = j * K + ai, k * K + ci
+    keep = (cls[rows] == cls[cols]).ravel()
+    dest = (q[rows] * h * h + t[rows] * h + t[cols]).ravel()[keep]
+    src = index[j, k, bi].ravel()[keep]
+    sign = np.broadcast_to(sg, rows.shape).ravel()[keep]
+    cls2 = cls.reshape(d, K)
+    masks = np.flatnonzero((cls2 == cls2[:, :1]).all(axis=0))
+    diag = np.arange(d)
+    return BlockLayout(shape=(nb, d, h), index=index, dest=dest, src=src,
+                       sign=sign.astype(np.complex128),
+                       trace_masks=tuple(masks.tolist()),
+                       trace_index=index[diag, diag][:, masks],
+                       signs=np.where(p == ODD, -1.0, 1.0))
 
 
 def _array_norm(A: np.ndarray) -> float:
@@ -317,38 +414,114 @@ def taylor_parameters(norm: float, tol: float) -> tuple[int, int]:
     return s, m
 
 
-def taylor_exp_array(A: np.ndarray, algebra: ExteriorAlgebra,
-                     tol: float = 1e-12) -> np.ndarray:
-    """Exponential of a component array ``(d, d, 2^n)`` over the algebra.
+def taylor_exp_blocked(X: np.ndarray, layout: BlockLayout,
+                       tol: float = 1e-12) -> np.ndarray:
+    """Exponential of a blocked component array, in the same layout.
 
-    Scaling-and-squaring with a truncated Taylor sum of the scaling and degree
-    of ``taylor_parameters``.  The running term is held as ``(d, d * 2^n)``,
-    so each product is one matmul against the factor's right-multiplication
-    operator, which carries the wedge signs.
+    The trace shift mu = tr(X_0) / d, the mean of the degree-0 diagonal, is
+    taken off first and e^mu multiplied back at the end, which is exact as
+    mu 1 is central; it lowers the norm and so the scaling.  Then
+    scaling-and-squaring with a truncated Taylor sum of the scaling and
+    degree of ``taylor_parameters``: every product is one batched matmul of
+    the running ``(blocks, d, h)`` term against the factor's block-diagonal
+    right-multiplication operator, each squaring's operator gathered straight
+    from the blocked accumulator.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    table = algebra.pair_table()
-    s, m = taylor_parameters(_array_norm(A), tol)
-    d, _, K = A.shape
-    R = _right_operator(A / 2.0**s, table)
-    term = np.zeros((d, d * K), dtype=np.complex128)
-    term[np.arange(d), np.arange(d) * K] = 1.0
+    diag = layout.diagonal
+    flat = X.astype(np.complex128).ravel()
+    mu = flat[diag].sum() / len(diag)
+    flat[diag] -= mu
+    shifted = flat.reshape(layout.shape)
+    s, m = taylor_parameters(_array_norm(shifted.transpose(1, 0, 2)), tol)
+    R = layout.operator(shifted / 2.0**s)
+    term = np.zeros(flat.size, dtype=np.complex128)
+    term[diag] = 1.0
+    term = term.reshape(layout.shape)
     acc = term.copy()
     for k in range(1, m + 1):
         term = term @ R / k
         acc += term
     for _ in range(s):
-        acc = acc @ _right_operator(acc.reshape(d, d, K), table)
-    return acc.reshape(d, d, K)
+        acc = acc @ layout.operator(acc)
+    return acc * cmath.exp(mu)
+
+
+def taylor_exp_array(A: np.ndarray, algebra: ExteriorAlgebra, tol: float = 1e-12,
+                     grading: Grading | None = None) -> np.ndarray:
+    """Exponential of a component array ``(d, d, 2^n)`` over the algebra.
+
+    ``taylor_exp_blocked`` on the array's ``block_layout``: trace shift, then
+    scaling-and-squaring of a Taylor sum.  The array is in two class blocks
+    when it is even for ``grading`` (all rows even when None), as a
+    superconnection's curvature is; any other array runs as one block.
+    """
+    parities = grading.parities if grading is not None else (EVEN,) * len(A)
+    layout = block_layout(algebra, parities, is_even(A, parities))
+    return layout.unblock(taylor_exp_blocked(layout.block(A), layout, tol))
 
 
 def super_exp(a: SuperMatrix, tol: float = 1e-12) -> SuperMatrix:
     """Matrix exponential of a numeric supermatrix by ``taylor_exp_array``."""
     if a.backend != NUMERIC:
         raise BackendError("super_exp requires the numeric backend")
-    acc = taylor_exp_array(a.to_array(), a.algebra, tol)
+    acc = taylor_exp_array(a.to_array(), a.algebra, tol, a.grading)
     return SuperMatrix.from_array(a.algebra, a.grading, acc)
+
+
+@dataclass(frozen=True, eq=False)
+class AffineArray:
+    """Component arrays of M0 + t M1, two symbolic supermatrices, compiled.
+
+    Every coefficient polynomial is a row of ``coeffs`` ``(2, d d 2^n, M)``,
+    in the blocked order of ``layout``, against the M monomials of
+    ``exponents`` ``(M, len(coords))`` in the coordinates ``coords`` that
+    occur, so the blocked array at a point is one product.
+    """
+
+    coords: tuple[str, ...]
+    exponents: np.ndarray
+    coeffs: np.ndarray
+    layout: BlockLayout
+
+    @classmethod
+    def compile(cls, m0: SuperMatrix, m1: SuperMatrix) -> "AffineArray":
+        m0._check(m1)
+        alg, d = m0.algebra, m0.dim
+        K = alg.n_components
+        monomials: dict[tuple, int] = {}
+        terms = []
+        for t, mat in enumerate((m0, m1)):
+            for i, row in enumerate(mat.entries):
+                for j, f in enumerate(row):
+                    for mask, poly in f.terms.items():
+                        for mono, c in poly.terms.items():
+                            col = monomials.setdefault(mono, len(monomials))
+                            terms.append((t, (i * d + j) * K + mask, col, c))
+        dense = np.zeros((2, d * d * K, len(monomials)), dtype=np.complex128)
+        for t, row, col, c in terms:
+            dense[t, row, col] = c
+        exps = np.array(list(monomials), dtype=int).reshape(len(monomials),
+                                                            len(alg.coordinates))
+        used = np.flatnonzero(exps.any(axis=0))
+        parities = m0.grading.parities
+        even = is_even(np.abs(dense).sum(axis=(0, 2)).reshape(d, d, K), parities)
+        layout = block_layout(alg, parities, even)
+        coeffs = np.empty_like(dense)
+        coeffs[:, layout.index.ravel()] = dense
+        return cls(coords=tuple(alg.coordinates[c] for c in used),
+                   exponents=exps[:, used], coeffs=coeffs, layout=layout)
+
+    def at(self, t: complex, point: Mapping[str, complex]) -> np.ndarray:
+        """The blocked array of M0 + t M1 at a point."""
+        try:
+            vals = np.array([point[c] for c in self.coords], dtype=np.complex128)
+        except KeyError as exc:
+            raise EvaluationError(
+                f"no value assigned to coordinate {exc.args[0]!r}") from None
+        r = self.coeffs @ np.prod(vals ** self.exponents, axis=1)
+        return (r[0] + t * r[1]).reshape(self.layout.shape)
 
 
 # -- divided differences of exp ------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 import equichern
 from equichern.characters import series_from_csv, series_to_csv
-from equichern.cli import build_parser, main, validate_report
+from equichern.cli import MAX_XI, build_parser, main, validate_report
 from equichern.modelfile import builtin_model_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -222,6 +222,29 @@ class TestCheckSymbol:
         assert code == 3
         assert re.search(message, capsys.readouterr().err)
 
+    @pytest.mark.parametrize("power", ["65", "1000000000"])
+    def test_large_exponent_exit_three(self, tmp_path, capsys, power):
+        path = tmp_path / "bad.model"
+        path.write_text(builtin_model_text("c-plane").replace(
+            "z + i*xi", f"z^{power} + i*xi"))
+        code = run(["check-symbol", path, "--out-dir", tmp_path])
+        assert code == 3
+        assert re.search(r"line 14, col 3: .*exponent above 64", capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_largest_xi_max_runs_without_overflow(self, tmp_path):
+        # |xi|^2 and its powers overflow on this model from about 1e150
+        assert MAX_XI == 1e100
+        assert run(["check-symbol", PLANE_MODEL, "--xi-max", "1e100",
+                    "--out-dir", tmp_path]) == 0
+
+    @pytest.mark.parametrize("value", ["1.0000001e100", "1e154", "1e300"])
+    def test_xi_max_above_the_bound_usage_error(self, tmp_path, capsys, value):
+        code = run(["check-symbol", PLANE_MODEL, "--xi-max", value, "--out-dir", tmp_path])
+        assert code == 2
+        assert "argument --xi-max" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_missing_file_exit_three(self, tmp_path):
         assert run(["check-symbol", tmp_path / "no.model",
                     "--out-dir", tmp_path]) == 3
@@ -309,6 +332,7 @@ needs_hypothesis = pytest.mark.skipif(hypothesis is None,
 
 BAD_NUMBERS = ("nan", "inf", "-inf", "-1", "0", "-0", "1e999", "1e-400", "1.5.2",
                "0x1f", "2^", "", "99999999999999999999999", "9" * 400)
+POWERS = ("0", "2", "64", "65", "0065", "1000000000", "9" * 400, "1.5", "-1", "nan")
 WORDS = ("complex", "real", "angle", "bogus", "base", "fiber", "summand",
          "weight=1", "parity=odd", "parity=even", "role=base", "[coordinates]",
          "[bundle.E]", "[bundle.W]", "[symbol]", "[options]", "model", "x_support",
@@ -316,7 +340,8 @@ WORDS = ("complex", "real", "angle", "bogus", "base", "fiber", "summand",
 
 
 def _mutate_lines(text, ops):
-    """Drop, duplicate or retype lines, or put a bad number in place of a number."""
+    """Drop, duplicate or retype lines, put a bad number in place of a number,
+    or raise a name, number or closing parenthesis to a power."""
     lines = text.splitlines()
     for kind, at, pos, word in ops:
         if not lines:
@@ -330,6 +355,11 @@ def _mutate_lines(text, ops):
             words = lines[k].split() or [""]
             words[pos % len(words)] = word
             lines[k] = " ".join(words)
+        elif kind == "power":
+            atoms = list(re.finditer(r"\w+|\)", lines[k]))
+            if atoms:
+                m = atoms[pos % len(atoms)]
+                lines[k] = lines[k][:m.end()] + "^" + word + lines[k][m.end():]
         else:
             numbers = list(re.finditer(r"\d+(\.\d*)?", lines[k]))
             if numbers:
@@ -351,7 +381,8 @@ def test_mutated_model_files_exit_cleanly(tmp_path):
     op = st.one_of(
         st.tuples(st.sampled_from(("drop", "duplicate")), line, pos, st.just("")),
         st.tuples(st.just("retype"), line, pos, st.sampled_from(WORDS)),
-        st.tuples(st.just("number"), line, pos, st.sampled_from(BAD_NUMBERS)))
+        st.tuples(st.just("number"), line, pos, st.sampled_from(BAD_NUMBERS)),
+        st.tuples(st.just("power"), line, pos, st.sampled_from(POWERS)))
 
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
                          database=None)

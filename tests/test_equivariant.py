@@ -18,7 +18,7 @@ from equichern.equivariant import (
     symbolic_chern,
     transverse_chern,
 )
-from equichern.exterior import NUMERIC, SYMBOLIC
+from equichern.exterior import NUMERIC, SYMBOLIC, EvaluationError
 from equichern.geometry import (
     ActionModel,
     BundleSpec,
@@ -232,6 +232,49 @@ class TestChernForm:
                                    / max(1.0, abs(ref.terms.get(k, 0)))
                                    for k in set(got.terms) | set(ref.terms)))
         assert worst <= 1e-13
+
+    def test_dense_route_closed_form_fresh_seed(self):
+        # the compiled curvature and the trace-shifted blocked kernel together
+        m = c_plane_uv()
+        rng = np.random.default_rng(8128)
+        worst = 0.0
+        for _ in range(300):
+            theta = rng.uniform(0.1, 2 * cmath.pi - 0.1)
+            u, v = rng.uniform(-2, 2, 2) + 1j * rng.uniform(-2, 2, 2)
+            got = chern_form(m, theta, {"u": u, "v": v})
+            ref = closed_form_reference(m, u, v, theta)
+            worst = max(worst, max(abs(got.terms.get(k, 0) - ref.terms.get(k, 0))
+                                   / max(1.0, abs(ref.terms.get(k, 0)))
+                                   for k in set(got.terms) | set(ref.terms)))
+        assert worst <= 1e-14
+
+    def test_zero_operator_dense_route_is_exact(self):
+        # a 1x1 curvature is its own trace shift plus a nilpotent soul
+        m = zero_op_s1()
+        for x_param in (0.8, 1.7 * cmath.pi, 5.9):
+            for pt in ({"theta": 0.3, "xi": 1.7}, {"theta": -1.2, "xi": -4.4}):
+                ch = chern_form(m, x_param, pt)
+                osc = cmath.exp(-1j * x_param * pt["xi"])
+                assert abs(ch.terms[0] - osc) <= 1e-15
+                assert abs(ch.coefficient(("dxi", "dtheta")) - 1j * osc) <= 1e-15
+
+    def test_missing_coordinate_is_named(self):
+        with pytest.raises(EvaluationError, match="'v'"):
+            chern_form(c_plane_uv(), 1.3, {"u": 0.2})
+        with pytest.raises(EvaluationError, match="'xi'"):
+            chern_form(zero_op_s1(), 1.3, {"theta": 0.2})
+
+    def test_new_odd_term_recompiles_the_dense_route(self):
+        m = c_plane_uv()
+        rows = [list(row) for row in m.odd_term.entries]
+        rows[0][1] = rows[0][1] + m.algebra.gen("du").scale(m.algebra.coord("v"))
+        m.set_odd_term(SuperMatrix(m.algebra, m.odd_term.grading, rows))
+        point = {"u": 0.45 + 0.2j, "v": -0.3 + 0.9j}
+        for theta in (0.3, 2 + 1j):
+            got = chern_form(m, theta, point)
+            fnum = equivariant_curvature(m, theta).evaluate(m.full_point(point))
+            ref = super_exp(fnum).supertrace()
+            assert got.isclose(ref, 1e-13 * ref.norm_max())
 
     def test_parsed_model_builds_no_augmented_symbol_per_call(self, monkeypatch):
         m = parse_model_text(builtin_model_text("c-plane"))

@@ -2,6 +2,7 @@ import pytest
 
 from equichern.geometry import augmented_symbol, c_plane
 from equichern.modelfile import (
+    MAX_EXPONENT,
     ModelParseError,
     builtin_model_text,
     parse_model_text,
@@ -106,3 +107,16 @@ class TestModelFiles:
             "summand weight=1 parity=odd\n[symbol]",
             f"summand weight={2 ** 53} parity=odd\n[symbol]")
         assert parse_model_text(text).bundle_w.weights == (0, 2 ** 53)
+
+    def test_largest_exponent_accepted(self):
+        text = builtin_model_text("c-plane").replace("z + i*xi", "z^64 + i*xi")
+        entry = parse_model_text(text).symbol.entries[1][0].terms[0]
+        assert MAX_EXPONENT == 64
+        assert max(max(m) for m in entry.terms) == 64
+
+    @pytest.mark.parametrize("power", ["65", "0065", "1000000000", "9" * 5000])
+    def test_exponent_above_the_cap_rejected(self, power):
+        # Poly.__pow__ multiplies once per unit, so a huge power once stalled
+        text = builtin_model_text("c-plane").replace("z + i*xi", f"z^{power} + i*xi")
+        with pytest.raises(ModelParseError, match="line 14, col 3: .*exponent above 64"):
+            parse_model_text(text)

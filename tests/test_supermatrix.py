@@ -11,9 +11,10 @@ from equichern.supermatrix import (
     SuperMatrix,
     UnsupportedShapeError,
     _array_norm,
-    _right_operator,
+    block_layout,
     exp_divided_difference,
     graded_commutator,
+    is_even,
     super_exp,
     super_exp_duhamel,
     taylor_exp_array,
@@ -207,6 +208,50 @@ def reduceat_taylor_exp(A, algebra, tol):
     return acc
 
 
+# -- the unblocked, unshifted Taylor route, kept as an oracle -------------------------
+#
+# The right-multiplication operator as a dense (d 2^n)^2 matrix over the whole
+# row space, built by 4-D fancy assignment, and the Taylor sum with no trace
+# shift: the kernel taylor_exp_array had before the grading blocks.
+
+
+def full_right_operator(B, table):
+    ai, bi, ci, sg = table
+    d, _, K = B.shape
+    R = np.zeros((d, K, d, K), dtype=np.complex128)
+    R[:, ai, :, ci] = (B[:, :, bi] * sg).transpose(2, 0, 1)
+    return R.reshape(d * K, d * K)
+
+
+def unshifted_taylor_exp(A, algebra, tol=1e-12):
+    table = algebra.pair_table()
+    s, m = taylor_parameters(_array_norm(A), tol)
+    d, _, K = A.shape
+    R = full_right_operator(A / 2.0**s, table)
+    term = np.zeros((d, d * K), dtype=np.complex128)
+    term[np.arange(d), np.arange(d) * K] = 1.0
+    acc = term.copy()
+    for k in range(1, m + 1):
+        term = term @ R / k
+        acc += term
+    for _ in range(s):
+        acc = acc @ full_right_operator(acc.reshape(d, d, K), table)
+    return acc.reshape(d, d, K)
+
+
+def random_even_array(d, n_gen, rng):
+    """A d x d array, even for a random grading, 30 % of its allowed components non-zero."""
+    alg = ExteriorAlgebra([f"e{i}" for i in range(n_gen)])
+    parities = tuple(int(p) for p in rng.integers(0, 2, d))
+    deg = np.array([m.bit_count() for m in range(alg.n_components)])
+    p = np.array(parities)
+    allowed = (p[:, None, None] + p[None, :, None] + deg) % 2 == 0
+    shape = allowed.shape
+    arr = np.where(allowed & (rng.random(shape) < 0.3),
+                   rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0.0)
+    return alg, Grading(parities), arr
+
+
 def random_array(n_gen, rng):
     """A 4x4 array over n_gen generators, 30 % of its components non-zero."""
     alg = ExteriorAlgebra([f"e{i}" for i in range(n_gen)])
@@ -225,7 +270,8 @@ class TestTaylorKernel:
         gr = Grading((0,) * d)
         want = (SuperMatrix.from_array(alg, gr, A)
                 @ SuperMatrix.from_array(alg, gr, B)).to_array()
-        kernel = (A.reshape(d, d * K) @ _right_operator(B, alg.pair_table()))
+        layout = block_layout(alg, gr.parities, even=False)
+        kernel = layout.unblock(layout.block(A) @ layout.operator(layout.block(B)))
         oracle = reduceat_matmul(A, B, reduceat_table(alg))
         scale = np.abs(want).max()
         assert np.abs(kernel.reshape(d, d, K) - want).max() <= 1e-12 * scale
@@ -241,6 +287,50 @@ class TestTaylorKernel:
         got = taylor_exp_array(A, alg)
         want = reduceat_taylor_exp(A, alg, 1e-15)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n_gen", [2, 4, 6])
+    @pytest.mark.parametrize("target", [0.4, 30.0])
+    def test_blocked_exp_matches_unblocked_route(self, d, n_gen, target, rng):
+        alg, gr, A = random_even_array(d, n_gen, rng)
+        A *= target / _array_norm(A)
+        assert is_even(A, gr.parities)
+        assert block_layout(alg, gr.parities, even=True).shape == (2, d, d * 2**(n_gen - 1))
+        got = taylor_exp_array(A, alg, grading=gr)
+        want = unshifted_taylor_exp(A, alg)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n_gen", [2, 4, 6])
+    @pytest.mark.parametrize("target", [0.4, 30.0])
+    def test_inhomogeneous_exp_is_one_block(self, n_gen, target, rng):
+        alg, A = random_array(n_gen, rng)
+        A *= target / _array_norm(A)
+        gr = Grading.from_string("+-+-")
+        assert not is_even(A, gr.parities)
+        assert block_layout(alg, gr.parities, even=False).shape == (1, 4, 4 * 2**n_gen)
+        want = unshifted_taylor_exp(A, alg)
+        for grading in (None, gr):
+            got = taylor_exp_array(A, alg, grading=grading)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_unequal_classes_are_one_block(self):
+        # no generators: the classes are the parities themselves
+        alg = ExteriorAlgebra([])
+        assert block_layout(alg, (0, 0, 1), even=True).shape == (1, 3, 3)
+        assert block_layout(alg, (0, 1), even=True).shape == (2, 2, 1)
+        body = np.array([0.3, -1.1j, 0.0])
+        got = taylor_exp_array(np.diag(body)[:, :, None], alg, grading=Grading((0, 0, 1)))
+        assert np.abs(got[:, :, 0] - np.diag(np.exp(body))).max() <= 1e-12
+
+    def test_central_shift_factors_out(self, rng):
+        alg, gr, A = random_even_array(4, 4, rng)
+        A *= 6.0 / _array_norm(A)
+        c = 2.3 - 7.9j
+        shifted = A.copy()
+        shifted[np.arange(4), np.arange(4), 0] += c
+        got = taylor_exp_array(shifted, alg, grading=gr)
+        want = cmath.exp(c) * taylor_exp_array(A, alg, grading=gr)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_zero_array_is_identity(self, plane_algebra):
         A = np.zeros((4, 4, plane_algebra.n_components), dtype=complex)
