@@ -5,11 +5,11 @@ A model stores the equivariant curvature of its superconnection as the pair
 iota_zeta(1) A, for the odd term A stored multiplied by i).  This module
 takes the grading-signed trace of its exponential (the Chern form) and
 divides by the Clifford-model bundle character (the transverse Chern form).
-Pointwise, the dense exponential of the component array evaluates it;
-symbolically, chern_plan compiles it once per model as the shared Gaussian
-exponent times closed soul-path forms weighted by divided differences of
-exp, grouped by their nodes, so only those scalar weights are computed per
-theta.
+Pointwise, the dense exponential of the model's compiled curvature array
+evaluates it; symbolically, chern_plan compiles it once per model as the
+shared Gaussian exponent times closed soul-path forms weighted by divided
+differences of exp, grouped by their nodes, so only those scalar weights
+are computed per theta.
 """
 
 from __future__ import annotations
