@@ -102,13 +102,7 @@ def _run_c_plane(args, out_dir: Path) -> int:
 
 def _run_zero_op(args, out_dir: Path) -> int:
     model = builtin_model("zero-op")
-    try:
-        test_fn = TEST_FUNCTIONS[args.test]
-    except KeyError:
-        print(f"unknown test function {args.test!r}; "
-              f"choose from {sorted(TEST_FUNCTIONS)}", file=sys.stderr)
-        return EXIT_USAGE
-    report: DeltaReport = delta_pairing(model, test_fn, args.eps)
+    report: DeltaReport = delta_pairing(model, TEST_FUNCTIONS[args.test], args.eps)
     err = abs(report.extrapolated - report.test_at_zero)
     passed = err < args.tol
     payload = report.to_dict()
@@ -125,29 +119,21 @@ def _run_zero_op(args, out_dir: Path) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
+EXAMPLES = {"c-plane": _run_c_plane, "zero-op": _run_zero_op}
+
+
 def cmd_run_example(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.name == "c-plane":
-        return _run_c_plane(args, out_dir)
-    if args.name == "zero-op":
-        return _run_zero_op(args, out_dir)
-    print(f"unknown example {args.name!r}; choose c-plane or zero-op",
-          file=sys.stderr)
-    return EXIT_USAGE
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    return EXAMPLES[args.name](args, args.out_dir)
 
 
 def cmd_check_symbol(args) -> int:
     try:
         model = parse_model_file(args.model_file)
-    except FileNotFoundError:
-        print(f"model file not found: {args.model_file}", file=sys.stderr)
-        return EXIT_INPUT
-    except ModelParseError as exc:
+    except (OSError, UnicodeDecodeError, ModelParseError) as exc:
         print(f"{args.model_file}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
 
     transversal = symbolalg.transversal_ellipticity_check(
         model, grid=symbolalg.GridSpec(r_max=args.xi_max))
@@ -159,7 +145,7 @@ def cmd_check_symbol(args) -> int:
                "transversal_ellipticity": transversal.to_dict(),
                "ellipticity_scan": scan.to_dict(),
                "passed": bool(passed)}
-    _write_json(out_dir / "symbol_report.json",
+    _write_json(args.out_dir / "symbol_report.json",
                 _report_document([{"kind": "symbol-check", "label": model.name,
                                    "payload": payload}]))
     print(f"{model.name}: transversality "
@@ -169,34 +155,33 @@ def cmd_check_symbol(args) -> int:
 
 
 def cmd_report(args) -> int:
+    import jsonschema
+
     runs = []
     for path in args.inputs:
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            print(f"missing input: {path}", file=sys.stderr)
+            validate_report(doc)
+        except jsonschema.ValidationError as exc:
+            print(f"{path}: not an equichern report: {exc.message}", file=sys.stderr)
             return EXIT_INPUT
-        except json.JSONDecodeError as exc:
-            print(f"{path}: invalid JSON: {exc}", file=sys.stderr)
+        # unreadable, not UTF-8 or not JSON (both ValueError), or nested too deep
+        except (OSError, ValueError, RecursionError) as exc:
+            print(f"{path}: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            print(f"{path}: unsupported schema version", file=sys.stderr)
-            return EXIT_INPUT
-        runs.extend(doc.get("runs", []))
-    runs.sort(key=lambda r: (r.get("kind", ""), r.get("label", "")))
-    doc = _report_document(runs)
-    validate_report(doc)
-    out_dir = Path(args.out_dir)
+        runs.extend(doc["runs"])
+    runs.sort(key=lambda r: (r["kind"], r.get("label", "")))
+    out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
-        _write_json(out_dir / "merged_report.json", doc)
+        _write_json(out_dir / "merged_report.json", _report_document(runs))
     else:
         rows = ["kind,label,passed"]
         for r in runs:
-            passed = r.get("payload", {}).get("passed",
-                                              r.get("payload", {})
-                                              .get("golden", {}).get("passed", ""))
-            rows.append(f"{r.get('kind','')},{r.get('label','')},{passed}")
+            golden = r["payload"].get("golden")
+            passed = r["payload"].get("passed", golden.get("passed", "")
+                                      if isinstance(golden, dict) else "")
+            rows.append(f"{r['kind']},{r.get('label', '')},{passed}")
         (out_dir / "merged_report.csv").write_text("\n".join(rows) + "\n",
                                                    encoding="utf-8")
     print(f"merged {len(runs)} run(s) into {out_dir}")
@@ -238,6 +223,16 @@ def _positive_at_most(hi: float):
     return parse
 
 
+def _out_dir(text: str) -> Path:
+    """argparse type: a directory, or a path where one can be made."""
+    path = Path(text)
+    existing = next((p for p in (path, *path.parents) if p.exists() or p.is_symlink()),
+                    None)
+    if existing is not None and not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r}: {existing} is not a directory")
+    return path
+
+
 def _eps_list(text: str) -> list[float]:
     """argparse type: distinct positive finite regularization values."""
     eps = [_positive_float(e) for e in text.split(",")]
@@ -254,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run-example", help="run a built-in worked example")
-    run.add_argument("name", help="c-plane or zero-op")
+    run.add_argument("name", choices=EXAMPLES)
     run.add_argument("--theta-samples", type=_int_in(2, MAX_THETA_SAMPLES), default=32)
     run.add_argument("--fourier-window", type=_int_in(0, (FOURIER_SAMPLES - 2) // 2),
                      default=16)
@@ -262,10 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--gh-order", type=int, help=argparse.SUPPRESS)
     run.add_argument("--eps", type=_eps_list, default="1e-2,1e-3,1e-4",
                      help="comma-separated regularization values (zero-op)")
-    run.add_argument("--test", default="gaussian",
+    run.add_argument("--test", choices=TEST_FUNCTIONS, default="gaussian",
                      help="test function name (zero-op)")
     run.add_argument("--tol", type=_positive_float, default=1e-4)
-    run.add_argument("--out-dir", default=".")
+    run.add_argument("--out-dir", type=_out_dir, default=".")
     run.set_defaults(func=cmd_run_example)
 
     chk = sub.add_parser("check-symbol", help="symbol-algebra and ellipticity checks")
@@ -274,13 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--scan-samples", type=_int_in(1, MAX_SCAN_SAMPLES), default=2000)
     chk.add_argument("--seed", type=_int_in(0), default=0)
     chk.add_argument("--tol", type=_positive_float, default=1e-6)
-    chk.add_argument("--out-dir", default=".")
+    chk.add_argument("--out-dir", type=_out_dir, default=".")
     chk.set_defaults(func=cmd_check_symbol)
 
     rep = sub.add_parser("report", help="merge prior run reports")
     rep.add_argument("--inputs", nargs="+", required=True)
     rep.add_argument("--format", choices=("json", "csv"), default="json")
-    rep.add_argument("--out-dir", default=".")
+    rep.add_argument("--out-dir", type=_out_dir, default=".")
     rep.set_defaults(func=cmd_report)
     return parser
 

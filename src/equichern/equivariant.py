@@ -213,7 +213,7 @@ def symbolic_chern(model: ActionModel, theta: complex,
 
 
 def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex],
-               tol: float = 1e-12, allow_near_pole: bool = False) -> Form:
+               allow_near_pole: bool = False) -> Form:
     """Pointwise Chern form: supertrace of the dense exponential of the curvature.
 
     The model's compiled curvature gives the blocked component array of
@@ -224,34 +224,25 @@ def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex],
         raise PoleGuardError(f"theta={theta} within {POLE_GUARD_THETA} of a 2*pi*Z pole")
     _curvature(model)
     curv = model.curvature_array
-    expf = taylor_exp_blocked(curv.at(theta, model.full_point(point)), curv.layout, tol)
+    expf = taylor_exp_blocked(curv.at(theta, model.full_point(point)), curv.layout)
     values = curv.layout.supertrace(expf)
     return Form(model.algebra, NUMERIC, dict(zip(curv.layout.trace_masks, values)))
 
 
-def w_character(model: ActionModel, theta: complex,
-                allow_near_pole: bool = False) -> complex:
+def w_character(model: ActionModel, theta: complex) -> complex:
     """Character of the Clifford-model bundle W, guarded against its poles."""
     if model.bundle_w is None:
         return 1.0 + 0.0j
     chw = bundle_character(model.bundle_w.weights, model.bundle_w.parities, theta)
-    if abs(chw) < POLE_GUARD_W and not allow_near_pole:
+    if abs(chw) < POLE_GUARD_W:
         raise PoleGuardError(
             f"W character {chw} below guard {POLE_GUARD_W}; theta near a pole")
     return chw
 
 
-def transverse_chern(model: ActionModel, theta: complex,
-                     point: Mapping[str, complex] | None = None,
-                     tol: float = 1e-12, allow_near_pole: bool = False):
-    """Chern form divided by the Clifford-model bundle character.
-
-    With a point, returns a numeric form through the dense exponential;
-    without one, returns the symbolic Gaussian-factored form.
-    """
-    chw = w_character(model, theta, allow_near_pole)
-    if point is not None:
-        return chern_form(model, theta, point, tol, allow_near_pole).scale(1.0 / chw)
+def transverse_chern(model: ActionModel, theta: complex) -> GaussianForm:
+    """Chern form divided by the Clifford-model bundle character, symbolically."""
+    chw = w_character(model, theta)
     return symbolic_chern(model, theta).scale(1.0 / chw)
 
 

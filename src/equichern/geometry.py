@@ -426,8 +426,6 @@ class ScanGrid:
     threshold: float = 1e-6
     r0: float = 2.0
     refine_iters: int = 80
-    refine_candidates: int = 4
-    degenerate_tol: float = 1e-12
 
 
 @dataclass
@@ -607,6 +605,10 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
+# Worst samples per shell that Gauss-Newton refines.
+REFINE_CANDIDATES = 4
+# Symbol norm, relative to the shell scale, below which a point is a zero.
+DEGENERATE_TOL = 1e-12
 # Damping below which a Gauss-Newton candidate that stops improving is frozen.
 _GN_MIN_DAMPING = 2.0 ** -6
 
@@ -616,7 +618,7 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
 
     Reports min |det| of the operator-norm-normalized symbol per shell and a
     least-squares growth exponent of |det|.  Points where the symbol norm
-    collapses below ``degenerate_tol`` times the shell scale count as
+    collapses below ``DEGENERATE_TOL`` times the shell scale count as
     determinant zeros.  Singular values and |det| come in closed form from
     the 1x1 and 2x2 grading blocks of a homogeneous matrix (a full svd
     otherwise).  The worst samples per shell are refined by damped
@@ -643,9 +645,9 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
     dets, opnorms, smins = _singular_stats(
         _eval_matrix_grid(polys, _coords_from_real(algebra, pts)), blocks)
     scale = np.median(opnorms, axis=1)
-    floor = grid.degenerate_tol * np.maximum(scale, 1e-30)
+    floor = DEGENERATE_TOL * np.maximum(scale, 1e-30)
 
-    cand_idx = np.argsort(smins, axis=1)[:, : grid.refine_candidates]
+    cand_idx = np.argsort(smins, axis=1)[:, :REFINE_CANDIDATES]
     p = np.take_along_axis(dirs, cand_idx[..., None], axis=1)
     start = r * p
     start_dets = np.take_along_axis(dets, cand_idx, axis=1)

@@ -32,6 +32,15 @@ from .geometry import COMPLEX, ActionModel
 from .supermatrix import UnsupportedShapeError
 
 
+# Damping of the Fourier contour theta + i FOURIER_ETA, undone per coefficient.
+FOURIER_ETA = 1.0
+# Panel Gauss-Legendre grid of the delta pairing over (X, xi): half-widths,
+# panel counts and the nodes per panel.
+X_HALFWIDTH, XI_HALFWIDTH = 12.0, 14.0
+X_PANELS, XI_PANELS = 48, 32
+PANEL_ORDER = 16
+
+
 class DivergenceError(ValueError):
     """Integrand lacks Gaussian decay; use delta_pairing for oscillatory models."""
 
@@ -192,14 +201,15 @@ class IndexReport:
 
 
 def index_character(model: ActionModel, theta_samples: int = 32,
-                    fourier_window: int = 16, fourier_samples: int = 128,
-                    eta: float = 1.0) -> IndexReport:
+                    fourier_window: int = 16,
+                    fourier_samples: int = 128) -> IndexReport:
     """Index values on a uniform pole-avoiding theta grid plus Fourier extraction.
 
     Values are sampled on the real grid 2 pi (j + 1/2)/K.  Fourier
     coefficients come from the DFT of samples on the upper-half-plane
-    contour theta + i eta, the positive-power regularization under which the
-    coefficient series converges; the damping is undone per coefficient.
+    contour theta + i FOURIER_ETA, the positive-power regularization under
+    which the coefficient series converges; the damping is undone per
+    coefficient.
     Both grids are evaluated from one Chern plan in one call.
     """
     if theta_samples < 2:
@@ -207,7 +217,8 @@ def index_character(model: ActionModel, theta_samples: int = 32,
     if fourier_samples < 2 * fourier_window + 2:
         raise ValueError("fourier_samples must exceed twice the window")
     thetas = 2 * math.pi * (np.arange(theta_samples) + 0.5) / theta_samples
-    fthetas = 2 * math.pi * (np.arange(fourier_samples) + 0.5) / fourier_samples + 1j * eta
+    fthetas = (2 * math.pi * (np.arange(fourier_samples) + 0.5) / fourier_samples
+               + 1j * FOURIER_ETA)
     density = _index_density(model, chern_plan(model),
                              np.concatenate([thetas, fthetas]))
     values = [complex(v) for v in density[:theta_samples]]
@@ -225,7 +236,7 @@ def index_character(model: ActionModel, theta_samples: int = 32,
 
     diagnostics = {
         "orientation_sign": orientation_sign(model),
-        "fourier_eta": eta,
+        "fourier_eta": FOURIER_ETA,
         "fourier_samples": fourier_samples,
         "fourier_residual_rms": residual_rms,
         "conjugate_symmetry_deviation": sym_dev,
@@ -252,14 +263,12 @@ TEST_FUNCTIONS: dict[str, Callable] = {
 }
 
 
-def _panel_gauss_legendre(lo: float, hi: float, panels: int, order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * w)
-    return np.concatenate(xs), np.concatenate(ws)
+def _panel_gauss_legendre(halfwidth: float, panels: int):
+    """PANEL_ORDER-point Gauss-Legendre nodes and weights on equal panels."""
+    x, w = np.polynomial.legendre.leggauss(PANEL_ORDER)
+    edges = np.linspace(-halfwidth, halfwidth, panels + 1)
+    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (half * x + mid).ravel(), (half * w).ravel()
 
 
 def _fiber_rate(exponent: Poly, idx: int) -> complex:
@@ -324,10 +333,8 @@ def richardson_extrapolate(eps: Sequence[float], values: Sequence[complex]) -> c
     return t[0]
 
 
-def delta_pairing(model: ActionModel, test_fn: Callable, eps_list: Sequence[float],
-                  x_halfwidth: float = 12.0, xi_halfwidth: float = 14.0,
-                  x_panels: int = 48, xi_panels: int = 32,
-                  panel_order: int = 16) -> DeltaReport:
+def delta_pairing(model: ActionModel, test_fn: Callable,
+                  eps_list: Sequence[float]) -> DeltaReport:
     """Pair the oscillatory index density against a test function on the Lie algebra.
 
     For each eps computes the double integral of the model's density times
@@ -337,8 +344,8 @@ def delta_pairing(model: ActionModel, test_fn: Callable, eps_list: Sequence[floa
     eps = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps):
         raise ValueError("regularization eps values must be positive")
-    xn, xw = _panel_gauss_legendre(-x_halfwidth, x_halfwidth, x_panels, panel_order)
-    qn, qw = _panel_gauss_legendre(-xi_halfwidth, xi_halfwidth, xi_panels, panel_order)
+    xn, xw = _panel_gauss_legendre(X_HALFWIDTH, X_PANELS)
+    qn, qw = _panel_gauss_legendre(XI_HALFWIDTH, XI_PANELS)
 
     tops, rates = _oscillatory_density(model, chern_plan(model), xn)
     angle_volume = 1.0

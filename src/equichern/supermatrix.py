@@ -41,6 +41,11 @@ from .exterior import (
 EVEN = 0
 ODD = 1
 
+# Relative forward-error target of the dense Taylor exponential.
+TAYLOR_TOL = 1e-12
+# Tail bound of the divided-difference series of exp.
+DD_TOL = 1e-18
+
 
 class ShapeError(ValueError):
     """Dimension or grading mismatch between graded matrices."""
@@ -415,7 +420,7 @@ def taylor_parameters(norm: float, tol: float) -> tuple[int, int]:
 
 
 def taylor_exp_blocked(X: np.ndarray, layout: BlockLayout,
-                       tol: float = 1e-12) -> np.ndarray:
+                       tol: float = TAYLOR_TOL) -> np.ndarray:
     """Exponential of a blocked component array, in the same layout.
 
     The trace shift mu = tr(X_0) / d, the mean of the degree-0 diagonal, is
@@ -448,7 +453,7 @@ def taylor_exp_blocked(X: np.ndarray, layout: BlockLayout,
     return acc * cmath.exp(mu)
 
 
-def taylor_exp_array(A: np.ndarray, algebra: ExteriorAlgebra, tol: float = 1e-12,
+def taylor_exp_array(A: np.ndarray, algebra: ExteriorAlgebra, tol: float = TAYLOR_TOL,
                      grading: Grading | None = None) -> np.ndarray:
     """Exponential of a component array ``(d, d, 2^n)`` over the algebra.
 
@@ -462,7 +467,7 @@ def taylor_exp_array(A: np.ndarray, algebra: ExteriorAlgebra, tol: float = 1e-12
     return layout.unblock(taylor_exp_blocked(layout.block(A), layout, tol))
 
 
-def super_exp(a: SuperMatrix, tol: float = 1e-12) -> SuperMatrix:
+def super_exp(a: SuperMatrix, tol: float = TAYLOR_TOL) -> SuperMatrix:
     """Matrix exponential of a numeric supermatrix by ``taylor_exp_array``."""
     if a.backend != NUMERIC:
         raise BackendError("super_exp requires the numeric backend")
@@ -527,7 +532,7 @@ class AffineArray:
 # -- divided differences of exp ------------------------------------------------
 
 
-def exp_divided_difference(nodes, tol: float = 1e-18):
+def exp_divided_difference(nodes):
     """Divided difference of exp over the given nodes, confluent-safe.
 
     The k+1 nodes run along the first axis of ``nodes``; any further axes are
@@ -551,12 +556,12 @@ def exp_divided_difference(nodes, tol: float = 1e-18):
     ds = np.where(separated, 0.0, xs - shift)
     # sum_m h_m(ds) / (m+k)!  with h_m complete homogeneous symmetric; as
     # |h_m(ds)| / (m+k)! <= r^m / (m! k!) with r = max |ds|, the terms past
-    # m_max sum to at most e^r r^(m_max+1) / ((m_max+1)! k!) < tol
+    # m_max sum to at most e^r r^(m_max+1) / ((m_max+1)! k!) < DD_TOL
     r = float(np.abs(ds).max(initial=0.0))
     log_r = math.log(r) if r > 0 else -math.inf
     m_max = 0
     while (r + (m_max + 1) * log_r - math.lgamma(m_max + 2) - math.lgamma(k + 1)
-           >= math.log(tol)):
+           >= math.log(DD_TOL)):
         m_max += 1
         if m_max >= 400:
             raise ConvergenceError("divided-difference series did not converge")
@@ -630,7 +635,7 @@ def duhamel_paths(soul: Sequence[SuperMatrix], diag: Sequence):
         yield from walk(i, i, one, (diag[i],))
 
 
-def super_exp_duhamel(a: SuperMatrix, tol: float = 1e-18) -> SuperMatrix:
+def super_exp_duhamel(a: SuperMatrix) -> SuperMatrix:
     """Matrix exponential via the Duhamel expansion around a diagonal body.
 
     exp(body + soul) is the sum over products of soul entries weighted by
@@ -657,5 +662,5 @@ def super_exp_duhamel(a: SuperMatrix, tol: float = 1e-18) -> SuperMatrix:
     for i in range(d):
         out[i][i] = a.algebra.scalar(cmath.exp(beta[i]), NUMERIC)
     for i, j, prod, nodes in duhamel_paths([soul], beta):
-        out[i][j] = out[i][j] + prod[0].scale(exp_divided_difference(nodes, tol))
+        out[i][j] = out[i][j] + prod[0].scale(exp_divided_difference(nodes))
     return SuperMatrix(a.algebra, a.grading, out)

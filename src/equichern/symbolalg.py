@@ -28,6 +28,11 @@ from .geometry import (
 
 STABILITY_RATIO = 1.1   # heuristic: c_eps(R)/c_eps(R/2) below this counts as stable
 DECAY_DELTA = 1e-3
+N_X = 64        # base samples within the x-support
+N_RADII = 24    # xi radii, geometric from R_MIN to the grid's r_max
+R_MIN = 0.5
+CUTOFF_RADII = (1.0, 2.0)   # cutoffs a of the transversal ellipticity check
+SUPPORT_RADIUS = 1.5        # x-support of the saturating and constant-in-xi symbols
 
 
 @dataclass(frozen=True)
@@ -56,29 +61,26 @@ class SymbolFunction:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sampling density for the membership checks."""
+    """Fiber directions and outer xi radius of the membership checks."""
 
-    n_x: int = 64
     n_dirs: int = 32
-    n_radii: int = 24
     r_max: float = 1e3
-    r_min: float = 0.5
 
 
-def _base_points(model: ActionModel, b: SymbolFunction, grid: GridSpec) -> dict:
+def _base_points(model: ActionModel, b: SymbolFunction) -> dict:
     """Sample the base within the declared x-support."""
     base = model.base_coords
     if len(base) != 1:
         raise ValueError("grids implemented for a single base coordinate")
     c = base[0]
     if c.kind == COMPLEX:
-        n_r = max(2, int(round(math.sqrt(grid.n_x))))
-        n_a = max(1, grid.n_x // n_r)
+        n_r = max(2, int(round(math.sqrt(N_X))))
+        n_a = max(1, N_X // n_r)
         radii = np.linspace(0.0, b.x_support_radius, n_r)
         angles = np.linspace(0.0, 2 * math.pi, n_a, endpoint=False)
         pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
         return {c.name: pts}
-    pts = np.linspace(0.0, 2 * math.pi, grid.n_x, endpoint=False)
+    pts = np.linspace(0.0, 2 * math.pi, N_X, endpoint=False)
     return {c.name: pts.astype(complex)}
 
 
@@ -113,11 +115,11 @@ def condition_c_fit(b: SymbolFunction, model: ActionModel,
     PASS requires c_eps at radius R within STABILITY_RATIO of its value at
     R/2 for every eps, so that growing the grid no longer grows the constant.
     """
-    if grid.n_dirs <= 0 or grid.n_radii <= 0:
+    if grid.n_dirs <= 0:
         raise ValueError("empty grid")
-    base = _base_points(model, b, grid)
+    base = _base_points(model, b)
     dirs = _fiber_directions(model, grid)
-    radii = np.geomspace(grid.r_min, grid.r_max, grid.n_radii)
+    radii = np.geomspace(R_MIN, grid.r_max, N_RADII)
     name_x = model.base_coords[0].name
     name_f = model.fiber_coords[0].name
     x = base[name_x][:, None, None]
@@ -187,10 +189,10 @@ def restriction_decay_check(b: SymbolFunction, model: ActionModel,
     the outer shell; when the variety is the zero section (compact), the
     vanishing-at-infinity condition holds vacuously.
     """
-    base = _base_points(model, b, grid)
+    base = _base_points(model, b)
     name_x = model.base_coords[0].name
     name_f = model.fiber_coords[0].name
-    radii = np.geomspace(grid.r_min, grid.r_max, grid.n_radii)
+    radii = np.geomspace(R_MIN, grid.r_max, N_RADII)
     xs, ds = [], []
     for x in base[name_x]:
         for d in _transverse_directions(model, complex(x)):
@@ -234,8 +236,8 @@ def bump(r: np.ndarray, radius: float) -> np.ndarray:
     return val
 
 
-def normalized_remainder_symbol(model: ActionModel, cutoff_radius: float,
-                                amplitude: float = 1.0) -> SymbolFunction:
+def normalized_remainder_symbol(model: ActionModel,
+                                cutoff_radius: float) -> SymbolFunction:
     """a(x) (1 - sigma_hat^2) with the order-zero normalized symbol sigma_hat."""
     name_x = model.base_coords[0].name
     name_f = model.fiber_coords[0].name
@@ -253,15 +255,14 @@ def normalized_remainder_symbol(model: ActionModel, cutoff_radius: float,
         sig = sig / scale[..., None, None]
         eye = np.eye(d)
         rem = eye - np.einsum("...ij,...jk->...ik", sig, sig)
-        a = amplitude * bump(x, cutoff_radius)
+        a = bump(x, cutoff_radius)
         return a[..., None, None] * rem
 
     return SymbolFunction(evaluator=evaluator, x_support_radius=cutoff_radius,
                           name=f"{model.name}: a(1 - sigma_hat^2)")
 
 
-def saturating_symbol(model: ActionModel, amplitude: float = 3.0,
-                      support_radius: float = 1.5) -> SymbolFunction:
+def saturating_symbol(model: ActionModel, amplitude: float = 3.0) -> SymbolFunction:
     """f(x) (1 + |phi|^2)/(1 + |xi|^2): saturates the membership bound by design."""
     name_x = model.base_coords[0].name
     name_f = model.fiber_coords[0].name
@@ -269,39 +270,37 @@ def saturating_symbol(model: ActionModel, amplitude: float = 3.0,
     def evaluator(base_arrays, fiber_arrays):
         phi_sq, xi_sq = phi_xi_norms_grid(model, base_arrays, fiber_arrays)
         x = np.asarray(base_arrays[name_x])
-        f = amplitude * bump(x, support_radius)
+        f = amplitude * bump(x, SUPPORT_RADIUS)
         return f * (1.0 + phi_sq) / (1.0 + xi_sq)
 
-    return SymbolFunction(evaluator=evaluator, x_support_radius=support_radius,
+    return SymbolFunction(evaluator=evaluator, x_support_radius=SUPPORT_RADIUS,
                           name="saturating bound symbol")
 
 
-def constant_in_xi_symbol(model: ActionModel, amplitude: float = 1.0,
-                          support_radius: float = 1.5) -> SymbolFunction:
+def constant_in_xi_symbol(model: ActionModel) -> SymbolFunction:
     """f(x), constant in xi: the negative control failing transverse decay."""
     name_x = model.base_coords[0].name
 
     def evaluator(base_arrays, fiber_arrays):
         x = np.asarray(base_arrays[name_x])
         xi = np.asarray(fiber_arrays[model.fiber_coords[0].name])
-        return amplitude * bump(x, support_radius) * np.ones_like(np.abs(xi))
+        return bump(x, SUPPORT_RADIUS) * np.ones_like(np.abs(xi))
 
-    return SymbolFunction(evaluator=evaluator, x_support_radius=support_radius,
+    return SymbolFunction(evaluator=evaluator, x_support_radius=SUPPORT_RADIUS,
                           name="constant-in-xi control")
 
 
 def transversal_ellipticity_check(model: ActionModel,
-                                  cutoff_radii: Sequence[float] = (1.0, 2.0),
                                   grid: GridSpec = GridSpec()) -> TransversalityReport:
     """Membership of a (1 - sigma_hat^2) for each cutoff radius."""
     creps, dreps = [], []
     passed = True
-    for radius in cutoff_radii:
+    for radius in CUTOFF_RADII:
         b = normalized_remainder_symbol(model, radius)
         cr = condition_c_fit(b, model, (0.1, 0.01, 0.001), grid)
         dr = restriction_decay_check(b, model, grid)
         creps.append(cr)
         dreps.append(dr)
         passed = passed and cr.passed and dr.passed
-    return TransversalityReport(cutoffs=[float(r) for r in cutoff_radii],
+    return TransversalityReport(cutoffs=[float(r) for r in CUTOFF_RADII],
                                 condition_c=creps, decay=dreps, passed=passed)

@@ -42,7 +42,8 @@ class TestRunExample:
         assert abs(payload["extrapolated"][0] - 1.0) < 1e-4
 
     def test_unknown_example_usage_error(self, tmp_path):
-        assert run(["run-example", "bogus", "--out-dir", tmp_path]) == 2
+        assert run(["run-example", "bogus", "--out-dir", tmp_path / "out"]) == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name, flag, value", [
         ("zero-op", "--eps", "0.1,0.1"),
@@ -249,6 +250,13 @@ class TestCheckSymbol:
         assert run(["check-symbol", tmp_path / "no.model",
                     "--out-dir", tmp_path]) == 3
 
+    @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+    def test_unreadable_model_exit_three(self, tmp_path, capsys, kind):
+        path = _input_file(tmp_path, kind)
+        assert run(["check-symbol", path, "--out-dir", tmp_path / "out"]) == 3
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestReport:
     @pytest.fixture
@@ -292,6 +300,53 @@ class TestReport:
         assert run(["report", "--inputs", tmp_path / "nope.json",
                     "--out-dir", tmp_path]) == 3
 
+    @pytest.mark.parametrize("kind", [
+        "[]", '{"schema_version": "1", "runs": [1]}',
+        '{"schema_version": "1", "runs": [{"kind": "x"}]}', "[" * 100_000,
+        "not-utf8", "directory"],
+        ids=["array", "run-not-object", "run-without-payload", "too-deep", "not-utf8",
+             "directory"])
+    def test_bad_input_exit_three(self, tmp_path, capsys, kind):
+        path = _input_file(tmp_path, kind)
+        assert run(["report", "--inputs", path, "--out-dir", tmp_path / "out"]) == 3
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_csv_with_a_non_object_golden(self, tmp_path):
+        doc = tmp_path / "in.json"
+        doc.write_text('{"schema_version": "1", "runs": '
+                       '[{"kind": "x", "label": "y", "payload": {"golden": 1}}]}')
+        assert run(["report", "--inputs", doc, "--format", "csv",
+                    "--out-dir", tmp_path]) == 0
+        assert (tmp_path / "merged_report.csv").read_text().splitlines()[1] == "x,y,"
+
+
+def _input_file(tmp_path, kind):
+    """The input under test: a non-UTF-8 file, a directory, or a file of that text."""
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe model")
+    else:
+        path.write_text(kind)
+    return path
+
+
+@pytest.mark.parametrize("command", ["run-example", "check-symbol", "report"])
+@pytest.mark.parametrize("out_dir", ["file", "file/sub", "broken-link"])
+def test_out_dir_file_usage_error(tmp_path, capsys, command, out_dir):
+    # an --out-dir that is a file, sits under one, or is a dangling link
+    blocker = tmp_path / "file"
+    blocker.write_text('{"schema_version": "1", "runs": []}')
+    (tmp_path / "broken-link").symlink_to(tmp_path / "nowhere")
+    argv = {"run-example": ["run-example", "zero-op"],
+            "check-symbol": ["check-symbol", PLANE_MODEL],
+            "report": ["report", "--inputs", blocker]}[command]
+    code = run(argv + ["--out-dir", tmp_path / out_dir])
+    assert code == 2
+    assert "argument --out-dir" in capsys.readouterr().err
+
 
 class TestFourierCsv:
     def test_emitted_table_round_trips(self, tmp_path):
@@ -324,7 +379,7 @@ def test_readme_commands_parse():
 try:
     import hypothesis
     from hypothesis import strategies as st
-except ImportError:  # an optional test tool, not a declared dependency
+except ImportError:  # declared in the test extra, but skip where it is absent
     hypothesis = None
 
 needs_hypothesis = pytest.mark.skipif(hypothesis is None,
@@ -402,7 +457,8 @@ def test_mutated_model_files_exit_cleanly(tmp_path):
 @needs_hypothesis
 def test_mutated_arguments_exit_cleanly(tmp_path):
     flags = ("--theta-samples", "--fourier-window", "--gh-order", "--eps", "--test",
-             "--tol", "--xi-max", "--scan-samples", "--seed", "--format", "--bogus")
+             "--tol", "--xi-max", "--scan-samples", "--seed", "--format", "--inputs",
+             "--bogus")
     values = ("0", "1", "2", "3", "-1", "1.5", "abc", "nan", "inf", "1e-300", "1e300",
               "1e999", "", "1e-2,1e-3", "0.1,0.1", "1e-2,-1", "gaussian",
               "99999999999999999999")
@@ -410,21 +466,26 @@ def test_mutated_arguments_exit_cleanly(tmp_path):
              ["run-example", "c-plane", "--theta-samples", 4, "--fourier-window", 2],
              ["run-example", "zero-op"],
              ["run-example", "bogus"],
-             ["check-symbol", "missing.model"])
+             ["check-symbol", "missing.model"],
+             ["report", "--inputs", tmp_path / "report.json"])
+    (tmp_path / "report.json").write_text(
+        '{"schema_version": "1", "runs": [{"kind": "x", "payload": {"passed": true}}]}')
+    (tmp_path / "file").write_text("")
+    out_dirs = (tmp_path / "out", tmp_path / "file", tmp_path / "file" / "sub")
 
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
                          database=None)
     @hypothesis.given(st.sampled_from(range(len(bases))),
                       st.lists(st.tuples(st.sampled_from(flags), st.sampled_from(values)),
                                max_size=3),
-                      st.integers(0, 6))
-    def check(which, extra, drop):
+                      st.integers(0, 6), st.sampled_from(out_dirs))
+    def check(which, extra, drop, out_dir):
         argv = list(bases[which])
         if drop < len(argv):
             del argv[drop]
         for flag, value in extra:
             argv += [flag, value]
-        code, err = _exit_code_and_stderr(argv + ["--out-dir", tmp_path])
+        code, err = _exit_code_and_stderr(argv + ["--out-dir", out_dir])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
 
