@@ -154,6 +154,14 @@ def cmd_check_symbol(args) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
+def _excerpt(text: str, limit: int = 200) -> str:
+    """``text`` in at most ``limit`` characters, keeping its head and its tail."""
+    if len(text) <= limit:
+        return text
+    half = (limit - 5) // 2
+    return f"{text[:half]} ... {text[-half:]}"
+
+
 def cmd_report(args) -> int:
     import jsonschema
 
@@ -163,7 +171,9 @@ def cmd_report(args) -> int:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
             validate_report(doc)
         except jsonschema.ValidationError as exc:
-            print(f"{path}: not an equichern report: {exc.message}", file=sys.stderr)
+            # the message repeats the rejected value, which may be the whole file
+            print(f"{path}: not an equichern report: {exc.validator!r} fails at "
+                  f"{_excerpt(exc.json_path)}: {_excerpt(exc.message)}", file=sys.stderr)
             return EXIT_INPUT
         # unreadable, not UTF-8 or not JSON (both ValueError), or nested too deep
         except (OSError, ValueError, RecursionError) as exc:

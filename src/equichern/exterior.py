@@ -5,11 +5,14 @@ polynomials in declared coordinates (supporting formal derivatives), and
 plain complex numbers as the evaluation target.  Conjugate coordinates such
 as ``z`` and ``zbar`` are independent symbols; the kernel never assumes
 reality.  Generator subsets are stored as bitmasks in declaration order, so
-every form has a unique canonical representation and equality is exact.
+every form has a unique canonical representation and equality is exact.  An
+array of polynomials compiles into one monomial table, so its values on a
+grid of points are a single matrix product.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -314,6 +317,80 @@ class Poly:
                        for i, e in enumerate(m) if e > 0]
             parts.append("*".join([f"({c})"] + factors) if factors else f"({c})")
         return " + ".join(parts)
+
+
+def monomial_table(algebra: ExteriorAlgebra, rows: Iterable[tuple[int, Poly]],
+                   n_rows: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Polynomials as one product: ``(coords, exponents, coeffs)``.
+
+    ``rows`` yields ``(row, poly)``, one polynomial per row.  Row ``row`` of
+    ``coeffs`` ``(n_rows, M)`` holds its coefficients against the M monomials
+    of ``exponents`` ``(M, len(coords))``, numbered in order of first
+    appearance, over the coordinates ``coords`` that occur.
+    """
+    monomials: dict[tuple, int] = {}
+    terms = []
+    for row, poly in rows:
+        for mono, c in poly.terms.items():
+            terms.append((row, monomials.setdefault(mono, len(monomials)), c))
+    coeffs = np.zeros((n_rows, len(monomials)), dtype=np.complex128)
+    for row, col, c in terms:
+        coeffs[row, col] = c
+    exps = np.array(list(monomials), dtype=int).reshape(len(monomials),
+                                                        len(algebra.coordinates))
+    used = np.flatnonzero(exps.any(axis=0))
+    return tuple(algebra.coordinates[c] for c in used), exps[:, used], coeffs
+
+
+class CompiledPolys:
+    """An array of polynomials compiled once, evaluated on grids as one product.
+
+    ``polys`` is an object array of polynomials (None for zero).  On
+    coordinate arrays of one shape every monomial is formed once, from
+    per-coordinate power tables, and every polynomial is a row of
+    ``coeffs @ monomials``.
+    """
+
+    def __init__(self, algebra: ExteriorAlgebra, polys: np.ndarray):
+        self.shape = polys.shape
+        self.coords, exps, self.coeffs = monomial_table(
+            algebra, ((r, f) for r, f in enumerate(polys.flat) if f is not None),
+            polys.size)
+        self.top = exps.max(axis=0, initial=0)
+        self.factors = [[(k, e) for k, e in enumerate(m) if e] for m in exps.tolist()]
+
+    def _monomials(self, arrays: Mapping[str, np.ndarray]) -> tuple[np.ndarray, tuple]:
+        """``(M, N)`` monomial values at the N points of the grid, and its shape."""
+        shape = np.shape(next(iter(arrays.values())))
+        powers = []
+        for name, top in zip(self.coords, self.top):
+            if name not in arrays:
+                raise EvaluationError(f"no value assigned to coordinate {name!r}")
+            v = np.asarray(arrays[name], dtype=np.complex128)
+            table = [None, v]
+            for _ in range(1, top):
+                table.append(table[-1] * v)
+            powers.append(table)
+        out = np.empty((len(self.factors),) + shape, dtype=np.complex128)
+        for m, factors in enumerate(self.factors):
+            if not factors:
+                out[m] = 1.0
+                continue
+            (k, e), *rest = factors
+            out[m] = powers[k][e]
+            for k, e in rest:
+                out[m] *= powers[k][e]
+        return out.reshape(len(out), math.prod(shape)), shape
+
+    def entries(self, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
+        """``polys.shape + shape``: each polynomial on the grid, contiguous."""
+        mono, shape = self._monomials(arrays)
+        return (self.coeffs @ mono).reshape(self.shape + shape)
+
+    def matrices(self, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
+        """``shape + polys.shape``: the polynomials on the grid, in the last axes."""
+        mono, shape = self._monomials(arrays)
+        return (mono.T @ self.coeffs.T).reshape(shape + self.shape)
 
 
 def _coeff_is_zero(c) -> bool:

@@ -23,8 +23,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exterior import NUMERIC, SYMBOLIC, ExteriorAlgebra, Poly
-from .supermatrix import ODD, AffineArray, Grading, SuperMatrix, UnsupportedShapeError
+from .exterior import NUMERIC, SYMBOLIC, CompiledPolys, ExteriorAlgebra, Poly
+from .supermatrix import EVEN, ODD, AffineArray, Grading, SuperMatrix, UnsupportedShapeError
 
 COMPLEX = "complex"
 ANGLE = "angle"
@@ -499,22 +499,6 @@ def _entry_polys(matrix: SuperMatrix) -> np.ndarray:
     return out
 
 
-def _eval_matrix_grid(matrix, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Values of a degree-0 matrix on coordinate arrays of one shape.
-
-    ``matrix`` is a SuperMatrix, giving ``shape + (d, d)``, or an object array
-    of entry polynomials (None for zero) such as `_entry_polys` returns, giving
-    ``shape + polys.shape``; a matrix stacked with its derivatives is one call.
-    """
-    polys = _entry_polys(matrix) if isinstance(matrix, SuperMatrix) else matrix
-    shape = np.shape(next(iter(arrays.values())))
-    out = np.zeros(shape + polys.shape, dtype=np.complex128)
-    for idx, f in np.ndenumerate(polys):
-        if f is not None:
-            out[(Ellipsis,) + idx] = f.eval_grid(arrays)
-    return out
-
-
 def _real_derivatives(polys: np.ndarray, algebra: ExteriorAlgebra) -> np.ndarray:
     """Entry polynomials of dM/dt_k, one per real coordinate of `_coords_from_real`.
 
@@ -567,11 +551,13 @@ def _grading_blocks(matrix: SuperMatrix):
     homogeneous or a non-empty block is not square of size 1 or 2.
     """
     parity = matrix.homogeneous_parity()
-    if parity is None:
-        return None
-    parities = matrix.grading.parities
-    even = [i for i, q in enumerate(parities) if q == 0]
-    odd = [i for i, q in enumerate(parities) if q == 1]
+    return None if parity is None else parity_blocks(matrix.grading.parities, parity)
+
+
+def parity_blocks(parities: Sequence[int], parity: int):
+    """`_grading_blocks` of a matrix of the given parity under ``parities``."""
+    even = [i for i, q in enumerate(parities) if q == EVEN]
+    odd = [i for i, q in enumerate(parities) if q == ODD]
     pairs = [(even, odd), (odd, even)] if parity == ODD else [(even, even), (odd, odd)]
     blocks = [(rows, cols) for rows, cols in pairs if rows or cols]
     if any(len(rows) != len(cols) or len(rows) > 2 for rows, cols in blocks):
@@ -584,14 +570,19 @@ def _singular_stats(mats: np.ndarray, blocks):
     if blocks is None:
         svals = np.linalg.svd(mats, compute_uv=False)
         return np.abs(np.linalg.det(mats)), svals[..., 0], svals[..., -1]
+    return block_stats(lambda i, j: mats[..., i, j], blocks)
+
+
+def block_stats(entry, blocks):
+    """``(|det|, sigma_max, sigma_min)`` from the entry arrays ``entry(i, j)`` of ``blocks``."""
     dets = smax = smin = None
     for rows, cols in blocks:
         if len(rows) == 1:
-            bdet = bmax = bmin = np.abs(mats[..., rows[0], cols[0]])
+            bdet = bmax = bmin = np.abs(entry(rows[0], cols[0]))
         else:
             (i, k), (j, l) = rows, cols
             bdet, bmax, bmin = block_singular_values(
-                mats[..., i, j], mats[..., i, l], mats[..., k, j], mats[..., k, l])
+                entry(i, j), entry(i, l), entry(k, j), entry(k, l))
         if dets is None:
             dets, smax, smin = bdet, bmax, bmin
         else:
@@ -599,6 +590,15 @@ def _singular_stats(mats: np.ndarray, blocks):
             smax = np.maximum(smax, bmax)
             smin = np.minimum(smin, bmin)
     return dets, smax, smin
+
+
+def _median_last(a: np.ndarray) -> np.ndarray:
+    """``np.median(a, axis=-1)`` by one partition (np.median imports numpy.ma)."""
+    h = a.shape[-1] // 2
+    if a.shape[-1] % 2:
+        return np.partition(a, h, axis=-1)[..., h]
+    part = np.partition(a, (h - 1, h), axis=-1)
+    return (part[..., h - 1] + part[..., h]) / 2
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -626,7 +626,9 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
     sphere, so a transversal zero set is converged to and not merely
     straddled.  Every shell is sampled in one batch and all shells'
     candidates advance in lock-step, one batch of the matrix and its
-    derivatives per step; the refinement draws no random numbers.
+    derivatives per step; the refinement draws no random numbers.  The
+    matrix and its derivative jet are compiled once per call, so each batch
+    is one product of coefficients and monomials.
     """
     if grid.samples <= 0 or not grid.radii:
         raise ValueError("empty scan grid")
@@ -643,8 +645,8 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
     dirs = _unit(rng.standard_normal((len(radii), grid.samples, dim_real)))
     pts = r * dirs
     dets, opnorms, smins = _singular_stats(
-        _eval_matrix_grid(polys, _coords_from_real(algebra, pts)), blocks)
-    scale = np.median(opnorms, axis=1)
+        CompiledPolys(algebra, polys).matrices(_coords_from_real(algebra, pts)), blocks)
+    scale = _median_last(opnorms)
     floor = DEGENERATE_TOL * np.maximum(scale, 1e-30)
 
     cand_idx = np.argsort(smins, axis=1)[:, :REFINE_CANDIDATES]
@@ -655,12 +657,13 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
     ref_dets, ref_opn = start_dets.copy(), start_opn.copy()
     active = np.take_along_axis(smins, cand_idx, axis=1) >= floor[:, None]
     if grid.refine_iters > 0 and active.any():
-        jet = np.concatenate([polys[None], _real_derivatives(polys, algebra)])
+        jet = CompiledPolys(algebra, np.concatenate(
+            [polys[None], _real_derivatives(polys, algebra)]))
         rad = np.broadcast_to(radii[:, None], active.shape)
 
         def evaluate(q: np.ndarray, rq: np.ndarray):
             """Stats and tangential gradient of sigma_min at unit directions q."""
-            vals = _eval_matrix_grid(jet, _coords_from_real(algebra, rq[:, None] * q))
+            vals = jet.matrices(_coords_from_real(algebra, rq[:, None] * q))
             mats, dmats = vals[:, 0], vals[:, 1:]
             det, opn, smin = _singular_stats(mats, blocks)
             u, _, vh = np.linalg.svd(mats)
@@ -700,7 +703,7 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
     degenerate = all_opn < floor[:, None]
     normalized = np.where(
         degenerate, 0.0, all_dets / np.maximum(all_opn, floor[:, None]) ** d)
-    median_det = np.median(dets, axis=1)
+    median_det = _median_last(dets)
 
     shells: list[ShellResult] = []
     degenerate_points = []

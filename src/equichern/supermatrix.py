@@ -36,6 +36,7 @@ from .exterior import (
     EvaluationError,
     ExteriorAlgebra,
     Form,
+    monomial_table,
 )
 
 EVEN = 0
@@ -495,28 +496,20 @@ class AffineArray:
         m0._check(m1)
         alg, d = m0.algebra, m0.dim
         K = alg.n_components
-        monomials: dict[tuple, int] = {}
-        terms = []
-        for t, mat in enumerate((m0, m1)):
-            for i, row in enumerate(mat.entries):
-                for j, f in enumerate(row):
-                    for mask, poly in f.terms.items():
-                        for mono, c in poly.terms.items():
-                            col = monomials.setdefault(mono, len(monomials))
-                            terms.append((t, (i * d + j) * K + mask, col, c))
-        dense = np.zeros((2, d * d * K, len(monomials)), dtype=np.complex128)
-        for t, row, col, c in terms:
-            dense[t, row, col] = c
-        exps = np.array(list(monomials), dtype=int).reshape(len(monomials),
-                                                            len(alg.coordinates))
-        used = np.flatnonzero(exps.any(axis=0))
+        n = d * d * K
+        coords, exps, dense = monomial_table(alg, (
+            (t * n + (i * d + j) * K + mask, poly)
+            for t, mat in enumerate((m0, m1))
+            for i, row in enumerate(mat.entries)
+            for j, f in enumerate(row)
+            for mask, poly in f.terms.items()), 2 * n)
+        dense = dense.reshape(2, n, len(exps))
         parities = m0.grading.parities
         even = is_even(np.abs(dense).sum(axis=(0, 2)).reshape(d, d, K), parities)
         layout = block_layout(alg, parities, even)
         coeffs = np.empty_like(dense)
         coeffs[:, layout.index.ravel()] = dense
-        return cls(coords=tuple(alg.coordinates[c] for c in used),
-                   exponents=exps[:, used], coeffs=coeffs, layout=layout)
+        return cls(coords=coords, exponents=exps, coeffs=coeffs, layout=layout)
 
     def at(self, t: complex, point: Mapping[str, complex]) -> np.ndarray:
         """The blocked array of M0 + t M1 at a point."""

@@ -17,14 +17,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .exterior import CompiledPolys
 from .geometry import (
     ANGLE,
     COMPLEX,
     ActionModel,
-    _eval_matrix_grid,
+    _entry_polys,
     block_singular_values,
+    block_stats,
+    parity_blocks,
     phi_xi_norms_grid,
 )
+from .supermatrix import EVEN
 
 STABILITY_RATIO = 1.1   # heuristic: c_eps(R)/c_eps(R/2) below this counts as stable
 DECAY_DELTA = 1e-3
@@ -42,14 +46,18 @@ class SymbolFunction:
     The evaluator maps coordinate arrays (one complex array per base and
     fiber coordinate, broadcastable) to complex values or (... , k, k)
     matrices; magnitudes are taken pointwise (operator norm for matrices,
-    in closed form for 2x2 values).
+    in closed form for 2x2 values), or by ``norm``, a closed form on the same
+    arguments, when one is given.
     """
 
     evaluator: Callable
     x_support_radius: float
     name: str = "symbol"
+    norm: Callable | None = None
 
     def magnitude(self, base_arrays, fiber_arrays) -> np.ndarray:
+        if self.norm is not None:
+            return self.norm(base_arrays, fiber_arrays)
         vals = np.asarray(self.evaluator(base_arrays, fiber_arrays))
         if vals.shape[-2:] == (2, 2):
             return block_singular_values(vals[..., 0, 0], vals[..., 0, 1],
@@ -238,28 +246,57 @@ def bump(r: np.ndarray, radius: float) -> np.ndarray:
 
 def normalized_remainder_symbol(model: ActionModel,
                                 cutoff_radius: float) -> SymbolFunction:
-    """a(x) (1 - sigma_hat^2) with the order-zero normalized symbol sigma_hat."""
+    """a(x) (1 - sigma_hat^2) with the order-zero normalized symbol sigma_hat.
+
+    The symbol's entries are compiled once.  As sigma is odd, sigma_hat^2 is
+    even: each entry of it sums only the structurally non-zero products
+    sigma_ij sigma_jk, and the operator norm comes from the two diagonal
+    grading blocks (in closed form up to 2x2, else by svd).
+    """
     name_x = model.base_coords[0].name
     name_f = model.fiber_coords[0].name
-    d = model.symbol.dim
+    polys = _entry_polys(model.symbol)
+    table = CompiledPolys(model.algebra, polys)
+    parities = model.symbol.grading.parities
+    blocks = parity_blocks(parities, EVEN)
+    d = len(parities)
+    # the j of the non-zero products sigma_ij sigma_jk, per entry of the even blocks
+    products = {(i, k): [j for j in range(d)
+                         if polys[i, j] is not None and polys[j, k] is not None]
+                for i in range(d) for k in range(d) if parities[i] == parities[k]}
 
-    def evaluator(base_arrays, fiber_arrays):
+    def remainder(base_arrays, fiber_arrays):
+        """The cutoff a and ``(d, d) + shape`` entries of 1 - sigma_hat^2."""
         x = np.asarray(base_arrays[name_x], dtype=complex)
         xi = np.asarray(fiber_arrays[name_f], dtype=complex)
         arrays = {name_x: x, name_f: xi}
         for a, bb in model.conj_pairs.items():
             if a in arrays:
                 arrays[bb] = np.conj(arrays[a])
-        sig = _eval_matrix_grid(model.symbol, arrays)
         scale = np.sqrt(1.0 + np.abs(x) ** 2 + np.abs(xi) ** 2)
-        sig = sig / scale[..., None, None]
-        eye = np.eye(d)
-        rem = eye - np.einsum("...ij,...jk->...ik", sig, sig)
-        a = bump(x, cutoff_radius)
-        return a[..., None, None] * rem
+        sig = table.entries(arrays) / scale
+        rem = np.zeros(sig.shape, dtype=complex)
+        # 1 - sigma_hat^2 cancels about 2 log10|xi| digits at large |xi|, so
+        # each rounding shows: einsum forms the products unfused, as the full
+        # (d, d) einsum does, where the multiply ufunc's vector loop may fuse
+        for (i, k), js in products.items():
+            rem[i, k] = float(i == k) - sum(
+                np.einsum("...,...->...", sig[i, j], sig[j, k]) for j in js)
+        return bump(x, cutoff_radius), rem
+
+    def evaluator(base_arrays, fiber_arrays):
+        a, rem = remainder(base_arrays, fiber_arrays)
+        return a[..., None, None] * np.moveaxis(rem, (0, 1), (-2, -1))
+
+    def norm(base_arrays, fiber_arrays):
+        a, rem = remainder(base_arrays, fiber_arrays)
+        if blocks is None:
+            mats = np.moveaxis(rem, (0, 1), (-2, -1))
+            return a * np.linalg.svd(mats, compute_uv=False)[..., 0]
+        return a * block_stats(lambda i, k: rem[i, k], blocks)[1]
 
     return SymbolFunction(evaluator=evaluator, x_support_radius=cutoff_radius,
-                          name=f"{model.name}: a(1 - sigma_hat^2)")
+                          name=f"{model.name}: a(1 - sigma_hat^2)", norm=norm)
 
 
 def saturating_symbol(model: ActionModel, amplitude: float = 3.0) -> SymbolFunction:

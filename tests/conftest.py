@@ -38,3 +38,23 @@ def random_form(algebra, rng, backend="symbolic", degrees=None, n_terms=4):
         else:
             terms[mask] = random_poly(algebra, rng)
     return Form(algebra, backend, terms)
+
+
+def odd_symbol_model(n_even, n_odd, rng):
+    """A model on (z, xi) whose E has n_even even and n_odd odd summands.
+
+    Its symbol is odd, with random polynomial entries of degree up to four
+    (see `random_poly`) and one structurally zero entry in each odd block.
+    """
+    from equichern.geometry import COMPLEX, ActionModel, BundleSpec, Coordinate
+
+    coords = (Coordinate("z", COMPLEX, 1, "base"), Coordinate("xi", COMPLEX, 1, "fiber"))
+    parities = (0,) * n_even + (1,) * n_odd
+    model = ActionModel(f"odd-symbol-{n_even}-{n_odd}", coords,
+                        BundleSpec(tuple(range(len(parities))), parities))
+    alg = model.algebra
+    rows = [[alg.scalar(random_poly(alg, rng, max_degree=1)) if p != q else 0.0
+             for q in parities] for p in parities]
+    rows[0][n_even] = rows[n_even][0] = 0.0
+    model.set_symbol(rows)
+    return model

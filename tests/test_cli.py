@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,6 +143,18 @@ class TestCheckSymbol:
         code = run(["check-symbol", path, "--scan-samples", 600,
                     "--out-dir", tmp_path])
         assert code == 1
+
+    def test_run_does_not_import_numpy_ma(self, tmp_path):
+        # np.median imports numpy.ma (10-16 ms) to look for masked arrays
+        script = ("import sys\nfrom equichern.cli import main\n"
+                  "code = main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)")
+        src = str(Path(equichern.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script, "check-symbol", str(PLANE_MODEL),
+             "--scan-samples", "300", "--out-dir", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            check=True)
+        assert done.stdout.split()[-2:] == ["0", "False"]
 
     def test_real_fiber_named_like_a_conjugate(self, tmp_path):
         # a real coordinate whose name ends in "bar" is still one real
@@ -311,6 +326,17 @@ class TestReport:
         assert run(["report", "--inputs", path, "--out-dir", tmp_path / "out"]) == 3
         assert str(path) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_rejected_value_is_excerpted(self, tmp_path, capsys):
+        # the schema error repeats the rejected value: a 50,000-element
+        # array would fill stderr with a third of a megabyte
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps(list(range(50_000))))
+        assert run(["report", "--inputs", path, "--out-dir", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: not an equichern report: 'type' fails at $: [0, 1,")
+        assert err.rstrip().endswith("49999] is not of type 'object'")
+        assert len(err.encode()) < 1024
 
     def test_csv_with_a_non_object_golden(self, tmp_path):
         doc = tmp_path / "in.json"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from equichern import geometry
-from equichern.exterior import NUMERIC, SYMBOLIC
+from equichern.exterior import NUMERIC, SYMBOLIC, CompiledPolys, EvaluationError
 from equichern.geometry import (
     ActionModel,
     BundleSpec,
@@ -24,6 +24,7 @@ from equichern.geometry import (
 )
 from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.symbolalg import SymbolFunction
+from conftest import odd_symbol_model
 
 
 def entry_values(matrix, point):
@@ -212,13 +213,13 @@ class TestEllipticityScan:
         # all shells are sampled together and every candidate refined in
         # lock-step: one batch for the shells, one per step, one to score
         calls = []
-        evaluate = geometry._eval_matrix_grid
+        evaluate = CompiledPolys.matrices
 
-        def counting(matrix, arrays):
+        def counting(table, arrays):
             calls.append(np.shape(next(iter(arrays.values()))))
-            return evaluate(matrix, arrays)
+            return evaluate(table, arrays)
 
-        monkeypatch.setattr(geometry, "_eval_matrix_grid", counting)
+        monkeypatch.setattr(CompiledPolys, "matrices", counting)
         grid = ScanGrid()
         ellipticity_scan(augmented_symbol(c_plane()), grid)
         assert len(calls) <= grid.refine_iters + 2
@@ -251,13 +252,13 @@ class TestEllipticityScan:
 
     def test_negative_control_reaches_floor_in_three_batches(self, monkeypatch):
         calls = []
-        evaluate = geometry._eval_matrix_grid
+        evaluate = CompiledPolys.matrices
 
-        def counting(matrix, arrays):
+        def counting(table, arrays):
             calls.append(np.shape(next(iter(arrays.values()))))
-            return evaluate(matrix, arrays)
+            return evaluate(table, arrays)
 
-        monkeypatch.setattr(geometry, "_eval_matrix_grid", counting)
+        monkeypatch.setattr(CompiledPolys, "matrices", counting)
         symbol = c_plane().symbol
         for seed in range(40):
             calls.clear()
@@ -351,7 +352,7 @@ class TestBlockSingularValues:
         blocks = geometry._grading_blocks(symbol)
         assert blocks == [([0], [1]), ([1], [0])]
         pts = random_complex(rng, (300, 2))
-        mats = geometry._eval_matrix_grid(symbol, {
+        mats = CompiledPolys(symbol.algebra, geometry._entry_polys(symbol)).matrices({
             "z": pts[:, 0], "zbar": np.conj(pts[:, 0]),
             "xi": pts[:, 1], "xibar": np.conj(pts[:, 1])})
         assert_matches_svd(geometry._singular_stats(mats, blocks), mats)
@@ -410,14 +411,14 @@ class TestBlockSingularValues:
     def test_scan_stats_match_svd_on_model_samples(self, monkeypatch):
         # the scan's own statistics on every batch it evaluates
         seen = []
-        evaluate = geometry._eval_matrix_grid
+        evaluate = CompiledPolys.matrices
 
-        def recording(matrix, arrays):
-            out = evaluate(matrix, arrays)
+        def recording(table, arrays):
+            out = evaluate(table, arrays)
             seen.append(out)
             return out
 
-        monkeypatch.setattr(geometry, "_eval_matrix_grid", recording)
+        monkeypatch.setattr(CompiledPolys, "matrices", recording)
         aug = augmented_symbol(c_plane())
         report = ellipticity_scan(aug, ScanGrid(samples=300, refine_iters=0))
         mats = seen[0]
@@ -437,6 +438,72 @@ class TestBlockSingularValues:
         b3 = SymbolFunction(evaluator=lambda base, fiber: big, x_support_radius=1.0)
         ref3 = np.linalg.svd(big, compute_uv=False)[..., 0]
         assert np.all(np.abs(b3.magnitude({}, {}) - ref3) <= 1e-13 * ref3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 500, 2000, 2001])
+def test_median_matches_numpy(rng, n):
+    values = rng.standard_normal((7, n))
+    for a in (values, np.round(values, 1), np.abs(values)):  # ties, one sign
+        assert np.array_equal(geometry._median_last(a), np.median(a, axis=1))
+
+
+def term_scale(poly, arrays):
+    """Sum of |coefficient x monomial| over the terms: the rounding scale of a value."""
+    absolute = poly.algebra.poly({m: abs(c) for m, c in poly.terms.items()})
+    return absolute.eval_grid({k: np.abs(v) for k, v in arrays.items()}).real
+
+
+def template_matrices():
+    """Symbol, augmented symbol and the scan's derivative jet of each shipped template."""
+    out = {}
+    for name in ("c-plane", "constant-symbol"):
+        model = parse_model_text(builtin_model_text(name))
+        aug = geometry._entry_polys(augmented_symbol(model))
+        out[f"{name}-symbol"] = (model.algebra, geometry._entry_polys(model.symbol))
+        out[f"{name}-augmented"] = (model.algebra, aug)
+        out[f"{name}-jet"] = (model.algebra, np.concatenate(
+            [aug[None], geometry._real_derivatives(aug, model.algebra)]))
+    return out
+
+
+class TestCompiledPolys:
+    """The compiled evaluator against Poly.eval_grid, entry by entry."""
+
+    def assert_matches_eval_grid(self, algebra, polys, rng):
+        radii = np.array([0.3, 1.0, 2.0, 8.0, 1e3])[:, None, None]
+        pts = radii * rng.standard_normal((5, 40, 4))
+        arrays = geometry._coords_from_real(algebra, pts)
+        table = CompiledPolys(algebra, polys)
+        mats = table.matrices(arrays)
+        entries = table.entries(arrays)
+        assert mats.shape == (5, 40) + polys.shape
+        assert entries.shape == polys.shape + (5, 40)
+        for idx, f in np.ndenumerate(polys):
+            got = mats[(Ellipsis,) + idx]
+            if f is None:
+                assert not got.any() and not entries[idx].any()
+                continue
+            tol = 1e-13 * term_scale(f, arrays)
+            assert np.all(np.abs(got - f.eval_grid(arrays)) <= tol)
+            assert np.all(np.abs(entries[idx] - got) <= tol)
+
+    @pytest.mark.parametrize("name", sorted(template_matrices()))
+    def test_templates(self, rng, name):
+        self.assert_matches_eval_grid(*template_matrices()[name], rng)
+
+    @pytest.mark.parametrize("n_even, n_odd", [(2, 2), (1, 2), (3, 3)])
+    def test_larger_symbols(self, rng, n_even, n_odd):
+        model = odd_symbol_model(n_even, n_odd, rng)
+        polys = geometry._entry_polys(model.symbol)
+        self.assert_matches_eval_grid(model.algebra, polys, rng)
+        jet = np.concatenate([polys[None], geometry._real_derivatives(polys, model.algebra)])
+        self.assert_matches_eval_grid(model.algebra, jet, rng)
+
+    def test_missing_coordinate_is_named(self):
+        m = c_plane()
+        table = CompiledPolys(m.algebra, geometry._entry_polys(m.symbol))
+        with pytest.raises(EvaluationError, match="'xibar'"):
+            table.matrices({"z": np.ones(3), "zbar": np.ones(3), "xi": np.ones(3)})
 
 
 class TestHomotopy:

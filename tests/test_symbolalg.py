@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import odd_symbol_model
+from equichern import geometry
 from equichern.geometry import c_plane, zero_op_s1
+from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.symbolalg import (
     GridSpec,
     SymbolFunction,
@@ -139,3 +142,71 @@ class TestAlgebraProperties:
             c_ok = condition_c_fit(b, plane, (0.1, 0.01)).passed
             d_ok = restriction_decay_check(b, plane).passed
             assert c_ok == d_ok == expected
+
+
+def einsum_svd_remainder(model, radius, base_arrays, fiber_arrays):
+    """a (1 - sigma_hat^2) by Poly.eval_grid and a (d, d) einsum, and its svd norm."""
+    name_x = model.base_coords[0].name
+    name_f = model.fiber_coords[0].name
+    x = np.asarray(base_arrays[name_x], dtype=complex)
+    xi = np.asarray(fiber_arrays[name_f], dtype=complex)
+    arrays = {name_x: x, name_f: xi}
+    for a, b in model.conj_pairs.items():
+        arrays[b] = np.conj(arrays[a])
+    d = model.symbol.dim
+    sig = np.zeros(x.shape + (d, d), dtype=complex)
+    for (i, j), f in np.ndenumerate(geometry._entry_polys(model.symbol)):
+        if f is not None:
+            sig[..., i, j] = f.eval_grid(arrays)
+    sig = sig / np.sqrt(1.0 + np.abs(x) ** 2 + np.abs(xi) ** 2)[..., None, None]
+    a = bump(x, radius)[..., None, None]
+    rem = a * (np.eye(d) - np.einsum("...ij,...jk->...ik", sig, sig))
+    # the rounding scale of an entry of a sigma_hat^2
+    scale = a[..., 0, 0] * (1.0 + np.sum(np.abs(sig) ** 2, axis=(-2, -1)))
+    return rem, np.linalg.svd(rem, compute_uv=False)[..., 0], scale
+
+
+def sampled_grids(b, model):
+    """The (base, fiber) arrays that both membership checks sample b on."""
+    grids = []
+
+    def norm(base_arrays, fiber_arrays):
+        grids.append((base_arrays, fiber_arrays))
+        return b.magnitude(base_arrays, fiber_arrays)
+
+    probe = SymbolFunction(b.evaluator, b.x_support_radius, norm=norm)
+    condition_c_fit(probe, model, (0.1,))
+    restriction_decay_check(probe, model)
+    return grids
+
+
+REMAINDER_MODELS = {
+    "c-plane": lambda rng: parse_model_text(builtin_model_text("c-plane")),
+    "constant-symbol": lambda rng: parse_model_text(builtin_model_text("constant-symbol")),
+    "zero-op": lambda rng: zero_op_s1(),
+    "rank-4": lambda rng: odd_symbol_model(2, 2, rng),
+    "rank-3": lambda rng: odd_symbol_model(1, 2, rng),
+    "rank-6-svd": lambda rng: odd_symbol_model(3, 3, rng),
+}
+
+
+class TestRemainderOracle:
+    """The blocked remainder against the full einsum and svd route."""
+
+    @pytest.mark.parametrize("name", sorted(REMAINDER_MODELS))
+    def test_matches_einsum_and_svd(self, rng, name):
+        model = REMAINDER_MODELS[name](rng)
+        radius = 2.0
+        b = normalized_remainder_symbol(model, radius)
+        grids = sampled_grids(b, model)
+        assert len(grids) == (1 if name == "zero-op" else 2)
+        for base_arrays, fiber_arrays in grids:
+            rem, ref, scale = einsum_svd_remainder(model, radius, base_arrays, fiber_arrays)
+            got = b.magnitude(base_arrays, fiber_arrays)
+            assert np.all(np.abs(got - ref) <= 1e-13 * (ref + scale))
+            mats = b.evaluator(base_arrays, fiber_arrays)
+            assert np.all(np.abs(mats - rem) <= 1e-13 * scale[..., None, None])
+            if name in ("c-plane", "constant-symbol"):
+                # the shipped symbols evaluate exactly: relative agreement
+                assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+                assert np.array_equal(mats, rem)
