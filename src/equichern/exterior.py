@@ -345,22 +345,23 @@ def monomial_table(algebra: ExteriorAlgebra, rows: Iterable[tuple[int, Poly]],
 class CompiledPolys:
     """An array of polynomials compiled once, evaluated on grids as one product.
 
-    ``polys`` is an object array of polynomials (None for zero).  On
-    coordinate arrays of one shape every monomial is formed once, from
-    per-coordinate power tables, and every polynomial is a row of
+    ``polys`` is an object array of polynomials (None for zero); each
+    polynomial is one row of ``coeffs``, and the None entries are not
+    compiled.  On coordinate arrays of one shape every monomial is formed
+    once, from per-coordinate power tables, and the polynomials are
     ``coeffs @ monomials``.
     """
 
     def __init__(self, algebra: ExteriorAlgebra, polys: np.ndarray):
         self.shape = polys.shape
+        self.rows = [r for r, f in enumerate(polys.flat) if f is not None]
         self.coords, exps, self.coeffs = monomial_table(
-            algebra, ((r, f) for r, f in enumerate(polys.flat) if f is not None),
-            polys.size)
+            algebra, enumerate(polys.flat[self.rows]), len(self.rows))
         self.top = exps.max(axis=0, initial=0)
         self.factors = [[(k, e) for k, e in enumerate(m) if e] for m in exps.tolist()]
 
-    def _monomials(self, arrays: Mapping[str, np.ndarray]) -> tuple[np.ndarray, tuple]:
-        """``(M, N)`` monomial values at the N points of the grid, and its shape."""
+    def entries(self, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
+        """``polys.shape + shape``: each polynomial on the grid, exact zeros for None."""
         shape = np.shape(next(iter(arrays.values())))
         powers = []
         for name, top in zip(self.coords, self.top):
@@ -371,26 +372,18 @@ class CompiledPolys:
             for _ in range(1, top):
                 table.append(table[-1] * v)
             powers.append(table)
-        out = np.empty((len(self.factors),) + shape, dtype=np.complex128)
+        mono = np.empty((len(self.factors),) + shape, dtype=np.complex128)
         for m, factors in enumerate(self.factors):
             if not factors:
-                out[m] = 1.0
+                mono[m] = 1.0
                 continue
             (k, e), *rest = factors
-            out[m] = powers[k][e]
+            mono[m] = powers[k][e]
             for k, e in rest:
-                out[m] *= powers[k][e]
-        return out.reshape(len(out), math.prod(shape)), shape
-
-    def entries(self, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
-        """``polys.shape + shape``: each polynomial on the grid, contiguous."""
-        mono, shape = self._monomials(arrays)
-        return (self.coeffs @ mono).reshape(self.shape + shape)
-
-    def matrices(self, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
-        """``shape + polys.shape``: the polynomials on the grid, in the last axes."""
-        mono, shape = self._monomials(arrays)
-        return (mono.T @ self.coeffs.T).reshape(shape + self.shape)
+                mono[m] *= powers[k][e]
+        out = np.zeros((math.prod(self.shape), math.prod(shape)), dtype=np.complex128)
+        out[self.rows] = self.coeffs @ mono.reshape(len(mono), out.shape[1])
+        return out.reshape(self.shape + shape)
 
 
 def _coeff_is_zero(c) -> bool:

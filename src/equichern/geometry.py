@@ -565,24 +565,23 @@ def parity_blocks(parities: Sequence[int], parity: int):
     return blocks
 
 
-def _singular_stats(mats: np.ndarray, blocks):
-    """``(|det|, sigma_max, sigma_min)`` of ``(..., d, d)`` values with `_grading_blocks`."""
+def _singular_stats(vals: np.ndarray, blocks):
+    """``(|det|, sigma_max, sigma_min)`` of entry-first ``(d, d, ...)`` values.
+
+    ``blocks`` are the matrix's `_grading_blocks`; with None, a full svd.
+    """
     if blocks is None:
+        mats = np.moveaxis(vals, (0, 1), (-2, -1))
         svals = np.linalg.svd(mats, compute_uv=False)
         return np.abs(np.linalg.det(mats)), svals[..., 0], svals[..., -1]
-    return block_stats(lambda i, j: mats[..., i, j], blocks)
-
-
-def block_stats(entry, blocks):
-    """``(|det|, sigma_max, sigma_min)`` from the entry arrays ``entry(i, j)`` of ``blocks``."""
     dets = smax = smin = None
     for rows, cols in blocks:
         if len(rows) == 1:
-            bdet = bmax = bmin = np.abs(entry(rows[0], cols[0]))
+            bdet = bmax = bmin = np.abs(vals[rows[0], cols[0]])
         else:
             (i, k), (j, l) = rows, cols
             bdet, bmax, bmin = block_singular_values(
-                entry(i, j), entry(i, l), entry(k, j), entry(k, l))
+                vals[i, j], vals[i, l], vals[k, j], vals[k, l])
         if dets is None:
             dets, smax, smin = bdet, bmax, bmin
         else:
@@ -645,7 +644,7 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
     dirs = _unit(rng.standard_normal((len(radii), grid.samples, dim_real)))
     pts = r * dirs
     dets, opnorms, smins = _singular_stats(
-        CompiledPolys(algebra, polys).matrices(_coords_from_real(algebra, pts)), blocks)
+        CompiledPolys(algebra, polys).entries(_coords_from_real(algebra, pts)), blocks)
     scale = _median_last(opnorms)
     floor = DEGENERATE_TOL * np.maximum(scale, 1e-30)
 
@@ -663,12 +662,11 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
 
         def evaluate(q: np.ndarray, rq: np.ndarray):
             """Stats and tangential gradient of sigma_min at unit directions q."""
-            vals = jet.matrices(_coords_from_real(algebra, rq[:, None] * q))
-            mats, dmats = vals[:, 0], vals[:, 1:]
-            det, opn, smin = _singular_stats(mats, blocks)
-            u, _, vh = np.linalg.svd(mats)
-            g = rq[:, None] * np.einsum("ni,nkij,nj->nk", np.conj(u[:, :, -1]),
-                                        dmats, np.conj(vh[:, -1, :])).real
+            vals = jet.entries(_coords_from_real(algebra, rq[:, None] * q))
+            det, opn, smin = _singular_stats(vals[0], blocks)
+            u, _, vh = np.linalg.svd(np.moveaxis(vals[0], -1, 0))
+            g = rq[:, None] * np.einsum("ni,kijn,nj->nk", np.conj(u[:, :, -1]),
+                                        vals[1:], np.conj(vh[:, -1, :])).real
             g -= np.sum(g * q, axis=-1, keepdims=True) * q
             return det, opn, smin, g
 

@@ -23,8 +23,7 @@ from .geometry import (
     COMPLEX,
     ActionModel,
     _entry_polys,
-    block_singular_values,
-    block_stats,
+    _singular_stats,
     parity_blocks,
     phi_xi_norms_grid,
 )
@@ -41,30 +40,19 @@ SUPPORT_RADIUS = 1.5        # x-support of the saturating and constant-in-xi sym
 
 @dataclass(frozen=True)
 class SymbolFunction:
-    """A bounded symbol sampled through a vectorized evaluator.
+    """A bounded scalar symbol sampled through a vectorized evaluator.
 
     The evaluator maps coordinate arrays (one complex array per base and
-    fiber coordinate, broadcastable) to complex values or (... , k, k)
-    matrices; magnitudes are taken pointwise (operator norm for matrices,
-    in closed form for 2x2 values), or by ``norm``, a closed form on the same
-    arguments, when one is given.
+    fiber coordinate, broadcastable) to complex values; the magnitude is
+    their modulus, pointwise.
     """
 
     evaluator: Callable
     x_support_radius: float
     name: str = "symbol"
-    norm: Callable | None = None
 
     def magnitude(self, base_arrays, fiber_arrays) -> np.ndarray:
-        if self.norm is not None:
-            return self.norm(base_arrays, fiber_arrays)
-        vals = np.asarray(self.evaluator(base_arrays, fiber_arrays))
-        if vals.shape[-2:] == (2, 2):
-            return block_singular_values(vals[..., 0, 0], vals[..., 0, 1],
-                                         vals[..., 1, 0], vals[..., 1, 1])[1]
-        if vals.ndim >= 2 and vals.shape[-1] == vals.shape[-2]:
-            return np.linalg.svd(vals, compute_uv=False)[..., 0]
-        return np.abs(vals)
+        return np.abs(self.evaluator(base_arrays, fiber_arrays))
 
 
 @dataclass(frozen=True)
@@ -246,12 +234,12 @@ def bump(r: np.ndarray, radius: float) -> np.ndarray:
 
 def normalized_remainder_symbol(model: ActionModel,
                                 cutoff_radius: float) -> SymbolFunction:
-    """a(x) (1 - sigma_hat^2) with the order-zero normalized symbol sigma_hat.
+    """a(x) sigma_max(1 - sigma_hat^2) with the order-zero normalized symbol sigma_hat.
 
     The symbol's entries are compiled once.  As sigma is odd, sigma_hat^2 is
     even: each entry of it sums only the structurally non-zero products
     sigma_ij sigma_jk, and the operator norm comes from the two diagonal
-    grading blocks (in closed form up to 2x2, else by svd).
+    grading blocks (`geometry._singular_stats`).
     """
     name_x = model.base_coords[0].name
     name_f = model.fiber_coords[0].name
@@ -265,8 +253,7 @@ def normalized_remainder_symbol(model: ActionModel,
                          if polys[i, j] is not None and polys[j, k] is not None]
                 for i in range(d) for k in range(d) if parities[i] == parities[k]}
 
-    def remainder(base_arrays, fiber_arrays):
-        """The cutoff a and ``(d, d) + shape`` entries of 1 - sigma_hat^2."""
+    def evaluator(base_arrays, fiber_arrays):
         x = np.asarray(base_arrays[name_x], dtype=complex)
         xi = np.asarray(fiber_arrays[name_f], dtype=complex)
         arrays = {name_x: x, name_f: xi}
@@ -282,21 +269,10 @@ def normalized_remainder_symbol(model: ActionModel,
         for (i, k), js in products.items():
             rem[i, k] = float(i == k) - sum(
                 np.einsum("...,...->...", sig[i, j], sig[j, k]) for j in js)
-        return bump(x, cutoff_radius), rem
-
-    def evaluator(base_arrays, fiber_arrays):
-        a, rem = remainder(base_arrays, fiber_arrays)
-        return a[..., None, None] * np.moveaxis(rem, (0, 1), (-2, -1))
-
-    def norm(base_arrays, fiber_arrays):
-        a, rem = remainder(base_arrays, fiber_arrays)
-        if blocks is None:
-            mats = np.moveaxis(rem, (0, 1), (-2, -1))
-            return a * np.linalg.svd(mats, compute_uv=False)[..., 0]
-        return a * block_stats(lambda i, k: rem[i, k], blocks)[1]
+        return bump(x, cutoff_radius) * _singular_stats(rem, blocks)[1]
 
     return SymbolFunction(evaluator=evaluator, x_support_radius=cutoff_radius,
-                          name=f"{model.name}: a(1 - sigma_hat^2)", norm=norm)
+                          name=f"{model.name}: a(1 - sigma_hat^2)")
 
 
 def saturating_symbol(model: ActionModel, amplitude: float = 3.0) -> SymbolFunction:

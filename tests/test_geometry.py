@@ -23,7 +23,6 @@ from equichern.geometry import (
     zero_op_s1,
 )
 from equichern.modelfile import builtin_model_text, parse_model_text
-from equichern.symbolalg import SymbolFunction
 from conftest import odd_symbol_model
 
 
@@ -213,13 +212,13 @@ class TestEllipticityScan:
         # all shells are sampled together and every candidate refined in
         # lock-step: one batch for the shells, one per step, one to score
         calls = []
-        evaluate = CompiledPolys.matrices
+        evaluate = CompiledPolys.entries
 
         def counting(table, arrays):
             calls.append(np.shape(next(iter(arrays.values()))))
             return evaluate(table, arrays)
 
-        monkeypatch.setattr(CompiledPolys, "matrices", counting)
+        monkeypatch.setattr(CompiledPolys, "entries", counting)
         grid = ScanGrid()
         ellipticity_scan(augmented_symbol(c_plane()), grid)
         assert len(calls) <= grid.refine_iters + 2
@@ -252,13 +251,13 @@ class TestEllipticityScan:
 
     def test_negative_control_reaches_floor_in_three_batches(self, monkeypatch):
         calls = []
-        evaluate = CompiledPolys.matrices
+        evaluate = CompiledPolys.entries
 
         def counting(table, arrays):
             calls.append(np.shape(next(iter(arrays.values()))))
             return evaluate(table, arrays)
 
-        monkeypatch.setattr(CompiledPolys, "matrices", counting)
+        monkeypatch.setattr(CompiledPolys, "entries", counting)
         symbol = c_plane().symbol
         for seed in range(40):
             calls.clear()
@@ -280,6 +279,11 @@ def assert_matches_svd(got, mats, tol=1e-13):
     assert np.all(np.abs(smax - ref_max) <= tol * ref_max)
     assert np.all(np.abs(smin - ref_min) <= tol * ref_max)
     assert np.all(np.abs(dets - ref_det) <= tol * ref_max ** d)
+
+
+def stats(mats, blocks):
+    """`geometry._singular_stats` of ``(..., d, d)`` matrices, passed entry-first."""
+    return geometry._singular_stats(np.moveaxis(mats, (-2, -1), (0, 1)), blocks)
 
 
 def random_complex(rng, shape):
@@ -304,9 +308,6 @@ class TestBlockSingularValues:
 
     odd_blocks = geometry._grading_blocks(augmented_symbol(c_plane()))
 
-    def stats(self, mats):
-        return geometry._singular_stats(mats, self.odd_blocks)
-
     def test_odd_augmented_symbol_splits_into_two_blocks(self):
         assert self.odd_blocks == [([0, 1], [2, 3]), ([2, 3], [0, 1])]
 
@@ -319,7 +320,7 @@ class TestBlockSingularValues:
     def test_random_odd_matrices(self, rng):
         mats = odd_matrices(random_complex(rng, (2000, 2, 2)),
                             random_complex(rng, (2000, 2, 2)))
-        assert_matches_svd(self.stats(mats), mats)
+        assert_matches_svd(stats(mats, self.odd_blocks), mats)
 
     def test_near_equal_singular_values(self, rng):
         # scaled unitaries plus a 1e-10 perturbation: the textbook
@@ -330,7 +331,7 @@ class TestBlockSingularValues:
         mats = odd_matrices(x, y)
         _, ref_max, ref_min = svd_oracle(x)
         assert np.all(ref_max / ref_min - 1 < 1e-8)
-        assert_matches_svd(self.stats(mats), mats)
+        assert_matches_svd(stats(mats, self.odd_blocks), mats)
         _, smax, smin = block_singular_values(x[:, 0, 0], x[:, 0, 1], x[:, 1, 0], x[:, 1, 1])
         assert np.all(np.abs(smin - ref_min) <= 1e-13 * ref_min)
 
@@ -342,7 +343,7 @@ class TestBlockSingularValues:
         mats = np.concatenate([odd_matrices(x, random_complex(rng, (n, 2, 2))),
                                odd_matrices(x, np.zeros((n, 2, 2))),
                                odd_matrices(np.zeros((n, 2, 2)), x)])
-        got = self.stats(mats)
+        got = stats(mats, self.odd_blocks)
         assert_matches_svd(got, mats)
         _, smax, smin = block_singular_values(x[:, 0, 0], x[:, 0, 1], x[:, 1, 0], x[:, 1, 1])
         assert np.all(smin <= 1e-15 * smax)
@@ -352,10 +353,11 @@ class TestBlockSingularValues:
         blocks = geometry._grading_blocks(symbol)
         assert blocks == [([0], [1]), ([1], [0])]
         pts = random_complex(rng, (300, 2))
-        mats = CompiledPolys(symbol.algebra, geometry._entry_polys(symbol)).matrices({
+        vals = CompiledPolys(symbol.algebra, geometry._entry_polys(symbol)).entries({
             "z": pts[:, 0], "zbar": np.conj(pts[:, 0]),
             "xi": pts[:, 1], "xibar": np.conj(pts[:, 1])})
-        assert_matches_svd(geometry._singular_stats(mats, blocks), mats)
+        mats = np.moveaxis(vals, (0, 1), (-2, -1))
+        assert_matches_svd(geometry._singular_stats(vals, blocks), mats)
 
     def test_zero_matrix(self):
         m = c_plane()
@@ -363,7 +365,7 @@ class TestBlockSingularValues:
         blocks = geometry._grading_blocks(zero)
         assert blocks is not None
         mats = np.zeros((5, 4, 4), dtype=complex)
-        dets, smax, smin = geometry._singular_stats(mats, blocks)
+        dets, smax, smin = stats(mats, blocks)
         assert not dets.any() and not smax.any() and not smin.any()
         assert_matches_svd((dets, smax, smin), mats)
 
@@ -373,7 +375,7 @@ class TestBlockSingularValues:
         blocks = geometry._grading_blocks(eye)
         assert blocks == [([0, 1], [0, 1]), ([2, 3], [2, 3])]
         mats = np.broadcast_to(np.eye(4, dtype=complex), (5, 4, 4))
-        dets, smax, smin = geometry._singular_stats(mats, blocks)
+        dets, smax, smin = stats(mats, blocks)
         assert np.all(dets == 1) and np.all(smax == 1) and np.all(smin == 1)
 
     def test_fallback_to_svd(self, monkeypatch):
@@ -411,33 +413,22 @@ class TestBlockSingularValues:
     def test_scan_stats_match_svd_on_model_samples(self, monkeypatch):
         # the scan's own statistics on every batch it evaluates
         seen = []
-        evaluate = CompiledPolys.matrices
+        evaluate = CompiledPolys.entries
 
         def recording(table, arrays):
             out = evaluate(table, arrays)
             seen.append(out)
             return out
 
-        monkeypatch.setattr(CompiledPolys, "matrices", recording)
+        monkeypatch.setattr(CompiledPolys, "entries", recording)
         aug = augmented_symbol(c_plane())
         report = ellipticity_scan(aug, ScanGrid(samples=300, refine_iters=0))
-        mats = seen[0]
-        assert_matches_svd(geometry._singular_stats(mats, self.odd_blocks), mats)
+        mats = np.moveaxis(seen[0], (0, 1), (-2, -1))
+        assert_matches_svd(geometry._singular_stats(seen[0], self.odd_blocks), mats)
         ref_det, ref_max, _ = svd_oracle(mats)
         for shell, det, opn in zip(report.shells, ref_det, ref_max):
             assert abs(shell.median_opnorm - np.median(opn)) <= 1e-13 * np.median(opn)
             assert abs(shell.median_det - np.median(det)) <= 1e-13 * np.median(det)
-
-    def test_magnitude_matches_svd(self, rng):
-        vals = random_complex(rng, (40, 30, 2, 2))
-        b = SymbolFunction(evaluator=lambda base, fiber: vals, x_support_radius=1.0)
-        got = b.magnitude({}, {})
-        ref = np.linalg.svd(vals, compute_uv=False)[..., 0]
-        assert np.all(np.abs(got - ref) <= 1e-13 * ref)
-        big = random_complex(rng, (40, 3, 3))
-        b3 = SymbolFunction(evaluator=lambda base, fiber: big, x_support_radius=1.0)
-        ref3 = np.linalg.svd(big, compute_uv=False)[..., 0]
-        assert np.all(np.abs(b3.magnitude({}, {}) - ref3) <= 1e-13 * ref3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 500, 2000, 2001])
@@ -474,18 +465,15 @@ class TestCompiledPolys:
         pts = radii * rng.standard_normal((5, 40, 4))
         arrays = geometry._coords_from_real(algebra, pts)
         table = CompiledPolys(algebra, polys)
-        mats = table.matrices(arrays)
+        assert len(table.coeffs) == sum(f is not None for f in polys.flat)
         entries = table.entries(arrays)
-        assert mats.shape == (5, 40) + polys.shape
         assert entries.shape == polys.shape + (5, 40)
         for idx, f in np.ndenumerate(polys):
-            got = mats[(Ellipsis,) + idx]
             if f is None:
-                assert not got.any() and not entries[idx].any()
+                assert np.all(entries[idx] == 0)
                 continue
             tol = 1e-13 * term_scale(f, arrays)
-            assert np.all(np.abs(got - f.eval_grid(arrays)) <= tol)
-            assert np.all(np.abs(entries[idx] - got) <= tol)
+            assert np.all(np.abs(entries[idx] - f.eval_grid(arrays)) <= tol)
 
     @pytest.mark.parametrize("name", sorted(template_matrices()))
     def test_templates(self, rng, name):
@@ -503,7 +491,7 @@ class TestCompiledPolys:
         m = c_plane()
         table = CompiledPolys(m.algebra, geometry._entry_polys(m.symbol))
         with pytest.raises(EvaluationError, match="'xibar'"):
-            table.matrices({"z": np.ones(3), "zbar": np.ones(3), "xi": np.ones(3)})
+            table.entries({"z": np.ones(3), "zbar": np.ones(3), "xi": np.ones(3)})
 
 
 class TestHomotopy:
