@@ -5,70 +5,53 @@ equivariant Chern character of a symbol augmented by orbital Clifford
 multiplication, evaluates index characters by fiberwise Gaussian
 integration, expands them in character series, and checks membership in the
 algebra of transversally-negative-order symbols.
+
+The public names below load their submodule on first use (PEP 562), so
+importing the package, or one submodule, compiles and runs only the modules
+that are used: ``equichern.cli`` loads no engine module until a subcommand
+runs, and the dense route never loads the quadrature or the model parser.
 """
 
-from .characters import (
-    CharacterSeries,
-    ahat_squared,
-    ahat_squared_det_form,
-    ahat_squared_series,
-    geometric_expand,
-    localized_index,
-)
-from .equivariant import (
-    GaussianForm,
-    PoleGuardError,
-    bundle_character,
-    chern_form,
-    closedness_residual,
-    equivariant_curvature,
-    symbolic_chern,
-    transverse_chern,
-)
-from .exterior import ExteriorAlgebra, Form, Poly
-from .geometry import (
-    ActionModel,
-    BundleSpec,
-    Coordinate,
-    HomotopyPath,
-    ScanGrid,
-    augmented_symbol,
-    builtin_model,
-    c_plane,
-    c_plane_uv,
-    cartan_field,
-    clifford_multiplication,
-    ellipticity_scan,
-    homotopy_path,
-    infinitesimal_generator,
-    moment,
-    orbital_projection,
-    zero_op_s1,
-)
-from .modelfile import ModelParseError, parse_model_file, parse_model_text
-from .quadrature import (
-    DivergenceError,
-    IndexReport,
-    delta_pairing,
-    index_character,
-    integrate_top_form,
-    richardson_extrapolate,
-)
-from .supermatrix import (
-    Grading,
-    SuperMatrix,
-    UnsupportedShapeError,
-    exp_divided_difference,
-    graded_commutator,
-    super_exp,
-    super_exp_duhamel,
-)
-from .symbolalg import (
-    GridSpec,
-    SymbolFunction,
-    condition_c_fit,
-    restriction_decay_check,
-    transversal_ellipticity_check,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# public name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(("CharacterSeries", "ahat_squared", "ahat_squared_det_form",
+                     "ahat_squared_series", "geometric_expand", "localized_index"),
+                    "characters"),
+    **dict.fromkeys(("GaussianForm", "PoleGuardError", "bundle_character", "chern_form",
+                     "closedness_residual", "equivariant_curvature", "symbolic_chern",
+                     "transverse_chern"), "equivariant"),
+    **dict.fromkeys(("ExteriorAlgebra", "Form", "Poly"), "exterior"),
+    **dict.fromkeys(("ActionModel", "BundleSpec", "Coordinate", "HomotopyPath", "ScanGrid",
+                     "augmented_symbol", "builtin_model", "c_plane", "c_plane_uv",
+                     "cartan_field", "clifford_multiplication", "ellipticity_scan",
+                     "homotopy_path", "infinitesimal_generator", "moment",
+                     "orbital_projection", "zero_op_s1"), "geometry"),
+    **dict.fromkeys(("ModelParseError", "parse_model_file", "parse_model_text"),
+                    "modelfile"),
+    **dict.fromkeys(("DivergenceError", "IndexReport", "delta_pairing", "index_character",
+                     "integrate_top_form", "richardson_extrapolate"), "quadrature"),
+    **dict.fromkeys(("Grading", "SuperMatrix", "UnsupportedShapeError",
+                     "exp_divided_difference", "graded_commutator", "super_exp",
+                     "super_exp_duhamel"), "supermatrix"),
+    **dict.fromkeys(("GridSpec", "SymbolFunction", "condition_c_fit",
+                     "restriction_decay_check", "transversal_ellipticity_check"),
+                    "symbolalg"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

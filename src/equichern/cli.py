@@ -14,17 +14,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from . import characters, symbolalg
-from .geometry import ScanGrid, augmented_symbol, builtin_model, ellipticity_scan
-from .modelfile import ModelParseError, parse_model_file
-from .quadrature import (
-    TEST_FUNCTIONS,
-    DeltaReport,
-    delta_pairing,
-    index_character,
-)
+# The engine modules and numpy are imported inside the subcommand that runs
+# them, so each invocation loads only what it uses.
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -44,6 +35,9 @@ MAX_SCAN_SAMPLES = 100_000
 # Largest --xi-max accepted: the scan squares |xi| and its powers, which
 # overflow on the c-plane model from between 1e150 and 1e154.
 MAX_XI = 1e100
+
+# The keys of quadrature.TEST_FUNCTIONS, named here so parsing imports no engine.
+TEST_NAMES = ("gaussian", "shifted-gaussian")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -68,6 +62,12 @@ def validate_report(doc: dict) -> None:
 
 
 def _run_c_plane(args, out_dir: Path) -> int:
+    import numpy as np
+
+    from .characters import series_to_csv
+    from .geometry import builtin_model
+    from .quadrature import index_character
+
     model = builtin_model("c-plane-uv")
     report = index_character(model, theta_samples=args.theta_samples,
                              fourier_window=args.fourier_window,
@@ -92,7 +92,7 @@ def _run_c_plane(args, out_dir: Path) -> int:
     _write_json(out_dir / "index_report.json",
                 _report_document([{"kind": "index-character", "label": "c-plane",
                                    "payload": payload}]))
-    csv_text = characters.series_to_csv(report.fourier)
+    csv_text = series_to_csv(report.fourier)
     (out_dir / "fourier.csv").write_text(csv_text, encoding="utf-8")
     print(f"c-plane: value deviation {golden_dev:.3e} (tol {args.tol:g}), "
           f"fourier deviation {fourier_dev:.3e} (tol 1e-04): "
@@ -101,8 +101,11 @@ def _run_c_plane(args, out_dir: Path) -> int:
 
 
 def _run_zero_op(args, out_dir: Path) -> int:
+    from .geometry import builtin_model
+    from .quadrature import TEST_FUNCTIONS, delta_pairing
+
     model = builtin_model("zero-op")
-    report: DeltaReport = delta_pairing(model, TEST_FUNCTIONS[args.test], args.eps)
+    report = delta_pairing(model, TEST_FUNCTIONS[args.test], args.eps)
     err = abs(report.extrapolated - report.test_at_zero)
     passed = err < args.tol
     payload = report.to_dict()
@@ -128,6 +131,10 @@ def cmd_run_example(args) -> int:
 
 
 def cmd_check_symbol(args) -> int:
+    from . import symbolalg
+    from .geometry import ScanGrid, augmented_symbol, ellipticity_scan
+    from .modelfile import ModelParseError, parse_model_file
+
     try:
         model = parse_model_file(args.model_file)
     except (OSError, UnicodeDecodeError, ModelParseError) as exc:
@@ -267,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--gh-order", type=int, help=argparse.SUPPRESS)
     run.add_argument("--eps", type=_eps_list, default="1e-2,1e-3,1e-4",
                      help="comma-separated regularization values (zero-op)")
-    run.add_argument("--test", choices=TEST_FUNCTIONS, default="gaussian",
+    run.add_argument("--test", choices=TEST_NAMES, default="gaussian",
                      help="test function name (zero-op)")
     run.add_argument("--tol", type=_positive_float, default=1e-4)
     run.add_argument("--out-dir", type=_out_dir, default=".")

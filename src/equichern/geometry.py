@@ -18,6 +18,8 @@ smallest singular value.
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -600,6 +602,23 @@ def _median_last(a: np.ndarray) -> np.ndarray:
     return (part[..., h - 1] + part[..., h]) / 2
 
 
+def gaussian_draws(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normal draws of ``shape``, a deterministic function of ``seed``.
+
+    ``random.Random(seed)`` (loaded with numpy already, unlike
+    ``numpy.random``) supplies little-endian 64-bit words; the top 53 bits of
+    each give a uniform, u1 in (0, 1] from the first half of the words and u2
+    in [0, 1) from the second, and Box-Muller turns each pair into the two
+    normals ``sqrt(-2 ln u1)`` times ``cos(2 pi u2)`` and ``sin(2 pi u2)``.
+    """
+    n = math.prod(shape)
+    pairs = (n + 1) // 2
+    words = np.frombuffer(random.Random(seed).randbytes(16 * pairs), dtype="<u8") >> 11
+    radius = np.sqrt(-2.0 * np.log((words[:pairs] + 1) * 2.0 ** -53))
+    angle = 2 * np.pi * (words[pairs:] * 2.0 ** -53)
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n].reshape(shape)
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
@@ -625,13 +644,13 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
     sphere, so a transversal zero set is converged to and not merely
     straddled.  Every shell is sampled in one batch and all shells'
     candidates advance in lock-step, one batch of the matrix and its
-    derivatives per step; the refinement draws no random numbers.  The
-    matrix and its derivative jet are compiled once per call, so each batch
-    is one product of coefficients and monomials.
+    derivatives per step.  The shell directions are normalized
+    ``gaussian_draws(grid.seed, ...)``; the refinement draws no random
+    numbers.  The matrix and its derivative jet are compiled once per call,
+    so each batch is one product of coefficients and monomials.
     """
     if grid.samples <= 0 or not grid.radii:
         raise ValueError("empty scan grid")
-    rng = np.random.default_rng(grid.seed)
     algebra = matrix.algebra
     pairs, singles = _real_structure(algebra)
     dim_real = 2 * len(pairs) + len(singles)
@@ -641,7 +660,7 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
 
     radii = np.asarray(grid.radii, dtype=float)
     r = radii[:, None, None]
-    dirs = _unit(rng.standard_normal((len(radii), grid.samples, dim_real)))
+    dirs = _unit(gaussian_draws(grid.seed, (len(radii), grid.samples, dim_real)))
     pts = r * dirs
     dets, opnorms, smins = _singular_stats(
         CompiledPolys(algebra, polys).entries(_coords_from_real(algebra, pts)), blocks)

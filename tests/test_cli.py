@@ -12,8 +12,9 @@ import pytest
 
 import equichern
 from equichern.characters import series_from_csv, series_to_csv
-from equichern.cli import MAX_XI, build_parser, main, validate_report
+from equichern.cli import MAX_XI, TEST_NAMES, build_parser, main, validate_report
 from equichern.modelfile import builtin_model_text
+from equichern.quadrature import TEST_FUNCTIONS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PLANE_MODEL = Path(equichern.__file__).parent / "models" / "c_plane.model"
@@ -43,6 +44,13 @@ class TestRunExample:
         payload = doc["runs"][0]["payload"]
         assert payload["golden"]["passed"] is True
         assert abs(payload["extrapolated"][0] - 1.0) < 1e-4
+
+    def test_test_choices_are_the_test_functions(self):
+        # the CLI names them itself, so that parsing loads no engine module
+        assert TEST_NAMES == tuple(TEST_FUNCTIONS)
+        for name in TEST_FUNCTIONS:
+            assert build_parser().parse_args(["run-example", "zero-op",
+                                              "--test", name]).test == name
 
     def test_unknown_example_usage_error(self, tmp_path):
         assert run(["run-example", "bogus", "--out-dir", tmp_path / "out"]) == 2

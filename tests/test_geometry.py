@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from equichern.geometry import (
     c_plane,
     clifford_multiplication,
     ellipticity_scan,
+    gaussian_draws,
     homotopy_path,
     infinitesimal_generator,
     orbital_projection,
@@ -264,6 +268,42 @@ class TestEllipticityScan:
             report = ellipticity_scan(symbol, ScanGrid(samples=1500, seed=seed))
             assert report.degenerate_points
             assert len(calls) - 1 <= 3  # the shell batch, then refinement batches
+
+
+class TestGaussianDraws:
+    def test_matches_little_endian_box_muller_loop(self):
+        # odd count: the last pair's sine is dropped
+        shape = (3, 5, 3)
+        got = gaussian_draws(7, shape)
+        assert got.shape == shape
+        assert got.tobytes() == gaussian_draws(7, shape).tobytes()
+        pairs = (got.size + 1) // 2
+        data = random.Random(7).randbytes(16 * pairs)
+        words = [int.from_bytes(data[8 * k:8 * k + 8], "little") >> 11
+                 for k in range(2 * pairs)]
+        ref = []
+        for trig in (math.cos, math.sin):
+            for k in range(pairs):
+                radius = math.sqrt(-2.0 * math.log((words[k] + 1) * 2.0 ** -53))
+                ref.append(radius * trig(2 * math.pi * (words[pairs + k] * 2.0 ** -53)))
+        # numpy's and libm's log, cos and sin may differ by an ulp or two
+        np.testing.assert_allclose(got.ravel(), ref[:got.size], rtol=0, atol=1e-14)
+
+    def test_seeds_differ(self):
+        draws = [gaussian_draws(seed, (1000,)) for seed in (0, 1, 2**40)]
+        for i in range(len(draws)):
+            for j in range(i):
+                assert not np.any(draws[i] == draws[j])
+
+    def test_standard_normal_moments(self):
+        # 5 standard errors at n = 1e5: mean 1/sqrt(n), variance sqrt(2/n), the
+        # share inside one sigma sqrt(p(1-p)/n) with p = erf(1/sqrt(2))
+        n = 100_000
+        z = gaussian_draws(20240817, (n,))
+        assert abs(z.mean()) < 5 / math.sqrt(n)
+        assert abs(z.var() - 1) < 5 * math.sqrt(2 / n)
+        p = math.erf(1 / math.sqrt(2))
+        assert abs(np.mean(np.abs(z) < 1) - p) < 5 * math.sqrt(p * (1 - p) / n)
 
 
 def svd_oracle(mats):
