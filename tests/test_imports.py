@@ -42,6 +42,17 @@ def test_cli_import_loads_no_engine_and_no_numpy():
     assert not {m for m in modules if m.split(".")[0] == "numpy"}
 
 
+def test_report_loads_no_engine_and_no_numpy(tmp_path):
+    doc = {"schema_version": "1", "generated_by": "equichern",
+           "runs": [{"kind": "index-character", "label": "c-plane", "payload": {}}]}
+    (tmp_path / "in.json").write_text(json.dumps(doc))
+    modules = loaded_modules(CLI_RUN, "report", "--inputs", str(tmp_path / "in.json"),
+                             "--out-dir", str(tmp_path))
+    assert "jsonschema" in modules
+    assert not modules & ENGINE
+    assert not {m for m in modules if m.split(".")[0] == "numpy"}
+
+
 @pytest.mark.parametrize("argv", [
     ("c-plane", "--theta-samples", "4", "--fourier-window", "2"),
     ("zero-op",),

@@ -14,7 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def tracer_targets():
@@ -46,11 +47,10 @@ def test_pipeline_entry_points_are_traced():
 
 def traced_calls(tmp_path, *argv):
     """Non-zero span call counts of one traced CLI run; no span may fail."""
-    src = Path(__file__).resolve().parents[1] / "src"
     spans = tmp_path / "spans.json"
     subprocess.run([sys.executable, str(TRACER), str(spans), "cli", *argv,
                     "--out-dir", str(tmp_path)],
-                   env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
+                   env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=tmp_path,
                    capture_output=True, check=True)
     stats = json.loads(spans.read_text(encoding="utf-8"))
     assert not any(s["failed"] for s in stats.values())
@@ -60,7 +60,7 @@ def traced_calls(tmp_path, *argv):
 def test_traced_runs_see_the_engine_calls(tmp_path):
     # The CLI imports the engine inside its subcommands, after the tracer has
     # wrapped it; these are the counts of a CLI that imported it at start-up.
-    model = Path(__file__).resolve().parents[1] / "src/equichern/models/c_plane.model"
+    model = ROOT / "src" / "equichern" / "models" / "c_plane.model"
     calls = traced_calls(tmp_path, "check-symbol", str(model), "--scan-samples", "200")
     assert calls == {"cli.main": 1, "modelfile.parse_model_file": 1,
                      "geometry.augmented_symbol": 2, "geometry.ellipticity_scan": 1,
