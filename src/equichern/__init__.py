@@ -37,7 +37,7 @@ _EXPORTS = {
     **dict.fromkeys(("Grading", "SuperMatrix", "UnsupportedShapeError",
                      "exp_divided_difference", "graded_commutator", "super_exp",
                      "super_exp_duhamel"), "supermatrix"),
-    **dict.fromkeys(("GridSpec", "SymbolFunction", "condition_c_fit",
+    **dict.fromkeys(("SymbolFunction", "condition_c_fit",
                      "restriction_decay_check", "transversal_ellipticity_check"),
                     "symbolalg"),
 }

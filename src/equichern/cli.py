@@ -142,8 +142,7 @@ def cmd_check_symbol(args) -> int:
         return EXIT_INPUT
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    transversal = symbolalg.transversal_ellipticity_check(
-        model, grid=symbolalg.GridSpec(r_max=args.xi_max))
+    transversal = symbolalg.transversal_ellipticity_check(model, r_max=args.xi_max)
     scan = ellipticity_scan(augmented_symbol(model),
                             ScanGrid(samples=args.scan_samples, seed=args.seed,
                                      threshold=args.tol))
@@ -161,11 +160,15 @@ def cmd_check_symbol(args) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def _excerpt(text: str, limit: int = 200) -> str:
-    """``text`` in at most ``limit`` characters, keeping its head and its tail."""
-    if len(text) <= limit:
+# Longest rejected value or schema path that a report error message repeats.
+EXCERPT_CHARS = 200
+
+
+def _excerpt(text: str) -> str:
+    """``text`` in at most ``EXCERPT_CHARS`` characters, keeping its head and its tail."""
+    if len(text) <= EXCERPT_CHARS:
         return text
-    half = (limit - 5) // 2
+    half = (EXCERPT_CHARS - 5) // 2
     return f"{text[:half]} ... {text[-half:]}"
 
 

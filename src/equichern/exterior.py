@@ -57,9 +57,6 @@ class ExteriorAlgebra:
         1-form generator names; declaration order is the canonical order.
     coordinates:
         polynomial coordinate names (conjugates are separate entries).
-    differentials:
-        optional map ``coordinate -> generator`` used by the exterior
-        derivative; defaults to ``x -> dx`` whenever ``"d" + x`` is declared.
     conjugates:
         declared conjugate pairs ``z -> zbar``; a coordinate in no pair is
         real.  Only numeric sampling (the ellipticity scan) reads this.
@@ -69,7 +66,6 @@ class ExteriorAlgebra:
         self,
         generators: Sequence[str],
         coordinates: Sequence[str] = (),
-        differentials: Mapping[str, str] | None = None,
         conjugates: Mapping[str, str] | None = None,
     ):
         if len(set(generators)) != len(generators):
@@ -81,14 +77,9 @@ class ExteriorAlgebra:
         self.gen_index = {g: i for i, g in enumerate(self.generators)}
         self.coord_index = {c: i for i, c in enumerate(self.coordinates)}
         self.n_components = 1 << len(self.generators)
-        if differentials is None:
-            differentials = {
-                c: "d" + c for c in self.coordinates if "d" + c in self.gen_index
-            }
-        for c, g in differentials.items():
-            if c not in self.coord_index or g not in self.gen_index:
-                raise AlgebraError(f"bad differential pairing {c!r} -> {g!r}")
-        self.differentials = dict(differentials)
+        # the exterior derivative takes coordinate x to the generator dx
+        self.differentials = {c: "d" + c for c in self.coordinates
+                              if "d" + c in self.gen_index}
         self.conjugates = dict(conjugates or {})
         paired = list(self.conjugates) + list(self.conjugates.values())
         if len(set(paired)) != len(paired) or not set(paired) <= set(self.coordinates):

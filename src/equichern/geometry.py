@@ -96,26 +96,23 @@ class ActionModel:
         coordinates: Sequence[Coordinate],
         bundle_e: BundleSpec,
         bundle_w: BundleSpec | None = None,
-        symbol_rows=None,
         volume: Sequence[str] | None = None,
-        x_support: float = 2.0,
     ):
         self.name = name
         self.coordinates_meta = tuple(coordinates)
         coord_names: list[str] = []
         gen_names: list[str] = []
-        conj_pairs: dict[str, str] = {}
+        conjugates: dict[str, str] = {}
         for c in self.coordinates_meta:
             if c.kind == COMPLEX:
                 bar = c.name + "bar"
                 coord_names += [c.name, bar]
                 gen_names += ["d" + c.name, "d" + bar]
-                conj_pairs[c.name] = bar
+                conjugates[c.name] = bar
             else:
                 coord_names.append(c.name)
                 gen_names.append("d" + c.name)
-        self.algebra = ExteriorAlgebra(gen_names, coord_names, conjugates=conj_pairs)
-        self.conj_pairs = self.algebra.conjugates
+        self.algebra = ExteriorAlgebra(gen_names, coord_names, conjugates=conjugates)
         self.bundle_e = bundle_e
         self.bundle_w = bundle_w
         if bundle_w is not None:
@@ -124,9 +121,6 @@ class ActionModel:
             self.bundle_script_e, self.script_e_pairs = bundle_e, None
 
         self.symbol = None
-        if symbol_rows is not None:
-            self.set_symbol(symbol_rows)
-
         self.odd_term = None
         self.curvature = None  # (F0, F1), set with the odd term by set_odd_term
         self.curvature_array = None  # the same pair compiled, an AffineArray
@@ -141,7 +135,6 @@ class ActionModel:
         self.volume = tuple(volume)
         if set(self.volume) != set(self.algebra.generators):
             raise ValueError("volume ordering must use every generator exactly once")
-        self.x_support = float(x_support)
 
     def set_symbol(self, rows) -> None:
         mat = rows if isinstance(rows, SuperMatrix) else SuperMatrix(
@@ -182,14 +175,11 @@ class ActionModel:
     def fiber_coords(self) -> tuple[Coordinate, ...]:
         return tuple(c for c in self.coordinates_meta if c.role == "fiber")
 
-    def coord_poly(self, name: str) -> Poly:
-        return self.algebra.coord(name)
-
     def conj_poly(self, p: Poly) -> Poly:
         """Formal conjugate: swap conjugate-pair exponents, conjugate coefficients."""
         coords = self.algebra.coordinates
         swap = {}
-        for a, b in self.conj_pairs.items():
+        for a, b in self.algebra.conjugates.items():
             swap[self.algebra.coord_index[a]] = self.algebra.coord_index[b]
             swap[self.algebra.coord_index[b]] = self.algebra.coord_index[a]
         out = {}
@@ -203,7 +193,7 @@ class ActionModel:
     def full_point(self, point: Mapping[str, complex]) -> dict[str, complex]:
         """Extend a point on the real locus with its conjugate coordinates."""
         out = dict(point)
-        for a, b in self.conj_pairs.items():
+        for a, b in self.algebra.conjugates.items():
             if a in out and b not in out:
                 out[b] = complex(out[a]).conjugate()
         return out
@@ -228,9 +218,9 @@ def cartan_field(model: ActionModel, theta: complex) -> dict[str, Poly]:
         if c.weight == 0:
             continue
         if c.kind == COMPLEX:
-            comps["d" + c.name] = (1j * c.weight * theta) * model.coord_poly(c.name)
-            bar = model.conj_pairs[c.name]
-            comps["d" + bar] = (-1j * c.weight * theta) * model.coord_poly(bar)
+            comps["d" + c.name] = (1j * c.weight * theta) * model.algebra.coord(c.name)
+            bar = model.algebra.conjugates[c.name]
+            comps["d" + bar] = (-1j * c.weight * theta) * model.algebra.coord(bar)
         elif c.kind == ANGLE:
             comps["d" + c.name] = model.algebra.const(c.weight * theta)
     return comps
@@ -333,8 +323,8 @@ def _phi_polys(model: ActionModel) -> tuple[Poly, Poly]:
     if len(bases) != 1 or bases[0].kind != COMPLEX:
         raise UnsupportedShapeError("symbolic phi implemented for one complex base coordinate")
     b, f = bases[0], fibers[0]
-    zc = model.coord_poly(b.name)
-    xc = model.coord_poly(f.name)
+    zc = model.algebra.coord(b.name)
+    xc = model.algebra.coord(f.name)
     rho = (-1j * b.weight) * zc
     rho_bar = model.conj_poly(rho)
     x_bar = model.conj_poly(xc)
@@ -405,8 +395,8 @@ def homotopy_path(model: ActionModel) -> HomotopyPath:
     f = model.fiber_coords[0]
     if b.kind != COMPLEX or f.kind != COMPLEX:
         raise UnsupportedShapeError("homotopy implemented for complex base and fiber")
-    zc = model.coord_poly(b.name)
-    xc = model.coord_poly(f.name)
+    zc = model.algebra.coord(b.name)
+    xc = model.algebra.coord(f.name)
     phi, phibar = _phi_polys(model)
     w_mid = 1j * zc
     w_end = 1j * zc + xc
@@ -426,7 +416,6 @@ class ScanGrid:
     samples: int = 2000
     seed: int = 0
     threshold: float = 1e-6
-    r0: float = 2.0
     refine_iters: int = 80
 
 
@@ -623,6 +612,8 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
+# Smallest shell radius whose normalized determinant the verdict reads.
+VERDICT_RADIUS = 2.0
 # Worst samples per shell that Gauss-Newton refines.
 REFINE_CANDIDATES = 4
 # Symbol norm, relative to the shell scale, below which a point is a zero.
@@ -669,10 +660,9 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
 
     cand_idx = np.argsort(smins, axis=1)[:, :REFINE_CANDIDATES]
     p = np.take_along_axis(dirs, cand_idx[..., None], axis=1)
-    start = r * p
-    start_dets = np.take_along_axis(dets, cand_idx, axis=1)
-    start_opn = np.take_along_axis(opnorms, cand_idx, axis=1)
-    ref_dets, ref_opn = start_dets.copy(), start_opn.copy()
+    ref_dets = np.take_along_axis(dets, cand_idx, axis=1)
+    ref_opn = np.take_along_axis(opnorms, cand_idx, axis=1)
+    refined = np.zeros(cand_idx.shape, dtype=bool)
     active = np.take_along_axis(smins, cand_idx, axis=1) >= floor[:, None]
     if grid.refine_iters > 0 and active.any():
         jet = CompiledPolys(algebra, np.concatenate(
@@ -709,15 +699,17 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
             moved[active] = accept
             p[moved], best[moved], grad[moved] = q[accept], smin[accept], g[accept]
             ref_dets[moved], ref_opn[moved] = det[accept], opn[accept]
+            refined |= moved
             damping[active & ~moved] /= 2.0
 
-    cand = np.concatenate([start, r * p], axis=1)
-    cdets = np.concatenate([start_dets, ref_dets], axis=1)
-    copn = np.concatenate([start_opn, ref_opn], axis=1)
-    all_pts = np.concatenate([pts, cand], axis=1)
-    all_dets = np.concatenate([dets, cdets], axis=1)
-    all_opn = np.concatenate([opnorms, copn], axis=1)
-    degenerate = all_opn < floor[:, None]
+    # each point counts once: the samples, then the candidates refinement
+    # moved (an unmoved candidate is its sample, so it leaves the minima as
+    # they are and only its degenerate count is masked out)
+    all_pts = np.concatenate([pts, r * p], axis=1)
+    all_dets = np.concatenate([dets, ref_dets], axis=1)
+    all_opn = np.concatenate([opnorms, ref_opn], axis=1)
+    counted = np.concatenate([np.ones(dets.shape, dtype=bool), refined], axis=1)
+    degenerate = counted & (all_opn < floor[:, None])
     normalized = np.where(
         degenerate, 0.0, all_dets / np.maximum(all_opn, floor[:, None]) ** d)
     median_det = _median_last(dets)
@@ -740,7 +732,7 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
     growth = float(np.polyfit(np.log(radii), log_det, 1)[0]) if len(radii) > 1 else 0.0
     passed = all(
         s.min_normalized_det > grid.threshold
-        for s in shells if s.radius >= grid.r0)
+        for s in shells if s.radius >= VERDICT_RADIUS)
     return ScanReport(shells=shells, growth_exponent=growth,
                       passed=passed, degenerate_points=degenerate_points)
 
@@ -754,7 +746,7 @@ def c_plane() -> ActionModel:
               Coordinate("xi", COMPLEX, 1, "fiber"))
     e = BundleSpec((0, 1), (0, 1))
     w = BundleSpec((0, 1), (0, 1))
-    model = ActionModel("c-plane", coords, e, w, symbol_rows=None, x_support=2.0)
+    model = ActionModel("c-plane", coords, e, w)
     alg = model.algebra
     z = alg.coord("z")
     zb = alg.coord("zbar")
@@ -775,7 +767,7 @@ def c_plane_uv() -> ActionModel:
               Coordinate("v", COMPLEX, 1, "fiber"))
     e = BundleSpec((0, 1), (0, 1))
     w = BundleSpec((0, 1), (0, 1))
-    model = ActionModel("c-plane-uv", coords, e, w, x_support=2.0)
+    model = ActionModel("c-plane-uv", coords, e, w)
     alg = model.algebra
     u, ub = alg.coord("u"), alg.coord("ubar")
     v, vb = alg.coord("v"), alg.coord("vbar")
@@ -800,8 +792,7 @@ def zero_op_s1() -> ActionModel:
               Coordinate("xi", REAL, 0, "fiber"))
     e = BundleSpec((0,), (0,))
     w = BundleSpec((0,), (0,))
-    model = ActionModel("zero-op", coords, e, w,
-                        volume=("dxi", "dtheta"), x_support=np.pi)
+    model = ActionModel("zero-op", coords, e, w, volume=("dxi", "dtheta"))
     alg = model.algebra
     zero = alg.zero(SYMBOLIC)
     model.set_symbol([[zero]])

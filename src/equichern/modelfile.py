@@ -1,4 +1,4 @@
-"""Structured-text model files: coordinates, bundles, symbol matrix, options.
+"""Structured-text model files: coordinates, bundles and symbol matrix.
 
 The format is line-based with bracketed sections; symbol entries are
 polynomial strings over the declared coordinates (complex literals, names,
@@ -20,13 +20,10 @@ Example::
     [symbol]
     0, conj(z) - i*conj(xi)
     z + i*xi, 0
-    [options]
-    x_support = 2.0
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -170,7 +167,7 @@ class _PolyParser:
                 rp = self.next()
                 if rp.text != ")":
                     raise ModelParseError("expected ')'", self.line, rp.col)
-                bar = self.model.conj_pairs.get(name.text)
+                bar = self.model.algebra.conjugates.get(name.text)
                 if bar is None:
                     raise ModelParseError(
                         f"coordinate {name.text!r} has no conjugate", self.line, name.col)
@@ -214,7 +211,7 @@ def _int_value(kv: dict[str, str], key: str, line: int) -> int:
     return value
 
 
-def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
+def parse_model_text(text: str) -> ActionModel:
     """Parse a model document into an ActionModel; errors carry line/column.
 
     The model's superconnection odd term is i times its augmented symbol.
@@ -226,7 +223,6 @@ def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
     bundles: dict[str, list[tuple[int, int]]] = {}
     section_lines: dict[str, int] = {}
     symbol_lines: list[tuple[int, str]] = []
-    options: dict[str, tuple[str, int]] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -274,9 +270,6 @@ def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
                 (_int_value(kv, "weight", lineno), parity))
         elif section == "symbol":
             symbol_lines.append((lineno, stripped))
-        elif section == "options":
-            kv = _parse_kv([stripped.replace(" ", "")], lineno)
-            options.update({k: (v, lineno) for k, v in kv.items()})
         else:
             raise ModelParseError(f"content outside a known section: {stripped!r}",
                                   lineno)
@@ -307,23 +300,9 @@ def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
                                   section_lines["bundle." + key])
     if not symbol_lines:
         raise ModelParseError("missing [symbol] section", 1)
-    x_support, x_line = options.get("x_support", ("2.0", 1))
-    try:
-        x_support = float(x_support)
-    except ValueError:
-        raise ModelParseError(f"x_support must be a number, got {x_support!r}",
-                              x_line) from None
-    if not (math.isfinite(x_support) and x_support > 0):
-        raise ModelParseError(f"x_support must be positive and finite, got {x_support!r}",
-                              x_line)
-
-    def spec_of(key: str) -> BundleSpec | None:
-        if key not in bundles or not bundles[key]:
-            return None
-        ws, ps = zip(*bundles[key])
-        return BundleSpec(tuple(ws), tuple(ps))
-
-    model = ActionModel(name, coords, spec_of("e"), spec_of("w"), x_support=x_support)
+    # zip(*summands) splits the (weight, parity) pairs into weights and parities
+    model = ActionModel(name, coords, BundleSpec(*zip(*bundles["e"])),
+                        BundleSpec(*zip(*bundles["w"])))
 
     dim = model.bundle_e.rank
     if len(symbol_lines) != dim:
@@ -364,7 +343,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ActionModel:
 
 def parse_model_file(path) -> ActionModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model_text(fh.read(), source=str(path))
+        return parse_model_text(fh.read())
 
 
 def builtin_model_text(name: str) -> str:

@@ -59,7 +59,7 @@ def oriented_volume_coefficient(model: ActionModel, form) -> object:
 
 
 def _complex_pairs(model: ActionModel) -> list[tuple[str, str]]:
-    return [(c.name, model.conj_pairs[c.name])
+    return [(c.name, model.algebra.conjugates[c.name])
             for c in model.coordinates_meta if c.kind == COMPLEX]
 
 
@@ -344,6 +344,11 @@ def delta_pairing(model: ActionModel, test_fn: Callable,
     eps = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps):
         raise ValueError("regularization eps values must be positive")
+    if not eps:
+        raise ValueError("no regularization eps values")
+    # the Richardson extrapolation divides by their differences
+    if len(set(eps)) != len(eps):
+        raise ValueError("regularization eps values must be distinct")
     xn, xw = _panel_gauss_legendre(X_HALFWIDTH, X_PANELS)
     qn, qw = _panel_gauss_legendre(XI_HALFWIDTH, XI_PANELS)
 

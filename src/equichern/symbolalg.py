@@ -32,8 +32,10 @@ from .supermatrix import EVEN
 STABILITY_RATIO = 1.1   # heuristic: c_eps(R)/c_eps(R/2) below this counts as stable
 DECAY_DELTA = 1e-3
 N_X = 64        # base samples within the x-support
-N_RADII = 24    # xi radii, geometric from R_MIN to the grid's r_max
+N_RADII = 24    # xi radii, geometric from R_MIN to r_max
+N_DIRS = 32     # fiber directions of condition C on a complex fiber
 R_MIN = 0.5
+R_MAX = 1e3     # outer xi radius of the membership checks
 CUTOFF_RADII = (1.0, 2.0)   # cutoffs a of the transversal ellipticity check
 SUPPORT_RADIUS = 1.5        # x-support of the saturating and constant-in-xi symbols
 
@@ -49,22 +51,13 @@ class SymbolFunction:
 
     evaluator: Callable
     x_support_radius: float
-    name: str = "symbol"
 
     def magnitude(self, base_arrays, fiber_arrays) -> np.ndarray:
         return np.abs(self.evaluator(base_arrays, fiber_arrays))
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Fiber directions and outer xi radius of the membership checks."""
-
-    n_dirs: int = 32
-    r_max: float = 1e3
-
-
 def _base_points(model: ActionModel, b: SymbolFunction) -> dict:
-    """Sample the base within the declared x-support."""
+    """Sample the base within the symbol's x-support."""
     base = model.base_coords
     if len(base) != 1:
         raise ValueError("grids implemented for a single base coordinate")
@@ -80,12 +73,12 @@ def _base_points(model: ActionModel, b: SymbolFunction) -> dict:
     return {c.name: pts.astype(complex)}
 
 
-def _fiber_directions(model: ActionModel, grid: GridSpec) -> np.ndarray:
+def _fiber_directions(model: ActionModel) -> np.ndarray:
     fibers = model.fiber_coords
     if len(fibers) != 1:
         raise ValueError("grids implemented for a single fiber coordinate")
     if fibers[0].kind == COMPLEX:
-        angles = np.linspace(0.0, 2 * math.pi, grid.n_dirs, endpoint=False)
+        angles = np.linspace(0.0, 2 * math.pi, N_DIRS, endpoint=False)
         return np.exp(1j * angles)
     return np.array([1.0, -1.0], dtype=complex)
 
@@ -104,18 +97,16 @@ class ConditionCReport:
 
 
 def condition_c_fit(b: SymbolFunction, model: ActionModel,
-                    eps_list: Sequence[float],
-                    grid: GridSpec = GridSpec()) -> ConditionCReport:
+                    eps_list: Sequence[float], *,
+                    r_max: float = R_MAX) -> ConditionCReport:
     """Fit the minimal c_eps in the transverse-decay bound on a radial grid.
 
     PASS requires c_eps at radius R within STABILITY_RATIO of its value at
     R/2 for every eps, so that growing the grid no longer grows the constant.
     """
-    if grid.n_dirs <= 0:
-        raise ValueError("empty grid")
     base = _base_points(model, b)
-    dirs = _fiber_directions(model, grid)
-    radii = np.geomspace(R_MIN, grid.r_max, N_RADII)
+    dirs = _fiber_directions(model)
+    radii = np.geomspace(R_MIN, r_max, N_RADII)
     name_x = model.base_coords[0].name
     name_f = model.fiber_coords[0].name
     x = base[name_x][:, None, None]
@@ -125,7 +116,7 @@ def condition_c_fit(b: SymbolFunction, model: ActionModel,
     mag = b.magnitude({name_x: X}, {name_f: XI})
     phi_sq, xi_sq = phi_xi_norms_grid(model, {name_x: X}, {name_f: XI})
     bound_core = (1.0 + phi_sq) / (1.0 + xi_sq)
-    half_mask = np.broadcast_to((radii <= grid.r_max / 2)[None, None, :], X.shape)
+    half_mask = np.broadcast_to((radii <= r_max / 2)[None, None, :], X.shape)
 
     entries = []
     all_pass = True
@@ -144,7 +135,7 @@ def condition_c_fit(b: SymbolFunction, model: ActionModel,
         entries.append({"eps": float(eps), "c_eps": c_full,
                         "c_eps_half_radius": c_half, "ratio": ratio,
                         "passed": bool(ok)})
-    return ConditionCReport(entries=entries, passed=all_pass, r_max=grid.r_max)
+    return ConditionCReport(entries=entries, passed=all_pass, r_max=r_max)
 
 
 @dataclass
@@ -177,8 +168,8 @@ def _transverse_directions(model: ActionModel, x: complex) -> np.ndarray:
     return np.array([1.0, -1.0], dtype=complex)
 
 
-def restriction_decay_check(b: SymbolFunction, model: ActionModel,
-                            grid: GridSpec = GridSpec()) -> DecayReport:
+def restriction_decay_check(b: SymbolFunction, model: ActionModel, *,
+                            r_max: float = R_MAX) -> DecayReport:
     """Decay of |b| restricted to the transverse covector variety.
 
     PASS when shell suprema decrease monotonically to below DECAY_DELTA at
@@ -188,7 +179,7 @@ def restriction_decay_check(b: SymbolFunction, model: ActionModel,
     base = _base_points(model, b)
     name_x = model.base_coords[0].name
     name_f = model.fiber_coords[0].name
-    radii = np.geomspace(R_MIN, grid.r_max, N_RADII)
+    radii = np.geomspace(R_MIN, r_max, N_RADII)
     xs, ds = [], []
     for x in base[name_x]:
         for d in _transverse_directions(model, complex(x)):
@@ -257,7 +248,7 @@ def normalized_remainder_symbol(model: ActionModel,
         x = np.asarray(base_arrays[name_x], dtype=complex)
         xi = np.asarray(fiber_arrays[name_f], dtype=complex)
         arrays = {name_x: x, name_f: xi}
-        for a, bb in model.conj_pairs.items():
+        for a, bb in model.algebra.conjugates.items():
             if a in arrays:
                 arrays[bb] = np.conj(arrays[a])
         scale = np.sqrt(1.0 + np.abs(x) ** 2 + np.abs(xi) ** 2)
@@ -271,8 +262,7 @@ def normalized_remainder_symbol(model: ActionModel,
                 np.einsum("...,...->...", sig[i, j], sig[j, k]) for j in js)
         return bump(x, cutoff_radius) * _singular_stats(rem, blocks)[1]
 
-    return SymbolFunction(evaluator=evaluator, x_support_radius=cutoff_radius,
-                          name=f"{model.name}: a(1 - sigma_hat^2)")
+    return SymbolFunction(evaluator=evaluator, x_support_radius=cutoff_radius)
 
 
 def saturating_symbol(model: ActionModel, amplitude: float = 3.0) -> SymbolFunction:
@@ -286,8 +276,7 @@ def saturating_symbol(model: ActionModel, amplitude: float = 3.0) -> SymbolFunct
         f = amplitude * bump(x, SUPPORT_RADIUS)
         return f * (1.0 + phi_sq) / (1.0 + xi_sq)
 
-    return SymbolFunction(evaluator=evaluator, x_support_radius=SUPPORT_RADIUS,
-                          name="saturating bound symbol")
+    return SymbolFunction(evaluator=evaluator, x_support_radius=SUPPORT_RADIUS)
 
 
 def constant_in_xi_symbol(model: ActionModel) -> SymbolFunction:
@@ -299,19 +288,18 @@ def constant_in_xi_symbol(model: ActionModel) -> SymbolFunction:
         xi = np.asarray(fiber_arrays[model.fiber_coords[0].name])
         return bump(x, SUPPORT_RADIUS) * np.ones_like(np.abs(xi))
 
-    return SymbolFunction(evaluator=evaluator, x_support_radius=SUPPORT_RADIUS,
-                          name="constant-in-xi control")
+    return SymbolFunction(evaluator=evaluator, x_support_radius=SUPPORT_RADIUS)
 
 
-def transversal_ellipticity_check(model: ActionModel,
-                                  grid: GridSpec = GridSpec()) -> TransversalityReport:
+def transversal_ellipticity_check(model: ActionModel, *,
+                                  r_max: float = R_MAX) -> TransversalityReport:
     """Membership of a (1 - sigma_hat^2) for each cutoff radius."""
     creps, dreps = [], []
     passed = True
     for radius in CUTOFF_RADII:
         b = normalized_remainder_symbol(model, radius)
-        cr = condition_c_fit(b, model, (0.1, 0.01, 0.001), grid)
-        dr = restriction_decay_check(b, model, grid)
+        cr = condition_c_fit(b, model, (0.1, 0.01, 0.001), r_max=r_max)
+        dr = restriction_decay_check(b, model, r_max=r_max)
         creps.append(cr)
         dreps.append(dr)
         passed = passed and cr.passed and dr.passed

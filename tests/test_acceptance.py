@@ -33,7 +33,6 @@ from equichern.quadrature import (
 )
 from equichern.supermatrix import Grading, SuperMatrix, super_exp, super_exp_duhamel
 from equichern.symbolalg import (
-    GridSpec,
     condition_c_fit,
     constant_in_xi_symbol,
     normalized_remainder_symbol,
@@ -190,7 +189,7 @@ def test_criterion_8_symbol_algebra_membership():
     control_c = condition_c_fit(control, model, (0.1, 0.01))
     control_pass = control_c.passed
     b = normalized_remainder_symbol(model, 1.5)
-    stab = condition_c_fit(b, model, (0.1, 0.01, 0.001), GridSpec(r_max=1000.0))
+    stab = condition_c_fit(b, model, (0.1, 0.01, 0.001), r_max=1000.0)
     ratios = [e["ratio"] for e in stab.entries]
     ok = passing.passed and not control_pass and all(r < 1.1 for r in ratios)
     report("8 (symbol algebra)", ok,
@@ -203,7 +202,7 @@ def test_criterion_9_homotopy_ellipticity():
     model = c_plane()
     path = homotopy_path(model)
     grid = ScanGrid(radii=(2.0, 3.0, 4.5, 6.0, 8.0), samples=700,
-                    refine_iters=30, r0=2.0, threshold=1e-6)
+                    refine_iters=30, threshold=1e-6)
     worst = math.inf
     for stage in range(path.stage_count):
         for s in np.linspace(0.0, 1.0, 11):

@@ -203,7 +203,10 @@ class TestCheckSymbol:
     @pytest.mark.parametrize("old, new, message", [
         ("summand weight=1 parity=odd\n[bundle.W]",
          "summand weight=x parity=odd\n[bundle.W]", "line 8,.*weight"),
-        ("x_support = 2.0", "x_support = big", "line 16,.*x_support"),
+        # the removed [options] section: its setting is content outside a section
+        pytest.param("z + i*xi, 0\n", "z + i*xi, 0\n[options]\nx_support = 2.0\n",
+                     "line 16,.*outside a known section: 'x_support = 2.0'",
+                     id="options-section"),
         ("[symbol]\n0, conj(z) - i*conj(xi)\nz + i*xi, 0\n", "",
          r"line 1,.*\[symbol\]"),
         ("[bundle.W]\nsummand weight=0 parity=even\nsummand weight=1 parity=odd\n", "",

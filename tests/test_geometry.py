@@ -212,6 +212,14 @@ class TestEllipticityScan:
         with pytest.raises(ValueError):
             ellipticity_scan(m.symbol, ScanGrid(samples=0))
 
+    def test_each_point_counted_once(self):
+        # the zero symbol is degenerate everywhere and refines nothing, so
+        # each shell counts its samples and no copies of its candidates
+        m = c_plane()
+        zero = SuperMatrix.zero(m.algebra, augmented_symbol(m).grading)
+        report = ellipticity_scan(zero, ScanGrid(samples=100))
+        assert [s.degenerate for s in report.shells] == [100] * 7
+
     def test_one_evaluation_per_refinement_step(self, monkeypatch):
         # all shells are sampled together and every candidate refined in
         # lock-step: one batch for the shells, one per step, one to score

@@ -79,7 +79,7 @@ def test_dense_route_loads_no_quadrature_or_model_parser():
 
 class TestLazyExports:
     def test_names_are_the_submodule_objects(self):
-        assert len(equichern.__all__) == 55
+        assert len(equichern.__all__) == 54
         for name in equichern.__all__:
             module = importlib.import_module(f"equichern.{equichern._EXPORTS[name]}")
             assert getattr(equichern, name) is getattr(module, name), name

@@ -38,7 +38,7 @@ def golden_index(theta):
 
 
 def _pairs(model):
-    return [(c.name, model.conj_pairs[c.name])
+    return [(c.name, model.algebra.conjugates[c.name])
             for c in model.coordinates_meta if c.kind == COMPLEX]
 
 
@@ -285,6 +285,13 @@ class TestDeltaPairing:
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):
             delta_pairing(zero_op_s1(), gaussian_test, [1e-2, 0.0])
+
+    @pytest.mark.parametrize("eps, message", [([1e-3, 1e-3], "distinct"),
+                                              ([], "no regularization")])
+    def test_repeated_or_missing_eps_rejected(self, eps, message):
+        # the extrapolation once divided by zero or read an empty list
+        with pytest.raises(ValueError, match=message):
+            delta_pairing(zero_op_s1(), gaussian_test, eps)
 
     def test_registry(self):
         assert "gaussian" in TEST_FUNCTIONS

@@ -7,7 +7,7 @@ from equichern.geometry import c_plane, zero_op_s1
 from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.symbolalg import (
     N_RADII,
-    GridSpec,
+    N_X,
     SymbolFunction,
     bump,
     condition_c_fit,
@@ -46,29 +46,23 @@ class TestConditionC:
         report = condition_c_fit(b, plane, (0.1, 0.01, 0.001))
         assert report.passed
 
-    def test_empty_grid_rejected(self, plane):
-        b = saturating_symbol(plane)
-        with pytest.raises(ValueError):
-            condition_c_fit(b, plane, (0.1,), GridSpec(n_dirs=0))
-
     def test_as_many_directions_as_radii(self, plane):
-        # a (n_x, n_dirs, N_RADII) grid of scalars with n_dirs = N_RADII is
-        # not a stack of matrices: the verdicts match the neighbouring n_dirs
-        symbols = (saturating_symbol(plane), constant_in_xi_symbol(plane),
-                   normalized_remainder_symbol(plane, 1.0))
-        verdicts = []
-        for n_dirs in (N_RADII - 1, N_RADII, N_RADII + 1):
-            grid = GridSpec(n_dirs=n_dirs)
-            verdicts.append([(condition_c_fit(b, plane, (0.1,), grid).passed,
-                              restriction_decay_check(b, plane, grid).passed)
-                             for b in symbols])
-        assert verdicts[0] == verdicts[1] == verdicts[2]
-        assert [c for c, _ in verdicts[1]] == [True, False, True]
+        # a (N_X, n_dirs, N_RADII) grid of scalars with n_dirs = N_RADII is
+        # not a stack of matrices: the magnitude is taken point by point
+        rng = np.random.default_rng(3)
+        shape = (N_X, N_RADII, N_RADII)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        xi = 10 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        for b in (saturating_symbol(plane), constant_in_xi_symbol(plane),
+                  normalized_remainder_symbol(plane, 1.0)):
+            mag = b.magnitude({"z": x}, {"xi": xi})
+            flat = b.magnitude({"z": x.ravel()}, {"xi": xi.ravel()})
+            assert mag.shape == shape
+            np.testing.assert_allclose(mag.ravel(), flat, rtol=1e-13, atol=1e-15)
 
     def test_stabilization_between_500_and_1000(self, plane):
         b = normalized_remainder_symbol(plane, 1.5)
-        report = condition_c_fit(b, plane, (0.1, 0.01, 0.001),
-                                 GridSpec(r_max=1000.0))
+        report = condition_c_fit(b, plane, (0.1, 0.01, 0.001), r_max=1000.0)
         assert report.passed
         for entry in report.entries:
             assert entry["ratio"] < 1.1
@@ -115,8 +109,7 @@ class TestTransversalEllipticity:
             xi = np.asarray(fiber_arrays["xi"])
             return bump(x, 1.0) * bump(xi, 2.0)
 
-        b = SymbolFunction(evaluator, x_support_radius=1.0,
-                           name="compact remainder")
+        b = SymbolFunction(evaluator, x_support_radius=1.0)
         cr = condition_c_fit(b, plane, (0.1, 0.01, 0.001))
         dr = restriction_decay_check(b, plane)
         assert cr.passed and dr.passed
@@ -138,7 +131,7 @@ class TestAlgebraProperties:
             m2 = b2.magnitude(base_arrays, fiber_arrays)
             return m1 * m2
 
-        prod = SymbolFunction(product_eval, x_support_radius=1.5, name="product")
+        prod = SymbolFunction(product_eval, x_support_radius=1.5)
         c1 = condition_c_fit(b1, plane, (0.01,))
         c2 = condition_c_fit(b2, plane, (0.01,))
         cp = condition_c_fit(prod, plane, (0.01,))
@@ -166,7 +159,7 @@ def einsum_svd_remainder(model, radius, base_arrays, fiber_arrays):
     x = np.asarray(base_arrays[name_x], dtype=complex)
     xi = np.asarray(fiber_arrays[name_f], dtype=complex)
     arrays = {name_x: x, name_f: xi}
-    for a, b in model.conj_pairs.items():
+    for a, b in model.algebra.conjugates.items():
         arrays[b] = np.conj(arrays[a])
     d = model.symbol.dim
     sig = np.zeros(x.shape + (d, d), dtype=complex)
