@@ -100,6 +100,13 @@ class ActionModel:
     ):
         self.name = name
         self.coordinates_meta = tuple(coordinates)
+        bases = [c for c in self.coordinates_meta if c.role == "base"]
+        fibers = [c for c in self.coordinates_meta if c.role == "fiber"]
+        if len(bases) != 1 or len(fibers) > 1:
+            raise ValueError("a model has one base coordinate and at most one fiber "
+                             f"coordinate, got {len(bases)} and {len(fibers)}")
+        self.base = bases[0]
+        self.fiber = fibers[0] if fibers else None
         coord_names: list[str] = []
         gen_names: list[str] = []
         conjugates: dict[str, str] = {}
@@ -165,16 +172,6 @@ class ActionModel:
                           moment(self, 1.0) - mat.interior(cartan_field(self, 1.0)))
         self.curvature_array = AffineArray.compile(*self.curvature)
 
-    # -- coordinate helpers ----------------------------------------------------
-
-    @property
-    def base_coords(self) -> tuple[Coordinate, ...]:
-        return tuple(c for c in self.coordinates_meta if c.role == "base")
-
-    @property
-    def fiber_coords(self) -> tuple[Coordinate, ...]:
-        return tuple(c for c in self.coordinates_meta if c.role == "fiber")
-
     def conj_poly(self, p: Poly) -> Poly:
         """Formal conjugate: swap conjugate-pair exponents, conjugate coefficients."""
         coords = self.algebra.coordinates
@@ -236,66 +233,36 @@ def moment(model: ActionModel, theta: complex) -> SuperMatrix:
     return SuperMatrix.diagonal(alg, spec.grading(), diag)
 
 
-def infinitesimal_generator(model: ActionModel, v: float, point: Mapping[str, complex]) -> dict:
-    """Tangent components of the action derivative at a point.
+def infinitesimal_generator(model: ActionModel, x):
+    """The action derivative rho at base values x, elementwise.
 
-    Weight-n complex coordinates contribute -i n v z (the derivative of
-    exp(-tv) acting with weight n); angle coordinates rotate at rate +w v.
+    A weight-n complex base contributes -i n x (the derivative of exp(-t)
+    acting with weight n); an angle base rotates at rate +n, a real one not.
     """
-    out: dict[str, complex] = {}
-    for c in model.base_coords:
-        if c.kind == COMPLEX:
-            out[c.name] = -1j * c.weight * v * complex(point[c.name])
-        elif c.kind == ANGLE:
-            out[c.name] = complex(c.weight * v)
-        else:
-            out[c.name] = 0.0j
-    return out
+    b = model.base
+    x = np.asarray(x, dtype=complex)
+    if b.kind == COMPLEX:
+        return -1j * b.weight * x
+    return np.full_like(x, b.weight if b.kind == ANGLE else 0)
 
 
-def _as_fiber_dict(model: ActionModel, xi) -> dict[str, complex]:
-    fibers = model.fiber_coords
-    if isinstance(xi, Mapping):
-        return {f.name: complex(xi[f.name]) for f in fibers}
-    if len(fibers) != 1:
-        raise ValueError("scalar xi only allowed for a single fiber coordinate")
-    return {fibers[0].name: complex(xi)}
+def orbital_projection(model: ActionModel, x, xi):
+    """phi = rho rho^t: the covectors xi at base values x projected onto the orbit.
+
+    Elementwise rho Re(xi conj(rho)), with rho the `infinitesimal_generator`.
+    The product xi conj(rho) is taken by the ufunc even for scalars, so an
+    array call equals its scalar calls bit for bit: numpy's array loop may
+    fuse a multiply and an add, the ``*`` of two numpy scalars does not.
+    """
+    rho = infinitesimal_generator(model, x)
+    return rho * np.multiply(xi, np.conj(rho)).real
 
 
-def orbital_projection(model: ActionModel, point: Mapping[str, complex], xi) -> dict:
-    """phi = rho rho^t: project a (co)tangent vector onto the orbit direction."""
-    rho1 = infinitesimal_generator(model, 1.0, point)
-    xiv = _as_fiber_dict(model, xi)
-    s = 0.0
-    for b, f in zip(model.base_coords, model.fiber_coords):
-        if b.kind == COMPLEX:
-            s += (xiv[f.name] * rho1[b.name].conjugate()).real
-        else:
-            s += (xiv[f.name] * rho1[b.name]).real
-    return {b.name: rho1[b.name] * s for b in model.base_coords}
-
-
-def phi_xi_norms_grid(model: ActionModel, base_arrays: Mapping[str, np.ndarray],
-                      fiber_arrays: Mapping[str, np.ndarray]):
-    """Vectorized (|phi|^2, |xi|^2) over matching point/covector grids."""
-    rho = {}
-    for b in model.base_coords:
-        z = np.asarray(base_arrays[b.name], dtype=complex)
-        if b.kind == COMPLEX:
-            rho[b.name] = -1j * b.weight * z
-        elif b.kind == ANGLE:
-            rho[b.name] = np.full_like(z, complex(b.weight))
-        else:
-            rho[b.name] = np.zeros_like(z)
-    s = 0.0
-    xi_sq = 0.0
-    rho_sq = 0.0
-    for b, f in zip(model.base_coords, model.fiber_coords):
-        xi = np.asarray(fiber_arrays[f.name], dtype=complex)
-        s = s + (xi * np.conj(rho[b.name])).real
-        xi_sq = xi_sq + np.abs(xi) ** 2
-        rho_sq = rho_sq + np.abs(rho[b.name]) ** 2
-    return s * s * rho_sq, xi_sq
+def _fiber(model: ActionModel) -> Coordinate:
+    """The model's fiber coordinate, which symbols and their augmentation need."""
+    if model.fiber is None:
+        raise UnsupportedShapeError(f"model {model.name!r} declares no fiber coordinate")
+    return model.fiber
 
 
 # -- Clifford model ---------------------------------------------------------------
@@ -305,9 +272,6 @@ def clifford_multiplication(model: ActionModel, w) -> SuperMatrix:
     """Left Clifford multiplication by an orbital tangent value on the W bundle."""
     if model.bundle_w is None or model.bundle_w.rank != 2:
         raise UnsupportedShapeError("Clifford multiplication needs a rank-2 W bundle")
-    if isinstance(w, Mapping):
-        vals = [v for v in w.values() if v != 0]
-        w = vals[0] if vals else 0.0
     w = complex(w)
     alg = model.algebra
     z = alg.zero(NUMERIC)
@@ -318,11 +282,9 @@ def clifford_multiplication(model: ActionModel, w) -> SuperMatrix:
 
 def _phi_polys(model: ActionModel) -> tuple[Poly, Poly]:
     """Orbital projection applied to the tautological covector, as (phi, conj phi)."""
-    bases = model.base_coords
-    fibers = model.fiber_coords
-    if len(bases) != 1 or bases[0].kind != COMPLEX:
-        raise UnsupportedShapeError("symbolic phi implemented for one complex base coordinate")
-    b, f = bases[0], fibers[0]
+    b, f = model.base, _fiber(model)
+    if b.kind != COMPLEX:
+        raise UnsupportedShapeError("symbolic phi implemented for a complex base coordinate")
     zc = model.algebra.coord(b.name)
     xc = model.algebra.coord(f.name)
     rho = (-1j * b.weight) * zc
@@ -391,13 +353,11 @@ class HomotopyPath:
 
 def homotopy_path(model: ActionModel) -> HomotopyPath:
     """Two-stage path: flatten the orbital factor, then shear in the fiber."""
-    b = model.base_coords[0]
-    f = model.fiber_coords[0]
-    if b.kind != COMPLEX or f.kind != COMPLEX:
-        raise UnsupportedShapeError("homotopy implemented for complex base and fiber")
-    zc = model.algebra.coord(b.name)
-    xc = model.algebra.coord(f.name)
     phi, phibar = _phi_polys(model)
+    if model.fiber.kind != COMPLEX:
+        raise UnsupportedShapeError("homotopy implemented for complex base and fiber")
+    zc = model.algebra.coord(model.base.name)
+    xc = model.algebra.coord(model.fiber.name)
     w_mid = 1j * zc
     w_end = 1j * zc + xc
     stage = lambda w: _augmented_from_cliff_arg(model, w, model.conj_poly(w))

@@ -211,6 +211,10 @@ def _int_value(kv: dict[str, str], key: str, line: int) -> int:
     return value
 
 
+# The section headers a model file may use, lower-cased.
+_SECTIONS = ("coordinates", "bundle.e", "bundle.w", "symbol")
+
+
 def parse_model_text(text: str) -> ActionModel:
     """Parse a model document into an ActionModel; errors carry line/column.
 
@@ -220,7 +224,7 @@ def parse_model_text(text: str) -> ActionModel:
     coords: list[Coordinate] = []
     taken: dict[str, int] = {}  # coordinate names, conjugates included -> line
     roles: dict[str, list[tuple[Coordinate, int]]] = {"base": [], "fiber": []}
-    bundles: dict[str, list[tuple[int, int]]] = {}
+    bundles: dict[str, list[tuple[int, int]]] = {"e": [], "w": []}
     section_lines: dict[str, int] = {}
     symbol_lines: list[tuple[int, str]] = []
     section = None
@@ -233,9 +237,11 @@ def parse_model_text(text: str) -> ActionModel:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip().lower()
+            if section not in _SECTIONS:
+                raise ModelParseError(
+                    f"unknown section {stripped!r}; expected [coordinates], "
+                    "[bundle.E], [bundle.W] or [symbol]", lineno)
             section_lines.setdefault(section, lineno)
-            if section.startswith("bundle."):
-                bundles.setdefault(section.split(".", 1)[1], [])
             continue
         if section == "coordinates":
             parts = stripped.split()
@@ -258,7 +264,7 @@ def parse_model_text(text: str) -> ActionModel:
                 taken[n] = lineno
             coords.append(coord)
             roles[coord.role].append((coord, lineno))
-        elif section is not None and section.startswith("bundle."):
+        elif section in ("bundle.e", "bundle.w"):
             parts = stripped.split()
             if parts[0] != "summand":
                 raise ModelParseError("expected 'summand weight=.. parity=..'", lineno)
@@ -289,9 +295,9 @@ def parse_model_text(text: str) -> ActionModel:
     base, base_line = roles["base"][0]
     if base.kind != COMPLEX:
         raise ModelParseError(f"base coordinate {base.name!r} must be complex", base_line)
-    if "e" not in bundles or not bundles["e"]:
+    if not bundles["e"]:
         raise ModelParseError("missing [bundle.E] section", 1)
-    if "w" not in bundles or not bundles["w"]:
+    if not bundles["w"]:
         raise ModelParseError("missing [bundle.W] section (the Clifford-model bundle)", 1)
     # the orbital Clifford augmentation is built for rank-2 E and W
     for key in ("e", "w"):

@@ -287,10 +287,9 @@ def _oscillatory_density(model: ActionModel, plan: ChernPlan, xs: np.ndarray):
     tops = [oriented_volume_coefficient(model, f) for f in plan.forms]
     if not all(t.is_constant for t in tops):
         raise UnsupportedShapeError("delta pairing expects a constant top coefficient")
-    fiber = [c for c in model.fiber_coords]
-    if len(fiber) != 1 or fiber[0].kind == COMPLEX:
+    if model.fiber is None or model.fiber.kind == COMPLEX:
         raise UnsupportedShapeError("delta pairing expects one real fiber coordinate")
-    idx = model.algebra.coord_index[fiber[0].name]
+    idx = model.algebra.coord_index[model.fiber.name]
     rate0, rate1 = (_fiber_rate(e, idx) for e in plan.shared)
     rates = rate0 + xs * rate1
     if np.any(np.abs(rates.real) > 1e-10 * np.maximum(1.0, np.abs(rates))):

@@ -23,9 +23,11 @@ from .geometry import (
     COMPLEX,
     ActionModel,
     _entry_polys,
+    _fiber,
     _singular_stats,
+    infinitesimal_generator,
+    orbital_projection,
     parity_blocks,
-    phi_xi_norms_grid,
 )
 from .supermatrix import EVEN
 
@@ -44,43 +46,39 @@ SUPPORT_RADIUS = 1.5        # x-support of the saturating and constant-in-xi sym
 class SymbolFunction:
     """A bounded scalar symbol sampled through a vectorized evaluator.
 
-    The evaluator maps coordinate arrays (one complex array per base and
-    fiber coordinate, broadcastable) to complex values; the magnitude is
-    their modulus, pointwise.
+    The evaluator maps base values x and fiber covectors xi (complex arrays,
+    broadcastable) to complex values; the magnitude is their modulus,
+    pointwise.
     """
 
     evaluator: Callable
     x_support_radius: float
 
-    def magnitude(self, base_arrays, fiber_arrays) -> np.ndarray:
-        return np.abs(self.evaluator(base_arrays, fiber_arrays))
+    def magnitude(self, x, xi) -> np.ndarray:
+        return np.abs(self.evaluator(x, xi))
 
 
-def _base_points(model: ActionModel, b: SymbolFunction) -> dict:
+def _base_points(model: ActionModel, b: SymbolFunction) -> np.ndarray:
     """Sample the base within the symbol's x-support."""
-    base = model.base_coords
-    if len(base) != 1:
-        raise ValueError("grids implemented for a single base coordinate")
-    c = base[0]
-    if c.kind == COMPLEX:
+    if model.base.kind == COMPLEX:
         n_r = max(2, int(round(math.sqrt(N_X))))
         n_a = max(1, N_X // n_r)
         radii = np.linspace(0.0, b.x_support_radius, n_r)
         angles = np.linspace(0.0, 2 * math.pi, n_a, endpoint=False)
-        pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-        return {c.name: pts}
-    pts = np.linspace(0.0, 2 * math.pi, N_X, endpoint=False)
-    return {c.name: pts.astype(complex)}
+        return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    return np.linspace(0.0, 2 * math.pi, N_X, endpoint=False).astype(complex)
 
 
 def _fiber_directions(model: ActionModel) -> np.ndarray:
-    fibers = model.fiber_coords
-    if len(fibers) != 1:
-        raise ValueError("grids implemented for a single fiber coordinate")
-    if fibers[0].kind == COMPLEX:
+    if _fiber(model).kind == COMPLEX:
         angles = np.linspace(0.0, 2 * math.pi, N_DIRS, endpoint=False)
         return np.exp(1j * angles)
     return np.array([1.0, -1.0], dtype=complex)
+
+
+def _bound_core(model: ActionModel, x, xi):
+    """(1 + |phi_x(xi)|^2)/(1 + |xi|^2), the transverse-decay bound without c_eps."""
+    return (1.0 + np.abs(orbital_projection(model, x, xi)) ** 2) / (1.0 + np.abs(xi) ** 2)
 
 
 @dataclass
@@ -104,18 +102,12 @@ def condition_c_fit(b: SymbolFunction, model: ActionModel,
     PASS requires c_eps at radius R within STABILITY_RATIO of its value at
     R/2 for every eps, so that growing the grid no longer grows the constant.
     """
-    base = _base_points(model, b)
     dirs = _fiber_directions(model)
     radii = np.geomspace(R_MIN, r_max, N_RADII)
-    name_x = model.base_coords[0].name
-    name_f = model.fiber_coords[0].name
-    x = base[name_x][:, None, None]
-    xi = (dirs[:, None] * radii[None, :])[None, :, :]
-    X = np.broadcast_to(x, (len(base[name_x]), len(dirs), len(radii)))
-    XI = np.broadcast_to(xi, X.shape)
-    mag = b.magnitude({name_x: X}, {name_f: XI})
-    phi_sq, xi_sq = phi_xi_norms_grid(model, {name_x: X}, {name_f: XI})
-    bound_core = (1.0 + phi_sq) / (1.0 + xi_sq)
+    X, XI = np.broadcast_arrays(_base_points(model, b)[:, None, None],
+                                (dirs[:, None] * radii[None, :])[None, :, :])
+    mag = b.magnitude(X, XI)
+    bound_core = _bound_core(model, X, XI)
     half_mask = np.broadcast_to((radii <= r_max / 2)[None, None, :], X.shape)
 
     entries = []
@@ -152,18 +144,16 @@ class DecayReport:
                            for r, s in zip(self.shell_radii, self.shell_sup)]}
 
 
-def _transverse_directions(model: ActionModel, x: complex) -> np.ndarray:
-    """Unit fiber covectors orthogonal to the orbit direction at x."""
-    fibers = model.fiber_coords
-    base = model.base_coords[0]
+def _transverse_directions(model: ActionModel, rho: complex) -> np.ndarray:
+    """Unit fiber covectors orthogonal to the orbit direction rho at a base point."""
+    base, fiber = model.base, _fiber(model)
     if base.kind == COMPLEX:
-        rho = -1j * base.weight * x
         if abs(rho) < 1e-14:
             return np.exp(1j * np.linspace(0, 2 * math.pi, 8, endpoint=False))
         # xi with Re(xi conj(rho)) = 0: the real line through i*rho
         d = 1j * rho / abs(rho)
         return np.array([d, -d])
-    if base.kind == ANGLE and base.weight != 0 and fibers[0].kind != COMPLEX:
+    if base.kind == ANGLE and base.weight != 0 and fiber.kind != COMPLEX:
         return np.empty(0, dtype=complex)  # orbit fills the fiber pairing: only xi = 0
     return np.array([1.0, -1.0], dtype=complex)
 
@@ -177,12 +167,12 @@ def restriction_decay_check(b: SymbolFunction, model: ActionModel, *,
     vanishing-at-infinity condition holds vacuously.
     """
     base = _base_points(model, b)
-    name_x = model.base_coords[0].name
-    name_f = model.fiber_coords[0].name
     radii = np.geomspace(R_MIN, r_max, N_RADII)
     xs, ds = [], []
-    for x in base[name_x]:
-        for d in _transverse_directions(model, complex(x)):
+    # rho as Python complexes: numpy's complex division rounds the directions
+    # differently in the last bit, which the decay reports would show
+    for x, rho in zip(base, infinitesimal_generator(model, base).tolist()):
+        for d in _transverse_directions(model, rho):
             xs.append(x)
             ds.append(d)
     if not xs:
@@ -192,7 +182,7 @@ def restriction_decay_check(b: SymbolFunction, model: ActionModel, *,
     ds = np.asarray(ds, dtype=complex)[:, None]
     XI = ds * radii[None, :]
     X = np.broadcast_to(xs, XI.shape)
-    mag = b.magnitude({name_x: X}, {name_f: XI})
+    mag = b.magnitude(X, XI)
     sup = mag.max(axis=0)
     monotone = all(b2 <= a2 * (1 + 1e-9) + 1e-15 for a2, b2 in zip(sup, sup[1:]))
     passed = monotone and float(sup[-1]) < DECAY_DELTA
@@ -232,8 +222,7 @@ def normalized_remainder_symbol(model: ActionModel,
     sigma_ij sigma_jk, and the operator norm comes from the two diagonal
     grading blocks (`geometry._singular_stats`).
     """
-    name_x = model.base_coords[0].name
-    name_f = model.fiber_coords[0].name
+    base, fiber = model.base.name, _fiber(model).name
     polys = _entry_polys(model.symbol)
     table = CompiledPolys(model.algebra, polys)
     parities = model.symbol.grading.parities
@@ -244,10 +233,10 @@ def normalized_remainder_symbol(model: ActionModel,
                          if polys[i, j] is not None and polys[j, k] is not None]
                 for i in range(d) for k in range(d) if parities[i] == parities[k]}
 
-    def evaluator(base_arrays, fiber_arrays):
-        x = np.asarray(base_arrays[name_x], dtype=complex)
-        xi = np.asarray(fiber_arrays[name_f], dtype=complex)
-        arrays = {name_x: x, name_f: xi}
+    def evaluator(x, xi):
+        x = np.asarray(x, dtype=complex)
+        xi = np.asarray(xi, dtype=complex)
+        arrays = {base: x, fiber: xi}
         for a, bb in model.algebra.conjugates.items():
             if a in arrays:
                 arrays[bb] = np.conj(arrays[a])
@@ -267,25 +256,17 @@ def normalized_remainder_symbol(model: ActionModel,
 
 def saturating_symbol(model: ActionModel, amplitude: float = 3.0) -> SymbolFunction:
     """f(x) (1 + |phi|^2)/(1 + |xi|^2): saturates the membership bound by design."""
-    name_x = model.base_coords[0].name
-    name_f = model.fiber_coords[0].name
+    _fiber(model)
 
-    def evaluator(base_arrays, fiber_arrays):
-        phi_sq, xi_sq = phi_xi_norms_grid(model, base_arrays, fiber_arrays)
-        x = np.asarray(base_arrays[name_x])
-        f = amplitude * bump(x, SUPPORT_RADIUS)
-        return f * (1.0 + phi_sq) / (1.0 + xi_sq)
+    def evaluator(x, xi):
+        return amplitude * bump(x, SUPPORT_RADIUS) * _bound_core(model, x, xi)
 
     return SymbolFunction(evaluator=evaluator, x_support_radius=SUPPORT_RADIUS)
 
 
 def constant_in_xi_symbol(model: ActionModel) -> SymbolFunction:
     """f(x), constant in xi: the negative control failing transverse decay."""
-    name_x = model.base_coords[0].name
-
-    def evaluator(base_arrays, fiber_arrays):
-        x = np.asarray(base_arrays[name_x])
-        xi = np.asarray(fiber_arrays[model.fiber_coords[0].name])
+    def evaluator(x, xi):
         return bump(x, SUPPORT_RADIUS) * np.ones_like(np.abs(xi))
 
     return SymbolFunction(evaluator=evaluator, x_support_radius=SUPPORT_RADIUS)

@@ -203,10 +203,13 @@ class TestCheckSymbol:
     @pytest.mark.parametrize("old, new, message", [
         ("summand weight=1 parity=odd\n[bundle.W]",
          "summand weight=x parity=odd\n[bundle.W]", "line 8,.*weight"),
-        # the removed [options] section: its setting is content outside a section
+        # the removed [options] section and other unknown headers
         pytest.param("z + i*xi, 0\n", "z + i*xi, 0\n[options]\nx_support = 2.0\n",
-                     "line 16,.*outside a known section: 'x_support = 2.0'",
+                     r"line 15,.*unknown section '\[options\]'",
                      id="options-section"),
+        ("z + i*xi, 0\n", "z + i*xi, 0\n[sybmol]\n", r"line 15,.*unknown section '\[sybmol\]'"),
+        ("z + i*xi, 0\n", "z + i*xi, 0\n[bundle.F]\nsummand weight=5 parity=odd\n",
+         r"line 15,.*unknown section '\[bundle.F\]'"),
         ("[symbol]\n0, conj(z) - i*conj(xi)\nz + i*xi, 0\n", "",
          r"line 1,.*\[symbol\]"),
         ("[bundle.W]\nsummand weight=0 parity=even\nsummand weight=1 parity=odd\n", "",

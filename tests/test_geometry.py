@@ -18,6 +18,7 @@ from equichern.geometry import (
     block_singular_values,
     builtin_model,
     c_plane,
+    c_plane_uv,
     clifford_multiplication,
     ellipticity_scan,
     gaussian_draws,
@@ -43,29 +44,29 @@ class TestInfinitesimalGenerator:
         # oracle: d/dt exp(-i t) * 1 at t = 0
         h = 1e-7
         oracle = (np.exp(-1j * h) - np.exp(1j * h)) / (2 * h)
-        got = infinitesimal_generator(m, 1.0, {"z": 1.0})["z"]
+        got = infinitesimal_generator(m, 1.0)
         assert abs(got - oracle) < 1e-8
         assert abs(got - (-1j)) < 1e-13
 
     def test_fixed_point(self):
         m = c_plane()
-        assert infinitesimal_generator(m, 1.0, {"z": 0.0})["z"] == 0
+        assert infinitesimal_generator(m, 0.0) == 0
 
     def test_circle_model_rotation_rate(self):
         m = zero_op_s1()
-        assert infinitesimal_generator(m, 2.0, {"theta": 0.4})["theta"] == 2.0
+        assert infinitesimal_generator(m, 0.4) == 1.0
 
 
 class TestOrbitalProjection:
     def test_unit_circle_covector(self):
         m = c_plane()
-        phi = orbital_projection(m, {"z": 1.0}, 1j)
-        assert abs(phi["z"] - 1j) < 1e-14
+        phi = orbital_projection(m, 1.0, 1j)
+        assert abs(phi - 1j) < 1e-14
 
     def test_origin_degenerates(self):
         m = c_plane()
-        phi = orbital_projection(m, {"z": 0.0}, 0.5 + 2j)
-        assert phi["z"] == 0
+        phi = orbital_projection(m, 0.0, 0.5 + 2j)
+        assert phi == 0
 
     def test_composition_oracle(self, rng):
         # oracle: compose the action derivative with its metric adjoint by hand
@@ -73,10 +74,10 @@ class TestOrbitalProjection:
         for _ in range(25):
             z = complex(rng.standard_normal(), rng.standard_normal())
             xi = complex(rng.standard_normal(), rng.standard_normal())
-            rho1 = infinitesimal_generator(m, 1.0, {"z": z})["z"]
+            rho1 = infinitesimal_generator(m, z)
             pairing = (xi * np.conj(rho1)).real
             oracle = rho1 * pairing
-            got = orbital_projection(m, {"z": z}, xi)["z"]
+            got = orbital_projection(m, z, xi)
             assert abs(got - oracle) < 1e-13
             assert abs(got - 1j * z * (np.conj(z) * xi).imag) < 1e-13
 
@@ -86,10 +87,29 @@ class TestOrbitalProjection:
         for _ in range(25):
             z = complex(rng.standard_normal(), rng.standard_normal())
             xi = complex(rng.standard_normal(), rng.standard_normal())
-            phi1 = orbital_projection(m, {"z": z}, xi)["z"]
-            phi2 = orbital_projection(m, {"z": z}, phi1)["z"]
-            rho_sq = abs(infinitesimal_generator(m, 1.0, {"z": z})["z"]) ** 2
+            phi1 = orbital_projection(m, z, xi)
+            phi2 = orbital_projection(m, z, phi1)
+            rho_sq = abs(infinitesimal_generator(m, z)) ** 2
             assert abs(phi2 - rho_sq * phi1) < 1e-12 * max(1.0, abs(phi1))
+
+    @pytest.mark.parametrize("build", [
+        c_plane, c_plane_uv,
+        lambda: parse_model_text(builtin_model_text("c-plane").replace(
+            "z  complex weight=1", "z  complex weight=2"))],
+        ids=["c-plane", "c-plane-uv", "base-weight-2"])
+    def test_symbolic_route_and_array_calls_agree(self, rng, build):
+        # _phi_polys (the augmentation's phi) and orbital_projection are the
+        # two routes to phi; an array call is its scalar calls elementwise
+        m = build()
+        phi_poly = geometry._phi_polys(m)[0]
+        x = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+        xi = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+        rho, phi = infinitesimal_generator(m, x), orbital_projection(m, x, xi)
+        for k in range(25):
+            assert infinitesimal_generator(m, x[k]) == rho[k]
+            assert orbital_projection(m, x[k], xi[k]) == phi[k]
+            point = m.full_point({m.base.name: x[k], m.fiber.name: xi[k]})
+            assert abs(phi_poly.evaluate(point) - phi[k]) <= 1e-13 * abs(phi[k])
 
 
 class TestClifford:
@@ -170,7 +190,7 @@ class TestAugmentedSymbol:
             z = complex(rng.standard_normal(), rng.standard_normal())
             t = rng.standard_normal()
             xi = t * z  # real multiples of z are orthogonal to the orbit
-            phi = orbital_projection(m, {"z": z}, xi)["z"]
+            phi = orbital_projection(m, z, xi)
             assert abs(phi) < 1e-13
             vals = entry_values(aug, m.full_point({"z": z, "xi": xi}))
             for i, j in ((0, 2), (1, 3), (2, 0), (3, 1)):
@@ -575,6 +595,19 @@ class TestHomotopy:
 
 
 class TestModelValidation:
+    @pytest.mark.parametrize("roles", [("base", "base", "fiber"), ("base", "fiber", "fiber"),
+                                       ("fiber",), ()],
+                             ids=["two-bases", "two-fibers", "no-base", "none"])
+    def test_one_base_and_at_most_one_fiber(self, roles):
+        coords = [Coordinate(f"c{k}", "complex", 1, role) for k, role in enumerate(roles)]
+        with pytest.raises(ValueError, match="one base coordinate"):
+            ActionModel("bad", coords, BundleSpec((0, 1), (0, 1)))
+
+    def test_fiberless_model_builds(self):
+        m = ActionModel("flat", (Coordinate("x", "complex", 1, "base"),),
+                        BundleSpec((0, 1), (0, 1)))
+        assert m.base.name == "x" and m.fiber is None
+
     def test_symbol_must_be_odd(self):
         coords = (Coordinate("z", "complex", 1, "base"),
                   Coordinate("xi", "complex", 1, "fiber"))

@@ -99,9 +99,9 @@ class TestModelFiles:
         ("z  complex weight=1", "z  complex weight=" + "9" * 400, r"line 4,.*2\*\*53"),
         ("summand weight=1 parity=odd\n[symbol]",
          f"summand weight={-2 ** 53 - 1} parity=odd\n[symbol]", r"line 11,.*2\*\*53"),
-        # an [options] line from the removed section is content outside a section
+        # the header of the removed [options] section is an unknown section
         pytest.param("z + i*xi, 0\n", "z + i*xi, 0\n[options]\nx_support = 2.0\n",
-                     "line 16,.*outside a known section: 'x_support = 2.0'",
+                     r"line 15,.*unknown section '\[options\]'",
                      id="options-section"),
     ])
     def test_out_of_range_numbers_rejected(self, old, new, message):
@@ -110,6 +110,16 @@ class TestModelFiles:
         assert old in text
         with pytest.raises(ModelParseError, match=message):
             parse_model_text(text.replace(old, new))
+
+    @pytest.mark.parametrize("tail", ["[options]\n", "[sybmol]\n",
+                                      "[bundle.F]\nsummand weight=5 parity=odd\n"])
+    def test_unknown_section_rejected(self, tail):
+        # any other bracketed header once parsed to the model without it
+        text = builtin_model_text("c-plane") + tail
+        header = tail.splitlines()[0]
+        with pytest.raises(ModelParseError,
+                           match=rf"line 15,.*unknown section '{re.escape(header)}'"):
+            parse_model_text(text)
 
     def test_largest_weight_accepted(self):
         text = builtin_model_text("c-plane").replace(

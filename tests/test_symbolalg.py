@@ -3,7 +3,16 @@ import pytest
 
 from conftest import odd_symbol_model
 from equichern import geometry
-from equichern.geometry import c_plane, zero_op_s1
+from equichern.geometry import (
+    SYMBOLIC,
+    ActionModel,
+    BundleSpec,
+    Coordinate,
+    UnsupportedShapeError,
+    augmented_symbol,
+    c_plane,
+    zero_op_s1,
+)
 from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.symbolalg import (
     N_RADII,
@@ -55,8 +64,8 @@ class TestConditionC:
         xi = 10 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
         for b in (saturating_symbol(plane), constant_in_xi_symbol(plane),
                   normalized_remainder_symbol(plane, 1.0)):
-            mag = b.magnitude({"z": x}, {"xi": xi})
-            flat = b.magnitude({"z": x.ravel()}, {"xi": xi.ravel()})
+            mag = b.magnitude(x, xi)
+            flat = b.magnitude(x.ravel(), xi.ravel())
             assert mag.shape == shape
             np.testing.assert_allclose(mag.ravel(), flat, rtol=1e-13, atol=1e-15)
 
@@ -104,9 +113,7 @@ class TestTransversalEllipticity:
     def test_compactly_supported_remainder_passes(self, plane):
         # sigma with sigma^2 = 1 outside a compact set: the remainder is
         # compactly supported in both variables
-        def evaluator(base_arrays, fiber_arrays):
-            x = np.asarray(base_arrays["z"])
-            xi = np.asarray(fiber_arrays["xi"])
+        def evaluator(x, xi):
             return bump(x, 1.0) * bump(xi, 2.0)
 
         b = SymbolFunction(evaluator, x_support_radius=1.0)
@@ -120,15 +127,36 @@ class TestTransversalEllipticity:
         assert doc["condition_c"][0]["entries"]
 
 
+class TestFiberlessModel:
+    @pytest.mark.parametrize("build", [
+        augmented_symbol, saturating_symbol, lambda m: normalized_remainder_symbol(m, 1.0),
+        transversal_ellipticity_check,
+        lambda m: condition_c_fit(SymbolFunction(lambda x, xi: bump(x, 1.0), 1.0), m, (0.1,)),
+        lambda m: restriction_decay_check(SymbolFunction(lambda x, xi: bump(x, 1.0), 1.0), m)],
+        ids=["augmented", "saturating", "remainder", "transversal", "condition-c", "decay"])
+    def test_missing_fiber_is_named(self, build):
+        # the first four once raised IndexError, and the decay check gave a
+        # verdict over fiber covectors the model does not have
+        graded = BundleSpec((0, 1), (0, 1))
+        model = ActionModel("no-fiber", (Coordinate("z", "complex", 1, "base"),),
+                            graded, graded)
+        alg = model.algebra
+        zero = alg.zero(SYMBOLIC)
+        model.set_symbol([[zero, alg.scalar(alg.coord("zbar"))],
+                          [alg.scalar(alg.coord("z")), zero]])
+        with pytest.raises(UnsupportedShapeError, match="no fiber coordinate"):
+            build(model)
+
+
 class TestAlgebraProperties:
     def test_products_of_members_remain_members(self, plane):
         # empirical algebra property on passing pairs
         b1 = saturating_symbol(plane, amplitude=2.0)
         b2 = normalized_remainder_symbol(plane, 1.5)
 
-        def product_eval(base_arrays, fiber_arrays):
-            m1 = b1.magnitude(base_arrays, fiber_arrays)
-            m2 = b2.magnitude(base_arrays, fiber_arrays)
+        def product_eval(x, xi):
+            m1 = b1.magnitude(x, xi)
+            m2 = b2.magnitude(x, xi)
             return m1 * m2
 
         prod = SymbolFunction(product_eval, x_support_radius=1.5)
@@ -152,13 +180,11 @@ class TestAlgebraProperties:
             assert c_ok == d_ok == expected
 
 
-def einsum_svd_remainder(model, radius, base_arrays, fiber_arrays):
+def einsum_svd_remainder(model, radius, x, xi):
     """The svd norm of a (1 - sigma_hat^2) by Poly.eval_grid and a (d, d) einsum."""
-    name_x = model.base_coords[0].name
-    name_f = model.fiber_coords[0].name
-    x = np.asarray(base_arrays[name_x], dtype=complex)
-    xi = np.asarray(fiber_arrays[name_f], dtype=complex)
-    arrays = {name_x: x, name_f: xi}
+    x = np.asarray(x, dtype=complex)
+    xi = np.asarray(xi, dtype=complex)
+    arrays = {model.base.name: x, model.fiber.name: xi}
     for a, b in model.algebra.conjugates.items():
         arrays[b] = np.conj(arrays[a])
     d = model.symbol.dim
@@ -175,12 +201,12 @@ def einsum_svd_remainder(model, radius, base_arrays, fiber_arrays):
 
 
 def sampled_grids(b, model):
-    """The (base, fiber) arrays that both membership checks sample b on."""
+    """The (x, xi) arrays that both membership checks sample b on."""
     grids = []
 
-    def evaluator(base_arrays, fiber_arrays):
-        grids.append((base_arrays, fiber_arrays))
-        return b.evaluator(base_arrays, fiber_arrays)
+    def evaluator(x, xi):
+        grids.append((x, xi))
+        return b.evaluator(x, xi)
 
     probe = SymbolFunction(evaluator, b.x_support_radius)
     condition_c_fit(probe, model, (0.1,))
@@ -208,9 +234,9 @@ class TestRemainderOracle:
         b = normalized_remainder_symbol(model, radius)
         grids = sampled_grids(b, model)
         assert len(grids) == (1 if name == "zero-op" else 2)
-        for base_arrays, fiber_arrays in grids:
-            ref, scale = einsum_svd_remainder(model, radius, base_arrays, fiber_arrays)
-            got = b.magnitude(base_arrays, fiber_arrays)
+        for x, xi in grids:
+            ref, scale = einsum_svd_remainder(model, radius, x, xi)
+            got = b.magnitude(x, xi)
             assert np.all(np.abs(got - ref) <= 1e-13 * (ref + scale))
             if name in ("c-plane", "constant-symbol"):
                 # the shipped symbols evaluate exactly: relative agreement
