@@ -93,8 +93,7 @@ class CharacterSeries:
 
     def is_integral(self, tol: float = 1e-9) -> bool:
         """All coefficients within tol of integers (the character-ring check)."""
-        return all(abs(c.real - round(c.real)) < tol and abs(c.imag) < tol
-                   for c in self.coefficients.values())
+        return integrality_report(self, tol)["integral"]
 
     def __eq__(self, other):
         if not isinstance(other, CharacterSeries):

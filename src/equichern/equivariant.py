@@ -15,7 +15,6 @@ are computed per theta.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -26,17 +25,17 @@ from .geometry import ActionModel, cartan_field
 from .supermatrix import (
     SuperMatrix,
     UnsupportedShapeError,
+    diagonal_body,
     duhamel_paths,
     exp_divided_difference,
     taylor_exp_blocked,
 )
 
-POLE_GUARD_THETA = 1e-6
 POLE_GUARD_W = 1e-8
 
 
 class PoleGuardError(ValueError):
-    """theta too close to a localization pole (2 pi Z) for this operation."""
+    """theta too close to a pole of the W character (2 pi Z) for this operation."""
 
 
 def _curvature(model: ActionModel) -> tuple[SuperMatrix, SuperMatrix]:
@@ -55,14 +54,8 @@ def split_body(mat: SuperMatrix) -> tuple[Poly, tuple[complex, ...], SuperMatrix
     degree-0 part is non-diagonal or the diagonal entries differ by
     non-constants.
     """
-    d = mat.dim
-    alg = mat.algebra
-    for i in range(d):
-        for j in range(d):
-            if i != j and not mat.entries[i][j].component(0).is_zero:
-                raise UnsupportedShapeError("degree-0 part is not diagonal")
-    diag0 = [mat.entries[i][i].component(0) for i in range(d)]
-    polys = [f.terms.get(0, alg.const(0.0)) for f in diag0]
+    diag0, soul = diagonal_body(mat)
+    polys = [f.terms.get(0, mat.algebra.const(0.0)) for f in diag0]
     shared = polys[0].without_constant()
     offsets = []
     for p in polys:
@@ -71,7 +64,6 @@ def split_body(mat: SuperMatrix) -> tuple[Poly, tuple[complex, ...], SuperMatrix
             raise UnsupportedShapeError(
                 "diagonal degree-0 entries differ by non-constant terms")
         offsets.append(diff.constant_value())
-    soul = mat - SuperMatrix.diagonal(alg, mat.grading, diag0, mat.backend)
     return shared, tuple(offsets), soul
 
 
@@ -88,11 +80,6 @@ def bundle_character(weights, parities, theta: complex) -> complex:
         term = cmath.exp(1j * w * theta)
         total += -term if p else term
     return total
-
-
-def _near_pole(theta: complex) -> bool:
-    k = round(theta.real / (2 * math.pi))
-    return abs(theta - 2 * math.pi * k) < POLE_GUARD_THETA
 
 
 @dataclass
@@ -212,16 +199,14 @@ def symbolic_chern(model: ActionModel, theta: complex,
     return chern_plan(model, moment_perturbation).evaluate(theta)
 
 
-def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex],
-               allow_near_pole: bool = False) -> Form:
+def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex]) -> Form:
     """Pointwise Chern form: supertrace of the dense exponential of the curvature.
 
     The model's compiled curvature gives the blocked component array of
     F0 + theta F1 at the point in one product; its exponential is traced
-    with the grading signs.
+    with the grading signs.  It is entire in theta: unlike the transverse
+    form, it has no poles at 2 pi Z.
     """
-    if _near_pole(theta) and not allow_near_pole:
-        raise PoleGuardError(f"theta={theta} within {POLE_GUARD_THETA} of a 2*pi*Z pole")
     _curvature(model)
     curv = model.curvature_array
     expf = taylor_exp_blocked(curv.at(theta, model.full_point(point)), curv.layout)

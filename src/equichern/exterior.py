@@ -129,17 +129,13 @@ class ExteriorAlgebra:
 
     def mask_of(self, names: Iterable[str]) -> tuple[int, int]:
         """Bitmask of a generator tuple plus the sign of sorting it canonically."""
-        idx = [self.gen_index[n] for n in names]
-        if len(set(idx)) != len(idx):
-            raise AlgebraError("repeated generator in subset")
-        sign = 1
-        for i in range(len(idx)):
-            for j in range(i + 1, len(idx)):
-                if idx[i] > idx[j]:
-                    sign = -sign
-        mask = 0
-        for i in idx:
-            mask |= 1 << i
+        mask, sign = 0, 1
+        for name in names:
+            bit = 1 << self.gen_index[name]
+            if mask & bit:
+                raise AlgebraError("repeated generator in subset")
+            sign *= _merge_sign(mask, bit)
+            mask |= bit
         return mask, sign
 
     # -- numeric multiplication table ---------------------------------------
@@ -310,54 +306,43 @@ class Poly:
         return " + ".join(parts)
 
 
-def monomial_table(algebra: ExteriorAlgebra, rows: Iterable[tuple[int, Poly]],
-                   n_rows: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Polynomials as one product: ``(coords, exponents, coeffs)``.
-
-    ``rows`` yields ``(row, poly)``, one polynomial per row.  Row ``row`` of
-    ``coeffs`` ``(n_rows, M)`` holds its coefficients against the M monomials
-    of ``exponents`` ``(M, len(coords))``, numbered in order of first
-    appearance, over the coordinates ``coords`` that occur.
-    """
-    monomials: dict[tuple, int] = {}
-    terms = []
-    for row, poly in rows:
-        for mono, c in poly.terms.items():
-            terms.append((row, monomials.setdefault(mono, len(monomials)), c))
-    coeffs = np.zeros((n_rows, len(monomials)), dtype=np.complex128)
-    for row, col, c in terms:
-        coeffs[row, col] = c
-    exps = np.array(list(monomials), dtype=int).reshape(len(monomials),
-                                                        len(algebra.coordinates))
-    used = np.flatnonzero(exps.any(axis=0))
-    return tuple(algebra.coordinates[c] for c in used), exps[:, used], coeffs
-
-
 class CompiledPolys:
     """An array of polynomials compiled once, evaluated on grids as one product.
 
     ``polys`` is an object array of polynomials (None for zero); each
-    polynomial is one row of ``coeffs``, and the None entries are not
-    compiled.  On coordinate arrays of one shape every monomial is formed
-    once, from per-coordinate power tables, and the polynomials are
-    ``coeffs @ monomials``.
+    polynomial is one row of ``coeffs``, against the monomials numbered in
+    order of first appearance, over the coordinates ``coords`` that occur,
+    and the None entries are not compiled.  On coordinate arrays of one
+    shape every monomial is formed once, from per-coordinate power tables,
+    and the polynomials are ``coeffs @ monomials``.
     """
 
     def __init__(self, algebra: ExteriorAlgebra, polys: np.ndarray):
         self.shape = polys.shape
         self.rows = [r for r, f in enumerate(polys.flat) if f is not None]
-        self.coords, exps, self.coeffs = monomial_table(
-            algebra, enumerate(polys.flat[self.rows]), len(self.rows))
+        monomials: dict[tuple, int] = {}
+        terms = [(row, monomials.setdefault(mono, len(monomials)), c)
+                 for row, poly in enumerate(polys.flat[self.rows])
+                 for mono, c in poly.terms.items()]
+        self.coeffs = np.zeros((len(self.rows), len(monomials)), dtype=np.complex128)
+        for row, col, c in terms:
+            self.coeffs[row, col] = c
+        exps = np.array(list(monomials), dtype=int).reshape(len(monomials),
+                                                            len(algebra.coordinates))
+        used = np.flatnonzero(exps.any(axis=0))
+        exps = exps[:, used]
+        self.coords = tuple(algebra.coordinates[c] for c in used)
         self.top = exps.max(axis=0, initial=0)
         self.factors = [[(k, e) for k, e in enumerate(m) if e] for m in exps.tolist()]
 
     def entries(self, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
         """``polys.shape + shape``: each polynomial on the grid, exact zeros for None."""
-        shape = np.shape(next(iter(arrays.values())))
-        powers = []
-        for name, top in zip(self.coords, self.top):
+        for name in self.coords:
             if name not in arrays:
                 raise EvaluationError(f"no value assigned to coordinate {name!r}")
+        shape = np.shape(next(iter(arrays.values()), 0.0))
+        powers = []
+        for name, top in zip(self.coords, self.top):
             v = np.asarray(arrays[name], dtype=np.complex128)
             table = [None, v]
             for _ in range(1, top):
@@ -463,20 +448,18 @@ class Form:
             if name not in gi:
                 raise AlgebraError(f"unknown generator {name!r}")
             comps[gi[name]] = val
+        order = sorted(comps)
         out: dict[int, object] = {}
         for mask, coeff in self.terms.items():
-            sign = 1
-            for i in range(len(self.algebra.generators)):
+            for i in order:
                 bit = 1 << i
                 if not mask & bit:
                     continue
-                if i in comps:
-                    c = coeff * comps[i]
-                    if sign < 0:
-                        c = -c
-                    m = mask ^ bit
-                    out[m] = out[m] + c if m in out else c
-                sign = -sign
+                m = mask ^ bit
+                c = coeff * comps[i]
+                if _merge_sign(bit, m) < 0:
+                    c = -c
+                out[m] = out[m] + c if m in out else c
         return Form(self.algebra, self.backend, out)
 
     def d(self) -> "Form":

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -188,11 +188,14 @@ class ActionModel:
         return Poly(self.algebra, out)
 
     def full_point(self, point: Mapping[str, complex]) -> dict[str, complex]:
-        """Extend a point on the real locus with its conjugate coordinates."""
+        """Extend a point on the real locus with its conjugate coordinates.
+
+        The values may be scalars or arrays; conjugates are taken elementwise.
+        """
         out = dict(point)
         for a, b in self.algebra.conjugates.items():
             if a in out and b not in out:
-                out[b] = complex(out[a]).conjugate()
+                out[b] = np.conj(np.asarray(out[a], dtype=complex))
         return out
 
     def __repr__(self):
@@ -280,8 +283,8 @@ def clifford_multiplication(model: ActionModel, w) -> SuperMatrix:
                         [alg.scalar(w, NUMERIC), z]])
 
 
-def _phi_polys(model: ActionModel) -> tuple[Poly, Poly]:
-    """Orbital projection applied to the tautological covector, as (phi, conj phi)."""
+def _phi_polys(model: ActionModel) -> Poly:
+    """Orbital projection applied to the tautological covector, phi."""
     b, f = model.base, _fiber(model)
     if b.kind != COMPLEX:
         raise UnsupportedShapeError("symbolic phi implemented for a complex base coordinate")
@@ -291,19 +294,22 @@ def _phi_polys(model: ActionModel) -> tuple[Poly, Poly]:
     rho_bar = model.conj_poly(rho)
     x_bar = model.conj_poly(xc)
     s = (xc * rho_bar + x_bar * rho) * 0.5
-    phi = rho * s
-    return phi, model.conj_poly(phi)
+    return rho * s
 
 
-def _augmented_from_cliff_arg(model: ActionModel, w: Poly, wbar: Poly) -> SuperMatrix:
-    """sigma (x) 1 + 1 (x) c(w) on E (x) W with graded tensor signs."""
+def _augmented_from_cliff_arg(model: ActionModel, w: Poly) -> SuperMatrix:
+    """sigma (x) 1 + 1 (x) c(w) on E (x) W with graded tensor signs.
+
+    c(w) is Clifford multiplication by the orbital value w, with conj(w) in
+    its upper right entry, as in `clifford_multiplication`.
+    """
     e, wspec = model.bundle_e, model.bundle_w
     if e is None or wspec is None or e.rank != 2 or wspec.rank != 2:
         raise UnsupportedShapeError("augmentation needs rank-2 E and W bundles")
     alg = model.algebra
     zero = alg.zero(SYMBOLIC)
     sigma = model.symbol.entries
-    cmat = [[None, alg.scalar(wbar)], [alg.scalar(w), None]]
+    cmat = [[None, alg.scalar(model.conj_poly(w))], [alg.scalar(w), None]]
     basis = list(model.script_e_pairs)
     d = len(basis)
     out = [[zero for _ in range(d)] for _ in range(d)]
@@ -323,8 +329,7 @@ def _augmented_from_cliff_arg(model: ActionModel, w: Poly, wbar: Poly) -> SuperM
 
 def augmented_symbol(model: ActionModel) -> SuperMatrix:
     """Augment the symbol by orbital Clifford multiplication: sigma (x) 1 + 1 (x) c(phi)."""
-    phi, phibar = _phi_polys(model)
-    return _augmented_from_cliff_arg(model, phi, phibar)
+    return _augmented_from_cliff_arg(model, _phi_polys(model))
 
 
 # -- homotopy to the constant-coefficient normal form ------------------------------
@@ -353,16 +358,14 @@ class HomotopyPath:
 
 def homotopy_path(model: ActionModel) -> HomotopyPath:
     """Two-stage path: flatten the orbital factor, then shear in the fiber."""
-    phi, phibar = _phi_polys(model)
+    start = augmented_symbol(model)
     if model.fiber.kind != COMPLEX:
         raise UnsupportedShapeError("homotopy implemented for complex base and fiber")
     zc = model.algebra.coord(model.base.name)
     xc = model.algebra.coord(model.fiber.name)
-    w_mid = 1j * zc
-    w_end = 1j * zc + xc
-    stage = lambda w: _augmented_from_cliff_arg(model, w, model.conj_poly(w))
-    start = _augmented_from_cliff_arg(model, phi, phibar)
-    return HomotopyPath(((start, stage(w_mid)), (stage(w_mid), stage(w_end))))
+    mid = _augmented_from_cliff_arg(model, 1j * zc)
+    end = _augmented_from_cliff_arg(model, 1j * zc + xc)
+    return HomotopyPath(((start, mid), (mid, end)))
 
 
 # -- ellipticity scanning ------------------------------------------------------------
@@ -399,16 +402,7 @@ class ScanReport:
         return {
             "passed": bool(self.passed),
             "growth_exponent": float(self.growth_exponent),
-            "shells": [
-                {
-                    "radius": s.radius,
-                    "min_normalized_det": s.min_normalized_det,
-                    "median_opnorm": s.median_opnorm,
-                    "median_det": s.median_det,
-                    "degenerate": s.degenerate,
-                }
-                for s in self.shells
-            ],
+            "shells": [asdict(s) for s in self.shells],
             "degenerate_points": [[float(x) for x in p] for p in self.degenerate_points],
         }
 
@@ -716,8 +710,7 @@ def c_plane() -> ActionModel:
     sigma = [[zero, alg.scalar(zb - 1j * xb)], [alg.scalar(z + 1j * x), zero]]
     model.set_symbol(sigma)
     # superconnection odd term: i * (constant-coefficient endpoint of the homotopy)
-    ltilde = _augmented_from_cliff_arg(model, 1j * z + x, model.conj_poly(1j * z + x))
-    model.set_odd_term(ltilde.scale(1j))
+    model.set_odd_term(_augmented_from_cliff_arg(model, 1j * z + x).scale(1j))
     return model
 
 
@@ -729,20 +722,11 @@ def c_plane_uv() -> ActionModel:
     w = BundleSpec((0, 1), (0, 1))
     model = ActionModel("c-plane-uv", coords, e, w)
     alg = model.algebra
-    u, ub = alg.coord("u"), alg.coord("ubar")
-    v, vb = alg.coord("v"), alg.coord("vbar")
     zero = alg.zero(SYMBOLIC)
-    sigma = [[zero, alg.scalar(ub)], [alg.scalar(u), zero]]
+    sigma = [[zero, alg.scalar(alg.coord("ubar"))], [alg.scalar(alg.coord("u")), zero]]
     model.set_symbol(sigma)
-    sc = [
-        [0, 0, vb, ub],
-        [0, 0, u, -1 * v],
-        [v, ub, 0, 0],
-        [u, -1 * vb, 0, 0],
-    ]
-    rows = [[alg.scalar(p) if isinstance(p, Poly) else alg.scalar(float(p))
-             for p in row] for row in sc]
-    model.set_odd_term(SuperMatrix(alg, model.bundle_script_e.grading(), rows).scale(1j))
+    # superconnection odd term: i * (the symbol augmented by c(v))
+    model.set_odd_term(_augmented_from_cliff_arg(model, alg.coord("v")).scale(1j))
     return model
 
 

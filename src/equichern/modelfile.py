@@ -57,6 +57,9 @@ _TOKEN_RE = re.compile(r"""
 # Largest power accepted after ``^``: Poly.__pow__ multiplies once per unit of
 # the exponent, and symbols of interest have low degree.
 MAX_EXPONENT = 64
+# Deepest nesting of parentheses and unary minus signs accepted in an entry:
+# the parser recurses once per level, and Python's recursion limit is finite.
+MAX_NESTING = 64
 
 
 @dataclass
@@ -88,6 +91,7 @@ class _PolyParser:
         self.model = model
         self.line = line
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -143,14 +147,8 @@ class _PolyParser:
     def atom(self) -> Poly:
         t = self.next()
         alg = self.model.algebra
-        if t.text == "-":
-            return -self.atom()
-        if t.text == "(":
-            p = self.expr()
-            closing = self.next()
-            if closing.text != ")":
-                raise ModelParseError("expected ')'", self.line, closing.col)
-            return p
+        if t.text in ("-", "("):
+            return self.nested(t)
         if t.kind == "num":
             return alg.const(float(t.text))
         if t.kind == "name":
@@ -176,6 +174,23 @@ class _PolyParser:
                 return alg.coord(t.text)
             raise ModelParseError(f"unknown coordinate {t.text!r}", self.line, t.col)
         raise ModelParseError(f"unexpected {t.text!r}", self.line, t.col)
+
+    def nested(self, t: _Token) -> Poly:
+        """A unary minus or a parenthesized expression, opened by ``t``, one level deeper."""
+        if self.depth == MAX_NESTING:
+            raise ModelParseError(
+                f"parentheses and unary signs nested more than {MAX_NESTING} deep",
+                self.line, t.col)
+        self.depth += 1
+        if t.text == "-":
+            p = -self.atom()
+        else:
+            p = self.expr()
+            closing = self.next()
+            if closing.text != ")":
+                raise ModelParseError("expected ')'", self.line, closing.col)
+        self.depth -= 1
+        return p
 
 
 def parse_polynomial(text: str, model: ActionModel, line: int = 1) -> Poly:

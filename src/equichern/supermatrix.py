@@ -33,10 +33,9 @@ from .exterior import (
     SYMBOLIC,
     AlgebraMismatchError,
     BackendError,
-    EvaluationError,
+    CompiledPolys,
     ExteriorAlgebra,
     Form,
-    monomial_table,
 )
 
 EVEN = 0
@@ -480,15 +479,12 @@ def super_exp(a: SuperMatrix, tol: float = TAYLOR_TOL) -> SuperMatrix:
 class AffineArray:
     """Component arrays of M0 + t M1, two symbolic supermatrices, compiled.
 
-    Every coefficient polynomial is a row of ``coeffs`` ``(2, d d 2^n, M)``,
-    in the blocked order of ``layout``, against the M monomials of
-    ``exponents`` ``(M, len(coords))`` in the coordinates ``coords`` that
-    occur, so the blocked array at a point is one product.
+    ``table`` holds the coefficient polynomials of both, ``(2, d d 2^n)`` in
+    the blocked order of ``layout``, so the blocked array at a point is one
+    product of coefficients and monomials.
     """
 
-    coords: tuple[str, ...]
-    exponents: np.ndarray
-    coeffs: np.ndarray
+    table: CompiledPolys
     layout: BlockLayout
 
     @classmethod
@@ -496,29 +492,23 @@ class AffineArray:
         m0._check(m1)
         alg, d = m0.algebra, m0.dim
         K = alg.n_components
-        n = d * d * K
-        coords, exps, dense = monomial_table(alg, (
-            (t * n + (i * d + j) * K + mask, poly)
-            for t, mat in enumerate((m0, m1))
-            for i, row in enumerate(mat.entries)
-            for j, f in enumerate(row)
-            for mask, poly in f.terms.items()), 2 * n)
-        dense = dense.reshape(2, n, len(exps))
-        parities = m0.grading.parities
-        even = is_even(np.abs(dense).sum(axis=(0, 2)).reshape(d, d, K), parities)
-        layout = block_layout(alg, parities, even)
-        coeffs = np.empty_like(dense)
-        coeffs[:, layout.index.ravel()] = dense
-        return cls(coords=coords, exponents=exps, coeffs=coeffs, layout=layout)
+        terms = [(t, i, j, mask, poly)
+                 for t, mat in enumerate((m0, m1))
+                 for i, row in enumerate(mat.entries)
+                 for j, f in enumerate(row)
+                 for mask, poly in f.terms.items()]
+        support = np.zeros((d, d, K))
+        for _, i, j, mask, _ in terms:
+            support[i, j, mask] = 1.0
+        layout = block_layout(alg, m0.grading.parities, is_even(support, m0.grading.parities))
+        polys = np.full((2, d * d * K), None, dtype=object)
+        for t, i, j, mask, poly in terms:
+            polys[t, layout.index[i, j, mask]] = poly
+        return cls(table=CompiledPolys(alg, polys), layout=layout)
 
     def at(self, t: complex, point: Mapping[str, complex]) -> np.ndarray:
         """The blocked array of M0 + t M1 at a point."""
-        try:
-            vals = np.array([point[c] for c in self.coords], dtype=np.complex128)
-        except KeyError as exc:
-            raise EvaluationError(
-                f"no value assigned to coordinate {exc.args[0]!r}") from None
-        r = self.coeffs @ np.prod(vals ** self.exponents, axis=1)
+        r = self.table.entries(point)
         return (r[0] + t * r[1]).reshape(self.layout.shape)
 
 
@@ -628,6 +618,19 @@ def duhamel_paths(soul: Sequence[SuperMatrix], diag: Sequence):
         yield from walk(i, i, one, (diag[i],))
 
 
+def diagonal_body(mat: SuperMatrix) -> tuple[list[Form], SuperMatrix]:
+    """The degree-0 diagonal entries of a matrix, and its soul (the rest).
+
+    Raises UnsupportedShapeError when degree-0 content lies off the diagonal.
+    """
+    d = mat.dim
+    if any(i != j and not mat.entries[i][j].component(0).is_zero
+           for i in range(d) for j in range(d)):
+        raise UnsupportedShapeError("degree-0 content outside the diagonal body")
+    diag = [mat.entries[i][i].component(0) for i in range(d)]
+    return diag, mat - SuperMatrix.diagonal(mat.algebra, mat.grading, diag, mat.backend)
+
+
 def super_exp_duhamel(a: SuperMatrix) -> SuperMatrix:
     """Matrix exponential via the Duhamel expansion around a diagonal body.
 
@@ -641,16 +644,8 @@ def super_exp_duhamel(a: SuperMatrix) -> SuperMatrix:
         raise BackendError("super_exp_duhamel requires the numeric backend")
     d = a.dim
     z = a.algebra.zero(NUMERIC)
-    body = SuperMatrix.diagonal(a.algebra, a.grading,
-                                [a.entries[i][i].component(0) for i in range(d)], NUMERIC)
-    beta = [body.entries[i][i].terms.get(0, 0.0 + 0.0j) for i in range(d)]
-    soul = a - body
-    for i in range(d):
-        for j in range(d):
-            if not soul.entries[i][j].component(0).is_zero:
-                raise UnsupportedShapeError(
-                    "degree-0 content outside the diagonal body")
-
+    diag, soul = diagonal_body(a)
+    beta = [f.terms.get(0, 0.0 + 0.0j) for f in diag]
     out = [[z for _ in range(d)] for _ in range(d)]
     for i in range(d):
         out[i][i] = a.algebra.scalar(cmath.exp(beta[i]), NUMERIC)

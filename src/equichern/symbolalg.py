@@ -236,10 +236,7 @@ def normalized_remainder_symbol(model: ActionModel,
     def evaluator(x, xi):
         x = np.asarray(x, dtype=complex)
         xi = np.asarray(xi, dtype=complex)
-        arrays = {base: x, fiber: xi}
-        for a, bb in model.algebra.conjugates.items():
-            if a in arrays:
-                arrays[bb] = np.conj(arrays[a])
+        arrays = model.full_point({base: x, fiber: xi})
         scale = np.sqrt(1.0 + np.abs(x) ** 2 + np.abs(xi) ** 2)
         sig = table.entries(arrays) / scale
         rem = np.zeros(sig.shape, dtype=complex)

@@ -261,6 +261,17 @@ class TestCheckSymbol:
         assert code == 3
         assert re.search(r"line 14, col 3: .*exponent above 64", capsys.readouterr().err)
 
+    @pytest.mark.parametrize("entry, col", [("(" * 247 + "z" + ")" * 247, 65),
+                                            ("z*" + "-" * 986 + "z", 67)])
+    def test_deep_nesting_exit_three(self, tmp_path, capsys, entry, col):
+        # past Python's recursion limit without the cap: a traceback, exit 1
+        path = tmp_path / "bad.model"
+        path.write_text(builtin_model_text("c-plane").replace("z + i*xi", entry))
+        code = run(["check-symbol", path, "--out-dir", tmp_path])
+        assert code == 3
+        assert re.search(rf"line 14, col {col}: .*nested more than 64 deep",
+                         capsys.readouterr().err)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_largest_xi_max_runs_without_overflow(self, tmp_path):
         # |xi|^2 and its powers overflow on this model from about 1e150

@@ -264,6 +264,10 @@ class TestChernForm:
         with pytest.raises(EvaluationError, match="'xi'"):
             chern_form(zero_op_s1(), 1.3, {"theta": 0.2})
 
+    def test_empty_point_names_the_first_coordinate(self):
+        with pytest.raises(EvaluationError, match="'u'"):
+            chern_form(c_plane_uv(), 1.3, {})
+
     def test_new_odd_term_recompiles_the_dense_route(self):
         m = c_plane_uv()
         rows = [list(row) for row in m.odd_term.entries]
@@ -292,13 +296,14 @@ class TestChernForm:
         assert not calls
         assert a.isclose(b, 0.0)
 
-    def test_pole_guard(self):
+    def test_finite_near_two_pi_z(self):
+        # the supertrace of exp(F0 + theta F1) is entire in theta; only the W
+        # character (the transverse form) has poles at 2 pi Z
         m = c_plane_uv()
-        with pytest.raises(PoleGuardError):
-            chern_form(m, 2 * cmath.pi + 1e-9, {"u": 0.0, "v": 0.0})
-        ch = chern_form(m, 2 * cmath.pi + 1e-9, {"u": 0.0, "v": 0.0},
-                        allow_near_pole=True)
-        assert ch.norm_max() < 1e-8  # (1 - e^{i theta})^2 collapses at the pole
+        for theta in (2 * cmath.pi, 2 * cmath.pi + 1e-9, 4 * cmath.pi - 1e-7):
+            for u, v in ((0.0, 0.0), (0.3 + 0.2j, -0.5 + 0.1j)):
+                got = chern_form(m, theta, {"u": u, "v": v})
+                assert got.isclose(closed_form_reference(m, u, v, theta), 1e-12)
 
     def test_symbolic_route_matches_dense_exponential(self, rng):
         m = c_plane_uv()
@@ -544,3 +549,23 @@ class TestChernPlan:
         chern_form(m, 1.3, PLAN_POINTS["c_plane_uv"])
         assert vars(m).keys() == before.keys()
         assert all(vars(m)[k] is v for k, v in before.items())
+
+
+def parsed_plane_model():
+    return parse_model_text(builtin_model_text("c-plane"))
+
+
+@pytest.mark.parametrize("make", [c_plane, c_plane_uv, zero_op_s1, sloped_soul_model,
+                                  parsed_plane_model])
+def test_compiled_curvature_matches_poly_evaluation(make, rng):
+    # the compiled route (power tables, one product) against Poly.evaluate
+    m = make()
+    curv = m.curvature_array
+    for theta in (0.3, cmath.pi, 2 + 1j):
+        for _ in range(3):
+            point = {c.name: complex(*rng.uniform(-1.5, 1.5, 2)) if c.kind == "complex"
+                     else rng.uniform(-3, 3) for c in m.coordinates_meta}
+            point = m.full_point(point)
+            got = curv.layout.unblock(curv.at(theta, point))
+            ref = equivariant_curvature(m, theta).evaluate(point).to_array()
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from equichern.exterior import (
@@ -49,6 +51,21 @@ class TestWedge:
             a = random_form(plane_algebra, rng, degrees={1})
             b = random_form(plane_algebra, rng, degrees={1})
             assert a * b == -(b * a)
+
+
+class TestMaskOf:
+    def test_sign_is_permutation_parity(self, plane_algebra):
+        gens = plane_algebra.generators
+        for size in range(len(gens) + 1):
+            for names in itertools.permutations(gens, size):
+                idx = [gens.index(n) for n in names]
+                inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+                assert plane_algebra.mask_of(names) == (sum(1 << i for i in idx),
+                                                        (-1) ** inversions)
+
+    def test_repeated_generator_rejected(self, plane_algebra):
+        with pytest.raises(AlgebraError, match="repeated"):
+            plane_algebra.mask_of(("dv", "du", "dv"))
 
 
 class TestInteriorProduct:

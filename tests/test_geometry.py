@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from equichern import geometry
-from equichern.exterior import NUMERIC, SYMBOLIC, CompiledPolys, EvaluationError
+from equichern.exterior import NUMERIC, SYMBOLIC, CompiledPolys, EvaluationError, Poly
 from equichern.geometry import (
     ActionModel,
     BundleSpec,
@@ -101,7 +101,7 @@ class TestOrbitalProjection:
         # _phi_polys (the augmentation's phi) and orbital_projection are the
         # two routes to phi; an array call is its scalar calls elementwise
         m = build()
-        phi_poly = geometry._phi_polys(m)[0]
+        phi_poly = geometry._phi_polys(m)
         x = rng.standard_normal(25) + 1j * rng.standard_normal(25)
         xi = rng.standard_normal(25) + 1j * rng.standard_normal(25)
         rho, phi = infinitesimal_generator(m, x), orbital_projection(m, x, xi)
@@ -632,6 +632,20 @@ class TestModelValidation:
         m = c_plane()
         assert m.bundle_script_e.weights == (0, 2, 1, 1)
         assert m.bundle_script_e.parities == (0, 0, 1, 1)
+
+    def test_plane_uv_odd_term_matches_written_matrix(self):
+        # i (sigma (x) 1 + 1 (x) c(v)) on the basis (0,0), (1,1), (0,1), (1,0)
+        m = c_plane_uv()
+        alg = m.algebra
+        u, ub, v, vb = (alg.coord(c) for c in ("u", "ubar", "v", "vbar"))
+        written = [[0, 0, vb, ub],
+                   [0, 0, u, -1 * v],
+                   [v, ub, 0, 0],
+                   [u, -1 * vb, 0, 0]]
+        rows = [[alg.scalar(p) if isinstance(p, Poly) else alg.scalar(float(p))
+                 for p in row] for row in written]
+        ref = SuperMatrix(alg, m.bundle_script_e.grading(), rows).scale(1j)
+        assert m.odd_term.entries == ref.entries
 
     def test_builtin_lookup(self):
         assert builtin_model("c-plane").name == "c-plane"

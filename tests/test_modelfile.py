@@ -6,6 +6,7 @@ import pytest
 from equichern.geometry import augmented_symbol, c_plane
 from equichern.modelfile import (
     MAX_EXPONENT,
+    MAX_NESTING,
     ModelParseError,
     builtin_model_text,
     parse_model_text,
@@ -138,4 +139,26 @@ class TestModelFiles:
         # Poly.__pow__ multiplies once per unit, so a huge power once stalled
         text = builtin_model_text("c-plane").replace("z + i*xi", f"z^{power} + i*xi")
         with pytest.raises(ModelParseError, match="line 14, col 3: .*exponent above 64"):
+            parse_model_text(text)
+
+    def test_nesting_up_to_the_cap_accepted(self, parsed_plane):
+        assert MAX_NESTING == 64
+        z = parsed_plane.algebra.coord("z")
+        assert parse_polynomial("(" * 64 + "z" + ")" * 64, parsed_plane) == z
+        assert parse_polynomial("z*" + "-" * 64 + "z", parsed_plane) == z * z
+        # each "(z*-" opens two levels: the parenthesis and the unary minus
+        assert parse_polynomial("(z*-" * 32 + "z" + ")" * 32, parsed_plane) == z ** 33
+
+    @pytest.mark.parametrize("entry, col", [
+        ("(" * 65 + "z" + ")" * 65, 65),
+        ("z*" + "-" * 65 + "z", 67),
+        ("(z*-" * 33 + "z" + ")" * 33, 129),
+        # deep enough to pass Python's recursion limit without the cap
+        ("(" * 247 + "z" + ")" * 247, 65),
+        ("z*" + "-" * 986 + "z", 67),
+    ])
+    def test_nesting_above_the_cap_rejected(self, entry, col):
+        text = builtin_model_text("c-plane").replace("z + i*xi", entry)
+        with pytest.raises(ModelParseError,
+                           match=f"line 14, col {col}: .*nested more than 64 deep"):
             parse_model_text(text)
