@@ -50,12 +50,9 @@ class CharacterSeries:
         hi = min(self.window[1], other.window[1])
         if lo > hi:
             raise WindowError("windows do not overlap")
-        out: dict[int, complex] = {}
-        for n in range(lo, hi + 1):
-            c = self.coefficients.get(n, 0) + other.coefficients.get(n, 0)
-            if c != 0:
-                out[n] = c
-        return CharacterSeries(out, (lo, hi))
+        a, b = self.coefficients, other.coefficients
+        return CharacterSeries({n: a.get(n, 0) + b.get(n, 0) for n in range(lo, hi + 1)},
+                               (lo, hi))
 
     def __neg__(self):
         return CharacterSeries({n: -c for n, c in self.coefficients.items()}, self.window)
@@ -124,26 +121,13 @@ def geometric_expand(c: complex, m: int, direction: str,
     if m == 0:
         raise ValueError("weight m must be nonzero")
     lo, hi = window
-    out: dict[int, complex] = {}
+    # the terms run away from 0 in one direction; the last is the last in the window
     if direction == POSITIVE:
-        k = 0
-        while True:
-            n = k * m
-            if (m > 0 and n > hi) or (m < 0 and n < lo):
-                break
-            if lo <= n <= hi:
-                out[n] = out.get(n, 0) + c**k
-            k += 1
+        last = (hi if m > 0 else -lo) // abs(m)
+        out = {k * m: c**k for k in range(last + 1)}
     elif direction == NEGATIVE:
-        cinv = 1.0 / c
-        k = 1
-        while True:
-            n = -k * m
-            if (m > 0 and n < lo) or (m < 0 and n > hi):
-                break
-            if lo <= n <= hi:
-                out[n] = out.get(n, 0) - cinv**k
-            k += 1
+        last = (-lo if m > 0 else hi) // abs(m)
+        out = {-k * m: -(1.0 / c) ** k for k in range(1, last + 1)}
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return CharacterSeries(out, window)

@@ -118,9 +118,7 @@ class ExteriorAlgebra:
         return Form(self, backend, {0: self.const(value)})
 
     def gen(self, name: str, backend: str = SYMBOLIC) -> "Form":
-        if name not in self.gen_index:
-            raise AlgebraError(f"unknown generator {name!r}")
-        mask = 1 << self.gen_index[name]
+        mask, _ = self.mask_of((name,))
         coeff = 1.0 + 0.0j if backend == NUMERIC else self.const(1.0)
         return Form(self, backend, {mask: coeff})
 
@@ -131,6 +129,8 @@ class ExteriorAlgebra:
         """Bitmask of a generator tuple plus the sign of sorting it canonically."""
         mask, sign = 0, 1
         for name in names:
+            if name not in self.gen_index:
+                raise AlgebraError(f"unknown generator {name!r}")
             bit = 1 << self.gen_index[name]
             if mask & bit:
                 raise AlgebraError("repeated generator in subset")
@@ -340,7 +340,8 @@ class CompiledPolys:
         for name in self.coords:
             if name not in arrays:
                 raise EvaluationError(f"no value assigned to coordinate {name!r}")
-        shape = np.shape(next(iter(arrays.values()), 0.0))
+        # a table of constants takes its grid from the whole point
+        shape = np.broadcast(*(arrays[n] for n in self.coords or arrays)).shape
         powers = []
         for name, top in zip(self.coords, self.top):
             v = np.asarray(arrays[name], dtype=np.complex128)

@@ -8,9 +8,11 @@ int z^a zbar^b e^{-s|z|^2} d^2z = delta_ab pi a!/s^{a+1}.  The volume
 orientation is symplectic: for p complex coordinate pairs it differs from
 the literal conjugate-first wedge word by (-1)^{p(p-1)/2}, the single global
 sign pinned by the golden index value.  Each top coefficient of the
-model's Chern plan is integrated once; index characters then evaluate the
-plan over all sampled thetas at once, and Fourier coefficients come from one
-FFT of uniform samples on the damped contour.  Oscillatory non-decaying
+model's Chern plan is integrated once.  Index characters evaluate the plan
+on one small real grid: the density times the W character is a Laurent
+polynomial in q = e^{i theta}, read off by one FFT, and the index values and
+Fourier coefficients are its quotient by the W character, the coefficients
+expanded in positive powers of q.  Oscillatory non-decaying
 models are rejected with a divergence error and handled by the regularized
 delta pairing, which reads its density at every parameter point from one
 plan evaluation.
@@ -26,14 +28,18 @@ import numpy as np
 
 from . import characters
 from .characters import CharacterSeries
-from .equivariant import ChernPlan, chern_plan, w_character
+from .equivariant import POLE_GUARD_W, ChernPlan, PoleGuardError, chern_plan, w_character
 from .exterior import Poly
 from .geometry import COMPLEX, ActionModel
 from .supermatrix import UnsupportedShapeError
 
 
-# Damping of the Fourier contour theta + i FOURIER_ETA, undone per coefficient.
-FOURIER_ETA = 1.0
+# The index numerator is fitted from NUMERATOR_SAMPLES real-grid points as a
+# Laurent polynomial of degree at most NUMERATOR_DEGREE; the fitted terms
+# above that degree may be at most ALIAS_TOL times the largest term.
+NUMERATOR_SAMPLES = 16
+NUMERATOR_DEGREE = 4
+ALIAS_TOL = 1e-10
 # Panel Gauss-Legendre grid of the delta pairing over (X, xi): half-widths,
 # panel counts and the nodes per panel.
 X_HALFWIDTH, XI_HALFWIDTH = 12.0, 14.0
@@ -43,6 +49,10 @@ PANEL_ORDER = 16
 
 class DivergenceError(ValueError):
     """Integrand lacks Gaussian decay; use delta_pairing for oscillatory models."""
+
+
+class AliasError(ValueError):
+    """The W-cleared index density is not a Laurent polynomial of the fitted degree."""
 
 
 def orientation_sign(model: ActionModel) -> int:
@@ -186,6 +196,7 @@ class IndexReport:
     diagnostics: dict
 
     def to_dict(self) -> dict:
+        lo, hi = self.fourier.window
         return {
             "theta_samples": [[t.real, t.imag] for t in self.theta_samples],
             "values": [[v.real, v.imag] for v in self.values],
@@ -193,7 +204,7 @@ class IndexReport:
                 "window": list(self.fourier.window),
                 "coefficients": {
                     str(n): [c.real, c.imag]
-                    for n, c in sorted(self.fourier.coefficients.items())
+                    for n in range(lo, hi + 1) for c in [self.fourier.coeff(n)]
                 },
             },
             "diagnostics": self.diagnostics,
@@ -201,49 +212,63 @@ class IndexReport:
 
 
 def index_character(model: ActionModel, theta_samples: int = 32,
-                    fourier_window: int = 16,
-                    fourier_samples: int = 128) -> IndexReport:
-    """Index values on a uniform pole-avoiding theta grid plus Fourier extraction.
+                    fourier_window: int = 16) -> IndexReport:
+    """Index values on a uniform pole-avoiding theta grid and their Fourier series.
 
-    Values are sampled on the real grid 2 pi (j + 1/2)/K.  Fourier
-    coefficients come from the DFT of samples on the upper-half-plane
-    contour theta + i FOURIER_ETA, the positive-power regularization under
-    which the coefficient series converges; the damping is undone per
-    coefficient.
-    Both grids are evaluated from one Chern plan in one call.
+    The index density times the W character, N = density ch_W, is a Laurent
+    polynomial in q = e^{i theta}.  It is fitted once from NUMERATOR_SAMPLES
+    points of the real grid 2 pi (j + 1/2)/N; its terms of degree at most
+    NUMERATOR_DEGREE are kept, and the fitted terms beyond that degree bound
+    the aliasing error (AliasError when they are not negligible).  The values
+    on the grid 2 pi (j + 1/2)/K are N/ch_W, and the Fourier coefficients are
+    the expansion of N/ch_W in positive powers of q (the regularization
+    Im theta > 0), exact for every window.
     """
     if theta_samples < 2:
         raise ValueError("need at least two theta samples")
-    if fourier_samples < 2 * fourier_window + 2:
-        raise ValueError("fourier_samples must exceed twice the window")
+    w = model.bundle_w
+    if w is None or sorted(w.parities) != [0, 1]:
+        raise UnsupportedShapeError("the index character needs a W bundle with one "
+                                    "even and one odd summand")
+    # ch_W = q^a - q^b = q^a (1 - q^m) for the even weight a and the odd weight b
+    a, b = w.weights if w.parities[0] == 0 else w.weights[::-1]
+    m = b - a
+
+    def ch_w(t):  # q^a (1 - q^m), free of cancellation near q = 1
+        return -2j * np.sin(m * t / 2) * np.exp(1j * (a + m / 2) * t)
+
+    grid = 2 * math.pi * (np.arange(NUMERATOR_SAMPLES) + 0.5) / NUMERATOR_SAMPLES
+    fit = fit_fourier(grid, _index_density(model, chern_plan(model), grid) * ch_w(grid),
+                      (NUMERATOR_SAMPLES - 1) // 2)
+    degrees = range(-NUMERATOR_DEGREE, NUMERATOR_DEGREE + 1)
+    alias = max((abs(c) for n, c in fit.coefficients.items() if n not in degrees),
+                default=0.0)
+    if alias > ALIAS_TOL * max((abs(c) for c in fit.coefficients.values()), default=0.0):
+        raise AliasError(f"the W-cleared index density has terms of degree above "
+                         f"{NUMERATOR_DEGREE} (largest {alias:.3e})")
+
     thetas = 2 * math.pi * (np.arange(theta_samples) + 0.5) / theta_samples
-    fthetas = (2 * math.pi * (np.arange(fourier_samples) + 0.5) / fourier_samples
-               + 1j * FOURIER_ETA)
-    density = _index_density(model, chern_plan(model),
-                             np.concatenate([thetas, fthetas]))
-    values = [complex(v) for v in density[:theta_samples]]
-    fvalues = density[theta_samples:]
-    damped = fit_fourier(fthetas, fvalues, fourier_window)
-
-    ns = np.arange(-fourier_window, fourier_window + 1)
-    recon = np.exp(1j * np.outer(fthetas, ns)) @ [damped.coeff(int(n)) for n in ns]
-    residual_rms = float(np.sqrt(np.mean(np.abs(recon - fvalues) ** 2)))
-
-    sym_dev = 0.0
-    for j in range(theta_samples):
-        k = theta_samples - 1 - j
-        sym_dev = max(sym_dev, abs(values[k] - values[j].conjugate()))
+    chw = ch_w(thetas)
+    if np.abs(chw).min() < POLE_GUARD_W:
+        raise PoleGuardError(f"W character below guard {POLE_GUARD_W} on the theta grid")
+    numerator = np.exp(1j * np.outer(thetas, degrees)) @ [fit.coeff(n) for n in degrees]
+    values = [complex(v) for v in numerator / chw]
+    # q^{-a} N on a window that holds all of it below the output window
+    shifted = CharacterSeries({n - a: fit.coeff(n) for n in degrees},
+                              (min(-fourier_window, -NUMERATOR_DEGREE - a), fourier_window))
+    fourier = characters.localized_index(
+        shifted, [m], characters.POSITIVE if m > 0 else characters.NEGATIVE
+    ).truncate((-fourier_window, fourier_window))
 
     diagnostics = {
         "orientation_sign": orientation_sign(model),
-        "fourier_eta": FOURIER_ETA,
-        "fourier_samples": fourier_samples,
-        "fourier_residual_rms": residual_rms,
-        "conjugate_symmetry_deviation": sym_dev,
+        "numerator_alias_bound": alias,
+        "conjugate_symmetry_deviation": max(abs(u - v.conjugate())
+                                            for u, v in zip(values[::-1], values)),
         "regularization": "positive powers (Im theta > 0)",
     }
     return IndexReport(theta_samples=[complex(t) for t in thetas], values=values,
-                       fourier=damped, diagnostics=diagnostics)
+                       fourier=fourier, diagnostics=diagnostics)
 
 
 # -- regularized delta pairing ---------------------------------------------------

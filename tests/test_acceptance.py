@@ -82,8 +82,7 @@ def test_criterion_2_plane_index_and_fourier():
     """Index values match -e^{i theta}/(1-e^{i theta}); Fourier pattern holds."""
     model = c_plane_uv()
     start = time.perf_counter()
-    result = index_character(model, theta_samples=32, fourier_window=16,
-                             fourier_samples=128)
+    result = index_character(model, theta_samples=32, fourier_window=16)
     elapsed = time.perf_counter() - start
     value_dev = max(
         abs(v - (-cmath.exp(1j * t.real) / (1 - cmath.exp(1j * t.real))))

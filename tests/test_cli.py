@@ -106,6 +106,58 @@ class TestRunExample:
         assert ((tmp_path / "a" / "fourier.csv").read_bytes()
                 == (tmp_path / "b" / "fourier.csv").read_bytes())
 
+    def test_largest_window_is_exact(self, tmp_path):
+        assert run(["run-example", "c-plane", "--fourier-window", 63,
+                    "--out-dir", tmp_path]) == 0
+        doc = json.loads((tmp_path / "index_report.json").read_text())
+        assert doc["runs"][0]["payload"]["golden"]["fourier_deviation"] < 1e-10
+
+    def test_report_moves_little_across_numpy_dispatch_targets(self, tmp_path):
+        # numpy's SIMD targets above the x86-64 baseline; without them numpy
+        # runs its baseline loops, which round some operations differently
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = str(Path(equichern.__file__).parents[1])
+        reports, codes = [], []
+        for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES":
+                              "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}):
+            out = tmp_path / str(len(codes))
+            done = subprocess.run([sys.executable, "-c", NUMPY_OR_77, "run-example",
+                                   "c-plane", "--out-dir", str(out)],
+                                  env={**env, **disabled}, capture_output=True)
+            if done.returncode == 77:
+                pytest.skip("numpy does not start with these targets disabled")
+            codes.append(done.returncode)
+            reports.append(json.loads((out / "index_report.json").read_text()))
+        assert codes[0] == codes[1]
+        assert_floats_close(*reports, 1e-12)
+
+
+# Runs the CLI on its arguments, or exits 77 when numpy cannot be imported.
+NUMPY_OR_77 = """import sys
+try:
+    import numpy
+except Exception:
+    sys.exit(77)
+from equichern.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def assert_floats_close(a, b, tol):
+    """``a`` and ``b`` have one structure, floats within ``tol`` and the rest equal."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for k in a:
+            assert_floats_close(a[k], b[k], tol)
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_floats_close(x, y, tol)
+    elif isinstance(a, float):
+        assert abs(a - b) <= tol
+    else:
+        assert a == b
+
 
 # c-plane from its second E summand to the end of its symbol
 _E_TAIL = ("summand weight=1 parity=odd\n[bundle.W]\nsummand weight=0 parity=even\n"

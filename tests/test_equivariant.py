@@ -535,8 +535,8 @@ class TestChernPlan:
         ref = c_plane_uv()
         for theta in PLAN_THETAS:
             assert abs(integrate_top_form(m, theta) - integrate_top_form(ref, theta)) < 1e-12
-        a = index_character(m, theta_samples=8, fourier_window=4, fourier_samples=32)
-        b = index_character(ref, theta_samples=8, fourier_window=4, fourier_samples=32)
+        a = index_character(m, theta_samples=8, fourier_window=4)
+        b = index_character(ref, theta_samples=8, fourier_window=4)
         assert max(abs(x - y) for x, y in zip(a.values, b.values)) < 1e-12
         assert all(abs(a.fourier.coeff(n) - b.fourier.coeff(n)) < 1e-12
                    for n in range(-4, 5))

@@ -67,6 +67,11 @@ class TestMaskOf:
         with pytest.raises(AlgebraError, match="repeated"):
             plane_algebra.mask_of(("dv", "du", "dv"))
 
+    def test_unknown_generator_rejected(self, plane_algebra):
+        for read in (plane_algebra.mask_of, plane_algebra.one().coefficient):
+            with pytest.raises(AlgebraError, match="unknown generator 'dq'"):
+                read(("du", "dq"))
+
 
 class TestInteriorProduct:
     def test_liouville_contraction(self):

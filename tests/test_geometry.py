@@ -561,6 +561,19 @@ class TestCompiledPolys:
         with pytest.raises(EvaluationError, match="'xibar'"):
             table.entries({"z": np.ones(3), "zbar": np.ones(3), "xi": np.ones(3)})
 
+    def test_grid_shape_comes_from_the_evaluated_coordinates(self):
+        alg = c_plane().algebra
+        z = alg.coord("z")
+        table = CompiledPolys(alg, np.array([z * z, None], dtype=object))
+        want = np.array([[0.0, 1.0, 4.0], [0.0, 0.0, 0.0]])
+        for point in ({"z": np.arange(3.0)}, {"xi": 0.0, "z": np.arange(3.0)},
+                      {"z": np.arange(3.0), "xi": 0.0}):
+            assert np.array_equal(table.entries(point), want)
+        # a table of constants has no coordinate: its grid is the point's
+        constant = CompiledPolys(alg, np.array([alg.const(2.0)], dtype=object))
+        assert np.array_equal(constant.entries({"xi": 0.0, "z": np.arange(3.0)}),
+                              np.full((1, 3), 2.0))
+
 
 class TestHomotopy:
     def test_stage_endpoints(self):

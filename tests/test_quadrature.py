@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from equichern.characters import ahat_squared
-from equichern.equivariant import transverse_chern
-from equichern.exterior import Poly
+from equichern import geometry, quadrature
+from equichern.characters import ahat_squared, series_to_csv
+from equichern.equivariant import PoleGuardError, chern_plan, transverse_chern
+from equichern.exterior import SYMBOLIC, Poly
 from equichern.geometry import (
     COMPLEX,
     REAL,
@@ -18,6 +19,7 @@ from equichern.geometry import (
     zero_op_s1,
 )
 from equichern.quadrature import (
+    AliasError,
     DivergenceError,
     TEST_FUNCTIONS,
     delta_pairing,
@@ -30,7 +32,9 @@ from equichern.quadrature import (
     oriented_volume_coefficient,
     richardson_extrapolate,
     shifted_gaussian_test,
+    _index_density,
 )
+from equichern.supermatrix import UnsupportedShapeError
 
 
 def golden_index(theta):
@@ -155,30 +159,78 @@ class TestGaussianMoments:
             gaussian_integral(model, x * u * ub, -1.0 * (u * ub))
 
 
+def plane_uv_with_w(even, odd):
+    """c-plane-uv with W summands of the given even and odd weights."""
+    coords = (Coordinate("u", COMPLEX, 1, "base"), Coordinate("v", COMPLEX, 1, "fiber"))
+    m = ActionModel("c-plane-uv-w", coords, BundleSpec((0, 1), (0, 1)),
+                    BundleSpec((even, odd), (0, 1)))
+    alg = m.algebra
+    zero = alg.zero(SYMBOLIC)
+    m.set_symbol([[zero, alg.scalar(alg.coord("ubar"))], [alg.scalar(alg.coord("u")), zero]])
+    m.set_odd_term(geometry._augmented_from_cliff_arg(m, alg.coord("v")).scale(1j))
+    return m
+
+
 class TestIndexCharacter:
     def test_values_and_fourier(self):
-        # window 16: the damped tail beyond the window is ~e^{-17}, so the
-        # windowed reconstruction of the contour samples is far below 1e-6
-        report = index_character(c_plane_uv(), theta_samples=16,
-                                 fourier_window=16, fourier_samples=96)
+        report = index_character(c_plane_uv(), theta_samples=16, fourier_window=16)
         for t, v in zip(report.theta_samples, report.values):
             assert abs(v - golden_index(t.real)) < 1e-6
         for n in range(-16, 17):
             target = -1.0 if n >= 1 else 0.0
             assert abs(report.fourier.coeff(n) - target) < 1e-4
-        assert report.diagnostics["fourier_residual_rms"] < 1e-6
+        # the fitted numerator terms of degree 5..7 bound its aliasing error
+        assert report.diagnostics["numerator_alias_bound"] < 1e-12
 
     def test_conjugate_symmetry(self):
-        report = index_character(c_plane_uv(), theta_samples=16,
-                                 fourier_window=4, fourier_samples=32)
+        report = index_character(c_plane_uv(), theta_samples=16, fourier_window=4)
         assert report.diagnostics["conjugate_symmetry_deviation"] < 1e-6
 
     def test_report_serialization(self):
-        report = index_character(c_plane_uv(), theta_samples=4,
-                                 fourier_window=2, fourier_samples=16)
+        report = index_character(c_plane_uv(), theta_samples=4, fourier_window=2)
         doc = report.to_dict()
         assert doc["fourier"]["window"] == [-2, 2]
         assert len(doc["values"]) == 4
+
+    def test_report_writes_the_whole_window(self):
+        # the series is exactly zero below the numerator's lowest degree
+        report = index_character(c_plane_uv(), theta_samples=4, fourier_window=24)
+        assert report.fourier.coeff(-24) == 0
+        coeffs = report.to_dict()["fourier"]["coefficients"]
+        assert list(coeffs) == [str(n) for n in range(-24, 25)]
+        rows = series_to_csv(report.fourier).splitlines()[1:]
+        assert [[float(x) for x in row.split(",")[1:]] for row in rows] == list(coeffs.values())
+
+    @pytest.mark.parametrize("even, odd", [(0, 1), (1, 0), (0, -1), (2, 1), (0, 2)])
+    def test_direct_density_oracles(self, even, odd):
+        # both expansion directions: W = q^a (1 - q^m) with m of either sign
+        m = plane_uv_with_w(even, odd)
+        report = index_character(m, theta_samples=64, fourier_window=40)
+        plan = chern_plan(m)
+        thetas = np.array(report.theta_samples).real
+        far = np.minimum(thetas, 2 * math.pi - thetas) >= math.pi / 8
+        direct = _index_density(m, plan, thetas[far])
+        assert np.abs(np.array(report.values)[far] - direct).max() < 1e-12
+        # the positive-power series, summed on Im theta = 1 where it converges
+        contour = 2 * math.pi * (np.arange(16) + 0.5) / 16 + 1j
+        ns = np.arange(-40, 41)
+        abel = np.exp(1j * np.outer(contour, ns)) @ [report.fourier.coeff(int(n)) for n in ns]
+        assert np.abs(abel - _index_density(m, plan, contour)).max() < 1e-11
+
+    def test_undeclared_degree_is_an_alias_error(self, monkeypatch):
+        # the numerator is -q: fitting degree 0 leaves |c_1| = 1 outside the span
+        monkeypatch.setattr(quadrature, "NUMERATOR_DEGREE", 0)
+        with pytest.raises(AliasError, match="degree above 0"):
+            index_character(c_plane_uv(), theta_samples=4, fourier_window=2)
+
+    def test_w_pole_on_the_value_grid(self):
+        # W = 1 - q^2 vanishes at theta = pi, the middle of three samples
+        with pytest.raises(PoleGuardError):
+            index_character(plane_uv_with_w(0, 2), theta_samples=3, fourier_window=2)
+
+    def test_w_needs_one_even_and_one_odd_summand(self):
+        with pytest.raises(UnsupportedShapeError, match="one even and one odd"):
+            index_character(zero_op_s1())
 
 
 class TestQuadratureInvariants:
