@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import io
 import csv as _csv
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 DEFAULT_WINDOW = (-64, 64)
@@ -24,20 +23,24 @@ class WindowError(ValueError):
     """Series arithmetic produced an empty or inconsistent window."""
 
 
-@dataclass(frozen=True)
 class CharacterSeries:
     """Laurent coefficients on a finite validity window [n_min, n_max]."""
 
-    coefficients: Mapping[int, complex]
-    window: tuple[int, int] = DEFAULT_WINDOW
+    __slots__ = ("coefficients", "window")
 
-    def __post_init__(self):
-        lo, hi = self.window
+    def __init__(self, coefficients: Mapping[int, complex],
+                 window: tuple[int, int] = DEFAULT_WINDOW):
+        lo, hi = window
         if lo > hi:
-            raise WindowError(f"empty window {self.window}")
-        clean = {int(n): complex(c) for n, c in self.coefficients.items()
-                 if lo <= n <= hi and complex(c) != 0}
-        object.__setattr__(self, "coefficients", clean)
+            raise WindowError(f"empty window {window}")
+        self.coefficients = {int(n): complex(c) for n, c in coefficients.items()
+                             if lo <= n <= hi and complex(c) != 0}
+        self.window = window
+
+    def __eq__(self, other):
+        if not isinstance(other, CharacterSeries):
+            return NotImplemented
+        return (self.coefficients, self.window) == (other.coefficients, other.window)
 
     def coeff(self, n: int) -> complex:
         lo, hi = self.window

@@ -15,8 +15,7 @@ are computed per theta.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -82,8 +81,7 @@ def bundle_character(weights, parities, theta: complex) -> complex:
     return total
 
 
-@dataclass
-class GaussianForm:
+class GaussianForm(NamedTuple):
     """A form with polynomial coefficients times a managed scalar exponential."""
 
     exponent: Poly
@@ -99,8 +97,7 @@ class GaussianForm:
         return self.form.evaluate(point).scale(self.prefactor(point))
 
 
-@dataclass(frozen=True)
-class ChernPlan:
+class ChernPlan(NamedTuple):
     """The supertrace of exp(F0 + theta F1), compiled once for every theta.
 
     With the body split as shared(theta) + offsets(theta) and the soul as

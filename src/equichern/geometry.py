@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,34 +32,30 @@ ANGLE = "angle"
 REAL = "real"
 
 
-@dataclass(frozen=True)
 class Coordinate:
     """A declared coordinate with its rotation weight and base/fiber role."""
 
-    name: str
-    kind: str = COMPLEX
-    weight: int = 0
-    role: str = "base"
+    __slots__ = ("name", "kind", "weight", "role")
 
-    def __post_init__(self):
-        if self.kind not in (COMPLEX, ANGLE, REAL):
-            raise ValueError(f"unknown coordinate kind {self.kind!r}")
-        if self.role not in ("base", "fiber"):
-            raise ValueError(f"unknown coordinate role {self.role!r}")
+    def __init__(self, name: str, kind: str = COMPLEX, weight: int = 0, role: str = "base"):
+        if kind not in (COMPLEX, ANGLE, REAL):
+            raise ValueError(f"unknown coordinate kind {kind!r}")
+        if role not in ("base", "fiber"):
+            raise ValueError(f"unknown coordinate role {role!r}")
+        self.name, self.kind, self.weight, self.role = name, kind, weight, role
 
 
-@dataclass(frozen=True)
 class BundleSpec:
     """Summand weights and parities of a graded equivariant bundle."""
 
-    weights: tuple[int, ...]
-    parities: tuple[int, ...]
+    __slots__ = ("weights", "parities")
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.parities):
+    def __init__(self, weights: tuple[int, ...], parities: tuple[int, ...]):
+        if len(weights) != len(parities):
             raise ValueError("weights and parities must have equal length")
-        if any(p not in (0, 1) for p in self.parities):
+        if any(p not in (0, 1) for p in parities):
             raise ValueError("parities must be 0 or 1")
+        self.weights, self.parities = weights, parities
 
     @property
     def rank(self) -> int:
@@ -335,17 +330,17 @@ def augmented_symbol(model: ActionModel) -> SuperMatrix:
 # -- homotopy to the constant-coefficient normal form ------------------------------
 
 
-@dataclass(frozen=True)
 class HomotopyPath:
     """Consecutive linear interpolations between symbol matrices."""
 
-    stages: tuple[tuple[SuperMatrix, SuperMatrix], ...]
+    __slots__ = ("stages",)
 
-    def __post_init__(self):
-        for (a0, a1), (b0, b1) in zip(self.stages, self.stages[1:]):
+    def __init__(self, stages: tuple[tuple[SuperMatrix, SuperMatrix], ...]):
+        for (a0, a1), (b0, b1) in zip(stages, stages[1:]):
             if not all(x == y for r1, r2 in zip(a1.entries, b0.entries)
                        for x, y in zip(r1, r2)):
                 raise ValueError("endpoints of consecutive stages must match")
+        self.stages = stages
 
     @property
     def stage_count(self) -> int:
@@ -371,8 +366,7 @@ def homotopy_path(model: ActionModel) -> HomotopyPath:
 # -- ellipticity scanning ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanGrid:
+class ScanGrid(NamedTuple):
     """Shell radii and sampling controls for the determinant scan."""
 
     radii: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0, 4.5, 6.0, 8.0)
@@ -382,8 +376,7 @@ class ScanGrid:
     refine_iters: int = 80
 
 
-@dataclass
-class ShellResult:
+class ShellResult(NamedTuple):
     radius: float
     min_normalized_det: float
     median_opnorm: float
@@ -391,8 +384,7 @@ class ShellResult:
     degenerate: int
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     shells: list[ShellResult]
     growth_exponent: float
     passed: bool
@@ -402,7 +394,7 @@ class ScanReport:
         return {
             "passed": bool(self.passed),
             "growth_exponent": float(self.growth_exponent),
-            "shells": [asdict(s) for s in self.shells],
+            "shells": [s._asdict() for s in self.shells],
             "degenerate_points": [[float(x) for x in p] for p in self.degenerate_points],
         }
 

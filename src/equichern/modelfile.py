@@ -25,9 +25,8 @@ Example::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exterior import Poly
 from .geometry import COMPLEX, ActionModel, BundleSpec, Coordinate, augmented_symbol
@@ -62,8 +61,7 @@ MAX_EXPONENT = 64
 MAX_NESTING = 64
 
 
-@dataclass
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     col: int

@@ -15,14 +15,14 @@ Fourier coefficients are its quotient by the W character, the coefficients
 expanded in positive powers of q.  Oscillatory non-decaying
 models are rejected with a divergence error and handled by the regularized
 delta pairing, which reads its density at every parameter point from one
-plan evaluation.
+plan evaluation.  Its fiber rate is purely imaginary and its xi rule
+symmetric, so the xi integral folds onto xi > 0 as one real cosine kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,7 +41,8 @@ NUMERATOR_SAMPLES = 16
 NUMERATOR_DEGREE = 4
 ALIAS_TOL = 1e-10
 # Panel Gauss-Legendre grid of the delta pairing over (X, xi): half-widths,
-# panel counts and the nodes per panel.
+# panel counts and the nodes per panel.  The xi rule is symmetric with a panel
+# edge at 0 (XI_PANELS is even); the pairing integrates over its positive half.
 X_HALFWIDTH, XI_HALFWIDTH = 12.0, 14.0
 X_PANELS, XI_PANELS = 48, 32
 PANEL_ORDER = 16
@@ -186,8 +187,7 @@ def fit_fourier(thetas: Sequence[complex], values: Sequence[complex],
                            (-window, window))
 
 
-@dataclass
-class IndexReport:
+class IndexReport(NamedTuple):
     """Sampled index values, Fourier coefficients and pipeline diagnostics."""
 
     theta_samples: list[complex]
@@ -288,10 +288,34 @@ TEST_FUNCTIONS: dict[str, Callable] = {
 }
 
 
-def _panel_gauss_legendre(halfwidth: float, panels: int):
-    """PANEL_ORDER-point Gauss-Legendre nodes and weights on equal panels."""
-    x, w = np.polynomial.legendre.leggauss(PANEL_ORDER)
-    edges = np.linspace(-halfwidth, halfwidth, panels + 1)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    The nodes are the eigenvalues of the Jacobi matrix of the Legendre
+    recurrence, refined by one Newton step on P_n; the weights are
+    2/((1 - x^2) P_n'(x)^2), symmetrized and scaled to sum 2.
+    """
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4 * k * k - 1), -1))
+
+    def legendre(x):  # P_n(x) and P_n'(x) by the three-term recurrence
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, n * (p0 - x * p1) / (1 - x * x)
+
+    p, dp = legendre(x)
+    x = x - p / dp
+    dp = legendre(x)[1]
+    w = 2 / ((1 - x * x) * dp * dp)
+    w = (w + w[::-1]) / 2
+    return (x - x[::-1]) / 2, w * (2 / w.sum())
+
+
+def _panel_gauss_legendre(lo: float, hi: float, panels: int):
+    """PANEL_ORDER-point Gauss-Legendre nodes and weights on equal panels of [lo, hi]."""
+    x, w = gauss_legendre(PANEL_ORDER)
+    edges = np.linspace(lo, hi, panels + 1)
     half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
     return (half * x + mid).ravel(), (half * w).ravel()
 
@@ -317,15 +341,15 @@ def _oscillatory_density(model: ActionModel, plan: ChernPlan, xs: np.ndarray):
     idx = model.algebra.coord_index[model.fiber.name]
     rate0, rate1 = (_fiber_rate(e, idx) for e in plan.shared)
     rates = rate0 + xs * rate1
-    if np.any(np.abs(rates.real) > 1e-10 * np.maximum(1.0, np.abs(rates))):
+    # delta_pairing folds the xi rule onto xi > 0, which is exact only for Re r = 0
+    if np.any(rates.real != 0):
         raise UnsupportedShapeError("fiber exponent must be purely oscillatory")
     chw = np.array([w_character(model, x) for x in xs])
     top_values = np.array([t.constant_value() for t in tops]) @ plan.weights(xs)
     return top_values / chw, rates
 
 
-@dataclass
-class DeltaReport:
+class DeltaReport(NamedTuple):
     """Pairing values per regularization epsilon and their extrapolation."""
 
     eps: list[float]
@@ -364,6 +388,11 @@ def delta_pairing(model: ActionModel, test_fn: Callable,
     For each eps computes the double integral of the model's density times
     exp(-eps xi^2) times test(X) over (X, xi), normalized so the exact limit
     is test(0); reports per-eps values and their Richardson extrapolation.
+    The fiber factor e^{r(X) xi} has a purely imaginary rate, so the odd part
+    of the xi integrand integrates to zero on the symmetric xi rule: the xi
+    integral is one real matrix-vector product per eps, of the kernel
+    cos(Im r(X) xi) on the rule's positive half with doubled weights.  The X
+    rule stays full, as test functions need not be even.
     """
     eps = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps):
@@ -373,8 +402,10 @@ def delta_pairing(model: ActionModel, test_fn: Callable,
     # the Richardson extrapolation divides by their differences
     if len(set(eps)) != len(eps):
         raise ValueError("regularization eps values must be distinct")
-    xn, xw = _panel_gauss_legendre(X_HALFWIDTH, X_PANELS)
-    qn, qw = _panel_gauss_legendre(XI_HALFWIDTH, XI_PANELS)
+    xn, xw = _panel_gauss_legendre(-X_HALFWIDTH, X_HALFWIDTH, X_PANELS)
+    # the positive half of the symmetric xi rule, weights doubled
+    qn, qw = _panel_gauss_legendre(0.0, XI_HALFWIDTH, XI_PANELS // 2)
+    qw = 2 * qw
 
     tops, rates = _oscillatory_density(model, chern_plan(model), xn)
     angle_volume = 1.0
@@ -382,12 +413,12 @@ def delta_pairing(model: ActionModel, test_fn: Callable,
         if c.kind == "angle":
             angle_volume *= 2 * math.pi
     test_vals = np.asarray(test_fn(xn), dtype=complex)
-    phases = np.exp(np.outer(rates, qn))  # (X, xi)
+    # e^{r q} + e^{-r q} = 2 cos(Im r q) for the purely imaginary rate r
+    kernel = np.cos(np.outer(rates.imag, qn))  # (X, xi > 0)
 
     values = []
     for e in eps:
-        damp = np.exp(-e * qn**2)
-        inner = phases @ (qw * damp)
+        inner = kernel @ (qw * np.exp(-e * qn**2))
         total = np.dot(xw, test_vals * tops * inner)
         norm = angle_volume / (2j * math.pi) / (2 * math.pi)
         values.append(complex(total * norm))

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,15 +58,23 @@ class ConvergenceError(RuntimeError):
     """A truncated series failed to meet its tolerance."""
 
 
-@dataclass(frozen=True)
 class Grading:
     """Parity per row/column, encoding the even/odd bundle splitting."""
 
-    parities: tuple[int, ...]
+    __slots__ = ("parities",)
 
-    def __post_init__(self):
+    def __init__(self, parities: Sequence[int]):
+        self.parities = tuple(parities)
         if any(p not in (EVEN, ODD) for p in self.parities):
             raise ShapeError("parities must be 0 (even) or 1 (odd)")
+
+    def __eq__(self, other):
+        if not isinstance(other, Grading):
+            return NotImplemented
+        return self.parities == other.parities
+
+    def __hash__(self):
+        return hash(self.parities)
 
     @classmethod
     def from_string(cls, signs: str) -> "Grading":
@@ -307,8 +314,7 @@ def is_even(A: np.ndarray, parities: Sequence[int]) -> bool:
     return not np.any(A[odd])
 
 
-@dataclass(frozen=True, eq=False)
-class BlockLayout:
+class BlockLayout(NamedTuple):
     """Where the components of a ``(d, d, 2^n)`` array sit in the blocked form.
 
     A component array X is a ``d``-row matrix over the row space of pairs
@@ -475,8 +481,7 @@ def super_exp(a: SuperMatrix, tol: float = TAYLOR_TOL) -> SuperMatrix:
     return SuperMatrix.from_array(a.algebra, a.grading, acc)
 
 
-@dataclass(frozen=True, eq=False)
-class AffineArray:
+class AffineArray(NamedTuple):
     """Component arrays of M0 + t M1, two symbolic supermatrices, compiled.
 
     ``table`` holds the coefficient polynomials of both, ``(2, d d 2^n)`` in

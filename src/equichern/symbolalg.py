@@ -12,8 +12,7 @@ sigma / sqrt(1 + |x|^2 + |xi|^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,8 +41,7 @@ CUTOFF_RADII = (1.0, 2.0)   # cutoffs a of the transversal ellipticity check
 SUPPORT_RADIUS = 1.5        # x-support of the saturating and constant-in-xi symbols
 
 
-@dataclass(frozen=True)
-class SymbolFunction:
+class SymbolFunction(NamedTuple):
     """A bounded scalar symbol sampled through a vectorized evaluator.
 
     The evaluator maps base values x and fiber covectors xi (complex arrays,
@@ -81,8 +79,7 @@ def _bound_core(model: ActionModel, x, xi):
     return (1.0 + np.abs(orbital_projection(model, x, xi)) ** 2) / (1.0 + np.abs(xi) ** 2)
 
 
-@dataclass
-class ConditionCReport:
+class ConditionCReport(NamedTuple):
     entries: list[dict]
     passed: bool
     r_max: float
@@ -130,8 +127,7 @@ def condition_c_fit(b: SymbolFunction, model: ActionModel,
     return ConditionCReport(entries=entries, passed=all_pass, r_max=r_max)
 
 
-@dataclass
-class DecayReport:
+class DecayReport(NamedTuple):
     shell_radii: list[float]
     shell_sup: list[float]
     passed: bool
@@ -190,8 +186,7 @@ def restriction_decay_check(b: SymbolFunction, model: ActionModel, *,
                        shell_sup=list(map(float, sup)), passed=passed, vacuous=False)
 
 
-@dataclass
-class TransversalityReport:
+class TransversalityReport(NamedTuple):
     cutoffs: list[float]
     condition_c: list[ConditionCReport]
     decay: list[DecayReport]

@@ -113,23 +113,16 @@ class TestRunExample:
         assert doc["runs"][0]["payload"]["golden"]["fourier_deviation"] < 1e-10
 
     def test_report_moves_little_across_numpy_dispatch_targets(self, tmp_path):
-        # numpy's SIMD targets above the x86-64 baseline; without them numpy
-        # runs its baseline loops, which round some operations differently
-        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-        env["PYTHONPATH"] = str(Path(equichern.__file__).parents[1])
-        reports, codes = [], []
-        for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES":
-                              "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}):
-            out = tmp_path / str(len(codes))
-            done = subprocess.run([sys.executable, "-c", NUMPY_OR_77, "run-example",
-                                   "c-plane", "--out-dir", str(out)],
-                                  env={**env, **disabled}, capture_output=True)
-            if done.returncode == 77:
-                pytest.skip("numpy does not start with these targets disabled")
-            codes.append(done.returncode)
-            reports.append(json.loads((out / "index_report.json").read_text()))
+        codes, reports = reports_across_dispatch_targets(
+            tmp_path, ["run-example", "c-plane"], "index_report.json")
         assert codes[0] == codes[1]
         assert_floats_close(*reports, 1e-12)
+
+    def test_zero_op_report_moves_little_across_numpy_dispatch_targets(self, tmp_path):
+        codes, reports = reports_across_dispatch_targets(
+            tmp_path, ["run-example", "zero-op"], "delta_report.json")
+        assert codes[0] == codes[1] == 0
+        assert_floats_close(*reports, 1e-15)
 
 
 # Runs the CLI on its arguments, or exits 77 when numpy cannot be imported.
@@ -143,18 +136,43 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def assert_floats_close(a, b, tol):
-    """``a`` and ``b`` have one structure, floats within ``tol`` and the rest equal."""
+def reports_across_dispatch_targets(tmp_path, argv, report):
+    """Exit codes and ``report`` documents of ``argv`` run in a subprocess twice.
+
+    The second run disables numpy's SIMD targets above the x86-64 baseline;
+    numpy then runs its baseline loops, which round some operations
+    differently.  The two runs go side by side.  Skips when numpy does not
+    start with the targets disabled.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = str(Path(equichern.__file__).parents[1])
+    runs = [subprocess.Popen([sys.executable, "-c", NUMPY_OR_77, *map(str, argv),
+                              "--out-dir", str(tmp_path / str(k))],
+                             env={**env, **disabled}, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL)
+            for k, disabled in enumerate(({}, {"NPY_DISABLE_CPU_FEATURES":
+                                               "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}))]
+    codes = [r.wait(timeout=60) for r in runs]
+    if codes[1] == 77:
+        pytest.skip("numpy does not start with these targets disabled")
+    return codes, [json.loads((tmp_path / str(k) / report).read_text()) for k in range(2)]
+
+
+def assert_floats_close(a, b, tol, relative=False):
+    """``a`` and ``b`` have one structure, floats within ``tol`` and the rest equal.
+
+    With ``relative``, floats are within ``tol`` times the larger magnitude.
+    """
     if isinstance(a, dict):
         assert a.keys() == b.keys()
         for k in a:
-            assert_floats_close(a[k], b[k], tol)
+            assert_floats_close(a[k], b[k], tol, relative)
     elif isinstance(a, list):
         assert len(a) == len(b)
         for x, y in zip(a, b):
-            assert_floats_close(x, y, tol)
+            assert_floats_close(x, y, tol, relative)
     elif isinstance(a, float):
-        assert abs(a - b) <= tol
+        assert a == b or abs(a - b) <= tol * (max(abs(a), abs(b)) if relative else 1.0)
     else:
         assert a == b
 
@@ -203,6 +221,14 @@ class TestCheckSymbol:
         code = run(["check-symbol", path, "--scan-samples", 600,
                     "--out-dir", tmp_path])
         assert code == 1
+
+    @pytest.mark.parametrize("name", ["c_plane", "constant_symbol"])
+    def test_report_moves_little_across_numpy_dispatch_targets(self, tmp_path, name):
+        codes, reports = reports_across_dispatch_targets(
+            tmp_path, ["check-symbol", PLANE_MODEL.with_name(f"{name}.model")],
+            "symbol_report.json")
+        assert codes[0] == codes[1]
+        assert_floats_close(*reports, 1e-12, relative=True)
 
     def test_run_does_not_import_numpy_ma(self, tmp_path):
         # np.median imports numpy.ma (10-16 ms) to look for masked arrays

@@ -24,6 +24,7 @@ from equichern.quadrature import (
     TEST_FUNCTIONS,
     delta_pairing,
     fit_fourier,
+    gauss_legendre,
     gaussian_integral,
     gaussian_test,
     index_character,
@@ -34,7 +35,7 @@ from equichern.quadrature import (
     shifted_gaussian_test,
     _index_density,
 )
-from equichern.supermatrix import UnsupportedShapeError
+from equichern.supermatrix import SuperMatrix, UnsupportedShapeError
 
 
 def golden_index(theta):
@@ -347,6 +348,47 @@ class TestDeltaPairing:
 
     def test_registry(self):
         assert "gaussian" in TEST_FUNCTIONS
+
+    @pytest.mark.parametrize("test_fn", [gaussian_test, shifted_gaussian_test])
+    def test_folded_kernel_matches_the_full_grid(self, test_fn):
+        # Oracle: the complex e^{r xi} on the whole symmetric xi rule, against
+        # the real cosine kernel on its positive half.
+        q = quadrature
+        model = zero_op_s1()
+        xn, xw = q._panel_gauss_legendre(-q.X_HALFWIDTH, q.X_HALFWIDTH, q.X_PANELS)
+        qn, qw = q._panel_gauss_legendre(-q.XI_HALFWIDTH, q.XI_HALFWIDTH, q.XI_PANELS)
+        tops, rates = q._oscillatory_density(model, chern_plan(model), xn)
+        phases = np.exp(np.outer(rates, qn))
+        eps = [1e-2, 1e-3, 1e-4, 3e-5]
+        # one angle coordinate: volume 2 pi, over 2 pi i and 2 pi
+        full = [np.dot(xw, test_fn(xn) * tops * (phases @ (qw * np.exp(-e * qn**2))))
+                / (2j * math.pi) for e in eps]
+        report = delta_pairing(model, test_fn, eps)
+        assert max(abs(v - f) for v, f in zip(report.values, full)) < 1e-15
+
+    def test_fiber_rate_with_a_real_part_rejected(self):
+        # a fiber rate with real part 1e-12 X, which the cosine kernel would
+        # drop silently
+        model = zero_op_s1()
+        alg = model.algebra
+        liouville = alg.scalar(alg.coord("xi")) * alg.gen("dtheta")
+        model.set_odd_term(SuperMatrix(alg, model.bundle_script_e.grading(),
+                                       [[liouville]]).scale(1j + 1e-12))
+        with pytest.raises(UnsupportedShapeError, match="purely oscillatory"):
+            delta_pairing(model, gaussian_test, [1e-3])
+
+
+class TestGaussLegendre:
+    def test_matches_numpy_leggauss(self):
+        x, w = gauss_legendre(16)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(16)
+        assert np.abs(x - ref_x).max() < 1e-15
+        assert np.abs(w - ref_w).max() < 1e-15
+
+    def test_exact_for_degree_below_2n(self):
+        x, w = gauss_legendre(16)
+        for k in range(32):
+            assert abs(w @ x**k - (2 / (k + 1) if k % 2 == 0 else 0.0)) < 1e-14
 
 
 class TestRichardson:
