@@ -14,6 +14,8 @@ import io
 import csv as _csv
 from typing import Iterable, Mapping
 
+import numpy as np
+
 DEFAULT_WINDOW = (-64, 64)
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -95,11 +97,6 @@ class CharacterSeries:
         """All coefficients within tol of integers (the character-ring check)."""
         return integrality_report(self, tol)["integral"]
 
-    def __eq__(self, other):
-        if not isinstance(other, CharacterSeries):
-            return NotImplemented
-        return self.window == other.window and self.coefficients == other.coefficients
-
     def __repr__(self):
         terms = [f"({c})t^{n}" for n, c in sorted(self.coefficients.items())[:8]]
         more = "..." if len(self.coefficients) > 8 else ""
@@ -136,11 +133,14 @@ def geometric_expand(c: complex, m: int, direction: str,
     return CharacterSeries(out, window)
 
 
-def ahat_squared(theta: complex) -> complex:
-    """(i theta)^2 e^{i theta} / (1 - e^{i theta})^2, the squared A-hat factor."""
-    e = cmath.exp(1j * theta)
+def ahat_squared(theta):
+    """(i theta)^2 e^{i theta} / (1 - e^{i theta})^2, the squared A-hat factor.
+
+    Elementwise in theta; raises ZeroDivisionError when any element is a pole.
+    """
+    e = np.exp(1j * theta)
     denom = (1.0 - e) ** 2
-    if abs(denom) < 1e-30:
+    if np.any(np.abs(denom) < 1e-30):
         raise ZeroDivisionError(f"A-hat squared pole at theta={theta}")
     return (1j * theta) ** 2 * e / denom
 

@@ -72,11 +72,11 @@ def equivariant_curvature(model: ActionModel, theta: complex) -> SuperMatrix:
     return f0 + f1.scale(theta)
 
 
-def bundle_character(weights, parities, theta: complex) -> complex:
-    """Sum of parity-signed fiber characters e^{i w theta}."""
+def bundle_character(weights, parities, theta):
+    """Sum of parity-signed fiber characters e^{i w theta}, elementwise in theta."""
     total = 0.0 + 0.0j
     for w, p in zip(weights, parities):
-        term = cmath.exp(1j * w * theta)
+        term = np.exp(1j * w * theta)
         total += -term if p else term
     return total
 
@@ -211,14 +211,17 @@ def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex])
     return Form(model.algebra, NUMERIC, dict(zip(curv.layout.trace_masks, values)))
 
 
-def w_character(model: ActionModel, theta: complex) -> complex:
-    """Character of the Clifford-model bundle W, guarded against its poles."""
+def w_character(model: ActionModel, theta):
+    """Character of the Clifford-model bundle W, elementwise in theta.
+
+    Raises PoleGuardError when any element is within POLE_GUARD_W of a pole.
+    """
     if model.bundle_w is None:
         return 1.0 + 0.0j
     chw = bundle_character(model.bundle_w.weights, model.bundle_w.parities, theta)
-    if abs(chw) < POLE_GUARD_W:
+    if np.any(np.abs(chw) < POLE_GUARD_W):
         raise PoleGuardError(
-            f"W character {chw} below guard {POLE_GUARD_W}; theta near a pole")
+            f"W character below guard {POLE_GUARD_W}; theta near a pole")
     return chw
 
 

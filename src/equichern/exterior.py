@@ -84,7 +84,6 @@ class ExteriorAlgebra:
         paired = list(self.conjugates) + list(self.conjugates.values())
         if len(set(paired)) != len(paired) or not set(paired) <= set(self.coordinates):
             raise AlgebraError("conjugate pairs must be disjoint declared coordinates")
-        self._pair_table = None
 
     # -- polynomial constructors ------------------------------------------
 
@@ -142,16 +141,14 @@ class ExteriorAlgebra:
 
     def pair_table(self):
         """Wedge structure: every disjoint pair (a, b), its union c and sign."""
-        if self._pair_table is None:
-            K = self.n_components
-            ai, bi = zip(*((a, b) for a in range(K) for b in range(K) if not a & b))
-            self._pair_table = (
-                np.asarray(ai),
-                np.asarray(bi),
-                np.bitwise_or(ai, bi),
-                np.asarray([_merge_sign(a, b) for a, b in zip(ai, bi)], dtype=float),
-            )
-        return self._pair_table
+        K = self.n_components
+        ai, bi = zip(*((a, b) for a in range(K) for b in range(K) if not a & b))
+        return (
+            np.asarray(ai),
+            np.asarray(bi),
+            np.bitwise_or(ai, bi),
+            np.asarray([_merge_sign(a, b) for a, b in zip(ai, bi)], dtype=float),
+        )
 
     def __repr__(self):
         return f"ExteriorAlgebra(generators={self.generators}, coordinates={self.coordinates})"

@@ -8,11 +8,13 @@ int z^a zbar^b e^{-s|z|^2} d^2z = delta_ab pi a!/s^{a+1}.  The volume
 orientation is symplectic: for p complex coordinate pairs it differs from
 the literal conjugate-first wedge word by (-1)^{p(p-1)/2}, the single global
 sign pinned by the golden index value.  Each top coefficient of the
-model's Chern plan is integrated once.  Index characters evaluate the plan
-on one small real grid: the density times the W character is a Laurent
-polynomial in q = e^{i theta}, read off by one FFT, and the index values and
-Fourier coefficients are its quotient by the W character, the coefficients
-expanded in positive powers of q.  Oscillatory non-decaying
+model's Chern plan is integrated once.  Index characters read the W-cleared
+numerator N = A-hat^2 (moments . plan weights)/pi^p, the index density times
+the W character, directly on one small real grid: it is a Laurent polynomial
+in q = e^{i theta}, read off by one FFT.  The index values are N over the W
+character on the value grid, and the Fourier coefficients are N/ch_W expanded
+in positive powers of q.  The W character, its pole guard and A-hat^2 are
+each computed once per grid, elementwise.  Oscillatory non-decaying
 models are rejected with a divergence error and handled by the regularized
 delta pairing, which reads its density at every parameter point from one
 plan evaluation.  Its fiber rate is purely imaginary and its xi rule
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import characters
 from .characters import CharacterSeries
-from .equivariant import POLE_GUARD_W, ChernPlan, PoleGuardError, chern_plan, w_character
+from .equivariant import ChernPlan, chern_plan, w_character
 from .exterior import Poly
 from .geometry import COMPLEX, ActionModel
 from .supermatrix import UnsupportedShapeError
@@ -58,7 +60,7 @@ class AliasError(ValueError):
 
 def orientation_sign(model: ActionModel) -> int:
     """Symplectic-vs-product orientation sign for the model's complex pairs."""
-    p = sum(1 for c in model.coordinates_meta if c.kind == COMPLEX)
+    p = len(model.algebra.conjugates)
     return -1 if (p * (p - 1) // 2) % 2 else 1
 
 
@@ -69,14 +71,9 @@ def oriented_volume_coefficient(model: ActionModel, form) -> object:
     return c if s > 0 else -c
 
 
-def _complex_pairs(model: ActionModel) -> list[tuple[str, str]]:
-    return [(c.name, model.algebra.conjugates[c.name])
-            for c in model.coordinates_meta if c.kind == COMPLEX]
-
-
 def _gaussian_scales(model: ActionModel, exponent: Poly) -> list[float]:
     """Per-pair decay rates a_p when the exponent is exactly -sum a_p c cbar."""
-    pairs = _complex_pairs(model)
+    pairs = list(model.algebra.conjugates.items())
     if not pairs:
         raise DivergenceError(
             "no complex coordinate pairs carry Gaussian decay; use delta_pairing")
@@ -113,7 +110,7 @@ def gaussian_integral(model: ActionModel, poly: Poly, exponent: Poly) -> complex
     """
     scales = _gaussian_scales(model, exponent)
     idx = model.algebra.coord_index
-    pairs = [(idx[a], idx[b]) for a, b in _complex_pairs(model)]
+    pairs = [(idx[a], idx[b]) for a, b in model.algebra.conjugates.items()]
     paired = {i for pair in pairs for i in pair}
     total = 0.0 + 0.0j
     for m, c in poly.terms.items():
@@ -130,13 +127,13 @@ def gaussian_integral(model: ActionModel, poly: Poly, exponent: Poly) -> complex
     return total
 
 
-def _index_density(model: ActionModel, plan: ChernPlan, thetas) -> np.ndarray:
-    """Index density at every theta from one evaluation of the Chern plan.
+def _index_numerator(model: ActionModel, plan: ChernPlan, thetas) -> np.ndarray:
+    """W-cleared index density N = density ch_W at every theta from one plan evaluation.
 
     The top coefficient of each plan form is integrated once against the
-    Gaussian body by exact moments; per theta only the plan weights, the
-    W character and the A-hat factor change.  The body must not depend on
-    theta: a theta-dependent exponent is an oscillatory fiber.
+    Gaussian body by exact moments; per theta only the plan weights and the
+    A-hat factor change.  The body must not depend on theta: a
+    theta-dependent exponent is an oscillatory fiber.
     """
     if not plan.shared[1].is_zero:
         raise DivergenceError("body exponent depends on theta (an oscillatory "
@@ -144,11 +141,9 @@ def _index_density(model: ActionModel, plan: ChernPlan, thetas) -> np.ndarray:
     moments = np.array([
         gaussian_integral(model, oriented_volume_coefficient(model, f), plan.shared[0])
         for f in plan.forms])
-    factors = np.array([1.0 / w_character(model, t) * characters.ahat_squared(t)
-                        for t in thetas])
     # dzbar^dz = 2i d^2z, so each pair contributes (2i)/(2 pi i) = 1/pi
-    return (factors * (moments @ plan.weights(thetas))
-            / math.pi ** len(_complex_pairs(model)))
+    return (characters.ahat_squared(thetas) * (moments @ plan.weights(thetas))
+            / math.pi ** len(model.algebra.conjugates))
 
 
 def integrate_top_form(model: ActionModel, theta: complex) -> complex:
@@ -157,9 +152,11 @@ def integrate_top_form(model: ActionModel, theta: complex) -> complex:
     Takes A-hat squared times the transverse Chern form, extracts the top
     coefficient against the oriented volume, integrates it against the
     Gaussian body by exact moments, and applies the 1/(2 pi i) per complex
-    pair normalization; the model's Chern plan evaluated at one theta.
+    pair normalization: the W-cleared numerator of the model's Chern plan at
+    one theta, divided by the W character there.
     """
-    return complex(_index_density(model, chern_plan(model), [theta])[0])
+    numerator = _index_numerator(model, chern_plan(model), np.array([theta]))
+    return complex(numerator[0] / w_character(model, theta))
 
 
 def fit_fourier(thetas: Sequence[complex], values: Sequence[complex],
@@ -216,13 +213,15 @@ def index_character(model: ActionModel, theta_samples: int = 32,
     """Index values on a uniform pole-avoiding theta grid and their Fourier series.
 
     The index density times the W character, N = density ch_W, is a Laurent
-    polynomial in q = e^{i theta}.  It is fitted once from NUMERATOR_SAMPLES
-    points of the real grid 2 pi (j + 1/2)/N; its terms of degree at most
-    NUMERATOR_DEGREE are kept, and the fitted terms beyond that degree bound
-    the aliasing error (AliasError when they are not negligible).  The values
-    on the grid 2 pi (j + 1/2)/K are N/ch_W, and the Fourier coefficients are
-    the expansion of N/ch_W in positive powers of q (the regularization
-    Im theta > 0), exact for every window.
+    polynomial in q = e^{i theta}.  N is read directly from the Chern plan and
+    fitted once from NUMERATOR_SAMPLES points of the real grid
+    2 pi (j + 1/2)/N; its terms of degree at most NUMERATOR_DEGREE are kept,
+    and the fitted terms beyond that degree bound the aliasing error
+    (AliasError when they are not negligible).  The values on the grid
+    2 pi (j + 1/2)/K are N over w_character there (PoleGuardError near a
+    pole), and the Fourier coefficients are the expansion of N/ch_W in
+    positive powers of q (the regularization Im theta > 0), exact for every
+    window.
     """
     if theta_samples < 2:
         raise ValueError("need at least two theta samples")
@@ -233,12 +232,8 @@ def index_character(model: ActionModel, theta_samples: int = 32,
     # ch_W = q^a - q^b = q^a (1 - q^m) for the even weight a and the odd weight b
     a, b = w.weights if w.parities[0] == 0 else w.weights[::-1]
     m = b - a
-
-    def ch_w(t):  # q^a (1 - q^m), free of cancellation near q = 1
-        return -2j * np.sin(m * t / 2) * np.exp(1j * (a + m / 2) * t)
-
     grid = 2 * math.pi * (np.arange(NUMERATOR_SAMPLES) + 0.5) / NUMERATOR_SAMPLES
-    fit = fit_fourier(grid, _index_density(model, chern_plan(model), grid) * ch_w(grid),
+    fit = fit_fourier(grid, _index_numerator(model, chern_plan(model), grid),
                       (NUMERATOR_SAMPLES - 1) // 2)
     degrees = range(-NUMERATOR_DEGREE, NUMERATOR_DEGREE + 1)
     alias = max((abs(c) for n, c in fit.coefficients.items() if n not in degrees),
@@ -248,11 +243,8 @@ def index_character(model: ActionModel, theta_samples: int = 32,
                          f"{NUMERATOR_DEGREE} (largest {alias:.3e})")
 
     thetas = 2 * math.pi * (np.arange(theta_samples) + 0.5) / theta_samples
-    chw = ch_w(thetas)
-    if np.abs(chw).min() < POLE_GUARD_W:
-        raise PoleGuardError(f"W character below guard {POLE_GUARD_W} on the theta grid")
     numerator = np.exp(1j * np.outer(thetas, degrees)) @ [fit.coeff(n) for n in degrees]
-    values = [complex(v) for v in numerator / chw]
+    values = [complex(v) for v in numerator / w_character(model, thetas)]
     # q^{-a} N on a window that holds all of it below the output window
     shifted = CharacterSeries({n - a: fit.coeff(n) for n in degrees},
                               (min(-fourier_window, -NUMERATOR_DEGREE - a), fourier_window))
@@ -344,9 +336,8 @@ def _oscillatory_density(model: ActionModel, plan: ChernPlan, xs: np.ndarray):
     # delta_pairing folds the xi rule onto xi > 0, which is exact only for Re r = 0
     if np.any(rates.real != 0):
         raise UnsupportedShapeError("fiber exponent must be purely oscillatory")
-    chw = np.array([w_character(model, x) for x in xs])
     top_values = np.array([t.constant_value() for t in tops]) @ plan.weights(xs)
-    return top_values / chw, rates
+    return top_values / w_character(model, xs), rates
 
 
 class DeltaReport(NamedTuple):

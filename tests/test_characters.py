@@ -1,5 +1,6 @@
 import cmath
 
+import numpy as np
 import pytest
 
 from equichern.characters import (
@@ -111,6 +112,21 @@ class TestAhatSquared:
     def test_pole_rejected(self):
         with pytest.raises(ZeroDivisionError):
             ahat_squared(0.0)
+
+    def test_array_matches_scalar_formula(self):
+        # oracle: the scalar cmath evaluation of the same closed form
+        def scalar(t):
+            e = cmath.exp(1j * t)
+            return (1j * t) ** 2 * e / (1.0 - e) ** 2
+
+        thetas = np.concatenate([np.linspace(-20.0, -0.01, 500), np.linspace(0.01, 20.0, 500),
+                                 np.linspace(0.1, 6.2, 50) + 0.5j])
+        ref = np.array([scalar(complex(t)) for t in thetas])
+        assert np.max(np.abs(ahat_squared(thetas) - ref) / np.abs(ref)) < 1e-15
+
+    def test_array_with_a_pole_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            ahat_squared(np.array([1.0, 0.0, 2.0]))
 
     def test_series_form(self):
         series = ahat_squared_series((-16, 16))

@@ -17,6 +17,7 @@ from equichern.equivariant import (
     split_body,
     symbolic_chern,
     transverse_chern,
+    w_character,
 )
 from equichern.exterior import NUMERIC, SYMBOLIC, EvaluationError
 from equichern.geometry import (
@@ -332,6 +333,26 @@ class TestBundleCharacter:
         e = cmath.exp(1j * theta)
         assert abs(got - (1 - 2 * e + e * e)) < 1e-15
         assert abs(got - (1 - e) ** 2) < 1e-15
+
+
+class TestArrayCharacters:
+    THETAS = np.linspace(-20.0, 20.0, 1001)
+
+    def test_bundle_character_array_is_the_scalar_calls(self):
+        w, p = (0, 1, 1, 2), (0, 1, 1, 0)
+        got = bundle_character(w, p, self.THETAS)
+        assert got.tolist() == [bundle_character(w, p, float(t)) for t in self.THETAS]
+
+    def test_w_character_array_is_the_scalar_calls(self):
+        m = c_plane_uv()
+        thetas = self.THETAS[np.abs(np.sin(self.THETAS / 2)) > 1e-6]
+        got = w_character(m, thetas)
+        assert got.tolist() == [w_character(m, float(t)) for t in thetas]
+
+    def test_w_pole_guard_on_any_element(self):
+        with pytest.raises(PoleGuardError):
+            w_character(c_plane_uv(), np.array([1.0, 2 * np.pi]))
+        assert w_character(c_plane_uv(), np.array([])).shape == (0,)
 
 
 class TestTransverseChern:

@@ -6,7 +6,7 @@ import pytest
 
 from equichern import geometry, quadrature
 from equichern.characters import ahat_squared, series_to_csv
-from equichern.equivariant import PoleGuardError, chern_plan, transverse_chern
+from equichern.equivariant import PoleGuardError, chern_plan, transverse_chern, w_character
 from equichern.exterior import SYMBOLIC, Poly
 from equichern.geometry import (
     COMPLEX,
@@ -33,7 +33,7 @@ from equichern.quadrature import (
     oriented_volume_coefficient,
     richardson_extrapolate,
     shifted_gaussian_test,
-    _index_density,
+    _index_numerator,
 )
 from equichern.supermatrix import SuperMatrix, UnsupportedShapeError
 
@@ -210,13 +210,29 @@ class TestIndexCharacter:
         plan = chern_plan(m)
         thetas = np.array(report.theta_samples).real
         far = np.minimum(thetas, 2 * math.pi - thetas) >= math.pi / 8
-        direct = _index_density(m, plan, thetas[far])
+        direct = _index_numerator(m, plan, thetas[far]) / w_character(m, thetas[far])
         assert np.abs(np.array(report.values)[far] - direct).max() < 1e-12
         # the positive-power series, summed on Im theta = 1 where it converges
         contour = 2 * math.pi * (np.arange(16) + 0.5) / 16 + 1j
         ns = np.arange(-40, 41)
         abel = np.exp(1j * np.outer(contour, ns)) @ [report.fourier.coeff(int(n)) for n in ns]
-        assert np.abs(abel - _index_density(m, plan, contour)).max() < 1e-11
+        assert np.abs(abel - _index_numerator(m, plan, contour)
+                      / w_character(m, contour)).max() < 1e-11
+
+    @pytest.mark.parametrize("even, odd", [(0, 1), (1, 0), (0, -1), (2, 1), (0, 2)])
+    def test_w_character_closed_form(self, even, odd):
+        # oracle: ch_W = q^a (1 - q^m) = -2i sin(m theta/2) e^{i (a + m/2) theta}
+        m = odd - even
+        thetas = 2 * math.pi * (np.arange(64) + 0.5) / 64
+        closed = -2j * np.sin(m * thetas / 2) * np.exp(1j * (even + m / 2) * thetas)
+        got = w_character(plane_uv_with_w(even, odd), thetas)
+        assert np.max(np.abs(got - closed) / np.abs(closed)) < 2e-15
+
+    def test_values_next_to_q_equal_one(self):
+        # the first and last of 4096 samples sit 7.7e-4 from theta = 0
+        report = index_character(c_plane_uv(), theta_samples=4096, fourier_window=2)
+        assert max(abs(v - golden_index(t.real))
+                   for t, v in zip(report.theta_samples, report.values)) < 6e-11
 
     def test_undeclared_degree_is_an_alias_error(self, monkeypatch):
         # the numerator is -q: fitting degree 0 leaves |c_1| = 1 outside the span
