@@ -528,6 +528,25 @@ def _singular_stats(vals: np.ndarray, blocks):
     return dets, smax, smin
 
 
+# Most points whose (d, d) values the check-symbol grids hold at once, so that
+# their working set does not grow with the sample count.
+BATCH_POINTS = 4096
+
+
+def fill_batches(out: np.ndarray, values, width: int) -> None:
+    """Fill ``out[..., s]`` with ``values(s)`` for consecutive slices ``s``.
+
+    A slice spans ``BATCH_POINTS // width`` indices of the last axis (at least
+    one), so a ``values`` that evaluates ``width`` points per index holds at
+    most ``BATCH_POINTS`` points at once, and each slice is reduced to its
+    part of ``out`` before the next one is evaluated.
+    """
+    step = max(1, BATCH_POINTS // width)
+    for start in range(0, out.shape[-1], step):
+        s = slice(start, start + step)
+        out[..., s] = values(s)
+
+
 def _median_last(a: np.ndarray) -> np.ndarray:
     """``np.median(a, axis=-1)`` by one partition (np.median imports numpy.ma)."""
     h = a.shape[-1] // 2
@@ -579,9 +598,10 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
     otherwise).  The worst samples per shell are refined by damped
     Gauss-Newton on the smallest singular value, projected onto the shell
     sphere, so a transversal zero set is converged to and not merely
-    straddled.  Every shell is sampled in one batch and all shells'
-    candidates advance in lock-step, one batch of the matrix and its
-    derivatives per step.  The shell directions are normalized
+    straddled.  The shells are sampled together, in slices of at most
+    ``BATCH_POINTS`` points (`fill_batches`), and all shells' candidates
+    advance in lock-step, one batch of the matrix and its derivatives per
+    step.  The shell directions are normalized
     ``gaussian_draws(grid.seed, ...)``; the refinement draws no random
     numbers.  The matrix and its derivative jet are compiled once per call,
     so each batch is one product of coefficients and monomials.
@@ -598,9 +618,10 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
     radii = np.asarray(grid.radii, dtype=float)
     r = radii[:, None, None]
     dirs = _unit(gaussian_draws(grid.seed, (len(radii), grid.samples, dim_real)))
-    pts = r * dirs
-    dets, opnorms, smins = _singular_stats(
-        CompiledPolys(algebra, polys).entries(_coords_from_real(algebra, pts)), blocks)
+    table = CompiledPolys(algebra, polys)
+    dets, opnorms, smins = stats = np.empty((3,) + dirs.shape[:2])
+    fill_batches(stats, lambda s: _singular_stats(
+        table.entries(_coords_from_real(algebra, r * dirs[:, s])), blocks), len(radii))
     scale = _median_last(opnorms)
     floor = DEGENERATE_TOL * np.maximum(scale, 1e-30)
 
@@ -651,7 +672,6 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
     # each point counts once: the samples, then the candidates refinement
     # moved (an unmoved candidate is its sample, so it leaves the minima as
     # they are and only its degenerate count is masked out)
-    all_pts = np.concatenate([pts, r * p], axis=1)
     all_dets = np.concatenate([dets, ref_dets], axis=1)
     all_opn = np.concatenate([opnorms, ref_opn], axis=1)
     counted = np.concatenate([np.ones(dets.shape, dtype=bool), refined], axis=1)
@@ -665,7 +685,8 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
     for i, rad in enumerate(radii):
         n_deg = int(degenerate[i].sum())
         for idx in np.nonzero(degenerate[i])[0][:3]:
-            degenerate_points.append(list(all_pts[i, idx]))
+            q = dirs[i, idx] if idx < grid.samples else p[i, idx - grid.samples]
+            degenerate_points.append(list(rad * q))
         shells.append(ShellResult(
             radius=float(rad),
             min_normalized_det=float(normalized[i].min()),

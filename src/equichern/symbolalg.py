@@ -24,6 +24,7 @@ from .geometry import (
     _entry_polys,
     _fiber,
     _singular_stats,
+    fill_batches,
     infinitesimal_generator,
     orbital_projection,
     parity_blocks,
@@ -215,7 +216,9 @@ def normalized_remainder_symbol(model: ActionModel,
     The symbol's entries are compiled once.  As sigma is odd, sigma_hat^2 is
     even: each entry of it sums only the structurally non-zero products
     sigma_ij sigma_jk, and the operator norm comes from the two diagonal
-    grading blocks (`geometry._singular_stats`).
+    grading blocks (`geometry._singular_stats`).  The evaluator flattens its
+    broadcast ``(x, xi)`` and reduces them to operator norms in slices of at
+    most ``geometry.BATCH_POINTS`` points (`geometry.fill_batches`).
     """
     base, fiber = model.base.name, _fiber(model).name
     polys = _entry_polys(model.symbol)
@@ -228,9 +231,7 @@ def normalized_remainder_symbol(model: ActionModel,
                          if polys[i, j] is not None and polys[j, k] is not None]
                 for i in range(d) for k in range(d) if parities[i] == parities[k]}
 
-    def evaluator(x, xi):
-        x = np.asarray(x, dtype=complex)
-        xi = np.asarray(xi, dtype=complex)
+    def sigma_max(x, xi):
         arrays = model.full_point({base: x, fiber: xi})
         scale = np.sqrt(1.0 + np.abs(x) ** 2 + np.abs(xi) ** 2)
         sig = table.entries(arrays) / scale
@@ -241,7 +242,16 @@ def normalized_remainder_symbol(model: ActionModel,
         for (i, k), js in products.items():
             rem[i, k] = float(i == k) - sum(
                 np.einsum("...,...->...", sig[i, j], sig[j, k]) for j in js)
-        return bump(x, cutoff_radius) * _singular_stats(rem, blocks)[1]
+        return _singular_stats(rem, blocks)[1]
+
+    def evaluator(x, xi):
+        x, xi = np.broadcast_arrays(np.asarray(x, dtype=complex),
+                                    np.asarray(xi, dtype=complex))
+        shape = x.shape
+        x, xi = x.ravel(), xi.ravel()
+        out = np.empty(x.size)
+        fill_batches(out, lambda s: sigma_max(x[s], xi[s]), 1)
+        return (bump(x, cutoff_radius) * out).reshape(shape)
 
     return SymbolFunction(evaluator=evaluator, x_support_radius=cutoff_radius)
 

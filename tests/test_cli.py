@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -8,11 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import equichern
+from equichern import geometry
 from equichern.characters import series_from_csv, series_to_csv
 from equichern.cli import MAX_XI, TEST_NAMES, build_parser, main, validate_report
+from equichern.exterior import CompiledPolys
 from equichern.modelfile import builtin_model_text
 from equichern.quadrature import TEST_FUNCTIONS
 
@@ -267,6 +271,34 @@ class TestCheckSymbol:
         # the seed drives the scan only, not the transversality check
         a, c = (json.loads(doc)["runs"][0]["payload"] for doc in sections[::2])
         assert a["transversal_ellipticity"] == c["transversal_ellipticity"]
+
+    def test_symbol_evaluated_in_bounded_batches(self, tmp_path, monkeypatch):
+        # the working set of both checks stays one slice, whatever the count
+        points = []
+        evaluate = CompiledPolys.entries
+
+        def recording(table, arrays):
+            points.append(np.broadcast(*arrays.values()).size)
+            return evaluate(table, arrays)
+
+        monkeypatch.setattr(CompiledPolys, "entries", recording)
+        assert run(["check-symbol", PLANE_MODEL, "--scan-samples", 20000,
+                    "--out-dir", tmp_path]) == 0
+        assert sum(points) > 7 * 20000  # the 7 shells' samples went through entries
+        assert max(points) <= geometry.BATCH_POINTS
+
+    def test_empty_half_radius_grid_fails_every_ratio(self, tmp_path):
+        # below --xi-max 1 no xi radius lies within R/2, so c_eps at the half
+        # radius is 0 and no ratio can show the constant stabilizing
+        assert run(["check-symbol", PLANE_MODEL, "--xi-max", "0.5",
+                    "--out-dir", tmp_path]) == 1
+        payload = json.loads((tmp_path / "symbol_report.json").read_text())["runs"][0]["payload"]
+        entries = [e for c in payload["transversal_ellipticity"]["condition_c"]
+                   for e in c["entries"]]
+        assert entries
+        assert all(e["c_eps_half_radius"] == 0.0 and e["ratio"] == math.inf
+                   and not e["passed"] for e in entries)
+        assert payload["ellipticity_scan"]["passed"] is True
 
     def test_malformed_entry_exit_three(self, tmp_path, capsys):
         path = tmp_path / "bad.model"

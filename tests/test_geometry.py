@@ -241,20 +241,29 @@ class TestEllipticityScan:
         assert [s.degenerate for s in report.shells] == [100] * 7
 
     def test_one_evaluation_per_refinement_step(self, monkeypatch):
-        # all shells are sampled together and every candidate refined in
-        # lock-step: one batch for the shells, one per step, one to score
+        # all shells are sampled together, slice by slice, and every
+        # candidate refined in lock-step: one batch per step, one to score
         calls = []
         evaluate = CompiledPolys.entries
 
-        def counting(table, arrays):
-            calls.append(np.shape(next(iter(arrays.values()))))
+        def recording(table, arrays):
+            calls.append(next(iter(arrays.values())))
             return evaluate(table, arrays)
 
-        monkeypatch.setattr(CompiledPolys, "entries", counting)
+        monkeypatch.setattr(CompiledPolys, "entries", recording)
         grid = ScanGrid()
-        ellipticity_scan(augmented_symbol(c_plane()), grid)
-        assert len(calls) <= grid.refine_iters + 2
-        assert calls[0] == (len(grid.radii), grid.samples)
+        symbol = augmented_symbol(c_plane())
+        passes = []
+        for batch in (geometry.BATCH_POINTS, len(grid.radii) * grid.samples):
+            monkeypatch.setattr(geometry, "BATCH_POINTS", batch)
+            calls.clear()
+            ellipticity_scan(symbol, grid)
+            n = sum(c.ndim == 2 for c in calls)
+            assert all(c.ndim == 2 and c.size <= batch for c in calls[:n])
+            assert len(calls) - n <= grid.refine_iters + 1
+            passes.append(np.concatenate(calls[:n], axis=1))
+        # the slices cover every sample once, in order, as one whole batch does
+        assert np.array_equal(*passes)
 
 
     @pytest.mark.parametrize("seed", range(40))
@@ -295,7 +304,8 @@ class TestEllipticityScan:
             calls.clear()
             report = ellipticity_scan(symbol, ScanGrid(samples=1500, seed=seed))
             assert report.degenerate_points
-            assert len(calls) - 1 <= 3  # the shell batch, then refinement batches
+            shell = [c for c in calls if len(c) == 2]
+            assert len(calls) - len(shell) <= 3  # refinement batches after the shell pass
 
 
 class TestGaussianDraws:
@@ -489,10 +499,14 @@ class TestBlockSingularValues:
             return out
 
         monkeypatch.setattr(CompiledPolys, "entries", recording)
+        monkeypatch.setattr(geometry, "BATCH_POINTS", 997)  # several shell batches
         aug = augmented_symbol(c_plane())
         report = ellipticity_scan(aug, ScanGrid(samples=300, refine_iters=0))
-        mats = np.moveaxis(seen[0], (0, 1), (-2, -1))
-        assert_matches_svd(geometry._singular_stats(seen[0], self.odd_blocks), mats)
+        assert len(seen) > 1
+        for vals in seen:
+            assert_matches_svd(geometry._singular_stats(vals, self.odd_blocks),
+                               np.moveaxis(vals, (0, 1), (-2, -1)))
+        mats = np.moveaxis(np.concatenate(seen, axis=3), (0, 1), (-2, -1))
         ref_det, ref_max, _ = svd_oracle(mats)
         for shell, det, opn in zip(report.shells, ref_det, ref_max):
             assert abs(shell.median_opnorm - np.median(opn)) <= 1e-13 * np.median(opn)

@@ -8,9 +8,11 @@ from equichern.geometry import (
     ActionModel,
     BundleSpec,
     Coordinate,
+    ScanGrid,
     UnsupportedShapeError,
     augmented_symbol,
     c_plane,
+    ellipticity_scan,
     zero_op_s1,
 )
 from equichern.modelfile import builtin_model_text, parse_model_text
@@ -241,3 +243,27 @@ class TestRemainderOracle:
             if name in ("c-plane", "constant-symbol"):
                 # the shipped symbols evaluate exactly: relative agreement
                 assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+
+# The matrix each batched model is scanned on: the rank-6 symbol has no
+# augmentation, and its 3x3 grading blocks take the svd; zero-op has no scan.
+SCANNED = {"c-plane": augmented_symbol, "constant-symbol": augmented_symbol,
+           "rank-6-svd": lambda model: model.symbol}
+
+
+class TestBatchedGrids:
+    """Slices of BATCH_POINTS points against one batch for the whole grid."""
+
+    @pytest.mark.parametrize("name", ["c-plane", "constant-symbol", "rank-6-svd", "zero-op"])
+    def test_reports_equal_the_single_batch_route(self, monkeypatch, rng, name):
+        model = REMAINDER_MODELS[name](rng)
+        reports = []
+        # at least the 49,152-point condition-C grid; 997 divides neither grid
+        for batch in (10 ** 6, 997):
+            monkeypatch.setattr(geometry, "BATCH_POINTS", batch)
+            report = [transversal_ellipticity_check(model).to_dict()]
+            if name in SCANNED:
+                report.append(ellipticity_scan(SCANNED[name](model),
+                                               ScanGrid(samples=777)).to_dict())
+            reports.append(report)
+        assert reports[0] == reports[1]
