@@ -9,7 +9,10 @@ algebra of transversally-negative-order symbols.
 The public names below load their submodule on first use (PEP 562), so
 importing the package, or one submodule, compiles and runs only the modules
 that are used: ``equichern.cli`` loads no engine module until a subcommand
-runs, and the dense route never loads the quadrature or the model parser.
+runs, the dense route never loads the quadrature, the scan or the model
+parser, the delta pairing (``pairing``) loads neither the quadrature nor
+the character series, and the ellipticity scan (``scan``) loads only with
+``check-symbol``.
 """
 
 import importlib
@@ -25,15 +28,17 @@ _EXPORTS = {
                      "closedness_residual", "equivariant_curvature", "symbolic_chern",
                      "transverse_chern"), "equivariant"),
     **dict.fromkeys(("ExteriorAlgebra", "Form", "Poly"), "exterior"),
-    **dict.fromkeys(("ActionModel", "BundleSpec", "Coordinate", "HomotopyPath", "ScanGrid",
+    **dict.fromkeys(("ActionModel", "BundleSpec", "Coordinate", "HomotopyPath",
                      "augmented_symbol", "builtin_model", "c_plane", "c_plane_uv",
-                     "cartan_field", "clifford_multiplication", "ellipticity_scan",
-                     "homotopy_path", "infinitesimal_generator", "moment",
-                     "orbital_projection", "zero_op_s1"), "geometry"),
+                     "cartan_field", "clifford_multiplication", "homotopy_path",
+                     "infinitesimal_generator", "moment", "orbital_projection",
+                     "zero_op_s1"), "geometry"),
     **dict.fromkeys(("ModelParseError", "parse_model_file", "parse_model_text"),
                     "modelfile"),
-    **dict.fromkeys(("DivergenceError", "IndexReport", "delta_pairing", "index_character",
-                     "integrate_top_form", "richardson_extrapolate"), "quadrature"),
+    **dict.fromkeys(("delta_pairing", "richardson_extrapolate"), "pairing"),
+    **dict.fromkeys(("DivergenceError", "IndexReport", "index_character",
+                     "integrate_top_form"), "quadrature"),
+    **dict.fromkeys(("ScanGrid", "ellipticity_scan"), "scan"),
     **dict.fromkeys(("Grading", "SuperMatrix", "UnsupportedShapeError",
                      "exp_divided_difference", "graded_commutator", "super_exp",
                      "super_exp_duhamel"), "supermatrix"),

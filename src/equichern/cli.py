@@ -26,20 +26,26 @@ SCHEMA_VERSION = "1"
 
 # Largest sample counts accepted, so an oversized count is a usage error and
 # not an array that cannot be allocated.  At the scan cap, check-symbol on
-# c_plane.model peaks at about 118 MB RSS (x86_64, numpy 2.4.6; 404 MB when
-# every shell was evaluated in one batch), most of it the scan's Gaussian
-# draws and unit directions, which are drawn whole.
+# c_plane.model peaks at about 101 MB RSS (x86_64, numpy 2.4.6; 118 MB when
+# the two Box-Muller halves were concatenated, 404 MB when every shell was
+# evaluated in one batch), most of it the scan's Gaussian draws and unit
+# directions, which are drawn whole.
 MAX_THETA_SAMPLES = 4096
 MAX_SCAN_SAMPLES = 100_000
 
 # Largest --fourier-window accepted, a bound on the size of the written series.
 MAX_FOURIER_WINDOW = 63
 
+# Smallest --xi-max accepted, 2 * symbolalg.R_MIN: condition C compares c_eps
+# at the outer xi radius with c_eps on the radii up to half of it, and the
+# radii start at R_MIN, so below this bound that set is empty.
+MIN_XI = 1.0
+
 # Largest --xi-max accepted: the scan squares |xi| and its powers, which
 # overflow on the c-plane model from between 1e150 and 1e154.
 MAX_XI = 1e100
 
-# The keys of quadrature.TEST_FUNCTIONS, named here so parsing imports no engine.
+# The keys of pairing.TEST_FUNCTIONS, named here so parsing imports no engine.
 TEST_NAMES = ("gaussian", "shifted-gaussian")
 
 
@@ -104,7 +110,7 @@ def _run_c_plane(args, out_dir: Path) -> int:
 
 def _run_zero_op(args, out_dir: Path) -> int:
     from .geometry import builtin_model
-    from .quadrature import TEST_FUNCTIONS, delta_pairing
+    from .pairing import TEST_FUNCTIONS, delta_pairing
 
     model = builtin_model("zero-op")
     report = delta_pairing(model, TEST_FUNCTIONS[args.test], args.eps)
@@ -134,8 +140,9 @@ def cmd_run_example(args) -> int:
 
 def cmd_check_symbol(args) -> int:
     from . import symbolalg
-    from .geometry import ScanGrid, augmented_symbol, ellipticity_scan
+    from .geometry import augmented_symbol
     from .modelfile import ModelParseError, parse_model_file
+    from .scan import ScanGrid, ellipticity_scan
 
     try:
         model = parse_model_file(args.model_file)
@@ -235,12 +242,12 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_at_most(hi: float):
-    """argparse type: a positive number no larger than hi."""
+def _float_in(lo: float, hi: float):
+    """argparse type: a number in [lo, hi], for positive lo."""
     def parse(text: str) -> float:
         value = _positive_float(text)
-        if value > hi:
-            raise argparse.ArgumentTypeError(f"{text!r} is larger than {hi:g}")
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{text!r} is not between {lo:g} and {hi:g}")
         return value
     return parse
 
@@ -287,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check-symbol", help="symbol-algebra and ellipticity checks")
     chk.add_argument("model_file")
-    chk.add_argument("--xi-max", type=_positive_at_most(MAX_XI), default=1e3)
+    chk.add_argument("--xi-max", type=_float_in(MIN_XI, MAX_XI), default=1e3)
     chk.add_argument("--scan-samples", type=_int_in(1, MAX_SCAN_SAMPLES), default=2000)
     chk.add_argument("--seed", type=_int_in(0), default=0)
     chk.add_argument("--tol", type=_positive_float, default=1e-6)

@@ -21,14 +21,11 @@ from .geometry import (
     ANGLE,
     COMPLEX,
     ActionModel,
-    _entry_polys,
     _fiber,
-    _singular_stats,
-    fill_batches,
     infinitesimal_generator,
     orbital_projection,
-    parity_blocks,
 )
+from .scan import _entry_polys, _singular_stats, fill_batches, parity_blocks
 from .supermatrix import EVEN
 
 STABILITY_RATIO = 1.1   # heuristic: c_eps(R)/c_eps(R/2) below this counts as stable
@@ -99,7 +96,11 @@ def condition_c_fit(b: SymbolFunction, model: ActionModel,
 
     PASS requires c_eps at radius R within STABILITY_RATIO of its value at
     R/2 for every eps, so that growing the grid no longer grows the constant.
+    Raises ValueError for r_max below 2 R_MIN, where no radius lies within R/2.
     """
+    if r_max < 2 * R_MIN:
+        raise ValueError(f"r_max {r_max!r} is below 2 R_MIN = {2 * R_MIN:g}: "
+                         "no xi radius lies within r_max / 2")
     dirs = _fiber_directions(model)
     radii = np.geomspace(R_MIN, r_max, N_RADII)
     X, XI = np.broadcast_arrays(_base_points(model, b)[:, None, None],
@@ -216,9 +217,9 @@ def normalized_remainder_symbol(model: ActionModel,
     The symbol's entries are compiled once.  As sigma is odd, sigma_hat^2 is
     even: each entry of it sums only the structurally non-zero products
     sigma_ij sigma_jk, and the operator norm comes from the two diagonal
-    grading blocks (`geometry._singular_stats`).  The evaluator flattens its
+    grading blocks (`scan._singular_stats`).  The evaluator flattens its
     broadcast ``(x, xi)`` and reduces them to operator norms in slices of at
-    most ``geometry.BATCH_POINTS`` points (`geometry.fill_batches`).
+    most ``scan.BATCH_POINTS`` points (`scan.fill_batches`).
     """
     base, fiber = model.base.name, _fiber(model).name
     polys = _entry_polys(model.symbol)

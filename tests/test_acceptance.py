@@ -18,19 +18,15 @@ from equichern.equivariant import (
 )
 from equichern.exterior import NUMERIC
 from equichern.geometry import (
-    ScanGrid,
     c_plane,
     c_plane_uv,
-    ellipticity_scan,
     homotopy_path,
+    orientation_sign,
     zero_op_s1,
 )
-from equichern.quadrature import (
-    delta_pairing,
-    gaussian_test,
-    index_character,
-    orientation_sign,
-)
+from equichern.pairing import delta_pairing, gaussian_test
+from equichern.quadrature import index_character
+from equichern.scan import ScanGrid, ellipticity_scan
 from equichern.supermatrix import Grading, SuperMatrix, super_exp, super_exp_duhamel
 from equichern.symbolalg import (
     condition_c_fit,

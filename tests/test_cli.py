@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import math
 import os
 import re
 import shlex
@@ -13,12 +12,12 @@ import numpy as np
 import pytest
 
 import equichern
-from equichern import geometry
+from equichern import scan, symbolalg
 from equichern.characters import series_from_csv, series_to_csv
-from equichern.cli import MAX_XI, TEST_NAMES, build_parser, main, validate_report
+from equichern.cli import MAX_XI, MIN_XI, TEST_NAMES, build_parser, main, validate_report
 from equichern.exterior import CompiledPolys
 from equichern.modelfile import builtin_model_text
-from equichern.quadrature import TEST_FUNCTIONS
+from equichern.pairing import TEST_FUNCTIONS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PLANE_MODEL = Path(equichern.__file__).parent / "models" / "c_plane.model"
@@ -285,20 +284,20 @@ class TestCheckSymbol:
         assert run(["check-symbol", PLANE_MODEL, "--scan-samples", 20000,
                     "--out-dir", tmp_path]) == 0
         assert sum(points) > 7 * 20000  # the 7 shells' samples went through entries
-        assert max(points) <= geometry.BATCH_POINTS
+        assert max(points) <= scan.BATCH_POINTS
 
-    def test_empty_half_radius_grid_fails_every_ratio(self, tmp_path):
-        # below --xi-max 1 no xi radius lies within R/2, so c_eps at the half
-        # radius is 0 and no ratio can show the constant stabilizing
-        assert run(["check-symbol", PLANE_MODEL, "--xi-max", "0.5",
-                    "--out-dir", tmp_path]) == 1
-        payload = json.loads((tmp_path / "symbol_report.json").read_text())["runs"][0]["payload"]
-        entries = [e for c in payload["transversal_ellipticity"]["condition_c"]
-                   for e in c["entries"]]
-        assert entries
-        assert all(e["c_eps_half_radius"] == 0.0 and e["ratio"] == math.inf
-                   and not e["passed"] for e in entries)
-        assert payload["ellipticity_scan"]["passed"] is True
+    def test_xi_max_below_the_bound_usage_error(self, tmp_path, capsys):
+        # below 2 R_MIN no xi radius lies within --xi-max / 2, so condition C
+        # would fail for every symbol
+        assert MIN_XI == 2 * symbolalg.R_MIN
+        for value in ("0.5", "0.999999"):
+            code = run(["check-symbol", PLANE_MODEL, "--xi-max", value,
+                        "--out-dir", tmp_path / "out"])
+            assert code == 2
+            assert "argument --xi-max" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+        assert run(["check-symbol", PLANE_MODEL, "--xi-max", MIN_XI, "--scan-samples", 50,
+                    "--out-dir", tmp_path / "out"]) in (0, 1)
 
     def test_malformed_entry_exit_three(self, tmp_path, capsys):
         path = tmp_path / "bad.model"

@@ -29,6 +29,8 @@ from equichern.geometry import (
     c_plane_uv,
     cartan_field,
     moment,
+    orientation_sign,
+    oriented_volume_coefficient,
     zero_op_s1,
 )
 from equichern.modelfile import builtin_model_text, parse_model_text
@@ -37,8 +39,6 @@ from equichern.quadrature import (
     gaussian_integral,
     index_character,
     integrate_top_form,
-    orientation_sign,
-    oriented_volume_coefficient,
 )
 from equichern.supermatrix import (
     UnsupportedShapeError,
@@ -373,8 +373,6 @@ class TestTransverseChern:
         assert a.form == b.form and a.exponent == b.exponent
 
     def test_top_coefficient_at_fixed_point(self):
-        from equichern.quadrature import oriented_volume_coefficient
-
         m = c_plane_uv()
         theta = cmath.pi
         gf = transverse_chern(m, theta)

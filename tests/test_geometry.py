@@ -4,30 +4,27 @@ import random
 import numpy as np
 import pytest
 
-from equichern import geometry
+from equichern import geometry, scan
 from equichern.exterior import NUMERIC, SYMBOLIC, CompiledPolys, EvaluationError, Poly
 from equichern.geometry import (
     ActionModel,
     BundleSpec,
     Coordinate,
     Grading,
-    ScanGrid,
     SuperMatrix,
     UnsupportedShapeError,
     augmented_symbol,
-    block_singular_values,
     builtin_model,
     c_plane,
     c_plane_uv,
     clifford_multiplication,
-    ellipticity_scan,
-    gaussian_draws,
     homotopy_path,
     infinitesimal_generator,
     orbital_projection,
     zero_op_s1,
 )
 from equichern.modelfile import builtin_model_text, parse_model_text
+from equichern.scan import ScanGrid, block_singular_values, ellipticity_scan, gaussian_draws
 from conftest import odd_symbol_model
 
 
@@ -254,8 +251,8 @@ class TestEllipticityScan:
         grid = ScanGrid()
         symbol = augmented_symbol(c_plane())
         passes = []
-        for batch in (geometry.BATCH_POINTS, len(grid.radii) * grid.samples):
-            monkeypatch.setattr(geometry, "BATCH_POINTS", batch)
+        for batch in (scan.BATCH_POINTS, len(grid.radii) * grid.samples):
+            monkeypatch.setattr(scan, "BATCH_POINTS", batch)
             calls.clear()
             ellipticity_scan(symbol, grid)
             n = sum(c.ndim == 2 for c in calls)
@@ -327,6 +324,16 @@ class TestGaussianDraws:
         # numpy's and libm's log, cos and sin may differ by an ulp or two
         np.testing.assert_allclose(got.ravel(), ref[:got.size], rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 45, 1000, 7 * 2000 * 4 + 1])
+    def test_bits_of_the_concatenated_halves(self, n):
+        # the two Box-Muller halves as separate products, joined by concatenate
+        pairs = (n + 1) // 2
+        words = np.frombuffer(random.Random(n).randbytes(16 * pairs), dtype="<u8") >> 11
+        radius = np.sqrt(-2.0 * np.log((words[:pairs] + 1) * 2.0 ** -53))
+        angle = 2 * np.pi * (words[pairs:] * 2.0 ** -53)
+        ref = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
+        assert gaussian_draws(n, (n,)).tobytes() == ref.tobytes()
+
     def test_seeds_differ(self):
         draws = [gaussian_draws(seed, (1000,)) for seed in (0, 1, 2**40)]
         for i in range(len(draws)):
@@ -360,8 +367,8 @@ def assert_matches_svd(got, mats, tol=1e-13):
 
 
 def stats(mats, blocks):
-    """`geometry._singular_stats` of ``(..., d, d)`` matrices, passed entry-first."""
-    return geometry._singular_stats(np.moveaxis(mats, (-2, -1), (0, 1)), blocks)
+    """`scan._singular_stats` of ``(..., d, d)`` matrices, passed entry-first."""
+    return scan._singular_stats(np.moveaxis(mats, (-2, -1), (0, 1)), blocks)
 
 
 def random_complex(rng, shape):
@@ -384,7 +391,7 @@ def random_unitary(rng, n):
 class TestBlockSingularValues:
     """The closed-form graded singular values against np.linalg.svd."""
 
-    odd_blocks = geometry._grading_blocks(augmented_symbol(c_plane()))
+    odd_blocks = scan._grading_blocks(augmented_symbol(c_plane()))
 
     def test_odd_augmented_symbol_splits_into_two_blocks(self):
         assert self.odd_blocks == [([0, 1], [2, 3]), ([2, 3], [0, 1])]
@@ -428,19 +435,19 @@ class TestBlockSingularValues:
 
     def test_one_by_one_blocks(self, rng):
         symbol = c_plane().symbol
-        blocks = geometry._grading_blocks(symbol)
+        blocks = scan._grading_blocks(symbol)
         assert blocks == [([0], [1]), ([1], [0])]
         pts = random_complex(rng, (300, 2))
-        vals = CompiledPolys(symbol.algebra, geometry._entry_polys(symbol)).entries({
+        vals = CompiledPolys(symbol.algebra, scan._entry_polys(symbol)).entries({
             "z": pts[:, 0], "zbar": np.conj(pts[:, 0]),
             "xi": pts[:, 1], "xibar": np.conj(pts[:, 1])})
         mats = np.moveaxis(vals, (0, 1), (-2, -1))
-        assert_matches_svd(geometry._singular_stats(vals, blocks), mats)
+        assert_matches_svd(scan._singular_stats(vals, blocks), mats)
 
     def test_zero_matrix(self):
         m = c_plane()
         zero = SuperMatrix.zero(m.algebra, augmented_symbol(m).grading, SYMBOLIC)
-        blocks = geometry._grading_blocks(zero)
+        blocks = scan._grading_blocks(zero)
         assert blocks is not None
         mats = np.zeros((5, 4, 4), dtype=complex)
         dets, smax, smin = stats(mats, blocks)
@@ -450,7 +457,7 @@ class TestBlockSingularValues:
     def test_even_identity(self):
         m = c_plane()
         eye = SuperMatrix.identity(m.algebra, augmented_symbol(m).grading, SYMBOLIC)
-        blocks = geometry._grading_blocks(eye)
+        blocks = scan._grading_blocks(eye)
         assert blocks == [([0, 1], [0, 1]), ([2, 3], [2, 3])]
         mats = np.broadcast_to(np.eye(4, dtype=complex), (5, 4, 4))
         dets, smax, smin = stats(mats, blocks)
@@ -461,7 +468,7 @@ class TestBlockSingularValues:
         aug = augmented_symbol(m)
         alg = m.algebra
         mixed = aug + SuperMatrix.identity(alg, aug.grading, SYMBOLIC)
-        assert geometry._grading_blocks(mixed) is None
+        assert scan._grading_blocks(mixed) is None
         # an odd matrix whose blocks are 3x3
         grading = Grading((0, 0, 0, 1, 1, 1))
         z = alg.coord("z")
@@ -469,7 +476,7 @@ class TestBlockSingularValues:
                  for j in range(6)] for i in range(6)]
         large = SuperMatrix(alg, grading, rows)
         assert large.is_odd()
-        assert geometry._grading_blocks(large) is None
+        assert scan._grading_blocks(large) is None
 
         calls = []
         svd = np.linalg.svd
@@ -499,12 +506,12 @@ class TestBlockSingularValues:
             return out
 
         monkeypatch.setattr(CompiledPolys, "entries", recording)
-        monkeypatch.setattr(geometry, "BATCH_POINTS", 997)  # several shell batches
+        monkeypatch.setattr(scan, "BATCH_POINTS", 997)  # several shell batches
         aug = augmented_symbol(c_plane())
         report = ellipticity_scan(aug, ScanGrid(samples=300, refine_iters=0))
         assert len(seen) > 1
         for vals in seen:
-            assert_matches_svd(geometry._singular_stats(vals, self.odd_blocks),
+            assert_matches_svd(scan._singular_stats(vals, self.odd_blocks),
                                np.moveaxis(vals, (0, 1), (-2, -1)))
         mats = np.moveaxis(np.concatenate(seen, axis=3), (0, 1), (-2, -1))
         ref_det, ref_max, _ = svd_oracle(mats)
@@ -517,7 +524,7 @@ class TestBlockSingularValues:
 def test_median_matches_numpy(rng, n):
     values = rng.standard_normal((7, n))
     for a in (values, np.round(values, 1), np.abs(values)):  # ties, one sign
-        assert np.array_equal(geometry._median_last(a), np.median(a, axis=1))
+        assert np.array_equal(scan._median_last(a), np.median(a, axis=1))
 
 
 def term_scale(poly, arrays):
@@ -531,11 +538,11 @@ def template_matrices():
     out = {}
     for name in ("c-plane", "constant-symbol"):
         model = parse_model_text(builtin_model_text(name))
-        aug = geometry._entry_polys(augmented_symbol(model))
-        out[f"{name}-symbol"] = (model.algebra, geometry._entry_polys(model.symbol))
+        aug = scan._entry_polys(augmented_symbol(model))
+        out[f"{name}-symbol"] = (model.algebra, scan._entry_polys(model.symbol))
         out[f"{name}-augmented"] = (model.algebra, aug)
         out[f"{name}-jet"] = (model.algebra, np.concatenate(
-            [aug[None], geometry._real_derivatives(aug, model.algebra)]))
+            [aug[None], scan._real_derivatives(aug, model.algebra)]))
     return out
 
 
@@ -545,7 +552,7 @@ class TestCompiledPolys:
     def assert_matches_eval_grid(self, algebra, polys, rng):
         radii = np.array([0.3, 1.0, 2.0, 8.0, 1e3])[:, None, None]
         pts = radii * rng.standard_normal((5, 40, 4))
-        arrays = geometry._coords_from_real(algebra, pts)
+        arrays = scan._coords_from_real(algebra, pts)
         table = CompiledPolys(algebra, polys)
         assert len(table.coeffs) == sum(f is not None for f in polys.flat)
         entries = table.entries(arrays)
@@ -564,14 +571,14 @@ class TestCompiledPolys:
     @pytest.mark.parametrize("n_even, n_odd", [(2, 2), (1, 2), (3, 3)])
     def test_larger_symbols(self, rng, n_even, n_odd):
         model = odd_symbol_model(n_even, n_odd, rng)
-        polys = geometry._entry_polys(model.symbol)
+        polys = scan._entry_polys(model.symbol)
         self.assert_matches_eval_grid(model.algebra, polys, rng)
-        jet = np.concatenate([polys[None], geometry._real_derivatives(polys, model.algebra)])
+        jet = np.concatenate([polys[None], scan._real_derivatives(polys, model.algebra)])
         self.assert_matches_eval_grid(model.algebra, jet, rng)
 
     def test_missing_coordinate_is_named(self):
         m = c_plane()
-        table = CompiledPolys(m.algebra, geometry._entry_polys(m.symbol))
+        table = CompiledPolys(m.algebra, scan._entry_polys(m.symbol))
         with pytest.raises(EvaluationError, match="'xibar'"):
             table.entries({"z": np.ones(3), "zbar": np.ones(3), "xi": np.ones(3)})
 

@@ -19,7 +19,8 @@ import equichern
 SRC = Path(equichern.__file__).resolve().parents[1]
 PLANE_MODEL = SRC / "equichern" / "models" / "c_plane.model"
 ENGINE = {f"equichern.{m}" for m in ("characters", "equivariant", "exterior", "geometry",
-                                     "modelfile", "quadrature", "supermatrix", "symbolalg")}
+                                     "modelfile", "pairing", "quadrature", "scan",
+                                     "supermatrix", "symbolalg")}
 # Modules no engine entry point loads: the engine's records are not generated
 # by dataclasses, and its Gauss-Legendre rule needs no numpy.polynomial.
 NOT_LOADED = {"dataclasses", "numpy.polynomial"}
@@ -56,28 +57,58 @@ def test_report_loads_no_engine_and_no_numpy(tmp_path):
     assert not {m for m in modules if m.split(".")[0] == "numpy"}
 
 
+# run-example name -> (engine modules it loads, engine modules it does not)
+EXAMPLE_MODULES = {
+    "c-plane": ({"equichern.quadrature", "equichern.characters"},
+                {"equichern.scan", "equichern.pairing"}),
+    "zero-op": ({"equichern.pairing"},
+                {"equichern.scan", "equichern.characters", "equichern.quadrature"}),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("c-plane", "--theta-samples", "4", "--fourier-window", "2"),
     ("zero-op",),
 ])
 def test_run_example_loads_no_model_parser_or_symbol_algebra(tmp_path, argv):
     modules = loaded_modules(CLI_RUN, "run-example", *argv, "--out-dir", str(tmp_path))
-    assert "equichern.quadrature" in modules
-    assert not modules & {"equichern.modelfile", "equichern.symbolalg", *NOT_LOADED}
+    loads, skips = EXAMPLE_MODULES[argv[0]]
+    assert loads <= modules
+    assert not modules & {"equichern.modelfile", "equichern.symbolalg", *skips, *NOT_LOADED}
 
 
 def test_check_symbol_loads_no_quadrature_or_numpy_random(tmp_path):
     modules = loaded_modules(CLI_RUN, "check-symbol", str(PLANE_MODEL),
                              "--scan-samples", "100", "--out-dir", str(tmp_path))
-    assert {"equichern.modelfile", "equichern.symbolalg"} <= modules
-    assert not modules & {"equichern.quadrature", "equichern.characters",
+    assert {"equichern.modelfile", "equichern.scan", "equichern.symbolalg"} <= modules
+    assert not modules & {"equichern.quadrature", "equichern.pairing", "equichern.characters",
                           "equichern.equivariant", "numpy.random", *NOT_LOADED}
 
 
 def test_dense_route_loads_no_quadrature_or_model_parser():
-    modules = loaded_modules("import equichern.equivariant")
-    assert not modules & {"equichern.quadrature", "equichern.characters",
-                          "equichern.modelfile", "equichern.symbolalg", *NOT_LOADED}
+    # the imports of perfbench/dense_op.py
+    modules = loaded_modules("from equichern.equivariant import chern_form\n"
+                             "from equichern.geometry import builtin_model")
+    assert not modules & {"equichern.quadrature", "equichern.pairing", "equichern.scan",
+                          "equichern.characters", "equichern.modelfile",
+                          "equichern.symbolalg", *NOT_LOADED}
+
+
+@pytest.mark.parametrize("module, name, home", [
+    ("geometry", "ellipticity_scan", "scan"),
+    ("quadrature", "delta_pairing", "pairing"),
+])
+def test_moved_name_loads_its_module_when_read(module, name, home):
+    # importing either old home loads neither new module; reading the moved
+    # name loads its new home and returns the same function
+    loaded_modules(f"import sys\nimport equichern.{module} as old\n"
+                   "assert not {'equichern.scan', 'equichern.pairing'} & set(sys.modules)\n"
+                   f"fn = old.{name}\n"
+                   f"assert fn is sys.modules['equichern.{home}'].{name}")
+    old = importlib.import_module(f"equichern.{module}")
+    assert getattr(old, name) is getattr(importlib.import_module(f"equichern.{home}"), name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        old.no_such_name
 
 
 class TestLazyExports:

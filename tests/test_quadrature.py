@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from equichern import geometry, quadrature
+from equichern import geometry, pairing, quadrature
 from equichern.characters import ahat_squared, series_to_csv
 from equichern.equivariant import PoleGuardError, chern_plan, transverse_chern, w_character
 from equichern.exterior import SYMBOLIC, Poly
@@ -16,23 +16,25 @@ from equichern.geometry import (
     Coordinate,
     c_plane,
     c_plane_uv,
+    orientation_sign,
+    oriented_volume_coefficient,
     zero_op_s1,
+)
+from equichern.pairing import (
+    TEST_FUNCTIONS,
+    delta_pairing,
+    gauss_legendre,
+    gaussian_test,
+    richardson_extrapolate,
+    shifted_gaussian_test,
 )
 from equichern.quadrature import (
     AliasError,
     DivergenceError,
-    TEST_FUNCTIONS,
-    delta_pairing,
     fit_fourier,
-    gauss_legendre,
     gaussian_integral,
-    gaussian_test,
     index_character,
     integrate_top_form,
-    orientation_sign,
-    oriented_volume_coefficient,
-    richardson_extrapolate,
-    shifted_gaussian_test,
     _index_numerator,
 )
 from equichern.supermatrix import SuperMatrix, UnsupportedShapeError
@@ -369,7 +371,7 @@ class TestDeltaPairing:
     def test_folded_kernel_matches_the_full_grid(self, test_fn):
         # Oracle: the complex e^{r xi} on the whole symmetric xi rule, against
         # the real cosine kernel on its positive half.
-        q = quadrature
+        q = pairing
         model = zero_op_s1()
         xn, xw = q._panel_gauss_legendre(-q.X_HALFWIDTH, q.X_HALFWIDTH, q.X_PANELS)
         qn, qw = q._panel_gauss_legendre(-q.XI_HALFWIDTH, q.XI_HALFWIDTH, q.XI_PANELS)

@@ -387,7 +387,7 @@ class TestDuhamel:
 
     def test_worked_supertrace_matches_closed_form(self, rng):
         from equichern.equivariant import equivariant_curvature
-        from equichern.quadrature import orientation_sign
+        from equichern.geometry import orientation_sign
 
         model = c_plane_uv()
         sgn = orientation_sign(model)

@@ -2,23 +2,23 @@ import numpy as np
 import pytest
 
 from conftest import odd_symbol_model
-from equichern import geometry
+from equichern import scan
 from equichern.geometry import (
     SYMBOLIC,
     ActionModel,
     BundleSpec,
     Coordinate,
-    ScanGrid,
     UnsupportedShapeError,
     augmented_symbol,
     c_plane,
-    ellipticity_scan,
     zero_op_s1,
 )
 from equichern.modelfile import builtin_model_text, parse_model_text
+from equichern.scan import ScanGrid, ellipticity_scan
 from equichern.symbolalg import (
     N_RADII,
     N_X,
+    R_MIN,
     SymbolFunction,
     bump,
     condition_c_fit,
@@ -77,6 +77,14 @@ class TestConditionC:
         assert report.passed
         for entry in report.entries:
             assert entry["ratio"] < 1.1
+
+    def test_outer_radius_below_twice_the_smallest_rejected(self, plane):
+        # the half-radius set of condition C holds R_MIN from r_max = 2 R_MIN on
+        b = normalized_remainder_symbol(plane, 1.5)
+        with pytest.raises(ValueError, match="r_max"):
+            condition_c_fit(b, plane, (0.1,), r_max=np.nextafter(2 * R_MIN, 0))
+        report = condition_c_fit(b, plane, (0.1,), r_max=2 * R_MIN)
+        assert report.entries[0]["c_eps_half_radius"] > 0
 
 
 class TestRestrictionDecay:
@@ -191,7 +199,7 @@ def einsum_svd_remainder(model, radius, x, xi):
         arrays[b] = np.conj(arrays[a])
     d = model.symbol.dim
     sig = np.zeros(x.shape + (d, d), dtype=complex)
-    for (i, j), f in np.ndenumerate(geometry._entry_polys(model.symbol)):
+    for (i, j), f in np.ndenumerate(scan._entry_polys(model.symbol)):
         if f is not None:
             sig[..., i, j] = f.eval_grid(arrays)
     sig = sig / np.sqrt(1.0 + np.abs(x) ** 2 + np.abs(xi) ** 2)[..., None, None]
@@ -260,7 +268,7 @@ class TestBatchedGrids:
         reports = []
         # at least the 49,152-point condition-C grid; 997 divides neither grid
         for batch in (10 ** 6, 997):
-            monkeypatch.setattr(geometry, "BATCH_POINTS", batch)
+            monkeypatch.setattr(scan, "BATCH_POINTS", batch)
             report = [transversal_ellipticity_check(model).to_dict()]
             if name in SCANNED:
                 report.append(ellipticity_scan(SCANNED[name](model),
