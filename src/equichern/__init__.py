@@ -13,6 +13,13 @@ runs, the dense route never loads the quadrature, the scan or the model
 parser, the delta pairing (``pairing``) loads neither the quadrature nor
 the character series, and the ellipticity scan (``scan``) loads only with
 ``check-symbol``.
+
+numpy is loaded by ``kernels`` (the dense Chern exponential, grid
+evaluation of compiled polynomials, component arrays), ``scan``,
+``symbolalg`` and ``pairing``, and by nothing else at import.  The model
+compile, the Chern plan, the fiber integration and the character series are
+plain Python, so ``run-example c-plane`` (the index character) runs without
+numpy.
 """
 
 import importlib

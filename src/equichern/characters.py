@@ -14,8 +14,6 @@ import io
 import csv as _csv
 from typing import Iterable, Mapping
 
-import numpy as np
-
 DEFAULT_WINDOW = (-64, 64)
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -133,14 +131,14 @@ def geometric_expand(c: complex, m: int, direction: str,
     return CharacterSeries(out, window)
 
 
-def ahat_squared(theta):
+def ahat_squared(theta: complex) -> complex:
     """(i theta)^2 e^{i theta} / (1 - e^{i theta})^2, the squared A-hat factor.
 
-    Elementwise in theta; raises ZeroDivisionError when any element is a pole.
+    Raises ZeroDivisionError at a pole.
     """
-    e = np.exp(1j * theta)
+    e = cmath.exp(1j * theta)
     denom = (1.0 - e) ** 2
-    if np.any(np.abs(denom) < 1e-30):
+    if abs(denom) < 1e-30:
         raise ZeroDivisionError(f"A-hat squared pole at theta={theta}")
     return (1j * theta) ** 2 * e / denom
 
@@ -171,12 +169,19 @@ def localized_index(numerator: CharacterSeries, normal_weights: Iterable[int],
 
     This is the quotient by the alternating sum of exterior powers of the
     normal bundle, the localization denominator at an isolated fixed set.
+    Each expansion runs on the numerator's window widened by the span of the
+    product so far beyond degree 0, so that its terms of negative (positive)
+    degree still meet every term of the expansion that lands in the window;
+    the product keeps the numerator's window.
     """
     out = numerator
+    lo, hi = numerator.window
     for w in normal_weights:
         if w == 0:
             raise ValueError("normal weights must be nonzero")
-        out = out * geometric_expand(1.0, w, direction, numerator.window)
+        degrees = [0, *out.coefficients]
+        wide = (lo - max(degrees), hi - min(degrees))
+        out = out * geometric_expand(1.0, w, direction, wide)
     return out
 
 

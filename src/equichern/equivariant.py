@@ -6,18 +6,16 @@ iota_zeta(1) A, for the odd term A stored multiplied by i).  This module
 takes the grading-signed trace of its exponential (the Chern form) and
 divides by the Clifford-model bundle character (the transverse Chern form).
 Pointwise, the dense exponential of the model's compiled curvature array
-evaluates it; symbolically, chern_plan compiles it once per model as the
-shared Gaussian exponent times closed soul-path forms weighted by divided
-differences of exp, grouped by their nodes, so only those scalar weights
-are computed per theta.
+evaluates it (numpy, through `equichern.kernels`); symbolically, chern_plan
+compiles it once per model as the shared Gaussian exponent times closed
+soul-path forms weighted by divided differences of exp, grouped by their
+nodes, so only those scalar weights are computed per theta, in plain Python.
 """
 
 from __future__ import annotations
 
 import cmath
 from typing import Mapping, NamedTuple
-
-import numpy as np
 
 from .exterior import NUMERIC, SYMBOLIC, Form, Poly
 from .geometry import ActionModel, cartan_field
@@ -27,7 +25,6 @@ from .supermatrix import (
     diagonal_body,
     duhamel_paths,
     exp_divided_difference,
-    taylor_exp_blocked,
 )
 
 POLE_GUARD_W = 1e-8
@@ -72,11 +69,11 @@ def equivariant_curvature(model: ActionModel, theta: complex) -> SuperMatrix:
     return f0 + f1.scale(theta)
 
 
-def bundle_character(weights, parities, theta):
-    """Sum of parity-signed fiber characters e^{i w theta}, elementwise in theta."""
+def bundle_character(weights, parities, theta: complex) -> complex:
+    """Sum of parity-signed fiber characters e^{i w theta}."""
     total = 0.0 + 0.0j
     for w, p in zip(weights, parities):
-        term = np.exp(1j * w * theta)
+        term = cmath.exp(1j * w * theta)
         total += -term if p else term
     return total
 
@@ -110,27 +107,29 @@ class ChernPlan(NamedTuple):
     """
 
     shared: tuple[Poly, Poly]
-    groups: tuple[tuple[np.ndarray, tuple[Form, ...]], ...]
+    groups: tuple[tuple[tuple[tuple[complex, complex], ...], tuple[Form, ...]], ...]
 
     @property
     def forms(self) -> list[Form]:
         """Every group's theta-power forms, in the row order of ``weights``."""
         return [f for _, forms in self.groups for f in forms]
 
-    def weights(self, thetas) -> np.ndarray:
-        """theta^p times the group's divided difference: one row per form."""
-        th = np.asarray(thetas, dtype=complex)
+    def weights(self, thetas) -> list[list[complex]]:
+        """theta^p times the group's divided difference: a row per form, a column per theta."""
         rows = []
         for nodes, forms in self.groups:
-            dd = exp_divided_difference(nodes[:, :1] + nodes[:, 1:] * th)
-            rows += [dd * th**p for p in range(len(forms))]
-        return np.array(rows).reshape(len(rows), th.size)
+            if any(o1 for _, o1 in nodes):
+                dd = exp_divided_difference([[o0 + o1 * t for t in thetas] for o0, o1 in nodes])
+            else:  # nodes that do not move with theta: one divided difference for all
+                dd = [exp_divided_difference([o0 for o0, _ in nodes])] * len(thetas)
+            rows += [[x * t**p for x, t in zip(dd, thetas)] for p in range(len(forms))]
+        return rows
 
     def evaluate(self, theta: complex) -> GaussianForm:
         """The supertrace at one theta, with its Gaussian exponent factored out."""
         total = self.shared[0].algebra.zero(SYMBOLIC)
-        for c, f in zip(self.weights([theta])[:, 0], self.forms):
-            total = total + f.scale(complex(c))
+        for (c,), f in zip(self.weights([theta]), self.forms):
+            total = total + f.scale(c)
         exponent = self.shared[0] + self.shared[1] * theta
         return GaussianForm(exponent=exponent, form=total)
 
@@ -179,7 +178,7 @@ def chern_plan(model: ActionModel,
         while forms and forms[-1].is_zero:
             forms.pop()
         if forms:
-            kept.append((np.array(key, dtype=complex), tuple(forms)))
+            kept.append((key, tuple(forms)))
     return ChernPlan(shared=(shared0, shared1), groups=tuple(kept))
 
 
@@ -202,24 +201,28 @@ def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex])
     The model's compiled curvature gives the blocked component array of
     F0 + theta F1 at the point in one product; its exponential is traced
     with the grading signs.  It is entire in theta: unlike the transverse
-    form, it has no poles at 2 pi Z.
+    form, it has no poles at 2 pi Z.  The layout's tables are wrapped for
+    numpy once per call.
     """
+    from .kernels import Blocks, affine_at, taylor_exp_blocked
+
     _curvature(model)
     curv = model.curvature_array
-    expf = taylor_exp_blocked(curv.at(theta, model.full_point(point)), curv.layout)
-    values = curv.layout.supertrace(expf)
+    blocks = Blocks.of(curv.layout)
+    expf = taylor_exp_blocked(affine_at(curv, theta, model.full_point(point)), blocks)
+    values = blocks.supertrace(expf)
     return Form(model.algebra, NUMERIC, dict(zip(curv.layout.trace_masks, values)))
 
 
-def w_character(model: ActionModel, theta):
-    """Character of the Clifford-model bundle W, elementwise in theta.
+def w_character(model: ActionModel, theta: complex) -> complex:
+    """Character of the Clifford-model bundle W at theta.
 
-    Raises PoleGuardError when any element is within POLE_GUARD_W of a pole.
+    Raises PoleGuardError when theta is within POLE_GUARD_W of a pole.
     """
     if model.bundle_w is None:
         return 1.0 + 0.0j
     chw = bundle_character(model.bundle_w.weights, model.bundle_w.parities, theta)
-    if np.any(np.abs(chw) < POLE_GUARD_W):
+    if abs(chw) < POLE_GUARD_W:
         raise PoleGuardError(
             f"W character below guard {POLE_GUARD_W}; theta near a pole")
     return chw

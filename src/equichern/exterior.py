@@ -6,16 +6,15 @@ plain complex numbers as the evaluation target.  Conjugate coordinates such
 as ``z`` and ``zbar`` are independent symbols; the kernel never assumes
 reality.  Generator subsets are stored as bitmasks in declaration order, so
 every form has a unique canonical representation and equality is exact.  An
-array of polynomials compiles into one monomial table, so its values on a
-grid of points are a single matrix product.
+array of polynomials compiles, in plain Python, into one monomial table, so
+its values on a grid of points are a single matrix product; that product and
+grid evaluation run in `equichern.kernels`, so this module loads no numpy.
 """
 
 from __future__ import annotations
 
-import math
+from array import array
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 SYMBOLIC = "symbolic"
 NUMERIC = "numeric"
@@ -139,16 +138,11 @@ class ExteriorAlgebra:
 
     # -- numeric multiplication table ---------------------------------------
 
-    def pair_table(self):
+    def pair_table(self) -> list[tuple[int, int, int, float]]:
         """Wedge structure: every disjoint pair (a, b), its union c and sign."""
         K = self.n_components
-        ai, bi = zip(*((a, b) for a in range(K) for b in range(K) if not a & b))
-        return (
-            np.asarray(ai),
-            np.asarray(bi),
-            np.bitwise_or(ai, bi),
-            np.asarray([_merge_sign(a, b) for a, b in zip(ai, bi)], dtype=float),
-        )
+        return [(a, b, a | b, float(_merge_sign(a, b)))
+                for a in range(K) for b in range(K) if not a & b]
 
     def __repr__(self):
         return f"ExteriorAlgebra(generators={self.generators}, coordinates={self.coordinates})"
@@ -244,25 +238,11 @@ class Poly:
             total += val
         return total
 
-    def eval_grid(self, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
+    def eval_grid(self, arrays):
         """Vectorized evaluation on coordinate arrays of a common shape."""
-        coords = self.algebra.coordinates
-        shape = None
-        for a in arrays.values():
-            shape = np.shape(a)
-            break
-        total = np.zeros(shape if shape is not None else (), dtype=np.complex128)
-        for m, c in self.terms.items():
-            val = np.full(total.shape, c, dtype=np.complex128)
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                name = coords[i]
-                if name not in arrays:
-                    raise EvaluationError(f"no value assigned to coordinate {name!r}")
-                val = val * np.asarray(arrays[name]) ** e
-            total = total + val
-        return total
+        from .kernels import eval_grid
+
+        return eval_grid(self, arrays)
 
     @property
     def is_zero(self) -> bool:
@@ -306,58 +286,48 @@ class Poly:
 class CompiledPolys:
     """An array of polynomials compiled once, evaluated on grids as one product.
 
-    ``polys`` is an object array of polynomials (None for zero); each
-    polynomial is one row of ``coeffs``, against the monomials numbered in
-    order of first appearance, over the coordinates ``coords`` that occur,
-    and the None entries are not compiled.  On coordinate arrays of one
-    shape every monomial is formed once, from per-coordinate power tables,
-    and the polynomials are ``coeffs @ monomials``.
+    ``polys`` is a nested sequence (or an object array) of polynomials, None
+    for zero, of shape ``shape``.  Each polynomial at the flat positions
+    ``rows`` is one row of ``coeffs``, against the monomials numbered in order
+    of first appearance; the None entries are not compiled.  ``coeffs`` holds
+    that complex matrix row-major as interleaved doubles and ``rows`` as
+    64-bit integers, stdlib buffers that numpy reads without a copy.  A
+    monomial is its ``factors``, pairs of a position in ``coords`` (the
+    coordinates that occur) and an exponent of at most ``top`` there.  On
+    coordinate arrays of one shape every monomial is formed once, from
+    per-coordinate power tables, and the polynomials are ``coeffs @ monomials``
+    (`equichern.kernels.entries`).
     """
 
-    def __init__(self, algebra: ExteriorAlgebra, polys: np.ndarray):
-        self.shape = polys.shape
-        self.rows = [r for r, f in enumerate(polys.flat) if f is not None]
+    def __init__(self, algebra: ExteriorAlgebra, polys):
+        self.shape, flat = _flatten(polys)
+        self.rows = array("q", (r for r, f in enumerate(flat) if f is not None))
         monomials: dict[tuple, int] = {}
         terms = [(row, monomials.setdefault(mono, len(monomials)), c)
-                 for row, poly in enumerate(polys.flat[self.rows])
-                 for mono, c in poly.terms.items()]
-        self.coeffs = np.zeros((len(self.rows), len(monomials)), dtype=np.complex128)
+                 for row, r in enumerate(self.rows) for mono, c in flat[r].terms.items()]
+        self.coeffs = array("d", bytes(16 * len(self.rows) * len(monomials)))
         for row, col, c in terms:
-            self.coeffs[row, col] = c
-        exps = np.array(list(monomials), dtype=int).reshape(len(monomials),
-                                                            len(algebra.coordinates))
-        used = np.flatnonzero(exps.any(axis=0))
-        exps = exps[:, used]
-        self.coords = tuple(algebra.coordinates[c] for c in used)
-        self.top = exps.max(axis=0, initial=0)
-        self.factors = [[(k, e) for k, e in enumerate(m) if e] for m in exps.tolist()]
+            k = 2 * (row * len(monomials) + col)
+            self.coeffs[k], self.coeffs[k + 1] = c.real, c.imag
+        used = [k for k in range(len(algebra.coordinates)) if any(m[k] for m in monomials)]
+        self.coords = tuple(algebra.coordinates[k] for k in used)
+        self.top = [max(m[k] for m in monomials) for k in used]
+        self.factors = [[(n, m[k]) for n, k in enumerate(used) if m[k]] for m in monomials]
 
-    def entries(self, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
-        """``polys.shape + shape``: each polynomial on the grid, exact zeros for None."""
-        for name in self.coords:
-            if name not in arrays:
-                raise EvaluationError(f"no value assigned to coordinate {name!r}")
-        # a table of constants takes its grid from the whole point
-        shape = np.broadcast(*(arrays[n] for n in self.coords or arrays)).shape
-        powers = []
-        for name, top in zip(self.coords, self.top):
-            v = np.asarray(arrays[name], dtype=np.complex128)
-            table = [None, v]
-            for _ in range(1, top):
-                table.append(table[-1] * v)
-            powers.append(table)
-        mono = np.empty((len(self.factors),) + shape, dtype=np.complex128)
-        for m, factors in enumerate(self.factors):
-            if not factors:
-                mono[m] = 1.0
-                continue
-            (k, e), *rest = factors
-            mono[m] = powers[k][e]
-            for k, e in rest:
-                mono[m] *= powers[k][e]
-        out = np.zeros((math.prod(self.shape), math.prod(shape)), dtype=np.complex128)
-        out[self.rows] = self.coeffs @ mono.reshape(len(mono), out.shape[1])
-        return out.reshape(self.shape + shape)
+    def entries(self, arrays):
+        """``shape`` + grid shape: each polynomial on the grid, exact zeros for None."""
+        from .kernels import entries
+
+        return entries(self, arrays)
+
+
+def _flatten(polys) -> tuple[tuple[int, ...], list]:
+    """The shape and the flat row-major entries of a nested sequence of polynomials."""
+    if polys is None or isinstance(polys, Poly):
+        return (), [polys]
+    parts = [_flatten(p) for p in polys]
+    shape = (len(parts),) + (parts[0][0] if parts else ())
+    return shape, [f for _, flat in parts for f in flat]
 
 
 def _coeff_is_zero(c) -> bool:

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .exterior import NUMERIC, SYMBOLIC, ExteriorAlgebra, Poly
 from .supermatrix import AffineArray, Grading, SuperMatrix, UnsupportedShapeError
 
@@ -151,7 +149,8 @@ class ActionModel:
         F(theta) = F0 + theta F1 with F0 = dA + A^2 and
         F1 = mu(1) - iota_zeta(1) A, so ``curvature`` holds the pair (F0, F1)
         and ``curvature_array`` the pair compiled into polynomial component
-        arrays, in two grading blocks as the curvature is even.
+        arrays, in two grading blocks as the curvature is even.  The compile
+        is plain Python; only evaluating it (the dense route) loads numpy.
         """
         mat = rows if isinstance(rows, SuperMatrix) else SuperMatrix(
             self.algebra, self.bundle_script_e.grading(), rows)
@@ -182,12 +181,13 @@ class ActionModel:
     def full_point(self, point: Mapping[str, complex]) -> dict[str, complex]:
         """Extend a point on the real locus with its conjugate coordinates.
 
-        The values may be scalars or arrays; conjugates are taken elementwise.
+        The values may be numbers or numpy arrays; conjugates are taken
+        elementwise.
         """
         out = dict(point)
         for a, b in self.algebra.conjugates.items():
             if a in out and b not in out:
-                out[b] = np.conj(np.asarray(out[a], dtype=complex))
+                out[b] = out[a].conjugate()
         return out
 
     def __repr__(self):
@@ -247,6 +247,8 @@ def infinitesimal_generator(model: ActionModel, x):
     A weight-n complex base contributes -i n x (the derivative of exp(-t)
     acting with weight n); an angle base rotates at rate +n, a real one not.
     """
+    import numpy as np
+
     b = model.base
     x = np.asarray(x, dtype=complex)
     if b.kind == COMPLEX:
@@ -262,6 +264,8 @@ def orbital_projection(model: ActionModel, x, xi):
     array call equals its scalar calls bit for bit: numpy's array loop may
     fuse a multiply and an add, the ``*`` of two numpy scalars does not.
     """
+    import numpy as np
+
     rho = infinitesimal_generator(model, x)
     return rho * np.multiply(xi, np.conj(rho)).real
 

@@ -100,8 +100,10 @@ def _oscillatory_density(model: ActionModel, plan: ChernPlan, xs: np.ndarray):
     # delta_pairing folds the xi rule onto xi > 0, which is exact only for Re r = 0
     if np.any(rates.real != 0):
         raise UnsupportedShapeError("fiber exponent must be purely oscillatory")
-    top_values = np.array([t.constant_value() for t in tops]) @ plan.weights(xs)
-    return top_values / w_character(model, xs), rates
+    points = xs.tolist()
+    weights = np.array(plan.weights(points))
+    top_values = np.array([t.constant_value() for t in tops]) @ weights
+    return top_values / np.array([w_character(model, x) for x in points]), rates
 
 
 class DeltaReport(NamedTuple):

@@ -11,20 +11,21 @@ sign pinned by the golden index value.  Each top coefficient of the
 model's Chern plan is integrated once.  Index characters read the W-cleared
 numerator N = A-hat^2 (moments . plan weights)/pi^p, the index density times
 the W character, directly on one small real grid: it is a Laurent polynomial
-in q = e^{i theta}, read off by one FFT.  The index values are N over the W
-character on the value grid, and the Fourier coefficients are N/ch_W expanded
-in positive powers of q.  The W character, its pole guard and A-hat^2 are
-each computed once per grid, elementwise.  Oscillatory non-decaying
+in q = e^{i theta}, read off by one direct DFT.  The index values are N over
+the W character on the value grid, and the Fourier coefficients are N/ch_W
+expanded in positive powers of q.  The theta side is plain Python (cmath and
+lists, no numpy): the grids hold 16 fit points and at most a few thousand
+values.  Oscillatory non-decaying
 models are rejected with a divergence error and handled by the regularized
 delta pairing of `equichern.pairing`.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from operator import mul
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from . import characters
 from .characters import CharacterSeries
@@ -106,23 +107,24 @@ def gaussian_integral(model: ActionModel, poly: Poly, exponent: Poly) -> complex
     return total
 
 
-def _index_numerator(model: ActionModel, plan: ChernPlan, thetas) -> np.ndarray:
+def _index_numerator(model: ActionModel, plan: ChernPlan, thetas) -> list[complex]:
     """W-cleared index density N = density ch_W at every theta from one plan evaluation.
 
     The top coefficient of each plan form is integrated once against the
     Gaussian body by exact moments; per theta only the plan weights and the
-    A-hat factor change.  The body must not depend on theta: a
+    A-hat factor change.  The circle acts through the base weight m, so the
+    A-hat factor is taken at m theta.  The body must not depend on theta: a
     theta-dependent exponent is an oscillatory fiber.
     """
     if not plan.shared[1].is_zero:
         raise DivergenceError("body exponent depends on theta (an oscillatory "
                               "fiber); use delta_pairing")
-    moments = np.array([
-        gaussian_integral(model, oriented_volume_coefficient(model, f), plan.shared[0])
-        for f in plan.forms])
+    moments = [gaussian_integral(model, oriented_volume_coefficient(model, f),
+                                 plan.shared[0]) for f in plan.forms]
     # dzbar^dz = 2i d^2z, so each pair contributes (2i)/(2 pi i) = 1/pi
-    return (characters.ahat_squared(thetas) * (moments @ plan.weights(thetas))
-            / math.pi ** len(model.algebra.conjugates))
+    norm = math.pi ** len(model.algebra.conjugates)
+    return [characters.ahat_squared(model.base.weight * t) * sum(map(mul, moments, column))
+            / norm for t, column in zip(thetas, zip(*plan.weights(thetas)))]
 
 
 def integrate_top_form(model: ActionModel, theta: complex) -> complex:
@@ -134,8 +136,8 @@ def integrate_top_form(model: ActionModel, theta: complex) -> complex:
     pair normalization: the W-cleared numerator of the model's Chern plan at
     one theta, divided by the W character there.
     """
-    numerator = _index_numerator(model, chern_plan(model), np.array([theta]))
-    return complex(numerator[0] / w_character(model, theta))
+    numerator, = _index_numerator(model, chern_plan(model), [theta])
+    return numerator / w_character(model, theta)
 
 
 def fit_fourier(thetas: Sequence[complex], values: Sequence[complex],
@@ -143,24 +145,24 @@ def fit_fourier(thetas: Sequence[complex], values: Sequence[complex],
     """Fourier coefficients on [-window, window] of samples on a uniform contour.
 
     The thetas must be x0 + 2 pi j/N + i eta for j = 0..N-1 with
-    N >= 2 window + 1; the coefficients are then the DFT of the values,
-    c_n = fft(v)[n mod N]/N e^{-i n theta_0}, which is also the least-squares
-    fit on that window (its columns are orthogonal on the contour).  The
-    factor e^{-i n theta_0} undoes the shift and the damping of the contour.
+    N >= 2 window + 1; the coefficients are then the direct DFT of the values,
+    c_n = sum_j v_j e^{-2 pi i n j/N} / N e^{-i n theta_0}, which is also the
+    least-squares fit on that window (its columns are orthogonal on the
+    contour).  The factor e^{-i n theta_0} undoes the shift and the damping
+    of the contour.
     """
-    th = np.asarray(thetas, dtype=complex)
-    vals = np.asarray(values, dtype=complex)
+    th = [complex(t) for t in thetas]
     n_samples = len(th)
     if n_samples < 2 * window + 1:
         raise ValueError(f"{n_samples} samples cannot resolve window {window}")
-    step = 2 * math.pi * np.arange(n_samples) / n_samples
-    if np.abs(th - th[0] - step).max() > 1e-9:
+    if any(abs(t - th[0] - 2 * math.pi * j / n_samples) > 1e-9 for j, t in enumerate(th)):
         raise ValueError("Fourier samples must be uniform on a contour "
                          "x0 + 2 pi j/N + i eta")
-    ns = np.arange(-window, window + 1)
-    coeffs = np.fft.fft(vals)[ns % n_samples] / n_samples * np.exp(-1j * ns * th[0])
-    return CharacterSeries({int(n): complex(c) for n, c in zip(ns, coeffs)},
-                           (-window, window))
+    roots = [cmath.exp(-2j * math.pi * k / n_samples) for k in range(n_samples)]
+    return CharacterSeries(
+        {n: sum(v * roots[n * j % n_samples] for j, v in enumerate(values))
+         / n_samples * cmath.exp(-1j * n * th[0]) for n in range(-window, window + 1)},
+        (-window, window))
 
 
 class IndexReport(NamedTuple):
@@ -194,8 +196,9 @@ def index_character(model: ActionModel, theta_samples: int = 32,
     The index density times the W character, N = density ch_W, is a Laurent
     polynomial in q = e^{i theta}.  N is read directly from the Chern plan and
     fitted once from NUMERATOR_SAMPLES points of the real grid
-    2 pi (j + 1/2)/N; its terms of degree at most NUMERATOR_DEGREE are kept,
-    and the fitted terms beyond that degree bound the aliasing error
+    2 pi (j + 1/2)/N - pi, symmetric about theta = 0, where the plan's
+    divided differences keep the most digits; its terms of degree at most
+    NUMERATOR_DEGREE are kept, and the fitted terms beyond that degree bound the aliasing error
     (AliasError when they are not negligible).  The values on the grid
     2 pi (j + 1/2)/K are N over w_character there (PoleGuardError near a
     pole), and the Fourier coefficients are the expansion of N/ch_W in
@@ -211,7 +214,8 @@ def index_character(model: ActionModel, theta_samples: int = 32,
     # ch_W = q^a - q^b = q^a (1 - q^m) for the even weight a and the odd weight b
     a, b = w.weights if w.parities[0] == 0 else w.weights[::-1]
     m = b - a
-    grid = 2 * math.pi * (np.arange(NUMERATOR_SAMPLES) + 0.5) / NUMERATOR_SAMPLES
+    grid = [2 * math.pi * (j + 0.5) / NUMERATOR_SAMPLES - math.pi
+            for j in range(NUMERATOR_SAMPLES)]
     fit = fit_fourier(grid, _index_numerator(model, chern_plan(model), grid),
                       (NUMERATOR_SAMPLES - 1) // 2)
     degrees = range(-NUMERATOR_DEGREE, NUMERATOR_DEGREE + 1)
@@ -221,9 +225,9 @@ def index_character(model: ActionModel, theta_samples: int = 32,
         raise AliasError(f"the W-cleared index density has terms of degree above "
                          f"{NUMERATOR_DEGREE} (largest {alias:.3e})")
 
-    thetas = 2 * math.pi * (np.arange(theta_samples) + 0.5) / theta_samples
-    numerator = np.exp(1j * np.outer(thetas, degrees)) @ [fit.coeff(n) for n in degrees]
-    values = [complex(v) for v in numerator / w_character(model, thetas)]
+    thetas = [2 * math.pi * (j + 0.5) / theta_samples for j in range(theta_samples)]
+    values = [sum(fit.coeff(n) * cmath.exp(1j * n * t) for n in degrees)
+              / w_character(model, t) for t in thetas]
     # q^{-a} N on a window that holds all of it below the output window
     shifted = CharacterSeries({n - a: fit.coeff(n) for n in degrees},
                               (min(-fourier_window, -NUMERATOR_DEGREE - a), fourier_window))

@@ -11,21 +11,25 @@ such as a superconnection's curvature, the operator keeps the class
 p_k + |c| of a row-space element (column k, generator subset c) and splits
 into two half-size grading blocks, so each product is one batched matmul.
 A symbolic pair M0 + t M1 compiles once into polynomial component arrays in
-that blocked order.  The Duhamel route is a finite sum (the soul terminates
-by form degree) and serves as the oracle for the Taylor route.  Its
-soul-path walk (duhamel_paths) also compiles the symbolic Chern plan, whose
-soul is a polynomial in theta, and the divided differences of exp broadcast
-over batches of nodes (a whole theta axis).  Matrix grading is metadata
-consumed by the supertrace and the grading blocks; products carry no Koszul
-signs beyond those of the wedge.
+that blocked order.  This module is plain Python: the layout and the
+compiled pair are tables in stdlib buffers, and the Taylor route and the
+component-array conversions run in `equichern.kernels`, the numpy module,
+which loads on first use.  The Duhamel route is a finite sum (the soul
+terminates by form degree) and serves as the oracle for the Taylor route.
+Its soul-path walk (duhamel_paths) also compiles the symbolic Chern plan,
+whose soul is a polynomial in theta, and the divided differences of exp take
+batches of nodes (a whole theta axis) column by column.  Matrix grading is
+metadata consumed by the supertrace and the grading blocks; products carry
+no Koszul signs beyond those of the wedge.
 """
 from __future__ import annotations
 
 import cmath
 import math
+from array import array
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
-
-import numpy as np
 
 from .exterior import (
     NUMERIC,
@@ -244,40 +248,22 @@ class SuperMatrix:
     def norm_max(self) -> float:
         return max((f.norm_max() for row in self.entries for f in row), default=0.0)
 
-    def similarity(self, g: np.ndarray) -> "SuperMatrix":
-        """Conjugate by a constant scalar matrix: g · self · g^{-1}."""
-        ginv = np.linalg.inv(g)
-        d = self.dim
-        z = self.algebra.zero(self.backend)
-        out = [[z] * d for _ in range(d)]
-        for i in range(d):
-            for l in range(d):
-                acc = z
-                for j in range(d):
-                    for k in range(d):
-                        c = g[i, j] * ginv[k, l]
-                        if c == 0 or self.entries[j][k].is_zero:
-                            continue
-                        acc = acc + self.entries[j][k].scale(c)
-                out[i][l] = acc
-        return SuperMatrix(self.algebra, self.grading, out)
+    def similarity(self, g) -> "SuperMatrix":
+        """Conjugate by a constant scalar matrix (a numpy array): g · self · g^{-1}."""
+        from .kernels import similarity
+
+        return similarity(self, g)
 
     # -- dense component array ------------------------------------------------------
 
-    def to_array(self) -> np.ndarray:
-        """Components ``(d, d, 2^n)`` of a numeric matrix."""
-        if self.backend != NUMERIC:
-            raise BackendError("component arrays need numeric entries")
-        d = self.dim
-        out = np.zeros((d, d, self.algebra.n_components), dtype=np.complex128)
-        for i, row in enumerate(self.entries):
-            for j, f in enumerate(row):
-                for mask, c in f.terms.items():
-                    out[i, j, mask] = c
-        return out
+    def to_array(self):
+        """Components ``(d, d, 2^n)`` of a numeric matrix, a numpy array."""
+        from .kernels import to_array
+
+        return to_array(self)
 
     @classmethod
-    def from_array(cls, algebra, grading, arr: np.ndarray) -> "SuperMatrix":
+    def from_array(cls, algebra, grading, arr) -> "SuperMatrix":
         """Numeric supermatrix from components ``(d, d, 2^n)``."""
         return cls(algebra, grading, [[Form(algebra, NUMERIC, dict(enumerate(f)))
                                        for f in row] for row in arr])
@@ -300,18 +286,7 @@ def graded_commutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     return (a @ b) - (ba if (pa * pb) % 2 == 0 else -ba)
 
 
-# -- dense-array exponential ------------------------------------------------------
-
-
-def _degrees(n_components: int) -> np.ndarray:
-    return np.array([m.bit_count() for m in range(n_components)])
-
-
-def is_even(A: np.ndarray, parities: Sequence[int]) -> bool:
-    """Whether every non-zero component ``A[j, k, b]`` has p_j + p_k + |b| even."""
-    p = np.asarray(parities)
-    odd = (p[:, None, None] + p[None, :, None] + _degrees(A.shape[2])) % 2 == 1
-    return not np.any(A[odd])
+# -- the blocked layout of dense component arrays ----------------------------------
 
 
 class BlockLayout(NamedTuple):
@@ -326,87 +301,65 @@ class BlockLayout(NamedTuple):
     block q holding the columns of class q, and every product is one batched
     matmul.  Otherwise there is one block, the whole row space.
 
-    ``index`` is the flat blocked position of every component; ``dest``,
-    ``src`` and ``sign`` scatter a blocked array into its operator; the
-    supertrace reads the diagonal components ``trace_masks`` (for two blocks,
-    the even ones: the odd ones of an even array are zero) at ``trace_index``
-    and weights its rows with ``signs``.
+    ``index`` is the flat blocked position of every component, in row-major
+    ``(d, d, 2^n)`` order; ``dest``, ``src`` and ``sign`` scatter a blocked
+    array into its operator; the supertrace reads the diagonal components
+    ``trace_masks`` (for two blocks, the even ones: the odd ones of an even
+    array are zero) at ``trace_index``, ``(d, len(trace_masks))`` in
+    column-major order, and weights its rows with ``signs``.  The tables are stdlib buffers
+    (64-bit integers; ``sign`` as interleaved complex doubles) that
+    `equichern.kernels.Blocks` wraps for numpy without a copy.
     """
 
     shape: tuple[int, int, int]
-    index: np.ndarray
-    dest: np.ndarray
-    src: np.ndarray
-    sign: np.ndarray
+    index: array
+    dest: array
+    src: array
+    sign: array
     trace_masks: tuple[int, ...]
-    trace_index: np.ndarray
-    signs: np.ndarray
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        """Blocked positions of the degree-0 diagonal components."""
-        return self.trace_index[:, 0]
-
-    def block(self, A: np.ndarray) -> np.ndarray:
-        out = np.empty(A.size, dtype=np.complex128)
-        out[self.index.ravel()] = A.ravel()
-        return out.reshape(self.shape)
-
-    def unblock(self, X: np.ndarray) -> np.ndarray:
-        return X.ravel()[self.index]
-
-    def operator(self, X: np.ndarray) -> np.ndarray:
-        """Right-multiplication operator ``(blocks, h, h)`` of a blocked array."""
-        nb, _, h = self.shape
-        R = np.zeros(nb * h * h, dtype=np.complex128)
-        R[self.dest] = X.ravel()[self.src] * self.sign
-        return R.reshape(nb, h, h)
-
-    def supertrace(self, X: np.ndarray) -> np.ndarray:
-        """Grading-signed trace of a blocked array, one value per ``trace_masks``."""
-        return self.signs @ X.ravel()[self.trace_index]
+    trace_index: array
+    signs: array
 
 
 def block_layout(algebra: ExteriorAlgebra, parities: Sequence[int],
                  even: bool) -> BlockLayout:
     """The layout of ``(d, d, 2^n)`` arrays, in two class blocks when ``even`` allows.
 
-    ``even`` says that the arrays to be multiplied are even (``is_even``);
-    the classes are split only then and when they are equal in size.
+    ``even`` says that the arrays to be multiplied are even
+    (`equichern.kernels.is_even`); the classes are split only then and when
+    they are equal in size.
     """
     K = algebra.n_components
     d = len(parities)
-    p = np.asarray(parities, dtype=int)
-    cls = ((p[:, None] + _degrees(K)[None, :]) % 2).ravel()
-    nb = 2 if even and 2 * cls.sum() == d * K else 1
+    cls = [(p + c.bit_count()) % 2 for p in parities for c in range(K)]
+    nb = 2 if even and 2 * sum(cls) == d * K else 1
     if nb == 1:
-        cls = np.zeros_like(cls)
+        cls = [0] * (d * K)
     h = d * K // nb
-    where = np.empty(d * K, dtype=int)
-    where[np.argsort(cls, kind="stable")] = np.arange(d * K)
-    q, t = where // h, where % h
-    index = (q * d * h + np.arange(d)[:, None] * h + t).reshape(d, d, K)
+    # block q and position t of every row-space element (k, c), class 0 first
+    where = [0] * (d * K)
+    for pos, x in enumerate(sorted(range(d * K), key=cls.__getitem__)):
+        where[x] = pos
+    q, t = [w // h for w in where], [w % h for w in where]
+    index = array("q", (q[x] * d * h + i * h + t[x]
+                        for i in range(d) for x in range(d * K)))
     # R[(j, a), (k, c)] = sign(a, b) B[j, k, b] with b = c ^ a, kept within a class
-    ai, bi, ci, sg = algebra.pair_table()
-    j, k = (x.ravel()[:, None] for x in np.indices((d, d)))
-    rows, cols = j * K + ai, k * K + ci
-    keep = (cls[rows] == cls[cols]).ravel()
-    dest = (q[rows] * h * h + t[rows] * h + t[cols]).ravel()[keep]
-    src = index[j, k, bi].ravel()[keep]
-    sign = np.broadcast_to(sg, rows.shape).ravel()[keep]
-    cls2 = cls.reshape(d, K)
-    masks = np.flatnonzero((cls2 == cls2[:, :1]).all(axis=0))
-    diag = np.arange(d)
-    return BlockLayout(shape=(nb, d, h), index=index, dest=dest, src=src,
-                       sign=sign.astype(np.complex128),
-                       trace_masks=tuple(masks.tolist()),
-                       trace_index=index[diag, diag][:, masks],
-                       signs=np.where(p == ODD, -1.0, 1.0))
-
-
-def _array_norm(A: np.ndarray) -> float:
-    # max row sum of coefficient l1-norms: submultiplicative for the wedge kernel
-    return float(np.abs(A).sum(axis=2).sum(axis=1).max(initial=0.0))
+    dest, src, sign = array("q"), array("q"), array("d")
+    pairs = algebra.pair_table()
+    for j in range(d):
+        for k in range(d):
+            for a, b, c, sg in pairs:
+                row, col = j * K + a, k * K + c
+                if cls[row] == cls[col]:
+                    dest.append(q[row] * h * h + t[row] * h + t[col])
+                    src.append(index[(j * d + k) * K + b])
+                    sign.extend((sg, 0.0))
+    masks = [c for c in range(K) if all(cls[k * K + c] == cls[k * K] for k in range(d))]
+    return BlockLayout(shape=(nb, d, h), index=index, dest=dest, src=src, sign=sign,
+                       trace_masks=tuple(masks),
+                       trace_index=array("q", (index[(i * d + i) * K + c]
+                                               for c in masks for i in range(d))),
+                       signs=array("d", (-1.0 if p == ODD else 1.0 for p in parities)))
 
 
 def taylor_parameters(norm: float, tol: float) -> tuple[int, int]:
@@ -425,56 +378,10 @@ def taylor_parameters(norm: float, tol: float) -> tuple[int, int]:
     return s, m
 
 
-def taylor_exp_blocked(X: np.ndarray, layout: BlockLayout,
-                       tol: float = TAYLOR_TOL) -> np.ndarray:
-    """Exponential of a blocked component array, in the same layout.
-
-    The trace shift mu = tr(X_0) / d, the mean of the degree-0 diagonal, is
-    taken off first and e^mu multiplied back at the end, which is exact as
-    mu 1 is central; it lowers the norm and so the scaling.  Then
-    scaling-and-squaring with a truncated Taylor sum of the scaling and
-    degree of ``taylor_parameters``: every product is one batched matmul of
-    the running ``(blocks, d, h)`` term against the factor's block-diagonal
-    right-multiplication operator, each squaring's operator gathered straight
-    from the blocked accumulator.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    diag = layout.diagonal
-    flat = X.astype(np.complex128).ravel()
-    mu = flat[diag].sum() / len(diag)
-    flat[diag] -= mu
-    shifted = flat.reshape(layout.shape)
-    s, m = taylor_parameters(_array_norm(shifted.transpose(1, 0, 2)), tol)
-    R = layout.operator(shifted / 2.0**s)
-    term = np.zeros(flat.size, dtype=np.complex128)
-    term[diag] = 1.0
-    term = term.reshape(layout.shape)
-    acc = term.copy()
-    for k in range(1, m + 1):
-        term = term @ R / k
-        acc += term
-    for _ in range(s):
-        acc = acc @ layout.operator(acc)
-    return acc * cmath.exp(mu)
-
-
-def taylor_exp_array(A: np.ndarray, algebra: ExteriorAlgebra, tol: float = TAYLOR_TOL,
-                     grading: Grading | None = None) -> np.ndarray:
-    """Exponential of a component array ``(d, d, 2^n)`` over the algebra.
-
-    ``taylor_exp_blocked`` on the array's ``block_layout``: trace shift, then
-    scaling-and-squaring of a Taylor sum.  The array is in two class blocks
-    when it is even for ``grading`` (all rows even when None), as a
-    superconnection's curvature is; any other array runs as one block.
-    """
-    parities = grading.parities if grading is not None else (EVEN,) * len(A)
-    layout = block_layout(algebra, parities, is_even(A, parities))
-    return layout.unblock(taylor_exp_blocked(layout.block(A), layout, tol))
-
-
 def super_exp(a: SuperMatrix, tol: float = TAYLOR_TOL) -> SuperMatrix:
-    """Matrix exponential of a numeric supermatrix by ``taylor_exp_array``."""
+    """Matrix exponential of a numeric supermatrix by `kernels.taylor_exp_array`."""
+    from .kernels import taylor_exp_array
+
     if a.backend != NUMERIC:
         raise BackendError("super_exp requires the numeric backend")
     acc = taylor_exp_array(a.to_array(), a.algebra, tol, a.grading)
@@ -486,7 +393,7 @@ class AffineArray(NamedTuple):
 
     ``table`` holds the coefficient polynomials of both, ``(2, d d 2^n)`` in
     the blocked order of ``layout``, so the blocked array at a point is one
-    product of coefficients and monomials.
+    product of coefficients and monomials (`equichern.kernels.affine_at`).
     """
 
     table: CompiledPolys
@@ -497,24 +404,18 @@ class AffineArray(NamedTuple):
         m0._check(m1)
         alg, d = m0.algebra, m0.dim
         K = alg.n_components
+        p = m0.grading.parities
         terms = [(t, i, j, mask, poly)
                  for t, mat in enumerate((m0, m1))
                  for i, row in enumerate(mat.entries)
                  for j, f in enumerate(row)
                  for mask, poly in f.terms.items()]
-        support = np.zeros((d, d, K))
-        for _, i, j, mask, _ in terms:
-            support[i, j, mask] = 1.0
-        layout = block_layout(alg, m0.grading.parities, is_even(support, m0.grading.parities))
-        polys = np.full((2, d * d * K), None, dtype=object)
+        even = all((p[i] + p[j] + mask.bit_count()) % 2 == 0 for _, i, j, mask, _ in terms)
+        layout = block_layout(alg, p, even)
+        polys = [[None] * (d * d * K) for _ in range(2)]
         for t, i, j, mask, poly in terms:
-            polys[t, layout.index[i, j, mask]] = poly
+            polys[t][layout.index[(i * d + j) * K + mask]] = poly
         return cls(table=CompiledPolys(alg, polys), layout=layout)
-
-    def at(self, t: complex, point: Mapping[str, complex]) -> np.ndarray:
-        """The blocked array of M0 + t M1 at a point."""
-        r = self.table.entries(point)
-        return (r[0] + t * r[1]).reshape(self.layout.shape)
 
 
 # -- divided differences of exp ------------------------------------------------
@@ -523,53 +424,50 @@ class AffineArray(NamedTuple):
 def exp_divided_difference(nodes):
     """Divided difference of exp over the given nodes, confluent-safe.
 
-    The k+1 nodes run along the first axis of ``nodes``; any further axes are
-    a batch, evaluated elementwise (a plain sequence of nodes gives a
-    complex).  Well-separated node pairs use the classical quotient;
-    otherwise (the confluence threshold |a-b| < 1e-8, and any higher order) a
-    mean-shifted series in complete homogeneous symmetric polynomials is
-    used, which reduces to the derivative formula at exact confluence.  Its
-    number of terms is fixed in advance by a bound on the tail.
+    The k+1 nodes run along the first axis of ``nodes``: a sequence of
+    numbers gives a complex, and a sequence of equal-length sequences is a
+    batch, evaluated column by column into a list.  Well-separated node pairs
+    use the classical quotient; otherwise (the confluence threshold
+    |a-b| < 1e-8, and any higher order) a mean-shifted series in complete
+    homogeneous symmetric polynomials is used, which reduces to the
+    derivative formula at exact confluence.  Its number of terms is fixed in
+    advance by a bound on the tail.
     """
-    xs = np.asarray(nodes, dtype=complex)
-    if xs.ndim == 0 or len(xs) == 0:
+    if not len(nodes):
         raise ValueError("need at least one node")
+    if hasattr(nodes[0], "__len__"):
+        return [_exp_dd(column) for column in zip(*nodes)]
+    return _exp_dd(nodes)
+
+
+def _exp_dd(nodes) -> complex:
+    xs = [complex(x) for x in nodes]
     k = len(xs) - 1
-    shift = xs.sum(axis=0) / (k + 1)
-    separated = False
     if k == 1:
-        scale = np.maximum(1.0, np.maximum(abs(xs[0]), abs(xs[1])))
-        separated = abs(xs[0] - xs[1]) >= 1e-8 * scale
-    # separated pairs take the quotient, so their series is left at zero
-    ds = np.where(separated, 0.0, xs - shift)
+        a, b = xs
+        if abs(a - b) >= 1e-8 * max(1.0, abs(a), abs(b)):
+            return (cmath.exp(a) - cmath.exp(b)) / (a - b)
+    shift = sum(xs) / (k + 1)
+    ds = [x - shift for x in xs]
     # sum_m h_m(ds) / (m+k)!  with h_m complete homogeneous symmetric; as
     # |h_m(ds)| / (m+k)! <= r^m / (m! k!) with r = max |ds|, the terms past
     # m_max sum to at most e^r r^(m_max+1) / ((m_max+1)! k!) < DD_TOL
-    r = float(np.abs(ds).max(initial=0.0))
-    log_r = math.log(r) if r > 0 else -math.inf
+    r = max(map(abs, ds))
     m_max = 0
-    while (r + (m_max + 1) * log_r - math.lgamma(m_max + 2) - math.lgamma(k + 1)
-           >= math.log(DD_TOL)):
+    log_tail = r + math.log(r) - math.lgamma(k + 1) if r > 0 else -math.inf
+    while log_tail >= math.log(DD_TOL):
         m_max += 1
         if m_max >= 400:
             raise ConvergenceError("divided-difference series did not converge")
-    prev = np.ones_like(ds)
+        log_tail += math.log(r / (m_max + 1))
+    h = [1.0] * (k + 1)  # h[j] = h_m(ds[0..j])
     coeff = 1.0 / math.factorial(k)
-    total = np.full(shift.shape, coeff, dtype=complex)
+    total = coeff
     for m in range(1, m_max + 1):
-        cur = np.empty_like(ds)
-        cur[0] = prev[0] * ds[0]
-        for j in range(1, k + 1):
-            cur[j] = cur[j - 1] + ds[j] * prev[j]
+        h = list(accumulate(map(mul, ds, h)))
         coeff /= m + k
-        term = cur[k] * coeff
-        total = total + term
-        prev = cur
-    out = np.exp(shift) * total
-    if k == 1:
-        diff = np.where(separated, xs[0] - xs[1], 1.0)
-        out = np.where(separated, (np.exp(xs[0]) - np.exp(xs[1])) / diff, out)
-    return complex(out) if xs.ndim == 1 else out
+        total += h[k] * coeff
+    return cmath.exp(shift) * total
 
 
 def duhamel_paths(soul: Sequence[SuperMatrix], diag: Sequence):

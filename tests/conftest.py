@@ -58,3 +58,26 @@ def odd_symbol_model(n_even, n_odd, rng):
     rows[0][n_even] = rows[n_even][0] = 0.0
     model.set_symbol(rows)
     return model
+
+
+def weighted_plane_uv(m):
+    """c-plane-uv with the circle acting with weight m on both coordinates.
+
+    The base u and the fiber v carry weight m and E = W = (0, m) with
+    parities (0, 1); the symbol is [[0, ubar], [u, 0]] and the odd term is
+    i times its augmentation by c(v), as `geometry.c_plane_uv` builds the
+    weight-one model.  The circle acts through its m-fold cover, so the
+    index character is -q^m/(1 - q^m).
+    """
+    from equichern.exterior import SYMBOLIC
+    from equichern.geometry import (COMPLEX, ActionModel, BundleSpec, Coordinate,
+                                    _augmented_from_cliff_arg)
+
+    coords = (Coordinate("u", COMPLEX, m, "base"), Coordinate("v", COMPLEX, m, "fiber"))
+    spec = BundleSpec((0, m), (0, 1))
+    model = ActionModel(f"c-plane-uv-weight-{m}", coords, spec, spec)
+    alg = model.algebra
+    zero = alg.zero(SYMBOLIC)
+    model.set_symbol([[zero, alg.scalar(alg.coord("ubar"))], [alg.scalar(alg.coord("u")), zero]])
+    model.set_odd_term(_augmented_from_cliff_arg(model, alg.coord("v")).scale(1j))
+    return model

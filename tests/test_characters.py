@@ -114,19 +114,19 @@ class TestAhatSquared:
             ahat_squared(0.0)
 
     def test_array_matches_scalar_formula(self):
-        # oracle: the scalar cmath evaluation of the same closed form
-        def scalar(t):
-            e = cmath.exp(1j * t)
-            return (1j * t) ** 2 * e / (1.0 - e) ** 2
-
+        # oracle: the replaced elementwise numpy evaluation of the same closed form
         thetas = np.concatenate([np.linspace(-20.0, -0.01, 500), np.linspace(0.01, 20.0, 500),
                                  np.linspace(0.1, 6.2, 50) + 0.5j])
-        ref = np.array([scalar(complex(t)) for t in thetas])
-        assert np.max(np.abs(ahat_squared(thetas) - ref) / np.abs(ref)) < 1e-15
+        e = np.exp(1j * thetas)
+        ref = (1j * thetas) ** 2 * e / (1.0 - e) ** 2
+        got = np.array([ahat_squared(t) for t in thetas.tolist()])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-15
 
     def test_array_with_a_pole_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            ahat_squared(np.array([1.0, 0.0, 2.0]))
+        # every pole 2 pi k, not only theta = 0, trips the guard
+        for k in (-2, -1, 1, 2):
+            with pytest.raises(ZeroDivisionError):
+                ahat_squared(2 * cmath.pi * k)
 
     def test_series_form(self):
         series = ahat_squared_series((-16, 16))
@@ -154,6 +154,15 @@ class TestLocalizedIndex:
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError):
             localized_index(constant_series(1.0), [0], POSITIVE)
+
+    def test_numerator_of_negative_degree_keeps_the_top_coefficients(self):
+        # q^-1/(1 - q) = sum_{n >= -1} q^n: every coefficient up to the window's top
+        out = localized_index(monomial(-1, 1.0, (-8, 8)), [1], POSITIVE)
+        assert out.window == (-8, 8)
+        assert [out.coeff(n) for n in range(-8, 9)] == [0.0] * 7 + [1.0] * 10
+        # and in the other direction: q/(1 - q) = -sum_{n <= 0} q^n
+        out = localized_index(monomial(1, 1.0, (-8, 8)), [1], NEGATIVE)
+        assert [out.coeff(n) for n in range(-8, 9)] == [-1.0] * 9 + [0.0] * 8
 
     def test_linearity(self):
         a = monomial(1, -1.0)

@@ -554,7 +554,10 @@ class TestCompiledPolys:
         pts = radii * rng.standard_normal((5, 40, 4))
         arrays = scan._coords_from_real(algebra, pts)
         table = CompiledPolys(algebra, polys)
-        assert len(table.coeffs) == sum(f is not None for f in polys.flat)
+        assert table.shape == polys.shape
+        assert len(table.rows) == sum(f is not None for f in polys.flat)
+        # one complex coefficient, two doubles, per compiled row and monomial
+        assert len(table.coeffs) == 2 * len(table.rows) * len(table.factors)
         entries = table.entries(arrays)
         assert entries.shape == polys.shape + (5, 40)
         for idx, f in np.ndenumerate(polys):

@@ -19,7 +19,7 @@ import equichern
 SRC = Path(equichern.__file__).resolve().parents[1]
 PLANE_MODEL = SRC / "equichern" / "models" / "c_plane.model"
 ENGINE = {f"equichern.{m}" for m in ("characters", "equivariant", "exterior", "geometry",
-                                     "modelfile", "pairing", "quadrature", "scan",
+                                     "kernels", "modelfile", "pairing", "quadrature", "scan",
                                      "supermatrix", "symbolalg")}
 # Modules no engine entry point loads: the engine's records are not generated
 # by dataclasses, and its Gauss-Legendre rule needs no numpy.polynomial.
@@ -57,10 +57,10 @@ def test_report_loads_no_engine_and_no_numpy(tmp_path):
     assert not {m for m in modules if m.split(".")[0] == "numpy"}
 
 
-# run-example name -> (engine modules it loads, engine modules it does not)
+# run-example name -> (engine modules it loads, modules it does not)
 EXAMPLE_MODULES = {
     "c-plane": ({"equichern.quadrature", "equichern.characters"},
-                {"equichern.scan", "equichern.pairing"}),
+                {"equichern.scan", "equichern.pairing", "equichern.kernels", "numpy"}),
     "zero-op": ({"equichern.pairing"},
                 {"equichern.scan", "equichern.characters", "equichern.quadrature"}),
 }
@@ -83,6 +83,21 @@ def test_check_symbol_loads_no_quadrature_or_numpy_random(tmp_path):
     assert {"equichern.modelfile", "equichern.scan", "equichern.symbolalg"} <= modules
     assert not modules & {"equichern.quadrature", "equichern.pairing", "equichern.characters",
                           "equichern.equivariant", "numpy.random", *NOT_LOADED}
+
+
+NUMPY_FREE = ("characters", "equivariant", "exterior", "geometry", "quadrature", "supermatrix")
+
+
+@pytest.mark.parametrize("script", [
+    *(f"import equichern.{m}" for m in NUMPY_FREE),
+    # the imports of perfbench/dense_op.py: numpy loads with the first chern_form
+    "from equichern.equivariant import chern_form\n"
+    "from equichern.geometry import builtin_model",
+], ids=[*NUMPY_FREE, "dense-op"])
+def test_import_loads_no_numpy(script):
+    # the numpy kernels live in equichern.kernels, which these load only on use
+    modules = loaded_modules(script)
+    assert not modules & {"numpy", "equichern.kernels"}
 
 
 def test_dense_route_loads_no_quadrature_or_model_parser():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from equichern import geometry, pairing, quadrature
-from equichern.characters import ahat_squared, series_to_csv
+from equichern.characters import ahat_squared, integrality_report, series_to_csv
 from equichern.equivariant import PoleGuardError, chern_plan, transverse_chern, w_character
 from equichern.exterior import SYMBOLIC, Poly
 from equichern.geometry import (
@@ -38,6 +38,8 @@ from equichern.quadrature import (
     _index_numerator,
 )
 from equichern.supermatrix import SuperMatrix, UnsupportedShapeError
+
+from conftest import weighted_plane_uv
 
 
 def golden_index(theta):
@@ -174,6 +176,13 @@ def plane_uv_with_w(even, odd):
     return m
 
 
+def direct_index(model, plan, thetas):
+    """The index density N / ch_W at each theta, straight from the plan."""
+    thetas = thetas.tolist()
+    return (np.array(_index_numerator(model, plan, thetas))
+            / np.array([w_character(model, t) for t in thetas]))
+
+
 class TestIndexCharacter:
     def test_values_and_fourier(self):
         report = index_character(c_plane_uv(), theta_samples=16, fourier_window=16)
@@ -212,14 +221,13 @@ class TestIndexCharacter:
         plan = chern_plan(m)
         thetas = np.array(report.theta_samples).real
         far = np.minimum(thetas, 2 * math.pi - thetas) >= math.pi / 8
-        direct = _index_numerator(m, plan, thetas[far]) / w_character(m, thetas[far])
+        direct = direct_index(m, plan, thetas[far])
         assert np.abs(np.array(report.values)[far] - direct).max() < 1e-12
         # the positive-power series, summed on Im theta = 1 where it converges
         contour = 2 * math.pi * (np.arange(16) + 0.5) / 16 + 1j
         ns = np.arange(-40, 41)
         abel = np.exp(1j * np.outer(contour, ns)) @ [report.fourier.coeff(int(n)) for n in ns]
-        assert np.abs(abel - _index_numerator(m, plan, contour)
-                      / w_character(m, contour)).max() < 1e-11
+        assert np.abs(abel - direct_index(m, plan, contour)).max() < 1e-11
 
     @pytest.mark.parametrize("even, odd", [(0, 1), (1, 0), (0, -1), (2, 1), (0, 2)])
     def test_w_character_closed_form(self, even, odd):
@@ -227,7 +235,8 @@ class TestIndexCharacter:
         m = odd - even
         thetas = 2 * math.pi * (np.arange(64) + 0.5) / 64
         closed = -2j * np.sin(m * thetas / 2) * np.exp(1j * (even + m / 2) * thetas)
-        got = w_character(plane_uv_with_w(even, odd), thetas)
+        model = plane_uv_with_w(even, odd)
+        got = np.array([w_character(model, t) for t in thetas.tolist()])
         assert np.max(np.abs(got - closed) / np.abs(closed)) < 2e-15
 
     def test_values_next_to_q_equal_one(self):
@@ -250,6 +259,28 @@ class TestIndexCharacter:
     def test_w_needs_one_even_and_one_odd_summand(self):
         with pytest.raises(UnsupportedShapeError, match="one even and one odd"):
             index_character(zero_op_s1())
+
+
+class TestWeightedAction:
+    """Weight m: the circle acts through its m-fold cover, chi_m(q) = chi_1(q^m)."""
+
+    @pytest.mark.parametrize("m", [1, -1, 2, -2, 3, -3])
+    def test_values_and_integral_fourier(self, m):
+        report = index_character(weighted_plane_uv(m), theta_samples=32, fourier_window=12)
+        for t, v in zip(report.theta_samples, report.values):
+            q = cmath.exp(1j * m * t.real)
+            assert abs(v - (-q / (1 - q))) < 1e-10
+        assert integrality_report(report.fourier)["integral"]
+        # in positive powers: -1 at every positive multiple of m for m > 0, and
+        # -q^m/(1 - q^m) = 1/(1 - q^|m|), 1 at every non-negative one, for m < 0
+        for n in range(-12, 13):
+            want = (-1.0 if n > 0 else 0.0) if m > 0 else (1.0 if n >= 0 else 0.0)
+            assert abs(report.fourier.coeff(n) - (want if n % m == 0 else 0.0)) < 1e-9
+
+    def test_numerator_above_the_degree_bound_is_refused(self):
+        # the numerator is -q^5, of degree above NUMERATOR_DEGREE = 4
+        with pytest.raises(AliasError, match="degree above 4"):
+            index_character(weighted_plane_uv(5), theta_samples=8, fourier_window=4)
 
 
 class TestQuadratureInvariants:
@@ -322,6 +353,21 @@ class TestFourierOracle:
             dft = fit_fourier(thetas, values, window)
             for n, c in lstsq_fourier(thetas, values, window).items():
                 assert abs(dft.coeff(n) - c) * math.exp(-n * eta) < 1e-13
+
+    @pytest.mark.parametrize("n_samples, window", [(16, 7), (32, 12), (128, 24), (129, 64)])
+    def test_direct_dft_is_the_numpy_fft(self, n_samples, window):
+        # oracle: the replaced np.fft route, on the shifted fit grid of the
+        # index numerator, a real grid and a damped contour; compared before
+        # the undamping e^{n eta}
+        rng = np.random.default_rng(n_samples)
+        ns = np.arange(-window, window + 1)
+        for x0, eta in ((math.pi / n_samples - math.pi, 0.0), (0.0, 0.0), (0.3, 1.0)):
+            thetas = x0 + 2 * math.pi * np.arange(n_samples) / n_samples + 1j * eta
+            values = [1, 1j] @ rng.standard_normal((2, n_samples))
+            want = np.fft.fft(values)[ns % n_samples] / n_samples * np.exp(-1j * ns * thetas[0])
+            got = fit_fourier(thetas, values, window)
+            for n, w in zip(ns.tolist(), want):
+                assert abs(got.coeff(n) - w) * math.exp(-n * eta) < 1e-15
 
     def test_rejects_non_uniform_contour(self):
         thetas = 2 * math.pi * (np.arange(32) + 0.5) / 32

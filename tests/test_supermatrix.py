@@ -1,23 +1,23 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
 
 from equichern.exterior import NUMERIC, SYMBOLIC, BackendError, ExteriorAlgebra
 from equichern.geometry import c_plane_uv
+from equichern.kernels import Blocks, _array_norm, is_even, taylor_exp_array
 from equichern.supermatrix import (
+    ODD,
     Grading,
     ShapeError,
     SuperMatrix,
     UnsupportedShapeError,
-    _array_norm,
     block_layout,
     exp_divided_difference,
     graded_commutator,
-    is_even,
     super_exp,
     super_exp_duhamel,
-    taylor_exp_array,
     taylor_parameters,
 )
 
@@ -216,7 +216,7 @@ def reduceat_taylor_exp(A, algebra, tol):
 
 
 def full_right_operator(B, table):
-    ai, bi, ci, sg = table
+    ai, bi, ci, sg = map(np.array, zip(*table))
     d, _, K = B.shape
     R = np.zeros((d, K, d, K), dtype=np.complex128)
     R[:, ai, :, ci] = (B[:, :, bi] * sg).transpose(2, 0, 1)
@@ -261,6 +261,62 @@ def random_array(n_gen, rng):
     return alg, arr
 
 
+# -- the replaced numpy construction of block_layout, kept as an oracle ---------------
+
+
+def numpy_block_layout(algebra, parities, even):
+    """Every field of the layout by the array formulas block_layout had before."""
+    K = algebra.n_components
+    d = len(parities)
+    p = np.asarray(parities, dtype=int)
+    degrees = np.array([m.bit_count() for m in range(K)])
+    cls = ((p[:, None] + degrees[None, :]) % 2).ravel()
+    nb = 2 if even and 2 * cls.sum() == d * K else 1
+    if nb == 1:
+        cls = np.zeros_like(cls)
+    h = d * K // nb
+    where = np.empty(d * K, dtype=int)
+    where[np.argsort(cls, kind="stable")] = np.arange(d * K)
+    q, t = where // h, where % h
+    index = (q * d * h + np.arange(d)[:, None] * h + t).reshape(d, d, K)
+    ai, bi, ci, sg = map(np.array, zip(*algebra.pair_table()))
+    j, k = (x.ravel()[:, None] for x in np.indices((d, d)))
+    rows, cols = j * K + ai, k * K + ci
+    keep = (cls[rows] == cls[cols]).ravel()
+    cls2 = cls.reshape(d, K)
+    masks = np.flatnonzero((cls2 == cls2[:, :1]).all(axis=0))
+    diag = np.arange(d)
+    return {"shape": (nb, d, h), "index": index.ravel().tolist(),
+            "dest": (q[rows] * h * h + t[rows] * h + t[cols]).ravel()[keep].tolist(),
+            "src": index[j, k, bi].ravel()[keep].tolist(),
+            "sign": np.broadcast_to(sg, rows.shape).ravel()[keep].tolist(),
+            "trace_masks": tuple(masks.tolist()),
+            "trace_index": index[diag, diag][:, masks].ravel(order="F").tolist(),
+            "signs": np.where(p == ODD, -1.0, 1.0).tolist()}
+
+
+class TestBlockLayout:
+    @pytest.mark.parametrize("parities, n_gen, even", [
+        ((0, 1), 4, True),            # balanced, two class blocks
+        ((0, 0, 1, 1), 2, True),
+        ((0, 0, 1), 3, True),         # odd rank: the classes still split evenly
+        ((0, 0, 1), 0, True),         # no generators, unequal classes: one block
+        ((0, 1, 1), 0, True),
+        ((1, 0, 1, 0), 2, False),     # an array that is not even: one block
+        ((0, 0, 0, 0), 4, False),
+    ])
+    def test_fields_match_the_numpy_construction(self, parities, n_gen, even):
+        alg = ExteriorAlgebra([f"e{i}" for i in range(n_gen)])
+        layout = block_layout(alg, parities, even)
+        want = numpy_block_layout(alg, parities, even)
+        assert layout.shape == want["shape"]
+        assert layout.trace_masks == want["trace_masks"]
+        for name in ("index", "dest", "src", "trace_index", "signs"):
+            assert list(getattr(layout, name)) == want[name], name
+        # the signs as complex pairs
+        assert list(layout.sign[::2]) == want["sign"] and not any(layout.sign[1::2])
+
+
 class TestTaylorKernel:
     @pytest.mark.parametrize("n_gen", [4, 6])
     def test_products_match_form_wedge(self, n_gen, rng):
@@ -270,7 +326,7 @@ class TestTaylorKernel:
         gr = Grading((0,) * d)
         want = (SuperMatrix.from_array(alg, gr, A)
                 @ SuperMatrix.from_array(alg, gr, B)).to_array()
-        layout = block_layout(alg, gr.parities, even=False)
+        layout = Blocks.of(block_layout(alg, gr.parities, even=False))
         kernel = layout.unblock(layout.block(A) @ layout.operator(layout.block(B)))
         oracle = reduceat_matmul(A, B, reduceat_table(alg))
         scale = np.abs(want).max()
@@ -490,16 +546,63 @@ def mixed_node_batch(k):
     return np.array(cols, dtype=complex).T
 
 
+def numpy_divided_difference(nodes):
+    """The replaced batched numpy route, kept as an oracle.
+
+    Nodes along the first axis, any further axes a batch; the confluent
+    series of every batch element runs to the term count of the batch's
+    largest spread.
+    """
+    xs = np.asarray(nodes, dtype=complex)
+    k = len(xs) - 1
+    shift = xs.sum(axis=0) / (k + 1)
+    separated = False
+    if k == 1:
+        scale = np.maximum(1.0, np.maximum(abs(xs[0]), abs(xs[1])))
+        separated = abs(xs[0] - xs[1]) >= 1e-8 * scale
+    ds = np.where(separated, 0.0, xs - shift)
+    r = float(np.abs(ds).max(initial=0.0))
+    log_r = math.log(r) if r > 0 else -math.inf
+    m_max = 0
+    while (r + (m_max + 1) * log_r - math.lgamma(m_max + 2) - math.lgamma(k + 1)
+           >= math.log(1e-18)):
+        m_max += 1
+    prev = np.ones_like(ds)
+    coeff = 1.0 / math.factorial(k)
+    total = np.full(shift.shape, coeff, dtype=complex)
+    for m in range(1, m_max + 1):
+        cur = np.empty_like(ds)
+        cur[0] = prev[0] * ds[0]
+        for j in range(1, k + 1):
+            cur[j] = cur[j - 1] + ds[j] * prev[j]
+        coeff /= m + k
+        total = total + cur[k] * coeff
+        prev = cur
+    out = np.exp(shift) * total
+    if k == 1:
+        diff = np.where(separated, xs[0] - xs[1], 1.0)
+        out = np.where(separated, (np.exp(xs[0]) - np.exp(xs[1])) / diff, out)
+    return out
+
+
 class TestBatchedDividedDifferences:
     @pytest.mark.parametrize("k", [1, 3])
     def test_batch_matches_scalar_calls(self, k):
         nodes = mixed_node_batch(k)
         batch = exp_divided_difference(nodes)
-        assert batch.shape == (nodes.shape[1],)
+        assert isinstance(batch, list) and len(batch) == nodes.shape[1]
         for col in range(nodes.shape[1]):
             one = exp_divided_difference(list(nodes[:, col]))
             assert isinstance(one, complex)
-            assert abs(batch[col] - one) <= 1e-14 * abs(one)
+            assert batch[col] == one
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_batch_matches_the_numpy_route(self, k):
+        nodes = mixed_node_batch(k)
+        batch = exp_divided_difference(nodes)
+        ref = numpy_divided_difference(nodes)
+        for got, want in zip(batch, ref):
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_batch_matches_opitz_identity(self, k):
@@ -509,12 +612,16 @@ class TestBatchedDividedDifferences:
             ref = opitz_divided_difference(nodes[:, col])
             assert abs(batch[col] - ref) <= 1e-12 * max(1.0, abs(ref))
 
-    def test_two_batch_axes(self):
+    def test_batch_of_lists_is_the_array_batch(self):
+        # a trailing sequence of any kind is a batch; the node order within a
+        # column does not matter (divided differences are symmetric)
         nodes = mixed_node_batch(3)
-        grid = np.stack([nodes, nodes[::-1]], axis=2)  # (4, columns, 2)
-        out = exp_divided_difference(grid)
-        assert out.shape == grid.shape[1:]
-        assert np.allclose(out[:, 0], out[:, 1], rtol=1e-12, atol=0)
+        lists = exp_divided_difference(nodes[::-1].tolist())
+        out = exp_divided_difference(nodes)
+        assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(lists, out))
+        assert exp_divided_difference([[], []]) == []
+        with pytest.raises(ValueError, match="at least one node"):
+            exp_divided_difference([])
 
 
 class TestInvariants:
