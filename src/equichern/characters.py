@@ -91,18 +91,10 @@ class CharacterSeries:
         return CharacterSeries({n: c for n, c in self.coefficients.items()
                                 if lo <= n <= hi}, (lo, hi))
 
-    def is_integral(self, tol: float = 1e-9) -> bool:
-        """All coefficients within tol of integers (the character-ring check)."""
-        return integrality_report(self, tol)["integral"]
-
     def __repr__(self):
         terms = [f"({c})t^{n}" for n, c in sorted(self.coefficients.items())[:8]]
         more = "..." if len(self.coefficients) > 8 else ""
         return f"CharacterSeries({' + '.join(terms)}{more}, window={self.window})"
-
-
-def constant_series(value: complex, window=DEFAULT_WINDOW) -> CharacterSeries:
-    return CharacterSeries({0: value}, window)
 
 
 def monomial(n: int, value: complex = 1.0, window=DEFAULT_WINDOW) -> CharacterSeries:

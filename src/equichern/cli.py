@@ -42,7 +42,8 @@ MAX_FOURIER_WINDOW = 63
 MIN_XI = 1.0
 
 # Largest --xi-max accepted: the scan squares |xi| and its powers, which
-# overflow on the c-plane model from between 1e150 and 1e154.
+# overflow on the c-plane model from between 1e150 and 1e154.  A symbol of
+# higher degree in xi overflows sooner; symbolalg.largest_r_max caps it.
 MAX_XI = 1e100
 
 # The keys of pairing.TEST_FUNCTIONS, named here so parsing imports no engine.
@@ -149,6 +150,11 @@ def cmd_check_symbol(args) -> int:
     except (OSError, UnicodeDecodeError, ModelParseError) as exc:
         print(f"{args.model_file}: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    cap = symbolalg.largest_r_max(model, MAX_XI)
+    if args.xi_max > cap:
+        print(f"argument --xi-max: {args.xi_max:g} is above {cap:g}, the largest for a "
+              f"symbol of degree {symbolalg.fiber_degree(model)} in xi", file=sys.stderr)
+        return EXIT_USAGE
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     transversal = symbolalg.transversal_ellipticity_check(model, r_max=args.xi_max)

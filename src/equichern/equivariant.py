@@ -111,25 +111,29 @@ class ChernPlan(NamedTuple):
 
     @property
     def forms(self) -> list[Form]:
-        """Every group's theta-power forms, in the row order of ``weights``."""
+        """Every group's theta-power forms, in the order ``contract`` reads its values."""
         return [f for _, forms in self.groups for f in forms]
 
-    def weights(self, thetas) -> list[list[complex]]:
-        """theta^p times the group's divided difference: a row per form, a column per theta."""
-        rows = []
+    def contract(self, values, thetas, start=0) -> list:
+        """sum_f values[f] w_f(theta) at every theta, one value (number or form) per form.
+
+        The weight w_f of the form forms_g[p] is theta^p times the group's
+        divided difference of exp; the sum runs form by form from ``start``.
+        """
+        totals = [start] * len(thetas)
+        values = iter(values)
         for nodes, forms in self.groups:
             if any(o1 for _, o1 in nodes):
                 dd = exp_divided_difference([[o0 + o1 * t for t in thetas] for o0, o1 in nodes])
             else:  # nodes that do not move with theta: one divided difference for all
                 dd = [exp_divided_difference([o0 for o0, _ in nodes])] * len(thetas)
-            rows += [[x * t**p for x, t in zip(dd, thetas)] for p in range(len(forms))]
-        return rows
+            for p, value in zip(range(len(forms)), values):
+                totals = [s + value * (x * t**p) for s, x, t in zip(totals, dd, thetas)]
+        return totals
 
     def evaluate(self, theta: complex) -> GaussianForm:
         """The supertrace at one theta, with its Gaussian exponent factored out."""
-        total = self.shared[0].algebra.zero(SYMBOLIC)
-        for (c,), f in zip(self.weights([theta]), self.forms):
-            total = total + f.scale(c)
+        total, = self.contract(self.forms, [theta], self.shared[0].algebra.zero(SYMBOLIC))
         exponent = self.shared[0] + self.shared[1] * theta
         return GaussianForm(exponent=exponent, form=total)
 

@@ -7,8 +7,8 @@ as ``z`` and ``zbar`` are independent symbols; the kernel never assumes
 reality.  Generator subsets are stored as bitmasks in declaration order, so
 every form has a unique canonical representation and equality is exact.  An
 array of polynomials compiles, in plain Python, into one monomial table, so
-its values on a grid of points are a single matrix product; that product and
-grid evaluation run in `equichern.kernels`, so this module loads no numpy.
+its values on a grid of points are a single matrix product, which runs in
+`equichern.kernels`, so this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -58,7 +58,10 @@ class ExteriorAlgebra:
         polynomial coordinate names (conjugates are separate entries).
     conjugates:
         declared conjugate pairs ``z -> zbar``; a coordinate in no pair is
-        real.  Only numeric sampling (the ellipticity scan) reads this.
+        real.  Read by the model's ``conj_poly`` and ``full_point``,
+        ``orientation_sign``, ``cartan_field``, the model parser's ``conj()``,
+        the Gaussian moments (``quadrature.gaussian_integral``) and the
+        ellipticity scan.
     """
 
     def __init__(
@@ -85,9 +88,6 @@ class ExteriorAlgebra:
             raise AlgebraError("conjugate pairs must be disjoint declared coordinates")
 
     # -- polynomial constructors ------------------------------------------
-
-    def poly(self, terms: Mapping[tuple, complex]) -> "Poly":
-        return Poly(self, terms)
 
     def const(self, value: complex) -> "Poly":
         zero = (0,) * len(self.coordinates)
@@ -119,9 +119,6 @@ class ExteriorAlgebra:
         mask, _ = self.mask_of((name,))
         coeff = 1.0 + 0.0j if backend == NUMERIC else self.const(1.0)
         return Form(self, backend, {mask: coeff})
-
-    def form(self, terms: Mapping[int, object], backend: str = SYMBOLIC) -> "Form":
-        return Form(self, backend, terms)
 
     def mask_of(self, names: Iterable[str]) -> tuple[int, int]:
         """Bitmask of a generator tuple plus the sign of sorting it canonically."""
@@ -240,9 +237,7 @@ class Poly:
 
     def eval_grid(self, arrays):
         """Vectorized evaluation on coordinate arrays of a common shape."""
-        from .kernels import eval_grid
-
-        return eval_grid(self, arrays)
+        return CompiledPolys(self.algebra, self).entries(arrays)
 
     @property
     def is_zero(self) -> bool:

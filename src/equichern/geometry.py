@@ -444,7 +444,7 @@ def builtin_model(name: str) -> ActionModel:
 
 def __getattr__(name: str):
     # perfbench/tracer.py traces the scan as geometry.ellipticity_scan; the
-    # scan module loads only when that name is read.  ROADMAP item 2's spans
+    # scan module loads only when that name is read.  ROADMAP item 1's spans
     # inside the engine will retire this hook.
     if name == "ellipticity_scan":
         from .scan import ellipticity_scan

@@ -8,7 +8,7 @@ wraps the buffers it reads with ``np.frombuffer`` (no copy), once per call.
 It holds the dense Chern exponential of the pointwise route (the trace
 shift, then scaling-and-squaring of a truncated Taylor sum with the wedge as
 a block-diagonal right-multiplication operator), the grid evaluation of
-polynomials, and the conversions between supermatrices and component
+compiled polynomials, and the conversions between supermatrices and component
 arrays.  Only the dense route, the ellipticity scan, the symbol-algebra
 checks and the tests load it; the index character does not.
 """
@@ -21,35 +21,13 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .exterior import (NUMERIC, BackendError, CompiledPolys, EvaluationError,
-                       ExteriorAlgebra, Poly)
+from .exterior import NUMERIC, BackendError, CompiledPolys, EvaluationError, ExteriorAlgebra
 from .supermatrix import (EVEN, TAYLOR_TOL, AffineArray, BlockLayout, Grading, SuperMatrix,
                           block_layout, taylor_parameters)
 
 # dtypes of the stdlib buffers: array("q") integers and array("d") complex pairs
 _INT = np.dtype(np.int64)
 _COMPLEX = np.dtype(np.complex128)
-
-
-def eval_grid(poly: Poly, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
-    """``Poly.eval_grid``: the polynomial on coordinate arrays of a common shape."""
-    coords = poly.algebra.coordinates
-    shape = None
-    for a in arrays.values():
-        shape = np.shape(a)
-        break
-    total = np.zeros(shape if shape is not None else (), dtype=np.complex128)
-    for m, c in poly.terms.items():
-        val = np.full(total.shape, c, dtype=np.complex128)
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            name = coords[i]
-            if name not in arrays:
-                raise EvaluationError(f"no value assigned to coordinate {name!r}")
-            val = val * np.asarray(arrays[name]) ** e
-        total = total + val
-    return total
 
 
 def entries(table: CompiledPolys, arrays: Mapping[str, np.ndarray]) -> np.ndarray:

@@ -101,8 +101,7 @@ def _oscillatory_density(model: ActionModel, plan: ChernPlan, xs: np.ndarray):
     if np.any(rates.real != 0):
         raise UnsupportedShapeError("fiber exponent must be purely oscillatory")
     points = xs.tolist()
-    weights = np.array(plan.weights(points))
-    top_values = np.array([t.constant_value() for t in tops]) @ weights
+    top_values = np.array(plan.contract([t.constant_value() for t in tops], points))
     return top_values / np.array([w_character(model, x) for x in points]), rates
 
 

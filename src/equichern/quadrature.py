@@ -9,7 +9,7 @@ orientation is symplectic: for p complex coordinate pairs it differs from
 the literal conjugate-first wedge word by (-1)^{p(p-1)/2}, the single global
 sign pinned by the golden index value.  Each top coefficient of the
 model's Chern plan is integrated once.  Index characters read the W-cleared
-numerator N = A-hat^2 (moments . plan weights)/pi^p, the index density times
+numerator N = A-hat^2 plan.contract(moments)/pi^p, the index density times
 the W character, directly on one small real grid: it is a Laurent polynomial
 in q = e^{i theta}, read off by one direct DFT.  The index values are N over
 the W character on the value grid, and the Fourier coefficients are N/ch_W
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from . import characters
@@ -51,19 +50,20 @@ class AliasError(ValueError):
     """The W-cleared index density is not a Laurent polynomial of the fitted degree."""
 
 
-def _gaussian_scales(model: ActionModel, exponent: Poly) -> list[float]:
-    """Per-pair decay rates a_p when the exponent is exactly -sum a_p c cbar."""
-    pairs = list(model.algebra.conjugates.items())
+def gaussian_integral(model: ActionModel, poly: Poly, exponent: Poly) -> complex:
+    """Exact integral of poly * e^exponent over the complex pairs (d^2z each).
+
+    The exponent must be exactly -sum s_p z_p zbar_p with every s_p > 0; each
+    monomial of poly then integrates by the Gaussian moment
+    delta_ab pi a!/s^{a+1} per pair.
+    """
+    idx = model.algebra.coord_index
+    pairs = [(idx[a], idx[b]) for a, b in model.algebra.conjugates.items()]
     if not pairs:
         raise DivergenceError(
             "no complex coordinate pairs carry Gaussian decay; use delta_pairing")
-    idx = model.algebra.coord_index
-    expected = {}
-    for k, (a, b) in enumerate(pairs):
-        m = [0] * len(model.algebra.coordinates)
-        m[idx[a]] = 1
-        m[idx[b]] = 1
-        expected[tuple(m)] = k
+    # the decay rate s_p of each pair, read off its monomial z_p zbar_p
+    expected = {tuple(int(k in ij) for k in range(len(idx))): p for p, ij in enumerate(pairs)}
     scales = [0.0] * len(pairs)
     for m, c in exponent.terms.items():
         if m not in expected:
@@ -78,19 +78,6 @@ def _gaussian_scales(model: ActionModel, exponent: Poly) -> list[float]:
         scales[expected[m]] = a.real
     if any(s == 0.0 for s in scales):
         raise DivergenceError("body exponent misses Gaussian decay in some pair")
-    return scales
-
-
-def gaussian_integral(model: ActionModel, poly: Poly, exponent: Poly) -> complex:
-    """Exact integral of poly * e^exponent over the complex pairs (d^2z each).
-
-    The exponent must be exactly -sum s_p z_p zbar_p with every s_p > 0; each
-    monomial of poly then integrates by the Gaussian moment
-    delta_ab pi a!/s^{a+1} per pair.
-    """
-    scales = _gaussian_scales(model, exponent)
-    idx = model.algebra.coord_index
-    pairs = [(idx[a], idx[b]) for a, b in model.algebra.conjugates.items()]
     paired = {i for pair in pairs for i in pair}
     total = 0.0 + 0.0j
     for m, c in poly.terms.items():
@@ -111,8 +98,9 @@ def _index_numerator(model: ActionModel, plan: ChernPlan, thetas) -> list[comple
     """W-cleared index density N = density ch_W at every theta from one plan evaluation.
 
     The top coefficient of each plan form is integrated once against the
-    Gaussian body by exact moments; per theta only the plan weights and the
-    A-hat factor change.  The circle acts through the base weight m, so the
+    Gaussian body by exact moments, and the plan contracts the moments
+    against its weights; per theta only the weights and the A-hat factor
+    change.  The circle acts through the base weight m, so the
     A-hat factor is taken at m theta.  The body must not depend on theta: a
     theta-dependent exponent is an oscillatory fiber.
     """
@@ -123,8 +111,8 @@ def _index_numerator(model: ActionModel, plan: ChernPlan, thetas) -> list[comple
                                  plan.shared[0]) for f in plan.forms]
     # dzbar^dz = 2i d^2z, so each pair contributes (2i)/(2 pi i) = 1/pi
     norm = math.pi ** len(model.algebra.conjugates)
-    return [characters.ahat_squared(model.base.weight * t) * sum(map(mul, moments, column))
-            / norm for t, column in zip(thetas, zip(*plan.weights(thetas)))]
+    return [characters.ahat_squared(model.base.weight * t) * total / norm
+            for t, total in zip(thetas, plan.contract(moments, thetas))]
 
 
 def integrate_top_form(model: ActionModel, theta: complex) -> complex:
@@ -248,7 +236,7 @@ def index_character(model: ActionModel, theta_samples: int = 32,
 
 def __getattr__(name: str):
     # perfbench/tracer.py traces the pairing as quadrature.delta_pairing; the
-    # pairing module loads only when that name is read.  ROADMAP item 2's
+    # pairing module loads only when that name is read.  ROADMAP item 1's
     # spans inside the engine will retire this hook.
     if name == "delta_pairing":
         from .pairing import delta_pairing

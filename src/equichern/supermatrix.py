@@ -404,17 +404,14 @@ class AffineArray(NamedTuple):
         m0._check(m1)
         alg, d = m0.algebra, m0.dim
         K = alg.n_components
-        p = m0.grading.parities
-        terms = [(t, i, j, mask, poly)
-                 for t, mat in enumerate((m0, m1))
-                 for i, row in enumerate(mat.entries)
-                 for j, f in enumerate(row)
-                 for mask, poly in f.terms.items()]
-        even = all((p[i] + p[j] + mask.bit_count()) % 2 == 0 for _, i, j, mask, _ in terms)
-        layout = block_layout(alg, p, even)
+        layout = block_layout(alg, m0.grading.parities,
+                              m0.homogeneous_parity() == m1.homogeneous_parity() == EVEN)
         polys = [[None] * (d * d * K) for _ in range(2)]
-        for t, i, j, mask, poly in terms:
-            polys[t][layout.index[(i * d + j) * K + mask]] = poly
+        for t, mat in enumerate((m0, m1)):
+            for i, row in enumerate(mat.entries):
+                for j, f in enumerate(row):
+                    for mask, poly in f.terms.items():
+                        polys[t][layout.index[(i * d + j) * K + mask]] = poly
         return cls(table=CompiledPolys(alg, polys), layout=layout)
 
 
@@ -430,8 +427,8 @@ def exp_divided_difference(nodes):
     use the classical quotient; otherwise (the confluence threshold
     |a-b| < 1e-8, and any higher order) a mean-shifted series in complete
     homogeneous symmetric polynomials is used, which reduces to the
-    derivative formula at exact confluence.  Its number of terms is fixed in
-    advance by a bound on the tail.
+    derivative formula at exact confluence.  It stops once a bound on its
+    tail falls below DD_TOL, and raises ConvergenceError at 400 terms.
     """
     if not len(nodes):
         raise ValueError("need at least one node")
@@ -451,22 +448,21 @@ def _exp_dd(nodes) -> complex:
     ds = [x - shift for x in xs]
     # sum_m h_m(ds) / (m+k)!  with h_m complete homogeneous symmetric; as
     # |h_m(ds)| / (m+k)! <= r^m / (m! k!) with r = max |ds|, the terms past
-    # m_max sum to at most e^r r^(m_max+1) / ((m_max+1)! k!) < DD_TOL
+    # m sum to at most e^r tail with tail = r^(m+1) / ((m+1)! k!), and the
+    # series stops at the first m with e^r tail < DD_TOL (e^-r cannot overflow)
     r = max(map(abs, ds))
-    m_max = 0
-    log_tail = r + math.log(r) - math.lgamma(k + 1) if r > 0 else -math.inf
-    while log_tail >= math.log(DD_TOL):
-        m_max += 1
-        if m_max >= 400:
-            raise ConvergenceError("divided-difference series did not converge")
-        log_tail += math.log(r / (m_max + 1))
+    limit = DD_TOL * math.exp(-r)
     h = [1.0] * (k + 1)  # h[j] = h_m(ds[0..j])
-    coeff = 1.0 / math.factorial(k)
-    total = coeff
-    for m in range(1, m_max + 1):
+    total = coeff = 1.0 / math.factorial(k)
+    m, tail = 0, r * coeff
+    while tail >= limit:
+        m += 1
+        if m >= 400:
+            raise ConvergenceError("divided-difference series did not converge")
         h = list(accumulate(map(mul, ds, h)))
         coeff /= m + k
         total += h[k] * coeff
+        tail *= r / (m + 1)
     return cmath.exp(shift) * total
 
 

@@ -36,6 +36,9 @@ N_DIRS = 32     # fiber directions of condition C on a complex fiber
 R_MIN = 0.5
 R_MAX = 1e3     # outer xi radius of the membership checks
 CUTOFF_RADII = (1.0, 2.0)   # cutoffs a of the transversal ellipticity check
+# Decimal exponent that the largest value the checks form may reach (doubles
+# overflow past 1e308); see `largest_r_max`.
+R_MAX_DIGITS = 300
 SUPPORT_RADIUS = 1.5        # x-support of the saturating and constant-in-xi symbols
 
 
@@ -273,6 +276,28 @@ def constant_in_xi_symbol(model: ActionModel) -> SymbolFunction:
         return bump(x, SUPPORT_RADIUS) * np.ones_like(np.abs(xi))
 
     return SymbolFunction(evaluator=evaluator, x_support_radius=SUPPORT_RADIUS)
+
+
+def fiber_degree(model: ActionModel) -> int:
+    """Largest degree of the symbol's entries in the fiber coordinate and its conjugate."""
+    alg, fiber = model.algebra, _fiber(model).name
+    idx = [alg.coord_index[c] for c in (fiber, alg.conjugates.get(fiber)) if c]
+    return max((sum(m[i] for i in idx) for row in model.symbol.entries for f in row
+                for poly in f.terms.values() for m in poly.terms), default=0)
+
+
+def largest_r_max(model: ActionModel, linear: float) -> float:
+    """The largest outer xi radius the transversal check can take without overflow.
+
+    For a symbol of degree D <= 1 in xi, sigma_hat stays bounded and the cap
+    is ``linear``.  For D > 1 the remainder a (1 - sigma_hat^2) grows like
+    |xi|^(2(D-1)), so the |det| of its d x d values (`scan._singular_stats`)
+    grows like |xi|^(2d(D-1)), the fastest of the values the checks form:
+    the cap is 1e<k> for the largest integer k with 2d(D-1) k <= R_MAX_DIGITS.
+    """
+    degree = fiber_degree(model)
+    return linear if degree <= 1 else min(
+        linear, float(f"1e{R_MAX_DIGITS // (2 * model.symbol.dim * (degree - 1))}"))
 
 
 def transversal_ellipticity_check(model: ActionModel, *,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from equichern.exterior import ExteriorAlgebra
+from equichern.exterior import EvaluationError, ExteriorAlgebra, Poly
 
 
 @pytest.fixture
@@ -21,7 +21,32 @@ def random_poly(algebra, rng, max_degree=2, n_terms=3):
     for _ in range(n_terms):
         m = tuple(int(rng.integers(0, max_degree + 1)) for _ in range(n))
         terms[m] = complex(rng.standard_normal(), rng.standard_normal())
-    return algebra.poly(terms)
+    return Poly(algebra, terms)
+
+
+def eval_grid(poly, arrays):
+    """A polynomial on coordinate arrays of a common shape, term by term.
+
+    The oracle for `CompiledPolys.entries` (and so for `Poly.eval_grid`):
+    each term is its coefficient times numpy powers of the coordinate arrays.
+    """
+    coords = poly.algebra.coordinates
+    shape = None
+    for a in arrays.values():
+        shape = np.shape(a)
+        break
+    total = np.zeros(shape if shape is not None else (), dtype=np.complex128)
+    for m, c in poly.terms.items():
+        val = np.full(total.shape, c, dtype=np.complex128)
+        for i, e in enumerate(m):
+            if e == 0:
+                continue
+            name = coords[i]
+            if name not in arrays:
+                raise EvaluationError(f"no value assigned to coordinate {name!r}")
+            val = val * np.asarray(arrays[name]) ** e
+        total = total + val
+    return total
 
 
 def random_form(algebra, rng, backend="symbolic", degrees=None, n_terms=4):

@@ -388,6 +388,29 @@ class TestCheckSymbol:
         assert run(["check-symbol", PLANE_MODEL, "--xi-max", "1e100",
                     "--out-dir", tmp_path]) == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("degree, cap", [(1, 1e100), (2, 1e75), (3, 1e37), (5, 1e18)])
+    def test_xi_max_cap_follows_the_degree_in_xi(self, tmp_path, capsys, degree, cap):
+        # the remainder's |det| on this 2x2 symbol grows like |xi|^(4(degree - 1));
+        # the degree in the base does not count: the base is sampled inside the cutoff
+        path = tmp_path / "power.model"
+        path.write_text(builtin_model_text("c-plane")
+                        .replace("conj(z) - i*conj(xi)", f"conj(z)^3 - i*conj(xi)^{degree}")
+                        .replace("z + i*xi", f"z^3 + i*xi^{degree}"))
+        code = run(["check-symbol", path, "--xi-max", cap, "--scan-samples", 50,
+                    "--out-dir", tmp_path / "at"])
+        # sigma_hat of a symbol of order above one is unbounded: condition C fails
+        assert code == (0 if degree == 1 else 1)
+        report = (tmp_path / "at" / "symbol_report.json").read_text()
+        assert "NaN" not in report and "Infinity" not in report
+        if degree > 1:
+            code = run(["check-symbol", path, "--xi-max", cap * 1.000001,
+                        "--out-dir", tmp_path / "above"])
+            assert code == 2
+            assert f"above {cap:g}, the largest for a symbol of degree {degree}" in \
+                capsys.readouterr().err
+            assert not (tmp_path / "above").exists()
+
     @pytest.mark.parametrize("value", ["1.0000001e100", "1e154", "1e300"])
     def test_xi_max_above_the_bound_usage_error(self, tmp_path, capsys, value):
         code = run(["check-symbol", PLANE_MODEL, "--xi-max", value, "--out-dir", tmp_path])

@@ -48,6 +48,7 @@ from equichern.supermatrix import (
     exp_divided_difference,
     super_exp,
 )
+from conftest import weighted_plane_uv
 
 
 def closed_form_reference(model, u, v, theta):
@@ -524,7 +525,44 @@ PLAN_POINTS = {
 }
 
 
+def plan_weights(plan, thetas):
+    """The replaced ``ChernPlan.weights``: a row per form, a column per theta.
+
+    Row f holds theta^p times the divided difference of exp at its group's
+    nodes, for the form forms_g[p]; ``ChernPlan.contract`` sums the values
+    against these rows.
+    """
+    rows = []
+    for nodes, forms in plan.groups:
+        if any(o1 for _, o1 in nodes):
+            dd = exp_divided_difference([[o0 + o1 * t for t in thetas] for o0, o1 in nodes])
+        else:
+            dd = [exp_divided_difference([o0 for o0, _ in nodes])] * len(thetas)
+        rows += [[x * t**p for x, t in zip(dd, thetas)] for p in range(len(forms))]
+    return rows
+
+
 class TestChernPlan:
+    @pytest.mark.parametrize("make", [c_plane_uv, zero_op_s1, lambda: weighted_plane_uv(2),
+                                      sloped_soul_model],
+                             ids=["c-plane-uv", "zero-op", "weight-2", "sloped-soul"])
+    def test_contraction_is_the_weight_rows_against_the_values(self, make, rng):
+        m = make()
+        plan = chern_plan(m)
+        thetas = list(PLAN_THETAS)
+        rows = plan_weights(plan, thetas)
+        assert len(rows) == len(plan.forms)
+        numbers = [complex(*rng.standard_normal(2)) for _ in plan.forms]
+        assert plan.contract(numbers, thetas) == [
+            sum(v * w for v, w in zip(numbers, column)) for column in zip(*rows)]
+        zero = m.algebra.zero(SYMBOLIC)
+        forms = plan.contract(plan.forms, thetas, zero)
+        for j, got in enumerate(forms):
+            want = zero
+            for f, row in zip(plan.forms, rows):
+                want = want + f.scale(row[j])
+            assert got == want
+
     @pytest.mark.parametrize("make", [c_plane, c_plane_uv, zero_op_s1,
                                       sloped_soul_model])
     def test_forms_match_per_theta_route(self, make):

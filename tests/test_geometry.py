@@ -25,7 +25,7 @@ from equichern.geometry import (
 )
 from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.scan import ScanGrid, block_singular_values, ellipticity_scan, gaussian_draws
-from conftest import odd_symbol_model
+from conftest import eval_grid, odd_symbol_model
 
 
 def entry_values(matrix, point):
@@ -529,8 +529,8 @@ def test_median_matches_numpy(rng, n):
 
 def term_scale(poly, arrays):
     """Sum of |coefficient x monomial| over the terms: the rounding scale of a value."""
-    absolute = poly.algebra.poly({m: abs(c) for m, c in poly.terms.items()})
-    return absolute.eval_grid({k: np.abs(v) for k, v in arrays.items()}).real
+    absolute = Poly(poly.algebra, {m: abs(c) for m, c in poly.terms.items()})
+    return eval_grid(absolute, {k: np.abs(v) for k, v in arrays.items()}).real
 
 
 def template_matrices():
@@ -547,7 +547,7 @@ def template_matrices():
 
 
 class TestCompiledPolys:
-    """The compiled evaluator against Poly.eval_grid, entry by entry."""
+    """The compiled evaluator against the term-by-term `conftest.eval_grid`, entry by entry."""
 
     def assert_matches_eval_grid(self, algebra, polys, rng):
         radii = np.array([0.3, 1.0, 2.0, 8.0, 1e3])[:, None, None]
@@ -565,7 +565,7 @@ class TestCompiledPolys:
                 assert np.all(entries[idx] == 0)
                 continue
             tol = 1e-13 * term_scale(f, arrays)
-            assert np.all(np.abs(entries[idx] - f.eval_grid(arrays)) <= tol)
+            assert np.all(np.abs(entries[idx] - eval_grid(f, arrays)) <= tol)
 
     @pytest.mark.parametrize("name", sorted(template_matrices()))
     def test_templates(self, rng, name):

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from equichern.exterior import NUMERIC, SYMBOLIC, BackendError, ExteriorAlgebra
+from equichern.exterior import NUMERIC, SYMBOLIC, BackendError, ExteriorAlgebra, Form
 from equichern.geometry import c_plane_uv
 from equichern.kernels import Blocks, _array_norm, is_even, taylor_exp_array
 from equichern.supermatrix import (
     ODD,
+    ConvergenceError,
     Grading,
     ShapeError,
     SuperMatrix,
@@ -172,8 +173,8 @@ def reduceat_table(algebra):
         starts.append(len(ai))
         for a in range(algebra.n_components):
             if a & c == a:
-                left = algebra.form({a: 1.0}, NUMERIC)
-                right = algebra.form({c ^ a: 1.0}, NUMERIC)
+                left = Form(algebra, NUMERIC, {a: 1.0})
+                right = Form(algebra, NUMERIC, {c ^ a: 1.0})
                 ai.append(a)
                 bi.append(c ^ a)
                 sg.append(left.wedge(right).terms[c])
@@ -522,6 +523,12 @@ class TestDividedDifferences:
         hi = exp_divided_difference(nodes[1:])
         lo = exp_divided_difference(nodes[:-1])
         assert abs(base - (hi - lo) / (nodes[3] - nodes[0])) < 1e-10
+
+
+    def test_series_stops_at_400_terms(self):
+        # the spread r = 200 about the mean 100i needs about e r terms
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            exp_divided_difference([0, 0, 300j])
 
 
 def opitz_divided_difference(nodes):

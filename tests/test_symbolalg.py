@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import odd_symbol_model
+from conftest import eval_grid, odd_symbol_model
 from equichern import scan
 from equichern.geometry import (
     SYMBOLIC,
@@ -191,7 +191,7 @@ class TestAlgebraProperties:
 
 
 def einsum_svd_remainder(model, radius, x, xi):
-    """The svd norm of a (1 - sigma_hat^2) by Poly.eval_grid and a (d, d) einsum."""
+    """The svd norm of a (1 - sigma_hat^2) by `conftest.eval_grid` and a (d, d) einsum."""
     x = np.asarray(x, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
     arrays = {model.base.name: x, model.fiber.name: xi}
@@ -201,7 +201,7 @@ def einsum_svd_remainder(model, radius, x, xi):
     sig = np.zeros(x.shape + (d, d), dtype=complex)
     for (i, j), f in np.ndenumerate(scan._entry_polys(model.symbol)):
         if f is not None:
-            sig[..., i, j] = f.eval_grid(arrays)
+            sig[..., i, j] = eval_grid(f, arrays)
     sig = sig / np.sqrt(1.0 + np.abs(x) ** 2 + np.abs(xi) ** 2)[..., None, None]
     a = bump(x, radius)[..., None, None]
     rem = a * (np.eye(d) - np.einsum("...ij,...jk->...ik", sig, sig))
