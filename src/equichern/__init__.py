@@ -15,11 +15,11 @@ the character series, and the ellipticity scan (``scan``) loads only with
 ``check-symbol``.
 
 numpy is loaded by ``kernels`` (the dense Chern exponential, grid
-evaluation of compiled polynomials, component arrays), ``scan``,
-``symbolalg`` and ``pairing``, and by nothing else at import.  The model
-compile, the Chern plan, the fiber integration and the character series are
-plain Python, so ``run-example c-plane`` (the index character) runs without
-numpy.
+evaluation of compiled polynomials, component arrays), ``scan`` and
+``symbolalg``, and by nothing else at import.  The model compile, the Chern
+plan, the fiber integration, the character series and the delta pairing are
+plain Python, so ``run-example c-plane`` (the index character) and
+``run-example zero-op`` (the delta pairing) run without numpy.
 """
 
 import importlib

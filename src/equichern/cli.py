@@ -15,7 +15,8 @@ from importlib import resources
 from pathlib import Path
 
 # The engine modules are imported inside the subcommand that runs them, so
-# each invocation loads only what it uses; run-example c-plane loads no numpy.
+# each invocation loads only what it uses; run-example (c-plane and zero-op)
+# loads no numpy.
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -43,7 +44,8 @@ MIN_XI = 1.0
 
 # Largest --xi-max accepted: the scan squares |xi| and its powers, which
 # overflow on the c-plane model from between 1e150 and 1e154.  A symbol of
-# higher degree in xi overflows sooner; symbolalg.largest_r_max caps it.
+# higher degree in xi, or with larger coefficients, overflows sooner;
+# symbolalg.largest_r_max caps it.
 MAX_XI = 1e100
 
 # The keys of pairing.TEST_FUNCTIONS, named here so parsing imports no engine.
@@ -153,7 +155,8 @@ def cmd_check_symbol(args) -> int:
     cap = symbolalg.largest_r_max(model, MAX_XI)
     if args.xi_max > cap:
         print(f"argument --xi-max: {args.xi_max:g} is above {cap:g}, the largest for a "
-              f"symbol of degree {symbolalg.fiber_degree(model)} in xi", file=sys.stderr)
+              f"symbol of degree {symbolalg.fiber_degree(model)} in xi with these "
+              "coefficients", file=sys.stderr)
         return EXIT_USAGE
     args.out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -278,12 +278,22 @@ def constant_in_xi_symbol(model: ActionModel) -> SymbolFunction:
     return SymbolFunction(evaluator=evaluator, x_support_radius=SUPPORT_RADIUS)
 
 
+def _entry_terms(model: ActionModel):
+    """(monomial, coefficient) of every term of the symbol's entries."""
+    return [(m, c) for row in model.symbol.entries for f in row
+            for poly in f.terms.values() for m, c in poly.terms.items()]
+
+
+def _degree(model: ActionModel, name: str, m) -> int:
+    """Degree of the monomial m in the coordinate ``name`` and its conjugate."""
+    alg = model.algebra
+    return sum(m[alg.coord_index[c]] for c in (name, alg.conjugates.get(name)) if c)
+
+
 def fiber_degree(model: ActionModel) -> int:
     """Largest degree of the symbol's entries in the fiber coordinate and its conjugate."""
-    alg, fiber = model.algebra, _fiber(model).name
-    idx = [alg.coord_index[c] for c in (fiber, alg.conjugates.get(fiber)) if c]
-    return max((sum(m[i] for i in idx) for row in model.symbol.entries for f in row
-                for poly in f.terms.values() for m in poly.terms), default=0)
+    fiber = _fiber(model).name
+    return max((_degree(model, fiber, m) for m, _ in _entry_terms(model)), default=0)
 
 
 def largest_r_max(model: ActionModel, linear: float) -> float:
@@ -292,12 +302,24 @@ def largest_r_max(model: ActionModel, linear: float) -> float:
     For a symbol of degree D <= 1 in xi, sigma_hat stays bounded and the cap
     is ``linear``.  For D > 1 the remainder a (1 - sigma_hat^2) grows like
     |xi|^(2(D-1)), so the |det| of its d x d values (`scan._singular_stats`)
-    grows like |xi|^(2d(D-1)), the fastest of the values the checks form:
-    the cap is 1e<k> for the largest integer k with 2d(D-1) k <= R_MAX_DIGITS.
+    grows like |xi|^(2d(D-1)), the fastest of the values the checks form.
+    The coefficients scale that |det| too: a term c x^b xi^k with k >= 1 is
+    at most |c| rho^b |xi|^k on the base sample (|x| <= rho, the largest
+    cutoff radius on a complex base, 2 pi on an angle), so with C the largest
+    |c| rho^b (or 1, if larger) the cap is 1e<k> for the largest integer k
+    with 2d(D-1) k <= R_MAX_DIGITS - 2d log10 C.  Terms free of xi fall off
+    with the normalization 1/|xi| and do not count.
     """
     degree = fiber_degree(model)
-    return linear if degree <= 1 else min(
-        linear, float(f"1e{R_MAX_DIGITS // (2 * model.symbol.dim * (degree - 1))}"))
+    if degree <= 1:
+        return linear
+    fiber, base = _fiber(model).name, model.base
+    rho = max(CUTOFF_RADII) if base.kind == COMPLEX else 2 * math.pi
+    size = max([1.0] + [abs(c) * rho ** _degree(model, base.name, m)
+                        for m, c in _entry_terms(model) if _degree(model, fiber, m)])
+    d = model.symbol.dim
+    digits = R_MAX_DIGITS - 2 * d * math.log10(size)
+    return min(linear, float(f"1e{math.floor(digits / (2 * d * (degree - 1)))}"))
 
 
 def transversal_ellipticity_check(model: ActionModel, *,

@@ -411,6 +411,26 @@ class TestCheckSymbol:
                 capsys.readouterr().err
             assert not (tmp_path / "above").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("xi_max", [1e69, 1e72])
+    def test_xi_max_cap_follows_the_coefficients(self, tmp_path, capsys, xi_max):
+        # a coefficient c on xi^2 scales the remainder's |det| by |c|^4: at
+        # c = 1e6 the cap falls from 1e75 to 1e69, and 1e72 overflowed
+        path = tmp_path / "scaled.model"
+        path.write_text(builtin_model_text("c-plane")
+                        .replace("conj(z) - i*conj(xi)", "conj(z) - 1000000*i*conj(xi)^2")
+                        .replace("z + i*xi", "z + 1000000*i*xi^2"))
+        code = run(["check-symbol", path, "--xi-max", xi_max, "--scan-samples", 50,
+                    "--out-dir", tmp_path / "out"])
+        if xi_max > 1e69:
+            assert code == 2
+            assert "above 1e+69, the largest for a symbol of degree 2" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+        else:
+            assert code == 1
+            report = (tmp_path / "out" / "symbol_report.json").read_text()
+            assert "NaN" not in report and "Infinity" not in report
+
     @pytest.mark.parametrize("value", ["1.0000001e100", "1e154", "1e300"])
     def test_xi_max_above_the_bound_usage_error(self, tmp_path, capsys, value):
         code = run(["check-symbol", PLANE_MODEL, "--xi-max", value, "--out-dir", tmp_path])

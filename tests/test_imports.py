@@ -62,7 +62,8 @@ EXAMPLE_MODULES = {
     "c-plane": ({"equichern.quadrature", "equichern.characters"},
                 {"equichern.scan", "equichern.pairing", "equichern.kernels", "numpy"}),
     "zero-op": ({"equichern.pairing"},
-                {"equichern.scan", "equichern.characters", "equichern.quadrature"}),
+                {"equichern.scan", "equichern.characters", "equichern.quadrature",
+                 "equichern.kernels", "numpy"}),
 }
 
 
@@ -85,7 +86,8 @@ def test_check_symbol_loads_no_quadrature_or_numpy_random(tmp_path):
                           "equichern.equivariant", "numpy.random", *NOT_LOADED}
 
 
-NUMPY_FREE = ("characters", "equivariant", "exterior", "geometry", "quadrature", "supermatrix")
+NUMPY_FREE = ("characters", "equivariant", "exterior", "geometry", "pairing", "quadrature",
+              "supermatrix")
 
 
 @pytest.mark.parametrize("script", [

@@ -1,5 +1,7 @@
 import cmath
+import itertools
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -377,6 +379,67 @@ class TestFourierOracle:
             fit_fourier(thetas, np.ones(32), 16)
 
 
+# The regularization eps values the benchmark's pairing workload draws from.
+EPS_POOL = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5)
+
+
+# The numpy route the pairing took before its plain-Python kernel, kept as its
+# oracle: the Gauss-Legendre rule from the eigenvalues of the Jacobi matrix and
+# the full cos(Im r(X) xi) kernel applied by one matrix-vector product per eps.
+
+
+def numpy_gauss_legendre(n):
+    """Gauss-Legendre rule: Jacobi eigenvalues, one Newton step, symmetrized."""
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4 * k * k - 1), -1))
+
+    def legendre(x):  # P_n(x) and P_n'(x) by the three-term recurrence
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, n * (p0 - x * p1) / (1 - x * x)
+
+    p, dp = legendre(x)
+    x = x - p / dp
+    dp = legendre(x)[1]
+    w = 2 / ((1 - x * x) * dp * dp)
+    w = (w + w[::-1]) / 2
+    return (x - x[::-1]) / 2, w * (2 / w.sum())
+
+
+def numpy_panel_gauss_legendre(lo, hi, panels):
+    x, w = numpy_gauss_legendre(pairing.PANEL_ORDER)
+    edges = np.linspace(lo, hi, panels + 1)
+    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (half * x + mid).ravel(), (half * w).ravel()
+
+
+def numpy_delta_values(model, test_fn, eps):
+    """Per-eps pairing values of the numpy cosine kernel, one matmul per eps."""
+    q = pairing
+    xn, xw = numpy_panel_gauss_legendre(-q.X_HALFWIDTH, q.X_HALFWIDTH, q.X_PANELS)
+    qn, qw = numpy_panel_gauss_legendre(0.0, q.XI_HALFWIDTH, q.XI_PANELS // 2)
+    qw = 2 * qw
+    tops, rates = map(np.asarray, q._oscillatory_density(model, chern_plan(model), xn.tolist()))
+    test_vals = np.array([test_fn(x) for x in xn], dtype=complex)
+    kernel = np.cos(np.outer(rates.imag, qn))  # (X, xi > 0)
+    # one angle coordinate: volume 2 pi, over 2 pi i and 2 pi
+    return [complex(np.dot(xw, test_vals * tops * (kernel @ (qw * np.exp(-e * qn**2))))
+                    / (2j * math.pi)) for e in eps]
+
+
+def interpolate_at_zero(xs, ys):
+    """Value at 0 of the polynomial through (xs, ys), by Lagrange's formula."""
+    total = 0.0
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        weight = 1.0
+        for j, xj in enumerate(xs):
+            if j != i:
+                weight *= xj / (xj - xi)
+        total += weight * yi
+    return total
+
+
 class TestDeltaPairing:
     def test_gaussian_oracle(self):
         # closed form of the regularized double integral: 1/sqrt(1 + 4 eps)
@@ -422,13 +485,47 @@ class TestDeltaPairing:
         xn, xw = q._panel_gauss_legendre(-q.X_HALFWIDTH, q.X_HALFWIDTH, q.X_PANELS)
         qn, qw = q._panel_gauss_legendre(-q.XI_HALFWIDTH, q.XI_HALFWIDTH, q.XI_PANELS)
         tops, rates = q._oscillatory_density(model, chern_plan(model), xn)
+        xn, xw, qn, qw, tops, rates = map(np.asarray, (xn, xw, qn, qw, tops, rates))
         phases = np.exp(np.outer(rates, qn))
         eps = [1e-2, 1e-3, 1e-4, 3e-5]
+        test_vals = np.array([test_fn(x) for x in xn])
         # one angle coordinate: volume 2 pi, over 2 pi i and 2 pi
-        full = [np.dot(xw, test_fn(xn) * tops * (phases @ (qw * np.exp(-e * qn**2))))
+        full = [np.dot(xw, test_vals * tops * (phases @ (qw * np.exp(-e * qn**2))))
                 / (2j * math.pi) for e in eps]
         report = delta_pairing(model, test_fn, eps)
         assert max(abs(v - f) for v, f in zip(report.values, full)) < 1e-15
+
+    @pytest.mark.parametrize("test_fn", [gaussian_test, shifted_gaussian_test])
+    def test_matches_the_numpy_kernel(self, test_fn):
+        eps = list(EPS_POOL)
+        report = delta_pairing(zero_op_s1(), test_fn, eps)
+        oracle = numpy_delta_values(zero_op_s1(), test_fn, eps)
+        assert max(abs(v - o) for v, o in zip(report.values, oracle)) < 1e-15
+
+    @pytest.mark.parametrize("test_fn, shift", [(gaussian_test, 0.0),
+                                                (shifted_gaussian_test, 1.0)])
+    def test_extrapolation_precision_over_eps_subsets(self, test_fn, shift):
+        # Every 3- and 4-subset of the pool, against the closed form
+        # exp(-s^2/(1 + 4 eps))/sqrt(1 + 4 eps) and, for the extrapolation, the
+        # polynomial through the exact values.  Each eps value is computed on
+        # its own, so one run over the whole pool gives every subset's values.
+        model = zero_op_s1()
+        full = delta_pairing(model, test_fn, list(EPS_POOL))
+        value = dict(zip(full.eps, full.values))
+        sub = delta_pairing(model, test_fn, [3e-3, 1e-3, 1e-4, 3e-5])
+        assert sub.values == [value[e] for e in sub.eps]
+        assert sub.extrapolated == richardson_extrapolate(sub.eps, sub.values)
+        worst = []
+        for k in (3, 4):
+            for eps in itertools.combinations(EPS_POOL, k):
+                exact = [math.exp(-shift**2 / (1 + 4 * e)) / math.sqrt(1 + 4 * e) for e in eps]
+                got = [value[e] for e in eps]
+                extrap = richardson_extrapolate(eps, got)
+                worst.append(max(max(abs(g - x) for g, x in zip(got, exact)),
+                                 abs(extrap - interpolate_at_zero(eps, exact))))
+        # 35 configurations per test function, 70 with the other one
+        assert len(worst) == 35
+        assert statistics.median(worst) <= 4e-16
 
     def test_fiber_rate_with_a_real_part_rejected(self):
         # a fiber rate with real part 1e-12 X, which the cosine kernel would
@@ -449,8 +546,15 @@ class TestGaussLegendre:
         assert np.abs(x - ref_x).max() < 1e-15
         assert np.abs(w - ref_w).max() < 1e-15
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 16, 32])
+    def test_matches_the_eigvalsh_rule_and_leggauss(self, n):
+        x, w = gauss_legendre(n)
+        for ref_x, ref_w in (numpy_gauss_legendre(n), np.polynomial.legendre.leggauss(n)):
+            assert np.abs(x - ref_x).max() < 1e-15
+            assert np.abs(w - ref_w).max() < 1e-15
+
     def test_exact_for_degree_below_2n(self):
-        x, w = gauss_legendre(16)
+        x, w = map(np.asarray, gauss_legendre(16))
         for k in range(32):
             assert abs(w @ x**k - (2 / (k + 1) if k % 2 == 0 else 0.0)) < 1e-14
 
