@@ -45,7 +45,8 @@ MIN_XI = 1.0
 # Largest --xi-max accepted: the scan squares |xi| and its powers, which
 # overflow on the c-plane model from between 1e150 and 1e154.  A symbol of
 # higher degree in xi, or with larger coefficients, overflows sooner;
-# symbolalg.largest_r_max caps it.
+# symbolalg.largest_r_max caps it, and refuses a model that overflows at
+# every radius.
 MAX_XI = 1e100
 
 # The keys of pairing.TEST_FUNCTIONS, named here so parsing imports no engine.
@@ -144,15 +145,17 @@ def cmd_run_example(args) -> int:
 def cmd_check_symbol(args) -> int:
     from . import symbolalg
     from .geometry import augmented_symbol
-    from .modelfile import ModelParseError, parse_model_file
+    from .modelfile import parse_model_file
     from .scan import ScanGrid, ellipticity_scan
 
+    # a ModelParseError, a UnicodeDecodeError and a coefficient too large for
+    # any --xi-max (largest_r_max) are ValueErrors
     try:
         model = parse_model_file(args.model_file)
-    except (OSError, UnicodeDecodeError, ModelParseError) as exc:
+        cap = symbolalg.largest_r_max(model, MAX_XI)
+    except (OSError, ValueError) as exc:
         print(f"{args.model_file}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    cap = symbolalg.largest_r_max(model, MAX_XI)
     if args.xi_max > cap:
         print(f"argument --xi-max: {args.xi_max:g} is above {cap:g}, the largest for a "
               f"symbol of degree {symbolalg.fiber_degree(model)} in xi with these "

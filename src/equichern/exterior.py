@@ -282,25 +282,24 @@ class CompiledPolys:
     """An array of polynomials compiled once, evaluated on grids as one product.
 
     ``polys`` is a nested sequence (or an object array) of polynomials, None
-    for zero, of shape ``shape``.  Each polynomial at the flat positions
-    ``rows`` is one row of ``coeffs``, against the monomials numbered in order
-    of first appearance; the None entries are not compiled.  ``coeffs`` holds
-    that complex matrix row-major as interleaved doubles and ``rows`` as
-    64-bit integers, stdlib buffers that numpy reads without a copy.  A
-    monomial is its ``factors``, pairs of a position in ``coords`` (the
-    coordinates that occur) and an exponent of at most ``top`` there.  On
-    coordinate arrays of one shape every monomial is formed once, from
-    per-coordinate power tables, and the polynomials are ``coeffs @ monomials``
-    (`equichern.kernels.entries`).
+    for zero, of shape ``shape``.  Each entry, in row-major order, is one row
+    of ``coeffs`` against the monomials numbered in order of first
+    appearance; a None entry is a row of zeros.  ``coeffs`` holds that
+    complex matrix row-major as interleaved doubles, a stdlib buffer that
+    numpy reads without a copy.  A monomial is its ``factors``, pairs of a
+    position in ``coords`` (the coordinates that occur) and an exponent of at
+    most ``top`` there.  On coordinate arrays of one shape every monomial is
+    formed once, from per-coordinate power tables, and the polynomials are
+    ``coeffs @ monomials`` (`equichern.kernels.entries`).
     """
 
     def __init__(self, algebra: ExteriorAlgebra, polys):
         self.shape, flat = _flatten(polys)
-        self.rows = array("q", (r for r, f in enumerate(flat) if f is not None))
         monomials: dict[tuple, int] = {}
         terms = [(row, monomials.setdefault(mono, len(monomials)), c)
-                 for row, r in enumerate(self.rows) for mono, c in flat[r].terms.items()]
-        self.coeffs = array("d", bytes(16 * len(self.rows) * len(monomials)))
+                 for row, f in enumerate(flat) if f is not None
+                 for mono, c in f.terms.items()]
+        self.coeffs = array("d", bytes(16 * len(flat) * len(monomials)))
         for row, col, c in terms:
             k = 2 * (row * len(monomials) + col)
             self.coeffs[k], self.coeffs[k + 1] = c.real, c.imag

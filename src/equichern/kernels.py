@@ -31,7 +31,10 @@ _COMPLEX = np.dtype(np.complex128)
 
 
 def entries(table: CompiledPolys, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
-    """``CompiledPolys.entries``: ``table.shape + shape``, exact zeros for None."""
+    """``CompiledPolys.entries``: ``table.shape + shape``, as one ``coeffs @ monomials``.
+
+    A None entry is a zero row of ``coeffs``, so its values are exact zeros.
+    """
     for name in table.coords:
         if name not in arrays:
             raise EvaluationError(f"no value assigned to coordinate {name!r}")
@@ -53,11 +56,8 @@ def entries(table: CompiledPolys, arrays: Mapping[str, np.ndarray]) -> np.ndarra
         mono[m] = powers[k][e]
         for k, e in rest:
             mono[m] *= powers[k][e]
-    rows = np.frombuffer(table.rows, _INT)
-    coeffs = np.frombuffer(table.coeffs, _COMPLEX).reshape(len(rows), len(mono))
-    out = np.zeros((math.prod(table.shape), math.prod(shape)), dtype=np.complex128)
-    out[rows] = coeffs @ mono.reshape(len(mono), out.shape[1])
-    return out.reshape(table.shape + shape)
+    coeffs = np.frombuffer(table.coeffs, _COMPLEX).reshape(math.prod(table.shape), len(mono))
+    return (coeffs @ mono.reshape(len(mono), math.prod(shape))).reshape(table.shape + shape)
 
 
 def to_array(a: SuperMatrix) -> np.ndarray:

@@ -25,7 +25,7 @@ from .geometry import (
     infinitesimal_generator,
     orbital_projection,
 )
-from .scan import _entry_polys, _singular_stats, fill_batches, parity_blocks
+from .scan import ScanGrid, _entry_polys, _singular_stats, fill_batches, parity_blocks
 from .supermatrix import EVEN
 
 STABILITY_RATIO = 1.1   # heuristic: c_eps(R)/c_eps(R/2) below this counts as stable
@@ -217,36 +217,33 @@ def normalized_remainder_symbol(model: ActionModel,
                                 cutoff_radius: float) -> SymbolFunction:
     """a(x) sigma_max(1 - sigma_hat^2) with the order-zero normalized symbol sigma_hat.
 
-    The symbol's entries are compiled once.  As sigma is odd, sigma_hat^2 is
-    even: each entry of it sums only the structurally non-zero products
-    sigma_ij sigma_jk, and the operator norm comes from the two diagonal
-    grading blocks (`scan._singular_stats`).  The evaluator flattens its
-    broadcast ``(x, xi)`` and reduces them to operator norms in slices of at
-    most ``scan.BATCH_POINTS`` points (`scan.fill_batches`).
+    With s^2 = 1 + |x|^2 + |xi|^2, 1 - sigma_hat^2 is R / s^2 for the
+    polynomial matrix R = s^2 1 - sigma sigma.  Its entries are formed once,
+    by products of the symbol's entry polynomials, with s^2 the polynomial
+    1 + x conj(x) + xi conj(xi) (`ActionModel.conj_poly`; a real coordinate
+    squares itself), and compiled into one table: the terms of s^2 cancel in
+    the coefficients, not in floating point, so no digits are lost at large
+    |xi|.  R is divided by s^2 before `scan._singular_stats` squares it.  As
+    sigma is odd, R is even, and the operator norm comes from its two
+    diagonal grading blocks.  The evaluator flattens its broadcast
+    ``(x, xi)`` and reduces them to operator norms in slices of at most
+    ``scan.BATCH_POINTS`` points (`scan.fill_batches`).
     """
     base, fiber = model.base.name, _fiber(model).name
-    polys = _entry_polys(model.symbol)
-    table = CompiledPolys(model.algebra, polys)
-    parities = model.symbol.grading.parities
-    blocks = parity_blocks(parities, EVEN)
-    d = len(parities)
-    # the j of the non-zero products sigma_ij sigma_jk, per entry of the even blocks
-    products = {(i, k): [j for j in range(d)
-                         if polys[i, j] is not None and polys[j, k] is not None]
-                for i in range(d) for k in range(d) if parities[i] == parities[k]}
+    alg, d = model.algebra, model.symbol.dim
+    s2 = 1 + sum(alg.coord(n) * model.conj_poly(alg.coord(n)) for n in (base, fiber))
+    sig = [[alg.const(0.0) if f is None else f for f in row]
+           for row in _entry_polys(model.symbol)]
+    products = [[sum(sig[i][j] * sig[j][k] for j in range(d)) for k in range(d)]
+                for i in range(d)]
+    table = CompiledPolys(alg, [[(s2 if i == k else 0) - p for k, p in enumerate(row)]
+                                for i, row in enumerate(products)])
+    blocks = parity_blocks(model.symbol.grading.parities, EVEN)
 
     def sigma_max(x, xi):
         arrays = model.full_point({base: x, fiber: xi})
-        scale = np.sqrt(1.0 + np.abs(x) ** 2 + np.abs(xi) ** 2)
-        sig = table.entries(arrays) / scale
-        rem = np.zeros(sig.shape, dtype=complex)
-        # 1 - sigma_hat^2 cancels about 2 log10|xi| digits at large |xi|, so
-        # each rounding shows: einsum forms the products unfused, as the full
-        # (d, d) einsum does, where the multiply ufunc's vector loop may fuse
-        for (i, k), js in products.items():
-            rem[i, k] = float(i == k) - sum(
-                np.einsum("...,...->...", sig[i, j], sig[j, k]) for j in js)
-        return _singular_stats(rem, blocks)[1]
+        s2 = 1.0 + np.abs(x) ** 2 + np.abs(xi) ** 2
+        return _singular_stats(table.entries(arrays) / s2, blocks)[1]
 
     def evaluator(x, xi):
         x, xi = np.broadcast_arrays(np.asarray(x, dtype=complex),
@@ -299,27 +296,41 @@ def fiber_degree(model: ActionModel) -> int:
 def largest_r_max(model: ActionModel, linear: float) -> float:
     """The largest outer xi radius the transversal check can take without overflow.
 
-    For a symbol of degree D <= 1 in xi, sigma_hat stays bounded and the cap
-    is ``linear``.  For D > 1 the remainder a (1 - sigma_hat^2) grows like
-    |xi|^(2(D-1)), so the |det| of its d x d values (`scan._singular_stats`)
-    grows like |xi|^(2d(D-1)), the fastest of the values the checks form.
-    The coefficients scale that |det| too: a term c x^b xi^k with k >= 1 is
-    at most |c| rho^b |xi|^k on the base sample (|x| <= rho, the largest
-    cutoff radius on a complex base, 2 pi on an angle), so with C the largest
-    |c| rho^b (or 1, if larger) the cap is 1e<k> for the largest integer k
-    with 2d(D-1) k <= R_MAX_DIGITS - 2d log10 C.  Terms free of xi fall off
-    with the normalization 1/|xi| and do not count.
+    The cap is 1e<k>, at most ``linear``, for the largest integer k that
+    keeps each value the checks form below 1e<R_MAX_DIGITS> at |xi| = 1e<k>.
+    A term c x^b xi^j of the symbol's entries is at most |c| rho^b |xi|^j on
+    the base sample (|x| <= rho, the largest cutoff radius on a complex base,
+    2 pi on an angle); let C be the largest |c| rho^b over the terms with
+    j >= 1 (or 1, if larger) and D the symbol's degree in xi.  The compiled
+    remainder s^2 1 - sigma sigma is about C^2 |xi|^(2 max(D, 1)) before
+    its division by s^2, so 2 log10 C + 2 max(D, 1) k <= R_MAX_DIGITS.  After
+    it, the remainder is about C^2 |xi|^(2(D-1)) for D >= 1, and the |det| of
+    its d x d values (`scan._singular_stats`) about C^(2d) |xi|^(2d(D-1)), so
+    2d log10 C + 2d (D-1) k <= R_MAX_DIGITS as well.  Terms free of xi fall
+    off with the normalization and do not count.
+
+    Raises ValueError naming the coefficient when the ellipticity scan's
+    fixed shells already overflow, whatever the radius: there every
+    coordinate reaches ``max(ScanGrid().radii)`` = 8, so with E the largest
+    |c| 8^n over all terms of total degree n (or 1), the augmented symbol's
+    |det| is about E^(2d) and 2d log10 E must stay within R_MAX_DIGITS.  As
+    C <= E, a model that passes has k >= 0, a cap of at least 1.
     """
+    fiber, base, d = _fiber(model).name, model.base, model.symbol.dim
+    terms = [(m, abs(c)) for m, c in _entry_terms(model)]
+    log_shell = math.log10(max(ScanGrid().radii))
+    digits, n, c = max(((math.log10(c) + sum(m) * log_shell, sum(m), c) for m, c in terms),
+                       default=(0.0, 0, 1.0))
+    if 2 * d * digits > R_MAX_DIGITS:
+        raise ValueError(f"the term of coefficient modulus {c:g} and degree {n} "
+                         "overflows the ellipticity scan at every --xi-max")
+    log_rho = math.log10(max(CUTOFF_RADII) if base.kind == COMPLEX else 2 * math.pi)
+    size = max([0.0] + [math.log10(c) + log_rho * _degree(model, base.name, m)
+                        for m, c in terms if _degree(model, fiber, m)])
     degree = fiber_degree(model)
-    if degree <= 1:
-        return linear
-    fiber, base = _fiber(model).name, model.base
-    rho = max(CUTOFF_RADII) if base.kind == COMPLEX else 2 * math.pi
-    size = max([1.0] + [abs(c) * rho ** _degree(model, base.name, m)
-                        for m, c in _entry_terms(model) if _degree(model, fiber, m)])
-    d = model.symbol.dim
-    digits = R_MAX_DIGITS - 2 * d * math.log10(size)
-    return min(linear, float(f"1e{math.floor(digits / (2 * d * (degree - 1)))}"))
+    k = min((R_MAX_DIGITS - 2 * size) / (2 * max(degree, 1)),
+            (R_MAX_DIGITS - 2 * d * size) / (2 * d * (degree - 1)) if degree > 1 else math.inf)
+    return min(linear, float(f"1e{math.floor(k)}"))
 
 
 def transversal_ellipticity_check(model: ActionModel, *,

@@ -49,6 +49,12 @@ def eval_grid(poly, arrays):
     return total
 
 
+def term_scale(poly, arrays):
+    """Sum of |coefficient x monomial| over the terms: the rounding scale of a value."""
+    absolute = Poly(poly.algebra, {m: abs(c) for m, c in poly.terms.items()})
+    return eval_grid(absolute, {k: np.abs(v) for k, v in arrays.items()}).real
+
+
 def random_form(algebra, rng, backend="symbolic", degrees=None, n_terms=4):
     from equichern.exterior import Form
 

@@ -144,12 +144,14 @@ def reports_across_dispatch_targets(tmp_path, argv, report):
 
     The second run disables numpy's SIMD targets above the x86-64 baseline;
     numpy then runs its baseline loops, which round some operations
-    differently.  The two runs go side by side.  Skips when numpy does not
+    differently.  The two runs go side by side, each failing on a numpy
+    warning (``-W error::RuntimeWarning``).  Skips when numpy does not
     start with the targets disabled.
     """
     env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
     env["PYTHONPATH"] = str(Path(equichern.__file__).parents[1])
-    runs = [subprocess.Popen([sys.executable, "-c", NUMPY_OR_77, *map(str, argv),
+    runs = [subprocess.Popen([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                              NUMPY_OR_77, *map(str, argv),
                               "--out-dir", str(tmp_path / str(k))],
                              env={**env, **disabled}, stdout=subprocess.DEVNULL,
                              stderr=subprocess.DEVNULL)
@@ -239,7 +241,8 @@ class TestCheckSymbol:
                   "code = main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)")
         src = str(Path(equichern.__file__).resolve().parents[1])
         done = subprocess.run(
-            [sys.executable, "-c", script, "check-symbol", str(PLANE_MODEL),
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script, "check-symbol",
+             str(PLANE_MODEL),
              "--scan-samples", "300", "--out-dir", str(tmp_path)],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
             check=True)
@@ -412,19 +415,34 @@ class TestCheckSymbol:
             assert not (tmp_path / "above").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("xi_max", [1e69, 1e72])
-    def test_xi_max_cap_follows_the_coefficients(self, tmp_path, capsys, xi_max):
-        # a coefficient c on xi^2 scales the remainder's |det| by |c|^4: at
-        # c = 1e6 the cap falls from 1e75 to 1e69, and 1e72 overflowed
+    @pytest.mark.parametrize("digits, degree, cap, xi_max", [
+        pytest.param(6, 2, 1e69, 1e69, id="1e+69"),
+        pytest.param(6, 2, 1e69, 1e72, id="1e+72"),
+        pytest.param(60, 1, 1e90, 1e90, id="c1e60-1e+90"),
+        pytest.param(60, 1, 1e90, 1e90 * 1.000001, id="c1e60-above-1e+90"),
+        pytest.param(80, 1, None, 10, id="c1e80-exit-3")])
+    def test_xi_max_cap_follows_the_coefficients(self, tmp_path, capsys, digits, degree,
+                                                 cap, xi_max):
+        # a coefficient c = 10^digits on xi^degree scales the remainder's
+        # |det| by |c|^4 and its raw entries by |c|^2: at c = 1e6 on xi^2 the
+        # cap falls from 1e75 to 1e69, and 1e72 overflowed; at c = 1e60 on xi
+        # it falls from 1e100 to 1e90; at c = 1e80 the scan's shells overflow
+        c = "1" + "0" * digits
         path = tmp_path / "scaled.model"
         path.write_text(builtin_model_text("c-plane")
-                        .replace("conj(z) - i*conj(xi)", "conj(z) - 1000000*i*conj(xi)^2")
-                        .replace("z + i*xi", "z + 1000000*i*xi^2"))
+                        .replace("conj(z) - i*conj(xi)", f"conj(z) - {c}*i*conj(xi)^{degree}")
+                        .replace("z + i*xi", f"z + {c}*i*xi^{degree}"))
         code = run(["check-symbol", path, "--xi-max", xi_max, "--scan-samples", 50,
                     "--out-dir", tmp_path / "out"])
-        if xi_max > 1e69:
+        err = capsys.readouterr().err
+        if cap is None:
+            assert code == 3
+            assert f"{path}: the term of coefficient modulus 1e+{digits} and degree " \
+                f"{degree} overflows" in err
+            assert not (tmp_path / "out").exists()
+        elif xi_max > cap:
             assert code == 2
-            assert "above 1e+69, the largest for a symbol of degree 2" in capsys.readouterr().err
+            assert f"above {cap:g}, the largest for a symbol of degree {degree}" in err
             assert not (tmp_path / "out").exists()
         else:
             assert code == 1

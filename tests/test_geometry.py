@@ -25,7 +25,7 @@ from equichern.geometry import (
 )
 from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.scan import ScanGrid, block_singular_values, ellipticity_scan, gaussian_draws
-from conftest import eval_grid, odd_symbol_model
+from conftest import eval_grid, odd_symbol_model, term_scale
 
 
 def entry_values(matrix, point):
@@ -527,12 +527,6 @@ def test_median_matches_numpy(rng, n):
         assert np.array_equal(scan._median_last(a), np.median(a, axis=1))
 
 
-def term_scale(poly, arrays):
-    """Sum of |coefficient x monomial| over the terms: the rounding scale of a value."""
-    absolute = Poly(poly.algebra, {m: abs(c) for m, c in poly.terms.items()})
-    return eval_grid(absolute, {k: np.abs(v) for k, v in arrays.items()}).real
-
-
 def template_matrices():
     """Symbol, augmented symbol and the scan's derivative jet of each shipped template."""
     out = {}
@@ -555,9 +549,8 @@ class TestCompiledPolys:
         arrays = scan._coords_from_real(algebra, pts)
         table = CompiledPolys(algebra, polys)
         assert table.shape == polys.shape
-        assert len(table.rows) == sum(f is not None for f in polys.flat)
-        # one complex coefficient, two doubles, per compiled row and monomial
-        assert len(table.coeffs) == 2 * len(table.rows) * len(table.factors)
+        # one complex coefficient, two doubles, per entry and monomial
+        assert len(table.coeffs) == 2 * polys.size * len(table.factors)
         entries = table.entries(arrays)
         assert entries.shape == polys.shape + (5, 40)
         for idx, f in np.ndenumerate(polys):

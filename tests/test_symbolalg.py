@@ -1,8 +1,12 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
-from conftest import eval_grid, odd_symbol_model
+from conftest import eval_grid, odd_symbol_model, term_scale
 from equichern import scan
+from equichern.cli import main
 from equichern.geometry import (
     SYMBOLIC,
     ActionModel,
@@ -210,6 +214,27 @@ def einsum_svd_remainder(model, radius, x, xi):
     return np.linalg.svd(rem, compute_uv=False)[..., 0], scale
 
 
+def expanded_scale(model, radius, x, xi):
+    """The rounding scale of the compiled a (s^2 1 - sigma sigma) / s^2.
+
+    Its entries are sigma sigma expanded into terms, whose |values| sum to at
+    most sum_j T_ij T_jk, with T the entries' `conftest.term_scale`, and
+    s^2 = 1 + |x|^2 + |xi|^2 is a sum of positive terms: the scale is
+    a (d + sum_ijk T_ij T_jk) / s^2.  It exceeds the einsum route's scale
+    where an entry's terms cancel, as T_ij is then far above |sigma_ij|.
+    """
+    arrays = {model.base.name: x, model.fiber.name: xi}
+    for a, b in model.algebra.conjugates.items():
+        arrays[b] = np.conj(arrays[a])
+    d = model.symbol.dim
+    T = np.zeros((d, d) + np.shape(x))
+    for (i, j), f in np.ndenumerate(scan._entry_polys(model.symbol)):
+        if f is not None:
+            T[i, j] = term_scale(f, arrays)
+    s2 = 1.0 + np.abs(x) ** 2 + np.abs(xi) ** 2
+    return bump(x, radius) * (d + np.einsum("ij...,jk...->...", T, T)) / s2
+
+
 def sampled_grids(b, model):
     """The (x, xi) arrays that both membership checks sample b on."""
     grids = []
@@ -234,6 +259,21 @@ REMAINDER_MODELS = {
 }
 
 
+def closed_form_remainder(name, radius, x, xi):
+    """a sigma_max(1 - sigma_hat^2) of a shipped symbol and the scale of its rounding.
+
+    c-plane's sigma sigma is |z + i xi|^2 = s^2 - 1 - 2 Im(xi conj(z)) times
+    1, constant-symbol's is 1, with s^2 = 1 + |z|^2 + |xi|^2.
+    """
+    a = bump(x, radius)
+    s2 = 1.0 + np.abs(x) ** 2 + np.abs(xi) ** 2
+    if name == "c-plane":
+        return (a * np.abs(1 + 2 * (xi * np.conj(x)).imag) / s2,
+                a * (1 + 2 * np.abs(x) * np.abs(xi)) / s2)
+    value = a * (np.abs(x) ** 2 + np.abs(xi) ** 2) / s2
+    return value, value
+
+
 class TestRemainderOracle:
     """The blocked remainder against the full einsum and svd route."""
 
@@ -249,8 +289,18 @@ class TestRemainderOracle:
             got = b.magnitude(x, xi)
             assert np.all(np.abs(got - ref) <= 1e-13 * (ref + scale))
             if name in ("c-plane", "constant-symbol"):
-                # the shipped symbols evaluate exactly: relative agreement
-                assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+                # the shipped symbols against their closed forms
+                want, scale = closed_form_remainder(name, radius, x, xi)
+                assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("r_max", [1e3, 1e8])
+    def test_outer_decay_shell_is_exact(self, r_max):
+        # at z = 0 the c-plane remainder is 1 / s^2 = 1 / (1 + |xi|^2) exactly;
+        # forming 1 - sigma_hat^2 in floating point cancels 2 log10 r_max digits
+        model = parse_model_text(builtin_model_text("c-plane"))
+        b = normalized_remainder_symbol(model, 2.0)
+        sup = restriction_decay_check(b, model, r_max=r_max).shell_sup[-1]
+        assert sup == pytest.approx(1 / (1 + r_max ** 2), rel=1e-12, abs=0)
 
 
 # The matrix each batched model is scanned on: the rank-6 symbol has no
@@ -275,3 +325,59 @@ class TestBatchedGrids:
                                                ScanGrid(samples=777)).to_dict())
             reports.append(report)
         assert reports[0] == reports[1]
+
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # declared in the test extra, but skip where it is absent
+    hypothesis = None
+
+
+@pytest.mark.skipif(hypothesis is None, reason="hypothesis is not installed")
+def test_drawn_symbols(tmp_path):
+    """Drawn 2x2 odd symbols on the c-plane coordinates: the compiled remainder
+    against the einsum oracle, and check-symbol exits cleanly and repeats itself.
+
+    The two remainders agree within the sum of their rounding scales: the
+    einsum route's, and the expanded products' (`expanded_scale`), which is
+    the larger where an entry's terms cancel, as in the explicit example at
+    z = 1.43i, xi = 13.6i: there the routes differ by 2e-12 relative, where
+    the einsum route's scale alone allows 1.4e-12.
+    """
+    head = builtin_model_text("c-plane").split("[symbol]")[0]
+    # a term c z^a conj(z)^b xi^e conj(xi)^f of the model-file grammar, with c
+    # a small integer or i and every exponent at most 3
+    terms = st.builds(
+        lambda c, exps: "*".join([c] + [f"{v}^{e}" for v, e in
+                                        zip(("z", "conj(z)", "xi", "conj(xi)"), exps) if e]),
+        st.sampled_from(("1", "2", "3", "i", "2*i")), st.tuples(*[st.integers(0, 3)] * 4))
+    entries = st.lists(terms, max_size=3).map(lambda ts: " + ".join(ts) or "0")
+
+    @hypothesis.settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(entries, entries)
+    @hypothesis.example("z*conj(z)^3*xi*conj(xi) + 2*conj(z)^2*conj(xi)^2",
+                        "z^2*conj(z)^2*conj(xi)^2 + 2*conj(z)^2*conj(xi)^2")
+    def check(upper, lower):
+        text = f"{head}[symbol]\n0, {upper}\n{lower}, 0\n"
+        model = parse_model_text(text)
+        b = normalized_remainder_symbol(model, 2.0)
+        for x, xi in sampled_grids(b, model):
+            ref, scale = einsum_svd_remainder(model, 2.0, x, xi)
+            scale = scale + expanded_scale(model, 2.0, x, xi)
+            assert np.all(np.abs(b.magnitude(x, xi) - ref) <= 1e-13 * (ref + scale))
+        path = tmp_path / "drawn.model"
+        path.write_text(text)
+        reports = []
+        for out in ("a", "b"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["check-symbol", str(path), "--scan-samples", "50",
+                             "--out-dir", str(tmp_path / out)])
+            assert code in (0, 1, 2, 3)
+            report = tmp_path / out / "symbol_report.json"
+            reports.append(report.read_bytes() if report.exists() else None)
+            report.unlink(missing_ok=True)
+        assert reports[0] == reports[1]
+
+    check()
