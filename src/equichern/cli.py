@@ -145,15 +145,14 @@ def cmd_run_example(args) -> int:
 def cmd_check_symbol(args) -> int:
     from . import symbolalg
     from .geometry import augmented_symbol
-    from .modelfile import parse_model_file
+    from .modelfile import ModelParseError, parse_model_file
     from .scan import ScanGrid, ellipticity_scan
 
-    # a ModelParseError, a UnicodeDecodeError and a coefficient too large for
-    # any --xi-max (largest_r_max) are ValueErrors
     try:
         model = parse_model_file(args.model_file)
         cap = symbolalg.largest_r_max(model, MAX_XI)
-    except (OSError, ValueError) as exc:
+    except (OSError, UnicodeDecodeError, ModelParseError,
+            symbolalg.CoefficientOverflowError) as exc:
         print(f"{args.model_file}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.xi_max > cap:

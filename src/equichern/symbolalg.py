@@ -18,7 +18,6 @@ import numpy as np
 
 from .exterior import CompiledPolys
 from .geometry import (
-    ANGLE,
     COMPLEX,
     ActionModel,
     _fiber,
@@ -40,6 +39,10 @@ CUTOFF_RADII = (1.0, 2.0)   # cutoffs a of the transversal ellipticity check
 # overflow past 1e308); see `largest_r_max`.
 R_MAX_DIGITS = 300
 SUPPORT_RADIUS = 1.5        # x-support of the saturating and constant-in-xi symbols
+
+
+class CoefficientOverflowError(ValueError):
+    """A term of the symbol overflows the ellipticity scan at every radius."""
 
 
 class SymbolFunction(NamedTuple):
@@ -147,15 +150,17 @@ class DecayReport(NamedTuple):
 
 def _transverse_directions(model: ActionModel, rho: complex) -> np.ndarray:
     """Unit fiber covectors orthogonal to the orbit direction rho at a base point."""
-    base, fiber = model.base, _fiber(model)
-    if base.kind == COMPLEX:
+    real_fiber = _fiber(model).kind != COMPLEX
+    if model.base.kind == COMPLEX and not real_fiber:
         if abs(rho) < 1e-14:
             return np.exp(1j * np.linspace(0, 2 * math.pi, 8, endpoint=False))
         # xi with Re(xi conj(rho)) = 0: the real line through i*rho
         d = 1j * rho / abs(rho)
         return np.array([d, -d])
-    if base.kind == ANGLE and base.weight != 0 and fiber.kind != COMPLEX:
-        return np.empty(0, dtype=complex)  # orbit fills the fiber pairing: only xi = 0
+    # a real xi is sampled at real values, where Re(xi conj(rho)) = xi Re(rho):
+    # where Re(rho) != 0 the orbit fills the pairing, and only xi = 0 remains
+    if real_fiber and abs(rho.real) >= 1e-14:
+        return np.empty(0, dtype=complex)
     return np.array([1.0, -1.0], dtype=complex)
 
 
@@ -218,32 +223,36 @@ def normalized_remainder_symbol(model: ActionModel,
     """a(x) sigma_max(1 - sigma_hat^2) with the order-zero normalized symbol sigma_hat.
 
     With s^2 = 1 + |x|^2 + |xi|^2, 1 - sigma_hat^2 is R / s^2 for the
-    polynomial matrix R = s^2 1 - sigma sigma.  Its entries are formed once,
-    by products of the symbol's entry polynomials, with s^2 the polynomial
-    1 + x conj(x) + xi conj(xi) (`ActionModel.conj_poly`; a real coordinate
-    squares itself), and compiled into one table: the terms of s^2 cancel in
-    the coefficients, not in floating point, so no digits are lost at large
-    |xi|.  R is divided by s^2 before `scan._singular_stats` squares it.  As
-    sigma is odd, R is even, and the operator norm comes from its two
-    diagonal grading blocks.  The evaluator flattens its broadcast
-    ``(x, xi)`` and reduces them to operator norms in slices of at most
-    ``scan.BATCH_POINTS`` points (`scan.fill_batches`).
+    polynomial matrix R = s^2 1 - sigma sigma.  s^2 is the polynomial
+    1 + x conj(x) + xi conj(xi) (`ActionModel.conj_poly`; a real coordinate,
+    sampled at real values only, squares itself), and the entries of R are
+    formed from it and the products of the symbol's entry polynomials.  One
+    table compiles R and s^2, so one product gives both numerator and
+    denominator, and the terms of s^2 cancel exactly, in the coefficients of
+    R rather than in floating point.  That holds for s^2 only: the products
+    sigma_ij sigma_jk are expanded into terms, so where an entry's terms
+    cancel, an entry of R can lose digits that the product of the evaluated
+    entries keeps.  R is divided by s^2 before
+    `scan._singular_stats` squares it.  As sigma is odd, R is even: only its
+    two diagonal grading blocks are compiled, and the operator norm comes
+    from them.  The evaluator flattens its broadcast ``(x, xi)`` and reduces
+    them to operator norms in slices of at most ``scan.BATCH_POINTS`` points
+    (`scan.fill_batches`).
     """
     base, fiber = model.base.name, _fiber(model).name
-    alg, d = model.algebra, model.symbol.dim
+    alg, polys, d = model.algebra, _entry_polys(model.symbol), model.symbol.dim
+    parities = model.symbol.grading.parities
     s2 = 1 + sum(alg.coord(n) * model.conj_poly(alg.coord(n)) for n in (base, fiber))
-    sig = [[alg.const(0.0) if f is None else f for f in row]
-           for row in _entry_polys(model.symbol)]
-    products = [[sum(sig[i][j] * sig[j][k] for j in range(d)) for k in range(d)]
-                for i in range(d)]
-    table = CompiledPolys(alg, [[(s2 if i == k else 0) - p for k, p in enumerate(row)]
-                                for i, row in enumerate(products)])
-    blocks = parity_blocks(model.symbol.grading.parities, EVEN)
+    # R_ik row-major, then s^2; R is even, so its odd blocks vanish and stay None
+    table = CompiledPolys(alg, [
+        s2 * float(i == k) - sum(polys[i, j] * polys[j, k] for j in range(d)
+                                 if polys[i, j] is not None and polys[j, k] is not None)
+        if parities[i] == parities[k] else None for i in range(d) for k in range(d)] + [s2])
+    blocks = parity_blocks(parities, EVEN)
 
     def sigma_max(x, xi):
-        arrays = model.full_point({base: x, fiber: xi})
-        s2 = 1.0 + np.abs(x) ** 2 + np.abs(xi) ** 2
-        return _singular_stats(table.entries(arrays) / s2, blocks)[1]
+        vals = table.entries(model.full_point({base: x, fiber: xi}))
+        return _singular_stats(vals[:-1].reshape((d, d) + x.shape) / vals[-1], blocks)[1]
 
     def evaluator(x, xi):
         x, xi = np.broadcast_arrays(np.asarray(x, dtype=complex),
@@ -309,12 +318,13 @@ def largest_r_max(model: ActionModel, linear: float) -> float:
     2d log10 C + 2d (D-1) k <= R_MAX_DIGITS as well.  Terms free of xi fall
     off with the normalization and do not count.
 
-    Raises ValueError naming the coefficient when the ellipticity scan's
-    fixed shells already overflow, whatever the radius: there every
-    coordinate reaches ``max(ScanGrid().radii)`` = 8, so with E the largest
-    |c| 8^n over all terms of total degree n (or 1), the augmented symbol's
-    |det| is about E^(2d) and 2d log10 E must stay within R_MAX_DIGITS.  As
-    C <= E, a model that passes has k >= 0, a cap of at least 1.
+    Raises CoefficientOverflowError naming the coefficient when the
+    ellipticity scan's fixed shells already overflow, whatever the radius:
+    there every coordinate reaches ``max(ScanGrid().radii)`` = 8, so with E
+    the largest |c| 8^n over all terms of total degree n (or 1), the
+    augmented symbol's |det| is about E^(2d) and 2d log10 E must stay within
+    R_MAX_DIGITS.  As C <= E, a model that passes has k >= 0, a cap of at
+    least 1.
     """
     fiber, base, d = _fiber(model).name, model.base, model.symbol.dim
     terms = [(m, abs(c)) for m, c in _entry_terms(model)]
@@ -322,8 +332,8 @@ def largest_r_max(model: ActionModel, linear: float) -> float:
     digits, n, c = max(((math.log10(c) + sum(m) * log_shell, sum(m), c) for m, c in terms),
                        default=(0.0, 0, 1.0))
     if 2 * d * digits > R_MAX_DIGITS:
-        raise ValueError(f"the term of coefficient modulus {c:g} and degree {n} "
-                         "overflows the ellipticity scan at every --xi-max")
+        raise CoefficientOverflowError(f"the term of coefficient modulus {c:g} and degree "
+                                       f"{n} overflows the ellipticity scan at every --xi-max")
     log_rho = math.log10(max(CUTOFF_RADII) if base.kind == COMPLEX else 2 * math.pi)
     size = max([0.0] + [math.log10(c) + log_rho * _degree(model, base.name, m)
                         for m, c in terms if _degree(model, fiber, m)])

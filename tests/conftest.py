@@ -71,6 +71,23 @@ def random_form(algebra, rng, backend="symbolic", degrees=None, n_terms=4):
     return Form(algebra, backend, terms)
 
 
+# complex base, real fiber named FIBER; the c-plane symbol with xi -> FIBER
+REAL_FIBER_MODEL = """model real-fiber
+[coordinates]
+z  complex weight=1 role=base
+FIBER real weight=0 role=fiber
+[bundle.E]
+summand weight=0 parity=even
+summand weight=1 parity=odd
+[bundle.W]
+summand weight=0 parity=even
+summand weight=1 parity=odd
+[symbol]
+0, conj(z) - i*FIBER
+z + i*FIBER, 0
+"""
+
+
 def odd_symbol_model(n_even, n_odd, rng):
     """A model on (z, xi) whose E has n_even even and n_odd odd summands.
 

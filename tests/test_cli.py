@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import equichern
+from conftest import REAL_FIBER_MODEL
 from equichern import scan, symbolalg
 from equichern.characters import series_from_csv, series_to_csv
 from equichern.cli import MAX_XI, MIN_XI, TEST_NAMES, build_parser, main, validate_report
@@ -193,23 +194,6 @@ _COORDS_TO_SYMBOL = ("z  complex weight=1 role=base\nxi complex weight=1 role=fi
                      "[bundle.E]\nsummand weight=0 parity=even\n" + _E_TAIL)
 
 
-# complex base, real fiber named FIBER; the c-plane symbol with xi -> FIBER
-_REAL_FIBER_MODEL = """model real-fiber
-[coordinates]
-z  complex weight=1 role=base
-FIBER real weight=0 role=fiber
-[bundle.E]
-summand weight=0 parity=even
-summand weight=1 parity=odd
-[bundle.W]
-summand weight=0 parity=even
-summand weight=1 parity=odd
-[symbol]
-0, conj(z) - i*FIBER
-z + i*FIBER, 0
-"""
-
-
 class TestCheckSymbol:
     def test_plane_model_passes(self, tmp_path):
         path = tmp_path / "cp.model"
@@ -254,7 +238,7 @@ class TestCheckSymbol:
         reports = []
         for fiber in ("side", "sidebar"):
             path = tmp_path / f"{fiber}.model"
-            path.write_text(_REAL_FIBER_MODEL.replace("FIBER", fiber))
+            path.write_text(REAL_FIBER_MODEL.replace("FIBER", fiber))
             code = run(["check-symbol", path, "--scan-samples", 300,
                         "--out-dir", tmp_path / fiber])
             assert code in (0, 1)
