@@ -444,8 +444,8 @@ def builtin_model(name: str) -> ActionModel:
 
 def __getattr__(name: str):
     # perfbench/tracer.py traces the scan as geometry.ellipticity_scan; the
-    # scan module loads only when that name is read.  ROADMAP item 1's spans
-    # inside the engine will retire this hook.
+    # scan module loads only when that name is read.  ROADMAP item 1 retires
+    # this hook by pointing the tracer at scan.ellipticity_scan.
     if name == "ellipticity_scan":
         from .scan import ellipticity_scan
         return ellipticity_scan

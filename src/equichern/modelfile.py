@@ -24,6 +24,7 @@ Example::
 
 from __future__ import annotations
 
+import cmath
 import re
 from importlib import resources
 from typing import NamedTuple, Sequence
@@ -106,6 +107,9 @@ class _PolyParser:
         p = self.expr()
         if self.peek().kind != "end":
             self.fail(f"unexpected {self.peek().text!r}")
+        # a product of finite literals can overflow, and inf * i is nan
+        if not all(map(cmath.isfinite, p.terms.values())):
+            raise ModelParseError("a coefficient overflows a double", self.line)
         return p
 
     def expr(self) -> Poly:
@@ -148,6 +152,8 @@ class _PolyParser:
         if t.text in ("-", "("):
             return self.nested(t)
         if t.kind == "num":
+            if not cmath.isfinite(float(t.text)):
+                raise ModelParseError("number overflows a double", self.line, t.col)
             return alg.const(float(t.text))
         if t.kind == "name":
             if t.text == "i":

@@ -3,19 +3,19 @@
 Models whose fiber integrand does not decay (the zero operator on the circle
 with its tautological superconnection) have no index density to integrate
 against a Gaussian body.  Their index is a distribution on the Lie algebra,
-paired here against a test function: the density is read at every parameter
-point from one evaluation of the model's Chern plan, damped by
-exp(-eps xi^2), integrated over (X, xi) on panel Gauss-Legendre rules, and
-extrapolated to eps = 0.  The fiber rate is purely imaginary and the xi rule
-symmetric, so the xi integral folds onto xi > 0 as one real cosine kernel.
-The kernel is plain Python (`math`, lists): the module loads no numpy.
+paired here against a test function: the density is read from the model's
+Chern plan, damped by exp(-eps xi^2), integrated over (X, xi), and
+extrapolated to eps = 0.  The fiber rate r(X) is purely imaginary and affine
+in X, so the xi integral is exactly sqrt(pi/eps) exp(-(Im r(X))^2/(4 eps)),
+the heat-kernel regularization of delta(Im r); substituting
+u = Im r(X)/(2 sqrt(eps)) leaves one Gaussian-weighted integral in u per eps,
+taken on a panel Gauss-Legendre rule.  The module is plain Python (`math`,
+lists): it loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .equivariant import ChernPlan, chern_plan, w_character
@@ -23,12 +23,11 @@ from .exterior import Poly
 from .geometry import COMPLEX, ActionModel, oriented_volume_coefficient
 from .supermatrix import UnsupportedShapeError
 
-# Panel Gauss-Legendre grid of the delta pairing over (X, xi): half-widths,
-# panel counts and the nodes per panel.  The xi rule is symmetric with a panel
-# edge at 0 (XI_PANELS is even); the pairing integrates over its positive half.
-X_HALFWIDTH, XI_HALFWIDTH = 12.0, 14.0
-X_PANELS, XI_PANELS = 48, 32
-PANEL_ORDER = 16
+# Panel Gauss-Legendre rule of the delta pairing in u = Im r(X)/(2 sqrt(eps)):
+# |u| <= U_HALFWIDTH, where exp(-u^2) has fallen below 5e-22, clipped to the
+# image of |X| <= X_HALFWIDTH; the panel count and the nodes per panel.
+X_HALFWIDTH, U_HALFWIDTH = 12.0, 7.0
+U_PANELS, PANEL_ORDER = 8, 16
 
 
 def gaussian_test(x: float) -> float:
@@ -76,17 +75,16 @@ def gauss_legendre(n: int) -> tuple[list[float], list[float]]:
     return [(a - b) / 2 for a, b in zip(x, reversed(x))], [scale * a for a in w]
 
 
+# built once: the pairing places one panel rule per eps
+_PANEL_RULE = gauss_legendre(PANEL_ORDER)
+
+
 def _panel_gauss_legendre(lo: float, hi: float, panels: int):
     """PANEL_ORDER-point Gauss-Legendre nodes and weights on equal panels of [lo, hi]."""
-    x, w = gauss_legendre(PANEL_ORDER)
-    step = (hi - lo) / panels
-    nodes, weights = [], []
-    for k in range(panels):
-        a, b = lo + k * step, lo + (k + 1) * step
-        half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        nodes += [half * t + mid for t in x]
-        weights += [half * t for t in w]
-    return nodes, weights
+    x, w = _PANEL_RULE
+    half = (hi - lo) / (2 * panels)
+    mids = [lo + (2 * k + 1) * half for k in range(panels)]
+    return [half * t + m for m in mids for t in x], [half * t for _ in mids for t in w]
 
 
 def _fiber_rate(exponent: Poly, idx: int) -> complex:
@@ -100,8 +98,8 @@ def _fiber_rate(exponent: Poly, idx: int) -> complex:
     return rate
 
 
-def _oscillatory_density(model: ActionModel, plan: ChernPlan, xs: list[float]):
-    """Constant top coefficient and linear-exponent rate at every parameter x."""
+def _oscillatory_density(model: ActionModel, plan: ChernPlan):
+    """Constant top coefficients of the plan's forms, and Im r0, Im r1 of the rate r0 + X r1."""
     tops = [oriented_volume_coefficient(model, f) for f in plan.forms]
     if not all(t.is_constant for t in tops):
         raise UnsupportedShapeError("delta pairing expects a constant top coefficient")
@@ -109,12 +107,13 @@ def _oscillatory_density(model: ActionModel, plan: ChernPlan, xs: list[float]):
         raise UnsupportedShapeError("delta pairing expects one real fiber coordinate")
     idx = model.algebra.coord_index[model.fiber.name]
     rate0, rate1 = (_fiber_rate(e, idx) for e in plan.shared)
-    rates = [rate0 + x * rate1 for x in xs]
-    # delta_pairing folds the xi rule onto xi > 0, which is exact only for Re r = 0
-    if any(r.real != 0 for r in rates):
+    # the xi integral is a Gaussian in Im r only for Re r = 0
+    if rate0.real != 0 or rate1.real != 0:
         raise UnsupportedShapeError("fiber exponent must be purely oscillatory")
-    top_values = plan.contract([t.constant_value() for t in tops], xs)
-    return [t / w_character(model, x) for t, x in zip(top_values, xs)], rates
+    # the substitution u = Im r(X)/(2 sqrt(eps)) divides by Im r1
+    if rate1.imag == 0:
+        raise UnsupportedShapeError("fiber rate does not depend on the parameter X")
+    return [t.constant_value() for t in tops], (rate0.imag, rate1.imag)
 
 
 class DeltaReport(NamedTuple):
@@ -156,14 +155,16 @@ def delta_pairing(model: ActionModel, test_fn: Callable[[float], complex],
     For each eps computes the double integral of the model's density times
     exp(-eps xi^2) times test(X) over (X, xi), normalized so the exact limit
     is test(0); reports per-eps values and their Richardson extrapolation.
-    ``test_fn`` takes one float X and is called once per X node.  The fiber
-    factor e^{r(X) xi} has a purely imaginary rate, so the odd part of the xi
-    integrand integrates to zero on the symmetric xi rule: the xi integral
-    runs over the rule's positive half with doubled weights, against the real
-    kernel cos(Im r(X) xi).  The X rule stays full, as test functions need
-    not be even.  The kernel is summed over X once, to
-    g(xi) = sum_X w_X test(X) top(X) cos(Im r(X) xi), and each eps value is
-    then one sum over xi of w_xi e^{-eps xi^2} g(xi).
+    The fiber factor e^{r(X) xi} has the purely imaginary rate
+    r(X) = i (a0 + a1 X), so the xi integral is sqrt(pi/eps) e^{-a^2/(4 eps)}
+    with a = a0 + a1 X.  Substituting u = a/(2 sqrt(eps)), each eps value is
+    (2 sqrt(pi)/|a1|) times the integral of F(X(u)) e^{-u^2} over u, with F
+    the test function times the density; that integral runs on the panel
+    Gauss-Legendre rule over |u| <= U_HALFWIDTH, clipped to the image of
+    |X| <= X_HALFWIDTH, and the constant multiplies its `math.fsum`.  The
+    density at X is the plan's contraction of the constant top coefficients
+    over the W character.  ``test_fn`` takes one float X and is called once
+    per node.
     """
     eps = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps):
@@ -173,25 +174,23 @@ def delta_pairing(model: ActionModel, test_fn: Callable[[float], complex],
     # the Richardson extrapolation divides by their differences
     if len(set(eps)) != len(eps):
         raise ValueError("regularization eps values must be distinct")
-    xn, xw = _panel_gauss_legendre(-X_HALFWIDTH, X_HALFWIDTH, X_PANELS)
-    # the positive half of the symmetric xi rule, weights doubled
-    qn, qw = _panel_gauss_legendre(0.0, XI_HALFWIDTH, XI_PANELS // 2)
-    qw = [2 * w for w in qw]
-
-    tops, rates = _oscillatory_density(model, chern_plan(model), xn)
+    plan = chern_plan(model)
+    tops, (a0, a1) = _oscillatory_density(model, plan)
     angle_volume = 1.0
     for c in model.coordinates_meta:
         if c.kind == "angle":
             angle_volume *= 2 * math.pi
-    weighted = [w * test_fn(x) * t for w, x, t in zip(xw, xn, tops)]
-    freqs = [r.imag for r in rates]
-    # e^{r q} + e^{-r q} = 2 cos(Im r q) for the purely imaginary rate r
-    g = [sum(map(mul, weighted, map(math.cos, map(mul, freqs, repeat(q))))) for q in qn]
-
-    norm = angle_volume / (2j * math.pi) / (2 * math.pi)
+    norm = angle_volume / (2j * math.pi) / (2 * math.pi) * (2 * math.sqrt(math.pi) / abs(a1))
+    reach = X_HALFWIDTH * abs(a1)
     values = []
     for e in eps:
-        terms = [w * math.exp(-e * q * q) * v for w, q, v in zip(qw, qn, g)]
+        scale = 2 * math.sqrt(e)
+        lo = max(-U_HALFWIDTH, (a0 - reach) / scale)
+        hi = max(lo, min(U_HALFWIDTH, (a0 + reach) / scale))
+        un, uw = _panel_gauss_legendre(lo, hi, U_PANELS)
+        xs = [(scale * u - a0) / a1 for u in un]
+        terms = [w * math.exp(-u * u) * test_fn(x) * t / w_character(model, x)
+                 for w, u, x, t in zip(uw, un, xs, plan.contract(tops, xs))]
         total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
         values.append(total * norm)
     extrap = richardson_extrapolate(eps, values)

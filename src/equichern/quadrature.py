@@ -236,8 +236,8 @@ def index_character(model: ActionModel, theta_samples: int = 32,
 
 def __getattr__(name: str):
     # perfbench/tracer.py traces the pairing as quadrature.delta_pairing; the
-    # pairing module loads only when that name is read.  ROADMAP item 1's
-    # spans inside the engine will retire this hook.
+    # pairing module loads only when that name is read.  ROADMAP item 1
+    # retires this hook by pointing the tracer at pairing.delta_pairing.
     if name == "delta_pairing":
         from .pairing import delta_pairing
         return delta_pairing

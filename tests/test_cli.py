@@ -49,6 +49,17 @@ class TestRunExample:
         assert payload["golden"]["passed"] is True
         assert abs(payload["extrapolated"][0] - 1.0) < 1e-4
 
+    def test_zero_op_at_subnormal_eps_writes_no_nan(self, tmp_path):
+        # sqrt(pi/eps) overflows at eps = 5e-324; the pairing never forms it
+        src = str(Path(equichern.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c",
+             "import sys; from equichern.cli import main; sys.exit(main())",
+             "run-example", "zero-op", "--eps", "5e-324,1", "--out-dir", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert "NaN" not in (tmp_path / "delta_report.json").read_text()
+
     def test_test_choices_are_the_test_functions(self):
         # the CLI names them itself, so that parsing loads no engine module
         assert TEST_NAMES == tuple(TEST_FUNCTIONS)
@@ -116,17 +127,19 @@ class TestRunExample:
         doc = json.loads((tmp_path / "index_report.json").read_text())
         assert doc["runs"][0]["payload"]["golden"]["fourier_deviation"] < 1e-10
 
-    def test_report_moves_little_across_numpy_dispatch_targets(self, tmp_path):
+    # neither example loads numpy (test_imports.py), so its SIMD targets
+    # cannot move a byte of their reports
+    def test_report_is_identical_across_numpy_dispatch_targets(self, tmp_path):
         codes, reports = reports_across_dispatch_targets(
             tmp_path, ["run-example", "c-plane"], "index_report.json")
         assert codes[0] == codes[1]
-        assert_floats_close(*reports, 1e-12)
+        assert reports[0] == reports[1]
 
-    def test_zero_op_report_moves_little_across_numpy_dispatch_targets(self, tmp_path):
+    def test_zero_op_report_is_identical_across_numpy_dispatch_targets(self, tmp_path):
         codes, reports = reports_across_dispatch_targets(
             tmp_path, ["run-example", "zero-op"], "delta_report.json")
         assert codes[0] == codes[1] == 0
-        assert_floats_close(*reports, 1e-15)
+        assert reports[0] == reports[1]
 
 
 # Runs the CLI on its arguments, or exits 77 when numpy cannot be imported.
@@ -141,7 +154,7 @@ sys.exit(main(sys.argv[1:]))
 
 
 def reports_across_dispatch_targets(tmp_path, argv, report):
-    """Exit codes and ``report`` documents of ``argv`` run in a subprocess twice.
+    """Exit codes and ``report`` bytes of ``argv`` run in a subprocess twice.
 
     The second run disables numpy's SIMD targets above the x86-64 baseline;
     numpy then runs its baseline loops, which round some operations
@@ -161,7 +174,7 @@ def reports_across_dispatch_targets(tmp_path, argv, report):
     codes = [r.wait(timeout=60) for r in runs]
     if codes[1] == 77:
         pytest.skip("numpy does not start with these targets disabled")
-    return codes, [json.loads((tmp_path / str(k) / report).read_text()) for k in range(2)]
+    return codes, [(tmp_path / str(k) / report).read_bytes() for k in range(2)]
 
 
 def assert_floats_close(a, b, tol, relative=False):
@@ -217,7 +230,7 @@ class TestCheckSymbol:
             tmp_path, ["check-symbol", PLANE_MODEL.with_name(f"{name}.model")],
             "symbol_report.json")
         assert codes[0] == codes[1]
-        assert_floats_close(*reports, 1e-12, relative=True)
+        assert_floats_close(*map(json.loads, reports), 1e-12, relative=True)
 
     def test_run_does_not_import_numpy_ma(self, tmp_path):
         # np.median imports numpy.ma (10-16 ms) to look for masked arrays
@@ -367,6 +380,21 @@ class TestCheckSymbol:
         assert code == 3
         assert re.search(rf"line 14, col {col}: .*nested more than 64 deep",
                          capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("coefficient, message", [
+        ("9" * 400, r"line 14, col 5: .*number overflows a double"),
+        ("9" * 200 + "*" + "9" * 200, r"line 14, col 0: .*a coefficient overflows a double")],
+        ids=["literal", "product"])
+    def test_non_finite_coefficient_exit_three(self, tmp_path, capsys, coefficient, message):
+        # both once wrote 70 NaN and Infinity fields and exited 1
+        path = tmp_path / "huge.model"
+        path.write_text(builtin_model_text("c-plane").replace(
+            "z + i*xi", f"z + {coefficient}*i*xi"))
+        code = run(["check-symbol", path, "--out-dir", tmp_path / "out"])
+        assert code == 3
+        assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_largest_xi_max_runs_without_overflow(self, tmp_path):

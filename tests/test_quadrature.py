@@ -383,9 +383,43 @@ class TestFourierOracle:
 EPS_POOL = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5)
 
 
-# The numpy route the pairing took before its plain-Python kernel, kept as its
-# oracle: the Gauss-Legendre rule from the eigenvalues of the Jacobi matrix and
-# the full cos(Im r(X) xi) kernel applied by one matrix-vector product per eps.
+# The cosine-kernel route the pairing took before it integrated xi in closed
+# form, kept as its oracle beside its numpy twin: panel Gauss-Legendre rules
+# over (X, xi), the xi rule folded onto xi > 0 with doubled weights (the rate
+# is purely imaginary), and the kernel cos(Im r(X) xi).  The numpy twin builds
+# its rule from the eigenvalues of the Jacobi matrix and applies the kernel by
+# one matrix-vector product per eps.  The X rule spans |X| <= X_HALFWIDTH.
+X_PANELS, XI_HALFWIDTH, XI_PANELS = 48, 14.0, 32
+
+
+def oscillatory_density(model, xn):
+    """Density over the W character, and Im r, at every X node."""
+    plan = chern_plan(model)
+    tops, (a0, a1) = pairing._oscillatory_density(model, plan)
+    density = [t / w_character(model, x) for t, x in zip(plan.contract(tops, xn), xn)]
+    return density, [a0 + a1 * x for x in xn]
+
+
+def cosine_kernel_values(model, test_fn, eps):
+    """Per-eps pairing values of the folded cosine kernel, in plain Python.
+
+    The kernel is summed over X once, to
+    g(xi) = sum_X w_X test(X) density(X) cos(Im r(X) xi), and each eps value is
+    one sum over xi of w_xi e^{-eps xi^2} g(xi).
+    """
+    xn, xw = pairing._panel_gauss_legendre(-pairing.X_HALFWIDTH, pairing.X_HALFWIDTH,
+                                           X_PANELS)
+    qn, qw = pairing._panel_gauss_legendre(0.0, XI_HALFWIDTH, XI_PANELS // 2)
+    density, freqs = oscillatory_density(model, xn)
+    weighted = [w * test_fn(x) * t for w, x, t in zip(xw, xn, density)]
+    g = [sum(v * math.cos(f * q) for v, f in zip(weighted, freqs)) for q in qn]
+    values = []
+    for e in eps:
+        terms = [2 * w * math.exp(-e * q * q) * v for w, q, v in zip(qw, qn, g)]
+        total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        # one angle coordinate: volume 2 pi, over 2 pi i and 2 pi
+        values.append(total / (2j * math.pi))
+    return values
 
 
 def numpy_gauss_legendre(n):
@@ -416,15 +450,14 @@ def numpy_panel_gauss_legendre(lo, hi, panels):
 
 def numpy_delta_values(model, test_fn, eps):
     """Per-eps pairing values of the numpy cosine kernel, one matmul per eps."""
-    q = pairing
-    xn, xw = numpy_panel_gauss_legendre(-q.X_HALFWIDTH, q.X_HALFWIDTH, q.X_PANELS)
-    qn, qw = numpy_panel_gauss_legendre(0.0, q.XI_HALFWIDTH, q.XI_PANELS // 2)
+    xn, xw = numpy_panel_gauss_legendre(-pairing.X_HALFWIDTH, pairing.X_HALFWIDTH, X_PANELS)
+    qn, qw = numpy_panel_gauss_legendre(0.0, XI_HALFWIDTH, XI_PANELS // 2)
     qw = 2 * qw
-    tops, rates = map(np.asarray, q._oscillatory_density(model, chern_plan(model), xn.tolist()))
+    density, freqs = map(np.asarray, oscillatory_density(model, xn.tolist()))
     test_vals = np.array([test_fn(x) for x in xn], dtype=complex)
-    kernel = np.cos(np.outer(rates.imag, qn))  # (X, xi > 0)
+    kernel = np.cos(np.outer(freqs, qn))  # (X, xi > 0)
     # one angle coordinate: volume 2 pi, over 2 pi i and 2 pi
-    return [complex(np.dot(xw, test_vals * tops * (kernel @ (qw * np.exp(-e * qn**2))))
+    return [complex(np.dot(xw, test_vals * density * (kernel @ (qw * np.exp(-e * qn**2))))
                     / (2j * math.pi)) for e in eps]
 
 
@@ -479,21 +512,23 @@ class TestDeltaPairing:
     @pytest.mark.parametrize("test_fn", [gaussian_test, shifted_gaussian_test])
     def test_folded_kernel_matches_the_full_grid(self, test_fn):
         # Oracle: the complex e^{r xi} on the whole symmetric xi rule, against
-        # the real cosine kernel on its positive half.
-        q = pairing
+        # the real cosine kernel on its positive half and against the
+        # closed-form xi integral of delta_pairing.
         model = zero_op_s1()
-        xn, xw = q._panel_gauss_legendre(-q.X_HALFWIDTH, q.X_HALFWIDTH, q.X_PANELS)
-        qn, qw = q._panel_gauss_legendre(-q.XI_HALFWIDTH, q.XI_HALFWIDTH, q.XI_PANELS)
-        tops, rates = q._oscillatory_density(model, chern_plan(model), xn)
-        xn, xw, qn, qw, tops, rates = map(np.asarray, (xn, xw, qn, qw, tops, rates))
-        phases = np.exp(np.outer(rates, qn))
+        xn, xw = pairing._panel_gauss_legendre(-pairing.X_HALFWIDTH, pairing.X_HALFWIDTH,
+                                               X_PANELS)
+        qn, qw = pairing._panel_gauss_legendre(-XI_HALFWIDTH, XI_HALFWIDTH, XI_PANELS)
+        density, freqs = oscillatory_density(model, xn)
+        xn, xw, qn, qw, density, freqs = map(np.asarray, (xn, xw, qn, qw, density, freqs))
+        phases = np.exp(1j * np.outer(freqs, qn))
         eps = [1e-2, 1e-3, 1e-4, 3e-5]
         test_vals = np.array([test_fn(x) for x in xn])
         # one angle coordinate: volume 2 pi, over 2 pi i and 2 pi
-        full = [np.dot(xw, test_vals * tops * (phases @ (qw * np.exp(-e * qn**2))))
+        full = [np.dot(xw, test_vals * density * (phases @ (qw * np.exp(-e * qn**2))))
                 / (2j * math.pi) for e in eps]
-        report = delta_pairing(model, test_fn, eps)
-        assert max(abs(v - f) for v, f in zip(report.values, full)) < 1e-15
+        for values in (cosine_kernel_values(model, test_fn, eps),
+                       delta_pairing(model, test_fn, eps).values):
+            assert max(abs(v - f) for v, f in zip(values, full)) < 1e-15
 
     @pytest.mark.parametrize("test_fn", [gaussian_test, shifted_gaussian_test])
     def test_matches_the_numpy_kernel(self, test_fn):
@@ -501,6 +536,40 @@ class TestDeltaPairing:
         report = delta_pairing(zero_op_s1(), test_fn, eps)
         oracle = numpy_delta_values(zero_op_s1(), test_fn, eps)
         assert max(abs(v - o) for v, o in zip(report.values, oracle)) < 1e-15
+
+    @pytest.mark.parametrize("test_fn", [gaussian_test, shifted_gaussian_test])
+    def test_matches_the_cosine_kernel(self, test_fn):
+        eps = list(EPS_POOL)
+        report = delta_pairing(zero_op_s1(), test_fn, eps)
+        oracle = cosine_kernel_values(zero_op_s1(), test_fn, eps)
+        assert max(abs(v - o) for v, o in zip(report.values, oracle)) < 1e-15
+
+    @pytest.mark.parametrize("test_fn, shift", [(gaussian_test, 0.0),
+                                                (shifted_gaussian_test, 1.0)])
+    def test_closed_form_from_subnormal_to_huge_eps(self, test_fn, shift):
+        # exp(-s^2/(1 + 4 eps))/sqrt(1 + 4 eps); the cosine kernel's xi
+        # panels, 0.875 wide, missed it by 1.9e-10 to 4.5e-4 at eps = 1e2 to 1e4
+        eps = [5e-324, 1e-300, *EPS_POOL, 1.0, 1e2, 1e3, 1e4, 1e300]
+        report = delta_pairing(zero_op_s1(), test_fn, eps)
+        for e, v in zip(eps, report.values):
+            exact = math.exp(-shift**2 / (1 + 4 * e)) / math.sqrt(1 + 4 * e)
+            assert abs(v - exact) <= 4.4e-16
+
+    @pytest.mark.parametrize("a0, a1", [(0.3, -1.7), (-2.0, 0.6), (30.0, 1.0)])
+    @pytest.mark.parametrize("test_fn, shift", [(gaussian_test, 0.0),
+                                                (shifted_gaussian_test, 1.0)])
+    def test_shifted_and_scaled_rate(self, monkeypatch, test_fn, shift, a0, a1):
+        # The rate i (a0 + a1 X) in place of zero-op's -i X: the pairing is then
+        # exp(-(a0 + s a1)^2/(4 eps + a1^2))/sqrt(4 eps + a1^2).  At a0 = 30 the
+        # Gaussian in u lies outside the image of |X| <= X_HALFWIDTH.
+        density = pairing._oscillatory_density
+        monkeypatch.setattr(pairing, "_oscillatory_density",
+                            lambda model, plan: (density(model, plan)[0], (a0, a1)))
+        eps = [1e-2, 1e-3, 1e-4]
+        report = delta_pairing(zero_op_s1(), test_fn, eps)
+        for e, v in zip(eps, report.values):
+            exact = math.exp(-(a0 + shift * a1)**2 / (4 * e + a1**2)) / math.sqrt(4 * e + a1**2)
+            assert abs(v - exact) <= 4.4e-16
 
     @pytest.mark.parametrize("test_fn, shift", [(gaussian_test, 0.0),
                                                 (shifted_gaussian_test, 1.0)])
@@ -528,14 +597,29 @@ class TestDeltaPairing:
         assert statistics.median(worst) <= 4e-16
 
     def test_fiber_rate_with_a_real_part_rejected(self):
-        # a fiber rate with real part 1e-12 X, which the cosine kernel would
-        # drop silently
+        # a fiber rate with real part 1e-12 X: the xi integral is then no
+        # Gaussian in Im r, and a cosine kernel in Im r would drop it silently
         model = zero_op_s1()
         alg = model.algebra
         liouville = alg.scalar(alg.coord("xi")) * alg.gen("dtheta")
         model.set_odd_term(SuperMatrix(alg, model.bundle_script_e.grading(),
                                        [[liouville]]).scale(1j + 1e-12))
         with pytest.raises(UnsupportedShapeError, match="purely oscillatory"):
+            delta_pairing(model, gaussian_test, [1e-3])
+
+    def test_fiber_rate_without_x_dependence_rejected(self):
+        # at circle weight 0 the rate is 0 + 0 X: the density does not localize
+        # at X = 0, and the pairing once returned 7.90 without an error
+        coords = (Coordinate("theta", geometry.ANGLE, 0, "base"),
+                  Coordinate("xi", REAL, 0, "fiber"))
+        model = ActionModel("zero-op", coords, BundleSpec((0,), (0,)), BundleSpec((0,), (0,)),
+                            volume=("dxi", "dtheta"))
+        alg = model.algebra
+        model.set_symbol([[alg.zero(SYMBOLIC)]])
+        liouville = alg.scalar(alg.coord("xi")) * alg.gen("dtheta")
+        model.set_odd_term(SuperMatrix(alg, model.bundle_script_e.grading(),
+                                       [[liouville]]).scale(1j))
+        with pytest.raises(UnsupportedShapeError, match="does not depend on the parameter"):
             delta_pairing(model, gaussian_test, [1e-3])
 
 
