@@ -138,22 +138,16 @@ class ChernPlan(NamedTuple):
         return GaussianForm(exponent=exponent, form=total)
 
 
-def chern_plan(model: ActionModel,
-               moment_perturbation: tuple[int, complex] | None = None) -> ChernPlan:
+def chern_plan(model: ActionModel) -> ChernPlan:
     """Walk the closed soul paths of the model's curvature once, for all theta.
 
     The curvature is affine in theta, F = F0 + theta F1, so F0 and F1 each
     split into shared polynomial, constant offsets and soul, and every path
-    product is a polynomial in theta.  A moment perturbation adds a constant
-    to one diagonal entry of F0 (the closedness negative control).
+    product is a polynomial in theta.  The pair is read from
+    ``model.curvature``, so a model without an odd term raises
+    UnsupportedShapeError.
     """
     f0, f1 = _curvature(model)
-    if moment_perturbation is not None:
-        idx, amount = moment_perturbation
-        f0 = f0 + SuperMatrix.diagonal(
-            model.algebra, f0.grading,
-            [model.algebra.scalar(amount if i == idx else 0.0)
-             for i in range(f0.dim)])
     shared0, offsets0, soul0 = split_body(f0)
     shared1, offsets1, soul1 = split_body(f1)
     nodes = list(zip(offsets0, offsets1))
@@ -186,9 +180,7 @@ def chern_plan(model: ActionModel,
     return ChernPlan(shared=(shared0, shared1), groups=tuple(kept))
 
 
-def symbolic_chern(model: ActionModel, theta: complex,
-                   moment_perturbation: tuple[int, complex] | None = None
-                   ) -> GaussianForm:
+def symbolic_chern(model: ActionModel, theta: complex) -> GaussianForm:
     """Supertrace of exp(curvature) with the Gaussian body factored exactly.
 
     The degree-0 body contributes a shared scalar exponential and constant
@@ -196,7 +188,7 @@ def symbolic_chern(model: ActionModel, theta: complex,
     over closed paths weighted by divided differences of exp at the offsets.
     This is the model's Chern plan evaluated at one theta.
     """
-    return chern_plan(model, moment_perturbation).evaluate(theta)
+    return chern_plan(model).evaluate(theta)
 
 
 def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex]) -> Form:
@@ -239,14 +231,15 @@ def transverse_chern(model: ActionModel, theta: complex) -> GaussianForm:
 
 
 def closedness_residual(model: ActionModel, theta: complex,
-                        point: Mapping[str, complex],
-                        moment_perturbation: tuple[int, complex] | None = None) -> float:
+                        point: Mapping[str, complex]) -> float:
     """Max coefficient norm of (d - iota_zeta) applied to the Chern form at a point.
 
-    Vanishes for a consistent moment/vector-field pair; a perturbed moment is
-    the negative control.
+    Vanishes for a consistent moment/vector-field pair, that is for the
+    curvature ``set_odd_term`` builds; a model whose ``curvature`` pair has a
+    constant added to one diagonal entry of F0 (a corrupted moment) is the
+    negative control.
     """
-    g = symbolic_chern(model, theta, moment_perturbation=moment_perturbation)
+    g = symbolic_chern(model, theta)
     zeta = cartan_field(model, theta)
     # (d - iota)(e^g w) = e^g (dg ^ w + dw - iota w)
     dg = model.algebra.scalar(g.exponent).d()

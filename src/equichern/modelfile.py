@@ -3,7 +3,9 @@
 The format is line-based with bracketed sections; symbol entries are
 polynomial strings over the declared coordinates (complex literals, names,
 + - * ^, parentheses, and conj(name) for the conjugate symbol).  No code is
-executed; parse errors carry line and column.
+executed; parse errors carry line and column.  A parsed model holds its
+coordinates, bundles and symbol only: it has no superconnection odd term, so
+the Chern routes refuse it until one is set with ``set_odd_term``.
 
 Example::
 
@@ -30,8 +32,7 @@ from importlib import resources
 from typing import NamedTuple, Sequence
 
 from .exterior import Poly
-from .geometry import COMPLEX, ActionModel, BundleSpec, Coordinate, augmented_symbol
-from .supermatrix import UnsupportedShapeError
+from .geometry import COMPLEX, ActionModel, BundleSpec, Coordinate
 
 
 class ModelParseError(ValueError):
@@ -237,7 +238,9 @@ _SECTIONS = ("coordinates", "bundle.e", "bundle.w", "symbol")
 def parse_model_text(text: str) -> ActionModel:
     """Parse a model document into an ActionModel; errors carry line/column.
 
-    The model's superconnection odd term is i times its augmented symbol.
+    The model has its symbol and no superconnection odd term: the
+    transversal checks read only the symbol (and the augmented symbol built
+    from it), never a Chern form.
     """
     name = None
     coords: list[Coordinate] = []
@@ -323,6 +326,10 @@ def parse_model_text(text: str) -> ActionModel:
         if len(bundles[key]) != 2:
             raise ModelParseError(f"[bundle.{key.upper()}] must have two summands",
                                   section_lines["bundle." + key])
+    # c(phi) swaps W's two summands, so the augmented symbol is odd only if W is graded
+    if sorted(parity for _, parity in bundles["w"]) != [0, 1]:
+        raise ModelParseError("[bundle.W] must have one even and one odd summand",
+                              section_lines["bundle.w"])
     if not symbol_lines:
         raise ModelParseError("missing [symbol] section", 1)
     # zip(*summands) splits the (weight, parity) pairs into weights and parities
@@ -355,14 +362,6 @@ def parse_model_text(text: str) -> ActionModel:
         model.set_symbol(rows)
     except ValueError as exc:
         raise ModelParseError(str(exc), symbol_lines[0][0]) from None
-    odd_term = augmented_symbol(model).scale(1j)
-    try:
-        model.set_odd_term(odd_term)
-    except UnsupportedShapeError:
-        # the symbol is odd, so only an ungraded W makes the Clifford part even
-        raise ModelParseError(
-            "[bundle.W] must have one even and one odd summand",
-            section_lines["bundle.w"]) from None
     return model
 
 

@@ -316,7 +316,10 @@ def largest_r_max(model: ActionModel, linear: float) -> float:
     it, the remainder is about C^2 |xi|^(2(D-1)) for D >= 1, and the |det| of
     its d x d values (`scan._singular_stats`) about C^(2d) |xi|^(2d(D-1)), so
     2d log10 C + 2d (D-1) k <= R_MAX_DIGITS as well.  Terms free of xi fall
-    off with the normalization and do not count.
+    off with the normalization and do not count.  The report's condition-C
+    constant c_eps, about C^2 |xi|^(2D), is as large as the first bound's
+    value (about 1e<R_MAX_DIGITS> at the cap), so that bound holds however
+    the remainder is evaluated, along rays included.
 
     Raises CoefficientOverflowError naming the coefficient when the
     ellipticity scan's fixed shells already overflow, whatever the radius:

@@ -129,3 +129,22 @@ def weighted_plane_uv(m):
     model.set_symbol([[zero, alg.scalar(alg.coord("ubar"))], [alg.scalar(alg.coord("u")), zero]])
     model.set_odd_term(_augmented_from_cliff_arg(model, alg.coord("v")).scale(1j))
     return model
+
+
+def corrupted_moment_model():
+    """`c_plane_uv()` with the curvature pair (F0 + e_11, F1): a corrupted moment.
+
+    The constant 1 on the second diagonal entry of F0 no longer matches the
+    Cartan vector field, so the Chern form is not equivariantly closed; this
+    is the closedness negative control.
+    """
+    from equichern.geometry import c_plane_uv
+    from equichern.supermatrix import SuperMatrix
+
+    model = c_plane_uv()
+    alg = model.algebra
+    f0, f1 = model.curvature
+    bump = SuperMatrix.diagonal(alg, f0.grading,
+                                [alg.scalar(1.0 if i == 1 else 0.0) for i in range(f0.dim)])
+    model.curvature = (f0 + bump, f1)
+    return model

@@ -34,6 +34,7 @@ from equichern.symbolalg import (
     normalized_remainder_symbol,
     transversal_ellipticity_check,
 )
+from conftest import corrupted_moment_model
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -141,9 +142,8 @@ def test_criterion_6_equivariant_closedness():
         pt = {"theta": rng.uniform(0, 2 * math.pi), "xi": rng.uniform(-2, 2)}
         x_param = rng.uniform(0.2, 3.0)
         worst = max(worst, closedness_residual(circle, x_param, pt))
-    corrupted = closedness_residual(model, 1.0,
-                                    {"u": 0.4 + 0.2j, "v": -0.3 + 0.9j},
-                                    moment_perturbation=(1, 1.0))
+    corrupted = closedness_residual(corrupted_moment_model(), 1.0,
+                                    {"u": 0.4 + 0.2j, "v": -0.3 + 0.9j})
     ok = worst < 1e-8 and corrupted > 1e-3
     report("6 (equivariant closedness)", ok,
            f"residual {worst:.2e} <= 1e-8 at 100 points, "

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -351,6 +352,13 @@ class TestCheckSymbol:
         ("[bundle.W]\nsummand weight=0 parity=even\nsummand weight=1 parity=odd",
          "[bundle.W]\nsummand weight=0 parity=even\nsummand weight=1 parity=even",
          r"line 9,.*\[bundle.W\] must have one even and one odd summand"),
+        # at base weight 0, phi = 0 and the augmented symbol is odd with any W,
+        # so only the W rule itself refuses the ungraded W
+        pytest.param(_COORDS_TO_SYMBOL,
+                     _COORDS_TO_SYMBOL.replace("z  complex weight=1", "z  complex weight=0")
+                     .replace("weight=1 parity=odd\n[symbol]", "weight=1 parity=even\n[symbol]"),
+                     r"line 9,.*\[bundle.W\] must have one even and one odd summand",
+                     id="ungraded-w-at-base-weight-0"),
     ])
     def test_model_semantics_exit_three(self, tmp_path, capsys, old, new, message):
         text = builtin_model_text("c-plane")
@@ -460,6 +468,13 @@ class TestCheckSymbol:
             assert code == 1
             report = (tmp_path / "out" / "symbol_report.json").read_text()
             assert "NaN" not in report and "Infinity" not in report
+            if digits == 60:
+                # condition C's constant, about C^2 |xi|^(2D), reaches the same
+                # 1e300 budget at the cap as the remainder bound does
+                section = json.loads(report)["runs"][0]["payload"]["transversal_ellipticity"]
+                c_eps = max(e["c_eps"] for run in section["condition_c"]
+                            for e in run["entries"])
+                assert math.isfinite(c_eps) and 1e299 <= c_eps < 1e301
 
     @pytest.mark.parametrize("value", ["1.0000001e100", "1e154", "1e300"])
     def test_xi_max_above_the_bound_usage_error(self, tmp_path, capsys, value):

@@ -48,7 +48,7 @@ from equichern.supermatrix import (
     exp_divided_difference,
     super_exp,
 )
-from conftest import weighted_plane_uv
+from conftest import corrupted_moment_model, weighted_plane_uv
 
 
 def closed_form_reference(model, u, v, theta):
@@ -144,6 +144,14 @@ class TestEquivariantCurvature:
     def test_model_without_odd_term_raises(self, call):
         with pytest.raises(UnsupportedShapeError, match="set_odd_term"):
             call(bare_plane_model())
+
+    def test_parsed_model_has_no_odd_term(self):
+        # a model file carries its symbol and no superconnection
+        m = parse_model_text(builtin_model_text("c-plane"))
+        for call in (chern_plan, lambda m: chern_form(m, 1.3, {"z": 0.2, "xi": 0.1j}),
+                     lambda m: index_character(m, theta_samples=8, fourier_window=4)):
+            with pytest.raises(UnsupportedShapeError, match="set_odd_term"):
+                call(m)
 
     def test_plane_body_and_one_form_part(self):
         m = c_plane_uv()
@@ -285,7 +293,7 @@ class TestChernForm:
             assert got.isclose(ref, 1e-13 * ref.norm_max())
 
     def test_parsed_model_builds_no_augmented_symbol_per_call(self, monkeypatch):
-        m = parse_model_text(builtin_model_text("c-plane"))
+        m = parsed_plane_model()
         calls = []
 
         def counted(model):
@@ -416,9 +424,8 @@ class TestClosedness:
         assert closedness_residual(flat, 1.0, {"x": 0.7 + 0.1j}) == 0.0
 
     def test_corrupted_moment_detected(self):
-        m = c_plane_uv()
         pt = {"u": 0.45 + 0.2j, "v": -0.3 + 0.9j}
-        res = closedness_residual(m, 1.0, pt, moment_perturbation=(1, 1.0))
+        res = closedness_residual(corrupted_moment_model(), 1.0, pt)
         assert res > 1e-3
 
     def test_circle_model_residual(self):
@@ -624,7 +631,10 @@ class TestChernPlan:
 
 
 def parsed_plane_model():
-    return parse_model_text(builtin_model_text("c-plane"))
+    """The parsed c_plane.model with i times its augmented symbol as the odd term."""
+    m = parse_model_text(builtin_model_text("c-plane"))
+    m.set_odd_term(geometry.augmented_symbol(m).scale(1j))
+    return m
 
 
 @pytest.mark.parametrize("make", [c_plane, c_plane_uv, zero_op_s1, sloped_soul_model,
@@ -641,3 +651,33 @@ def test_compiled_curvature_matches_poly_evaluation(make, rng):
             got = Blocks.of(curv.layout).unblock(affine_at(curv, theta, point))
             ref = equivariant_curvature(m, theta).evaluate(point).to_array()
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # declared in the test extra, but skip where it is absent
+    hypothesis = None
+
+
+@pytest.mark.skipif(hypothesis is None, reason="hypothesis is not installed")
+def test_dense_route_matches_the_chern_plan():
+    """Drawn weights, angles and points: the dense Taylor route against the plan.
+
+    Models are `weighted_plane_uv(m)` for m in +-1..+-4 and the theta-dependent
+    soul of `sloped_soul_model`; both routes are entire in theta.
+    """
+    coordinate = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+
+    @hypothesis.settings(max_examples=7, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.one_of(st.integers(-4, -1), st.integers(1, 4)).map(weighted_plane_uv),
+                      st.floats(-7, 7), coordinate, coordinate)
+    @hypothesis.example(sloped_soul_model(), 1.3, 0.45 + 0.2j, -0.3 + 0.9j)
+    def check(m, theta, u, v):
+        point = {"u": u, "v": v}
+        dense = chern_form(m, theta, point)
+        plan = symbolic_chern(m, theta).evaluate(m.full_point(point))
+        # the drawn examples differ by at most 9.3e-14 relative (weight 4)
+        assert dense.isclose(plan, 1e-12 * max(1.0, plan.norm_max()))
+
+    check()

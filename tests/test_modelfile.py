@@ -71,6 +71,12 @@ class TestModelFiles:
         aug = augmented_symbol(parsed_plane)
         assert aug.dim == 4
 
+    def test_parse_builds_no_superconnection(self, parsed_plane):
+        # the transversal checks read the symbol only; no Chern form is built
+        assert parsed_plane.odd_term is None
+        assert parsed_plane.curvature is None
+        assert parsed_plane.curvature_array is None
+
     def test_constant_symbol_file(self):
         model = parse_model_text(builtin_model_text("constant-symbol"))
         assert model.name == "constant-symbol"

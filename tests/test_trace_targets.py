@@ -62,12 +62,18 @@ def test_traced_runs_see_the_engine_calls(tmp_path):
     # wrapped it; these are the counts of a CLI that imported it at start-up.
     model = ROOT / "src" / "equichern" / "models" / "c_plane.model"
     calls = traced_calls(tmp_path, "check-symbol", str(model), "--scan-samples", "200")
+    # a parsed model has no superconnection: the only augmented symbol is the
+    # scan's, and no curvature is formed, so no forms are wedged
     assert calls == {"cli.main": 1, "modelfile.parse_model_file": 1,
-                     "geometry.augmented_symbol": 2, "geometry.ellipticity_scan": 1,
+                     "geometry.augmented_symbol": 1, "geometry.ellipticity_scan": 1,
                      "symbolalg.condition_c_fit": 2,
-                     "symbolalg.restriction_decay_check": 2, "exterior.Form.wedge": 16}
+                     "symbolalg.restriction_decay_check": 2}
     calls = traced_calls(tmp_path, "run-example", "c-plane", "--theta-samples", "8",
                          "--fourier-window", "4")
     assert calls == {"cli.main": 1, "quadrature.index_character": 1,
                      "quadrature.fit_fourier": 1,
                      "supermatrix.exp_divided_difference": 14, "exterior.Form.wedge": 120}
+    # delta_pairing is reached through the quadrature module's PEP 562 hook
+    calls = traced_calls(tmp_path, "run-example", "zero-op")
+    assert calls == {"cli.main": 1, "quadrature.delta_pairing": 1,
+                     "supermatrix.exp_divided_difference": 6, "exterior.Form.wedge": 4}
