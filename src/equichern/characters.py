@@ -57,16 +57,6 @@ class CharacterSeries:
         return CharacterSeries({n: a.get(n, 0) + b.get(n, 0) for n in range(lo, hi + 1)},
                                (lo, hi))
 
-    def __neg__(self):
-        return CharacterSeries({n: -c for n, c in self.coefficients.items()}, self.window)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor: complex) -> "CharacterSeries":
-        return CharacterSeries({n: factor * c for n, c in self.coefficients.items()},
-                               self.window)
-
     def __mul__(self, other: "CharacterSeries") -> "CharacterSeries":
         """Cauchy product over the stored supports, on the intersection window.
 

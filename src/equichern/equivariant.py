@@ -25,6 +25,7 @@ from .supermatrix import (
     diagonal_body,
     duhamel_paths,
     exp_divided_difference,
+    trim,
 )
 
 POLE_GUARD_W = 1e-8
@@ -171,13 +172,8 @@ def chern_plan(model: ActionModel) -> ChernPlan:
     for i, j, product, path_nodes in duhamel_paths([soul0, soul1], nodes):
         if i == j:
             add(path_nodes, grading.sign(i), product)
-    kept = []
-    for key, forms in groups.items():
-        while forms and forms[-1].is_zero:
-            forms.pop()
-        if forms:
-            kept.append((key, tuple(forms)))
-    return ChernPlan(shared=(shared0, shared1), groups=tuple(kept))
+    kept = tuple((key, tuple(forms)) for key, forms in groups.items() if trim(forms))
+    return ChernPlan(shared=(shared0, shared1), groups=kept)
 
 
 def symbolic_chern(model: ActionModel, theta: complex) -> GaussianForm:

@@ -7,8 +7,8 @@ as ``z`` and ``zbar`` are independent symbols; the kernel never assumes
 reality.  Generator subsets are stored as bitmasks in declaration order, so
 every form has a unique canonical representation and equality is exact.  An
 array of polynomials compiles, in plain Python, into one monomial table, so
-its values on a grid of points are a single matrix product, which runs in
-`equichern.kernels`, so this module loads no numpy.
+its values at a point or on a grid of points are a single matrix product,
+which runs in `equichern.kernels`, so this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -220,20 +220,8 @@ class Poly:
         return Poly(self.algebra, out)
 
     def evaluate(self, point: Mapping[str, complex]) -> complex:
-        """Evaluate at a point; raises naming the first unassigned coordinate."""
-        coords = self.algebra.coordinates
-        total = 0.0 + 0.0j
-        for m, c in self.terms.items():
-            val = c
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                name = coords[i]
-                if name not in point:
-                    raise EvaluationError(f"no value assigned to coordinate {name!r}")
-                val *= complex(point[name]) ** e
-            total += val
-        return total
+        """The value at a point of scalars, by ``eval_grid`` on a grid of one point."""
+        return complex(self.eval_grid(point))
 
     def eval_grid(self, arrays):
         """Vectorized evaluation on coordinate arrays of a common shape."""
@@ -446,11 +434,14 @@ class Form:
     # -- evaluation ------------------------------------------------------------
 
     def evaluate(self, point: Mapping[str, complex]) -> "Form":
-        """Evaluate polynomial coefficients at a point, yielding a numeric form."""
+        """Evaluate polynomial coefficients at a point, yielding a numeric form.
+
+        The coefficients compile into one table, so they are one product.
+        """
         if self.backend == NUMERIC:
             return self
-        return Form(self.algebra, NUMERIC,
-                    {m: c.evaluate(point) for m, c in self.terms.items()})
+        values = CompiledPolys(self.algebra, list(self.terms.values())).entries(point)
+        return Form(self.algebra, NUMERIC, dict(zip(self.terms, values)))
 
     # -- inspection --------------------------------------------------------------
 

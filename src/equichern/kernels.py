@@ -7,23 +7,23 @@ loads no numpy.  This module is where those tables meet numpy: each kernel
 wraps the buffers it reads with ``np.frombuffer`` (no copy), once per call.
 It holds the dense Chern exponential of the pointwise route (the trace
 shift, then scaling-and-squaring of a truncated Taylor sum with the wedge as
-a block-diagonal right-multiplication operator), the grid evaluation of
-compiled polynomials, and the conversions between supermatrices and component
-arrays.  Only the dense route, the ellipticity scan, the symbol-algebra
-checks and the tests load it; the index character does not.
+a block-diagonal right-multiplication operator), the one evaluator of
+compiled polynomials (at a point or on a grid), and the component array of a
+supermatrix.  Only the dense route, the ellipticity scan, the symbol-algebra
+checks, pointwise evaluation of polynomials and forms, and the tests load it;
+the index character and the delta pairing do not.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .exterior import NUMERIC, BackendError, CompiledPolys, EvaluationError, ExteriorAlgebra
-from .supermatrix import (EVEN, TAYLOR_TOL, AffineArray, BlockLayout, Grading, SuperMatrix,
-                          block_layout, taylor_parameters)
+from .exterior import NUMERIC, BackendError, CompiledPolys, EvaluationError
+from .supermatrix import TAYLOR_TOL, AffineArray, BlockLayout, SuperMatrix, taylor_parameters
 
 # dtypes of the stdlib buffers: array("q") integers and array("d") complex pairs
 _INT = np.dtype(np.int64)
@@ -71,33 +71,6 @@ def to_array(a: SuperMatrix) -> np.ndarray:
             for mask, c in f.terms.items():
                 out[i, j, mask] = c
     return out
-
-
-def similarity(a: SuperMatrix, g: np.ndarray) -> SuperMatrix:
-    """``SuperMatrix.similarity``: g · a · g^{-1} for a constant scalar matrix g."""
-    ginv = np.linalg.inv(g)
-    d = a.dim
-    z = a.algebra.zero(a.backend)
-    out = [[z] * d for _ in range(d)]
-    for i in range(d):
-        for l in range(d):
-            acc = z
-            for j in range(d):
-                for k in range(d):
-                    c = g[i, j] * ginv[k, l]
-                    if c == 0 or a.entries[j][k].is_zero:
-                        continue
-                    acc = acc + a.entries[j][k].scale(c)
-            out[i][l] = acc
-    return SuperMatrix(a.algebra, a.grading, out)
-
-
-def is_even(A: np.ndarray, parities: Sequence[int]) -> bool:
-    """Whether every non-zero component ``A[j, k, b]`` has p_j + p_k + |b| even."""
-    p = np.asarray(parities)
-    degrees = np.array([m.bit_count() for m in range(A.shape[2])])
-    odd = (p[:, None, None] + p[None, :, None] + degrees) % 2 == 1
-    return not np.any(A[odd])
 
 
 class Blocks(NamedTuple):
@@ -195,17 +168,3 @@ def taylor_exp_blocked(X: np.ndarray, blocks: Blocks,
     for _ in range(s):
         acc = acc @ blocks.operator(acc)
     return acc * cmath.exp(mu)
-
-
-def taylor_exp_array(A: np.ndarray, algebra: ExteriorAlgebra, tol: float = TAYLOR_TOL,
-                     grading: Grading | None = None) -> np.ndarray:
-    """Exponential of a component array ``(d, d, 2^n)`` over the algebra.
-
-    ``taylor_exp_blocked`` on the array's ``block_layout``: trace shift, then
-    scaling-and-squaring of a Taylor sum.  The array is in two class blocks
-    when it is even for ``grading`` (all rows even when None), as a
-    superconnection's curvature is; any other array runs as one block.
-    """
-    parities = grading.parities if grading is not None else (EVEN,) * len(A)
-    blocks = Blocks.of(block_layout(algebra, parities, is_even(A, parities)))
-    return blocks.unblock(taylor_exp_blocked(blocks.block(A), blocks, tol))

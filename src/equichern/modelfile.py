@@ -297,7 +297,8 @@ def parse_model_text(text: str) -> ActionModel:
             bundles[section.split(".", 1)[1]].append(
                 (_int_value(kv, "weight", lineno), parity))
         elif section == "symbol":
-            symbol_lines.append((lineno, stripped))
+            # unstripped, so that each cell keeps its column in the line
+            symbol_lines.append((lineno, raw.split("#", 1)[0]))
         else:
             raise ModelParseError(f"content outside a known section: {stripped!r}",
                                   lineno)
@@ -349,14 +350,18 @@ def parse_model_text(text: str) -> ActionModel:
                 f"symbol row {r + 1} must have {dim} comma-separated entries",
                 lineno)
         row = []
+        start = 0  # where the cell starts in the line
         for c, cell in enumerate(cells):
             try:
                 poly = parse_polynomial(cell.strip(), model, lineno)
             except ModelParseError as exc:
+                # a column within the stripped cell, or 0 for none
+                offset = start + len(cell) - len(cell.lstrip())
                 raise ModelParseError(
                     f"symbol entry ({r + 1},{c + 1}): {exc.message}",
-                    lineno, exc.col) from None
+                    lineno, exc.col and offset + exc.col) from None
             row.append(model.algebra.scalar(poly))
+            start += len(cell) + 1
         rows.append(row)
     try:
         model.set_symbol(rows)

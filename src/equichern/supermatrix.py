@@ -13,7 +13,7 @@ into two half-size grading blocks, so each product is one batched matmul.
 A symbolic pair M0 + t M1 compiles once into polynomial component arrays in
 that blocked order.  This module is plain Python: the layout and the
 compiled pair are tables in stdlib buffers, and the Taylor route and the
-component-array conversions run in `equichern.kernels`, the numpy module,
+component array of a matrix run in `equichern.kernels`, the numpy module,
 which loads on first use.  The Duhamel route is a finite sum (the soul
 terminates by form degree) and serves as the oracle for the Taylor route.
 Its soul-path walk (duhamel_paths) also compiles the symbolic Chern plan,
@@ -245,15 +245,6 @@ class SuperMatrix:
         return (self.homogeneous_parity() == ODD
                 or all(f.is_zero for row in self.entries for f in row))
 
-    def norm_max(self) -> float:
-        return max((f.norm_max() for row in self.entries for f in row), default=0.0)
-
-    def similarity(self, g) -> "SuperMatrix":
-        """Conjugate by a constant scalar matrix (a numpy array): g · self · g^{-1}."""
-        from .kernels import similarity
-
-        return similarity(self, g)
-
     # -- dense component array ------------------------------------------------------
 
     def to_array(self):
@@ -326,8 +317,8 @@ def block_layout(algebra: ExteriorAlgebra, parities: Sequence[int],
     """The layout of ``(d, d, 2^n)`` arrays, in two class blocks when ``even`` allows.
 
     ``even`` says that the arrays to be multiplied are even
-    (`equichern.kernels.is_even`); the classes are split only then and when
-    they are equal in size.
+    (``SuperMatrix.homogeneous_parity``); the classes are split only then and
+    when they are equal in size.
     """
     K = algebra.n_components
     d = len(parities)
@@ -379,12 +370,18 @@ def taylor_parameters(norm: float, tol: float) -> tuple[int, int]:
 
 
 def super_exp(a: SuperMatrix, tol: float = TAYLOR_TOL) -> SuperMatrix:
-    """Matrix exponential of a numeric supermatrix by `kernels.taylor_exp_array`."""
-    from .kernels import taylor_exp_array
+    """Matrix exponential of a numeric supermatrix by `kernels.taylor_exp_blocked`.
+
+    The component array is in two class blocks when the matrix is even, as a
+    superconnection's curvature is; any other matrix runs as one block.
+    """
+    from .kernels import Blocks, taylor_exp_blocked
 
     if a.backend != NUMERIC:
         raise BackendError("super_exp requires the numeric backend")
-    acc = taylor_exp_array(a.to_array(), a.algebra, tol, a.grading)
+    blocks = Blocks.of(block_layout(a.algebra, a.grading.parities,
+                                    a.homogeneous_parity() == EVEN))
+    acc = blocks.unblock(taylor_exp_blocked(blocks.block(a.to_array()), blocks, tol))
     return SuperMatrix.from_array(a.algebra, a.grading, acc)
 
 
@@ -466,6 +463,13 @@ def _exp_dd(nodes) -> complex:
     return cmath.exp(shift) * total
 
 
+def trim(forms: list) -> list:
+    """Drop the trailing zero forms of a list of t-power coefficients, in place."""
+    while forms and forms[-1].is_zero:
+        forms.pop()
+    return forms
+
+
 def duhamel_paths(soul: Sequence[SuperMatrix], diag: Sequence):
     """Every soul path with a non-zero product, for the Duhamel expansion.
 
@@ -482,12 +486,6 @@ def duhamel_paths(soul: Sequence[SuperMatrix], diag: Sequence):
     alg = soul[0].algebra
     zero = alg.zero(soul[0].backend)
     max_depth = len(alg.generators)
-
-    def trim(forms: list) -> list:
-        while forms and forms[-1].is_zero:
-            forms.pop()
-        return forms
-
     edges = [[trim([m.entries[j][k] for m in soul]) for k in range(d)]
              for j in range(d)]
 

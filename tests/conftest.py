@@ -27,7 +27,8 @@ def random_poly(algebra, rng, max_degree=2, n_terms=3):
 def eval_grid(poly, arrays):
     """A polynomial on coordinate arrays of a common shape, term by term.
 
-    The oracle for `CompiledPolys.entries` (and so for `Poly.eval_grid`):
+    The oracle for `CompiledPolys.entries` (and so for `Poly.eval_grid`,
+    `Poly.evaluate` and `Form.evaluate`):
     each term is its coefficient times numpy powers of the coordinate arrays.
     """
     coords = poly.algebra.coordinates
@@ -136,10 +137,11 @@ def corrupted_moment_model():
 
     The constant 1 on the second diagonal entry of F0 no longer matches the
     Cartan vector field, so the Chern form is not equivariantly closed; this
-    is the closedness negative control.
+    is the closedness negative control.  The pair is compiled again, so the
+    dense route (``curvature_array``) reads the same pair as the plan.
     """
     from equichern.geometry import c_plane_uv
-    from equichern.supermatrix import SuperMatrix
+    from equichern.supermatrix import AffineArray, SuperMatrix
 
     model = c_plane_uv()
     alg = model.algebra
@@ -147,4 +149,5 @@ def corrupted_moment_model():
     bump = SuperMatrix.diagonal(alg, f0.grading,
                                 [alg.scalar(1.0 if i == 1 else 0.0) for i in range(f0.dim)])
     model.curvature = (f0 + bump, f1)
+    model.curvature_array = AffineArray.compile(*model.curvature)
     return model

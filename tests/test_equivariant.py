@@ -428,6 +428,17 @@ class TestClosedness:
         res = closedness_residual(corrupted_moment_model(), 1.0, pt)
         assert res > 1e-3
 
+    def test_corrupted_moment_reaches_both_chern_routes(self):
+        # the control once kept the sound pair's compiled array, so the dense
+        # route read the sound model (difference 0.0) and the plan did not (1.27)
+        bad = corrupted_moment_model()
+        theta, pt = 1.3, {"u": 0.45 + 0.2j, "v": -0.3 + 0.9j}
+        dense = chern_form(bad, theta, pt)
+        plan = symbolic_chern(bad, theta).evaluate(bad.full_point(pt))
+        assert dense.isclose(plan, 1e-12 * max(1.0, plan.norm_max()))
+        sound = chern_form(c_plane_uv(), theta, pt).terms  # over another algebra
+        assert max(abs(c - sound.get(k, 0)) for k, c in dense.terms.items()) > 1e-3
+
     def test_circle_model_residual(self):
         m = zero_op_s1()
         assert closedness_residual(m, 0.8, {"theta": 0.3, "xi": 1.7}) < 1e-12
@@ -458,7 +469,9 @@ class TestInvariants:
         g = np.eye(4, dtype=complex)
         g[0, 1], g[1, 0], g[2, 3], g[3, 2] = 0.2, -0.3j, 0.15 + 0.1j, 0.4
         g += np.eye(4)
-        lhs = super_exp(fnum.similarity(g), tol=1e-14).supertrace()
+        conj = np.einsum("ij,jkc,kl->ilc", g, fnum.to_array(), np.linalg.inv(g))
+        lhs = super_exp(SuperMatrix.from_array(m.algebra, fnum.grading, conj),
+                        tol=1e-14).supertrace()
         rhs = super_exp(fnum, tol=1e-14).supertrace()
         assert (lhs - rhs).norm_max() < 1e-10
 

@@ -4,14 +4,23 @@ import pytest
 
 from equichern.exterior import (
     NUMERIC,
+    SYMBOLIC,
     AlgebraError,
     AlgebraMismatchError,
     BackendError,
     EvaluationError,
     ExteriorAlgebra,
+    Form,
+    Poly,
 )
 
-from conftest import random_form, random_poly
+from conftest import eval_grid, random_form, random_poly, term_scale
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # declared in the test extra, but skip where it is absent
+    hypothesis = None
 
 
 class TestWedge:
@@ -199,6 +208,66 @@ class TestEvaluate:
             assert lhs_sum.isclose(rhs_sum, 1e-12)
 
 
+@pytest.mark.skipif(hypothesis is None, reason="hypothesis is not installed")
+class TestEvaluateOracle:
+    """``Poly.evaluate`` and ``Form.evaluate`` against the term-by-term loop
+    ``conftest.eval_grid`` at drawn points of scalars, on drawn polynomials."""
+
+    @staticmethod
+    def strategies(algebra):
+        number = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+        exponents = st.tuples(*[st.integers(0, 3)] * len(algebra.coordinates))
+        polys = st.dictionaries(exponents, number, max_size=6).map(
+            lambda terms: Poly(algebra, terms))
+        points = st.fixed_dictionaries({c: number for c in algebra.coordinates})
+        return polys, points
+
+    def test_poly_matches_the_term_loop(self, plane_algebra):
+        polys, points = self.strategies(plane_algebra)
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(polys, points)
+        def check(p, point):
+            got = p.evaluate(point)
+            assert isinstance(got, complex)
+            assert abs(got - eval_grid(p, point)) <= 1e-14 * term_scale(p, point)
+
+        check()
+
+    def test_form_matches_the_term_loop(self, plane_algebra):
+        polys, points = self.strategies(plane_algebra)
+        forms = st.dictionaries(st.integers(0, plane_algebra.n_components - 1), polys,
+                                max_size=4).map(lambda t: Form(plane_algebra, SYMBOLIC, t))
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(forms, points)
+        def check(f, point):
+            got = f.evaluate(point)
+            assert got.backend == NUMERIC and set(got.terms) <= set(f.terms)
+            for mask, p in f.terms.items():
+                want = eval_grid(p, point)
+                assert abs(got.terms.get(mask, 0) - want) <= 1e-14 * term_scale(p, point)
+
+        check()
+
+    def test_a_missing_coordinate_is_named(self, plane_algebra):
+        polys, points = self.strategies(plane_algebra)
+
+        @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(polys, points)
+        def check(p, point):
+            form = plane_algebra.scalar(p)
+            for k, name in enumerate(plane_algebra.coordinates):
+                if not any(m[k] for m in p.terms):
+                    continue
+                rest = {c: x for c, x in point.items() if c != name}
+                for evaluate in (p.evaluate, form.evaluate):
+                    with pytest.raises(EvaluationError, match=f"coordinate {name!r}$"):
+                        evaluate(rest)
+
+        check()
+
+
 class TestPoly:
     def test_leibniz_on_random_products(self, plane_algebra, rng):
         for _ in range(25):
@@ -227,4 +296,5 @@ class TestPoly:
         grid = p.eval_grid(arrays)
         for k in range(5):
             pt = {c: arrays[c][k] for c in plane_algebra.coordinates}
-            assert abs(grid[k] - p.evaluate(pt)) < 1e-12
+            # the term-by-term loop: p.evaluate is this grid route at one point
+            assert abs(grid[k] - eval_grid(p, pt)) < 1e-12

@@ -91,6 +91,23 @@ class TestModelFiles:
         with pytest.raises(ModelParseError, match=r"symbol entry \(2,1\)"):
             parse_model_text(text)
 
+    @pytest.mark.parametrize("old, new, where", [
+        # a later entry: the column once counted from the stripped cell (col 22)
+        ("0, conj(z) - i*conj(xi)", "0,   conj(z) - i*conj(xi) q",
+         r"line 13, col 27: symbol entry \(1,2\): unexpected 'q'"),
+        # a trailing token after a whole entry
+        ("z + i*xi, 0", "z + i*xi z, 0", r"line 14, col 10: symbol entry \(2,1\): unexpected 'z'"),
+        ("z + i*xi, 0", "z + i*xi), 0", r"line 14, col 9: symbol entry \(2,1\): unexpected '\)'"),
+        # an indented line, counted with its indentation
+        ("z + i*xi, 0", "  z + i*xi, 0 %",
+         r"line 14, col 15: symbol entry \(2,2\): unexpected character '%'"),
+    ], ids=["later-entry", "trailing-name", "trailing-paren", "indented-line"])
+    def test_symbol_entry_error_column_is_in_the_line(self, old, new, where):
+        text = builtin_model_text("c-plane")
+        assert old in text
+        with pytest.raises(ModelParseError, match=f"^{where}$"):
+            parse_model_text(text.replace(old, new))
+
     def test_wrong_row_count(self):
         text = builtin_model_text("c-plane").replace("z + i*xi, 0\n", "")
         with pytest.raises(ModelParseError, match="rows"):

@@ -266,7 +266,8 @@ class TestIndexCharacter:
 class TestWeightedAction:
     """Weight m: the circle acts through its m-fold cover, chi_m(q) = chi_1(q^m)."""
 
-    @pytest.mark.parametrize("m", [1, -1, 2, -2, 3, -3])
+    # up to the largest weights that NUMERATOR_DEGREE = 4 admits
+    @pytest.mark.parametrize("m", [1, -1, 2, -2, 3, -3, 4, -4])
     def test_values_and_integral_fourier(self, m):
         report = index_character(weighted_plane_uv(m), theta_samples=32, fourier_window=12)
         for t, v in zip(report.theta_samples, report.values):

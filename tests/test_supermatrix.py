@@ -6,8 +6,9 @@ import pytest
 
 from equichern.exterior import NUMERIC, SYMBOLIC, BackendError, ExteriorAlgebra, Form
 from equichern.geometry import c_plane_uv
-from equichern.kernels import Blocks, _array_norm, is_even, taylor_exp_array
+from equichern.kernels import Blocks, _array_norm
 from equichern.supermatrix import (
+    EVEN,
     ODD,
     ConvergenceError,
     Grading,
@@ -159,7 +160,13 @@ class TestSuperExp:
         assert abs(st.terms[0] - fac) < 1e-12
 
 
-# -- the replaced Taylor route, kept as an oracle for taylor_exp_array ----------------
+def array_exp(A, algebra, grading=None):
+    """``super_exp`` on the matrix of a component array (all rows even when None)."""
+    grading = grading or Grading((EVEN,) * len(A))
+    return super_exp(SuperMatrix.from_array(algebra, grading, A)).to_array()
+
+
+# -- the replaced Taylor route, kept as an oracle for super_exp -----------------------
 #
 # Wedge products by gathering every pair (a, b) of disjoint components, one
 # batched matmul per pair and a reduceat over the pairs of each result
@@ -213,7 +220,7 @@ def reduceat_taylor_exp(A, algebra, tol):
 #
 # The right-multiplication operator as a dense (d 2^n)^2 matrix over the whole
 # row space, built by 4-D fancy assignment, and the Taylor sum with no trace
-# shift: the kernel taylor_exp_array had before the grading blocks.
+# shift: the route super_exp took before the grading blocks.
 
 
 def full_right_operator(B, table):
@@ -341,7 +348,7 @@ class TestTaylorKernel:
         A *= target / _array_norm(A)
         s, _ = taylor_parameters(_array_norm(A), 1e-12)
         assert s == 0 if target < 0.5 else s >= 5
-        got = taylor_exp_array(A, alg)
+        got = array_exp(A, alg)
         want = reduceat_taylor_exp(A, alg, 1e-15)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -351,9 +358,9 @@ class TestTaylorKernel:
     def test_blocked_exp_matches_unblocked_route(self, d, n_gen, target, rng):
         alg, gr, A = random_even_array(d, n_gen, rng)
         A *= target / _array_norm(A)
-        assert is_even(A, gr.parities)
+        assert SuperMatrix.from_array(alg, gr, A).homogeneous_parity() == EVEN
         assert block_layout(alg, gr.parities, even=True).shape == (2, d, d * 2**(n_gen - 1))
-        got = taylor_exp_array(A, alg, grading=gr)
+        got = array_exp(A, alg, gr)
         want = unshifted_taylor_exp(A, alg)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -363,11 +370,11 @@ class TestTaylorKernel:
         alg, A = random_array(n_gen, rng)
         A *= target / _array_norm(A)
         gr = Grading.from_string("+-+-")
-        assert not is_even(A, gr.parities)
+        assert SuperMatrix.from_array(alg, gr, A).homogeneous_parity() != EVEN
         assert block_layout(alg, gr.parities, even=False).shape == (1, 4, 4 * 2**n_gen)
         want = unshifted_taylor_exp(A, alg)
         for grading in (None, gr):
-            got = taylor_exp_array(A, alg, grading=grading)
+            got = array_exp(A, alg, grading)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_unequal_classes_are_one_block(self):
@@ -376,7 +383,7 @@ class TestTaylorKernel:
         assert block_layout(alg, (0, 0, 1), even=True).shape == (1, 3, 3)
         assert block_layout(alg, (0, 1), even=True).shape == (2, 2, 1)
         body = np.array([0.3, -1.1j, 0.0])
-        got = taylor_exp_array(np.diag(body)[:, :, None], alg, grading=Grading((0, 0, 1)))
+        got = array_exp(np.diag(body)[:, :, None], alg, Grading((0, 0, 1)))
         assert np.abs(got[:, :, 0] - np.diag(np.exp(body))).max() <= 1e-12
 
     def test_central_shift_factors_out(self, rng):
@@ -385,8 +392,8 @@ class TestTaylorKernel:
         c = 2.3 - 7.9j
         shifted = A.copy()
         shifted[np.arange(4), np.arange(4), 0] += c
-        got = taylor_exp_array(shifted, alg, grading=gr)
-        want = cmath.exp(c) * taylor_exp_array(A, alg, grading=gr)
+        got = array_exp(shifted, alg, gr)
+        want = cmath.exp(c) * array_exp(A, alg, gr)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_zero_array_is_identity(self, plane_algebra):
@@ -394,7 +401,7 @@ class TestTaylorKernel:
         assert taylor_parameters(0.0, 1e-12) == (0, 0)
         want = np.zeros_like(A)
         want[np.arange(4), np.arange(4), 0] = 1.0
-        assert np.array_equal(taylor_exp_array(A, plane_algebra), want)
+        assert np.array_equal(array_exp(A, plane_algebra), want)
 
     def test_nilpotent_soul_above_half(self, plane_algebra, grading, rng):
         # exp of a pure soul is its Taylor sum through the generator count,
@@ -409,7 +416,7 @@ class TestTaylorKernel:
         for k in range(1, len(plane_algebra.generators) + 1):
             term = (term @ soul).scale(1.0 / k)
             want = want + term
-        got = taylor_exp_array(arr, plane_algebra)
+        got = array_exp(arr, plane_algebra)
         want = want.to_array()
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -420,7 +427,7 @@ class TestTaylorKernel:
         A = np.zeros((4, 4, plane_algebra.n_components), dtype=complex)
         A[np.arange(4), np.arange(4), 0] = body
         assert _array_norm(A) == 0.5
-        got = np.diagonal(taylor_exp_array(A, plane_algebra)[:, :, 0])
+        got = np.diagonal(array_exp(A, plane_algebra)[:, :, 0])
         assert np.abs(got - np.exp(body)).max() <= 1e-12 * np.exp(0.5)
 
     def test_smaller_tol_never_lowers_the_degree(self):
@@ -652,7 +659,9 @@ class TestInvariants:
         g[1, 0] = -0.1j
         g[2, 3] = 0.4
         g[3, 2] = 0.25 - 0.5j
-        lhs = super_exp(f.similarity(g), tol=1e-14).supertrace()
+        conj = np.einsum("ij,jkc,kl->ilc", g, f.to_array(), np.linalg.inv(g))
+        lhs = super_exp(SuperMatrix.from_array(plane_algebra, grading, conj),
+                        tol=1e-14).supertrace()
         rhs = super_exp(f, tol=1e-14).supertrace()
         assert (lhs - rhs).norm_max() < 1e-10
 
