@@ -16,7 +16,8 @@ the character series, and the ellipticity scan (``scan``) loads only with
 
 numpy is loaded by ``kernels`` (the dense Chern exponential, grid
 evaluation of compiled polynomials, component arrays), ``scan`` and
-``symbolalg``, and by nothing else at import.  The model compile, the Chern
+``symbolalg``, and by nothing else at import.  The models (which compile
+nothing: the dense route compiles a curvature in ``kernels``), the Chern
 plan, the fiber integration, the character series and the delta pairing are
 plain Python, so ``run-example c-plane`` (the index character) and
 ``run-example zero-op`` (the delta pairing) run without numpy.

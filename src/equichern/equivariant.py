@@ -5,11 +5,13 @@ A model stores the equivariant curvature of its superconnection as the pair
 iota_zeta(1) A, for the odd term A stored multiplied by i).  This module
 takes the grading-signed trace of its exponential (the Chern form) and
 divides by the Clifford-model bundle character (the transverse Chern form).
-Pointwise, the dense exponential of the model's compiled curvature array
-evaluates it (numpy, through `equichern.kernels`); symbolically, chern_plan
-compiles it once per model as the shared Gaussian exponent times closed
-soul-path forms weighted by divided differences of exp, grouped by their
-nodes, so only those scalar weights are computed per theta, in plain Python.
+Pointwise, the dense exponential of the curvature evaluates it (numpy,
+through `equichern.kernels`, which compiles the pair on first use and
+memoises it on the pair; the model stores nothing compiled); symbolically,
+chern_plan compiles it once per model as the shared Gaussian exponent times
+closed soul-path forms weighted by divided differences of exp, grouped by
+their nodes, so only those scalar weights are computed per theta, in plain
+Python.
 """
 
 from __future__ import annotations
@@ -190,19 +192,16 @@ def symbolic_chern(model: ActionModel, theta: complex) -> GaussianForm:
 def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex]) -> Form:
     """Pointwise Chern form: supertrace of the dense exponential of the curvature.
 
-    The model's compiled curvature gives the blocked component array of
-    F0 + theta F1 at the point in one product; its exponential is traced
-    with the grading signs.  It is entire in theta: unlike the transverse
-    form, it has no poles at 2 pi Z.  The layout's tables are wrapped for
-    numpy once per call.
+    The curvature pair, compiled once (`kernels.dense_curvature`), gives the
+    blocked component array of F0 + theta F1 at the point in one product;
+    its exponential is traced with the grading signs.  It is entire in
+    theta: unlike the transverse form, it has no poles at 2 pi Z.
     """
-    from .kernels import Blocks, affine_at, taylor_exp_blocked
+    from .kernels import dense_curvature, taylor_exp_blocked
 
-    _curvature(model)
-    curv = model.curvature_array
-    blocks = Blocks.of(curv.layout)
-    expf = taylor_exp_blocked(affine_at(curv, theta, model.full_point(point)), blocks)
-    values = blocks.supertrace(expf)
+    curv = dense_curvature(_curvature(model))
+    expf = taylor_exp_blocked(curv.at(theta, model.full_point(point)), curv.layout)
+    values = curv.layout.supertrace(expf)
     return Form(model.algebra, NUMERIC, dict(zip(curv.layout.trace_masks, values)))
 
 

@@ -5,15 +5,14 @@ polynomials in declared coordinates (supporting formal derivatives), and
 plain complex numbers as the evaluation target.  Conjugate coordinates such
 as ``z`` and ``zbar`` are independent symbols; the kernel never assumes
 reality.  Generator subsets are stored as bitmasks in declaration order, so
-every form has a unique canonical representation and equality is exact.  An
-array of polynomials compiles, in plain Python, into one monomial table, so
-its values at a point or on a grid of points are a single matrix product,
-which runs in `equichern.kernels`, so this module loads no numpy.
+every form has a unique canonical representation and equality is exact.
+Polynomials and forms are evaluated (at a point or on a grid of points) by
+`equichern.kernels.CompiledPolys`, one product of a coefficient matrix and
+the monomials, so this module loads no numpy until a value is asked for.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterable, Mapping, Sequence
 
 SYMBOLIC = "symbolic"
@@ -225,6 +224,8 @@ class Poly:
 
     def eval_grid(self, arrays):
         """Vectorized evaluation on coordinate arrays of a common shape."""
+        from .kernels import CompiledPolys
+
         return CompiledPolys(self.algebra, self).entries(arrays)
 
     @property
@@ -264,52 +265,6 @@ class Poly:
                        for i, e in enumerate(m) if e > 0]
             parts.append("*".join([f"({c})"] + factors) if factors else f"({c})")
         return " + ".join(parts)
-
-
-class CompiledPolys:
-    """An array of polynomials compiled once, evaluated on grids as one product.
-
-    ``polys`` is a nested sequence (or an object array) of polynomials, None
-    for zero, of shape ``shape``.  Each entry, in row-major order, is one row
-    of ``coeffs`` against the monomials numbered in order of first
-    appearance; a None entry is a row of zeros.  ``coeffs`` holds that
-    complex matrix row-major as interleaved doubles, a stdlib buffer that
-    numpy reads without a copy.  A monomial is its ``factors``, pairs of a
-    position in ``coords`` (the coordinates that occur) and an exponent of at
-    most ``top`` there.  On coordinate arrays of one shape every monomial is
-    formed once, from per-coordinate power tables, and the polynomials are
-    ``coeffs @ monomials`` (`equichern.kernels.entries`).
-    """
-
-    def __init__(self, algebra: ExteriorAlgebra, polys):
-        self.shape, flat = _flatten(polys)
-        monomials: dict[tuple, int] = {}
-        terms = [(row, monomials.setdefault(mono, len(monomials)), c)
-                 for row, f in enumerate(flat) if f is not None
-                 for mono, c in f.terms.items()]
-        self.coeffs = array("d", bytes(16 * len(flat) * len(monomials)))
-        for row, col, c in terms:
-            k = 2 * (row * len(monomials) + col)
-            self.coeffs[k], self.coeffs[k + 1] = c.real, c.imag
-        used = [k for k in range(len(algebra.coordinates)) if any(m[k] for m in monomials)]
-        self.coords = tuple(algebra.coordinates[k] for k in used)
-        self.top = [max(m[k] for m in monomials) for k in used]
-        self.factors = [[(n, m[k]) for n, k in enumerate(used) if m[k]] for m in monomials]
-
-    def entries(self, arrays):
-        """``shape`` + grid shape: each polynomial on the grid, exact zeros for None."""
-        from .kernels import entries
-
-        return entries(self, arrays)
-
-
-def _flatten(polys) -> tuple[tuple[int, ...], list]:
-    """The shape and the flat row-major entries of a nested sequence of polynomials."""
-    if polys is None or isinstance(polys, Poly):
-        return (), [polys]
-    parts = [_flatten(p) for p in polys]
-    shape = (len(parts),) + (parts[0][0] if parts else ())
-    return shape, [f for _, flat in parts for f in flat]
 
 
 def _coeff_is_zero(c) -> bool:
@@ -440,6 +395,8 @@ class Form:
         """
         if self.backend == NUMERIC:
             return self
+        from .kernels import CompiledPolys
+
         values = CompiledPolys(self.algebra, list(self.terms.values())).entries(point)
         return Form(self.algebra, NUMERIC, dict(zip(self.terms, values)))
 

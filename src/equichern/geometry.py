@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .exterior import NUMERIC, SYMBOLIC, ExteriorAlgebra, Poly
-from .supermatrix import AffineArray, Grading, SuperMatrix, UnsupportedShapeError
+from .supermatrix import Grading, SuperMatrix, UnsupportedShapeError
 
 COMPLEX = "complex"
 ANGLE = "angle"
@@ -120,7 +120,6 @@ class ActionModel:
         self.symbol = None
         self.odd_term = None
         self.curvature = None  # (F0, F1), set with the odd term by set_odd_term
-        self.curvature_array = None  # the same pair compiled, an AffineArray
 
         if volume is None:
             volume = []
@@ -147,10 +146,9 @@ class ActionModel:
 
         The equivariant curvature is affine in theta,
         F(theta) = F0 + theta F1 with F0 = dA + A^2 and
-        F1 = mu(1) - iota_zeta(1) A, so ``curvature`` holds the pair (F0, F1)
-        and ``curvature_array`` the pair compiled into polynomial component
-        arrays, in two grading blocks as the curvature is even.  The compile
-        is plain Python; only evaluating it (the dense route) loads numpy.
+        F1 = mu(1) - iota_zeta(1) A, so ``curvature`` holds the pair (F0, F1),
+        symbolic supermatrices; nothing is compiled here (the dense route
+        compiles the pair where it evaluates it, `kernels.dense_curvature`).
         """
         mat = rows if isinstance(rows, SuperMatrix) else SuperMatrix(
             self.algebra, self.bundle_script_e.grading(), rows)
@@ -161,7 +159,6 @@ class ActionModel:
         self.odd_term = mat
         self.curvature = (mat.d() + (mat @ mat),
                           moment(self, 1.0) - mat.interior(cartan_field(self, 1.0)))
-        self.curvature_array = AffineArray.compile(*self.curvature)
 
     def conj_poly(self, p: Poly) -> Poly:
         """Formal conjugate: swap conjugate-pair exponents, conjugate coefficients."""

@@ -1,63 +1,96 @@
-"""Numpy kernels over the tables that the exterior and supermatrix modules compile.
+"""The compiled tables of polynomials and supermatrices, and the numpy kernels over them.
 
-The compiled forms (`exterior.CompiledPolys`, `supermatrix.BlockLayout`,
-`supermatrix.AffineArray`) are built in plain Python, their integer and
-complex tables in stdlib ``array`` buffers, so compiling a model's curvature
-loads no numpy.  This module is where those tables meet numpy: each kernel
-wraps the buffers it reads with ``np.frombuffer`` (no copy), once per call.
-It holds the dense Chern exponential of the pointwise route (the trace
+`CompiledPolys` is an array of polynomials compiled into one coefficient
+matrix against their monomials, the one evaluator of polynomials (at a point
+or on a grid); `BlockLayout` places the components of dense ``(d, d, 2^n)``
+arrays in grading blocks and carries the products and traces that read them;
+`dense_curvature` compiles a symbolic pair M0 + t M1 into both, an
+`AffineArray`, memoised on the pair, so the dense Chern route compiles a
+model's curvature where it evaluates it and the model carries no compiled
+state.  The tables are numpy arrays, built once by plain loops.  The module
+also holds the dense Chern exponential of the pointwise route (the trace
 shift, then scaling-and-squaring of a truncated Taylor sum with the wedge as
-a block-diagonal right-multiplication operator), the one evaluator of
-compiled polynomials (at a point or on a grid), and the component array of a
+a block-diagonal right-multiplication operator) and the component array of a
 supermatrix.  Only the dense route, the ellipticity scan, the symbol-algebra
-checks, pointwise evaluation of polynomials and forms, and the tests load it;
-the index character and the delta pairing do not.
+checks, pointwise evaluation of polynomials and forms, and the tests load
+it; the index character and the delta pairing do not.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .exterior import NUMERIC, BackendError, CompiledPolys, EvaluationError
-from .supermatrix import TAYLOR_TOL, AffineArray, BlockLayout, SuperMatrix, taylor_parameters
-
-# dtypes of the stdlib buffers: array("q") integers and array("d") complex pairs
-_INT = np.dtype(np.int64)
-_COMPLEX = np.dtype(np.complex128)
+from .exterior import NUMERIC, BackendError, EvaluationError, ExteriorAlgebra, Poly
+from .supermatrix import EVEN, ODD, TAYLOR_TOL, SuperMatrix, taylor_parameters
 
 
-def entries(table: CompiledPolys, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
-    """``CompiledPolys.entries``: ``table.shape + shape``, as one ``coeffs @ monomials``.
+class CompiledPolys:
+    """An array of polynomials compiled once, evaluated on grids as one product.
 
-    A None entry is a zero row of ``coeffs``, so its values are exact zeros.
+    ``polys`` is a nested sequence (or an object array) of polynomials, None
+    for zero, of shape ``shape``.  Each entry, in row-major order, is one row
+    of the complex matrix ``coeffs`` against the monomials numbered in order
+    of first appearance; a None entry is a row of zeros.  A monomial is its
+    ``factors``, pairs of a position in ``coords`` (the coordinates that
+    occur) and an exponent of at most ``top`` there.  On coordinate arrays of
+    one shape every monomial is formed once, from per-coordinate power
+    tables, and the polynomials are ``coeffs @ monomials``.
     """
-    for name in table.coords:
-        if name not in arrays:
-            raise EvaluationError(f"no value assigned to coordinate {name!r}")
-    # a table of constants takes its grid from the whole point
-    shape = np.broadcast(*(arrays[n] for n in table.coords or arrays)).shape
-    powers = []
-    for name, top in zip(table.coords, table.top):
-        v = np.asarray(arrays[name], dtype=np.complex128)
-        power = [None, v]
-        for _ in range(1, top):
-            power.append(power[-1] * v)
-        powers.append(power)
-    mono = np.empty((len(table.factors),) + shape, dtype=np.complex128)
-    for m, factors in enumerate(table.factors):
-        if not factors:
-            mono[m] = 1.0
-            continue
-        (k, e), *rest = factors
-        mono[m] = powers[k][e]
-        for k, e in rest:
-            mono[m] *= powers[k][e]
-    coeffs = np.frombuffer(table.coeffs, _COMPLEX).reshape(math.prod(table.shape), len(mono))
-    return (coeffs @ mono.reshape(len(mono), math.prod(shape))).reshape(table.shape + shape)
+
+    def __init__(self, algebra: ExteriorAlgebra, polys):
+        self.shape, flat = _flatten(polys)
+        monomials: dict[tuple, int] = {}
+        terms = [(row, monomials.setdefault(mono, len(monomials)), c)
+                 for row, f in enumerate(flat) if f is not None
+                 for mono, c in f.terms.items()]
+        self.coeffs = np.zeros((len(flat), len(monomials)), dtype=np.complex128)
+        if terms:
+            rows, cols, values = zip(*terms)
+            self.coeffs[rows, cols] = values
+        used = [k for k in range(len(algebra.coordinates)) if any(m[k] for m in monomials)]
+        self.coords = tuple(algebra.coordinates[k] for k in used)
+        self.top = [max(m[k] for m in monomials) for k in used]
+        self.factors = [[(n, m[k]) for n, k in enumerate(used) if m[k]] for m in monomials]
+
+    def entries(self, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
+        """``shape`` + grid shape: each polynomial on the grid, exact zeros for None."""
+        for name in self.coords:
+            if name not in arrays:
+                raise EvaluationError(f"no value assigned to coordinate {name!r}")
+        # a table of constants takes its grid from the whole point
+        shape = np.broadcast(*(arrays[n] for n in self.coords or arrays)).shape
+        powers = []
+        for name, top in zip(self.coords, self.top):
+            v = np.asarray(arrays[name], dtype=np.complex128)
+            power = [None, v]
+            for _ in range(1, top):
+                power.append(power[-1] * v)
+            powers.append(power)
+        mono = np.empty((len(self.factors),) + shape, dtype=np.complex128)
+        for m, factors in enumerate(self.factors):
+            if not factors:
+                mono[m] = 1.0
+                continue
+            (k, e), *rest = factors
+            mono[m] = powers[k][e]
+            for k, e in rest:
+                mono[m] *= powers[k][e]
+        flat = self.coeffs @ mono.reshape(len(mono), math.prod(shape))
+        return flat.reshape(self.shape + shape)
+
+
+def _flatten(polys) -> tuple[tuple[int, ...], list]:
+    """The shape and the flat row-major entries of a nested sequence of polynomials."""
+    if polys is None or isinstance(polys, Poly):
+        return (), [polys]
+    parts = [_flatten(p) for p in polys]
+    shape = (len(parts),) + (parts[0][0] if parts else ())
+    return shape, [f for _, flat in parts for f in flat]
 
 
 def to_array(a: SuperMatrix) -> np.ndarray:
@@ -73,45 +106,47 @@ def to_array(a: SuperMatrix) -> np.ndarray:
     return out
 
 
-class Blocks(NamedTuple):
-    """The tables of a `supermatrix.BlockLayout` that products and traces read.
+# -- the blocked layout of dense component arrays ----------------------------------
 
-    ``Blocks.of`` wraps them as numpy arrays, once per call of a kernel; the
-    component ``index``, which only converting whole arrays reads, is wrapped
-    where it is used.
+
+class BlockLayout(NamedTuple):
+    """Where the components of a ``(d, d, 2^n)`` array sit in the blocked form.
+
+    A component array X is a ``d``-row matrix over the row space of pairs
+    (k, c), column and generator subset, and ``X B = X @ R(B)`` with R the
+    right-multiplication operator of B, wedge signs included.  The class of
+    (k, c) is p_k + |c| mod 2.  When B is even, right multiplication keeps
+    the class, so R is block diagonal; with two classes of one size (any
+    algebra with generators), the blocked form of X is ``(2, d, d 2^n / 2)``,
+    block q holding the columns of class q, and every product is one batched
+    matmul.  Otherwise there is one block, the whole row space.
+
+    ``index`` is the flat blocked position of every component, in row-major
+    ``(d, d, 2^n)`` order; ``dest``, ``src`` and ``sign`` scatter a blocked
+    array into its operator; the supertrace reads the diagonal components
+    ``trace_masks`` (for two blocks, the even ones: the odd ones of an even
+    array are zero) at ``trace_index``, ``(d, len(trace_masks))``, the
+    transposed view of a row-major ``(len(trace_masks), d)`` table, and
+    weights its rows with ``signs``.
     """
 
-    layout: BlockLayout
+    shape: tuple[int, int, int]
+    index: np.ndarray
     dest: np.ndarray
     src: np.ndarray
     sign: np.ndarray
+    trace_masks: tuple[int, ...]
     trace_index: np.ndarray
     signs: np.ndarray
 
-    @classmethod
-    def of(cls, layout: BlockLayout) -> "Blocks":
-        return cls(layout, np.frombuffer(layout.dest, _INT), np.frombuffer(layout.src, _INT),
-                   np.frombuffer(layout.sign, _COMPLEX),
-                   np.frombuffer(layout.trace_index, _INT).reshape(-1, layout.shape[1]).T,
-                   np.frombuffer(layout.signs))
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.layout.shape
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        """Blocked positions of the degree-0 diagonal components."""
-        return self.trace_index[:, 0]
-
     def block(self, A: np.ndarray) -> np.ndarray:
         out = np.empty(A.size, dtype=np.complex128)
-        out[np.frombuffer(self.layout.index, _INT)] = A.ravel()
+        out[self.index] = A.ravel()
         return out.reshape(self.shape)
 
     def unblock(self, X: np.ndarray) -> np.ndarray:
         d = self.shape[1]
-        return X.ravel()[np.frombuffer(self.layout.index, _INT)].reshape(d, d, -1)
+        return X.ravel()[self.index].reshape(d, d, -1)
 
     def operator(self, X: np.ndarray) -> np.ndarray:
         """Right-multiplication operator ``(blocks, h, h)`` of a blocked array."""
@@ -125,10 +160,86 @@ class Blocks(NamedTuple):
         return self.signs @ X.ravel()[self.trace_index]
 
 
-def affine_at(curv: AffineArray, t: complex, point: Mapping[str, complex]) -> np.ndarray:
-    """The blocked array of the compiled M0 + t M1 at a point."""
-    r = entries(curv.table, point)
-    return (r[0] + t * r[1]).reshape(curv.layout.shape)
+def block_layout(algebra: ExteriorAlgebra, parities: Sequence[int],
+                 even: bool) -> BlockLayout:
+    """The layout of ``(d, d, 2^n)`` arrays, in two class blocks when ``even`` allows.
+
+    ``even`` says that the arrays to be multiplied are even
+    (``SuperMatrix.homogeneous_parity``); the classes are split only then and
+    when they are equal in size.
+    """
+    K = algebra.n_components
+    d = len(parities)
+    cls = [(p + c.bit_count()) % 2 for p in parities for c in range(K)]
+    nb = 2 if even and 2 * sum(cls) == d * K else 1
+    if nb == 1:
+        cls = [0] * (d * K)
+    h = d * K // nb
+    # block q and position t of every row-space element (k, c), class 0 first
+    where = [0] * (d * K)
+    for pos, x in enumerate(sorted(range(d * K), key=cls.__getitem__)):
+        where[x] = pos
+    q, t = [w // h for w in where], [w % h for w in where]
+    index = [q[x] * d * h + i * h + t[x] for i in range(d) for x in range(d * K)]
+    # R[(j, a), (k, c)] = sign(a, b) B[j, k, b] with b = c ^ a, kept within a class
+    dest, src, sign = [], [], []
+    pairs = algebra.pair_table()
+    for j in range(d):
+        for k in range(d):
+            for a, b, c, sg in pairs:
+                row, col = j * K + a, k * K + c
+                if cls[row] == cls[col]:
+                    dest.append(q[row] * h * h + t[row] * h + t[col])
+                    src.append(index[(j * d + k) * K + b])
+                    sign.append(sg)
+    masks = [c for c in range(K) if all(cls[k * K + c] == cls[k * K] for k in range(d))]
+    trace_index = [index[(i * d + i) * K + c] for c in masks for i in range(d)]
+    return BlockLayout(shape=(nb, d, h), index=np.array(index), dest=np.array(dest),
+                       src=np.array(src), sign=np.array(sign, dtype=np.complex128),
+                       trace_masks=tuple(masks),
+                       trace_index=np.array(trace_index).reshape(len(masks), d).T,
+                       signs=np.array([-1.0 if p == ODD else 1.0 for p in parities]))
+
+
+class AffineArray(NamedTuple):
+    """Component arrays of M0 + t M1, two symbolic supermatrices, compiled.
+
+    ``table`` holds the coefficient polynomials of both, ``(2, d d 2^n)`` in
+    the blocked order of ``layout``, so the blocked array at a point is one
+    product of coefficients and monomials (``at``).
+    """
+
+    table: CompiledPolys
+    layout: BlockLayout
+
+    def at(self, t: complex, point: Mapping[str, complex]) -> np.ndarray:
+        """The blocked array of M0 + t M1 at a point."""
+        r = self.table.entries(point)
+        return (r[0] + t * r[1]).reshape(self.layout.shape)
+
+
+@functools.lru_cache(maxsize=4)
+def dense_curvature(pair: tuple[SuperMatrix, SuperMatrix]) -> AffineArray:
+    """A pair (M0, M1), such as a model's curvature (F0, F1), compiled and memoised.
+
+    Supermatrices compare by identity, so a model given a new ``curvature``
+    compiles afresh; the cache keeps the last few pairs, and every caller
+    shares (and only reads) their tables.  The layout is in two grading
+    blocks when both matrices are even, as a curvature is.
+    """
+    m0, m1 = pair
+    m0._check(m1)
+    alg, d = m0.algebra, m0.dim
+    K = alg.n_components
+    layout = block_layout(alg, m0.grading.parities,
+                          m0.homogeneous_parity() == m1.homogeneous_parity() == EVEN)
+    polys = [[None] * (d * d * K) for _ in range(2)]
+    for t, mat in enumerate(pair):
+        for i, row in enumerate(mat.entries):
+            for j, f in enumerate(row):
+                for mask, poly in f.terms.items():
+                    polys[t][layout.index[(i * d + j) * K + mask]] = poly
+    return AffineArray(table=CompiledPolys(alg, polys), layout=layout)
 
 
 def _array_norm(A: np.ndarray) -> float:
@@ -136,7 +247,7 @@ def _array_norm(A: np.ndarray) -> float:
     return float(np.abs(A).sum(axis=2).sum(axis=1).max(initial=0.0))
 
 
-def taylor_exp_blocked(X: np.ndarray, blocks: Blocks,
+def taylor_exp_blocked(X: np.ndarray, layout: BlockLayout,
                        tol: float = TAYLOR_TOL) -> np.ndarray:
     """Exponential of a blocked component array, in the same layout.
 
@@ -151,20 +262,20 @@ def taylor_exp_blocked(X: np.ndarray, blocks: Blocks,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    diag = blocks.diagonal
+    diag = layout.trace_index[:, 0]  # the degree-0 diagonal: trace mask 0 comes first
     flat = X.astype(np.complex128).ravel()
     mu = flat[diag].sum() / len(diag)
     flat[diag] -= mu
-    shifted = flat.reshape(blocks.shape)
+    shifted = flat.reshape(layout.shape)
     s, m = taylor_parameters(_array_norm(shifted.transpose(1, 0, 2)), tol)
-    R = blocks.operator(shifted / 2.0**s)
+    R = layout.operator(shifted / 2.0**s)
     term = np.zeros(flat.size, dtype=np.complex128)
     term[diag] = 1.0
-    term = term.reshape(blocks.shape)
+    term = term.reshape(layout.shape)
     acc = term.copy()
     for k in range(1, m + 1):
         term = term @ R / k
         acc += term
     for _ in range(s):
-        acc = acc @ blocks.operator(acc)
+        acc = acc @ layout.operator(acc)
     return acc * cmath.exp(mu)

@@ -110,7 +110,8 @@ class _PolyParser:
             self.fail(f"unexpected {self.peek().text!r}")
         # a product of finite literals can overflow, and inf * i is nan
         if not all(map(cmath.isfinite, p.terms.values())):
-            raise ModelParseError("a coefficient overflows a double", self.line)
+            raise ModelParseError("a coefficient overflows a double",
+                                  self.line, self.tokens[0].col)
         return p
 
     def expr(self) -> Poly:
@@ -355,11 +356,11 @@ def parse_model_text(text: str) -> ActionModel:
             try:
                 poly = parse_polynomial(cell.strip(), model, lineno)
             except ModelParseError as exc:
-                # a column within the stripped cell, or 0 for none
+                # a column within the stripped cell
                 offset = start + len(cell) - len(cell.lstrip())
                 raise ModelParseError(
                     f"symbol entry ({r + 1},{c + 1}): {exc.message}",
-                    lineno, exc.col and offset + exc.col) from None
+                    lineno, offset + exc.col) from None
             row.append(model.algebra.scalar(poly))
             start += len(cell) + 1
         rows.append(row)

@@ -17,7 +17,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .exterior import CompiledPolys, ExteriorAlgebra
+from .exterior import ExteriorAlgebra
+from .kernels import CompiledPolys
 from .supermatrix import EVEN, ODD, SuperMatrix
 
 

@@ -10,12 +10,11 @@ applies the wedge as a right-multiplication operator; for an even array,
 such as a superconnection's curvature, the operator keeps the class
 p_k + |c| of a row-space element (column k, generator subset c) and splits
 into two half-size grading blocks, so each product is one batched matmul.
-A symbolic pair M0 + t M1 compiles once into polynomial component arrays in
-that blocked order.  This module is plain Python: the layout and the
-compiled pair are tables in stdlib buffers, and the Taylor route and the
-component array of a matrix run in `equichern.kernels`, the numpy module,
-which loads on first use.  The Duhamel route is a finite sum (the soul
-terminates by form degree) and serves as the oracle for the Taylor route.
+This module is plain Python: the blocked layout, the compiled pair M0 + t M1,
+the Taylor route and the component array of a matrix live in
+`equichern.kernels`, the numpy module, which loads on first use.  The
+Duhamel route is a finite sum (the soul terminates by form degree) and
+serves as the oracle for the Taylor route.
 Its soul-path walk (duhamel_paths) also compiles the symbolic Chern plan,
 whose soul is a polynomial in theta, and the divided differences of exp take
 batches of nodes (a whole theta axis) column by column.  Matrix grading is
@@ -26,17 +25,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from array import array
 from itertools import accumulate
 from operator import mul
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .exterior import (
     NUMERIC,
     SYMBOLIC,
     AlgebraMismatchError,
     BackendError,
-    CompiledPolys,
     ExteriorAlgebra,
     Form,
 )
@@ -277,82 +274,6 @@ def graded_commutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     return (a @ b) - (ba if (pa * pb) % 2 == 0 else -ba)
 
 
-# -- the blocked layout of dense component arrays ----------------------------------
-
-
-class BlockLayout(NamedTuple):
-    """Where the components of a ``(d, d, 2^n)`` array sit in the blocked form.
-
-    A component array X is a ``d``-row matrix over the row space of pairs
-    (k, c), column and generator subset, and ``X B = X @ R(B)`` with R the
-    right-multiplication operator of B, wedge signs included.  The class of
-    (k, c) is p_k + |c| mod 2.  When B is even, right multiplication keeps
-    the class, so R is block diagonal; with two classes of one size (any
-    algebra with generators), the blocked form of X is ``(2, d, d 2^n / 2)``,
-    block q holding the columns of class q, and every product is one batched
-    matmul.  Otherwise there is one block, the whole row space.
-
-    ``index`` is the flat blocked position of every component, in row-major
-    ``(d, d, 2^n)`` order; ``dest``, ``src`` and ``sign`` scatter a blocked
-    array into its operator; the supertrace reads the diagonal components
-    ``trace_masks`` (for two blocks, the even ones: the odd ones of an even
-    array are zero) at ``trace_index``, ``(d, len(trace_masks))`` in
-    column-major order, and weights its rows with ``signs``.  The tables are stdlib buffers
-    (64-bit integers; ``sign`` as interleaved complex doubles) that
-    `equichern.kernels.Blocks` wraps for numpy without a copy.
-    """
-
-    shape: tuple[int, int, int]
-    index: array
-    dest: array
-    src: array
-    sign: array
-    trace_masks: tuple[int, ...]
-    trace_index: array
-    signs: array
-
-
-def block_layout(algebra: ExteriorAlgebra, parities: Sequence[int],
-                 even: bool) -> BlockLayout:
-    """The layout of ``(d, d, 2^n)`` arrays, in two class blocks when ``even`` allows.
-
-    ``even`` says that the arrays to be multiplied are even
-    (``SuperMatrix.homogeneous_parity``); the classes are split only then and
-    when they are equal in size.
-    """
-    K = algebra.n_components
-    d = len(parities)
-    cls = [(p + c.bit_count()) % 2 for p in parities for c in range(K)]
-    nb = 2 if even and 2 * sum(cls) == d * K else 1
-    if nb == 1:
-        cls = [0] * (d * K)
-    h = d * K // nb
-    # block q and position t of every row-space element (k, c), class 0 first
-    where = [0] * (d * K)
-    for pos, x in enumerate(sorted(range(d * K), key=cls.__getitem__)):
-        where[x] = pos
-    q, t = [w // h for w in where], [w % h for w in where]
-    index = array("q", (q[x] * d * h + i * h + t[x]
-                        for i in range(d) for x in range(d * K)))
-    # R[(j, a), (k, c)] = sign(a, b) B[j, k, b] with b = c ^ a, kept within a class
-    dest, src, sign = array("q"), array("q"), array("d")
-    pairs = algebra.pair_table()
-    for j in range(d):
-        for k in range(d):
-            for a, b, c, sg in pairs:
-                row, col = j * K + a, k * K + c
-                if cls[row] == cls[col]:
-                    dest.append(q[row] * h * h + t[row] * h + t[col])
-                    src.append(index[(j * d + k) * K + b])
-                    sign.extend((sg, 0.0))
-    masks = [c for c in range(K) if all(cls[k * K + c] == cls[k * K] for k in range(d))]
-    return BlockLayout(shape=(nb, d, h), index=index, dest=dest, src=src, sign=sign,
-                       trace_masks=tuple(masks),
-                       trace_index=array("q", (index[(i * d + i) * K + c]
-                                               for c in masks for i in range(d))),
-                       signs=array("d", (-1.0 if p == ODD else 1.0 for p in parities)))
-
-
 def taylor_parameters(norm: float, tol: float) -> tuple[int, int]:
     """Scaling exponent s, least with r = norm / 2^s <= 0.5, and Taylor degree m.
 
@@ -375,41 +296,13 @@ def super_exp(a: SuperMatrix, tol: float = TAYLOR_TOL) -> SuperMatrix:
     The component array is in two class blocks when the matrix is even, as a
     superconnection's curvature is; any other matrix runs as one block.
     """
-    from .kernels import Blocks, taylor_exp_blocked
+    from .kernels import block_layout, taylor_exp_blocked
 
     if a.backend != NUMERIC:
         raise BackendError("super_exp requires the numeric backend")
-    blocks = Blocks.of(block_layout(a.algebra, a.grading.parities,
-                                    a.homogeneous_parity() == EVEN))
-    acc = blocks.unblock(taylor_exp_blocked(blocks.block(a.to_array()), blocks, tol))
+    layout = block_layout(a.algebra, a.grading.parities, a.homogeneous_parity() == EVEN)
+    acc = layout.unblock(taylor_exp_blocked(layout.block(a.to_array()), layout, tol))
     return SuperMatrix.from_array(a.algebra, a.grading, acc)
-
-
-class AffineArray(NamedTuple):
-    """Component arrays of M0 + t M1, two symbolic supermatrices, compiled.
-
-    ``table`` holds the coefficient polynomials of both, ``(2, d d 2^n)`` in
-    the blocked order of ``layout``, so the blocked array at a point is one
-    product of coefficients and monomials (`equichern.kernels.affine_at`).
-    """
-
-    table: CompiledPolys
-    layout: BlockLayout
-
-    @classmethod
-    def compile(cls, m0: SuperMatrix, m1: SuperMatrix) -> "AffineArray":
-        m0._check(m1)
-        alg, d = m0.algebra, m0.dim
-        K = alg.n_components
-        layout = block_layout(alg, m0.grading.parities,
-                              m0.homogeneous_parity() == m1.homogeneous_parity() == EVEN)
-        polys = [[None] * (d * d * K) for _ in range(2)]
-        for t, mat in enumerate((m0, m1)):
-            for i, row in enumerate(mat.entries):
-                for j, f in enumerate(row):
-                    for mask, poly in f.terms.items():
-                        polys[t][layout.index[(i * d + j) * K + mask]] = poly
-        return cls(table=CompiledPolys(alg, polys), layout=layout)
 
 
 # -- divided differences of exp ------------------------------------------------

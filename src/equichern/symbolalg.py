@@ -16,7 +16,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .exterior import CompiledPolys
 from .geometry import (
     COMPLEX,
     ActionModel,
@@ -24,6 +23,7 @@ from .geometry import (
     infinitesimal_generator,
     orbital_projection,
 )
+from .kernels import CompiledPolys
 from .scan import ScanGrid, _entry_polys, _singular_stats, fill_batches, parity_blocks
 from .supermatrix import EVEN
 

@@ -137,11 +137,11 @@ def corrupted_moment_model():
 
     The constant 1 on the second diagonal entry of F0 no longer matches the
     Cartan vector field, so the Chern form is not equivariantly closed; this
-    is the closedness negative control.  The pair is compiled again, so the
-    dense route (``curvature_array``) reads the same pair as the plan.
+    is the closedness negative control.  The dense route compiles the pair
+    it is given, so it reads the same pair as the plan.
     """
     from equichern.geometry import c_plane_uv
-    from equichern.supermatrix import AffineArray, SuperMatrix
+    from equichern.supermatrix import SuperMatrix
 
     model = c_plane_uv()
     alg = model.algebra
@@ -149,5 +149,4 @@ def corrupted_moment_model():
     bump = SuperMatrix.diagonal(alg, f0.grading,
                                 [alg.scalar(1.0 if i == 1 else 0.0) for i in range(f0.dim)])
     model.curvature = (f0 + bump, f1)
-    model.curvature_array = AffineArray.compile(*model.curvature)
     return model

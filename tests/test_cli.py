@@ -17,7 +17,7 @@ from conftest import REAL_FIBER_MODEL
 from equichern import scan, symbolalg
 from equichern.characters import series_from_csv, series_to_csv
 from equichern.cli import MAX_XI, MIN_XI, TEST_NAMES, build_parser, main, validate_report
-from equichern.exterior import CompiledPolys
+from equichern.kernels import CompiledPolys
 from equichern.modelfile import builtin_model_text
 from equichern.pairing import TEST_FUNCTIONS
 
@@ -392,7 +392,7 @@ class TestCheckSymbol:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("coefficient, message", [
         ("9" * 400, r"line 14, col 5: .*number overflows a double"),
-        ("9" * 200 + "*" + "9" * 200, r"line 14, col 0: .*a coefficient overflows a double")],
+        ("9" * 200 + "*" + "9" * 200, r"line 14, col 1: .*a coefficient overflows a double")],
         ids=["literal", "product"])
     def test_non_finite_coefficient_exit_three(self, tmp_path, capsys, coefficient, message):
         # both once wrote 70 NaN and Infinity fields and exited 1

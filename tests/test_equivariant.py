@@ -34,7 +34,7 @@ from equichern.geometry import (
     oriented_volume_coefficient,
     zero_op_s1,
 )
-from equichern.kernels import Blocks, affine_at
+from equichern.kernels import dense_curvature
 from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.quadrature import (
     DivergenceError,
@@ -438,6 +438,14 @@ class TestClosedness:
         assert dense.isclose(plan, 1e-12 * max(1.0, plan.norm_max()))
         sound = chern_form(c_plane_uv(), theta, pt).terms  # over another algebra
         assert max(abs(c - sound.get(k, 0)) for k, c in dense.terms.items()) > 1e-3
+        # the compiled pair is memoised on the pair, not on the model, so a
+        # model given a new curvature is never read through an old table
+        corrupted = bad.curvature
+        bad.set_odd_term(bad.odd_term)  # the sound pair again
+        again = chern_form(bad, theta, pt).terms
+        assert max(abs(c - sound.get(k, 0)) for k, c in again.items()) <= 1e-12
+        bad.curvature = corrupted
+        assert chern_form(bad, theta, pt) == dense
 
     def test_circle_model_residual(self):
         m = zero_op_s1()
@@ -655,13 +663,13 @@ def parsed_plane_model():
 def test_compiled_curvature_matches_poly_evaluation(make, rng):
     # the compiled route (power tables, one product) against Poly.evaluate
     m = make()
-    curv = m.curvature_array
+    curv = dense_curvature(m.curvature)
     for theta in (0.3, cmath.pi, 2 + 1j):
         for _ in range(3):
             point = {c.name: complex(*rng.uniform(-1.5, 1.5, 2)) if c.kind == "complex"
                      else rng.uniform(-3, 3) for c in m.coordinates_meta}
             point = m.full_point(point)
-            got = Blocks.of(curv.layout).unblock(affine_at(curv, theta, point))
+            got = curv.layout.unblock(curv.at(theta, point))
             ref = equivariant_curvature(m, theta).evaluate(point).to_array()
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 

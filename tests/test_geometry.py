@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from equichern import geometry, scan
-from equichern.exterior import NUMERIC, SYMBOLIC, CompiledPolys, EvaluationError, Poly
+from equichern.exterior import NUMERIC, SYMBOLIC, EvaluationError, Poly
 from equichern.geometry import (
     ActionModel,
     BundleSpec,
@@ -23,6 +23,7 @@ from equichern.geometry import (
     orbital_projection,
     zero_op_s1,
 )
+from equichern.kernels import CompiledPolys
 from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.scan import ScanGrid, block_singular_values, ellipticity_scan, gaussian_draws
 from conftest import eval_grid, odd_symbol_model, term_scale
@@ -549,8 +550,8 @@ class TestCompiledPolys:
         arrays = scan._coords_from_real(algebra, pts)
         table = CompiledPolys(algebra, polys)
         assert table.shape == polys.shape
-        # one complex coefficient, two doubles, per entry and monomial
-        assert len(table.coeffs) == 2 * polys.size * len(table.factors)
+        # one complex coefficient per entry and monomial
+        assert table.coeffs.shape == (polys.size, len(table.factors))
         entries = table.entries(arrays)
         assert entries.shape == polys.shape + (5, 40)
         for idx, f in np.ndenumerate(polys):

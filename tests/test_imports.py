@@ -102,6 +102,18 @@ def test_import_loads_no_numpy(script):
     assert not modules & {"numpy", "equichern.kernels"}
 
 
+def test_building_the_builtin_models_loads_no_numpy():
+    # a model holds its curvature pair symbolically: the dense route compiles it
+    modules = loaded_modules(
+        "from equichern.geometry import _BUILTINS, builtin_model\n"
+        "assert sorted(_BUILTINS) == ['c-plane', 'c-plane-uv', 'zero-op']\n"
+        "for name in _BUILTINS:\n"
+        "    model = builtin_model(name)\n"
+        "    assert model.curvature is not None\n"
+        "    assert not hasattr(model, 'curvature_array')")
+    assert not modules & {"numpy", "equichern.kernels"}
+
+
 def test_dense_route_loads_no_quadrature_or_model_parser():
     # the imports of perfbench/dense_op.py
     modules = loaded_modules("from equichern.equivariant import chern_form\n"

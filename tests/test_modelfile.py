@@ -75,7 +75,6 @@ class TestModelFiles:
         # the transversal checks read the symbol only; no Chern form is built
         assert parsed_plane.odd_term is None
         assert parsed_plane.curvature is None
-        assert parsed_plane.curvature_array is None
 
     def test_constant_symbol_file(self):
         model = parse_model_text(builtin_model_text("constant-symbol"))

@@ -6,7 +6,7 @@ import pytest
 
 from equichern.exterior import NUMERIC, SYMBOLIC, BackendError, ExteriorAlgebra, Form
 from equichern.geometry import c_plane_uv
-from equichern.kernels import Blocks, _array_norm
+from equichern.kernels import _array_norm, block_layout
 from equichern.supermatrix import (
     EVEN,
     ODD,
@@ -15,7 +15,6 @@ from equichern.supermatrix import (
     ShapeError,
     SuperMatrix,
     UnsupportedShapeError,
-    block_layout,
     exp_divided_difference,
     graded_commutator,
     super_exp,
@@ -319,10 +318,10 @@ class TestBlockLayout:
         want = numpy_block_layout(alg, parities, even)
         assert layout.shape == want["shape"]
         assert layout.trace_masks == want["trace_masks"]
-        for name in ("index", "dest", "src", "trace_index", "signs"):
-            assert list(getattr(layout, name)) == want[name], name
-        # the signs as complex pairs
-        assert list(layout.sign[::2]) == want["sign"] and not any(layout.sign[1::2])
+        for name in ("index", "dest", "src", "sign", "signs"):
+            assert getattr(layout, name).tolist() == want[name], name
+        # the trace index is the (d, masks) view of a row-major (masks, d) table
+        assert layout.trace_index.ravel(order="F").tolist() == want["trace_index"]
 
 
 class TestTaylorKernel:
@@ -334,7 +333,7 @@ class TestTaylorKernel:
         gr = Grading((0,) * d)
         want = (SuperMatrix.from_array(alg, gr, A)
                 @ SuperMatrix.from_array(alg, gr, B)).to_array()
-        layout = Blocks.of(block_layout(alg, gr.parities, even=False))
+        layout = block_layout(alg, gr.parities, even=False)
         kernel = layout.unblock(layout.block(A) @ layout.operator(layout.block(B)))
         oracle = reduceat_matmul(A, B, reduceat_table(alg))
         scale = np.abs(want).max()
