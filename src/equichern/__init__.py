@@ -29,9 +29,7 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {
-    **dict.fromkeys(("CharacterSeries", "ahat_squared", "ahat_squared_det_form",
-                     "ahat_squared_series", "geometric_expand", "localized_index"),
-                    "characters"),
+    **dict.fromkeys(("CharacterSeries", "ahat_squared", "localized_index"), "characters"),
     **dict.fromkeys(("GaussianForm", "PoleGuardError", "bundle_character", "chern_form",
                      "closedness_residual", "equivariant_curvature", "symbolic_chern",
                      "transverse_chern"), "equivariant"),

@@ -1,10 +1,9 @@
 """Truncated formal Laurent series in t = e^{i theta} and localization arithmetic.
 
 Implements the character-ring shadow of localization: windowed Laurent
-series with Cauchy products, geometric expansion of 1/(1 - c t^m) in either
-direction, the squared A-hat factor of a weight-one circle action, and the
+series, the squared A-hat factor of a weight-one circle action, and the
 localized-index quotient by the alternating exterior-power character of the
-normal bundle.
+normal bundle, one recurrence per normal weight over the numerator's window.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ NEGATIVE = "negative"
 
 
 class WindowError(ValueError):
-    """Series arithmetic produced an empty or inconsistent window."""
+    """A series window is empty, or a coefficient is read outside it."""
 
 
 class CharacterSeries:
@@ -48,33 +47,6 @@ class CharacterSeries:
             raise WindowError(f"coefficient {n} outside window {self.window}")
         return self.coefficients.get(n, 0.0 + 0.0j)
 
-    def __add__(self, other: "CharacterSeries") -> "CharacterSeries":
-        lo = max(self.window[0], other.window[0])
-        hi = min(self.window[1], other.window[1])
-        if lo > hi:
-            raise WindowError("windows do not overlap")
-        a, b = self.coefficients, other.coefficients
-        return CharacterSeries({n: a.get(n, 0) + b.get(n, 0) for n in range(lo, hi + 1)},
-                               (lo, hi))
-
-    def __mul__(self, other: "CharacterSeries") -> "CharacterSeries":
-        """Cauchy product over the stored supports, on the intersection window.
-
-        Coefficients outside a factor's window are treated as absent from its
-        truncation; the result carries the intersection-safe window.
-        """
-        lo = max(self.window[0], other.window[0])
-        hi = min(self.window[1], other.window[1])
-        if lo > hi:
-            raise WindowError("empty product window")
-        out: dict[int, complex] = {}
-        for n, c in self.coefficients.items():
-            for m, d in other.coefficients.items():
-                k = n + m
-                if lo <= k <= hi:
-                    out[k] = out.get(k, 0) + c * d
-        return CharacterSeries(out, (lo, hi))
-
     def truncate(self, window: tuple[int, int]) -> "CharacterSeries":
         lo = max(window[0], self.window[0])
         hi = min(window[1], self.window[1])
@@ -91,28 +63,6 @@ def monomial(n: int, value: complex = 1.0, window=DEFAULT_WINDOW) -> CharacterSe
     return CharacterSeries({n: value}, window)
 
 
-def geometric_expand(c: complex, m: int, direction: str,
-                     window=DEFAULT_WINDOW) -> CharacterSeries:
-    """Expansion of 1/(1 - c t^m) in the requested power direction.
-
-    Positive direction: sum_k c^k t^{km}.  Negative direction uses
-    1/(1 - c t^m) = -c^{-1} t^{-m} / (1 - c^{-1} t^{-m}).
-    """
-    if m == 0:
-        raise ValueError("weight m must be nonzero")
-    lo, hi = window
-    # the terms run away from 0 in one direction; the last is the last in the window
-    if direction == POSITIVE:
-        last = (hi if m > 0 else -lo) // abs(m)
-        out = {k * m: c**k for k in range(last + 1)}
-    elif direction == NEGATIVE:
-        last = (-lo if m > 0 else hi) // abs(m)
-        out = {-k * m: -(1.0 / c) ** k for k in range(1, last + 1)}
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return CharacterSeries(out, window)
-
-
 def ahat_squared(theta: complex) -> complex:
     """(i theta)^2 e^{i theta} / (1 - e^{i theta})^2, the squared A-hat factor.
 
@@ -125,46 +75,34 @@ def ahat_squared(theta: complex) -> complex:
     return (1j * theta) ** 2 * e / denom
 
 
-def ahat_squared_det_form(theta: complex) -> complex:
-    """The same factor via the determinant shape ((x/2)/sinh(x/2))^2 at x = i theta."""
-    x = 1j * theta / 2.0
-    s = cmath.sinh(x)
-    if abs(s) < 1e-30:
-        raise ZeroDivisionError(f"A-hat squared pole at theta={theta}")
-    return (x / s) ** 2
-
-
-def ahat_squared_series(window=DEFAULT_WINDOW) -> CharacterSeries:
-    """e^{i theta}/(1-e^{i theta})^2 as a series: ahat_squared without (i theta)^2.
-
-    The rational prefactor (i theta)^2 cancels against the Chern form's
-    top-degree 1/(i theta)^2 during index assembly and is therefore not
-    expanded.
-    """
-    geo = geometric_expand(1.0, 1, POSITIVE, window)
-    return monomial(1, 1.0, window) * geo * geo
-
-
 def localized_index(numerator: CharacterSeries, normal_weights: Iterable[int],
                     direction: str) -> CharacterSeries:
     """Numerator divided by prod_j (1 - t^{w_j}), expanded in the given direction.
 
     This is the quotient by the alternating sum of exterior powers of the
     normal bundle, the localization denominator at an isolated fixed set.
-    Each expansion runs on the numerator's window widened by the span of the
-    product so far beyond degree 0, so that its terms of negative (positive)
-    degree still meet every term of the expansion that lands in the window;
-    the product keeps the numerator's window.
+    Each weight w is one pass over the numerator's window, whose quotient c of
+    a by 1 - t^w is c_n = c_{n-w} + a_n in the positive direction (powers of
+    t^w) and c_n = c_{n+w} - a_{n+w} in the negative one (powers of t^{-w}).
+    A pass runs from the far end of the window, where c starts from 0, so
+    c_n sums the a_k it reads from the farthest k inward, and a numerator
+    term of any degree reaches every coefficient of the window.
     """
-    out = numerator
+    if direction not in (POSITIVE, NEGATIVE):
+        raise ValueError(f"unknown direction {direction!r}")
     lo, hi = numerator.window
+    c = numerator.coefficients
     for w in normal_weights:
         if w == 0:
             raise ValueError("normal weights must be nonzero")
-        degrees = [0, *out.coefficients]
-        wide = (lo - max(degrees), hi - min(degrees))
-        out = out * geometric_expand(1.0, w, direction, wide)
-    return out
+        a, c = c, {}
+        if direction == POSITIVE:
+            for n in range(lo, hi + 1) if w > 0 else range(hi, lo - 1, -1):
+                c[n] = c.get(n - w, 0) + a.get(n, 0)
+        else:
+            for n in range(hi, lo - 1, -1) if w > 0 else range(lo, hi + 1):
+                c[n] = c.get(n + w, 0) - a.get(n + w, 0)
+    return CharacterSeries(c, (lo, hi))
 
 
 def integrality_report(series: CharacterSeries, tol: float = 1e-9) -> dict:
@@ -185,21 +123,3 @@ def series_to_csv(series: CharacterSeries) -> str:
         c = series.coefficients.get(n, 0.0 + 0.0j)
         writer.writerow([n, repr(c.real), repr(c.imag)])
     return buf.getvalue()
-
-
-def series_from_csv(text: str) -> CharacterSeries:
-    reader = _csv.reader(io.StringIO(text))
-    header = next(reader)
-    if [h.strip() for h in header] != ["n", "re", "im"]:
-        raise ValueError("expected header n, re, im")
-    coeffs = {}
-    ns = []
-    for row in reader:
-        if not row:
-            continue
-        n = int(row[0])
-        ns.append(n)
-        coeffs[n] = float(row[1]) + 1j * float(row[2])
-    if not ns:
-        raise ValueError("empty series file")
-    return CharacterSeries(coeffs, (min(ns), max(ns)))

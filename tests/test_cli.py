@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -15,7 +16,6 @@ import pytest
 import equichern
 from conftest import REAL_FIBER_MODEL
 from equichern import scan, symbolalg
-from equichern.characters import series_from_csv, series_to_csv
 from equichern.cli import MAX_XI, MIN_XI, TEST_NAMES, build_parser, main, validate_report
 from equichern.kernels import CompiledPolys
 from equichern.modelfile import builtin_model_text
@@ -597,12 +597,18 @@ def test_out_dir_file_usage_error(tmp_path, capsys, command, out_dir):
 
 
 class TestFourierCsv:
-    def test_emitted_table_round_trips(self, tmp_path):
-        run(["run-example", "c-plane", "--theta-samples", 4,
-             "--fourier-window", 2, "--gh-order", 8, "--out-dir", tmp_path])
-        text = (tmp_path / "fourier.csv").read_text()
-        series = series_from_csv(text)
-        assert series_to_csv(series) == text
+    def test_rows_are_the_report_coefficients(self, tmp_path):
+        # one run's fourier.csv holds index_report.json's series: a row per
+        # degree over the whole window, each part by repr
+        run(["run-example", "c-plane", "--theta-samples", 4, "--fourier-window", 6,
+             "--out-dir", tmp_path])
+        rows = list(csv.reader(io.StringIO((tmp_path / "fourier.csv").read_text())))
+        doc = json.loads((tmp_path / "index_report.json").read_text())
+        fourier = doc["runs"][0]["payload"]["fourier"]
+        assert fourier["window"] == [-6, 6]
+        assert rows[0] == ["n", "re", "im"]
+        assert rows[1:] == [[str(n), repr(fourier["coefficients"][str(n)][0]),
+                             repr(fourier["coefficients"][str(n)][1])] for n in range(-6, 7)]
 
 
 def readme_commands():

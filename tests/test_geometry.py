@@ -26,7 +26,16 @@ from equichern.geometry import (
 from equichern.kernels import CompiledPolys
 from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.scan import ScanGrid, block_singular_values, ellipticity_scan, gaussian_draws
-from conftest import eval_grid, odd_symbol_model, term_scale
+from conftest import eval_grid, odd_symbol_model, term_scale, weighted_plane_uv
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # declared in the test extra, but skip where it is absent
+    hypothesis = None
+
+needs_hypothesis = pytest.mark.skipif(hypothesis is None,
+                                      reason="hypothesis is not installed")
 
 
 def entry_values(matrix, point):
@@ -108,6 +117,30 @@ class TestOrbitalProjection:
             assert orbital_projection(m, x[k], xi[k]) == phi[k]
             point = m.full_point({m.base.name: x[k], m.fiber.name: xi[k]})
             assert abs(phi_poly.evaluate(point) - phi[k]) <= 1e-13 * abs(phi[k])
+
+
+@needs_hypothesis
+def test_compiled_phi_matches_orbital_projection():
+    """Drawn base weights and points: the symbolic phi, compiled, against the numeric one.
+
+    `weighted_plane_uv(m)` has base u and fiber v of weight m, so phi is
+    rho Re(v conj(rho)) with rho = -i m u; both routes round on the scale
+    |rho|^2 |v|, and Re(v conj(rho)) may cancel far below it.
+    """
+    coordinate = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.one_of(st.integers(-4, -1), st.integers(1, 4)),
+                      st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=16))
+    def check(m, points):
+        model = weighted_plane_uv(m)
+        u, v = (np.array(c) for c in zip(*points))
+        compiled = CompiledPolys(model.algebra, [geometry._phi_polys(model)])
+        got = compiled.entries(model.full_point({"u": u, "v": v}))[0]
+        want = orbital_projection(model, u, v)
+        assert np.all(np.abs(got - want) <= 1e-14 * (m * np.abs(u)) ** 2 * np.abs(v))
+
+    check()
 
 
 class TestClifford:
@@ -519,6 +552,37 @@ class TestBlockSingularValues:
         for shell, det, opn in zip(report.shells, ref_det, ref_max):
             assert abs(shell.median_opnorm - np.median(opn)) <= 1e-13 * np.median(opn)
             assert abs(shell.median_det - np.median(det)) <= 1e-13 * np.median(det)
+
+
+@needs_hypothesis
+def test_block_singular_values_match_svd_on_drawn_blocks():
+    """Drawn 2x2 blocks, rank-deficient and with near-equal singular values among them.
+
+    Entries are 0 or at least 1e-3 in size before a common scale, so that no
+    square underflows (the closed form squares the entries, svd does not).
+    """
+    part = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+    entry = st.builds(complex, part, part)
+    pair = st.tuples(entry, entry)
+    general = st.tuples(pair, pair).map(np.array)
+    rank_one = st.tuples(pair, pair).map(lambda uv: np.outer(*uv))
+    # a scaled unitary e^{i t} [[a, b], [-conj(b), conj(a)]] plus 1e-10 of a drawn block
+    near_equal = st.tuples(pair.filter(lambda ab: abs(ab[0]) + abs(ab[1]) > 0),
+                           st.floats(-math.pi, math.pi), general).map(
+        lambda d: (np.exp(1j * d[1]) / math.hypot(*map(abs, d[0]))
+                   * np.array([[d[0][0], d[0][1]], [-np.conj(d[0][1]), np.conj(d[0][0])]])
+                   + 1e-10 * d[2]))
+    block = st.tuples(st.one_of(general, rank_one, near_equal),
+                      st.sampled_from([1e-5, 1e-2, 1.0, 1e2, 1e5])).map(lambda b: b[0] * b[1])
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(block, min_size=1, max_size=8))
+    def check(blocks):
+        x = np.array(blocks)
+        got = block_singular_values(x[:, 0, 0], x[:, 0, 1], x[:, 1, 0], x[:, 1, 1])
+        assert_matches_svd(got, x)
+
+    check()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 500, 2000, 2001])
