@@ -11,24 +11,20 @@ memoises it on the pair; the model stores nothing compiled); symbolically,
 chern_plan compiles it once per model as the shared Gaussian exponent times
 closed soul-path forms weighted by divided differences of exp, grouped by
 their nodes, so only those scalar weights are computed per theta, in plain
-Python.
+Python.  The soul-path walk (`duhamel_paths`, over the split of
+`diagonal_body`) is this module's; the Duhamel exponential of
+`equichern.kernels`, the oracle of the dense route, walks it too.  That
+module also holds `closedness_residual`, which no command runs.
 """
 
 from __future__ import annotations
 
 import cmath
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .exterior import NUMERIC, SYMBOLIC, Form, Poly
-from .geometry import ActionModel, cartan_field
-from .supermatrix import (
-    SuperMatrix,
-    UnsupportedShapeError,
-    diagonal_body,
-    duhamel_paths,
-    exp_divided_difference,
-    trim,
-)
+from .geometry import ActionModel
+from .supermatrix import SuperMatrix, UnsupportedShapeError, exp_divided_difference
 
 POLE_GUARD_W = 1e-8
 
@@ -43,6 +39,74 @@ def _curvature(model: ActionModel) -> tuple[SuperMatrix, SuperMatrix]:
             f"model {model.name!r} has no superconnection odd term; "
             "set one with set_odd_term")
     return model.curvature
+
+
+# -- the closed soul paths of the Duhamel expansion ----------------------------------
+
+
+def trim(forms: list) -> list:
+    """Drop the trailing zero forms of a list of t-power coefficients, in place."""
+    while forms and forms[-1].is_zero:
+        forms.pop()
+    return forms
+
+
+def duhamel_paths(soul: Sequence[SuperMatrix], diag: Sequence):
+    """Every soul path with a non-zero product, for the Duhamel expansion.
+
+    The soul is a polynomial in a parameter t given by its coefficient
+    matrices, soul = sum_p t^p soul[p] (one matrix for a numeric soul).
+    Yields (start, end, product, nodes) for each walk start -> ... -> end of
+    one or more soul entries whose product is non-zero; the product is the
+    list of its t-power coefficient forms without trailing zeros, and nodes
+    are the diagonal values at the visited indices, start first.  Walks stop
+    at the generator count, past which every product of soul entries
+    vanishes.
+    """
+    d = soul[0].dim
+    alg = soul[0].algebra
+    zero = alg.zero(soul[0].backend)
+    max_depth = len(alg.generators)
+    edges = [[trim([m.entries[j][k] for m in soul]) for k in range(d)]
+             for j in range(d)]
+
+    def times(prod: list, edge: list) -> list:
+        out = [zero] * (len(prod) + len(edge) - 1)
+        for a, f in enumerate(prod):
+            for b, g in enumerate(edge):
+                if not (f.is_zero or g.is_zero):
+                    out[a + b] = out[a + b] + f.wedge(g)
+        return trim(out)
+
+    def walk(start: int, j: int, prod: list, nodes: tuple):
+        if len(nodes) > max_depth:
+            return
+        for nxt in range(d):
+            if not edges[j][nxt]:
+                continue
+            p2 = times(prod, edges[j][nxt])
+            if not p2:
+                continue
+            nodes2 = nodes + (diag[nxt],)
+            yield start, nxt, p2, nodes2
+            yield from walk(start, nxt, p2, nodes2)
+
+    one = [alg.one(soul[0].backend)]
+    for i in range(d):
+        yield from walk(i, i, one, (diag[i],))
+
+
+def diagonal_body(mat: SuperMatrix) -> tuple[list[Form], SuperMatrix]:
+    """The degree-0 diagonal entries of a matrix, and its soul (the rest).
+
+    Raises UnsupportedShapeError when degree-0 content lies off the diagonal.
+    """
+    d = mat.dim
+    if any(i != j and not mat.entries[i][j].component(0).is_zero
+           for i in range(d) for j in range(d)):
+        raise UnsupportedShapeError("degree-0 content outside the diagonal body")
+    diag = [mat.entries[i][i].component(0) for i in range(d)]
+    return diag, mat - SuperMatrix.diagonal(mat.algebra, mat.grading, diag, mat.backend)
 
 
 def split_body(mat: SuperMatrix) -> tuple[Poly, tuple[complex, ...], SuperMatrix]:
@@ -198,9 +262,11 @@ def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex])
     theta: unlike the transverse form, it has no poles at 2 pi Z.
     """
     from .kernels import dense_curvature, taylor_exp_blocked
+    from .polyeval import full_point
 
     curv = dense_curvature(_curvature(model))
-    expf = taylor_exp_blocked(curv.at(theta, model.full_point(point)), curv.layout)
+    expf = taylor_exp_blocked(curv.at(theta, full_point(model.algebra, point)),
+                              curv.layout)
     values = curv.layout.supertrace(expf)
     return Form(model.algebra, NUMERIC, dict(zip(curv.layout.trace_masks, values)))
 
@@ -223,22 +289,3 @@ def transverse_chern(model: ActionModel, theta: complex) -> GaussianForm:
     """Chern form divided by the Clifford-model bundle character, symbolically."""
     chw = w_character(model, theta)
     return symbolic_chern(model, theta).scale(1.0 / chw)
-
-
-def closedness_residual(model: ActionModel, theta: complex,
-                        point: Mapping[str, complex]) -> float:
-    """Max coefficient norm of (d - iota_zeta) applied to the Chern form at a point.
-
-    Vanishes for a consistent moment/vector-field pair, that is for the
-    curvature ``set_odd_term`` builds; a model whose ``curvature`` pair has a
-    constant added to one diagonal entry of F0 (a corrupted moment) is the
-    negative control.
-    """
-    g = symbolic_chern(model, theta)
-    zeta = cartan_field(model, theta)
-    # (d - iota)(e^g w) = e^g (dg ^ w + dw - iota w)
-    dg = model.algebra.scalar(g.exponent).d()
-    residual = dg.wedge(g.form) + g.form.d() - g.form.interior(zeta)
-    pt = model.full_point(point)
-    value = residual.evaluate(pt)
-    return value.norm_max() * abs(g.prefactor(pt))

@@ -7,7 +7,7 @@ as ``z`` and ``zbar`` are independent symbols; the kernel never assumes
 reality.  Generator subsets are stored as bitmasks in declaration order, so
 every form has a unique canonical representation and equality is exact.
 Polynomials and forms are evaluated (at a point or on a grid of points) by
-`equichern.kernels.CompiledPolys`, one product of a coefficient matrix and
+`equichern.polyeval.CompiledPolys`, one product of a coefficient matrix and
 the monomials, so this module loads no numpy until a value is asked for.
 """
 
@@ -57,7 +57,7 @@ class ExteriorAlgebra:
         polynomial coordinate names (conjugates are separate entries).
     conjugates:
         declared conjugate pairs ``z -> zbar``; a coordinate in no pair is
-        real.  Read by the model's ``conj_poly`` and ``full_point``,
+        real.  Read by the model's ``conj_poly``, ``polyeval.full_point``,
         ``orientation_sign``, ``cartan_field``, the model parser's ``conj()``,
         the Gaussian moments (``quadrature.gaussian_integral``) and the
         ellipticity scan.
@@ -224,7 +224,7 @@ class Poly:
 
     def eval_grid(self, arrays):
         """Vectorized evaluation on coordinate arrays of a common shape."""
-        from .kernels import CompiledPolys
+        from .polyeval import CompiledPolys
 
         return CompiledPolys(self.algebra, self).entries(arrays)
 
@@ -395,7 +395,7 @@ class Form:
         """
         if self.backend == NUMERIC:
             return self
-        from .kernels import CompiledPolys
+        from .polyeval import CompiledPolys
 
         values = CompiledPolys(self.algebra, list(self.terms.values())).entries(point)
         return Form(self.algebra, NUMERIC, dict(zip(self.terms, values)))

@@ -7,19 +7,25 @@ odd term of a superconnection with its equivariant curvature, which is affine
 in theta and stored once per model as (F0, F1).  The module provides the
 oriented volume form's sign and coefficient (read by fiber integration and
 by the delta pairing alike), the Cartan vector field and the moment of the
-action, the orbital projection (composition of the action derivative with
-its metric adjoint), Clifford multiplication on the model bundle, the graded
-augmentation of a symbol by orbital Clifford multiplication, the two-stage
-linear homotopy connecting the augmented symbol to its constant-coefficient
-normal form, and the built-in models.  The ellipticity scan of a symbol
-matrix lives in `equichern.scan`.
+action, the augmented symbol sigma (x) 1 + 1 (x) c(phi), and the built-in
+models by name; it holds what every command runs.  The rest lives with the
+commands that run it, so that no other command compiles it: the Clifford
+augmentation and the sheared plane model `c_plane_uv` in
+`equichern.augmentation`; the symbol side of the geometry (the action
+derivative, and the orbital projection phi numerically and as a polynomial)
+in `equichern.symbolalg`; the zero-operator model in `equichern.pairing`;
+the c-plane model and the homotopy of its augmented symbol to the
+constant-coefficient normal form in `equichern.homotopy`, which no command
+loads; and the ellipticity scan in `equichern.scan`.  `builtin_model` loads
+the module of the model it builds.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import importlib
+from typing import Sequence
 
-from .exterior import NUMERIC, SYMBOLIC, ExteriorAlgebra, Poly
+from .exterior import ExteriorAlgebra, Poly
 from .supermatrix import Grading, SuperMatrix, UnsupportedShapeError
 
 COMPLEX = "complex"
@@ -162,7 +168,6 @@ class ActionModel:
 
     def conj_poly(self, p: Poly) -> Poly:
         """Formal conjugate: swap conjugate-pair exponents, conjugate coefficients."""
-        coords = self.algebra.coordinates
         swap = {}
         for a, b in self.algebra.conjugates.items():
             swap[self.algebra.coord_index[a]] = self.algebra.coord_index[b]
@@ -174,18 +179,6 @@ class ActionModel:
                 m2[j] = m[i]
             out[tuple(m2)] = out.get(tuple(m2), 0.0) + c.conjugate()
         return Poly(self.algebra, out)
-
-    def full_point(self, point: Mapping[str, complex]) -> dict[str, complex]:
-        """Extend a point on the real locus with its conjugate coordinates.
-
-        The values may be numbers or numpy arrays; conjugates are taken
-        elementwise.
-        """
-        out = dict(point)
-        for a, b in self.algebra.conjugates.items():
-            if a in out and b not in out:
-                out[b] = out[a].conjugate()
-        return out
 
     def __repr__(self):
         return f"ActionModel({self.name!r})"
@@ -204,7 +197,7 @@ def oriented_volume_coefficient(model: ActionModel, form) -> object:
     return c if s > 0 else -c
 
 
-# -- infinitesimal action and orbital projection --------------------------------
+# -- the infinitesimal action ------------------------------------------------------
 
 
 def cartan_field(model: ActionModel, theta: complex) -> dict[str, Poly]:
@@ -238,205 +231,33 @@ def moment(model: ActionModel, theta: complex) -> SuperMatrix:
     return SuperMatrix.diagonal(alg, spec.grading(), diag)
 
 
-def infinitesimal_generator(model: ActionModel, x):
-    """The action derivative rho at base values x, elementwise.
-
-    A weight-n complex base contributes -i n x (the derivative of exp(-t)
-    acting with weight n); an angle base rotates at rate +n, a real one not.
-    """
-    import numpy as np
-
-    b = model.base
-    x = np.asarray(x, dtype=complex)
-    if b.kind == COMPLEX:
-        return -1j * b.weight * x
-    return np.full_like(x, b.weight if b.kind == ANGLE else 0)
-
-
-def orbital_projection(model: ActionModel, x, xi):
-    """phi = rho rho^t: the covectors xi at base values x projected onto the orbit.
-
-    Elementwise rho Re(xi conj(rho)), with rho the `infinitesimal_generator`.
-    The product xi conj(rho) is taken by the ufunc even for scalars, so an
-    array call equals its scalar calls bit for bit: numpy's array loop may
-    fuse a multiply and an add, the ``*`` of two numpy scalars does not.
-    """
-    import numpy as np
-
-    rho = infinitesimal_generator(model, x)
-    return rho * np.multiply(xi, np.conj(rho)).real
-
-
-def _fiber(model: ActionModel) -> Coordinate:
-    """The model's fiber coordinate, which symbols and their augmentation need."""
-    if model.fiber is None:
-        raise UnsupportedShapeError(f"model {model.name!r} declares no fiber coordinate")
-    return model.fiber
-
-
-# -- Clifford model ---------------------------------------------------------------
-
-
-def clifford_multiplication(model: ActionModel, w) -> SuperMatrix:
-    """Left Clifford multiplication by an orbital tangent value on the W bundle."""
-    if model.bundle_w is None or model.bundle_w.rank != 2:
-        raise UnsupportedShapeError("Clifford multiplication needs a rank-2 W bundle")
-    w = complex(w)
-    alg = model.algebra
-    z = alg.zero(NUMERIC)
-    return SuperMatrix(alg, model.bundle_w.grading(),
-                       [[z, alg.scalar(w.conjugate(), NUMERIC)],
-                        [alg.scalar(w, NUMERIC), z]])
-
-
-def _phi_polys(model: ActionModel) -> Poly:
-    """Orbital projection applied to the tautological covector, phi."""
-    b, f = model.base, _fiber(model)
-    if b.kind != COMPLEX:
-        raise UnsupportedShapeError("symbolic phi implemented for a complex base coordinate")
-    zc = model.algebra.coord(b.name)
-    xc = model.algebra.coord(f.name)
-    rho = (-1j * b.weight) * zc
-    rho_bar = model.conj_poly(rho)
-    x_bar = model.conj_poly(xc)
-    s = (xc * rho_bar + x_bar * rho) * 0.5
-    return rho * s
-
-
-def _augmented_from_cliff_arg(model: ActionModel, w: Poly) -> SuperMatrix:
-    """sigma (x) 1 + 1 (x) c(w) on E (x) W with graded tensor signs.
-
-    c(w) is Clifford multiplication by the orbital value w, with conj(w) in
-    its upper right entry, as in `clifford_multiplication`.
-    """
-    e, wspec = model.bundle_e, model.bundle_w
-    if e is None or wspec is None or e.rank != 2 or wspec.rank != 2:
-        raise UnsupportedShapeError("augmentation needs rank-2 E and W bundles")
-    alg = model.algebra
-    zero = alg.zero(SYMBOLIC)
-    sigma = model.symbol.entries
-    cmat = [[None, alg.scalar(model.conj_poly(w))], [alg.scalar(w), None]]
-    basis = list(model.script_e_pairs)
-    d = len(basis)
-    out = [[zero for _ in range(d)] for _ in range(d)]
-    for col, (j, k) in enumerate(basis):
-        for row, (i, l) in enumerate(basis):
-            acc = zero
-            if l == k and not sigma[i][j].is_zero:
-                acc = acc + sigma[i][j]
-            if i == j and cmat[l][k] is not None:
-                term = cmat[l][k]
-                if e.parities[i] == 1:
-                    term = -term
-                acc = acc + term
-            out[row][col] = acc
-    return SuperMatrix(alg, model.bundle_script_e.grading(), out)
-
-
 def augmented_symbol(model: ActionModel) -> SuperMatrix:
-    """Augment the symbol by orbital Clifford multiplication: sigma (x) 1 + 1 (x) c(phi)."""
-    return _augmented_from_cliff_arg(model, _phi_polys(model))
+    """Augment the symbol by orbital Clifford multiplication: sigma (x) 1 + 1 (x) c(phi).
+
+    phi is the orbital projection of the tautological covector
+    (`symbolalg.phi_poly`), so the first call loads the symbol algebra.
+    """
+    from .augmentation import augment_by_clifford
+    from .symbolalg import phi_poly
+
+    return augment_by_clifford(model, phi_poly(model))
 
 
-# -- homotopy to the constant-coefficient normal form ------------------------------
+# -- the built-in models -----------------------------------------------------------------
 
 
-class HomotopyPath:
-    """Consecutive linear interpolations between symbol matrices."""
-
-    __slots__ = ("stages",)
-
-    def __init__(self, stages: tuple[tuple[SuperMatrix, SuperMatrix], ...]):
-        for (a0, a1), (b0, b1) in zip(stages, stages[1:]):
-            if not all(x == y for r1, r2 in zip(a1.entries, b0.entries)
-                       for x, y in zip(r1, r2)):
-                raise ValueError("endpoints of consecutive stages must match")
-        self.stages = stages
-
-    @property
-    def stage_count(self) -> int:
-        return len(self.stages)
-
-    def matrix_at(self, stage: int, s: float) -> SuperMatrix:
-        a, b = self.stages[stage]
-        return a.scale(1.0 - s) + b.scale(s)
-
-
-def homotopy_path(model: ActionModel) -> HomotopyPath:
-    """Two-stage path: flatten the orbital factor, then shear in the fiber."""
-    start = augmented_symbol(model)
-    if model.fiber.kind != COMPLEX:
-        raise UnsupportedShapeError("homotopy implemented for complex base and fiber")
-    zc = model.algebra.coord(model.base.name)
-    xc = model.algebra.coord(model.fiber.name)
-    mid = _augmented_from_cliff_arg(model, 1j * zc)
-    end = _augmented_from_cliff_arg(model, 1j * zc + xc)
-    return HomotopyPath(((start, mid), (mid, end)))
-
-
-# -- built-in models ------------------------------------------------------------------
-
-
-def c_plane() -> ActionModel:
-    """Rotation of the complex plane with the shifted Cauchy-Riemann symbol."""
-    coords = (Coordinate("z", COMPLEX, 1, "base"),
-              Coordinate("xi", COMPLEX, 1, "fiber"))
-    e = BundleSpec((0, 1), (0, 1))
-    w = BundleSpec((0, 1), (0, 1))
-    model = ActionModel("c-plane", coords, e, w)
-    alg = model.algebra
-    z = alg.coord("z")
-    zb = alg.coord("zbar")
-    x = alg.coord("xi")
-    xb = alg.coord("xibar")
-    zero = alg.zero(SYMBOLIC)
-    sigma = [[zero, alg.scalar(zb - 1j * xb)], [alg.scalar(z + 1j * x), zero]]
-    model.set_symbol(sigma)
-    # superconnection odd term: i * (constant-coefficient endpoint of the homotopy)
-    model.set_odd_term(_augmented_from_cliff_arg(model, 1j * z + x).scale(1j))
-    return model
-
-
-def c_plane_uv() -> ActionModel:
-    """The plane model after the shear change of variables; Gaussian weight one."""
-    coords = (Coordinate("u", COMPLEX, 1, "base"),
-              Coordinate("v", COMPLEX, 1, "fiber"))
-    e = BundleSpec((0, 1), (0, 1))
-    w = BundleSpec((0, 1), (0, 1))
-    model = ActionModel("c-plane-uv", coords, e, w)
-    alg = model.algebra
-    zero = alg.zero(SYMBOLIC)
-    sigma = [[zero, alg.scalar(alg.coord("ubar"))], [alg.scalar(alg.coord("u")), zero]]
-    model.set_symbol(sigma)
-    # superconnection odd term: i * (the symbol augmented by c(v))
-    model.set_odd_term(_augmented_from_cliff_arg(model, alg.coord("v")).scale(1j))
-    return model
-
-
-def zero_op_s1() -> ActionModel:
-    """The zero operator on the circle with its tautological-1-form superconnection."""
-    coords = (Coordinate("theta", ANGLE, 1, "base"),
-              Coordinate("xi", REAL, 0, "fiber"))
-    e = BundleSpec((0,), (0,))
-    w = BundleSpec((0,), (0,))
-    model = ActionModel("zero-op", coords, e, w, volume=("dxi", "dtheta"))
-    alg = model.algebra
-    zero = alg.zero(SYMBOLIC)
-    model.set_symbol([[zero]])
-    liouville = alg.scalar(alg.coord("xi")) * alg.gen("dtheta")
-    model.set_odd_term(SuperMatrix(alg, model.bundle_script_e.grading(),
-                                   [[liouville]]).scale(1j))
-    return model
-
-
-_BUILTINS = {"c-plane": c_plane, "c-plane-uv": c_plane_uv, "zero-op": zero_op_s1}
+# built-in model name -> (module, builder), so a command compiles only the
+# builder of the model it builds
+_BUILTINS = {"c-plane": ("homotopy", "c_plane"), "c-plane-uv": ("augmentation", "c_plane_uv"),
+             "zero-op": ("pairing", "zero_op_s1")}
 
 
 def builtin_model(name: str) -> ActionModel:
     try:
-        return _BUILTINS[name]()
+        module, builder = _BUILTINS[name]
     except KeyError:
         raise KeyError(f"unknown built-in model {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __package__), builder)()
 
 
 def __getattr__(name: str):

@@ -1,19 +1,19 @@
-"""The compiled tables of polynomials and supermatrices, and the numpy kernels over them.
+"""The dense numpy route of the Chern form, and its oracles.
 
-`CompiledPolys` is an array of polynomials compiled into one coefficient
-matrix against their monomials, the one evaluator of polynomials (at a point
-or on a grid); `BlockLayout` places the components of dense ``(d, d, 2^n)``
-arrays in grading blocks and carries the products and traces that read them;
-`dense_curvature` compiles a symbolic pair M0 + t M1 into both, an
-`AffineArray`, memoised on the pair, so the dense Chern route compiles a
-model's curvature where it evaluates it and the model carries no compiled
-state.  The tables are numpy arrays, built once by plain loops.  The module
-also holds the dense Chern exponential of the pointwise route (the trace
-shift, then scaling-and-squaring of a truncated Taylor sum with the wedge as
-a block-diagonal right-multiplication operator) and the component array of a
-supermatrix.  Only the dense route, the ellipticity scan, the symbol-algebra
-checks, pointwise evaluation of polynomials and forms, and the tests load
-it; the index character and the delta pairing do not.
+`BlockLayout` places the components of dense ``(d, d, 2^n)`` arrays in
+grading blocks and carries the products and traces that read them;
+`dense_curvature` compiles a symbolic pair M0 + t M1 into one
+`polyeval.CompiledPolys` table in that layout, an `AffineArray`, memoised on
+the pair, so the dense Chern route compiles a model's curvature where it
+evaluates it and the model carries no compiled state.  `taylor_exp_blocked`
+is the dense exponential of the pointwise route: the trace shift, then
+scaling-and-squaring of a truncated Taylor sum (`taylor_parameters`) with the
+wedge as a block-diagonal right-multiplication operator.  The module also
+holds the component array of a supermatrix and the two independent checks of
+the pointwise Chern form: `super_exp_duhamel`, the Duhamel exponential that
+is the oracle of the Taylor route, and `closedness_residual`.  Only the dense
+route (`equivariant.chern_form`, `supermatrix.super_exp`) and the tests load
+it; no command does.
 """
 
 from __future__ import annotations
@@ -25,72 +25,11 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .exterior import NUMERIC, BackendError, EvaluationError, ExteriorAlgebra, Poly
-from .supermatrix import EVEN, ODD, TAYLOR_TOL, SuperMatrix, taylor_parameters
-
-
-class CompiledPolys:
-    """An array of polynomials compiled once, evaluated on grids as one product.
-
-    ``polys`` is a nested sequence (or an object array) of polynomials, None
-    for zero, of shape ``shape``.  Each entry, in row-major order, is one row
-    of the complex matrix ``coeffs`` against the monomials numbered in order
-    of first appearance; a None entry is a row of zeros.  A monomial is its
-    ``factors``, pairs of a position in ``coords`` (the coordinates that
-    occur) and an exponent of at most ``top`` there.  On coordinate arrays of
-    one shape every monomial is formed once, from per-coordinate power
-    tables, and the polynomials are ``coeffs @ monomials``.
-    """
-
-    def __init__(self, algebra: ExteriorAlgebra, polys):
-        self.shape, flat = _flatten(polys)
-        monomials: dict[tuple, int] = {}
-        terms = [(row, monomials.setdefault(mono, len(monomials)), c)
-                 for row, f in enumerate(flat) if f is not None
-                 for mono, c in f.terms.items()]
-        self.coeffs = np.zeros((len(flat), len(monomials)), dtype=np.complex128)
-        if terms:
-            rows, cols, values = zip(*terms)
-            self.coeffs[rows, cols] = values
-        used = [k for k in range(len(algebra.coordinates)) if any(m[k] for m in monomials)]
-        self.coords = tuple(algebra.coordinates[k] for k in used)
-        self.top = [max(m[k] for m in monomials) for k in used]
-        self.factors = [[(n, m[k]) for n, k in enumerate(used) if m[k]] for m in monomials]
-
-    def entries(self, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
-        """``shape`` + grid shape: each polynomial on the grid, exact zeros for None."""
-        for name in self.coords:
-            if name not in arrays:
-                raise EvaluationError(f"no value assigned to coordinate {name!r}")
-        # a table of constants takes its grid from the whole point
-        shape = np.broadcast(*(arrays[n] for n in self.coords or arrays)).shape
-        powers = []
-        for name, top in zip(self.coords, self.top):
-            v = np.asarray(arrays[name], dtype=np.complex128)
-            power = [None, v]
-            for _ in range(1, top):
-                power.append(power[-1] * v)
-            powers.append(power)
-        mono = np.empty((len(self.factors),) + shape, dtype=np.complex128)
-        for m, factors in enumerate(self.factors):
-            if not factors:
-                mono[m] = 1.0
-                continue
-            (k, e), *rest = factors
-            mono[m] = powers[k][e]
-            for k, e in rest:
-                mono[m] *= powers[k][e]
-        flat = self.coeffs @ mono.reshape(len(mono), math.prod(shape))
-        return flat.reshape(self.shape + shape)
-
-
-def _flatten(polys) -> tuple[tuple[int, ...], list]:
-    """The shape and the flat row-major entries of a nested sequence of polynomials."""
-    if polys is None or isinstance(polys, Poly):
-        return (), [polys]
-    parts = [_flatten(p) for p in polys]
-    shape = (len(parts),) + (parts[0][0] if parts else ())
-    return shape, [f for _, flat in parts for f in flat]
+from .equivariant import diagonal_body, duhamel_paths, symbolic_chern
+from .exterior import NUMERIC, BackendError, ExteriorAlgebra
+from .geometry import ActionModel, cartan_field
+from .polyeval import CompiledPolys, full_point
+from .supermatrix import EVEN, ODD, TAYLOR_TOL, SuperMatrix, exp_divided_difference
 
 
 def to_array(a: SuperMatrix) -> np.ndarray:
@@ -247,6 +186,22 @@ def _array_norm(A: np.ndarray) -> float:
     return float(np.abs(A).sum(axis=2).sum(axis=1).max(initial=0.0))
 
 
+def taylor_parameters(norm: float, tol: float) -> tuple[int, int]:
+    """Scaling exponent s, least with r = norm / 2^s <= 0.5, and Taylor degree m.
+
+    The degree-m sum of exp(X), ||X|| = r, is exp(X)(I + E) with ||E|| at most
+    e^r r^(m+1) / (m+1)! (m+2) / (m+2-r); m is the least with 2^s ||E|| <= tol,
+    so the 2^s-th power is within about ``tol ||exp(A)||`` of exp(A).
+    """
+    s = 0 if norm <= 0.5 else max(0, math.ceil(math.log2(norm / 0.5)))
+    r = norm / 2.0**s
+    m, tail = 0, r  # tail = r^(m+1) / (m+1)!
+    while 2.0**s * math.exp(r) * tail * (m + 2) / (m + 2 - r) > tol:
+        m += 1
+        tail *= r / (m + 1)
+    return s, m
+
+
 def taylor_exp_blocked(X: np.ndarray, layout: BlockLayout,
                        tol: float = TAYLOR_TOL) -> np.ndarray:
     """Exponential of a blocked component array, in the same layout.
@@ -279,3 +234,50 @@ def taylor_exp_blocked(X: np.ndarray, layout: BlockLayout,
     for _ in range(s):
         acc = acc @ layout.operator(acc)
     return acc * cmath.exp(mu)
+
+
+# -- the independent checks of the pointwise route ------------------------------------
+
+
+def super_exp_duhamel(a: SuperMatrix) -> SuperMatrix:
+    """Matrix exponential via the Duhamel expansion around a diagonal body.
+
+    exp(body + soul) is the sum over products of soul entries weighted by
+    simplex integrals of body exponentials, which reduce to divided
+    differences of exp at the diagonal entries.  The sum is finite because
+    each soul factor raises the form degree.  The body is the degree-0 part
+    of the diagonal; degree-0 content off the diagonal is rejected.  It walks
+    the soul paths of the Chern plan (`equivariant.duhamel_paths`) and is the
+    oracle of the Taylor route of `supermatrix.super_exp`.
+    """
+    if a.backend != NUMERIC:
+        raise BackendError("super_exp_duhamel requires the numeric backend")
+    d = a.dim
+    z = a.algebra.zero(NUMERIC)
+    diag, soul = diagonal_body(a)
+    beta = [f.terms.get(0, 0.0 + 0.0j) for f in diag]
+    out = [[z for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        out[i][i] = a.algebra.scalar(cmath.exp(beta[i]), NUMERIC)
+    for i, j, prod, nodes in duhamel_paths([soul], beta):
+        out[i][j] = out[i][j] + prod[0].scale(exp_divided_difference(nodes))
+    return SuperMatrix(a.algebra, a.grading, out)
+
+
+def closedness_residual(model: ActionModel, theta: complex,
+                        point: Mapping[str, complex]) -> float:
+    """Max coefficient norm of (d - iota_zeta) applied to the Chern form at a point.
+
+    Vanishes for a consistent moment/vector-field pair, that is for the
+    curvature ``set_odd_term`` builds; a model whose ``curvature`` pair has a
+    constant added to one diagonal entry of F0 (a corrupted moment) is the
+    negative control.
+    """
+    g = symbolic_chern(model, theta)
+    zeta = cartan_field(model, theta)
+    # (d - iota)(e^g w) = e^g (dg ^ w + dw - iota w)
+    dg = model.algebra.scalar(g.exponent).d()
+    residual = dg.wedge(g.form) + g.form.d() - g.form.interior(zeta)
+    pt = full_point(model.algebra, point)
+    value = residual.evaluate(pt)
+    return value.norm_max() * abs(g.prefactor(pt))

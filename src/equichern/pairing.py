@@ -9,8 +9,10 @@ extrapolated to eps = 0.  The fiber rate r(X) is purely imaginary and affine
 in X, so the xi integral is exactly sqrt(pi/eps) exp(-(Im r(X))^2/(4 eps)),
 the heat-kernel regularization of delta(Im r); substituting
 u = Im r(X)/(2 sqrt(eps)) leaves one Gaussian-weighted integral in u per eps,
-taken on a panel Gauss-Legendre rule.  The module is plain Python (`math`,
-lists): it loads no numpy.
+taken on a panel Gauss-Legendre rule.  The module also holds the zero
+operator's model (`zero_op_s1`) and the ``run-example zero-op`` command
+(`run_zero_op`), so that no other command compiles them.  It is plain
+Python (`math`, lists): it loads no numpy.
 """
 
 from __future__ import annotations
@@ -19,15 +21,39 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 from .equivariant import ChernPlan, chern_plan, w_character
-from .exterior import Poly
-from .geometry import COMPLEX, ActionModel, oriented_volume_coefficient
-from .supermatrix import UnsupportedShapeError
+from .exterior import SYMBOLIC, Poly
+from .geometry import (
+    ANGLE,
+    COMPLEX,
+    REAL,
+    ActionModel,
+    BundleSpec,
+    Coordinate,
+    oriented_volume_coefficient,
+)
+from .supermatrix import SuperMatrix, UnsupportedShapeError
 
 # Panel Gauss-Legendre rule of the delta pairing in u = Im r(X)/(2 sqrt(eps)):
 # |u| <= U_HALFWIDTH, where exp(-u^2) has fallen below 5e-22, clipped to the
 # image of |X| <= X_HALFWIDTH; the panel count and the nodes per panel.
 X_HALFWIDTH, U_HALFWIDTH = 12.0, 7.0
 U_PANELS, PANEL_ORDER = 8, 16
+
+
+def zero_op_s1() -> ActionModel:
+    """The zero operator on the circle with its tautological-1-form superconnection."""
+    coords = (Coordinate("theta", ANGLE, 1, "base"),
+              Coordinate("xi", REAL, 0, "fiber"))
+    e = BundleSpec((0,), (0,))
+    w = BundleSpec((0,), (0,))
+    model = ActionModel("zero-op", coords, e, w, volume=("dxi", "dtheta"))
+    alg = model.algebra
+    zero = alg.zero(SYMBOLIC)
+    model.set_symbol([[zero]])
+    liouville = alg.scalar(alg.coord("xi")) * alg.gen("dtheta")
+    model.set_odd_term(SuperMatrix(alg, model.bundle_script_e.grading(),
+                                   [[liouville]]).scale(1j))
+    return model
 
 
 def gaussian_test(x: float) -> float:
@@ -196,3 +222,27 @@ def delta_pairing(model: ActionModel, test_fn: Callable[[float], complex],
     extrap = richardson_extrapolate(eps, values)
     return DeltaReport(eps=eps, values=values, extrapolated=extrap,
                        test_at_zero=complex(test_fn(0.0)), angle_volume=angle_volume)
+
+
+def run_zero_op(args) -> int:
+    """``equichern run-example zero-op``: the pairing of `zero_op_s1` against a test function.
+
+    Writes ``delta_report.json`` and exits 0 when the extrapolation is
+    within ``--tol`` of test(0), 1 otherwise.
+    """
+    from .cli import EXIT_FAIL, EXIT_PASS, write_report
+
+    report = delta_pairing(zero_op_s1(), TEST_FUNCTIONS[args.test], args.eps)
+    err = abs(report.extrapolated - report.test_at_zero)
+    passed = err < args.tol
+    payload = report.to_dict()
+    payload["golden"] = {"extrapolation_error": err, "tolerance": args.tol,
+                         "passed": bool(passed)}
+    write_report(args.out_dir / "delta_report.json",
+                 [{"kind": "delta-pairing", "label": "zero-op", "payload": payload}])
+    for e, v in zip(report.eps, report.values):
+        print(f"  eps={e:<8g} paired value = {v.real:+.8f}{v.imag:+.2e}j")
+    print(f"zero-op: extrapolated {report.extrapolated.real:.8f} vs "
+          f"test(0) = {report.test_at_zero.real:.8f}, error {err:.3e} "
+          f"(tol {args.tol:g}): {'PASS' if passed else 'FAIL'}")
+    return EXIT_PASS if passed else EXIT_FAIL

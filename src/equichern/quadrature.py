@@ -17,7 +17,9 @@ expanded in positive powers of q.  The theta side is plain Python (cmath and
 lists, no numpy): the grids hold 16 fit points and at most a few thousand
 values.  Oscillatory non-decaying
 models are rejected with a divergence error and handled by the regularized
-delta pairing of `equichern.pairing`.
+delta pairing of `equichern.pairing`.  The ``run-example c-plane`` command
+runs here (`run_c_plane`), beside the index character it reports, so that no
+other command compiles it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from . import characters
+from .augmentation import c_plane_uv
 from .characters import CharacterSeries
 from .equivariant import ChernPlan, chern_plan, w_character
 from .exterior import Poly
@@ -232,6 +235,45 @@ def index_character(model: ActionModel, theta_samples: int = 32,
     }
     return IndexReport(theta_samples=[complex(t) for t in thetas], values=values,
                        fourier=fourier, diagnostics=diagnostics)
+
+
+def run_c_plane(args) -> int:
+    """``equichern run-example c-plane``: the index character of `augmentation.c_plane_uv`.
+
+    Compares the values with the closed form -e^{i theta}/(1 - e^{i theta})
+    and the Fourier coefficients with -1 for n >= 1 (0 otherwise), writes
+    ``index_report.json`` and ``fourier.csv``, and exits 0 when both are
+    within their tolerances, 1 otherwise.
+    """
+    from .cli import EXIT_FAIL, EXIT_PASS, write_report
+
+    report = index_character(c_plane_uv(), theta_samples=args.theta_samples,
+                             fourier_window=args.fourier_window)
+    golden_dev = 0.0
+    for t, v in zip(report.theta_samples, report.values):
+        ref = -cmath.exp(1j * t) / (1 - cmath.exp(1j * t))
+        golden_dev = max(golden_dev, abs(v - ref))
+    fourier_dev = 0.0
+    for n in range(-args.fourier_window, args.fourier_window + 1):
+        target = -1.0 if n >= 1 else 0.0
+        fourier_dev = max(fourier_dev, abs(report.fourier.coeff(n) - target))
+    passed = golden_dev < args.tol and fourier_dev < 1e-4
+    payload = report.to_dict()
+    payload["golden"] = {
+        "value_deviation": golden_dev,
+        "value_tolerance": args.tol,
+        "fourier_deviation": fourier_dev,
+        "fourier_tolerance": 1e-4,
+        "passed": bool(passed),
+    }
+    write_report(args.out_dir / "index_report.json",
+                 [{"kind": "index-character", "label": "c-plane", "payload": payload}])
+    (args.out_dir / "fourier.csv").write_text(characters.series_to_csv(report.fourier),
+                                              encoding="utf-8")
+    print(f"c-plane: value deviation {golden_dev:.3e} (tol {args.tol:g}), "
+          f"fourier deviation {fourier_dev:.3e} (tol 1e-04): "
+          f"{'PASS' if passed else 'FAIL'}")
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 def __getattr__(name: str):

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .exterior import ExteriorAlgebra
-from .kernels import CompiledPolys
+from .polyeval import CompiledPolys
 from .supermatrix import EVEN, ODD, SuperMatrix
 
 
@@ -124,15 +124,24 @@ def block_singular_values(a, b, c, d):
     (|M|_F^2 + hypot(|a|^2 + |b|^2 - |c|^2 - |d|^2, 2|a conj(c) + b conj(d)|)) / 2,
     and sigma_min = |det| / sigma_max (0 where sigma_max is 0).  Unlike the
     textbook sqrt(f^2 - 4|det|^2) form, no digits cancel when the two
-    singular values nearly coincide.
+    singular values nearly coincide.  Each block is first scaled by the power
+    of two 2^-e that brings its largest modulus into [1/2, 1) (``frexp``), so
+    the squares neither underflow nor overflow where the singular values do
+    not, and the results are scaled back by 2^e (by 4^e for |det|).  Scaling
+    by a power of two is exact, so elsewhere the values are those of the
+    unscaled formulas bit for bit.
     """
+    _, e = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(b)),
+                               np.maximum(np.abs(c), np.abs(d))))
+    # ldexp on the parts: 2^-e itself is not a double below the normal range
+    a, b, c, d = (np.ldexp(x.real, -e) + 1j * np.ldexp(x.imag, -e) for x in (a, b, c, d))
     top = a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2
     bottom = c.real ** 2 + c.imag ** 2 + d.real ** 2 + d.imag ** 2
     gap = np.hypot(top - bottom, 2.0 * np.abs(a * np.conj(c) + b * np.conj(d)))
     smax = np.sqrt((top + bottom + gap) / 2.0)
     det = np.abs(a * d - b * c)
     smin = np.divide(det, smax, out=np.zeros_like(smax), where=smax > 0)
-    return det, smax, smin
+    return np.ldexp(det, 2 * e), np.ldexp(smax, e), np.ldexp(smin, e)
 
 
 def _grading_blocks(matrix: SuperMatrix):

@@ -1,25 +1,21 @@
 """Z2-graded square matrices with exterior-form entries.
 
 Provides the graded product (entrywise wedge), the grading-signed
-supertrace, and two independent matrix exponentials: a scaling-and-squaring
-truncated Taylor sum on a dense component array, of degree fixed up front;
-and a Duhamel expansion in divided differences of the diagonal degree-0
-part.  The Taylor route first takes off the trace shift (the mean of the
-degree-0 diagonal, central, so its exponential factors out exactly) and
-applies the wedge as a right-multiplication operator; for an even array,
-such as a superconnection's curvature, the operator keeps the class
-p_k + |c| of a row-space element (column k, generator subset c) and splits
-into two half-size grading blocks, so each product is one batched matmul.
-This module is plain Python: the blocked layout, the compiled pair M0 + t M1,
-the Taylor route and the component array of a matrix live in
-`equichern.kernels`, the numpy module, which loads on first use.  The
-Duhamel route is a finite sum (the soul terminates by form degree) and
-serves as the oracle for the Taylor route.
-Its soul-path walk (duhamel_paths) also compiles the symbolic Chern plan,
-whose soul is a polynomial in theta, and the divided differences of exp take
-batches of nodes (a whole theta axis) column by column.  Matrix grading is
-metadata consumed by the supertrace and the grading blocks; products carry
-no Koszul signs beyond those of the wedge.
+supertrace, the one parity rule (`SuperMatrix.homogeneous_parity`), the
+divided differences of exp, and `super_exp`, the matrix exponential of a
+numeric supermatrix.  This module is plain Python.  `super_exp` runs the
+dense route of `equichern.kernels`, the numpy module, which loads on first
+use: the trace shift (the mean of the degree-0 diagonal, central, so its
+exponential factors out exactly), then a scaling-and-squaring truncated
+Taylor sum whose products apply the wedge as a right-multiplication
+operator; for an even array, such as a superconnection's curvature, the
+operator keeps the class p_k + |c| of a row-space element (column k,
+generator subset c) and splits into two half-size grading blocks, so each
+product is one batched matmul.  The divided differences of exp weight the
+closed soul paths of the symbolic Chern plan (`equichern.equivariant`, which
+walks them) and take batches of nodes (a whole theta axis) column by column.
+Matrix grading is metadata consumed by the supertrace and the grading
+blocks; products carry no Koszul signs beyond those of the wedge.
 """
 from __future__ import annotations
 
@@ -76,11 +72,6 @@ class Grading:
 
     def __hash__(self):
         return hash(self.parities)
-
-    @classmethod
-    def from_string(cls, signs: str) -> "Grading":
-        table = {"+": EVEN, "-": ODD}
-        return cls(tuple(table[ch] for ch in signs))
 
     @property
     def dim(self) -> int:
@@ -265,31 +256,6 @@ class SuperMatrix:
         return f"SuperMatrix(dim={self.dim}, parities={self.grading.parities})"
 
 
-def graded_commutator(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
-    """[a, b] = ab - (-1)^{|a||b|} ba for totally homogeneous a, b."""
-    pa, pb = a.homogeneous_parity(), b.homogeneous_parity()
-    if pa is None or pb is None:
-        raise UnsupportedShapeError("graded commutator requires homogeneous operands")
-    ba = b @ a
-    return (a @ b) - (ba if (pa * pb) % 2 == 0 else -ba)
-
-
-def taylor_parameters(norm: float, tol: float) -> tuple[int, int]:
-    """Scaling exponent s, least with r = norm / 2^s <= 0.5, and Taylor degree m.
-
-    The degree-m sum of exp(X), ||X|| = r, is exp(X)(I + E) with ||E|| at most
-    e^r r^(m+1) / (m+1)! (m+2) / (m+2-r); m is the least with 2^s ||E|| <= tol,
-    so the 2^s-th power is within about ``tol ||exp(A)||`` of exp(A).
-    """
-    s = 0 if norm <= 0.5 else max(0, math.ceil(math.log2(norm / 0.5)))
-    r = norm / 2.0**s
-    m, tail = 0, r  # tail = r^(m+1) / (m+1)!
-    while 2.0**s * math.exp(r) * tail * (m + 2) / (m + 2 - r) > tol:
-        m += 1
-        tail *= r / (m + 1)
-    return s, m
-
-
 def super_exp(a: SuperMatrix, tol: float = TAYLOR_TOL) -> SuperMatrix:
     """Matrix exponential of a numeric supermatrix by `kernels.taylor_exp_blocked`.
 
@@ -354,91 +320,3 @@ def _exp_dd(nodes) -> complex:
         total += h[k] * coeff
         tail *= r / (m + 1)
     return cmath.exp(shift) * total
-
-
-def trim(forms: list) -> list:
-    """Drop the trailing zero forms of a list of t-power coefficients, in place."""
-    while forms and forms[-1].is_zero:
-        forms.pop()
-    return forms
-
-
-def duhamel_paths(soul: Sequence[SuperMatrix], diag: Sequence):
-    """Every soul path with a non-zero product, for the Duhamel expansion.
-
-    The soul is a polynomial in a parameter t given by its coefficient
-    matrices, soul = sum_p t^p soul[p] (one matrix for a numeric soul).
-    Yields (start, end, product, nodes) for each walk start -> ... -> end of
-    one or more soul entries whose product is non-zero; the product is the
-    list of its t-power coefficient forms without trailing zeros, and nodes
-    are the diagonal values at the visited indices, start first.  Walks stop
-    at the generator count, past which every product of soul entries
-    vanishes.
-    """
-    d = soul[0].dim
-    alg = soul[0].algebra
-    zero = alg.zero(soul[0].backend)
-    max_depth = len(alg.generators)
-    edges = [[trim([m.entries[j][k] for m in soul]) for k in range(d)]
-             for j in range(d)]
-
-    def times(prod: list, edge: list) -> list:
-        out = [zero] * (len(prod) + len(edge) - 1)
-        for a, f in enumerate(prod):
-            for b, g in enumerate(edge):
-                if not (f.is_zero or g.is_zero):
-                    out[a + b] = out[a + b] + f.wedge(g)
-        return trim(out)
-
-    def walk(start: int, j: int, prod: list, nodes: tuple):
-        if len(nodes) > max_depth:
-            return
-        for nxt in range(d):
-            if not edges[j][nxt]:
-                continue
-            p2 = times(prod, edges[j][nxt])
-            if not p2:
-                continue
-            nodes2 = nodes + (diag[nxt],)
-            yield start, nxt, p2, nodes2
-            yield from walk(start, nxt, p2, nodes2)
-
-    one = [alg.one(soul[0].backend)]
-    for i in range(d):
-        yield from walk(i, i, one, (diag[i],))
-
-
-def diagonal_body(mat: SuperMatrix) -> tuple[list[Form], SuperMatrix]:
-    """The degree-0 diagonal entries of a matrix, and its soul (the rest).
-
-    Raises UnsupportedShapeError when degree-0 content lies off the diagonal.
-    """
-    d = mat.dim
-    if any(i != j and not mat.entries[i][j].component(0).is_zero
-           for i in range(d) for j in range(d)):
-        raise UnsupportedShapeError("degree-0 content outside the diagonal body")
-    diag = [mat.entries[i][i].component(0) for i in range(d)]
-    return diag, mat - SuperMatrix.diagonal(mat.algebra, mat.grading, diag, mat.backend)
-
-
-def super_exp_duhamel(a: SuperMatrix) -> SuperMatrix:
-    """Matrix exponential via the Duhamel expansion around a diagonal body.
-
-    exp(body + soul) is the sum over products of soul entries weighted by
-    simplex integrals of body exponentials, which reduce to divided
-    differences of exp at the diagonal entries.  The sum is finite because
-    each soul factor raises the form degree.  The body is the degree-0 part
-    of the diagonal; degree-0 content off the diagonal is rejected.
-    """
-    if a.backend != NUMERIC:
-        raise BackendError("super_exp_duhamel requires the numeric backend")
-    d = a.dim
-    z = a.algebra.zero(NUMERIC)
-    diag, soul = diagonal_body(a)
-    beta = [f.terms.get(0, 0.0 + 0.0j) for f in diag]
-    out = [[z for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        out[i][i] = a.algebra.scalar(cmath.exp(beta[i]), NUMERIC)
-    for i, j, prod, nodes in duhamel_paths([soul], beta):
-        out[i][j] = out[i][j] + prod[0].scale(exp_divided_difference(nodes))
-    return SuperMatrix(a.algebra, a.grading, out)

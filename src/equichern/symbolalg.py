@@ -6,26 +6,34 @@ and the constant stabilizes as the xi-radius grows, and when its restriction
 to the transverse covector variety decays at infinity.  Transversal
 ellipticity of a symbol sigma is the membership of a (1 - sigma_hat^2) for
 compactly supported cutoffs a, with sigma_hat the order-zero normalization
-sigma / sqrt(1 + |x|^2 + |xi|^2).
+sigma / sqrt(1 + |x|^2 + |xi|^2).  The module holds the symbol side of the
+geometry that these checks read: the action derivative rho, the orbital
+projection phi = rho Re(xi conj(rho)) on arrays, and phi as a polynomial,
+which the augmentation of a symbol (`geometry.augmented_symbol`) reads.  The
+``check-symbol`` command runs here (`check_symbol`), beside the checks it
+reports, so that no other command compiles it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import (
-    COMPLEX,
-    ActionModel,
-    _fiber,
-    infinitesimal_generator,
-    orbital_projection,
+from .exterior import Poly
+from .geometry import ANGLE, COMPLEX, ActionModel, Coordinate, augmented_symbol
+from .polyeval import CompiledPolys, full_point
+from .scan import (
+    ScanGrid,
+    _entry_polys,
+    _singular_stats,
+    ellipticity_scan,
+    fill_batches,
+    parity_blocks,
 )
-from .kernels import CompiledPolys
-from .scan import ScanGrid, _entry_polys, _singular_stats, fill_batches, parity_blocks
-from .supermatrix import EVEN
+from .supermatrix import EVEN, UnsupportedShapeError
 
 STABILITY_RATIO = 1.1   # heuristic: c_eps(R)/c_eps(R/2) below this counts as stable
 DECAY_DELTA = 1e-3
@@ -38,7 +46,58 @@ CUTOFF_RADII = (1.0, 2.0)   # cutoffs a of the transversal ellipticity check
 # Decimal exponent that the largest value the checks form may reach (doubles
 # overflow past 1e308); see `largest_r_max`.
 R_MAX_DIGITS = 300
-SUPPORT_RADIUS = 1.5        # x-support of the saturating and constant-in-xi symbols
+
+
+# -- the orbital projection ----------------------------------------------------------
+
+
+def infinitesimal_generator(model: ActionModel, x):
+    """The action derivative rho at base values x, elementwise.
+
+    A weight-n complex base contributes -i n x (the derivative of exp(-t)
+    acting with weight n); an angle base rotates at rate +n, a real one not.
+    """
+    b = model.base
+    x = np.asarray(x, dtype=complex)
+    if b.kind == COMPLEX:
+        return -1j * b.weight * x
+    return np.full_like(x, b.weight if b.kind == ANGLE else 0)
+
+
+def orbital_projection(model: ActionModel, x, xi):
+    """phi = rho rho^t: the covectors xi at base values x projected onto the orbit.
+
+    Elementwise rho Re(xi conj(rho)), with rho the `infinitesimal_generator`.
+    The product xi conj(rho) is taken by the ufunc even for scalars, so an
+    array call equals its scalar calls bit for bit: numpy's array loop may
+    fuse a multiply and an add, the ``*`` of two numpy scalars does not.
+    """
+    rho = infinitesimal_generator(model, x)
+    return rho * np.multiply(xi, np.conj(rho)).real
+
+
+def _fiber(model: ActionModel) -> Coordinate:
+    """The model's fiber coordinate, which symbols and their augmentation need."""
+    if model.fiber is None:
+        raise UnsupportedShapeError(f"model {model.name!r} declares no fiber coordinate")
+    return model.fiber
+
+
+def phi_poly(model: ActionModel) -> Poly:
+    """Orbital projection applied to the tautological covector, phi, as a polynomial.
+
+    The symbolic `orbital_projection`, which `geometry.augmented_symbol` reads.
+    """
+    b, f = model.base, _fiber(model)
+    if b.kind != COMPLEX:
+        raise UnsupportedShapeError("symbolic phi implemented for a complex base coordinate")
+    zc = model.algebra.coord(b.name)
+    xc = model.algebra.coord(f.name)
+    rho = (-1j * b.weight) * zc
+    rho_bar = model.conj_poly(rho)
+    x_bar = model.conj_poly(xc)
+    s = (xc * rho_bar + x_bar * rho) * 0.5
+    return rho * s
 
 
 class CoefficientOverflowError(ValueError):
@@ -251,7 +310,7 @@ def normalized_remainder_symbol(model: ActionModel,
     blocks = parity_blocks(parities, EVEN)
 
     def sigma_max(x, xi):
-        vals = table.entries(model.full_point({base: x, fiber: xi}))
+        vals = table.entries(full_point(alg, {base: x, fiber: xi}))
         return _singular_stats(vals[:-1].reshape((d, d) + x.shape) / vals[-1], blocks)[1]
 
     def evaluator(x, xi):
@@ -264,24 +323,6 @@ def normalized_remainder_symbol(model: ActionModel,
         return (bump(x, cutoff_radius) * out).reshape(shape)
 
     return SymbolFunction(evaluator=evaluator, x_support_radius=cutoff_radius)
-
-
-def saturating_symbol(model: ActionModel, amplitude: float = 3.0) -> SymbolFunction:
-    """f(x) (1 + |phi|^2)/(1 + |xi|^2): saturates the membership bound by design."""
-    _fiber(model)
-
-    def evaluator(x, xi):
-        return amplitude * bump(x, SUPPORT_RADIUS) * _bound_core(model, x, xi)
-
-    return SymbolFunction(evaluator=evaluator, x_support_radius=SUPPORT_RADIUS)
-
-
-def constant_in_xi_symbol(model: ActionModel) -> SymbolFunction:
-    """f(x), constant in xi: the negative control failing transverse decay."""
-    def evaluator(x, xi):
-        return bump(x, SUPPORT_RADIUS) * np.ones_like(np.abs(xi))
-
-    return SymbolFunction(evaluator=evaluator, x_support_radius=SUPPORT_RADIUS)
 
 
 def _entry_terms(model: ActionModel):
@@ -360,3 +401,44 @@ def transversal_ellipticity_check(model: ActionModel, *,
         passed = passed and cr.passed and dr.passed
     return TransversalityReport(cutoffs=[float(r) for r in CUTOFF_RADII],
                                 condition_c=creps, decay=dreps, passed=passed)
+
+
+def check_symbol(args) -> int:
+    """``equichern check-symbol``: the transversality and scan verdicts of a model file.
+
+    Exit 3 when the file cannot be read or parsed, or when a coefficient
+    overflows the scan at every radius; exit 2 for an ``--xi-max`` above the
+    model's cap (`largest_r_max`); otherwise writes ``symbol_report.json``
+    and exits 0 when both checks pass, 1 when one fails.
+    """
+    from .cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, EXIT_USAGE, MAX_XI, write_report
+    from .modelfile import ModelParseError, parse_model_file
+
+    try:
+        model = parse_model_file(args.model_file)
+        cap = largest_r_max(model, MAX_XI)
+    except (OSError, UnicodeDecodeError, ModelParseError, CoefficientOverflowError) as exc:
+        print(f"{args.model_file}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    if args.xi_max > cap:
+        print(f"argument --xi-max: {args.xi_max:g} is above {cap:g}, the largest for a "
+              f"symbol of degree {fiber_degree(model)} in xi with these "
+              "coefficients", file=sys.stderr)
+        return EXIT_USAGE
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+
+    transversal = transversal_ellipticity_check(model, r_max=args.xi_max)
+    scan = ellipticity_scan(augmented_symbol(model),
+                            ScanGrid(samples=args.scan_samples, seed=args.seed,
+                                     threshold=args.tol))
+    passed = transversal.passed and scan.passed
+    payload = {"model": model.name,
+               "transversal_ellipticity": transversal.to_dict(),
+               "ellipticity_scan": scan.to_dict(),
+               "passed": bool(passed)}
+    write_report(args.out_dir / "symbol_report.json",
+                 [{"kind": "symbol-check", "label": model.name, "payload": payload}])
+    print(f"{model.name}: transversality "
+          f"{'PASS' if transversal.passed else 'FAIL'}, ellipticity scan "
+          f"{'PASS' if scan.passed else 'FAIL'}")
+    return EXIT_PASS if passed else EXIT_FAIL

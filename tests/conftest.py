@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from equichern import supermatrix, symbolalg
 from equichern.exterior import EvaluationError, ExteriorAlgebra, Poly
 
 
@@ -114,13 +115,13 @@ def weighted_plane_uv(m):
 
     The base u and the fiber v carry weight m and E = W = (0, m) with
     parities (0, 1); the symbol is [[0, ubar], [u, 0]] and the odd term is
-    i times its augmentation by c(v), as `geometry.c_plane_uv` builds the
+    i times its augmentation by c(v), as `augmentation.c_plane_uv` builds the
     weight-one model.  The circle acts through its m-fold cover, so the
     index character is -q^m/(1 - q^m).
     """
+    from equichern.augmentation import augment_by_clifford
     from equichern.exterior import SYMBOLIC
-    from equichern.geometry import (COMPLEX, ActionModel, BundleSpec, Coordinate,
-                                    _augmented_from_cliff_arg)
+    from equichern.geometry import COMPLEX, ActionModel, BundleSpec, Coordinate
 
     coords = (Coordinate("u", COMPLEX, m, "base"), Coordinate("v", COMPLEX, m, "fiber"))
     spec = BundleSpec((0, m), (0, 1))
@@ -128,7 +129,7 @@ def weighted_plane_uv(m):
     alg = model.algebra
     zero = alg.zero(SYMBOLIC)
     model.set_symbol([[zero, alg.scalar(alg.coord("ubar"))], [alg.scalar(alg.coord("u")), zero]])
-    model.set_odd_term(_augmented_from_cliff_arg(model, alg.coord("v")).scale(1j))
+    model.set_odd_term(augment_by_clifford(model, alg.coord("v")).scale(1j))
     return model
 
 
@@ -140,7 +141,7 @@ def corrupted_moment_model():
     is the closedness negative control.  The dense route compiles the pair
     it is given, so it reads the same pair as the plan.
     """
-    from equichern.geometry import c_plane_uv
+    from equichern.augmentation import c_plane_uv
     from equichern.supermatrix import SuperMatrix
 
     model = c_plane_uv()
@@ -150,3 +151,46 @@ def corrupted_moment_model():
                                 [alg.scalar(1.0 if i == 1 else 0.0) for i in range(f0.dim)])
     model.curvature = (f0 + bump, f1)
     return model
+
+
+# -- test-only constructions, kept out of the package ----------------------------------
+
+
+class Grading(supermatrix.Grading):
+    """`supermatrix.Grading` that also reads a sign string, "+" even and "-" odd."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_string(cls, signs: str) -> "Grading":
+        return cls(tuple({"+": supermatrix.EVEN, "-": supermatrix.ODD}[ch] for ch in signs))
+
+
+def graded_commutator(a, b):
+    """[a, b] = ab - (-1)^{|a||b|} ba for totally homogeneous a, b."""
+    pa, pb = a.homogeneous_parity(), b.homogeneous_parity()
+    if pa is None or pb is None:
+        raise supermatrix.UnsupportedShapeError("graded commutator requires homogeneous operands")
+    ba = b @ a
+    return (a @ b) - (ba if (pa * pb) % 2 == 0 else -ba)
+
+
+SUPPORT_RADIUS = 1.5  # x-support of the saturating and constant-in-xi symbols
+
+
+def saturating_symbol(model, amplitude=3.0):
+    """f(x) (1 + |phi|^2)/(1 + |xi|^2): saturates the membership bound by design."""
+    symbolalg._fiber(model)
+
+    def evaluator(x, xi):
+        return amplitude * symbolalg.bump(x, SUPPORT_RADIUS) * symbolalg._bound_core(model, x, xi)
+
+    return symbolalg.SymbolFunction(evaluator=evaluator, x_support_radius=SUPPORT_RADIUS)
+
+
+def constant_in_xi_symbol(model):
+    """f(x), constant in xi: the negative control failing transverse decay."""
+    def evaluator(x, xi):
+        return symbolalg.bump(x, SUPPORT_RADIUS) * np.ones_like(np.abs(xi))
+
+    return symbolalg.SymbolFunction(evaluator=evaluator, x_support_radius=SUPPORT_RADIUS)

@@ -10,31 +10,23 @@ import time
 
 import numpy as np
 
+from equichern.augmentation import c_plane_uv
 from equichern.characters import POSITIVE, localized_index, monomial
-from equichern.equivariant import (
-    bundle_character,
-    chern_form,
-    closedness_residual,
-)
+from equichern.equivariant import bundle_character, chern_form
 from equichern.exterior import NUMERIC
-from equichern.geometry import (
-    c_plane,
-    c_plane_uv,
-    homotopy_path,
-    orientation_sign,
-    zero_op_s1,
-)
-from equichern.pairing import delta_pairing, gaussian_test
+from equichern.geometry import orientation_sign
+from equichern.homotopy import c_plane, homotopy_path
+from equichern.kernels import closedness_residual, super_exp_duhamel
+from equichern.pairing import delta_pairing, gaussian_test, zero_op_s1
 from equichern.quadrature import index_character
 from equichern.scan import ScanGrid, ellipticity_scan
-from equichern.supermatrix import Grading, SuperMatrix, super_exp, super_exp_duhamel
+from equichern.supermatrix import SuperMatrix, super_exp
 from equichern.symbolalg import (
     condition_c_fit,
-    constant_in_xi_symbol,
     normalized_remainder_symbol,
     transversal_ellipticity_check,
 )
-from conftest import corrupted_moment_model
+from conftest import Grading, constant_in_xi_symbol, corrupted_moment_model
 
 
 def report(criterion: str, passed: bool, detail: str):

@@ -16,10 +16,11 @@ import pytest
 import equichern
 from conftest import REAL_FIBER_MODEL
 from equichern import scan, symbolalg
-from equichern.cli import MAX_XI, MIN_XI, TEST_NAMES, build_parser, main, validate_report
-from equichern.kernels import CompiledPolys
+from equichern.cli import MAX_XI, MIN_XI, TEST_NAMES, build_parser, main
 from equichern.modelfile import builtin_model_text
 from equichern.pairing import TEST_FUNCTIONS
+from equichern.polyeval import CompiledPolys
+from equichern.report import validate_report
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PLANE_MODEL = Path(equichern.__file__).parent / "models" / "c_plane.model"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from equichern import geometry
+from equichern.augmentation import c_plane_uv
 from equichern.characters import ahat_squared
 from equichern.equivariant import (
     POLE_GUARD_W,
@@ -13,7 +14,7 @@ from equichern.equivariant import (
     bundle_character,
     chern_form,
     chern_plan,
-    closedness_residual,
+    duhamel_paths,
     equivariant_curvature,
     split_body,
     symbolic_chern,
@@ -26,28 +27,23 @@ from equichern.geometry import (
     BundleSpec,
     Coordinate,
     SuperMatrix,
-    c_plane,
-    c_plane_uv,
     cartan_field,
     moment,
     orientation_sign,
     oriented_volume_coefficient,
-    zero_op_s1,
 )
-from equichern.kernels import dense_curvature
+from equichern.homotopy import c_plane
+from equichern.kernels import closedness_residual, dense_curvature
 from equichern.modelfile import builtin_model_text, parse_model_text
+from equichern.pairing import zero_op_s1
+from equichern.polyeval import full_point
 from equichern.quadrature import (
     DivergenceError,
     gaussian_integral,
     index_character,
     integrate_top_form,
 )
-from equichern.supermatrix import (
-    UnsupportedShapeError,
-    duhamel_paths,
-    exp_divided_difference,
-    super_exp,
-)
+from equichern.supermatrix import UnsupportedShapeError, exp_divided_difference, super_exp
 from conftest import corrupted_moment_model, weighted_plane_uv
 
 
@@ -226,7 +222,7 @@ class TestChernForm:
         for theta in PLAN_THETAS:
             for point in points:
                 got = chern_form(m, theta, point)
-                fnum = equivariant_curvature(m, theta).evaluate(m.full_point(point))
+                fnum = equivariant_curvature(m, theta).evaluate(full_point(m.algebra, point))
                 ref = super_exp(fnum).supertrace()
                 assert got.isclose(ref, 1e-13 * ref.norm_max())
 
@@ -288,7 +284,7 @@ class TestChernForm:
         point = {"u": 0.45 + 0.2j, "v": -0.3 + 0.9j}
         for theta in (0.3, 2 + 1j):
             got = chern_form(m, theta, point)
-            fnum = equivariant_curvature(m, theta).evaluate(m.full_point(point))
+            fnum = equivariant_curvature(m, theta).evaluate(full_point(m.algebra, point))
             ref = super_exp(fnum).supertrace()
             assert got.isclose(ref, 1e-13 * ref.norm_max())
 
@@ -324,7 +320,7 @@ class TestChernForm:
             v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             theta = rng.uniform(0.2, 6.0)
             dense = chern_form(m, theta, {"u": u, "v": v})
-            sym = symbolic_chern(m, theta).evaluate(m.full_point({"u": u, "v": v}))
+            sym = symbolic_chern(m, theta).evaluate(full_point(m.algebra, {"u": u, "v": v}))
             assert dense.isclose(sym, 1e-10 * max(1.0, sym.norm_max()))
 
 
@@ -385,7 +381,7 @@ class TestTransverseChern:
         theta = 2.1
         gf = transverse_chern(m, theta)
         u, v = 0.5 + 0.25j, -0.3j
-        got = gf.evaluate(m.full_point({"u": u, "v": v}))
+        got = gf.evaluate(full_point(m.algebra, {"u": u, "v": v}))
         ref = closed_form_reference(m, u, v, theta).scale(
             1.0 / (1 - cmath.exp(1j * theta)))
         assert got.isclose(ref, 1e-11)
@@ -434,7 +430,7 @@ class TestClosedness:
         bad = corrupted_moment_model()
         theta, pt = 1.3, {"u": 0.45 + 0.2j, "v": -0.3 + 0.9j}
         dense = chern_form(bad, theta, pt)
-        plan = symbolic_chern(bad, theta).evaluate(bad.full_point(pt))
+        plan = symbolic_chern(bad, theta).evaluate(full_point(bad.algebra, pt))
         assert dense.isclose(plan, 1e-12 * max(1.0, plan.norm_max()))
         sound = chern_form(c_plane_uv(), theta, pt).terms  # over another algebra
         assert max(abs(c - sound.get(k, 0)) for k, c in dense.terms.items()) > 1e-3
@@ -472,7 +468,7 @@ class TestInvariants:
         m = c_plane_uv()
         theta = 1.3
         curv = equivariant_curvature(m, theta)
-        pt = m.full_point({"u": 0.4 - 0.1j, "v": 0.2 + 0.3j})
+        pt = full_point(m.algebra, {"u": 0.4 - 0.1j, "v": 0.2 + 0.3j})
         fnum = curv.evaluate(pt)
         g = np.eye(4, dtype=complex)
         g[0, 1], g[1, 0], g[2, 3], g[3, 2] = 0.2, -0.3j, 0.15 + 0.1j, 0.4
@@ -486,7 +482,7 @@ class TestInvariants:
     def test_top_coefficient_pole_order(self):
         # (i theta)^2 times the top coefficient converges as theta -> 0
         m = c_plane_uv()
-        pt = m.full_point({"u": 0.0, "v": 0.0})
+        pt = full_point(m.algebra, {"u": 0.0, "v": 0.0})
         vals = []
         for k in range(7):
             theta = 0.01 * 2.0**-k
@@ -596,7 +592,7 @@ class TestChernPlan:
     def test_forms_match_per_theta_route(self, make):
         m = make()
         plan = chern_plan(m)
-        pt = m.full_point(PLAN_POINTS[make.__name__])
+        pt = full_point(m.algebra, PLAN_POINTS[make.__name__])
         for theta in PLAN_THETAS:
             got = plan.evaluate(theta)
             ref = per_theta_chern(m, theta)
@@ -668,7 +664,7 @@ def test_compiled_curvature_matches_poly_evaluation(make, rng):
         for _ in range(3):
             point = {c.name: complex(*rng.uniform(-1.5, 1.5, 2)) if c.kind == "complex"
                      else rng.uniform(-3, 3) for c in m.coordinates_meta}
-            point = m.full_point(point)
+            point = full_point(m.algebra, point)
             got = curv.layout.unblock(curv.at(theta, point))
             ref = equivariant_curvature(m, theta).evaluate(point).to_array()
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -697,7 +693,7 @@ def test_dense_route_matches_the_chern_plan():
     def check(m, theta, u, v):
         point = {"u": u, "v": v}
         dense = chern_form(m, theta, point)
-        plan = symbolic_chern(m, theta).evaluate(m.full_point(point))
+        plan = symbolic_chern(m, theta).evaluate(full_point(m.algebra, point))
         # the drawn examples differ by at most 9.3e-14 relative (weight 4)
         assert dense.isclose(plan, 1e-12 * max(1.0, plan.norm_max()))
 

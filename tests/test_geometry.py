@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from equichern import geometry, scan
+from equichern import scan
+from equichern.augmentation import c_plane_uv
 from equichern.exterior import NUMERIC, SYMBOLIC, EvaluationError, Poly
 from equichern.geometry import (
     ActionModel,
@@ -15,17 +16,13 @@ from equichern.geometry import (
     UnsupportedShapeError,
     augmented_symbol,
     builtin_model,
-    c_plane,
-    c_plane_uv,
-    clifford_multiplication,
-    homotopy_path,
-    infinitesimal_generator,
-    orbital_projection,
-    zero_op_s1,
 )
-from equichern.kernels import CompiledPolys
+from equichern.homotopy import c_plane, clifford_multiplication, homotopy_path
 from equichern.modelfile import builtin_model_text, parse_model_text
+from equichern.pairing import zero_op_s1
+from equichern.polyeval import CompiledPolys, full_point
 from equichern.scan import ScanGrid, block_singular_values, ellipticity_scan, gaussian_draws
+from equichern.symbolalg import infinitesimal_generator, orbital_projection, phi_poly
 from conftest import eval_grid, odd_symbol_model, term_scale, weighted_plane_uv
 
 try:
@@ -105,18 +102,18 @@ class TestOrbitalProjection:
             "z  complex weight=1", "z  complex weight=2"))],
         ids=["c-plane", "c-plane-uv", "base-weight-2"])
     def test_symbolic_route_and_array_calls_agree(self, rng, build):
-        # _phi_polys (the augmentation's phi) and orbital_projection are the
+        # phi_poly (the augmentation's phi) and orbital_projection are the
         # two routes to phi; an array call is its scalar calls elementwise
         m = build()
-        phi_poly = geometry._phi_polys(m)
+        symbolic = phi_poly(m)
         x = rng.standard_normal(25) + 1j * rng.standard_normal(25)
         xi = rng.standard_normal(25) + 1j * rng.standard_normal(25)
         rho, phi = infinitesimal_generator(m, x), orbital_projection(m, x, xi)
         for k in range(25):
             assert infinitesimal_generator(m, x[k]) == rho[k]
             assert orbital_projection(m, x[k], xi[k]) == phi[k]
-            point = m.full_point({m.base.name: x[k], m.fiber.name: xi[k]})
-            assert abs(phi_poly.evaluate(point) - phi[k]) <= 1e-13 * abs(phi[k])
+            point = full_point(m.algebra, {m.base.name: x[k], m.fiber.name: xi[k]})
+            assert abs(symbolic.evaluate(point) - phi[k]) <= 1e-13 * abs(phi[k])
 
 
 @needs_hypothesis
@@ -135,8 +132,8 @@ def test_compiled_phi_matches_orbital_projection():
     def check(m, points):
         model = weighted_plane_uv(m)
         u, v = (np.array(c) for c in zip(*points))
-        compiled = CompiledPolys(model.algebra, [geometry._phi_polys(model)])
-        got = compiled.entries(model.full_point({"u": u, "v": v}))[0]
+        compiled = CompiledPolys(model.algebra, [phi_poly(model)])
+        got = compiled.entries(full_point(model.algebra, {"u": u, "v": v}))[0]
         want = orbital_projection(model, u, v)
         assert np.all(np.abs(got - want) <= 1e-14 * (m * np.abs(u)) ** 2 * np.abs(v))
 
@@ -198,7 +195,7 @@ class TestAugmentedSymbol:
         for _ in range(10):
             z = complex(rng.standard_normal(), rng.standard_normal())
             xi = complex(rng.standard_normal(), rng.standard_normal())
-            vals = entry_values(aug, m.full_point({"z": z, "xi": xi}))
+            vals = entry_values(aug, full_point(m.algebra, {"z": z, "xi": xi}))
             assert np.abs(vals - reference_augmented(z, xi)).max() < 1e-12
 
     def test_zero_symbol_zero_projection(self):
@@ -223,10 +220,10 @@ class TestAugmentedSymbol:
             xi = t * z  # real multiples of z are orthogonal to the orbit
             phi = orbital_projection(m, z, xi)
             assert abs(phi) < 1e-13
-            vals = entry_values(aug, m.full_point({"z": z, "xi": xi}))
+            vals = entry_values(aug, full_point(m.algebra, {"z": z, "xi": xi}))
             for i, j in ((0, 2), (1, 3), (2, 0), (3, 1)):
                 assert abs(vals[i, j]) < 1e-13
-            sig = entry_values(m.symbol, m.full_point({"z": z, "xi": xi}))
+            sig = entry_values(m.symbol, full_point(m.algebra, {"z": z, "xi": xi}))
             assert abs(vals[3, 0] - sig[1, 0]) < 1e-13
             assert abs(vals[0, 3] - sig[0, 1]) < 1e-13
 
@@ -454,6 +451,21 @@ class TestBlockSingularValues:
         _, smax, smin = block_singular_values(x[:, 0, 0], x[:, 0, 1], x[:, 1, 0], x[:, 1, 1])
         assert np.all(np.abs(smin - ref_min) <= 1e-13 * ref_min)
 
+    @pytest.mark.parametrize("block", [[[1e-170, 2e-170], [3e-170, -1e-170j]],
+                                       [[1e160, 2e160], [3e160, 1e160]]],
+                             ids=["tiny", "huge"])
+    def test_entries_whose_squares_under_or_overflow(self, block):
+        # the closed form squares the entries; each block is scaled first, so
+        # its singular values come out as svd's, and |det| (6e-340, 5e320)
+        # rounds to the nearest double: 0 and inf
+        x = np.array(block, dtype=complex)
+        with np.errstate(over="ignore"):
+            det, smax, smin = block_singular_values(x[0, 0], x[0, 1], x[1, 0], x[1, 1])
+        ref = np.linalg.svd(x, compute_uv=False)
+        assert abs(smax - ref[0]) <= 1e-14 * ref[0]
+        assert abs(smin - ref[1]) <= 1e-14 * ref[0]
+        assert det == (math.inf if ref[0] > 1 else 0.0)
+
     def test_rank_deficient_blocks(self, rng):
         n = 500
         u = random_complex(rng, (n, 2, 1))
@@ -558,8 +570,10 @@ class TestBlockSingularValues:
 def test_block_singular_values_match_svd_on_drawn_blocks():
     """Drawn 2x2 blocks, rank-deficient and with near-equal singular values among them.
 
-    Entries are 0 or at least 1e-3 in size before a common scale, so that no
-    square underflows (the closed form squares the entries, svd does not).
+    Entries are 0 or at least 1e-3 in size before a common scale from 1e-200
+    to 1e200, so at both ends the squares of the entries under- or overflow
+    while the singular values do not.  |det| is compared where it and its
+    tolerance are doubles, for sigma_max between 1e-150 and 1e150.
     """
     part = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
     entry = st.builds(complex, part, part)
@@ -573,14 +587,21 @@ def test_block_singular_values_match_svd_on_drawn_blocks():
                    * np.array([[d[0][0], d[0][1]], [-np.conj(d[0][1]), np.conj(d[0][0])]])
                    + 1e-10 * d[2]))
     block = st.tuples(st.one_of(general, rank_one, near_equal),
-                      st.sampled_from([1e-5, 1e-2, 1.0, 1e2, 1e5])).map(lambda b: b[0] * b[1])
+                      st.sampled_from([1e-200, 1e-100, 1e-5, 1e-2, 1.0, 1e2, 1e5, 1e100,
+                                       1e200])).map(lambda b: b[0] * b[1])
 
     @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.lists(block, min_size=1, max_size=8))
     def check(blocks):
         x = np.array(blocks)
-        got = block_singular_values(x[:, 0, 0], x[:, 0, 1], x[:, 1, 0], x[:, 1, 1])
-        assert_matches_svd(got, x)
+        with np.errstate(over="ignore"):  # |det| of the largest blocks is no double
+            dets, smax, smin = block_singular_values(x[:, 0, 0], x[:, 0, 1],
+                                                     x[:, 1, 0], x[:, 1, 1])
+        svals = np.linalg.svd(x, compute_uv=False)
+        assert np.all(np.abs(smax - svals[:, 0]) <= 1e-13 * svals[:, 0])
+        assert np.all(np.abs(smin - svals[:, 1]) <= 1e-13 * svals[:, 0])
+        mid = (svals[:, 0] > 1e-150) & (svals[:, 0] < 1e150)
+        assert_matches_svd((dets[mid], smax[mid], smin[mid]), x[mid])
 
     check()
 
@@ -676,7 +697,7 @@ class TestHomotopy:
         for _ in range(5):
             z = complex(rng.standard_normal(), rng.standard_normal())
             xi = complex(rng.standard_normal(), rng.standard_normal())
-            vals = entry_values(sq, m.full_point({"z": z, "xi": xi}))
+            vals = entry_values(sq, full_point(m.algebra, {"z": z, "xi": xi}))
             scalar = abs(z + 1j * xi) ** 2 + abs(1j * z + xi) ** 2
             assert np.abs(vals - scalar * np.eye(4)).max() < 1e-12
 
@@ -743,12 +764,18 @@ class TestModelValidation:
         assert m.odd_term.entries == ref.entries
 
     def test_builtin_lookup(self):
-        assert builtin_model("c-plane").name == "c-plane"
+        # each name builds its model with the builder of the module it loads
+        for name, build in (("c-plane", c_plane), ("c-plane-uv", c_plane_uv),
+                            ("zero-op", zero_op_s1)):
+            model = builtin_model(name)
+            assert model.name == name
+            # forms over different algebras never compare equal: compare their terms
+            assert repr(model.odd_term.entries) == repr(build().odd_term.entries)
         with pytest.raises(KeyError):
             builtin_model("bogus")
 
     def test_full_point_adds_conjugates(self):
         m = c_plane()
-        pt = m.full_point({"z": 1 + 2j, "xi": 3.0})
+        pt = full_point(m.algebra, {"z": 1 + 2j, "xi": 3.0})
         assert pt["zbar"] == 1 - 2j
         assert pt["xibar"] == 3.0

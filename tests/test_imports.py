@@ -2,10 +2,14 @@
 
 The budget tests run each entry point in a fresh interpreter and read
 ``sys.modules`` afterwards; they time nothing.  A module left out of a budget
-is one that start-up neither compiles nor executes.
+is one that start-up neither compiles nor executes.  The code-line budgets
+count, with ``tools/code_lines.py``, the lines of the ``equichern`` modules
+an entry point loads, which is the source it compiles when no bytecode is
+cached.
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -18,9 +22,10 @@ import equichern
 
 SRC = Path(equichern.__file__).resolve().parents[1]
 PLANE_MODEL = SRC / "equichern" / "models" / "c_plane.model"
-ENGINE = {f"equichern.{m}" for m in ("characters", "equivariant", "exterior", "geometry",
-                                     "kernels", "modelfile", "pairing", "quadrature", "scan",
-                                     "supermatrix", "symbolalg")}
+ENGINE = {f"equichern.{m}" for m in ("augmentation", "characters", "equivariant", "exterior",
+                                     "geometry", "homotopy", "kernels", "modelfile", "pairing",
+                                     "polyeval", "quadrature", "scan", "supermatrix",
+                                     "symbolalg")}
 # Modules no engine entry point loads: the engine's records are not generated
 # by dataclasses, and its Gauss-Legendre rule needs no numpy.polynomial.
 NOT_LOADED = {"dataclasses", "numpy.polynomial"}
@@ -59,11 +64,13 @@ def test_report_loads_no_engine_and_no_numpy(tmp_path):
 
 # run-example name -> (engine modules it loads, modules it does not)
 EXAMPLE_MODULES = {
-    "c-plane": ({"equichern.quadrature", "equichern.characters"},
-                {"equichern.scan", "equichern.pairing", "equichern.kernels", "numpy"}),
+    "c-plane": ({"equichern.quadrature", "equichern.characters", "equichern.augmentation"},
+                {"equichern.scan", "equichern.pairing", "equichern.kernels",
+                 "equichern.polyeval", "equichern.homotopy", "equichern.report", "numpy"}),
     "zero-op": ({"equichern.pairing"},
                 {"equichern.scan", "equichern.characters", "equichern.quadrature",
-                 "equichern.kernels", "numpy"}),
+                 "equichern.kernels", "equichern.polyeval", "equichern.augmentation",
+                 "equichern.homotopy", "equichern.report", "numpy"}),
 }
 
 
@@ -83,11 +90,12 @@ def test_check_symbol_loads_no_quadrature_or_numpy_random(tmp_path):
                              "--scan-samples", "100", "--out-dir", str(tmp_path))
     assert {"equichern.modelfile", "equichern.scan", "equichern.symbolalg"} <= modules
     assert not modules & {"equichern.quadrature", "equichern.pairing", "equichern.characters",
-                          "equichern.equivariant", "numpy.random", *NOT_LOADED}
+                          "equichern.equivariant", "equichern.kernels", "equichern.homotopy",
+                          "equichern.report", "numpy.random", *NOT_LOADED}
 
 
-NUMPY_FREE = ("characters", "equivariant", "exterior", "geometry", "pairing", "quadrature",
-              "supermatrix")
+NUMPY_FREE = ("augmentation", "characters", "equivariant", "exterior", "geometry", "homotopy",
+              "pairing", "quadrature", "supermatrix")
 
 
 @pytest.mark.parametrize("script", [
@@ -120,7 +128,38 @@ def test_dense_route_loads_no_quadrature_or_model_parser():
                              "from equichern.geometry import builtin_model")
     assert not modules & {"equichern.quadrature", "equichern.pairing", "equichern.scan",
                           "equichern.characters", "equichern.modelfile",
-                          "equichern.symbolalg", *NOT_LOADED}
+                          "equichern.symbolalg", "equichern.homotopy", *NOT_LOADED}
+
+
+spec = importlib.util.spec_from_file_location("code_lines", SRC.parent / "tools" / "code_lines.py")
+code_lines = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(code_lines)
+
+DENSE_OP = ("from equichern.equivariant import chern_form\n"
+            "from equichern.geometry import builtin_model\n"
+            "chern_form(builtin_model('c-plane-uv'), 0.3, {'u': 0.1 + 0.2j, 'v': 0.3})")
+
+# entry point -> (script, its arguments, most code lines of equichern modules it
+# may load): the values each reached when every command came to compile only
+# its own code, so code put back on a command path fails here
+CODE_LINE_BUDGETS = {
+    "run-example zero-op": (CLI_RUN, ("run-example", "zero-op"), 1135),
+    "run-example c-plane": (CLI_RUN, ("run-example", "c-plane"), 1261),
+    "check-symbol": (CLI_RUN, ("check-symbol", str(PLANE_MODEL)), 1697),
+    "dense": (DENSE_OP, (), 1114),
+    "import equichern.cli": ("import equichern.cli", (), 143),
+}
+
+
+@pytest.mark.parametrize("entry", CODE_LINE_BUDGETS)
+def test_loaded_code_lines_stay_within_budget(tmp_path, entry):
+    script, argv, budget = CODE_LINE_BUDGETS[entry]
+    if argv:
+        argv = (*argv, "--out-dir", str(tmp_path))
+    modules = {m for m in loaded_modules(script, *argv) if m.split(".")[0] == "equichern"}
+    paths = [SRC / "equichern" / f"{m.partition('.')[2] or '__init__'}.py" for m in modules]
+    total = sum(code_lines.code_lines(p.read_text(encoding="utf-8")) for p in paths)
+    assert total <= budget, f"{entry} loads {total} code lines, above its budget {budget}"
 
 
 @pytest.mark.parametrize("module, name, home", [
@@ -149,7 +188,7 @@ PUBLIC_NAMES = [
     "builtin_model", "bundle_character", "c_plane", "c_plane_uv", "cartan_field",
     "chern_form", "clifford_multiplication", "closedness_residual", "condition_c_fit",
     "delta_pairing", "ellipticity_scan", "equivariant_curvature",
-    "exp_divided_difference", "graded_commutator", "homotopy_path", "index_character",
+    "exp_divided_difference", "homotopy_path", "index_character",
     "infinitesimal_generator", "integrate_top_form", "localized_index", "moment",
     "orbital_projection", "parse_model_file", "parse_model_text",
     "restriction_decay_check", "richardson_extrapolate", "super_exp",

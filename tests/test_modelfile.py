@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from equichern.geometry import augmented_symbol, c_plane
+from equichern.geometry import augmented_symbol
+from equichern.homotopy import c_plane
 from equichern.modelfile import (
     MAX_EXPONENT,
     MAX_NESTING,
@@ -12,6 +13,7 @@ from equichern.modelfile import (
     parse_model_text,
     parse_polynomial,
 )
+from equichern.polyeval import full_point
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +54,7 @@ class TestModelFiles:
         assert parsed_plane.bundle_script_e.weights == built.bundle_script_e.weights
         # symbol matrices agree entrywise (value comparison: the parsed model
         # carries its own algebra instance)
-        pt = parsed_plane.full_point({"z": 0.3 + 1j, "xi": -0.4j})
+        pt = full_point(parsed_plane.algebra, {"z": 0.3 + 1j, "xi": -0.4j})
         for i in range(2):
             for j in range(2):
                 a = parsed_plane.symbol.entries[i][j].evaluate(pt)

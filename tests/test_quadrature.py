@@ -6,7 +6,8 @@ import statistics
 import numpy as np
 import pytest
 
-from equichern import geometry, pairing, quadrature
+from equichern import augmentation, geometry, pairing, quadrature
+from equichern.augmentation import c_plane_uv
 from equichern.characters import ahat_squared, integrality_report, series_to_csv
 from equichern.equivariant import PoleGuardError, chern_plan, transverse_chern, w_character
 from equichern.exterior import SYMBOLIC, Poly
@@ -16,12 +17,10 @@ from equichern.geometry import (
     ActionModel,
     BundleSpec,
     Coordinate,
-    c_plane,
-    c_plane_uv,
     orientation_sign,
     oriented_volume_coefficient,
-    zero_op_s1,
 )
+from equichern.homotopy import c_plane
 from equichern.pairing import (
     TEST_FUNCTIONS,
     delta_pairing,
@@ -29,6 +28,7 @@ from equichern.pairing import (
     gaussian_test,
     richardson_extrapolate,
     shifted_gaussian_test,
+    zero_op_s1,
 )
 from equichern.quadrature import (
     AliasError,
@@ -174,7 +174,7 @@ def plane_uv_with_w(even, odd):
     alg = m.algebra
     zero = alg.zero(SYMBOLIC)
     m.set_symbol([[zero, alg.scalar(alg.coord("ubar"))], [alg.scalar(alg.coord("u")), zero]])
-    m.set_odd_term(geometry._augmented_from_cliff_arg(m, alg.coord("v")).scale(1j))
+    m.set_odd_term(augmentation.augment_by_clifford(m, alg.coord("v")).scale(1j))
     return m
 
 

@@ -4,23 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from equichern.augmentation import c_plane_uv
 from equichern.exterior import NUMERIC, SYMBOLIC, BackendError, ExteriorAlgebra, Form
-from equichern.geometry import c_plane_uv
-from equichern.kernels import _array_norm, block_layout
+from equichern.kernels import _array_norm, block_layout, super_exp_duhamel, taylor_parameters
+from equichern.polyeval import full_point
 from equichern.supermatrix import (
     EVEN,
     ODD,
     ConvergenceError,
-    Grading,
     ShapeError,
     SuperMatrix,
     UnsupportedShapeError,
     exp_divided_difference,
-    graded_commutator,
     super_exp,
-    super_exp_duhamel,
-    taylor_parameters,
 )
+from conftest import Grading, graded_commutator
 
 
 
@@ -55,7 +53,7 @@ class TestProduct:
         # the constant-coefficient 4x4 endpoint squares to (|u|^2+|v|^2) I
         model = c_plane_uv()
         ltilde = model.odd_term.scale(-1j)
-        sq = (ltilde @ ltilde).evaluate(model.full_point({"u": 1.0, "v": 1j}))
+        sq = (ltilde @ ltilde).evaluate(full_point(model.algebra, {"u": 1.0, "v": 1j}))
         eye = SuperMatrix.identity(model.algebra, ltilde.grading, NUMERIC)
         assert sq.isclose(eye.scale(2.0), 1e-12)
 
@@ -150,7 +148,7 @@ class TestSuperExp:
 
         model = c_plane_uv()
         curv = equivariant_curvature(model, cmath.pi)
-        fnum = curv.evaluate(model.full_point({"u": 0.0, "v": 0.0}))
+        fnum = curv.evaluate(full_point(model.algebra, {"u": 0.0, "v": 0.0}))
         a = super_exp(fnum, tol=1e-14)
         b = super_exp_duhamel(fnum)
         assert a.isclose(b, 1e-10)
@@ -460,7 +458,7 @@ class TestDuhamel:
             v = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             theta = rng.uniform(0.3, 5.9)
             curv = equivariant_curvature(model, theta)
-            fnum = curv.evaluate(model.full_point({"u": u, "v": v}))
+            fnum = curv.evaluate(full_point(model.algebra, {"u": u, "v": v}))
             st = super_exp_duhamel(fnum).supertrace()
             it = 1j * theta
             fac = (1 - cmath.exp(1j * theta)) ** 2

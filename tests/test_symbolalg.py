@@ -4,20 +4,27 @@ import io
 import numpy as np
 import pytest
 
-from conftest import REAL_FIBER_MODEL, eval_grid, odd_symbol_model, term_scale
+from conftest import (
+    REAL_FIBER_MODEL,
+    constant_in_xi_symbol,
+    eval_grid,
+    odd_symbol_model,
+    saturating_symbol,
+    term_scale,
+)
 from equichern import scan
 from equichern.cli import main
+from equichern.exterior import SYMBOLIC
 from equichern.geometry import (
-    SYMBOLIC,
     ActionModel,
     BundleSpec,
     Coordinate,
     UnsupportedShapeError,
     augmented_symbol,
-    c_plane,
-    zero_op_s1,
 )
+from equichern.homotopy import c_plane
 from equichern.modelfile import builtin_model_text, parse_model_text
+from equichern.pairing import zero_op_s1
 from equichern.scan import ScanGrid, ellipticity_scan
 from equichern.symbolalg import (
     N_RADII,
@@ -26,10 +33,8 @@ from equichern.symbolalg import (
     SymbolFunction,
     bump,
     condition_c_fit,
-    constant_in_xi_symbol,
     normalized_remainder_symbol,
     restriction_decay_check,
-    saturating_symbol,
     transversal_ellipticity_check,
 )
 
