@@ -5,15 +5,19 @@ A model stores the equivariant curvature of its superconnection as the pair
 iota_zeta(1) A, for the odd term A stored multiplied by i).  This module
 takes the grading-signed trace of its exponential (the Chern form) and
 divides by the Clifford-model bundle character (the transverse Chern form).
-Pointwise, the dense exponential of the curvature evaluates it (numpy,
-through `equichern.kernels`, which compiles the pair on first use and
-memoises it on the pair; the model stores nothing compiled); symbolically,
-chern_plan compiles it once per model as the shared Gaussian exponent times
-closed soul-path forms weighted by divided differences of exp, grouped by
-their nodes, so only those scalar weights are computed per theta, in plain
-Python.  The soul-path walk (`duhamel_paths`, over the split of
+The Chern plan (`chern_plan`, `curvature_plan`) compiles it once per
+curvature as the shared Gaussian exponent times closed soul-path forms
+weighted by divided differences of exp, grouped by their nodes, so only
+those scalar weights are computed per theta, in plain Python.  One plan
+serves all three Chern uses: the index numerator and the delta pairing
+contract it, and `chern_form` reads it at a point through
+`equichern.pointwise` (numpy, loaded on the first call, which compiles the
+plan once per pair and keeps the latest theta's weights; the model stores
+nothing compiled), falling back to the dense Taylor exponential of
+`equichern.kernels` for a pair the plan refuses or a theta whose nodes
+spread too far.  The soul-path walk (`duhamel_paths`, over the split of
 `diagonal_body`) is this module's; the Duhamel exponential of
-`equichern.kernels`, the oracle of the dense route, walks it too.  That
+`equichern.kernels`, the oracle of the Taylor route, walks it too.  That
 module also holds `closedness_residual`, which no command runs.
 """
 
@@ -22,7 +26,7 @@ from __future__ import annotations
 import cmath
 from typing import Mapping, NamedTuple, Sequence
 
-from .exterior import NUMERIC, SYMBOLIC, Form, Poly
+from .exterior import SYMBOLIC, Form, Poly
 from .geometry import ActionModel
 from .supermatrix import SuperMatrix, UnsupportedShapeError, exp_divided_difference
 
@@ -181,21 +185,29 @@ class ChernPlan(NamedTuple):
         """Every group's theta-power forms, in the order ``contract`` reads its values."""
         return [f for _, forms in self.groups for f in forms]
 
-    def contract(self, values, thetas, start=0) -> list:
-        """sum_f values[f] w_f(theta) at every theta, one value (number or form) per form.
+    def weights(self, thetas) -> list[list]:
+        """The weight w_f(theta) of every form at every theta, form by form.
 
-        The weight w_f of the form forms_g[p] is theta^p times the group's
-        divided difference of exp; the sum runs form by form from ``start``.
+        The weight of the form forms_g[p] is theta^p times the group's
+        divided difference of exp at its nodes (one call per group).
         """
-        totals = [start] * len(thetas)
-        values = iter(values)
+        out = []
         for nodes, forms in self.groups:
             if any(o1 for _, o1 in nodes):
                 dd = exp_divided_difference([[o0 + o1 * t for t in thetas] for o0, o1 in nodes])
             else:  # nodes that do not move with theta: one divided difference for all
                 dd = [exp_divided_difference([o0 for o0, _ in nodes])] * len(thetas)
-            for p, value in zip(range(len(forms)), values):
-                totals = [s + value * (x * t**p) for s, x, t in zip(totals, dd, thetas)]
+            out += [[x * t**p for x, t in zip(dd, thetas)] for p in range(len(forms))]
+        return out
+
+    def contract(self, values, thetas, start=0) -> list:
+        """sum_f values[f] w_f(theta) at every theta, one value (number or form) per form.
+
+        The sum runs form by form from ``start``, over the ``weights``.
+        """
+        totals = [start] * len(thetas)
+        for value, ws in zip(values, self.weights(thetas)):
+            totals = [s + value * w for s, w in zip(totals, ws)]
         return totals
 
     def evaluate(self, theta: complex) -> GaussianForm:
@@ -214,7 +226,16 @@ def chern_plan(model: ActionModel) -> ChernPlan:
     ``model.curvature``, so a model without an odd term raises
     UnsupportedShapeError.
     """
-    f0, f1 = _curvature(model)
+    return curvature_plan(_curvature(model))
+
+
+def curvature_plan(pair: tuple[SuperMatrix, SuperMatrix]) -> ChernPlan:
+    """The Chern plan of a curvature pair (F0, F1), as `chern_plan` builds it.
+
+    Raises UnsupportedShapeError when F0 or F1 does not split as
+    `split_body` requires.
+    """
+    f0, f1 = pair
     shared0, offsets0, soul0 = split_body(f0)
     shared1, offsets1, soul1 = split_body(f1)
     nodes = list(zip(offsets0, offsets1))
@@ -234,7 +255,7 @@ def chern_plan(model: ActionModel) -> ChernPlan:
                 acc.append(f)
 
     for i in range(f0.dim):
-        add((nodes[i],), grading.sign(i), [model.algebra.one()])
+        add((nodes[i],), grading.sign(i), [f0.algebra.one()])
     for i, j, product, path_nodes in duhamel_paths([soul0, soul1], nodes):
         if i == j:
             add(path_nodes, grading.sign(i), product)
@@ -254,21 +275,24 @@ def symbolic_chern(model: ActionModel, theta: complex) -> GaussianForm:
 
 
 def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex]) -> Form:
-    """Pointwise Chern form: supertrace of the dense exponential of the curvature.
+    """Pointwise Chern form: the supertrace of exp(F0 + theta F1) at one point.
 
-    The curvature pair, compiled once (`kernels.dense_curvature`), gives the
-    blocked component array of F0 + theta F1 at the point in one product;
-    its exponential is traced with the grading signs.  It is entire in
-    theta: unlike the transverse form, it has no poles at 2 pi Z.
+    `equichern.pointwise` evaluates it, where only this route loads it: from
+    the model's Chern plan, compiled once per curvature pair into one
+    polynomial table whose weights theta^p Delta[nodes(theta)]exp are kept
+    for the latest theta, so a point is one table evaluation, one dot product
+    and one exponential; or, for a pair the plan refuses (`split_body`) and
+    for a theta whose divided-difference nodes spread past
+    `pointwise.SPREAD_MAX` = ln(TAYLOR_TOL 2^53), about 9.1, where the
+    series would lose digits, from the dense Taylor exponential of the
+    compiled curvature (`kernels.dense_curvature`, `taylor_exp_blocked`).
+    A non-finite
+    theta or point value raises ValueError.  The form is entire in theta:
+    unlike the transverse form, it has no poles at 2 pi Z.
     """
-    from .kernels import dense_curvature, taylor_exp_blocked
-    from .polyeval import full_point
+    from .pointwise import pointwise_chern
 
-    curv = dense_curvature(_curvature(model))
-    expf = taylor_exp_blocked(curv.at(theta, full_point(model.algebra, point)),
-                              curv.layout)
-    values = curv.layout.supertrace(expf)
-    return Form(model.algebra, NUMERIC, dict(zip(curv.layout.trace_masks, values)))
+    return pointwise_chern(model.algebra, _curvature(model), theta, point)
 
 
 def w_character(model: ActionModel, theta: complex) -> complex:

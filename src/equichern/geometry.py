@@ -153,8 +153,10 @@ class ActionModel:
         The equivariant curvature is affine in theta,
         F(theta) = F0 + theta F1 with F0 = dA + A^2 and
         F1 = mu(1) - iota_zeta(1) A, so ``curvature`` holds the pair (F0, F1),
-        symbolic supermatrices; nothing is compiled here (the dense route
-        compiles the pair where it evaluates it, `kernels.dense_curvature`).
+        symbolic supermatrices; nothing is compiled here (the pointwise
+        Chern form compiles the pair where it evaluates it: its Chern plan in
+        `pointwise.plan_table`, or, on the Taylor side,
+        `kernels.dense_curvature`).
         """
         mat = rows if isinstance(rows, SuperMatrix) else SuperMatrix(
             self.algebra, self.bundle_script_e.grading(), rows)

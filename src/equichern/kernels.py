@@ -4,16 +4,18 @@
 grading blocks and carries the products and traces that read them;
 `dense_curvature` compiles a symbolic pair M0 + t M1 into one
 `polyeval.CompiledPolys` table in that layout, an `AffineArray`, memoised on
-the pair, so the dense Chern route compiles a model's curvature where it
-evaluates it and the model carries no compiled state.  `taylor_exp_blocked`
-is the dense exponential of the pointwise route: the trace shift, then
+the pair, so the Taylor side of the pointwise Chern form compiles a model's
+curvature where it evaluates it and the model carries no compiled state.
+`taylor_exp_blocked` is that side's dense exponential: the trace shift, then
 scaling-and-squaring of a truncated Taylor sum (`taylor_parameters`) with the
 wedge as a block-diagonal right-multiplication operator.  The module also
 holds the component array of a supermatrix and the two independent checks of
 the pointwise Chern form: `super_exp_duhamel`, the Duhamel exponential that
-is the oracle of the Taylor route, and `closedness_residual`.  Only the dense
-route (`equivariant.chern_form`, `supermatrix.super_exp`) and the tests load
-it; no command does.
+is the oracle of the Taylor route, and `closedness_residual`.  Only the
+Taylor side of `equivariant.chern_form` (`pointwise.pointwise_chern`, for a
+curvature pair the Chern plan refuses or a theta past
+`pointwise.SPREAD_MAX`), `supermatrix.super_exp` and the tests load it; no
+command does, and neither does a Chern form the plan evaluates.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import cmath
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from equichern.equivariant import (
     transverse_chern,
     w_character,
 )
-from equichern.exterior import NUMERIC, SYMBOLIC, EvaluationError
+from equichern.exterior import NUMERIC, SYMBOLIC, EvaluationError, Form
 from equichern.geometry import (
     ActionModel,
     BundleSpec,
@@ -33,9 +34,10 @@ from equichern.geometry import (
     oriented_volume_coefficient,
 )
 from equichern.homotopy import c_plane
-from equichern.kernels import closedness_residual, dense_curvature
+from equichern.kernels import closedness_residual, dense_curvature, taylor_exp_blocked
 from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.pairing import zero_op_s1
+from equichern.pointwise import SPREAD_MAX, node_spread, plan_table
 from equichern.polyeval import full_point
 from equichern.quadrature import (
     DivergenceError,
@@ -550,11 +552,11 @@ PLAN_POINTS = {
 
 
 def plan_weights(plan, thetas):
-    """The replaced ``ChernPlan.weights``: a row per form, a column per theta.
+    """The weight formula written out: a row per form, a column per theta.
 
     Row f holds theta^p times the divided difference of exp at its group's
-    nodes, for the form forms_g[p]; ``ChernPlan.contract`` sums the values
-    against these rows.
+    nodes, for the form forms_g[p]; ``ChernPlan.weights`` must give these
+    rows, and ``ChernPlan.contract`` sums the values against them.
     """
     rows = []
     for nodes, forms in plan.groups:
@@ -576,6 +578,7 @@ class TestChernPlan:
         thetas = list(PLAN_THETAS)
         rows = plan_weights(plan, thetas)
         assert len(rows) == len(plan.forms)
+        assert plan.weights(thetas) == rows
         numbers = [complex(*rng.standard_normal(2)) for _ in plan.forms]
         assert plan.contract(numbers, thetas) == [
             sum(v * w for v, w in zip(numbers, column)) for column in zip(*rows)]
@@ -677,12 +680,23 @@ except ImportError:  # declared in the test extra, but skip where it is absent
     hypothesis = None
 
 
-@pytest.mark.skipif(hypothesis is None, reason="hypothesis is not installed")
-def test_dense_route_matches_the_chern_plan():
-    """Drawn weights, angles and points: the dense Taylor route against the plan.
+def taylor_route(model, theta, point):
+    """The supertrace of the dense Taylor exponential of the curvature at a point."""
+    fnum = equivariant_curvature(model, theta).evaluate(full_point(model.algebra, point))
+    return super_exp(fnum).supertrace()
 
-    Models are `weighted_plane_uv(m)` for m in +-1..+-4 and the theta-dependent
-    soul of `sloped_soul_model`; both routes are entire in theta.
+
+@pytest.mark.skipif(hypothesis is None, reason="hypothesis is not installed")
+def test_chern_form_matches_the_taylor_route():
+    """Drawn weights, angles and points: `chern_form` against the Taylor route.
+
+    `chern_form` reads the Chern plan wherever the nodes' spread allows, so
+    its oracle is `super_exp` of the curvature evaluated at the point.  Models
+    are `weighted_plane_uv(m)` for m in +-1..+-4 and the theta-dependent soul
+    of `sloped_soul_model`; both routes are entire in theta.  The explicit
+    examples sit on both sides of `pointwise.SPREAD_MAX`: without the choice
+    of side, c-plane-uv at theta 20 is 5.8e-13 off, at 100 it raises
+    ConvergenceError, and weight 4 at theta 6 is 1e-11 off.
     """
     coordinate = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
 
@@ -690,11 +704,114 @@ def test_dense_route_matches_the_chern_plan():
     @hypothesis.given(st.one_of(st.integers(-4, -1), st.integers(1, 4)).map(weighted_plane_uv),
                       st.floats(-7, 7), coordinate, coordinate)
     @hypothesis.example(sloped_soul_model(), 1.3, 0.45 + 0.2j, -0.3 + 0.9j)
+    @hypothesis.example(c_plane_uv(), 20.0, 0.1 + 0j, 0.1j)
+    @hypothesis.example(c_plane_uv(), 100.0, -1.1 + 0.4j, 0.7 - 1.6j)
+    @hypothesis.example(weighted_plane_uv(4), 6.0, 0.45 + 0.2j, -0.3 + 0.9j)
     def check(m, theta, u, v):
         point = {"u": u, "v": v}
-        dense = chern_form(m, theta, point)
-        plan = symbolic_chern(m, theta).evaluate(full_point(m.algebra, point))
-        # the drawn examples differ by at most 9.3e-14 relative (weight 4)
-        assert dense.isclose(plan, 1e-12 * max(1.0, plan.norm_max()))
+        got = chern_form(m, theta, point)
+        ref = taylor_route(m, theta, point)
+        assert got.isclose(ref, 1e-12 * max(1.0, ref.norm_max()))
 
     check()
+
+
+POINT_UV = {"u": 0.45 + 0.2j, "v": -0.3 + 0.9j}
+
+
+def taylor_side(model, theta, point):
+    """The compiled Taylor route, as `chern_form` runs it on its Taylor side, written out."""
+    curv = dense_curvature(model.curvature)
+    expf = taylor_exp_blocked(curv.at(theta, full_point(model.algebra, point)), curv.layout)
+    values = curv.layout.supertrace(expf)
+    return Form(model.algebra, NUMERIC, dict(zip(curv.layout.trace_masks, values)))
+
+
+def non_splitting_model():
+    """c-plane-uv with v du added to odd-term entry (0,1): iota_zeta of it is degree 0."""
+    m = c_plane_uv()
+    rows = [list(row) for row in m.odd_term.entries]
+    rows[0][1] = rows[0][1] + m.algebra.gen("du").scale(m.algebra.coord("v"))
+    m.set_odd_term(SuperMatrix(m.algebra, m.odd_term.grading, rows))
+    return m
+
+
+class TestPointwiseSides:
+    """Which side `chern_form` takes, and what each side returns."""
+
+    @pytest.mark.parametrize("make, theta", [
+        (c_plane_uv, 20.0), (c_plane_uv, 40.0), (c_plane_uv, 100.0), (c_plane_uv, 1000.0),
+        (lambda: weighted_plane_uv(4), 6.0), (lambda: weighted_plane_uv(4), 8.0),
+    ], ids=["uv-20", "uv-40", "uv-100", "uv-1000", "weight-4-6", "weight-4-8"])
+    def test_wide_spreads_match_the_taylor_route(self, make, theta):
+        m = make()
+        got = chern_form(m, theta, POINT_UV)
+        ref = taylor_route(m, theta, POINT_UV)
+        assert all(cmath.isfinite(c) for c in got.terms.values())
+        assert got.isclose(ref, 1e-12 * max(1.0, ref.norm_max()))
+        assert node_spread(chern_plan(m), theta) > SPREAD_MAX
+
+    @pytest.mark.parametrize("make, theta", [
+        (non_splitting_model, 0.3), (non_splitting_model, 2 + 1j),
+        (c_plane_uv, 20.0), (c_plane_uv, 1000.0), (lambda: weighted_plane_uv(4), 6.0),
+    ], ids=["non-splitting-0.3", "non-splitting-complex", "uv-20", "uv-1000", "weight-4-6"])
+    def test_taylor_side_is_the_compiled_taylor_route_bit_for_bit(self, make, theta):
+        m = make()
+        assert chern_form(m, theta, POINT_UV) == taylor_side(m, theta, POINT_UV)
+
+    def test_a_pair_the_plan_refuses_compiles_no_table(self):
+        m = non_splitting_model()
+        with pytest.raises(UnsupportedShapeError, match="outside the diagonal body"):
+            chern_plan(m)
+        assert plan_table(m.curvature) is None
+
+    def test_the_dense_workload_range_takes_the_plan_side(self):
+        # perfbench/dense_op.py draws theta in [0.1, 2 pi - 0.1] on c-plane-uv
+        m = c_plane_uv()
+        theta = 2 * cmath.pi - 0.1
+        assert node_spread(chern_plan(m), theta) <= SPREAD_MAX
+        got = chern_form(m, theta, POINT_UV)
+        assert plan_table(m.curvature).weights is not None
+        assert got.isclose(closed_form_reference(m, POINT_UV["u"], POINT_UV["v"], theta), 1e-14)
+
+    def test_latest_theta_memo_is_bit_identical_to_a_fresh_model(self):
+        m = c_plane_uv()
+        thetas = (1.3, 2.9, 1.3, 1.3 + 0j)
+        got = [chern_form(m, theta, POINT_UV).terms for theta in thetas]
+        fresh = [chern_form(c_plane_uv(), theta, POINT_UV).terms for theta in thetas]
+        assert got == fresh
+        assert got[0] == got[2]
+
+    def test_set_odd_term_and_curvature_assignment_recompile(self):
+        m = c_plane_uv()
+        theta = 1.3
+        before = chern_form(m, theta, POINT_UV)
+        m.set_odd_term(m.odd_term.scale(2.0))  # A^2 stays diagonal: the pair splits
+        assert plan_table(m.curvature) is not None
+        after = chern_form(m, theta, POINT_UV)
+        assert after.isclose(taylor_route(m, theta, POINT_UV), 1e-13)
+        assert not after.isclose(before, 1e-3)
+        f0, f1 = m.curvature
+        bump = SuperMatrix.diagonal(m.algebra, f0.grading,
+                                    [m.algebra.scalar(1.0 if i == 1 else 0.0)
+                                     for i in range(f0.dim)])
+        m.curvature = (f0 + bump, f1)
+        bumped = chern_form(m, theta, POINT_UV)
+        assert bumped.isclose(taylor_route(m, theta, POINT_UV), 1e-13)
+        assert not bumped.isclose(after, 1e-3)
+
+    @pytest.mark.parametrize("theta, point, name", [
+        (float("nan"), POINT_UV, "theta"),
+        (float("inf"), POINT_UV, "theta"),
+        (complex(1.3, -float("inf")), POINT_UV, "theta"),
+        (1.3, {"u": float("nan"), "v": 0.3}, "coordinate 'u'"),
+        (1.3, {"u": 0.2, "v": complex(0.3, float("inf"))}, "coordinate 'v'"),
+    ], ids=["nan-theta", "inf-theta", "complex-inf-theta", "nan-u", "inf-v"])
+    @pytest.mark.parametrize("make", [c_plane_uv, non_splitting_model],
+                             ids=["plan-side", "taylor-side"])
+    def test_non_finite_input_is_named(self, make, theta, point, name):
+        m = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                chern_form(m, theta, point)

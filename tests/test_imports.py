@@ -24,8 +24,8 @@ SRC = Path(equichern.__file__).resolve().parents[1]
 PLANE_MODEL = SRC / "equichern" / "models" / "c_plane.model"
 ENGINE = {f"equichern.{m}" for m in ("augmentation", "characters", "equivariant", "exterior",
                                      "geometry", "homotopy", "kernels", "modelfile", "pairing",
-                                     "polyeval", "quadrature", "scan", "supermatrix",
-                                     "symbolalg")}
+                                     "pointwise", "polyeval", "quadrature", "scan",
+                                     "supermatrix", "symbolalg")}
 # Modules no engine entry point loads: the engine's records are not generated
 # by dataclasses, and its Gauss-Legendre rule needs no numpy.polynomial.
 NOT_LOADED = {"dataclasses", "numpy.polynomial"}
@@ -66,11 +66,13 @@ def test_report_loads_no_engine_and_no_numpy(tmp_path):
 EXAMPLE_MODULES = {
     "c-plane": ({"equichern.quadrature", "equichern.characters", "equichern.augmentation"},
                 {"equichern.scan", "equichern.pairing", "equichern.kernels",
-                 "equichern.polyeval", "equichern.homotopy", "equichern.report", "numpy"}),
+                 "equichern.pointwise", "equichern.polyeval", "equichern.homotopy",
+                 "equichern.report", "numpy"}),
     "zero-op": ({"equichern.pairing"},
                 {"equichern.scan", "equichern.characters", "equichern.quadrature",
-                 "equichern.kernels", "equichern.polyeval", "equichern.augmentation",
-                 "equichern.homotopy", "equichern.report", "numpy"}),
+                 "equichern.kernels", "equichern.pointwise", "equichern.polyeval",
+                 "equichern.augmentation", "equichern.homotopy", "equichern.report",
+                 "numpy"}),
 }
 
 
@@ -90,8 +92,9 @@ def test_check_symbol_loads_no_quadrature_or_numpy_random(tmp_path):
                              "--scan-samples", "100", "--out-dir", str(tmp_path))
     assert {"equichern.modelfile", "equichern.scan", "equichern.symbolalg"} <= modules
     assert not modules & {"equichern.quadrature", "equichern.pairing", "equichern.characters",
-                          "equichern.equivariant", "equichern.kernels", "equichern.homotopy",
-                          "equichern.report", "numpy.random", *NOT_LOADED}
+                          "equichern.equivariant", "equichern.kernels", "equichern.pointwise",
+                          "equichern.homotopy", "equichern.report", "numpy.random",
+                          *NOT_LOADED}
 
 
 NUMPY_FREE = ("augmentation", "characters", "equivariant", "exterior", "geometry", "homotopy",
@@ -105,9 +108,9 @@ NUMPY_FREE = ("augmentation", "characters", "equivariant", "exterior", "geometry
     "from equichern.geometry import builtin_model",
 ], ids=[*NUMPY_FREE, "dense-op"])
 def test_import_loads_no_numpy(script):
-    # the numpy kernels live in equichern.kernels, which these load only on use
+    # the numpy modules (pointwise, kernels) load only on use
     modules = loaded_modules(script)
-    assert not modules & {"numpy", "equichern.kernels"}
+    assert not modules & {"numpy", "equichern.pointwise", "equichern.kernels"}
 
 
 def test_building_the_builtin_models_loads_no_numpy():
@@ -139,6 +142,14 @@ DENSE_OP = ("from equichern.equivariant import chern_form\n"
             "from equichern.geometry import builtin_model\n"
             "chern_form(builtin_model('c-plane-uv'), 0.3, {'u': 0.1 + 0.2j, 'v': 0.3})")
 
+
+def test_dense_op_reads_the_plan_and_loads_no_taylor_kernel():
+    # c-plane-uv splits and its dense-workload thetas spread within
+    # pointwise.SPREAD_MAX, so no point runs the Taylor side in equichern.kernels
+    modules = loaded_modules(DENSE_OP)
+    assert "equichern.pointwise" in modules
+    assert "equichern.kernels" not in modules
+
 # entry point -> (script, its arguments, most code lines of equichern modules it
 # may load): the values each reached when every command came to compile only
 # its own code, so code put back on a command path fails here
@@ -146,7 +157,7 @@ CODE_LINE_BUDGETS = {
     "run-example zero-op": (CLI_RUN, ("run-example", "zero-op"), 1135),
     "run-example c-plane": (CLI_RUN, ("run-example", "c-plane"), 1261),
     "check-symbol": (CLI_RUN, ("check-symbol", str(PLANE_MODEL)), 1697),
-    "dense": (DENSE_OP, (), 1114),
+    "dense": (DENSE_OP, (), 1026),
     "import equichern.cli": ("import equichern.cli", (), 143),
 }
 
