@@ -18,14 +18,15 @@ the delta pairing loads neither the quadrature nor the character series, the
 ellipticity scan (``scan``) loads only with ``check-symbol``, and
 ``homotopy`` (the c-plane model and its homotopy to the normal form),
 ``pointwise`` (the pointwise Chern form from the compiled Chern plan) and
-``kernels`` (its dense Taylor side and the oracles) load with no command.
+``kernels`` (``taylor_exp``, the one dense exponential, which ``super_exp``
+runs, and the oracles) load with no command.
 
 numpy is loaded by ``polyeval`` (the one evaluator of polynomials and
 forms), ``pointwise``, ``kernels``, ``scan`` and ``symbolalg``, and by
 nothing else at import.  The models (which compile nothing: the pointwise
-Chern form compiles a curvature pair in ``pointwise``, or in ``kernels`` on
-its Taylor side), the Chern plan, the fiber integration, the
-character series and the delta pairing are plain Python, so
+Chern form compiles a curvature pair's Chern plan in ``pointwise``), the
+Chern plan, the fiber integration, the character series and the delta
+pairing are plain Python, so
 ``run-example c-plane`` (the index character) and ``run-example zero-op``
 (the delta pairing) run without numpy.
 """

@@ -13,12 +13,13 @@ serves all three Chern uses: the index numerator and the delta pairing
 contract it, and `chern_form` reads it at a point through
 `equichern.pointwise` (numpy, loaded on the first call, which compiles the
 plan once per pair and keeps the latest theta's weights; the model stores
-nothing compiled), falling back to the dense Taylor exponential of
-`equichern.kernels` for a pair the plan refuses or a theta whose nodes
-spread too far.  The soul-path walk (`duhamel_paths`, over the split of
-`diagonal_body`) is this module's; the Duhamel exponential of
-`equichern.kernels`, the oracle of the Taylor route, walks it too.  That
-module also holds `closedness_residual`, which no command runs.
+nothing compiled), falling back to `supermatrix.super_exp` of the curvature
+at the point (the one dense Taylor exponential, `kernels.taylor_exp`) for a
+pair the plan refuses or a theta whose nodes spread too far.  The soul-path
+walk (`duhamel_paths`, over the split of `diagonal_body`) is this module's;
+the Duhamel exponential of `equichern.kernels`, the oracle of the Taylor
+route, walks it too.  That module also holds `closedness_residual`, which no
+command runs.
 """
 
 from __future__ import annotations
@@ -284,10 +285,8 @@ def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex])
     and one exponential; or, for a pair the plan refuses (`split_body`) and
     for a theta whose divided-difference nodes spread past
     `pointwise.SPREAD_MAX` = ln(TAYLOR_TOL 2^53), about 9.1, where the
-    series would lose digits, from the dense Taylor exponential of the
-    compiled curvature (`kernels.dense_curvature`, `taylor_exp_blocked`).
-    A non-finite
-    theta or point value raises ValueError.  The form is entire in theta:
+    series would lose digits, as `super_exp` of F0 + theta F1 evaluated at
+    the point.  A non-finite theta or point value raises ValueError.  The form is entire in theta:
     unlike the transverse form, it has no poles at 2 pi Z.
     """
     from .pointwise import pointwise_chern

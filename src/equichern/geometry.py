@@ -154,9 +154,9 @@ class ActionModel:
         F(theta) = F0 + theta F1 with F0 = dA + A^2 and
         F1 = mu(1) - iota_zeta(1) A, so ``curvature`` holds the pair (F0, F1),
         symbolic supermatrices; nothing is compiled here (the pointwise
-        Chern form compiles the pair where it evaluates it: its Chern plan in
-        `pointwise.plan_table`, or, on the Taylor side,
-        `kernels.dense_curvature`).
+        Chern form compiles the pair's Chern plan where it evaluates it, in
+        `pointwise.plan_table`, and its Taylor side evaluates the pair at the
+        point).
         """
         mat = rows if isinstance(rows, SuperMatrix) else SuperMatrix(
             self.algebra, self.bundle_script_e.grading(), rows)

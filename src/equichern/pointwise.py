@@ -1,4 +1,4 @@
-"""Pointwise Chern forms: the compiled Chern plan at a point, or the dense Taylor route.
+"""Pointwise Chern forms: the compiled Chern plan at a point, or the dense Taylor exponential.
 
 `pointwise_chern`, which `equivariant.chern_form` calls, is the supertrace
 of exp(F0 + theta F1) at one point.  For a curvature pair that splits as the
@@ -16,8 +16,10 @@ terms up to e^R times its first, R the largest distance of a group's node
 from the group's mean, so it rounds to about e^R 2^-53 of that scale.  The
 plan side is taken while that is within the Taylor route's tolerance,
 e^R 2^-53 <= TAYLOR_TOL, that is R <= SPREAD_MAX = ln(TAYLOR_TOL 2^53), about
-9.1.  A pair the plan refuses, and a theta past that spread, run the dense
-Taylor exponential of `equichern.kernels` instead, which loads only then.
+9.1.  A pair the plan refuses, and a theta past that spread, take the Taylor
+side instead: F0 and F1 evaluated at the point (`SuperMatrix.evaluate`),
+then `supermatrix.super_exp` of F0 + theta F1 and its supertrace; the dense
+exponential's module, `equichern.kernels`, loads only then.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .equivariant import ChernPlan, curvature_plan
 from .exterior import NUMERIC, ExteriorAlgebra, Form
 from .polyeval import CompiledPolys, full_point
-from .supermatrix import TAYLOR_TOL, SuperMatrix, UnsupportedShapeError
+from .supermatrix import TAYLOR_TOL, SuperMatrix, UnsupportedShapeError, super_exp
 
 SPREAD_MAX = math.log(TAYLOR_TOL * 2.0**53)
 
@@ -109,8 +111,5 @@ def pointwise_chern(algebra: ExteriorAlgebra, pair: tuple[SuperMatrix, SuperMatr
     if weights is not None:
         values = compiled.at(theta, weights, point)
         return Form(algebra, NUMERIC, dict(zip(compiled.masks, values)))
-    from .kernels import dense_curvature, taylor_exp_blocked
-
-    curv = dense_curvature(pair)
-    values = curv.layout.supertrace(taylor_exp_blocked(curv.at(theta, point), curv.layout))
-    return Form(algebra, NUMERIC, dict(zip(curv.layout.trace_masks, values)))
+    f0, f1 = (m.evaluate(point) for m in pair)
+    return super_exp(f0 + f1.scale(theta)).supertrace()

@@ -3,9 +3,9 @@
 `CompiledPolys` compiles an array of polynomials into one coefficient matrix
 against their monomials, built once by plain loops; at a point or on a grid
 of points the polynomials are then one product of that matrix and the
-monomials.  `Poly.evaluate`, `Form.evaluate`, the ellipticity scan, the
-symbol-algebra checks and the dense curvature of `equichern.kernels` all
-evaluate through it.  `full_point` completes a point with the conjugate
+monomials.  `Poly.evaluate`, `Form.evaluate` (and so `SuperMatrix.evaluate`), the
+ellipticity scan, the symbol-algebra checks and the compiled Chern plan of
+`equichern.pointwise` all evaluate through it.  `full_point` completes a point with the conjugate
 coordinates that such tables read.  The module loads numpy; the index
 character and the delta pairing never load it.
 """

@@ -3,19 +3,17 @@
 Provides the graded product (entrywise wedge), the grading-signed
 supertrace, the one parity rule (`SuperMatrix.homogeneous_parity`), the
 divided differences of exp, and `super_exp`, the matrix exponential of a
-numeric supermatrix.  This module is plain Python.  `super_exp` runs the
-dense route of `equichern.kernels`, the numpy module, which loads on first
-use: the trace shift (the mean of the degree-0 diagonal, central, so its
-exponential factors out exactly), then a scaling-and-squaring truncated
-Taylor sum whose products apply the wedge as a right-multiplication
-operator; for an even array, such as a superconnection's curvature, the
-operator keeps the class p_k + |c| of a row-space element (column k,
-generator subset c) and splits into two half-size grading blocks, so each
-product is one batched matmul.  The divided differences of exp weight the
-closed soul paths of the symbolic Chern plan (`equichern.equivariant`, which
-walks them) and take batches of nodes (a whole theta axis) column by column.
-Matrix grading is metadata consumed by the supertrace and the grading
-blocks; products carry no Koszul signs beyond those of the wedge.
+numeric supermatrix.  This module is plain Python.  `super_exp` runs
+`equichern.kernels.taylor_exp`, the one dense exponential, in the numpy
+module that loads on first use: the trace shift (the mean of the degree-0
+diagonal, central, so its exponential factors out exactly), then a
+scaling-and-squaring truncated Taylor sum whose products apply the wedge as
+a right-multiplication operator on the row space of the component array.
+The divided differences of exp weight the closed soul paths of the symbolic
+Chern plan (`equichern.equivariant`, which walks them) and take batches of
+nodes (a whole theta axis) column by column.  Matrix grading is metadata
+consumed by the supertrace; products carry no Koszul signs beyond those of
+the wedge.
 """
 from __future__ import annotations
 
@@ -257,17 +255,12 @@ class SuperMatrix:
 
 
 def super_exp(a: SuperMatrix, tol: float = TAYLOR_TOL) -> SuperMatrix:
-    """Matrix exponential of a numeric supermatrix by `kernels.taylor_exp_blocked`.
-
-    The component array is in two class blocks when the matrix is even, as a
-    superconnection's curvature is; any other matrix runs as one block.
-    """
-    from .kernels import block_layout, taylor_exp_blocked
+    """Matrix exponential of a numeric supermatrix by `kernels.taylor_exp`."""
+    from .kernels import taylor_exp
 
     if a.backend != NUMERIC:
         raise BackendError("super_exp requires the numeric backend")
-    layout = block_layout(a.algebra, a.grading.parities, a.homogeneous_parity() == EVEN)
-    acc = layout.unblock(taylor_exp_blocked(layout.block(a.to_array()), layout, tol))
+    acc = taylor_exp(a.to_array(), a.algebra, tol)
     return SuperMatrix.from_array(a.algebra, a.grading, acc)
 
 

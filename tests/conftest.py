@@ -138,7 +138,7 @@ def corrupted_moment_model():
 
     The constant 1 on the second diagonal entry of F0 no longer matches the
     Cartan vector field, so the Chern form is not equivariantly closed; this
-    is the closedness negative control.  The dense route compiles the pair
+    is the closedness negative control.  The Taylor side evaluates the pair
     it is given, so it reads the same pair as the plan.
     """
     from equichern.augmentation import c_plane_uv
@@ -151,6 +151,60 @@ def corrupted_moment_model():
                                 [alg.scalar(1.0 if i == 1 else 0.0) for i in range(f0.dim)])
     model.curvature = (f0 + bump, f1)
     return model
+
+
+# -- an independent Taylor exponential, the oracle of kernels.taylor_exp -------------
+#
+# Wedge products by gathering every pair (a, b) of disjoint components, one
+# batched matmul per pair and a reduceat over the pairs of each result
+# component c = a | b; no trace shift, and the Taylor sum stops adaptively.
+# The signs come from Form.wedge, not from ExteriorAlgebra.pair_table, and
+# nothing here is shared with the kernel.
+
+
+def reduceat_table(algebra):
+    from equichern.exterior import NUMERIC, Form
+
+    ai, bi, sg, starts = [], [], [], []
+    for c in range(algebra.n_components):
+        starts.append(len(ai))
+        for a in range(algebra.n_components):
+            if a & c == a:
+                left = Form(algebra, NUMERIC, {a: 1.0})
+                right = Form(algebra, NUMERIC, {c ^ a: 1.0})
+                ai.append(a)
+                bi.append(c ^ a)
+                sg.append(left.wedge(right).terms[c])
+    return np.array(ai), np.array(bi), np.array(sg), np.array(starts)
+
+
+def reduceat_matmul(A, B, table):
+    ai, bi, sg, starts = table
+    ap = np.ascontiguousarray((A[:, :, ai] * sg).transpose(2, 0, 1))
+    bp = np.ascontiguousarray(B[:, :, bi].transpose(2, 0, 1))
+    return np.add.reduceat(ap @ bp, starts, axis=0).transpose(1, 2, 0)
+
+
+def reduceat_taylor_exp(A, algebra, tol):
+    """exp of a ``(d, d, 2^n)`` component array, scaled so its norm is at most 0.5."""
+    table = reduceat_table(algebra)
+    norm = np.abs(A).sum(axis=2).sum(axis=1).max(initial=0.0)
+    s = 0 if norm <= 0.5 else max(0, int(np.ceil(np.log2(norm / 0.5))))
+    As = A / 2.0**s
+    d = A.shape[0]
+    acc = np.zeros_like(A)
+    acc[np.arange(d), np.arange(d), 0] = 1.0
+    term = acc.copy()
+    for k in range(1, 120):
+        term = reduceat_matmul(term, As, table) / k
+        acc += term
+        if np.abs(term).max() < tol * max(np.abs(acc).max(), 1.0):
+            break
+    else:
+        raise AssertionError("oracle Taylor sum did not converge")
+    for _ in range(s):
+        acc = reduceat_matmul(acc, acc, table)
+    return acc
 
 
 # -- test-only constructions, kept out of the package ----------------------------------

@@ -22,7 +22,7 @@ from equichern.equivariant import (
     transverse_chern,
     w_character,
 )
-from equichern.exterior import NUMERIC, SYMBOLIC, EvaluationError, Form
+from equichern.exterior import NUMERIC, SYMBOLIC, EvaluationError
 from equichern.geometry import (
     ActionModel,
     BundleSpec,
@@ -34,7 +34,7 @@ from equichern.geometry import (
     oriented_volume_coefficient,
 )
 from equichern.homotopy import c_plane
-from equichern.kernels import closedness_residual, dense_curvature, taylor_exp_blocked
+from equichern.kernels import closedness_residual
 from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.pairing import zero_op_s1
 from equichern.pointwise import SPREAD_MAX, node_spread, plan_table
@@ -46,7 +46,7 @@ from equichern.quadrature import (
     integrate_top_form,
 )
 from equichern.supermatrix import UnsupportedShapeError, exp_divided_difference, super_exp
-from conftest import corrupted_moment_model, weighted_plane_uv
+from conftest import corrupted_moment_model, reduceat_taylor_exp, weighted_plane_uv
 
 
 def closed_form_reference(model, u, v, theta):
@@ -244,7 +244,7 @@ class TestChernForm:
         assert worst <= 1e-13
 
     def test_dense_route_closed_form_fresh_seed(self):
-        # the compiled curvature and the trace-shifted blocked kernel together
+        # the dense workload's theta range, read from the compiled Chern plan
         m = c_plane_uv()
         rng = np.random.default_rng(8128)
         worst = 0.0
@@ -657,22 +657,6 @@ def parsed_plane_model():
     return m
 
 
-@pytest.mark.parametrize("make", [c_plane, c_plane_uv, zero_op_s1, sloped_soul_model,
-                                  parsed_plane_model])
-def test_compiled_curvature_matches_poly_evaluation(make, rng):
-    # the compiled route (power tables, one product) against Poly.evaluate
-    m = make()
-    curv = dense_curvature(m.curvature)
-    for theta in (0.3, cmath.pi, 2 + 1j):
-        for _ in range(3):
-            point = {c.name: complex(*rng.uniform(-1.5, 1.5, 2)) if c.kind == "complex"
-                     else rng.uniform(-3, 3) for c in m.coordinates_meta}
-            point = full_point(m.algebra, point)
-            got = curv.layout.unblock(curv.at(theta, point))
-            ref = equivariant_curvature(m, theta).evaluate(point).to_array()
-            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
 try:
     import hypothesis
     from hypothesis import strategies as st
@@ -686,12 +670,24 @@ def taylor_route(model, theta, point):
     return super_exp(fnum).supertrace()
 
 
+def reduceat_route(model, theta, point):
+    """The supertrace of the curvature's exponential at a point by `reduceat_taylor_exp`.
+
+    The Taylor side of `chern_form` is `super_exp`, so its checks read this
+    oracle, which shares no code with `kernels.taylor_exp`.
+    """
+    fnum = equivariant_curvature(model, theta).evaluate(full_point(model.algebra, point))
+    expf = reduceat_taylor_exp(fnum.to_array(), model.algebra, 1e-15)
+    return SuperMatrix.from_array(model.algebra, fnum.grading, expf).supertrace()
+
+
 @pytest.mark.skipif(hypothesis is None, reason="hypothesis is not installed")
 def test_chern_form_matches_the_taylor_route():
     """Drawn weights, angles and points: `chern_form` against the Taylor route.
 
-    `chern_form` reads the Chern plan wherever the nodes' spread allows, so
-    its oracle is `super_exp` of the curvature evaluated at the point.  Models
+    `chern_form` reads the Chern plan wherever the nodes' spread allows and
+    runs `super_exp` elsewhere, so its oracle is the independent Taylor sum
+    of `reduceat_route` on the curvature evaluated at the point.  Models
     are `weighted_plane_uv(m)` for m in +-1..+-4 and the theta-dependent soul
     of `sloped_soul_model`; both routes are entire in theta.  The explicit
     examples sit on both sides of `pointwise.SPREAD_MAX`: without the choice
@@ -710,7 +706,7 @@ def test_chern_form_matches_the_taylor_route():
     def check(m, theta, u, v):
         point = {"u": u, "v": v}
         got = chern_form(m, theta, point)
-        ref = taylor_route(m, theta, point)
+        ref = reduceat_route(m, theta, point)
         assert got.isclose(ref, 1e-12 * max(1.0, ref.norm_max()))
 
     check()
@@ -720,11 +716,9 @@ POINT_UV = {"u": 0.45 + 0.2j, "v": -0.3 + 0.9j}
 
 
 def taylor_side(model, theta, point):
-    """The compiled Taylor route, as `chern_form` runs it on its Taylor side, written out."""
-    curv = dense_curvature(model.curvature)
-    expf = taylor_exp_blocked(curv.at(theta, full_point(model.algebra, point)), curv.layout)
-    values = curv.layout.supertrace(expf)
-    return Form(model.algebra, NUMERIC, dict(zip(curv.layout.trace_masks, values)))
+    """The Taylor side of `chern_form`, written out: `super_exp` of F0 + theta F1 at the point."""
+    f0, f1 = (m.evaluate(full_point(model.algebra, point)) for m in model.curvature)
+    return super_exp(f0 + f1.scale(theta)).supertrace()
 
 
 def non_splitting_model():
@@ -746,7 +740,7 @@ class TestPointwiseSides:
     def test_wide_spreads_match_the_taylor_route(self, make, theta):
         m = make()
         got = chern_form(m, theta, POINT_UV)
-        ref = taylor_route(m, theta, POINT_UV)
+        ref = reduceat_route(m, theta, POINT_UV)
         assert all(cmath.isfinite(c) for c in got.terms.values())
         assert got.isclose(ref, 1e-12 * max(1.0, ref.norm_max()))
         assert node_spread(chern_plan(m), theta) > SPREAD_MAX
@@ -757,7 +751,10 @@ class TestPointwiseSides:
     ], ids=["non-splitting-0.3", "non-splitting-complex", "uv-20", "uv-1000", "weight-4-6"])
     def test_taylor_side_is_the_compiled_taylor_route_bit_for_bit(self, make, theta):
         m = make()
-        assert chern_form(m, theta, POINT_UV) == taylor_side(m, theta, POINT_UV)
+        got = chern_form(m, theta, POINT_UV)
+        assert got == taylor_side(m, theta, POINT_UV)
+        ref = reduceat_route(m, theta, POINT_UV)
+        assert got.isclose(ref, 1e-12 * max(1.0, ref.norm_max()))
 
     def test_a_pair_the_plan_refuses_compiles_no_table(self):
         m = non_splitting_model()

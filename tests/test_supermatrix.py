@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from equichern.augmentation import c_plane_uv
-from equichern.exterior import NUMERIC, SYMBOLIC, BackendError, ExteriorAlgebra, Form
-from equichern.kernels import _array_norm, block_layout, super_exp_duhamel, taylor_parameters
+from equichern.exterior import NUMERIC, SYMBOLIC, BackendError, ExteriorAlgebra
+from equichern.kernels import _array_norm, right_operator, super_exp_duhamel, taylor_parameters
 from equichern.polyeval import full_point
 from equichern.supermatrix import (
     EVEN,
-    ODD,
     ConvergenceError,
     ShapeError,
     SuperMatrix,
@@ -18,7 +17,13 @@ from equichern.supermatrix import (
     exp_divided_difference,
     super_exp,
 )
-from conftest import Grading, graded_commutator
+from conftest import (
+    Grading,
+    graded_commutator,
+    reduceat_matmul,
+    reduceat_table,
+    reduceat_taylor_exp,
+)
 
 
 
@@ -142,6 +147,15 @@ class TestSuperExp:
         with pytest.raises(ValueError):
             super_exp(num, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, -float("inf")])
+    def test_tol_that_is_not_positive_is_rejected(self, tol):
+        # NaN compares false with everything, so a check of tol <= 0 lets it through
+        model = c_plane_uv()
+        f0, f1 = model.curvature
+        fnum = (f0 + f1.scale(2.0)).evaluate(full_point(model.algebra, {"u": 0.3, "v": 0.1j}))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            super_exp(fnum, tol=tol)
+
     def test_curvature_point_against_duhamel(self):
         # the worked curvature at the fixed point, both exponential routes
         from equichern.equivariant import equivariant_curvature
@@ -163,76 +177,17 @@ def array_exp(A, algebra, grading=None):
     return super_exp(SuperMatrix.from_array(algebra, grading, A)).to_array()
 
 
-# -- the replaced Taylor route, kept as an oracle for super_exp -----------------------
+# -- the unshifted Taylor route, the oracle of the trace shift ------------------------
 #
-# Wedge products by gathering every pair (a, b) of disjoint components, one
-# batched matmul per pair and a reduceat over the pairs of each result
-# component c = a | b; the Taylor sum stops adaptively.  The signs come from
-# Form.wedge, not from the kernel's table.
-
-
-def reduceat_table(algebra):
-    ai, bi, sg, starts = [], [], [], []
-    for c in range(algebra.n_components):
-        starts.append(len(ai))
-        for a in range(algebra.n_components):
-            if a & c == a:
-                left = Form(algebra, NUMERIC, {a: 1.0})
-                right = Form(algebra, NUMERIC, {c ^ a: 1.0})
-                ai.append(a)
-                bi.append(c ^ a)
-                sg.append(left.wedge(right).terms[c])
-    return np.array(ai), np.array(bi), np.array(sg), np.array(starts)
-
-
-def reduceat_matmul(A, B, table):
-    ai, bi, sg, starts = table
-    ap = np.ascontiguousarray((A[:, :, ai] * sg).transpose(2, 0, 1))
-    bp = np.ascontiguousarray(B[:, :, bi].transpose(2, 0, 1))
-    return np.add.reduceat(ap @ bp, starts, axis=0).transpose(1, 2, 0)
-
-
-def reduceat_taylor_exp(A, algebra, tol):
-    table = reduceat_table(algebra)
-    norm = _array_norm(A)
-    s = 0 if norm <= 0.5 else max(0, int(np.ceil(np.log2(norm / 0.5))))
-    As = A / 2.0**s
-    d = A.shape[0]
-    acc = np.zeros_like(A)
-    acc[np.arange(d), np.arange(d), 0] = 1.0
-    term = acc.copy()
-    for k in range(1, 120):
-        term = reduceat_matmul(term, As, table) / k
-        acc += term
-        if np.abs(term).max() < tol * max(np.abs(acc).max(), 1.0):
-            break
-    else:
-        raise AssertionError("oracle Taylor sum did not converge")
-    for _ in range(s):
-        acc = reduceat_matmul(acc, acc, table)
-    return acc
-
-
-# -- the unblocked, unshifted Taylor route, kept as an oracle -------------------------
-#
-# The right-multiplication operator as a dense (d 2^n)^2 matrix over the whole
-# row space, built by 4-D fancy assignment, and the Taylor sum with no trace
-# shift: the route super_exp took before the grading blocks.
-
-
-def full_right_operator(B, table):
-    ai, bi, ci, sg = map(np.array, zip(*table))
-    d, _, K = B.shape
-    R = np.zeros((d, K, d, K), dtype=np.complex128)
-    R[:, ai, :, ci] = (B[:, :, bi] * sg).transpose(2, 0, 1)
-    return R.reshape(d * K, d * K)
+# The Taylor sum with no trace shift.  Its products are the kernel's, which
+# test_products_match_form_wedge checks against Form.wedge.
 
 
 def unshifted_taylor_exp(A, algebra, tol=1e-12):
-    table = algebra.pair_table()
+    pairs = [np.array(column) for column in zip(*algebra.pair_table())]
     s, m = taylor_parameters(_array_norm(A), tol)
     d, _, K = A.shape
-    R = full_right_operator(A / 2.0**s, table)
+    R = right_operator(A / 2.0**s, pairs)
     term = np.zeros((d, d * K), dtype=np.complex128)
     term[np.arange(d), np.arange(d) * K] = 1.0
     acc = term.copy()
@@ -240,7 +195,7 @@ def unshifted_taylor_exp(A, algebra, tol=1e-12):
         term = term @ R / k
         acc += term
     for _ in range(s):
-        acc = acc @ full_right_operator(acc.reshape(d, d, K), table)
+        acc = acc @ right_operator(acc.reshape(d, d, K), pairs)
     return acc.reshape(d, d, K)
 
 
@@ -266,62 +221,6 @@ def random_array(n_gen, rng):
     return alg, arr
 
 
-# -- the replaced numpy construction of block_layout, kept as an oracle ---------------
-
-
-def numpy_block_layout(algebra, parities, even):
-    """Every field of the layout by the array formulas block_layout had before."""
-    K = algebra.n_components
-    d = len(parities)
-    p = np.asarray(parities, dtype=int)
-    degrees = np.array([m.bit_count() for m in range(K)])
-    cls = ((p[:, None] + degrees[None, :]) % 2).ravel()
-    nb = 2 if even and 2 * cls.sum() == d * K else 1
-    if nb == 1:
-        cls = np.zeros_like(cls)
-    h = d * K // nb
-    where = np.empty(d * K, dtype=int)
-    where[np.argsort(cls, kind="stable")] = np.arange(d * K)
-    q, t = where // h, where % h
-    index = (q * d * h + np.arange(d)[:, None] * h + t).reshape(d, d, K)
-    ai, bi, ci, sg = map(np.array, zip(*algebra.pair_table()))
-    j, k = (x.ravel()[:, None] for x in np.indices((d, d)))
-    rows, cols = j * K + ai, k * K + ci
-    keep = (cls[rows] == cls[cols]).ravel()
-    cls2 = cls.reshape(d, K)
-    masks = np.flatnonzero((cls2 == cls2[:, :1]).all(axis=0))
-    diag = np.arange(d)
-    return {"shape": (nb, d, h), "index": index.ravel().tolist(),
-            "dest": (q[rows] * h * h + t[rows] * h + t[cols]).ravel()[keep].tolist(),
-            "src": index[j, k, bi].ravel()[keep].tolist(),
-            "sign": np.broadcast_to(sg, rows.shape).ravel()[keep].tolist(),
-            "trace_masks": tuple(masks.tolist()),
-            "trace_index": index[diag, diag][:, masks].ravel(order="F").tolist(),
-            "signs": np.where(p == ODD, -1.0, 1.0).tolist()}
-
-
-class TestBlockLayout:
-    @pytest.mark.parametrize("parities, n_gen, even", [
-        ((0, 1), 4, True),            # balanced, two class blocks
-        ((0, 0, 1, 1), 2, True),
-        ((0, 0, 1), 3, True),         # odd rank: the classes still split evenly
-        ((0, 0, 1), 0, True),         # no generators, unequal classes: one block
-        ((0, 1, 1), 0, True),
-        ((1, 0, 1, 0), 2, False),     # an array that is not even: one block
-        ((0, 0, 0, 0), 4, False),
-    ])
-    def test_fields_match_the_numpy_construction(self, parities, n_gen, even):
-        alg = ExteriorAlgebra([f"e{i}" for i in range(n_gen)])
-        layout = block_layout(alg, parities, even)
-        want = numpy_block_layout(alg, parities, even)
-        assert layout.shape == want["shape"]
-        assert layout.trace_masks == want["trace_masks"]
-        for name in ("index", "dest", "src", "sign", "signs"):
-            assert getattr(layout, name).tolist() == want[name], name
-        # the trace index is the (d, masks) view of a row-major (masks, d) table
-        assert layout.trace_index.ravel(order="F").tolist() == want["trace_index"]
-
-
 class TestTaylorKernel:
     @pytest.mark.parametrize("n_gen", [4, 6])
     def test_products_match_form_wedge(self, n_gen, rng):
@@ -331,8 +230,8 @@ class TestTaylorKernel:
         gr = Grading((0,) * d)
         want = (SuperMatrix.from_array(alg, gr, A)
                 @ SuperMatrix.from_array(alg, gr, B)).to_array()
-        layout = block_layout(alg, gr.parities, even=False)
-        kernel = layout.unblock(layout.block(A) @ layout.operator(layout.block(B)))
+        pairs = [np.array(column) for column in zip(*alg.pair_table())]
+        kernel = A.reshape(d, d * K) @ right_operator(B, pairs)
         oracle = reduceat_matmul(A, B, reduceat_table(alg))
         scale = np.abs(want).max()
         assert np.abs(kernel.reshape(d, d, K) - want).max() <= 1e-12 * scale
@@ -353,10 +252,10 @@ class TestTaylorKernel:
     @pytest.mark.parametrize("n_gen", [2, 4, 6])
     @pytest.mark.parametrize("target", [0.4, 30.0])
     def test_blocked_exp_matches_unblocked_route(self, d, n_gen, target, rng):
+        # an even array, such as a curvature, against the route with no trace shift
         alg, gr, A = random_even_array(d, n_gen, rng)
         A *= target / _array_norm(A)
         assert SuperMatrix.from_array(alg, gr, A).homogeneous_parity() == EVEN
-        assert block_layout(alg, gr.parities, even=True).shape == (2, d, d * 2**(n_gen - 1))
         got = array_exp(A, alg, gr)
         want = unshifted_taylor_exp(A, alg)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -364,21 +263,19 @@ class TestTaylorKernel:
     @pytest.mark.parametrize("n_gen", [2, 4, 6])
     @pytest.mark.parametrize("target", [0.4, 30.0])
     def test_inhomogeneous_exp_is_one_block(self, n_gen, target, rng):
+        # a matrix of no one parity, under either grading, takes the same route
         alg, A = random_array(n_gen, rng)
         A *= target / _array_norm(A)
         gr = Grading.from_string("+-+-")
         assert SuperMatrix.from_array(alg, gr, A).homogeneous_parity() != EVEN
-        assert block_layout(alg, gr.parities, even=False).shape == (1, 4, 4 * 2**n_gen)
         want = unshifted_taylor_exp(A, alg)
         for grading in (None, gr):
             got = array_exp(A, alg, grading)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_unequal_classes_are_one_block(self):
-        # no generators: the classes are the parities themselves
+        # no generators: a diagonal body with two even rows and one odd row
         alg = ExteriorAlgebra([])
-        assert block_layout(alg, (0, 0, 1), even=True).shape == (1, 3, 3)
-        assert block_layout(alg, (0, 1), even=True).shape == (2, 2, 1)
         body = np.array([0.3, -1.1j, 0.0])
         got = array_exp(np.diag(body)[:, :, None], alg, Grading((0, 0, 1)))
         assert np.abs(got[:, :, 0] - np.diag(np.exp(body))).max() <= 1e-12
