@@ -21,14 +21,16 @@ ellipticity scan (``scan``) loads only with ``check-symbol``, and
 ``kernels`` (``taylor_exp``, the one dense exponential, which ``super_exp``
 runs, and the oracles) load with no command.
 
-numpy is loaded by ``polyeval`` (the one evaluator of polynomials and
-forms), ``pointwise``, ``kernels``, ``scan`` and ``symbolalg``, and by
-nothing else at import.  The models (which compile nothing: the pointwise
-Chern form compiles a curvature pair's Chern plan in ``pointwise``), the
-Chern plan, the fiber integration, the character series and the delta
-pairing are plain Python, so
-``run-example c-plane`` (the index character) and ``run-example zero-op``
-(the delta pairing) run without numpy.
+numpy is loaded by ``kernels``, ``scan`` and ``symbolalg`` at import, by
+``polyeval`` with its first compiled table (the grid evaluator of
+polynomials), and by nothing else.  The models (which compile nothing: the
+pointwise Chern form builds a curvature pair's Chern plan in
+``pointwise``), the Chern plan, the pointwise Chern form's plan side, the
+scalar evaluation of polynomials and forms, the fiber integration, the
+character series and the delta pairing are plain Python, so
+``run-example c-plane`` (the index character), ``run-example zero-op``
+(the delta pairing) and ``chern_form`` on a pair the plan takes run without
+numpy.
 """
 
 import importlib

@@ -11,11 +11,12 @@ weighted by divided differences of exp, grouped by their nodes, so only
 those scalar weights are computed per theta, in plain Python.  One plan
 serves all three Chern uses: the index numerator and the delta pairing
 contract it, and `chern_form` reads it at a point through
-`equichern.pointwise` (numpy, loaded on the first call, which compiles the
-plan once per pair and keeps the latest theta's weights; the model stores
-nothing compiled), falling back to `supermatrix.super_exp` of the curvature
-at the point (the one dense Taylor exponential, `kernels.taylor_exp`) for a
-pair the plan refuses or a theta whose nodes spread too far.  The soul-path
+`equichern.pointwise` (plain Python, loaded on the first call, which builds
+the plan once per pair and evaluates it at the latest theta; the model
+stores nothing compiled), falling back to `supermatrix.super_exp` of the
+curvature at the point (the one dense Taylor exponential, numpy's
+`kernels.taylor_exp`) for a pair the plan refuses or a theta whose nodes
+spread too far.  The soul-path
 walk (`duhamel_paths`, over the split of `diagonal_body`) is this module's;
 the Duhamel exponential of `equichern.kernels`, the oracle of the Taylor
 route, walks it too.  That module also holds `closedness_residual`, which no
@@ -27,7 +28,7 @@ from __future__ import annotations
 import cmath
 from typing import Mapping, NamedTuple, Sequence
 
-from .exterior import SYMBOLIC, Form, Poly
+from .exterior import NUMERIC, SYMBOLIC, Form, Poly
 from .geometry import ActionModel
 from .supermatrix import SuperMatrix, UnsupportedShapeError, exp_divided_difference
 
@@ -159,11 +160,14 @@ class GaussianForm(NamedTuple):
     def scale(self, factor) -> "GaussianForm":
         return GaussianForm(self.exponent, self.form.scale(factor))
 
-    def prefactor(self, point: Mapping[str, complex]) -> complex:
-        return cmath.exp(self.exponent.evaluate(point))
-
     def evaluate(self, point: Mapping[str, complex]) -> Form:
-        return self.form.evaluate(point).scale(self.prefactor(point))
+        """The form at a point: the zero form where the Gaussian factor is 0, not inf times 0."""
+        # one import of the evaluator per call, not one per coefficient (Poly.evaluate)
+        from .pointwise import poly_value
+
+        gauss = cmath.exp(poly_value(self.exponent, point))
+        kept = self.form.terms.items() if gauss else ()
+        return Form(self.form.algebra, NUMERIC, {m: poly_value(c, point) * gauss for m, c in kept})
 
 
 class ChernPlan(NamedTuple):
@@ -214,8 +218,7 @@ class ChernPlan(NamedTuple):
     def evaluate(self, theta: complex) -> GaussianForm:
         """The supertrace at one theta, with its Gaussian exponent factored out."""
         total, = self.contract(self.forms, [theta], self.shared[0].algebra.zero(SYMBOLIC))
-        exponent = self.shared[0] + self.shared[1] * theta
-        return GaussianForm(exponent=exponent, form=total)
+        return GaussianForm(self.shared[0] + self.shared[1] * theta, total)
 
 
 def chern_plan(model: ActionModel) -> ChernPlan:
@@ -279,10 +282,11 @@ def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex])
     """Pointwise Chern form: the supertrace of exp(F0 + theta F1) at one point.
 
     `equichern.pointwise` evaluates it, where only this route loads it: from
-    the model's Chern plan, compiled once per curvature pair into one
-    polynomial table whose weights theta^p Delta[nodes(theta)]exp are kept
-    for the latest theta, so a point is one table evaluation, one dot product
-    and one exponential; or, for a pair the plan refuses (`split_body`) and
+    the model's Chern plan, built once per curvature pair and evaluated at
+    the latest theta (`ChernPlan.evaluate`, the weights theta^p
+    Delta[nodes(theta)]exp folded into the coefficient polynomials), so a
+    point is that Gaussian form evaluated term by term in plain Python and
+    one exponential; or, for a pair the plan refuses (`split_body`) and
     for a theta whose divided-difference nodes spread past
     `pointwise.SPREAD_MAX` = ln(TAYLOR_TOL 2^53), about 9.1, where the
     series would lose digits, as `super_exp` of F0 + theta F1 evaluated at

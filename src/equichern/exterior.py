@@ -6,9 +6,11 @@ plain complex numbers as the evaluation target.  Conjugate coordinates such
 as ``z`` and ``zbar`` are independent symbols; the kernel never assumes
 reality.  Generator subsets are stored as bitmasks in declaration order, so
 every form has a unique canonical representation and equality is exact.
-Polynomials and forms are evaluated (at a point or on a grid of points) by
+At a point of scalars, polynomials and forms are evaluated term by term in
+plain Python (`equichern.pointwise.poly_value`); on a grid of points, by
 `equichern.polyeval.CompiledPolys`, one product of a coefficient matrix and
-the monomials, so this module loads no numpy until a value is asked for.
+the monomials, which loads numpy.  This module loads neither until a value
+is asked for.
 """
 
 from __future__ import annotations
@@ -219,8 +221,10 @@ class Poly:
         return Poly(self.algebra, out)
 
     def evaluate(self, point: Mapping[str, complex]) -> complex:
-        """The value at a point of scalars, by ``eval_grid`` on a grid of one point."""
-        return complex(self.eval_grid(point))
+        """The value at a point of scalars, term by term (`pointwise.poly_value`)."""
+        from .pointwise import poly_value
+
+        return poly_value(self, point)
 
     def eval_grid(self, arrays):
         """Vectorized evaluation on coordinate arrays of a common shape."""
@@ -389,16 +393,10 @@ class Form:
     # -- evaluation ------------------------------------------------------------
 
     def evaluate(self, point: Mapping[str, complex]) -> "Form":
-        """Evaluate polynomial coefficients at a point, yielding a numeric form.
-
-        The coefficients compile into one table, so they are one product.
-        """
+        """Evaluate polynomial coefficients at a point, yielding a numeric form."""
         if self.backend == NUMERIC:
             return self
-        from .polyeval import CompiledPolys
-
-        values = CompiledPolys(self.algebra, list(self.terms.values())).entries(point)
-        return Form(self.algebra, NUMERIC, dict(zip(self.terms, values)))
+        return Form(self.algebra, NUMERIC, {m: c.evaluate(point) for m, c in self.terms.items()})
 
     # -- inspection --------------------------------------------------------------
 

@@ -154,8 +154,8 @@ class ActionModel:
         F(theta) = F0 + theta F1 with F0 = dA + A^2 and
         F1 = mu(1) - iota_zeta(1) A, so ``curvature`` holds the pair (F0, F1),
         symbolic supermatrices; nothing is compiled here (the pointwise
-        Chern form compiles the pair's Chern plan where it evaluates it, in
-        `pointwise.plan_table`, and its Taylor side evaluates the pair at the
+        Chern form builds the pair's Chern plan where it evaluates it, in
+        `pointwise.pair_plan`, and its Taylor side evaluates the pair at the
         point).
         """
         mat = rows if isinstance(rows, SuperMatrix) else SuperMatrix(

@@ -157,4 +157,4 @@ def closedness_residual(model: ActionModel, theta: complex,
     residual = dg.wedge(g.form) + g.form.d() - g.form.interior(zeta)
     pt = full_point(model.algebra, point)
     value = residual.evaluate(pt)
-    return value.norm_max() * abs(g.prefactor(pt))
+    return value.norm_max() * abs(cmath.exp(g.exponent.evaluate(pt)))

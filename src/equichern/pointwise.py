@@ -1,15 +1,16 @@
-"""Pointwise Chern forms: the compiled Chern plan at a point, or the dense Taylor exponential.
+"""Pointwise Chern forms: the Chern plan at a point in plain Python, or the Taylor exponential.
 
 `pointwise_chern`, which `equivariant.chern_form` calls, is the supertrace
 of exp(F0 + theta F1) at one point.  For a curvature pair that splits as the
-Chern plan needs (`equivariant.curvature_plan`), the plan is compiled once
-per pair (`plan_table`, memoised on the pair) into one
-`polyeval.CompiledPolys` table: the coefficient polynomial of every plan
-form at every trace mask, then the two shared-exponent polynomials.  The
-forms' weights theta^p Delta[nodes(theta)]exp (`ChernPlan.weights`) are
-computed once per theta, and the table keeps the latest theta's, so a point
-is one table evaluation, one dot product with the weights and one
-exponential of the shared exponent.
+Chern plan needs (`equivariant.curvature_plan`), the plan is built once per
+pair (`pair_plan`, memoised on the pair) and evaluated at theta once
+(`plan_at`, memoised for the latest theta): `ChernPlan.evaluate` folds the
+forms' weights theta^p Delta[nodes(theta)]exp into the coefficient
+polynomials, giving the Gaussian exponent and a form with a few small
+polynomial coefficients.  A point is then that `GaussianForm` evaluated term
+by term (`poly_value`) and one exponential, with no numpy: on c-plane-uv
+the evaluated plan has four coefficients over three monomials, for which a
+numpy table costs more per call than the sums it forms.
 
 The divided-difference series (`supermatrix.exp_divided_difference`) sums
 terms up to e^R times its first, R the largest distance of a group's node
@@ -19,7 +20,12 @@ e^R 2^-53 <= TAYLOR_TOL, that is R <= SPREAD_MAX = ln(TAYLOR_TOL 2^53), about
 9.1.  A pair the plan refuses, and a theta past that spread, take the Taylor
 side instead: F0 and F1 evaluated at the point (`SuperMatrix.evaluate`),
 then `supermatrix.super_exp` of F0 + theta F1 and its supertrace; the dense
-exponential's module, `equichern.kernels`, loads only then.
+exponential's module, `equichern.kernels`, and with it numpy, loads only
+then.
+
+`poly_value` is the one scalar evaluator: `Poly.evaluate` (and through it
+`Form.evaluate` and `SuperMatrix.evaluate`) and `GaussianForm.evaluate` call
+it.  No command runs it; it lives here so that no command compiles it.
 """
 
 from __future__ import annotations
@@ -29,14 +35,36 @@ import functools
 import math
 from typing import Mapping
 
-import numpy as np
-
-from .equivariant import ChernPlan, curvature_plan
-from .exterior import NUMERIC, ExteriorAlgebra, Form
-from .polyeval import CompiledPolys, full_point
+from .equivariant import ChernPlan, GaussianForm, curvature_plan
+from .exterior import EvaluationError, ExteriorAlgebra, Form, Poly
+from .polyeval import full_point
 from .supermatrix import TAYLOR_TOL, SuperMatrix, UnsupportedShapeError, super_exp
 
 SPREAD_MAX = math.log(TAYLOR_TOL * 2.0**53)
+
+
+def poly_value(poly: Poly, point: Mapping[str, complex]) -> complex:
+    """A polynomial's value at a point of scalars, summed term by term.
+
+    Each term is its coefficient multiplied by its coordinates one factor at
+    a time, so a value too large for a float overflows to inf rather than
+    raising.  A coordinate the polynomial reads and the point lacks raises
+    EvaluationError naming the first such coordinate in declaration order.
+    """
+    coords = poly.algebra.coordinates
+    total = 0j
+    try:
+        for mono, value in poly.terms.items():
+            for name, e in zip(coords, mono):
+                while e:
+                    value *= point[name]
+                    e -= 1
+            total += value
+    except KeyError:
+        name = next(c for k, c in enumerate(coords)
+                    if c not in point and any(m[k] for m in poly.terms))
+        raise EvaluationError(f"no value assigned to coordinate {name!r}") from None
+    return total
 
 
 def node_spread(plan: ChernPlan, theta: complex) -> float:
@@ -49,48 +77,30 @@ def node_spread(plan: ChernPlan, theta: complex) -> float:
     return spread
 
 
-class PlanTable:
-    """A Chern plan compiled for points, with the weights of the latest theta.
-
-    ``table`` holds, row by row, the coefficient polynomial of every plan form
-    (in ``ChernPlan.forms`` order) at every mask of ``masks``, then the shared
-    exponent's two polynomials.
-    """
-
-    def __init__(self, algebra: ExteriorAlgebra, plan: ChernPlan):
-        forms = plan.forms
-        self.plan = plan
-        self.masks = sorted({mask for f in forms for mask in f.terms})
-        self.table = CompiledPolys(algebra, [f.terms.get(mask) for f in forms
-                                             for mask in self.masks] + list(plan.shared))
-        self.theta = self.weights = None
-
-    def weights_at(self, theta: complex) -> np.ndarray | None:
-        """The forms' weights at theta, or None for a spread past SPREAD_MAX; kept per theta."""
-        if self.theta != (type(theta), theta):
-            self.theta = (type(theta), theta)
-            self.weights = (None if node_spread(self.plan, theta) > SPREAD_MAX else
-                            np.array([w for w, in self.plan.weights([theta])], dtype=complex))
-        return self.weights
-
-    def at(self, theta: complex, weights: np.ndarray, point: Mapping[str, complex]):
-        """The supertrace's coefficients at ``masks``, from the weights at theta."""
-        r = self.table.entries(point)
-        coeffs = r[:-2].reshape(len(weights), len(self.masks))
-        return (weights @ coeffs) * cmath.exp(r[-2] + theta * r[-1])
-
-
 @functools.lru_cache(maxsize=4)
-def plan_table(pair: tuple[SuperMatrix, SuperMatrix]) -> PlanTable | None:
-    """The pair's plan compiled for points, or None for a pair the plan refuses.
+def pair_plan(pair: tuple[SuperMatrix, SuperMatrix]) -> ChernPlan | None:
+    """The pair's Chern plan, or None for a pair the plan refuses.
 
     Supermatrices compare by identity, so a model given a new odd term or
-    ``curvature`` compiles afresh; the cache keeps the last few pairs.
+    ``curvature`` builds its plan afresh; the cache keeps the last few pairs.
     """
     try:
-        return PlanTable(pair[0].algebra, curvature_plan(pair))
+        return curvature_plan(pair)
     except UnsupportedShapeError:
         return None
+
+
+@functools.lru_cache(maxsize=1)
+def plan_at(pair: tuple, kind: type, theta: complex) -> GaussianForm | None:
+    """The pair's Chern plan evaluated at theta, kept for the latest theta.
+
+    None for a pair the plan refuses and for a theta whose nodes spread past
+    SPREAD_MAX.  ``kind`` is theta's type, so 1.3 and 1.3 + 0j are kept apart.
+    """
+    plan = pair_plan(pair)
+    if plan is None or node_spread(plan, theta) > SPREAD_MAX:
+        return None
+    return plan.evaluate(theta)
 
 
 def _require_finite(theta: complex, point: Mapping[str, complex]):
@@ -106,10 +116,7 @@ def pointwise_chern(algebra: ExteriorAlgebra, pair: tuple[SuperMatrix, SuperMatr
     """The supertrace of exp(F0 + theta F1) at a point, for the curvature pair (F0, F1)."""
     _require_finite(theta, point)
     point = full_point(algebra, point)
-    compiled = plan_table(pair)
-    weights = None if compiled is None else compiled.weights_at(theta)
-    if weights is not None:
-        values = compiled.at(theta, weights, point)
-        return Form(algebra, NUMERIC, dict(zip(compiled.masks, values)))
+    if (gaussian := plan_at(pair, type(theta), theta)) is not None:
+        return gaussian.evaluate(point)
     f0, f1 = (m.evaluate(point) for m in pair)
     return super_exp(f0 + f1.scale(theta)).supertrace()

@@ -1,21 +1,22 @@
-"""The one evaluator of polynomials: arrays of polynomials compiled into one table.
+"""The grid evaluator of polynomials: arrays of polynomials compiled into one table.
 
 `CompiledPolys` compiles an array of polynomials into one coefficient matrix
-against their monomials, built once by plain loops; at a point or on a grid
-of points the polynomials are then one product of that matrix and the
-monomials.  `Poly.evaluate`, `Form.evaluate` (and so `SuperMatrix.evaluate`), the
-ellipticity scan, the symbol-algebra checks and the compiled Chern plan of
-`equichern.pointwise` all evaluate through it.  `full_point` completes a point with the conjugate
-coordinates that such tables read.  The module loads numpy; the index
-character and the delta pairing never load it.
+against their monomials, built once by plain loops; on a grid of points the
+polynomials are then one product of that matrix and the monomials.
+`Poly.eval_grid`, the ellipticity scan and the symbol-algebra checks
+evaluate through it.  A point of scalars is not evaluated here but term by
+term in plain Python (`pointwise.poly_value`, behind `Poly.evaluate`):
+per call, a numpy table costs more than the few sums it forms.
+`full_point` completes a point with the conjugate coordinates that the
+polynomials read.  numpy loads with the first `CompiledPolys`, not with
+this module, so `full_point` (which the pointwise Chern form reads) and the
+index character and the delta pairing never load it.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Mapping
-
-import numpy as np
 
 from .exterior import EvaluationError, ExteriorAlgebra, Poly
 
@@ -34,6 +35,8 @@ class CompiledPolys:
     """
 
     def __init__(self, algebra: ExteriorAlgebra, polys):
+        import numpy as np
+
         self.shape, flat = _flatten(polys)
         monomials: dict[tuple, int] = {}
         terms = [(row, monomials.setdefault(mono, len(monomials)), c)
@@ -50,6 +53,8 @@ class CompiledPolys:
 
     def entries(self, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
         """``shape`` + grid shape: each polynomial on the grid, exact zeros for None."""
+        import numpy as np
+
         for name in self.coords:
             if name not in arrays:
                 raise EvaluationError(f"no value assigned to coordinate {name!r}")

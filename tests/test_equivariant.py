@@ -5,16 +5,18 @@ import warnings
 import numpy as np
 import pytest
 
-from equichern import geometry
+from equichern import geometry, pointwise, polyeval
 from equichern.augmentation import c_plane_uv
 from equichern.characters import ahat_squared
 from equichern.equivariant import (
     POLE_GUARD_W,
+    ChernPlan,
     GaussianForm,
     PoleGuardError,
     bundle_character,
     chern_form,
     chern_plan,
+    curvature_plan,
     duhamel_paths,
     equivariant_curvature,
     split_body,
@@ -37,7 +39,7 @@ from equichern.homotopy import c_plane
 from equichern.kernels import closedness_residual
 from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.pairing import zero_op_s1
-from equichern.pointwise import SPREAD_MAX, node_spread, plan_table
+from equichern.pointwise import SPREAD_MAX, node_spread, pair_plan, plan_at
 from equichern.polyeval import full_point
 from equichern.quadrature import (
     DivergenceError,
@@ -756,19 +758,45 @@ class TestPointwiseSides:
         ref = reduceat_route(m, theta, POINT_UV)
         assert got.isclose(ref, 1e-12 * max(1.0, ref.norm_max()))
 
-    def test_a_pair_the_plan_refuses_compiles_no_table(self):
+    def test_taylor_side_builds_no_compiled_table(self, monkeypatch):
+        # SuperMatrix.evaluate reads each coefficient with the scalar evaluator
+        m = non_splitting_model()
+        want = taylor_side(m, 0.3, POINT_UV)
+
+        def refuse(self, algebra, polys):
+            raise AssertionError("a scalar evaluation built a CompiledPolys")
+
+        monkeypatch.setattr(polyeval.CompiledPolys, "__init__", refuse)
+        for mat in m.curvature:
+            mat.evaluate(full_point(m.algebra, POINT_UV))
+        assert chern_form(m, 0.3, POINT_UV) == want
+
+    def test_a_pair_the_plan_refuses_compiles_no_plan(self, monkeypatch):
         m = non_splitting_model()
         with pytest.raises(UnsupportedShapeError, match="outside the diagonal body"):
             chern_plan(m)
-        assert plan_table(m.curvature) is None
+        assert pair_plan(m.curvature) is None
 
-    def test_the_dense_workload_range_takes_the_plan_side(self):
+        def refuse(self, theta):
+            raise AssertionError("a refused pair evaluated a Chern plan")
+
+        monkeypatch.setattr(ChernPlan, "evaluate", refuse)
+        got = chern_form(m, 0.3, POINT_UV)
+        assert plan_at(m.curvature, float, 0.3) is None
+        assert got == taylor_side(m, 0.3, POINT_UV)
+
+    def test_the_dense_workload_range_takes_the_plan_side(self, monkeypatch):
         # perfbench/dense_op.py draws theta in [0.1, 2 pi - 0.1] on c-plane-uv
         m = c_plane_uv()
         theta = 2 * cmath.pi - 0.1
         assert node_spread(chern_plan(m), theta) <= SPREAD_MAX
+
+        def refuse(x):
+            raise AssertionError("the dense workload range ran the Taylor side")
+
+        monkeypatch.setattr(pointwise, "super_exp", refuse)
         got = chern_form(m, theta, POINT_UV)
-        assert plan_table(m.curvature).weights is not None
+        assert plan_at(m.curvature, float, theta) is not None
         assert got.isclose(closed_form_reference(m, POINT_UV["u"], POINT_UV["v"], theta), 1e-14)
 
     def test_latest_theta_memo_is_bit_identical_to_a_fresh_model(self):
@@ -783,9 +811,10 @@ class TestPointwiseSides:
         m = c_plane_uv()
         theta = 1.3
         before = chern_form(m, theta, POINT_UV)
+        plans = [pair_plan(m.curvature)]
         m.set_odd_term(m.odd_term.scale(2.0))  # A^2 stays diagonal: the pair splits
-        assert plan_table(m.curvature) is not None
         after = chern_form(m, theta, POINT_UV)
+        plans.append(pair_plan(m.curvature))
         assert after.isclose(taylor_route(m, theta, POINT_UV), 1e-13)
         assert not after.isclose(before, 1e-3)
         f0, f1 = m.curvature
@@ -794,8 +823,42 @@ class TestPointwiseSides:
                                      for i in range(f0.dim)])
         m.curvature = (f0 + bump, f1)
         bumped = chern_form(m, theta, POINT_UV)
+        plans.append(pair_plan(m.curvature))
         assert bumped.isclose(taylor_route(m, theta, POINT_UV), 1e-13)
         assert not bumped.isclose(after, 1e-3)
+        # each new pair built its own plan, the one its curvature gives
+        assert None not in plans and len({id(p) for p in plans}) == 3
+        assert plans[-1] == curvature_plan(m.curvature)
+
+    @pytest.mark.parametrize("point", [{"u": 1e160, "v": 0}, {"u": 0.3, "v": -1e200j}],
+                             ids=["u", "v"])
+    def test_overflowing_square_gives_the_zero_form(self, point):
+        # |u|^2 = 1e320 overflows, so exp(-|u|^2) is exactly 0 and so is the
+        # form: no coefficient may be inf times 0 (NaN) or raise a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = chern_form(c_plane_uv(), 1.0, point)
+        assert got.backend == NUMERIC and got.is_zero
+
+    def test_a_zero_gaussian_factor_is_not_multiplied_by_inf(self):
+        # a coefficient that overflows where the factor underflows: u ubar e^{-u ubar}
+        alg = c_plane_uv().algebra
+        r2 = alg.coord("u") * alg.coord("ubar")
+        g = GaussianForm(-r2, alg.scalar(r2))
+        got = g.evaluate(full_point(alg, {"u": 1e160}))
+        assert got.backend == NUMERIC and got.is_zero
+        finite = g.evaluate(full_point(alg, {"u": 3.0}))
+        assert abs(finite.terms[0] - 9 * cmath.exp(-9)) <= 1e-16
+
+    def test_subnormal_gaussian_keeps_its_digits(self):
+        # exp(-729) is subnormal, about 2.5e-317: it is not flushed to 0
+        m = c_plane_uv()
+        got = chern_form(m, 1.0, {"u": 27, "v": 0})
+        ref = closed_form_reference(m, 27, 0, 1.0)
+        assert set(got.terms) == set(ref.terms)
+        for mask, want in ref.terms.items():
+            assert 0 < abs(want) < 1e-316
+            assert abs(got.terms[mask] - want) <= 1e-6 * abs(want)
 
     @pytest.mark.parametrize("theta, point, name", [
         (float("nan"), POINT_UV, "theta"),

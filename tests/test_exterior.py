@@ -14,6 +14,9 @@ from equichern.exterior import (
     Poly,
 )
 
+from equichern.pointwise import poly_value
+from equichern.polyeval import CompiledPolys
+
 from conftest import eval_grid, random_form, random_poly, term_scale
 
 try:
@@ -210,8 +213,10 @@ class TestEvaluate:
 
 @pytest.mark.skipif(hypothesis is None, reason="hypothesis is not installed")
 class TestEvaluateOracle:
-    """``Poly.evaluate`` and ``Form.evaluate`` against the term-by-term loop
-    ``conftest.eval_grid`` at drawn points of scalars, on drawn polynomials."""
+    """``Poly.evaluate`` and ``Form.evaluate`` (the plain-Python scalar
+    evaluator ``pointwise.poly_value``) against the compiled table
+    ``CompiledPolys.entries`` and the term-by-term numpy loop
+    ``conftest.eval_grid``, at drawn points of scalars, on drawn polynomials."""
 
     @staticmethod
     def strategies(algebra):
@@ -247,6 +252,42 @@ class TestEvaluateOracle:
             for mask, p in f.terms.items():
                 want = eval_grid(p, point)
                 assert abs(got.terms.get(mask, 0) - want) <= 1e-14 * term_scale(p, point)
+
+        check()
+
+    def test_scalar_evaluator_matches_the_compiled_table(self, plane_algebra):
+        polys, points = self.strategies(plane_algebra)
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.lists(polys, min_size=1, max_size=4), points)
+        def check(ps, point):
+            table = CompiledPolys(plane_algebra, ps).entries(point)
+            for p, compiled in zip(ps, table):
+                got = poly_value(p, point)
+                scale = term_scale(p, point)
+                assert abs(got - compiled) <= 1e-14 * scale
+                assert abs(got - eval_grid(p, point)) <= 1e-14 * scale
+                assert got == p.evaluate(point)
+
+        check()
+
+    def test_the_first_missing_coordinate_is_named(self, plane_algebra):
+        polys, points = self.strategies(plane_algebra)
+        coords = plane_algebra.coordinates
+
+        @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(polys, points, st.sets(st.sampled_from(coords), min_size=1))
+        def check(p, point, dropped):
+            rest = {c: x for c, x in point.items() if c not in dropped}
+            read = [c for k, c in enumerate(coords) if any(m[k] for m in p.terms)]
+            missing = [c for c in read if c in dropped]
+            if not missing:
+                assert p.evaluate(rest) == p.evaluate(point)
+                return
+            # the compiled table names the same coordinate
+            for evaluate in (p.evaluate, CompiledPolys(plane_algebra, p).entries):
+                with pytest.raises(EvaluationError, match=f"coordinate {missing[0]!r}$"):
+                    evaluate(rest)
 
         check()
 
@@ -296,5 +337,5 @@ class TestPoly:
         grid = p.eval_grid(arrays)
         for k in range(5):
             pt = {c: arrays[c][k] for c in plane_algebra.coordinates}
-            # the term-by-term loop: p.evaluate is this grid route at one point
+            # the term-by-term numpy loop, at each point of the grid
             assert abs(grid[k] - eval_grid(p, pt)) < 1e-12

@@ -98,19 +98,22 @@ def test_check_symbol_loads_no_quadrature_or_numpy_random(tmp_path):
 
 
 NUMPY_FREE = ("augmentation", "characters", "equivariant", "exterior", "geometry", "homotopy",
-              "pairing", "quadrature", "supermatrix")
+              "pairing", "pointwise", "polyeval", "quadrature", "supermatrix")
 
 
 @pytest.mark.parametrize("script", [
     *(f"import equichern.{m}" for m in NUMPY_FREE),
-    # the imports of perfbench/dense_op.py: numpy loads with the first chern_form
+    # the imports of perfbench/dense_op.py: pointwise loads with the first
+    # chern_form, and numpy with neither (test_dense_op_reads_the_plan_...)
     "from equichern.equivariant import chern_form\n"
     "from equichern.geometry import builtin_model",
 ], ids=[*NUMPY_FREE, "dense-op"])
 def test_import_loads_no_numpy(script):
-    # the numpy modules (pointwise, kernels) load only on use
+    # numpy loads only on use: with a CompiledPolys, or the dense exponential
+    # (kernels) of super_exp
     modules = loaded_modules(script)
-    assert not modules & {"numpy", "equichern.pointwise", "equichern.kernels"}
+    assert not modules & {"numpy", "equichern.kernels"}
+    assert "equichern.pointwise" not in modules or script.endswith(".pointwise")
 
 
 def test_building_the_builtin_models_loads_no_numpy():
@@ -145,19 +148,22 @@ DENSE_OP = ("from equichern.equivariant import chern_form\n"
 
 def test_dense_op_reads_the_plan_and_loads_no_taylor_kernel():
     # c-plane-uv splits and its dense-workload thetas spread within
-    # pointwise.SPREAD_MAX, so no point runs the Taylor side in equichern.kernels
+    # pointwise.SPREAD_MAX, so no point runs the Taylor side in equichern.kernels;
+    # the plan side evaluates the plan at a point in plain Python, so no numpy
     modules = loaded_modules(DENSE_OP)
     assert "equichern.pointwise" in modules
     assert "equichern.kernels" not in modules
+    assert not {m for m in modules if m.split(".")[0] == "numpy"}
 
 # entry point -> (script, its arguments, most code lines of equichern modules it
 # may load): the values each reached when the dense exponential became one
-# unblocked Taylor sum, so code put back on a command path fails here
+# unblocked Taylor sum (the dense op's when its plan side left numpy), so
+# code put back on a command path fails here
 CODE_LINE_BUDGETS = {
     "run-example zero-op": (CLI_RUN, ("run-example", "zero-op"), 1134),
     "run-example c-plane": (CLI_RUN, ("run-example", "c-plane"), 1260),
     "check-symbol": (CLI_RUN, ("check-symbol", str(PLANE_MODEL)), 1696),
-    "dense": (DENSE_OP, (), 1023),
+    "dense": (DENSE_OP, (), 1022),
     "import equichern.cli": ("import equichern.cli", (), 143),
 }
 
