@@ -12,11 +12,11 @@ those scalar weights are computed per theta, in plain Python.  One plan
 serves all three Chern uses: the index numerator and the delta pairing
 contract it, and `chern_form` reads it at a point through
 `equichern.pointwise` (plain Python, loaded on the first call, which builds
-the plan once per pair and evaluates it at the latest theta; the model
-stores nothing compiled), falling back to `supermatrix.super_exp` of the
-curvature at the point (the one dense Taylor exponential, numpy's
-`kernels.taylor_exp`) for a pair the plan refuses or a theta whose nodes
-spread too far.  The soul-path
+the plan once per pair and evaluates it at the latest theta, at any spread
+of its nodes; the model stores nothing compiled), falling back to
+`supermatrix.super_exp` of the curvature at the point (the one dense Taylor
+exponential, numpy's `kernels.taylor_exp`) only for a pair the plan
+refuses.  The soul-path
 walk (`duhamel_paths`, over the split of `diagonal_body`) is this module's;
 the Duhamel exponential of `equichern.kernels`, the oracle of the Taylor
 route, walks it too.  That module also holds `closedness_residual`, which no
@@ -286,11 +286,12 @@ def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex])
     the latest theta (`ChernPlan.evaluate`, the weights theta^p
     Delta[nodes(theta)]exp folded into the coefficient polynomials), so a
     point is that Gaussian form evaluated term by term in plain Python and
-    one exponential; or, for a pair the plan refuses (`split_body`) and
-    for a theta whose divided-difference nodes spread past
-    `pointwise.SPREAD_MAX` = ln(TAYLOR_TOL 2^53), about 9.1, where the
-    series would lose digits, as `super_exp` of F0 + theta F1 evaluated at
-    the point.  A non-finite theta or point value raises ValueError.  The form is entire in theta:
+    one exponential, at every theta (the divided differences are squared
+    past `supermatrix.SERIES_SPREAD`); or, only for a pair the plan refuses
+    (`split_body`), as `super_exp` of F0 + theta F1 evaluated at the point.
+    A non-finite theta or point value raises ValueError, and a form that
+    overflows at a finite point raises OverflowError; one whose Gaussian
+    factor underflows is the zero form.  The form is entire in theta:
     unlike the transverse form, it has no poles at 2 pi Z.
     """
     from .pointwise import pointwise_chern

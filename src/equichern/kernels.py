@@ -6,13 +6,13 @@ runs: the trace shift, then scaling-and-squaring of a truncated Taylor sum
 array, ``d`` rows of ``d 2^n`` pairs (column, generator subset), with the
 wedge applied as one ``(d 2^n)^2`` right-multiplication operator
 (`right_operator`, built from `ExteriorAlgebra.pair_table`).  The module
-also holds the component array of a supermatrix and the two independent
-checks of the pointwise Chern form: `super_exp_duhamel`, the Duhamel
-exponential that is the oracle of the Taylor route, and
-`closedness_residual`.  Only `super_exp` (and so the Taylor side of
-`equivariant.chern_form`, for a curvature pair the Chern plan refuses or a
-theta past `pointwise.SPREAD_MAX`) and the tests load it; no command does,
-and neither does a Chern form the plan evaluates.
+is the one home of the component array: `to_array` and `from_array`, both
+of which `super_exp` calls.  It also holds the two independent checks of
+the pointwise Chern form: `super_exp_duhamel`, the Duhamel exponential that
+is the oracle of the Taylor route, and `closedness_residual`.  Only
+`super_exp` (and so the Taylor side of `equivariant.chern_form`, for a
+curvature pair the Chern plan refuses) and the tests load it; no command
+does, and neither does a Chern form the plan evaluates.
 """
 
 from __future__ import annotations
@@ -24,14 +24,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .equivariant import diagonal_body, duhamel_paths, symbolic_chern
-from .exterior import NUMERIC, BackendError, ExteriorAlgebra
+from .exterior import NUMERIC, BackendError, ExteriorAlgebra, Form
 from .geometry import ActionModel, cartan_field
 from .polyeval import full_point
-from .supermatrix import TAYLOR_TOL, SuperMatrix, exp_divided_difference
+from .supermatrix import TAYLOR_TOL, Grading, SuperMatrix, exp_divided_difference
 
 
 def to_array(a: SuperMatrix) -> np.ndarray:
-    """``SuperMatrix.to_array``: components ``(d, d, 2^n)`` of a numeric matrix."""
+    """Components ``(d, d, 2^n)`` of a numeric supermatrix, a numpy array."""
     if a.backend != NUMERIC:
         raise BackendError("component arrays need numeric entries")
     d = a.dim
@@ -41,6 +41,12 @@ def to_array(a: SuperMatrix) -> np.ndarray:
             for mask, c in f.terms.items():
                 out[i, j, mask] = c
     return out
+
+
+def from_array(algebra: ExteriorAlgebra, grading: Grading, arr) -> SuperMatrix:
+    """Numeric supermatrix from components ``(d, d, 2^n)``."""
+    return SuperMatrix(algebra, grading, [[Form(algebra, NUMERIC, dict(enumerate(f)))
+                                           for f in row] for row in arr])
 
 
 def right_operator(B: np.ndarray, pairs: Sequence[np.ndarray]) -> np.ndarray:
@@ -90,10 +96,14 @@ def taylor_exp(X: np.ndarray, algebra: ExteriorAlgebra, tol: float = TAYLOR_TOL)
     degree of ``taylor_parameters``: every product is one matmul of the
     running ``(d, d 2^n)`` term against the factor's `right_operator`, each
     squaring's operator built from the accumulator.  A ``tol`` that is not
-    positive (NaN included) raises ValueError.
+    positive (NaN included) raises ValueError; an array with entries that are
+    not finite, and an exponential past the float range, raise OverflowError
+    with no RuntimeWarning.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, not {tol!r}")
+    if not np.isfinite(X).all():
+        raise OverflowError("the exponent has entries that are not finite")
     d, _, K = X.shape
     pairs = [np.array(column) for column in zip(*algebra.pair_table())]
     rows = np.arange(d)
@@ -105,12 +115,16 @@ def taylor_exp(X: np.ndarray, algebra: ExteriorAlgebra, tol: float = TAYLOR_TOL)
     term = np.zeros((d, d * K), dtype=np.complex128)
     term[rows, rows * K] = 1.0
     acc = term.copy()
-    for k in range(1, m + 1):
-        term = term @ R / k
-        acc += term
-    for _ in range(s):
-        acc = acc @ right_operator(acc.reshape(d, d, K), pairs)
-    return acc.reshape(d, d, K) * cmath.exp(mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, m + 1):
+            term = term @ R / k
+            acc += term
+        for _ in range(s):
+            acc = acc @ right_operator(acc.reshape(d, d, K), pairs)
+        out = acc.reshape(d, d, K) * np.exp(mu)
+    if not np.isfinite(out).all():
+        raise OverflowError("the Taylor exponential overflows")
+    return out
 
 
 # -- the independent checks of the pointwise route ------------------------------------

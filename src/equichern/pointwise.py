@@ -12,16 +12,16 @@ by term (`poly_value`) and one exponential, with no numpy: on c-plane-uv
 the evaluated plan has four coefficients over three monomials, for which a
 numpy table costs more per call than the sums it forms.
 
-The divided-difference series (`supermatrix.exp_divided_difference`) sums
-terms up to e^R times its first, R the largest distance of a group's node
-from the group's mean, so it rounds to about e^R 2^-53 of that scale.  The
-plan side is taken while that is within the Taylor route's tolerance,
-e^R 2^-53 <= TAYLOR_TOL, that is R <= SPREAD_MAX = ln(TAYLOR_TOL 2^53), about
-9.1.  A pair the plan refuses, and a theta past that spread, take the Taylor
-side instead: F0 and F1 evaluated at the point (`SuperMatrix.evaluate`),
-then `supermatrix.super_exp` of F0 + theta F1 and its supertrace; the dense
-exponential's module, `equichern.kernels`, and with it numpy, loads only
-then.
+The weights are divided differences of exp at any spread of the nodes
+(`supermatrix.exp_divided_difference` squares them past
+`supermatrix.SERIES_SPREAD`), so every theta takes the plan side.  Only a
+pair the plan refuses takes the Taylor side: F0 and F1 evaluated at the
+point (`SuperMatrix.evaluate`), then `supermatrix.super_exp` of
+F0 + theta F1 and its supertrace; the dense exponential's module,
+`equichern.kernels`, and with it numpy, loads only then.  A form whose
+coefficients overflow raises OverflowError on either side, where the exact
+value is out of range or its float evaluation is inf - inf; a form whose
+Gaussian factor underflows is the zero form.
 
 `poly_value` is the one scalar evaluator: `Poly.evaluate` (and through it
 `Form.evaluate` and `SuperMatrix.evaluate`) and `GaussianForm.evaluate` call
@@ -32,15 +32,12 @@ from __future__ import annotations
 
 import cmath
 import functools
-import math
 from typing import Mapping
 
 from .equivariant import ChernPlan, GaussianForm, curvature_plan
 from .exterior import EvaluationError, ExteriorAlgebra, Form, Poly
 from .polyeval import full_point
-from .supermatrix import TAYLOR_TOL, SuperMatrix, UnsupportedShapeError, super_exp
-
-SPREAD_MAX = math.log(TAYLOR_TOL * 2.0**53)
+from .supermatrix import SuperMatrix, UnsupportedShapeError, super_exp
 
 
 def poly_value(poly: Poly, point: Mapping[str, complex]) -> complex:
@@ -67,16 +64,6 @@ def poly_value(poly: Poly, point: Mapping[str, complex]) -> complex:
     return total
 
 
-def node_spread(plan: ChernPlan, theta: complex) -> float:
-    """The largest distance of a plan group's node o0 + theta o1 from its group's mean."""
-    spread = 0.0
-    for nodes, _ in plan.groups:
-        xs = [o0 + o1 * theta for o0, o1 in nodes]
-        mean = sum(xs) / len(xs)
-        spread = max(spread, *(abs(x - mean) for x in xs))
-    return spread
-
-
 @functools.lru_cache(maxsize=4)
 def pair_plan(pair: tuple[SuperMatrix, SuperMatrix]) -> ChernPlan | None:
     """The pair's Chern plan, or None for a pair the plan refuses.
@@ -94,13 +81,11 @@ def pair_plan(pair: tuple[SuperMatrix, SuperMatrix]) -> ChernPlan | None:
 def plan_at(pair: tuple, kind: type, theta: complex) -> GaussianForm | None:
     """The pair's Chern plan evaluated at theta, kept for the latest theta.
 
-    None for a pair the plan refuses and for a theta whose nodes spread past
-    SPREAD_MAX.  ``kind`` is theta's type, so 1.3 and 1.3 + 0j are kept apart.
+    None for a pair the plan refuses.  ``kind`` is theta's type, so 1.3 and
+    1.3 + 0j are kept apart.
     """
     plan = pair_plan(pair)
-    if plan is None or node_spread(plan, theta) > SPREAD_MAX:
-        return None
-    return plan.evaluate(theta)
+    return None if plan is None else plan.evaluate(theta)
 
 
 def _require_finite(theta: complex, point: Mapping[str, complex]):
@@ -117,6 +102,9 @@ def pointwise_chern(algebra: ExteriorAlgebra, pair: tuple[SuperMatrix, SuperMatr
     _require_finite(theta, point)
     point = full_point(algebra, point)
     if (gaussian := plan_at(pair, type(theta), theta)) is not None:
-        return gaussian.evaluate(point)
+        form = gaussian.evaluate(point)
+        if not all(map(cmath.isfinite, form.terms.values())):
+            raise OverflowError("the Chern form overflows at this point")
+        return form
     f0, f1 = (m.evaluate(point) for m in pair)
     return super_exp(f0 + f1.scale(theta)).supertrace()

@@ -9,9 +9,14 @@ module that loads on first use: the trace shift (the mean of the degree-0
 diagonal, central, so its exponential factors out exactly), then a
 scaling-and-squaring truncated Taylor sum whose products apply the wedge as
 a right-multiplication operator on the row space of the component array.
-The divided differences of exp weight the closed soul paths of the symbolic
+The component array ``(d, d, 2^n)`` is the kernel's format, so
+`equichern.kernels` holds both directions (`to_array`, `from_array`).  The
+divided differences of exp weight the closed soul paths of the symbolic
 Chern plan (`equichern.equivariant`, which walks them) and take batches of
-nodes (a whole theta axis) column by column.  Matrix grading is metadata
+nodes (a whole theta axis) column by column.  They are one routine at every
+spread, in plain Python: the mean-shifted series up to `SERIES_SPREAD`, and
+past it the series on nodes scaled by 2^-s, squared s times (McCurdy, Ng
+and Parlett, Math. Comp. 43, 1984).  Matrix grading is metadata
 consumed by the supertrace; products carry no Koszul signs beyond those of
 the wedge.
 """
@@ -23,14 +28,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
-from .exterior import (
-    NUMERIC,
-    SYMBOLIC,
-    AlgebraMismatchError,
-    BackendError,
-    ExteriorAlgebra,
-    Form,
-)
+from .exterior import SYMBOLIC, AlgebraMismatchError, ExteriorAlgebra, Form
 
 EVEN = 0
 ODD = 1
@@ -39,6 +37,9 @@ ODD = 1
 TAYLOR_TOL = 1e-12
 # Tail bound of the divided-difference series of exp.
 DD_TOL = 1e-18
+# Largest spread R at which the series, which rounds to about e^R 2^-53 of its
+# scale, meets TAYLOR_TOL: ln(TAYLOR_TOL 2^53), about 9.1.
+SERIES_SPREAD = math.log(TAYLOR_TOL * 2.0**53)
 
 
 class ShapeError(ValueError):
@@ -231,20 +232,6 @@ class SuperMatrix:
         return (self.homogeneous_parity() == ODD
                 or all(f.is_zero for row in self.entries for f in row))
 
-    # -- dense component array ------------------------------------------------------
-
-    def to_array(self):
-        """Components ``(d, d, 2^n)`` of a numeric matrix, a numpy array."""
-        from .kernels import to_array
-
-        return to_array(self)
-
-    @classmethod
-    def from_array(cls, algebra, grading, arr) -> "SuperMatrix":
-        """Numeric supermatrix from components ``(d, d, 2^n)``."""
-        return cls(algebra, grading, [[Form(algebra, NUMERIC, dict(enumerate(f)))
-                                       for f in row] for row in arr])
-
     def isclose(self, other: "SuperMatrix", tol: float = 1e-12) -> bool:
         self._check(other)
         return all(a.isclose(b, tol) for r1, r2 in zip(self.entries, other.entries)
@@ -256,12 +243,9 @@ class SuperMatrix:
 
 def super_exp(a: SuperMatrix, tol: float = TAYLOR_TOL) -> SuperMatrix:
     """Matrix exponential of a numeric supermatrix by `kernels.taylor_exp`."""
-    from .kernels import taylor_exp
+    from .kernels import from_array, taylor_exp, to_array
 
-    if a.backend != NUMERIC:
-        raise BackendError("super_exp requires the numeric backend")
-    acc = taylor_exp(a.to_array(), a.algebra, tol)
-    return SuperMatrix.from_array(a.algebra, a.grading, acc)
+    return from_array(a.algebra, a.grading, taylor_exp(to_array(a), a.algebra, tol))
 
 
 # -- divided differences of exp ------------------------------------------------
@@ -277,7 +261,12 @@ def exp_divided_difference(nodes):
     |a-b| < 1e-8, and any higher order) a mean-shifted series in complete
     homogeneous symmetric polynomials is used, which reduces to the
     derivative formula at exact confluence.  It stops once a bound on its
-    tail falls below DD_TOL, and raises ConvergenceError at 400 terms.
+    tail falls below DD_TOL, and raises ConvergenceError at 400 terms.  The
+    series rounds to about e^R 2^-53 of its scale, R the largest distance of
+    a node from the nodes' mean, so past R = SERIES_SPREAD it runs on the
+    nodes times 2^-s instead, s the least with 2R 2^-s <= SERIES_SPREAD: the
+    triangle of sub-differences of Opitz's bidiagonal form, squared s times.
+    A value out of the float range there raises OverflowError.
     """
     if not len(nodes):
         raise ValueError("need at least one node")
@@ -300,6 +289,23 @@ def _exp_dd(nodes) -> complex:
     # m sum to at most e^r tail with tail = r^(m+1) / ((m+1)! k!), and the
     # series stops at the first m with e^r tail < DD_TOL (e^-r cannot overflow)
     r = max(map(abs, ds))
+    if r > SERIES_SPREAD:
+        # Delta[x0..xk]exp is entry (0, k) of exp(J), J = diag(x) + superdiagonal
+        # 1 (Opitz), and exp(J / 2^s) has entries 2^-s(j-i) Delta[y_i..y_j]exp
+        # for y = x 2^-s; each sub-difference spreads at most 2r 2^-s <=
+        # SERIES_SPREAD about its own mean, so the series gives it.  Squared s
+        # times, it is exp(J).  The powers of 2 are floats, exact and at worst
+        # 0: an int one overflows its float conversion at r ~ 1e300.  Past
+        # about r = 1e16 the squared diagonal drifts off its modulus
+        s = math.ceil(math.log2(2 * r / SERIES_SPREAD))
+        n = range(k + 1)
+        t = [[_exp_dd([x * 2.0**-s for x in xs[i:j + 1]]) * 2.0**(s * (i - j)) if i <= j else 0
+              for j in n] for i in n]
+        for _ in range(s):
+            t = [[sum(t[i][m] * t[m][j] for m in range(i, j + 1)) for j in n] for i in n]
+        if not cmath.isfinite(t[0][k]):
+            raise OverflowError("divided difference of exp out of range")
+        return t[0][k]
     limit = DD_TOL * math.exp(-r)
     h = [1.0] * (k + 1)  # h[j] = h_m(ds[0..j])
     total = coeff = 1.0 / math.factorial(k)
@@ -313,3 +319,4 @@ def _exp_dd(nodes) -> complex:
         total += h[k] * coeff
         tail *= r / (m + 1)
     return cmath.exp(shift) * total
+

@@ -16,11 +16,11 @@ from equichern.equivariant import bundle_character, chern_form
 from equichern.exterior import NUMERIC
 from equichern.geometry import orientation_sign
 from equichern.homotopy import c_plane, homotopy_path
-from equichern.kernels import closedness_residual, super_exp_duhamel
+from equichern.kernels import closedness_residual, from_array, super_exp_duhamel, to_array
 from equichern.pairing import delta_pairing, gaussian_test, zero_op_s1
 from equichern.quadrature import index_character
 from equichern.scan import ScanGrid, ellipticity_scan
-from equichern.supermatrix import SuperMatrix, super_exp
+from equichern.supermatrix import super_exp
 from equichern.symbolalg import (
     condition_c_fit,
     normalized_remainder_symbol,
@@ -160,9 +160,9 @@ def test_criterion_7_exponential_oracle_equivalence():
                     if rng.random() < 0.25:
                         arr[i, j, mask] = complex(rng.uniform(-2, 2),
                                                   rng.uniform(-2, 2))
-        m = SuperMatrix.from_array(alg, grading, arr)
-        a = super_exp(m, tol=1e-14).to_array()
-        b = super_exp_duhamel(m).to_array()
+        m = from_array(alg, grading, arr)
+        a = to_array(super_exp(m, tol=1e-14))
+        b = to_array(super_exp_duhamel(m))
         worst = max(worst, float(np.abs(a - b).max()))
     report("7 (exponential oracle equivalence)", worst < 1e-10,
            f"max entrywise deviation {worst:.2e} <= 1e-10 on 50 matrices")

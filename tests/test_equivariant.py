@@ -36,10 +36,10 @@ from equichern.geometry import (
     oriented_volume_coefficient,
 )
 from equichern.homotopy import c_plane
-from equichern.kernels import closedness_residual
+from equichern.kernels import closedness_residual, from_array, to_array
 from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.pairing import zero_op_s1
-from equichern.pointwise import SPREAD_MAX, node_spread, pair_plan, plan_at
+from equichern.pointwise import pair_plan, plan_at
 from equichern.polyeval import full_point
 from equichern.quadrature import (
     DivergenceError,
@@ -477,9 +477,8 @@ class TestInvariants:
         g = np.eye(4, dtype=complex)
         g[0, 1], g[1, 0], g[2, 3], g[3, 2] = 0.2, -0.3j, 0.15 + 0.1j, 0.4
         g += np.eye(4)
-        conj = np.einsum("ij,jkc,kl->ilc", g, fnum.to_array(), np.linalg.inv(g))
-        lhs = super_exp(SuperMatrix.from_array(m.algebra, fnum.grading, conj),
-                        tol=1e-14).supertrace()
+        conj = np.einsum("ij,jkc,kl->ilc", g, to_array(fnum), np.linalg.inv(g))
+        lhs = super_exp(from_array(m.algebra, fnum.grading, conj), tol=1e-14).supertrace()
         rhs = super_exp(fnum, tol=1e-14).supertrace()
         assert (lhs - rhs).norm_max() < 1e-10
 
@@ -679,21 +678,21 @@ def reduceat_route(model, theta, point):
     oracle, which shares no code with `kernels.taylor_exp`.
     """
     fnum = equivariant_curvature(model, theta).evaluate(full_point(model.algebra, point))
-    expf = reduceat_taylor_exp(fnum.to_array(), model.algebra, 1e-15)
-    return SuperMatrix.from_array(model.algebra, fnum.grading, expf).supertrace()
+    expf = reduceat_taylor_exp(to_array(fnum), model.algebra, 1e-15)
+    return from_array(model.algebra, fnum.grading, expf).supertrace()
 
 
 @pytest.mark.skipif(hypothesis is None, reason="hypothesis is not installed")
 def test_chern_form_matches_the_taylor_route():
     """Drawn weights, angles and points: `chern_form` against the Taylor route.
 
-    `chern_form` reads the Chern plan wherever the nodes' spread allows and
-    runs `super_exp` elsewhere, so its oracle is the independent Taylor sum
-    of `reduceat_route` on the curvature evaluated at the point.  Models
-    are `weighted_plane_uv(m)` for m in +-1..+-4 and the theta-dependent soul
-    of `sloped_soul_model`; both routes are entire in theta.  The explicit
-    examples sit on both sides of `pointwise.SPREAD_MAX`: without the choice
-    of side, c-plane-uv at theta 20 is 5.8e-13 off, at 100 it raises
+    `chern_form` reads the Chern plan for every pair that splits, so its
+    oracle is the independent Taylor sum of `reduceat_route` on the
+    curvature evaluated at the point.  Models are `weighted_plane_uv(m)` for
+    m in +-1..+-4 and the theta-dependent soul of `sloped_soul_model`; both
+    routes are entire in theta.  The explicit examples spread their nodes on
+    both sides of `supermatrix.SERIES_SPREAD`: with the divided-difference
+    series alone, c-plane-uv at theta 20 is 5.8e-13 off, at 100 it raises
     ConvergenceError, and weight 4 at theta 6 is 1e-11 off.
     """
     coordinate = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
@@ -739,18 +738,24 @@ class TestPointwiseSides:
         (c_plane_uv, 20.0), (c_plane_uv, 40.0), (c_plane_uv, 100.0), (c_plane_uv, 1000.0),
         (lambda: weighted_plane_uv(4), 6.0), (lambda: weighted_plane_uv(4), 8.0),
     ], ids=["uv-20", "uv-40", "uv-100", "uv-1000", "weight-4-6", "weight-4-8"])
-    def test_wide_spreads_match_the_taylor_route(self, make, theta):
+    def test_wide_spreads_match_the_taylor_route(self, make, theta, monkeypatch):
+        # nodes spread past supermatrix.SERIES_SPREAD: the plan side squares
+        # the divided differences, and never runs the Taylor side
         m = make()
-        got = chern_form(m, theta, POINT_UV)
         ref = reduceat_route(m, theta, POINT_UV)
+
+        def refuse(x):
+            raise AssertionError("a wide spread ran the Taylor side")
+
+        monkeypatch.setattr(pointwise, "super_exp", refuse)
+        got = chern_form(m, theta, POINT_UV)
+        assert plan_at(m.curvature, float, theta) is not None
         assert all(cmath.isfinite(c) for c in got.terms.values())
         assert got.isclose(ref, 1e-12 * max(1.0, ref.norm_max()))
-        assert node_spread(chern_plan(m), theta) > SPREAD_MAX
 
     @pytest.mark.parametrize("make, theta", [
         (non_splitting_model, 0.3), (non_splitting_model, 2 + 1j),
-        (c_plane_uv, 20.0), (c_plane_uv, 1000.0), (lambda: weighted_plane_uv(4), 6.0),
-    ], ids=["non-splitting-0.3", "non-splitting-complex", "uv-20", "uv-1000", "weight-4-6"])
+    ], ids=["non-splitting-0.3", "non-splitting-complex"])
     def test_taylor_side_is_the_compiled_taylor_route_bit_for_bit(self, make, theta):
         m = make()
         got = chern_form(m, theta, POINT_UV)
@@ -789,7 +794,6 @@ class TestPointwiseSides:
         # perfbench/dense_op.py draws theta in [0.1, 2 pi - 0.1] on c-plane-uv
         m = c_plane_uv()
         theta = 2 * cmath.pi - 0.1
-        assert node_spread(chern_plan(m), theta) <= SPREAD_MAX
 
         def refuse(x):
             raise AssertionError("the dense workload range ran the Taylor side")
@@ -839,6 +843,21 @@ class TestPointwiseSides:
             warnings.simplefilter("error")
             got = chern_form(c_plane_uv(), 1.0, point)
         assert got.backend == NUMERIC and got.is_zero
+
+    @pytest.mark.parametrize("make, theta, point, message", [
+        (non_splitting_model, 1.0, {"u": 1e160, "v": 0}, "exponent has entries that are not finite"),
+        (non_splitting_model, 1 - 800j, POINT_UV, "Taylor exponential overflows"),
+        (parsed_plane_model, 1.0, {"z": 1e160, "xi": 0.5}, "Chern form overflows"),
+    ], ids=["taylor-side-square", "taylor-side-theta", "plan-side-inf-minus-inf"])
+    def test_overflow_is_named(self, make, theta, point, message):
+        # the unsplit curvature's |u|^2 is inf; its exponential at theta =
+        # 1 - 800i exceeds the float range (about e^260 at 1 - 300i); the
+        # parsed c-plane's Gaussian exponent is inf - inf at z = 1e160
+        m = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=message):
+                chern_form(m, theta, point)
 
     def test_a_zero_gaussian_factor_is_not_multiplied_by_inf(self):
         # a coefficient that overflows where the factor underflows: u ubar e^{-u ubar}

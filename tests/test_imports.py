@@ -147,23 +147,32 @@ DENSE_OP = ("from equichern.equivariant import chern_form\n"
 
 
 def test_dense_op_reads_the_plan_and_loads_no_taylor_kernel():
-    # c-plane-uv splits and its dense-workload thetas spread within
-    # pointwise.SPREAD_MAX, so no point runs the Taylor side in equichern.kernels;
-    # the plan side evaluates the plan at a point in plain Python, so no numpy
+    # c-plane-uv splits, so every theta reads the Chern plan and no point runs
+    # the Taylor side in equichern.kernels; the plan side evaluates the plan at
+    # a point in plain Python, so no numpy
     modules = loaded_modules(DENSE_OP)
     assert "equichern.pointwise" in modules
     assert "equichern.kernels" not in modules
     assert not {m for m in modules if m.split(".")[0] == "numpy"}
 
+
+def test_a_wide_spread_reads_the_plan_and_loads_no_taylor_kernel():
+    # theta = 1000 spreads the c-plane-uv nodes far past SERIES_SPREAD: the
+    # squared divided differences serve it, and only a refused pair loads kernels
+    modules = loaded_modules(DENSE_OP.replace("0.3,", "1000.0,"))
+    assert "equichern.pointwise" in modules
+    assert not modules & {"equichern.kernels", "numpy"}
+
+
 # entry point -> (script, its arguments, most code lines of equichern modules it
 # may load): the values each reached when the dense exponential became one
-# unblocked Taylor sum (the dense op's when its plan side left numpy), so
-# code put back on a command path fails here
+# unblocked Taylor sum (the dense op's when every theta of a splitting pair
+# came to read the Chern plan), so code put back on a command path fails here
 CODE_LINE_BUDGETS = {
     "run-example zero-op": (CLI_RUN, ("run-example", "zero-op"), 1134),
     "run-example c-plane": (CLI_RUN, ("run-example", "c-plane"), 1260),
     "check-symbol": (CLI_RUN, ("check-symbol", str(PLANE_MODEL)), 1696),
-    "dense": (DENSE_OP, (), 1022),
+    "dense": (DENSE_OP, (), 1008),
     "import equichern.cli": ("import equichern.cli", (), 143),
 }
 

@@ -6,9 +6,18 @@ import pytest
 
 from equichern.augmentation import c_plane_uv
 from equichern.exterior import NUMERIC, SYMBOLIC, BackendError, ExteriorAlgebra
-from equichern.kernels import _array_norm, right_operator, super_exp_duhamel, taylor_parameters
+from equichern.kernels import (
+    _array_norm,
+    from_array,
+    right_operator,
+    super_exp_duhamel,
+    taylor_parameters,
+    to_array,
+)
 from equichern.polyeval import full_point
+from equichern import supermatrix
 from equichern.supermatrix import (
+    SERIES_SPREAD,
     EVEN,
     ConvergenceError,
     ShapeError,
@@ -24,6 +33,12 @@ from conftest import (
     reduceat_table,
     reduceat_taylor_exp,
 )
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # declared in the test extra, but skip where it is absent
+    hypothesis = None
 
 
 
@@ -45,7 +60,7 @@ def random_supermatrix(algebra, grading, rng, coeff_scale=1.0, soul_degrees=(1, 
                 if rng.random() < 0.3:
                     arr[i, j, m] = coeff_scale * (
                         rng.standard_normal() + 1j * rng.standard_normal())
-    return SuperMatrix.from_array(algebra, grading, arr)
+    return from_array(algebra, grading, arr)
 
 
 class TestProduct:
@@ -116,7 +131,7 @@ def _homogeneous(algebra, grading, rng, parity):
                     continue
                 if rng.random() < 0.25:
                     arr[i, j, m] = rng.standard_normal() + 1j * rng.standard_normal()
-    return SuperMatrix.from_array(algebra, grading, arr)
+    return from_array(algebra, grading, arr)
 
 
 class TestSuperExp:
@@ -174,7 +189,7 @@ class TestSuperExp:
 def array_exp(A, algebra, grading=None):
     """``super_exp`` on the matrix of a component array (all rows even when None)."""
     grading = grading or Grading((EVEN,) * len(A))
-    return super_exp(SuperMatrix.from_array(algebra, grading, A)).to_array()
+    return to_array(super_exp(from_array(algebra, grading, A)))
 
 
 # -- the unshifted Taylor route, the oracle of the trace shift ------------------------
@@ -228,8 +243,7 @@ class TestTaylorKernel:
         _, B = random_array(n_gen, rng)
         d, _, K = A.shape
         gr = Grading((0,) * d)
-        want = (SuperMatrix.from_array(alg, gr, A)
-                @ SuperMatrix.from_array(alg, gr, B)).to_array()
+        want = to_array(from_array(alg, gr, A) @ from_array(alg, gr, B))
         pairs = [np.array(column) for column in zip(*alg.pair_table())]
         kernel = A.reshape(d, d * K) @ right_operator(B, pairs)
         oracle = reduceat_matmul(A, B, reduceat_table(alg))
@@ -255,7 +269,7 @@ class TestTaylorKernel:
         # an even array, such as a curvature, against the route with no trace shift
         alg, gr, A = random_even_array(d, n_gen, rng)
         A *= target / _array_norm(A)
-        assert SuperMatrix.from_array(alg, gr, A).homogeneous_parity() == EVEN
+        assert from_array(alg, gr, A).homogeneous_parity() == EVEN
         got = array_exp(A, alg, gr)
         want = unshifted_taylor_exp(A, alg)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -267,7 +281,7 @@ class TestTaylorKernel:
         alg, A = random_array(n_gen, rng)
         A *= target / _array_norm(A)
         gr = Grading.from_string("+-+-")
-        assert SuperMatrix.from_array(alg, gr, A).homogeneous_parity() != EVEN
+        assert from_array(alg, gr, A).homogeneous_parity() != EVEN
         want = unshifted_taylor_exp(A, alg)
         for grading in (None, gr):
             got = array_exp(A, alg, grading)
@@ -301,17 +315,17 @@ class TestTaylorKernel:
         # exp of a pure soul is its Taylor sum through the generator count,
         # taken here by pure-Python wedge products
         m = random_supermatrix(plane_algebra, grading, rng, coeff_scale=2.0)
-        arr = m.to_array()
+        arr = to_array(m)
         arr[:, :, 0] = 0.0
         assert taylor_parameters(_array_norm(arr), 1e-12)[0] > 0
-        soul = SuperMatrix.from_array(plane_algebra, grading, arr)
+        soul = from_array(plane_algebra, grading, arr)
         term = SuperMatrix.identity(plane_algebra, grading, NUMERIC)
         want = term
         for k in range(1, len(plane_algebra.generators) + 1):
             term = (term @ soul).scale(1.0 / k)
             want = want + term
         got = array_exp(arr, plane_algebra)
-        want = want.to_array()
+        want = to_array(want)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_norm_at_the_scaling_boundary(self, plane_algebra):
@@ -338,9 +352,9 @@ class TestTaylorKernel:
 class TestDuhamel:
     def test_reduces_to_taylor_for_pure_soul(self, plane_algebra, grading, rng):
         m = random_supermatrix(plane_algebra, grading, rng)
-        arr = m.to_array()
+        arr = to_array(m)
         arr[:, :, 0] = 0.0  # body zero: series is the degree-truncated Taylor sum
-        n = SuperMatrix.from_array(plane_algebra, grading, arr)
+        n = from_array(plane_algebra, grading, arr)
         assert super_exp_duhamel(n).isclose(super_exp(n, tol=1e-15), 1e-11)
 
     def test_worked_supertrace_matches_closed_form(self, rng):
@@ -393,8 +407,8 @@ class TestDuhamel:
         worst = 0.0
         for _ in range(20):
             m = random_supermatrix(plane_algebra, grading, rng, coeff_scale=2.0)
-            a = super_exp(m, tol=1e-14).to_array()
-            b = super_exp_duhamel(m).to_array()
+            a = to_array(super_exp(m, tol=1e-14))
+            b = to_array(super_exp_duhamel(m))
             worst = max(worst, float(np.abs(a - b).max()))
         assert worst < 1e-10
 
@@ -426,10 +440,68 @@ class TestDividedDifferences:
         assert abs(base - (hi - lo) / (nodes[3] - nodes[0])) < 1e-10
 
 
-    def test_series_stops_at_400_terms(self):
+    def test_series_stops_at_400_terms(self, monkeypatch):
+        # the series' safety stop, reached by keeping it past SERIES_SPREAD:
         # the spread r = 200 about the mean 100i needs about e r terms
+        monkeypatch.setattr(supermatrix, "SERIES_SPREAD", math.inf)
         with pytest.raises(ConvergenceError, match="did not converge"):
             exp_divided_difference([0, 0, 300j])
+
+    def test_wide_spread_matches_opitz(self):
+        # the spread 200 that the series alone cannot sum in 400 terms
+        ref = opitz_divided_difference([0, 0, 300j])
+        assert abs(exp_divided_difference([0, 0, 300j]) - ref) <= 1e-13 * abs(ref)
+
+    def test_huge_spread_is_scaled_by_float_powers_of_two(self):
+        # s = 997: 2^-2s underflows to 0 rather than overflowing an int
+        # conversion, and Delta[0, 0, -L]exp = 1/L - 1/L^2 to the last digit
+        assert abs(exp_divided_difference([0, 0, -1e300]) - 1e-300) <= 1e-15 * 1e-300
+        # the 997 squarings of e^{i y} drift off the unit circle: a named error
+        with pytest.raises(OverflowError, match="out of range"):
+            exp_divided_difference([0, 0, 1e300j])
+
+    @pytest.mark.skipif(hypothesis is None, reason="hypothesis is not installed")
+    def test_every_spread_matches_opitz(self):
+        """Drawn node sets of 2-6 nodes spread up to 200 against `opitz_divided_difference`.
+
+        Distinct nodes lie at least spread / 10 apart, on a grid.  When drawn
+        so, the first node is repeated exactly (confluent) or moved by
+        delta = 1e-9 (near-confluent).  scipy's ``expm`` is off by about
+        2^-53 / delta there (6e-8 at nodes 8i, 8i, 8i + 1e-9), so the oracle
+        of that set is its first-order expansion in delta, Delta[..., x0] +
+        delta Delta[..., x0, x0], whose error is about delta^2.  The
+        explicit examples sit just inside and just outside `SERIES_SPREAD`,
+        where the squaring takes over.
+        """
+        sides = set()
+        tenth = st.integers(-7, 7).map(lambda n: n / 10)
+        unit = st.builds(complex, tenth, tenth)
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(st.lists(unit, min_size=2, max_size=5, unique=True),
+                          st.one_of(st.just(0.0), st.floats(1, 200)),
+                          st.builds(complex, st.floats(-3, 3), st.floats(-50, 50)),
+                          st.sampled_from([None, 0.0, 1e-9]))
+        @hypothesis.example([-1, 1], 0.99 * SERIES_SPREAD, 0j, None)
+        @hypothesis.example([-1j, 1j, 0.5j], 1.01 * SERIES_SPREAD, 0j, 0.0)
+        @hypothesis.example([-1, 1, 1j], 0.99 * SERIES_SPREAD, 0.3j, 1e-9)
+        def check(units, spread, center, cluster):
+            nodes = [center + spread * x for x in units]
+            ref = 0j
+            if cluster:
+                ref = cluster * opitz_divided_difference([*nodes, nodes[0], nodes[0]])
+            if cluster is not None:
+                ref += opitz_divided_difference([*nodes, nodes[0]])
+                nodes.append(nodes[0] + cluster)
+            else:
+                ref = opitz_divided_difference(nodes)
+            mean = sum(nodes) / len(nodes)
+            sides.add(max(abs(x - mean) for x in nodes) > SERIES_SPREAD)
+            assert abs(exp_divided_difference(nodes) - ref) <= 1e-12 * abs(ref)
+
+        check()
+        assert sides == {False, True}
 
 
 def opitz_divided_difference(nodes):
@@ -553,9 +625,8 @@ class TestInvariants:
         g[1, 0] = -0.1j
         g[2, 3] = 0.4
         g[3, 2] = 0.25 - 0.5j
-        conj = np.einsum("ij,jkc,kl->ilc", g, f.to_array(), np.linalg.inv(g))
-        lhs = super_exp(SuperMatrix.from_array(plane_algebra, grading, conj),
-                        tol=1e-14).supertrace()
+        conj = np.einsum("ij,jkc,kl->ilc", g, to_array(f), np.linalg.inv(g))
+        lhs = super_exp(from_array(plane_algebra, grading, conj), tol=1e-14).supertrace()
         rhs = super_exp(f, tol=1e-14).supertrace()
         assert (lhs - rhs).norm_max() < 1e-10
 
