@@ -11,7 +11,7 @@ route and ``check-symbol`` load this module; the delta pairing does not.
 
 from __future__ import annotations
 
-from .exterior import SYMBOLIC, Poly
+from .exterior import Poly
 from .geometry import COMPLEX, ActionModel, BundleSpec, Coordinate
 from .supermatrix import SuperMatrix, UnsupportedShapeError
 
@@ -26,7 +26,7 @@ def augment_by_clifford(model: ActionModel, w: Poly) -> SuperMatrix:
     if e is None or wspec is None or e.rank != 2 or wspec.rank != 2:
         raise UnsupportedShapeError("augmentation needs rank-2 E and W bundles")
     alg = model.algebra
-    zero = alg.zero(SYMBOLIC)
+    zero = alg.zero()
     sigma = model.symbol.entries
     cmat = [[None, alg.scalar(model.conj_poly(w))], [alg.scalar(w), None]]
     basis = list(model.script_e_pairs)
@@ -54,7 +54,7 @@ def c_plane_uv() -> ActionModel:
     w = BundleSpec((0, 1), (0, 1))
     model = ActionModel("c-plane-uv", coords, e, w)
     alg = model.algebra
-    zero = alg.zero(SYMBOLIC)
+    zero = alg.zero()
     sigma = [[zero, alg.scalar(alg.coord("ubar"))], [alg.scalar(alg.coord("u")), zero]]
     model.set_symbol(sigma)
     # superconnection odd term: i * (the symbol augmented by c(v))

@@ -19,8 +19,10 @@ exponential, numpy's `kernels.taylor_exp`) only for a pair the plan
 refuses.  The soul-path
 walk (`duhamel_paths`, over the split of `diagonal_body`) is this module's;
 the Duhamel exponential of `equichern.kernels`, the oracle of the Taylor
-route, walks it too.  That module also holds `closedness_residual`, which no
-command runs.
+route, walks it too.  Each walk starts from the number 1, so a polynomial
+soul (the plan's) gives polynomial products and a soul of numbers (the
+Duhamel exponential's) gives numbers.  That module also holds
+`closedness_residual`, which no command runs.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import cmath
 from typing import Mapping, NamedTuple, Sequence
 
-from .exterior import NUMERIC, SYMBOLIC, Form, Poly
+from .exterior import Form, Poly
 from .geometry import ActionModel
 from .supermatrix import SuperMatrix, UnsupportedShapeError, exp_divided_difference
 
@@ -61,7 +63,7 @@ def duhamel_paths(soul: Sequence[SuperMatrix], diag: Sequence):
     """Every soul path with a non-zero product, for the Duhamel expansion.
 
     The soul is a polynomial in a parameter t given by its coefficient
-    matrices, soul = sum_p t^p soul[p] (one matrix for a numeric soul).
+    matrices, soul = sum_p t^p soul[p] (one matrix for a soul of numbers).
     Yields (start, end, product, nodes) for each walk start -> ... -> end of
     one or more soul entries whose product is non-zero; the product is the
     list of its t-power coefficient forms without trailing zeros, and nodes
@@ -71,7 +73,7 @@ def duhamel_paths(soul: Sequence[SuperMatrix], diag: Sequence):
     """
     d = soul[0].dim
     alg = soul[0].algebra
-    zero = alg.zero(soul[0].backend)
+    zero = alg.zero()
     max_depth = len(alg.generators)
     edges = [[trim([m.entries[j][k] for m in soul]) for k in range(d)]
              for j in range(d)]
@@ -97,7 +99,7 @@ def duhamel_paths(soul: Sequence[SuperMatrix], diag: Sequence):
             yield start, nxt, p2, nodes2
             yield from walk(start, nxt, p2, nodes2)
 
-    one = [alg.one(soul[0].backend)]
+    one = [Form(alg, {0: 1.0})]
     for i in range(d):
         yield from walk(i, i, one, (diag[i],))
 
@@ -112,7 +114,7 @@ def diagonal_body(mat: SuperMatrix) -> tuple[list[Form], SuperMatrix]:
            for i in range(d) for j in range(d)):
         raise UnsupportedShapeError("degree-0 content outside the diagonal body")
     diag = [mat.entries[i][i].component(0) for i in range(d)]
-    return diag, mat - SuperMatrix.diagonal(mat.algebra, mat.grading, diag, mat.backend)
+    return diag, mat - SuperMatrix.diagonal(mat.algebra, mat.grading, diag)
 
 
 def split_body(mat: SuperMatrix) -> tuple[Poly, tuple[complex, ...], SuperMatrix]:
@@ -167,7 +169,7 @@ class GaussianForm(NamedTuple):
 
         gauss = cmath.exp(poly_value(self.exponent, point))
         kept = self.form.terms.items() if gauss else ()
-        return Form(self.form.algebra, NUMERIC, {m: poly_value(c, point) * gauss for m, c in kept})
+        return Form(self.form.algebra, {m: poly_value(c, point) * gauss for m, c in kept})
 
 
 class ChernPlan(NamedTuple):
@@ -217,7 +219,7 @@ class ChernPlan(NamedTuple):
 
     def evaluate(self, theta: complex) -> GaussianForm:
         """The supertrace at one theta, with its Gaussian exponent factored out."""
-        total, = self.contract(self.forms, [theta], self.shared[0].algebra.zero(SYMBOLIC))
+        total, = self.contract(self.forms, [theta], self.shared[0].algebra.zero())
         return GaussianForm(self.shared[0] + self.shared[1] * theta, total)
 
 

@@ -1,11 +1,19 @@
 """Exact exterior (Grassmann) algebra over a finite set of named 1-form generators.
 
-Two coefficient backends share one Grassmann structure: sparse complex
-polynomials in declared coordinates (supporting formal derivatives), and
-plain complex numbers as the evaluation target.  Conjugate coordinates such
-as ``z`` and ``zbar`` are independent symbols; the kernel never assumes
-reality.  Generator subsets are stored as bitmasks in declaration order, so
-every form has a unique canonical representation and equality is exact.
+A coefficient is either a `Poly`, a sparse complex polynomial in the declared
+coordinates (with formal derivatives), or a ``complex``, a value at a point;
+its type is the only mark of which a form holds.  `Form(algebra, terms)`
+keeps a `Poly` as it is and turns any other value into a ``complex``.
+``zero``, ``one``, ``scalar`` and ``gen`` build polynomial forms; numbers
+enter only by evaluation (`Form.evaluate` and the evaluations built on it)
+or by an explicit ``Form(algebra, {mask: value})``.  In arithmetic a number
+meets a `Poly` as a constant polynomial (`Poly._coerce`); a missing
+coefficient reads as ``0j``; ``d`` needs polynomials and ``isclose``
+numbers, and either raises BackendError otherwise.  Conjugate coordinates
+such as ``z`` and ``zbar`` are independent symbols; the kernel never
+assumes reality.  Generator subsets are stored as bitmasks in declaration
+order, so every form has a unique canonical representation and equality
+is exact.
 At a point of scalars, polynomials and forms are evaluated term by term in
 plain Python (`equichern.pointwise.poly_value`); on a grid of points, by
 `equichern.polyeval.CompiledPolys`, one product of a coefficient matrix and
@@ -17,20 +25,17 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-SYMBOLIC = "symbolic"
-NUMERIC = "numeric"
-
 
 class AlgebraError(Exception):
     """Base class for exterior-algebra usage errors."""
 
 
 class AlgebraMismatchError(AlgebraError):
-    """Operands belong to different algebras or backends."""
+    """Operands belong to different algebras."""
 
 
 class BackendError(AlgebraError):
-    """Operation not supported on this coefficient backend."""
+    """Operation not supported on this kind of coefficient (number or polynomial)."""
 
 
 class EvaluationError(AlgebraError):
@@ -103,23 +108,18 @@ class ExteriorAlgebra:
 
     # -- form constructors --------------------------------------------------
 
-    def zero(self, backend: str = SYMBOLIC) -> "Form":
-        return Form(self, backend, {})
+    def zero(self) -> "Form":
+        return Form(self, {})
 
-    def one(self, backend: str = SYMBOLIC) -> "Form":
-        return self.scalar(1.0, backend)
+    def one(self) -> "Form":
+        return self.scalar(1.0)
 
-    def scalar(self, value, backend: str = SYMBOLIC) -> "Form":
-        if backend == NUMERIC:
-            return Form(self, backend, {0: complex(value)})
-        if isinstance(value, Poly):
-            return Form(self, backend, {0: value})
-        return Form(self, backend, {0: self.const(value)})
+    def scalar(self, value) -> "Form":
+        return Form(self, {0: value if isinstance(value, Poly) else self.const(value)})
 
-    def gen(self, name: str, backend: str = SYMBOLIC) -> "Form":
+    def gen(self, name: str) -> "Form":
         mask, _ = self.mask_of((name,))
-        coeff = 1.0 + 0.0j if backend == NUMERIC else self.const(1.0)
-        return Form(self, backend, {mask: coeff})
+        return Form(self, {mask: self.const(1.0)})
 
     def mask_of(self, names: Iterable[str]) -> tuple[int, int]:
         """Bitmask of a generator tuple plus the sign of sorting it canonically."""
@@ -271,35 +271,26 @@ class Poly:
         return " + ".join(parts)
 
 
-def _coeff_is_zero(c) -> bool:
-    if isinstance(c, Poly):
-        return c.is_zero
-    return c == 0
-
-
 class Form:
     """Element of the exterior algebra: canonical generator subsets to coefficients."""
 
-    __slots__ = ("algebra", "backend", "terms")
+    __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: ExteriorAlgebra, backend: str, terms: Mapping[int, object]):
-        if backend not in (SYMBOLIC, NUMERIC):
-            raise BackendError(f"unknown backend {backend!r}")
+    def __init__(self, algebra: ExteriorAlgebra, terms: Mapping[int, object]):
         self.algebra = algebra
-        self.backend = backend
         clean: dict[int, object] = {}
         for mask, coeff in terms.items():
-            if backend == NUMERIC:
-                coeff = complex(coeff)
-            elif not isinstance(coeff, Poly):
-                coeff = algebra.const(coeff)
-            if not _coeff_is_zero(coeff):
-                clean[int(mask)] = coeff
+            if isinstance(coeff, Poly):
+                if coeff.is_zero:
+                    continue
+            elif not (coeff := complex(coeff)):
+                continue
+            clean[int(mask)] = coeff
         self.terms = clean
 
     def _check(self, other: "Form"):
-        if self.algebra is not other.algebra or self.backend != other.backend:
-            raise AlgebraMismatchError("forms over different algebras or backends")
+        if self.algebra is not other.algebra:
+            raise AlgebraMismatchError("forms over different algebras")
 
     # -- ring structure ------------------------------------------------------
 
@@ -308,10 +299,10 @@ class Form:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out[m] + c if m in out else c
-        return Form(self.algebra, self.backend, out)
+        return Form(self.algebra, out)
 
     def __neg__(self):
-        return Form(self.algebra, self.backend, {m: -c for m, c in self.terms.items()})
+        return Form(self.algebra, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -325,12 +316,9 @@ class Form:
         return self.scale(other)
 
     def scale(self, factor) -> "Form":
-        if self.backend == NUMERIC:
+        if not isinstance(factor, Poly):
             factor = complex(factor)
-        elif not isinstance(factor, Poly):
-            factor = self.algebra.const(factor)
-        return Form(self.algebra, self.backend,
-                    {m: factor * c for m, c in self.terms.items()})
+        return Form(self.algebra, {m: factor * c for m, c in self.terms.items()})
 
     def wedge(self, other: "Form") -> "Form":
         """Exterior product; generator squares vanish, signs from transpositions."""
@@ -345,7 +333,7 @@ class Form:
                 if _merge_sign(m1, m2) < 0:
                     c = -c
                 out[m] = out[m] + c if m in out else c
-        return Form(self.algebra, self.backend, out)
+        return Form(self.algebra, out)
 
     # -- graded derivations ---------------------------------------------------
 
@@ -369,14 +357,14 @@ class Form:
                 if _merge_sign(bit, m) < 0:
                     c = -c
                 out[m] = out[m] + c if m in out else c
-        return Form(self.algebra, self.backend, out)
+        return Form(self.algebra, out)
 
     def d(self) -> "Form":
         """Exterior derivative via the declared coordinate differentials."""
-        if self.backend != SYMBOLIC:
-            raise BackendError("exterior derivative requires the symbolic backend")
         out: dict[int, object] = {}
         for mask, coeff in self.terms.items():
+            if not isinstance(coeff, Poly):
+                raise BackendError("the exterior derivative needs polynomial coefficients")
             for coord, gen in self.algebra.differentials.items():
                 dc = coeff.diff(coord)
                 if dc.is_zero:
@@ -388,15 +376,14 @@ class Form:
                 if _merge_sign(gbit, mask) < 0:
                     dc = -dc
                 out[m] = out[m] + dc if m in out else dc
-        return Form(self.algebra, SYMBOLIC, out)
+        return Form(self.algebra, out)
 
     # -- evaluation ------------------------------------------------------------
 
     def evaluate(self, point: Mapping[str, complex]) -> "Form":
-        """Evaluate polynomial coefficients at a point, yielding a numeric form."""
-        if self.backend == NUMERIC:
-            return self
-        return Form(self.algebra, NUMERIC, {m: c.evaluate(point) for m, c in self.terms.items()})
+        """Evaluate polynomial coefficients at a point, yielding a form of numbers."""
+        return Form(self.algebra, {m: c.evaluate(point) if isinstance(c, Poly) else c
+                                   for m, c in self.terms.items()})
 
     # -- inspection --------------------------------------------------------------
 
@@ -404,15 +391,12 @@ class Form:
         """Coefficient with respect to the given generator ordering (Berezin read-off)."""
         mask, sign = self.algebra.mask_of(names)
         if mask not in self.terms:
-            if self.backend == NUMERIC:
-                return 0.0 + 0.0j
-            return self.algebra.const(0.0)
+            return 0j
         c = self.terms[mask]
         return c if sign > 0 else -c
 
     def component(self, degree: int) -> "Form":
-        return Form(self.algebra, self.backend,
-                    {m: c for m, c in self.terms.items() if m.bit_count() == degree})
+        return Form(self.algebra, {m: c for m, c in self.terms.items() if m.bit_count() == degree})
 
     @property
     def max_degree(self) -> int:
@@ -423,26 +407,24 @@ class Form:
         return not self.terms
 
     def norm_max(self) -> float:
-        """Largest coefficient magnitude (over monomials, in the symbolic backend)."""
-        if self.backend == NUMERIC:
-            return max((abs(c) for c in self.terms.values()), default=0.0)
-        return max((c.max_abs_coeff() for c in self.terms.values()), default=0.0)
+        """Largest coefficient magnitude (over monomials, for a polynomial coefficient)."""
+        return max((c.max_abs_coeff() if isinstance(c, Poly) else abs(c)
+                    for c in self.terms.values()), default=0.0)
 
     def isclose(self, other: "Form", tol: float = 1e-12) -> bool:
         self._check(other)
-        if self.backend != NUMERIC:
-            raise BackendError("isclose compares numeric forms")
+        if any(isinstance(c, Poly) for f in (self, other) for c in f.terms.values()):
+            raise BackendError("isclose compares forms of numbers")
         keys = set(self.terms) | set(other.terms)
         return all(abs(self.terms.get(k, 0) - other.terms.get(k, 0)) <= tol for k in keys)
 
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        return (self.algebra is other.algebra and self.backend == other.backend
-                and self.terms == other.terms)
+        return self.algebra is other.algebra and self.terms == other.terms
 
     def __hash__(self):
-        return hash((id(self.algebra), self.backend, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
+        return hash((id(self.algebra), tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
     def __repr__(self):
         if not self.terms:

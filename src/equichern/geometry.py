@@ -192,11 +192,16 @@ def orientation_sign(model: ActionModel) -> int:
     return -1 if (p * (p - 1) // 2) % 2 else 1
 
 
-def oriented_volume_coefficient(model: ActionModel, form) -> object:
-    """Coefficient of the model's oriented volume form (Berezin extraction)."""
+def oriented_volume_coefficient(model: ActionModel, form) -> Poly:
+    """Coefficient of the model's oriented volume form (Berezin extraction).
+
+    A number coefficient, such as the ``0j`` of a form with no top
+    component, is returned as a constant polynomial.
+    """
     c = form.coefficient(model.volume)
-    s = orientation_sign(model)
-    return c if s > 0 else -c
+    if not isinstance(c, Poly):
+        c = model.algebra.const(c)
+    return c if orientation_sign(model) > 0 else -c
 
 
 # -- the infinitesimal action ------------------------------------------------------

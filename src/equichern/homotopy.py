@@ -13,7 +13,7 @@ builds the sheared model `augmentation.c_plane_uv`.
 
 from __future__ import annotations
 
-from .exterior import NUMERIC, SYMBOLIC
+from .exterior import Form
 from .augmentation import augment_by_clifford
 from .geometry import COMPLEX, ActionModel, BundleSpec, Coordinate, augmented_symbol
 from .supermatrix import SuperMatrix, UnsupportedShapeError
@@ -25,10 +25,9 @@ def clifford_multiplication(model: ActionModel, w) -> SuperMatrix:
         raise UnsupportedShapeError("Clifford multiplication needs a rank-2 W bundle")
     w = complex(w)
     alg = model.algebra
-    z = alg.zero(NUMERIC)
+    z = alg.zero()
     return SuperMatrix(alg, model.bundle_w.grading(),
-                       [[z, alg.scalar(w.conjugate(), NUMERIC)],
-                        [alg.scalar(w, NUMERIC), z]])
+                       [[z, Form(alg, {0: w.conjugate()})], [Form(alg, {0: w}), z]])
 
 
 def c_plane() -> ActionModel:
@@ -43,7 +42,7 @@ def c_plane() -> ActionModel:
     zb = alg.coord("zbar")
     x = alg.coord("xi")
     xb = alg.coord("xibar")
-    zero = alg.zero(SYMBOLIC)
+    zero = alg.zero()
     sigma = [[zero, alg.scalar(zb - 1j * xb)], [alg.scalar(z + 1j * x), zero]]
     model.set_symbol(sigma)
     # superconnection odd term: i * (constant-coefficient endpoint of the homotopy)

@@ -6,8 +6,9 @@ runs: the trace shift, then scaling-and-squaring of a truncated Taylor sum
 array, ``d`` rows of ``d 2^n`` pairs (column, generator subset), with the
 wedge applied as one ``(d 2^n)^2`` right-multiplication operator
 (`right_operator`, built from `ExteriorAlgebra.pair_table`).  The module
-is the one home of the component array: `to_array` and `from_array`, both
-of which `super_exp` calls.  It also holds the two independent checks of
+is the one home of the component array: `to_array` (which raises
+BackendError on a polynomial coefficient) and `from_array`, both of which
+`super_exp` calls.  It also holds the two independent checks of
 the pointwise Chern form: `super_exp_duhamel`, the Duhamel exponential that
 is the oracle of the Taylor route, and `closedness_residual`.  Only
 `super_exp` (and so the Taylor side of `equivariant.chern_form`, for a
@@ -24,28 +25,28 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .equivariant import diagonal_body, duhamel_paths, symbolic_chern
-from .exterior import NUMERIC, BackendError, ExteriorAlgebra, Form
+from .exterior import BackendError, ExteriorAlgebra, Form, Poly
 from .geometry import ActionModel, cartan_field
 from .polyeval import full_point
 from .supermatrix import TAYLOR_TOL, Grading, SuperMatrix, exp_divided_difference
 
 
 def to_array(a: SuperMatrix) -> np.ndarray:
-    """Components ``(d, d, 2^n)`` of a numeric supermatrix, a numpy array."""
-    if a.backend != NUMERIC:
-        raise BackendError("component arrays need numeric entries")
+    """Components ``(d, d, 2^n)`` of a supermatrix of numbers, a numpy array."""
     d = a.dim
     out = np.zeros((d, d, a.algebra.n_components), dtype=np.complex128)
     for i, row in enumerate(a.entries):
         for j, f in enumerate(row):
             for mask, c in f.terms.items():
+                if isinstance(c, Poly):
+                    raise BackendError("component arrays need number coefficients")
                 out[i, j, mask] = c
     return out
 
 
 def from_array(algebra: ExteriorAlgebra, grading: Grading, arr) -> SuperMatrix:
-    """Numeric supermatrix from components ``(d, d, 2^n)``."""
-    return SuperMatrix(algebra, grading, [[Form(algebra, NUMERIC, dict(enumerate(f)))
+    """Supermatrix of numbers from components ``(d, d, 2^n)``."""
+    return SuperMatrix(algebra, grading, [[Form(algebra, dict(enumerate(f)))
                                            for f in row] for row in arr])
 
 
@@ -97,25 +98,28 @@ def taylor_exp(X: np.ndarray, algebra: ExteriorAlgebra, tol: float = TAYLOR_TOL)
     running ``(d, d 2^n)`` term against the factor's `right_operator`, each
     squaring's operator built from the accumulator.  A ``tol`` that is not
     positive (NaN included) raises ValueError; an array with entries that are
-    not finite, and an exponential past the float range, raise OverflowError
-    with no RuntimeWarning.
+    not finite, or whose trace shift or norm overflows, and an exponential
+    past the float range, raise OverflowError with no RuntimeWarning.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, not {tol!r}")
-    if not np.isfinite(X).all():
-        raise OverflowError("the exponent has entries that are not finite")
     d, _, K = X.shape
     pairs = [np.array(column) for column in zip(*algebra.pair_table())]
     rows = np.arange(d)
     shifted = X.astype(np.complex128)
-    mu = shifted[rows, rows, 0].sum() / d
-    shifted[rows, rows, 0] -= mu
-    s, m = taylor_parameters(_array_norm(shifted), tol)
-    R = right_operator(shifted / 2.0**s, pairs)
-    term = np.zeros((d, d * K), dtype=np.complex128)
-    term[rows, rows * K] = 1.0
-    acc = term.copy()
     with np.errstate(over="ignore", invalid="ignore"):
+        mu = shifted[rows, rows, 0].sum() / d
+        shifted[rows, rows, 0] -= mu
+        # a non-finite entry, trace shift or row sum makes the norm inf or NaN
+        norm = _array_norm(shifted)
+        if not math.isfinite(norm):
+            raise OverflowError("the exponent has entries that are not finite, "
+                                "or a trace or norm past the float range")
+        s, m = taylor_parameters(norm, tol)
+        R = right_operator(shifted / 2.0**s, pairs)
+        term = np.zeros((d, d * K), dtype=np.complex128)
+        term[rows, rows * K] = 1.0
+        acc = term.copy()
         for k in range(1, m + 1):
             term = term @ R / k
             acc += term
@@ -139,17 +143,16 @@ def super_exp_duhamel(a: SuperMatrix) -> SuperMatrix:
     each soul factor raises the form degree.  The body is the degree-0 part
     of the diagonal; degree-0 content off the diagonal is rejected.  It walks
     the soul paths of the Chern plan (`equivariant.duhamel_paths`) and is the
-    oracle of the Taylor route of `supermatrix.super_exp`.
+    oracle of the Taylor route of `supermatrix.super_exp`.  The matrix holds
+    numbers, and so does the result.
     """
-    if a.backend != NUMERIC:
-        raise BackendError("super_exp_duhamel requires the numeric backend")
     d = a.dim
-    z = a.algebra.zero(NUMERIC)
+    z = a.algebra.zero()
     diag, soul = diagonal_body(a)
     beta = [f.terms.get(0, 0.0 + 0.0j) for f in diag]
     out = [[z for _ in range(d)] for _ in range(d)]
     for i in range(d):
-        out[i][i] = a.algebra.scalar(cmath.exp(beta[i]), NUMERIC)
+        out[i][i] = Form(a.algebra, {0: cmath.exp(beta[i])})
     for i, j, prod, nodes in duhamel_paths([soul], beta):
         out[i][j] = out[i][j] + prod[0].scale(exp_divided_difference(nodes))
     return SuperMatrix(a.algebra, a.grading, out)

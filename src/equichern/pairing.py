@@ -21,7 +21,7 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 from .equivariant import ChernPlan, chern_plan, w_character
-from .exterior import SYMBOLIC, Poly
+from .exterior import Poly
 from .geometry import (
     ANGLE,
     COMPLEX,
@@ -48,7 +48,7 @@ def zero_op_s1() -> ActionModel:
     w = BundleSpec((0,), (0,))
     model = ActionModel("zero-op", coords, e, w, volume=("dxi", "dtheta"))
     alg = model.algebra
-    zero = alg.zero(SYMBOLIC)
+    zero = alg.zero()
     model.set_symbol([[zero]])
     liouville = alg.scalar(alg.coord("xi")) * alg.gen("dtheta")
     model.set_odd_term(SuperMatrix(alg, model.bundle_script_e.grading(),

@@ -3,7 +3,10 @@
 Provides the graded product (entrywise wedge), the grading-signed
 supertrace, the one parity rule (`SuperMatrix.homogeneous_parity`), the
 divided differences of exp, and `super_exp`, the matrix exponential of a
-numeric supermatrix.  This module is plain Python.  `super_exp` runs
+supermatrix of numbers.  Entries are forms with either kind of coefficient
+(`equichern.exterior`): the matrix carries no mark of which, and only
+`super_exp`, through `kernels.to_array`, requires numbers.  This module is
+plain Python.  `super_exp` runs
 `equichern.kernels.taylor_exp`, the one dense exponential, in the numpy
 module that loads on first use: the trace shift (the mean of the degree-0
 diagonal, central, so its exponential factors out exactly), then a
@@ -28,7 +31,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
-from .exterior import SYMBOLIC, AlgebraMismatchError, ExteriorAlgebra, Form
+from .exterior import AlgebraMismatchError, ExteriorAlgebra, Form
 
 EVEN = 0
 ODD = 1
@@ -86,52 +89,36 @@ class SuperMatrix:
     __slots__ = ("algebra", "grading", "entries")
 
     def __init__(self, algebra: ExteriorAlgebra, grading: Grading, entries):
-        rows = []
-        for row in entries:
-            cells = []
-            for x in row:
-                if isinstance(x, Form):
-                    if x.algebra is not algebra:
-                        raise AlgebraMismatchError("entry from a different algebra")
-                    cells.append(x)
-                else:
-                    cells.append(algebra.scalar(x, SYMBOLIC))
-            rows.append(tuple(cells))
-        self.entries = tuple(rows)
+        self.entries = tuple(tuple(x if isinstance(x, Form) else algebra.scalar(x) for x in row)
+                             for row in entries)
+        if any(f.algebra is not algebra for row in self.entries for f in row):
+            raise AlgebraMismatchError("entry from a different algebra")
         dim = len(self.entries)
         if any(len(r) != dim for r in self.entries):
             raise ShapeError("matrix must be square")
         if grading.dim != dim:
             raise ShapeError("grading length must equal matrix dimension")
-        backends = {f.backend for row in self.entries for f in row}
-        if len(backends) > 1:
-            raise AlgebraMismatchError("mixed entry backends")
         self.algebra = algebra
         self.grading = grading
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, algebra, grading, backend=SYMBOLIC):
-        z = algebra.zero(backend)
-        d = grading.dim
-        return cls(algebra, grading, [[z] * d for _ in range(d)])
+    def zero(cls, algebra, grading):
+        return cls.diagonal(algebra, grading, ())
 
     @classmethod
-    def identity(cls, algebra, grading, backend=SYMBOLIC):
-        d = grading.dim
-        z = algebra.zero(backend)
-        one = algebra.one(backend)
-        return cls(algebra, grading,
-                   [[one if i == j else z for j in range(d)] for i in range(d)])
+    def identity(cls, algebra, grading):
+        return cls.diagonal(algebra, grading, [algebra.one()] * grading.dim)
 
     @classmethod
-    def diagonal(cls, algebra, grading, diag, backend=SYMBOLIC):
+    def diagonal(cls, algebra, grading, diag):
+        """The matrix with the given diagonal entries, zero elsewhere (a number is a constant)."""
         d = grading.dim
-        z = algebra.zero(backend)
+        z = algebra.zero()
         cells = [[z] * d for _ in range(d)]
         for i, x in enumerate(diag):
-            cells[i][i] = x if isinstance(x, Form) else algebra.scalar(x, backend)
+            cells[i][i] = x
         return cls(algebra, grading, cells)
 
     # -- basic properties -----------------------------------------------------
@@ -139,13 +126,6 @@ class SuperMatrix:
     @property
     def dim(self) -> int:
         return len(self.entries)
-
-    @property
-    def backend(self) -> str:
-        for row in self.entries:
-            for f in row:
-                return f.backend
-        return SYMBOLIC
 
     def _check(self, other: "SuperMatrix"):
         if self.algebra is not other.algebra:
@@ -176,7 +156,7 @@ class SuperMatrix:
         """Matrix product; entry products are wedge products."""
         self._check(other)
         d = self.dim
-        z = self.algebra.zero(self.backend)
+        z = self.algebra.zero()
         out = []
         for i in range(d):
             row = []
@@ -209,7 +189,7 @@ class SuperMatrix:
 
     def supertrace(self) -> Form:
         """Grading-signed trace; vanishes on graded commutators."""
-        acc = self.algebra.zero(self.backend)
+        acc = self.algebra.zero()
         for i in range(self.dim):
             t = self.entries[i][i]
             acc = acc + (t if self.grading.sign(i) > 0 else -t)
@@ -242,7 +222,10 @@ class SuperMatrix:
 
 
 def super_exp(a: SuperMatrix, tol: float = TAYLOR_TOL) -> SuperMatrix:
-    """Matrix exponential of a numeric supermatrix by `kernels.taylor_exp`."""
+    """Matrix exponential of a supermatrix of numbers by `kernels.taylor_exp`.
+
+    A polynomial coefficient raises BackendError (`kernels.to_array`).
+    """
     from .kernels import from_array, taylor_exp, to_array
 
     return from_array(a.algebra, a.grading, taylor_exp(to_array(a), a.algebra, tol))
@@ -256,10 +239,11 @@ def exp_divided_difference(nodes):
 
     The k+1 nodes run along the first axis of ``nodes``: a sequence of
     numbers gives a complex, and a sequence of equal-length sequences is a
-    batch, evaluated column by column into a list.  Well-separated node pairs
-    use the classical quotient; otherwise (the confluence threshold
-    |a-b| < 1e-8, and any higher order) a mean-shifted series in complete
-    homogeneous symmetric polynomials is used, which reduces to the
+    batch, evaluated column by column into a list.  Two nodes at least 1
+    apart take the classical quotient (e^a - e^b)/(a - b), which loses about
+    2^-53/|a - b| of its value; closer pairs and any higher order take a
+    mean-shifted series in complete homogeneous symmetric polynomials, which
+    rounds to about e^(|a - b|/2) 2^-53 for a pair and reduces to the
     derivative formula at exact confluence.  It stops once a bound on its
     tail falls below DD_TOL, and raises ConvergenceError at 400 terms.  The
     series rounds to about e^R 2^-53 of its scale, R the largest distance of
@@ -280,7 +264,7 @@ def _exp_dd(nodes) -> complex:
     k = len(xs) - 1
     if k == 1:
         a, b = xs
-        if abs(a - b) >= 1e-8 * max(1.0, abs(a), abs(b)):
+        if abs(a - b) >= 1:
             return (cmath.exp(a) - cmath.exp(b)) / (a - b)
     shift = sum(xs) / (k + 1)
     ds = [x - shift for x in xs]

@@ -57,7 +57,7 @@ def term_scale(poly, arrays):
     return eval_grid(absolute, {k: np.abs(v) for k, v in arrays.items()}).real
 
 
-def random_form(algebra, rng, backend="symbolic", degrees=None, n_terms=4):
+def random_form(algebra, rng, degrees=None, n_terms=4):
     from equichern.exterior import Form
 
     ngen = len(algebra.generators)
@@ -66,11 +66,8 @@ def random_form(algebra, rng, backend="symbolic", degrees=None, n_terms=4):
         mask = int(rng.integers(0, 1 << ngen))
         if degrees is not None and mask.bit_count() not in degrees:
             continue
-        if backend == "numeric":
-            terms[mask] = complex(rng.standard_normal(), rng.standard_normal())
-        else:
-            terms[mask] = random_poly(algebra, rng)
-    return Form(algebra, backend, terms)
+        terms[mask] = random_poly(algebra, rng)
+    return Form(algebra, terms)
 
 
 # complex base, real fiber named FIBER; the c-plane symbol with xi -> FIBER
@@ -120,14 +117,13 @@ def weighted_plane_uv(m):
     index character is -q^m/(1 - q^m).
     """
     from equichern.augmentation import augment_by_clifford
-    from equichern.exterior import SYMBOLIC
     from equichern.geometry import COMPLEX, ActionModel, BundleSpec, Coordinate
 
     coords = (Coordinate("u", COMPLEX, m, "base"), Coordinate("v", COMPLEX, m, "fiber"))
     spec = BundleSpec((0, m), (0, 1))
     model = ActionModel(f"c-plane-uv-weight-{m}", coords, spec, spec)
     alg = model.algebra
-    zero = alg.zero(SYMBOLIC)
+    zero = alg.zero()
     model.set_symbol([[zero, alg.scalar(alg.coord("ubar"))], [alg.scalar(alg.coord("u")), zero]])
     model.set_odd_term(augment_by_clifford(model, alg.coord("v")).scale(1j))
     return model
@@ -163,15 +159,15 @@ def corrupted_moment_model():
 
 
 def reduceat_table(algebra):
-    from equichern.exterior import NUMERIC, Form
+    from equichern.exterior import Form
 
     ai, bi, sg, starts = [], [], [], []
     for c in range(algebra.n_components):
         starts.append(len(ai))
         for a in range(algebra.n_components):
             if a & c == a:
-                left = Form(algebra, NUMERIC, {a: 1.0})
-                right = Form(algebra, NUMERIC, {c ^ a: 1.0})
+                left = Form(algebra, {a: 1.0})
+                right = Form(algebra, {c ^ a: 1.0})
                 ai.append(a)
                 bi.append(c ^ a)
                 sg.append(left.wedge(right).terms[c])

@@ -13,7 +13,6 @@ import numpy as np
 from equichern.augmentation import c_plane_uv
 from equichern.characters import POSITIVE, localized_index, monomial
 from equichern.equivariant import bundle_character, chern_form
-from equichern.exterior import NUMERIC
 from equichern.geometry import orientation_sign
 from equichern.homotopy import c_plane, homotopy_path
 from equichern.kernels import closedness_residual, from_array, super_exp_duhamel, to_array
@@ -44,8 +43,8 @@ def test_criterion_1_plane_chern_closed_form():
                complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
               for _ in range(200)]
     thetas = rng.uniform(0.1, 2 * math.pi - 0.1, 20)
-    du, dub = alg.gen("du", NUMERIC), alg.gen("dubar", NUMERIC)
-    dv, dvb = alg.gen("dv", NUMERIC), alg.gen("dvbar", NUMERIC)
+    du, dub = alg.gen("du").evaluate({}), alg.gen("dubar").evaluate({})
+    dv, dvb = alg.gen("dv").evaluate({}), alg.gen("dvbar").evaluate({})
     pair_sum = dub * du + dvb * dv
     vol = (dub * du * dvb * dv).scale(sgn)  # oriented volume form
     start = time.perf_counter()
@@ -53,7 +52,7 @@ def test_criterion_1_plane_chern_closed_form():
     for theta in thetas:
         it = 1j * theta
         fac = (1 - cmath.exp(1j * theta)) ** 2
-        base = alg.one(NUMERIC) + pair_sum.scale(1 / it) - vol.scale(1 / it**2)
+        base = alg.one().evaluate({}) + pair_sum.scale(1 / it) - vol.scale(1 / it**2)
         for u, v in points:
             got = chern_form(model, theta, {"u": u, "v": v})
             ref = base.scale(cmath.exp(-(abs(u) ** 2 + abs(v) ** 2)) * fac)

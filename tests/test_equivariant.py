@@ -24,7 +24,7 @@ from equichern.equivariant import (
     transverse_chern,
     w_character,
 )
-from equichern.exterior import NUMERIC, SYMBOLIC, EvaluationError
+from equichern.exterior import EvaluationError, Poly
 from equichern.geometry import (
     ActionModel,
     BundleSpec,
@@ -57,11 +57,11 @@ def closed_form_reference(model, u, v, theta):
     it = 1j * theta
     fac = (1 - cmath.exp(1j * theta)) ** 2
     scale = cmath.exp(-(abs(u) ** 2 + abs(v) ** 2)) * fac
-    du, dub = alg.gen("du", NUMERIC), alg.gen("dubar", NUMERIC)
-    dv, dvb = alg.gen("dv", NUMERIC), alg.gen("dvbar", NUMERIC)
+    du, dub = alg.gen("du").evaluate({}), alg.gen("dubar").evaluate({})
+    dv, dvb = alg.gen("dv").evaluate({}), alg.gen("dvbar").evaluate({})
     pair_sum = dub * du + dvb * dv
     vol = (dub * du * dvb * dv).scale(orientation_sign(model))
-    return (alg.one(NUMERIC) + pair_sum.scale(1 / it)
+    return (alg.one().evaluate({}) + pair_sum.scale(1 / it)
             - vol.scale(1 / it**2)).scale(scale)
 
 
@@ -69,7 +69,7 @@ def moment_only_model():
     coords = (Coordinate("x", "complex", 1, "base"),)
     e = BundleSpec((0, 1), (0, 1))
     m = ActionModel("moment-only", coords, e)
-    m.set_odd_term(SuperMatrix.zero(m.algebra, e.grading(), SYMBOLIC))
+    m.set_odd_term(SuperMatrix.zero(m.algebra, e.grading()))
     return m
 
 
@@ -175,7 +175,7 @@ class TestEquivariantCurvature:
         flat = ActionModel("flat", (Coordinate("x", "complex", 1, "base"),),
                            BundleSpec((0, 0), (0, 1)))
         flat.set_odd_term(SuperMatrix.zero(flat.algebra,
-                                           flat.bundle_e.grading(), SYMBOLIC))
+                                           flat.bundle_e.grading()))
         curv = equivariant_curvature(flat, 0.7)
         assert all(f.is_zero for row in curv.entries for f in row)
 
@@ -420,7 +420,7 @@ class TestClosedness:
         flat = ActionModel("flat", (Coordinate("x", "complex", 1, "base"),),
                            BundleSpec((0, 0), (0, 1)))
         flat.set_odd_term(SuperMatrix.zero(flat.algebra,
-                                           flat.bundle_e.grading(), SYMBOLIC))
+                                           flat.bundle_e.grading()))
         assert closedness_residual(flat, 1.0, {"x": 0.7 + 0.1j}) == 0.0
 
     def test_corrupted_moment_detected(self):
@@ -510,7 +510,7 @@ def per_theta_chern(model, theta):
     curv = equivariant_curvature(model, theta)
     shared, offsets, soul = split_body(curv)
     grading = curv.grading
-    total = model.algebra.zero(SYMBOLIC)
+    total = model.algebra.zero()
     for i, o in enumerate(offsets):
         total = total + model.algebra.scalar(grading.sign(i) * cmath.exp(o))
     for i, j, prod, nodes in duhamel_paths([soul], offsets):
@@ -583,7 +583,7 @@ class TestChernPlan:
         numbers = [complex(*rng.standard_normal(2)) for _ in plan.forms]
         assert plan.contract(numbers, thetas) == [
             sum(v * w for v, w in zip(numbers, column)) for column in zip(*rows)]
-        zero = m.algebra.zero(SYMBOLIC)
+        zero = m.algebra.zero()
         forms = plan.contract(plan.forms, thetas, zero)
         for j, got in enumerate(forms):
             want = zero
@@ -627,6 +627,15 @@ class TestChernPlan:
         for nodes in top:
             assert len(nodes) == 5
             assert {o0 for o0, _ in nodes} == {0} and {o1 for _, o1 in nodes} <= {0, 1j, 2j}
+
+    def test_a_plan_form_with_no_top_component_has_a_zero_top_polynomial(self):
+        # the index and pairing routes read .terms and .is_constant of every top
+        m = c_plane_uv()
+        forms = chern_plan(m).forms
+        top_mask, _ = m.algebra.mask_of(m.volume)
+        tops = [oriented_volume_coefficient(m, f) for f in forms if top_mask not in f.terms]
+        assert len(forms) == 14 and len(tops) == 7
+        assert all(isinstance(t, Poly) and t.is_zero and t.is_constant for t in tops)
 
     def test_theta_dependent_soul_keeps_the_index(self):
         m = sloped_soul_model()
@@ -842,22 +851,33 @@ class TestPointwiseSides:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = chern_form(c_plane_uv(), 1.0, point)
-        assert got.backend == NUMERIC and got.is_zero
+        assert got.is_zero
 
     @pytest.mark.parametrize("make, theta, point, message", [
         (non_splitting_model, 1.0, {"u": 1e160, "v": 0}, "exponent has entries that are not finite"),
         (non_splitting_model, 1 - 800j, POINT_UV, "Taylor exponential overflows"),
         (parsed_plane_model, 1.0, {"z": 1e160, "xi": 0.5}, "Chern form overflows"),
-    ], ids=["taylor-side-square", "taylor-side-theta", "plan-side-inf-minus-inf"])
+        (non_splitting_model, 0.3, {"u": 0.5, "v": 1e154}, "trace or norm past the float range"),
+    ], ids=["taylor-side-square", "taylor-side-theta", "plan-side-inf-minus-inf",
+            "taylor-side-norm"])
     def test_overflow_is_named(self, make, theta, point, message):
         # the unsplit curvature's |u|^2 is inf; its exponential at theta =
         # 1 - 800i exceeds the float range (about e^260 at 1 - 300i); the
-        # parsed c-plane's Gaussian exponent is inf - inf at z = 1e160
+        # parsed c-plane's Gaussian exponent is inf - inf at z = 1e160; at
+        # v = 1e154 |v|^2 is finite but the trace and the row sums are not
         m = make()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match=message):
                 chern_form(m, theta, point)
+
+    def test_a_missing_coefficient_of_a_form_of_numbers_is_0j(self):
+        # exp(-900) underflows to 0, so the form is empty; a reader of .real
+        # (perfbench/dense_op.py) gets a positive complex zero for any ordering
+        got = chern_form(c_plane_uv(), 1.0, {"u": 30.0, "v": 0})
+        assert got.is_zero
+        assert repr(got.coefficient(("dubar", "du"))) == "0j"
+        assert repr(got.coefficient(("du", "dubar"))) == "0j"
 
     def test_a_zero_gaussian_factor_is_not_multiplied_by_inf(self):
         # a coefficient that overflows where the factor underflows: u ubar e^{-u ubar}
@@ -865,7 +885,7 @@ class TestPointwiseSides:
         r2 = alg.coord("u") * alg.coord("ubar")
         g = GaussianForm(-r2, alg.scalar(r2))
         got = g.evaluate(full_point(alg, {"u": 1e160}))
-        assert got.backend == NUMERIC and got.is_zero
+        assert got.is_zero
         finite = g.evaluate(full_point(alg, {"u": 3.0}))
         assert abs(finite.terms[0] - 9 * cmath.exp(-9)) <= 1e-16
 
@@ -894,3 +914,38 @@ class TestPointwiseSides:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 chern_form(m, theta, point)
+
+
+EXTREME_THETAS = (0, 1e-12, 0.3, 6.2, 100, 1e4, 1e6, -1e6, 1 + 50j, 1 - 50j, 1 - 800j, 1e6j)
+
+
+@pytest.mark.skipif(hypothesis is None, reason="hypothesis is not installed")
+@pytest.mark.parametrize("make", [c_plane_uv, lambda: weighted_plane_uv(3), non_splitting_model],
+                         ids=["c-plane-uv", "weight-3", "non-splitting"])
+def test_extreme_inputs_give_a_finite_form_or_a_named_error(make):
+    """Drawn theta and points over 400 decades: a finite form, or a ValueError or OverflowError.
+
+    Each component of u and v is 0 or +-10^k for k in -200..200, and theta
+    runs from 0 to 1e6 along the real and imaginary axes.  A call returns a
+    form whose coefficients are finite numbers or raises one of the two
+    errors, and emits no RuntimeWarning.  The explicit example is a finite
+    point whose trace and row sums overflow on the Taylor side.
+    """
+    m = make()
+    part = st.one_of(st.just(0.0), st.builds(lambda sign, k: sign * 10.0**k,
+                                             st.sampled_from([1, -1]), st.integers(-200, 200)))
+    coordinate = st.builds(complex, part, part)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.sampled_from(EXTREME_THETAS), coordinate, coordinate)
+    @hypothesis.example(0.3, 0.5 + 0j, 1e154 + 0j)
+    def check(theta, u, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                form = chern_form(m, theta, {"u": u, "v": v})
+            except (ValueError, OverflowError):
+                return
+        assert all(type(c) is complex and cmath.isfinite(c) for c in form.terms.values())
+
+    check()

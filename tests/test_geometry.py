@@ -6,7 +6,7 @@ import pytest
 
 from equichern import scan
 from equichern.augmentation import c_plane_uv
-from equichern.exterior import NUMERIC, SYMBOLIC, EvaluationError, Poly
+from equichern.exterior import EvaluationError, Poly
 from equichern.geometry import (
     ActionModel,
     BundleSpec,
@@ -148,7 +148,7 @@ class TestClifford:
                          for i in range(2)])
         assert np.abs(vals - np.array([[0, -1j], [1j, 0]])).max() < 1e-15
         sq = c @ c
-        eye = SuperMatrix.identity(m.algebra, c.grading, NUMERIC)
+        eye = SuperMatrix.identity(m.algebra, c.grading).evaluate({})
         assert sq.isclose(eye, 1e-15)
 
     def test_zero_vector(self):
@@ -162,7 +162,7 @@ class TestClifford:
             w = complex(rng.standard_normal(), rng.standard_normal())
             c = clifford_multiplication(m, w)
             sq = c @ c
-            eye = SuperMatrix.identity(m.algebra, c.grading, NUMERIC)
+            eye = SuperMatrix.identity(m.algebra, c.grading).evaluate({})
             assert sq.isclose(eye.scale(abs(w) ** 2), 1e-12 * max(1.0, abs(w) ** 2))
 
     def test_exact_at_rational_points(self):
@@ -204,7 +204,7 @@ class TestAugmentedSymbol:
         e = BundleSpec((0, 0), (0, 1))
         w = BundleSpec((0, 0), (0, 1))
         m = ActionModel("null", coords, e, w)
-        z = m.algebra.zero(SYMBOLIC)
+        z = m.algebra.zero()
         m.set_symbol([[z, z], [z, z]])
         aug = augmented_symbol(m)
         assert all(f.is_zero for row in aug.entries for f in row)
@@ -250,7 +250,7 @@ class TestEllipticityScan:
 
     def test_identity_passes_with_unit_det(self):
         m = c_plane()
-        eye = SuperMatrix.identity(m.algebra, augmented_symbol(m).grading, SYMBOLIC)
+        eye = SuperMatrix.identity(m.algebra, augmented_symbol(m).grading)
         report = ellipticity_scan(eye, ScanGrid(samples=200, refine_iters=5))
         assert report.passed
         assert all(abs(s.min_normalized_det - 1.0) < 1e-9 for s in report.shells)
@@ -492,7 +492,7 @@ class TestBlockSingularValues:
 
     def test_zero_matrix(self):
         m = c_plane()
-        zero = SuperMatrix.zero(m.algebra, augmented_symbol(m).grading, SYMBOLIC)
+        zero = SuperMatrix.zero(m.algebra, augmented_symbol(m).grading)
         blocks = scan._grading_blocks(zero)
         assert blocks is not None
         mats = np.zeros((5, 4, 4), dtype=complex)
@@ -502,7 +502,7 @@ class TestBlockSingularValues:
 
     def test_even_identity(self):
         m = c_plane()
-        eye = SuperMatrix.identity(m.algebra, augmented_symbol(m).grading, SYMBOLIC)
+        eye = SuperMatrix.identity(m.algebra, augmented_symbol(m).grading)
         blocks = scan._grading_blocks(eye)
         assert blocks == [([0, 1], [0, 1]), ([2, 3], [2, 3])]
         mats = np.broadcast_to(np.eye(4, dtype=complex), (5, 4, 4))
@@ -513,7 +513,7 @@ class TestBlockSingularValues:
         m = c_plane()
         aug = augmented_symbol(m)
         alg = m.algebra
-        mixed = aug + SuperMatrix.identity(alg, aug.grading, SYMBOLIC)
+        mixed = aug + SuperMatrix.identity(alg, aug.grading)
         assert scan._grading_blocks(mixed) is None
         # an odd matrix whose blocks are 3x3
         grading = Grading((0, 0, 0, 1, 1, 1))
@@ -729,8 +729,8 @@ class TestModelValidation:
                   Coordinate("xi", "complex", 1, "fiber"))
         e = BundleSpec((0, 1), (0, 1))
         m = ActionModel("bad", coords, e)
-        one = m.algebra.one(SYMBOLIC)
-        z = m.algebra.zero(SYMBOLIC)
+        one = m.algebra.one()
+        z = m.algebra.zero()
         with pytest.raises(ValueError):
             m.set_symbol([[one, z], [z, one]])
 
@@ -739,7 +739,7 @@ class TestModelValidation:
         for setter, grading, error in (
                 (m.set_symbol, m.bundle_e.grading(), ValueError),
                 (m.set_odd_term, m.bundle_script_e.grading(), UnsupportedShapeError)):
-            setter(SuperMatrix.zero(m.algebra, grading, SYMBOLIC))
+            setter(SuperMatrix.zero(m.algebra, grading))
             with pytest.raises(ValueError, match="odd") as info:
                 setter(SuperMatrix.identity(m.algebra, grading))
             assert type(info.value) is error

@@ -165,14 +165,14 @@ def test_a_wide_spread_reads_the_plan_and_loads_no_taylor_kernel():
 
 
 # entry point -> (script, its arguments, most code lines of equichern modules it
-# may load): the values each reached when the dense exponential became one
-# unblocked Taylor sum (the dense op's when every theta of a splitting pair
-# came to read the Chern plan), so code put back on a command path fails here
+# may load): the values each reached when forms lost their symbolic/numeric
+# tag (a coefficient's type says which it is; the CLI import's value is
+# older), so code put back on a command path fails here
 CODE_LINE_BUDGETS = {
-    "run-example zero-op": (CLI_RUN, ("run-example", "zero-op"), 1134),
-    "run-example c-plane": (CLI_RUN, ("run-example", "c-plane"), 1260),
-    "check-symbol": (CLI_RUN, ("check-symbol", str(PLANE_MODEL)), 1696),
-    "dense": (DENSE_OP, (), 1008),
+    "run-example zero-op": (CLI_RUN, ("run-example", "zero-op"), 1082),
+    "run-example c-plane": (CLI_RUN, ("run-example", "c-plane"), 1208),
+    "check-symbol": (CLI_RUN, ("check-symbol", str(PLANE_MODEL)), 1645),
+    "dense": (DENSE_OP, (), 963),
     "import equichern.cli": ("import equichern.cli", (), 143),
 }
 

@@ -10,7 +10,7 @@ from equichern import augmentation, geometry, pairing, quadrature
 from equichern.augmentation import c_plane_uv
 from equichern.characters import ahat_squared, integrality_report, series_to_csv
 from equichern.equivariant import PoleGuardError, chern_plan, transverse_chern, w_character
-from equichern.exterior import SYMBOLIC, Poly
+from equichern.exterior import Poly
 from equichern.geometry import (
     COMPLEX,
     REAL,
@@ -172,7 +172,7 @@ def plane_uv_with_w(even, odd):
     m = ActionModel("c-plane-uv-w", coords, BundleSpec((0, 1), (0, 1)),
                     BundleSpec((even, odd), (0, 1)))
     alg = m.algebra
-    zero = alg.zero(SYMBOLIC)
+    zero = alg.zero()
     m.set_symbol([[zero, alg.scalar(alg.coord("ubar"))], [alg.scalar(alg.coord("u")), zero]])
     m.set_odd_term(augmentation.augment_by_clifford(m, alg.coord("v")).scale(1j))
     return m
@@ -622,7 +622,7 @@ class TestDeltaPairing:
         model = ActionModel("zero-op", coords, BundleSpec((0,), (0,)), BundleSpec((0,), (0,)),
                             volume=("dxi", "dtheta"))
         alg = model.algebra
-        model.set_symbol([[alg.zero(SYMBOLIC)]])
+        model.set_symbol([[alg.zero()]])
         liouville = alg.scalar(alg.coord("xi")) * alg.gen("dtheta")
         model.set_odd_term(SuperMatrix(alg, model.bundle_script_e.grading(),
                                        [[liouville]]).scale(1j))

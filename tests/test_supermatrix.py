@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from equichern.augmentation import c_plane_uv
-from equichern.exterior import NUMERIC, SYMBOLIC, BackendError, ExteriorAlgebra
+from equichern.exterior import BackendError, ExteriorAlgebra, Form
 from equichern.kernels import (
     _array_norm,
     from_array,
@@ -66,7 +66,7 @@ def random_supermatrix(algebra, grading, rng, coeff_scale=1.0, soul_degrees=(1, 
 class TestProduct:
     def test_identity(self, plane_algebra, grading, rng):
         m = random_supermatrix(plane_algebra, grading, rng)
-        eye = SuperMatrix.identity(plane_algebra, grading, NUMERIC)
+        eye = SuperMatrix.identity(plane_algebra, grading).evaluate({})
         assert (eye @ m).isclose(m, 0.0)
 
     def test_normal_form_squares_to_scalar(self):
@@ -74,7 +74,7 @@ class TestProduct:
         model = c_plane_uv()
         ltilde = model.odd_term.scale(-1j)
         sq = (ltilde @ ltilde).evaluate(full_point(model.algebra, {"u": 1.0, "v": 1j}))
-        eye = SuperMatrix.identity(model.algebra, ltilde.grading, NUMERIC)
+        eye = SuperMatrix.identity(model.algebra, ltilde.grading).evaluate({})
         assert sq.isclose(eye.scale(2.0), 1e-12)
 
     def test_associative(self, plane_algebra, grading, rng):
@@ -90,22 +90,22 @@ class TestProduct:
         assert ((a + b) @ c).isclose(a @ c + b @ c, 1e-10)
 
     def test_dimension_mismatch(self, plane_algebra, grading):
-        small = SuperMatrix.identity(plane_algebra, Grading.from_string("+-"), NUMERIC)
-        big = SuperMatrix.identity(plane_algebra, grading, NUMERIC)
+        small = SuperMatrix.identity(plane_algebra, Grading.from_string("+-")).evaluate({})
+        big = SuperMatrix.identity(plane_algebra, grading).evaluate({})
         with pytest.raises(ShapeError):
             small @ big
 
 
 class TestSupertrace:
     def test_identity_balanced_grading(self, plane_algebra, grading):
-        eye = SuperMatrix.identity(plane_algebra, grading, NUMERIC)
+        eye = SuperMatrix.identity(plane_algebra, grading).evaluate({})
         assert eye.supertrace().is_zero
 
     def test_signed_character_diagonal(self, plane_algebra, grading):
         # oracle: direct scalar arithmetic of the signed exponential sum
         theta = 1.37
         diag = [1.0, cmath.exp(2j * theta), cmath.exp(1j * theta), cmath.exp(1j * theta)]
-        m = SuperMatrix.diagonal(plane_algebra, grading, diag, NUMERIC)
+        m = SuperMatrix.diagonal(plane_algebra, grading, diag).evaluate({})
         got = m.supertrace().terms.get(0, 0.0)
         oracle = diag[0] + diag[1] - diag[2] - diag[3]
         assert abs(got - oracle) < 1e-15
@@ -136,16 +136,16 @@ def _homogeneous(algebra, grading, rng, parity):
 
 class TestSuperExp:
     def test_exp_zero(self, plane_algebra, grading):
-        z = SuperMatrix.zero(plane_algebra, grading, NUMERIC)
-        eye = SuperMatrix.identity(plane_algebra, grading, NUMERIC)
+        z = SuperMatrix.zero(plane_algebra, grading)
+        eye = SuperMatrix.identity(plane_algebra, grading).evaluate({})
         assert super_exp(z).isclose(eye, 1e-15)
 
     def test_nilpotent(self, plane_algebra, grading):
-        da = plane_algebra.gen("du", NUMERIC)
-        z = plane_algebra.zero(NUMERIC)
+        da = plane_algebra.gen("du").evaluate({})
+        z = plane_algebra.zero()
         n = SuperMatrix(plane_algebra, grading,
                         [[z, da, z, z], [z, z, z, z], [z, z, z, z], [z, z, z, z]])
-        eye = SuperMatrix.identity(plane_algebra, grading, NUMERIC)
+        eye = SuperMatrix.identity(plane_algebra, grading).evaluate({})
         assert super_exp(n).isclose(eye + n, 1e-14)
 
     def test_scaling_additivity_for_scalar_multiples(self, plane_algebra, grading, rng):
@@ -155,10 +155,10 @@ class TestSuperExp:
         assert (half @ half).isclose(full, 1e-10)
 
     def test_backend_and_tol_contracts(self, plane_algebra, grading):
-        sym = SuperMatrix.identity(plane_algebra, grading, SYMBOLIC)
+        sym = SuperMatrix.identity(plane_algebra, grading)
         with pytest.raises(BackendError):
             super_exp(sym)
-        num = SuperMatrix.identity(plane_algebra, grading, NUMERIC)
+        num = SuperMatrix.identity(plane_algebra, grading).evaluate({})
         with pytest.raises(ValueError):
             super_exp(num, tol=0.0)
 
@@ -319,7 +319,7 @@ class TestTaylorKernel:
         arr[:, :, 0] = 0.0
         assert taylor_parameters(_array_norm(arr), 1e-12)[0] > 0
         soul = from_array(plane_algebra, grading, arr)
-        term = SuperMatrix.identity(plane_algebra, grading, NUMERIC)
+        term = SuperMatrix.identity(plane_algebra, grading).evaluate({})
         want = term
         for k in range(1, len(plane_algebra.generators) + 1):
             term = (term @ soul).scale(1.0 / k)
@@ -374,10 +374,10 @@ class TestDuhamel:
             it = 1j * theta
             fac = (1 - cmath.exp(1j * theta)) ** 2
             scale = cmath.exp(-(abs(u) ** 2 + abs(v) ** 2)) * fac
-            du, dub = alg.gen("du", NUMERIC), alg.gen("dubar", NUMERIC)
-            dv, dvb = alg.gen("dv", NUMERIC), alg.gen("dvbar", NUMERIC)
+            du, dub = alg.gen("du").evaluate({}), alg.gen("dubar").evaluate({})
+            dv, dvb = alg.gen("dv").evaluate({}), alg.gen("dvbar").evaluate({})
             vol = (dub * du * dvb * dv).scale(sgn)
-            ref = (alg.one(NUMERIC) + (dub * du + dvb * dv).scale(1 / it)
+            ref = (alg.one().evaluate({}) + (dub * du + dvb * dv).scale(1 / it)
                    - vol.scale(1 / it**2)).scale(scale)
             assert st.isclose(ref, 1e-10 * max(1.0, ref.norm_max()))
 
@@ -385,11 +385,10 @@ class TestDuhamel:
         # entry (1,2) of exp(diag(alpha,beta) + e12 w) is w (e^a - e^b)/(a - b)
         gr = Grading.from_string("+-")
         alpha, beta = 0.7 - 0.2j, -1.1 + 0.4j
-        w = plane_algebra.gen("du", NUMERIC)
-        z = plane_algebra.zero(NUMERIC)
+        w = plane_algebra.gen("du").evaluate({})
+        z = plane_algebra.zero()
         m = SuperMatrix(plane_algebra, gr,
-                        [[plane_algebra.scalar(alpha, NUMERIC), w],
-                         [z, plane_algebra.scalar(beta, NUMERIC)]])
+                        [[Form(plane_algebra, {0: alpha}), w], [z, Form(plane_algebra, {0: beta})]])
         out = super_exp_duhamel(m)
         du_mask, _ = plane_algebra.mask_of(("du",))
         got = out.entries[0][1].terms[du_mask]
@@ -398,10 +397,20 @@ class TestDuhamel:
 
     def test_non_diagonal_body_rejected(self, plane_algebra):
         gr = Grading.from_string("+-")
-        one = plane_algebra.one(NUMERIC)
+        one = plane_algebra.one().evaluate({})
         m = SuperMatrix(plane_algebra, gr, [[one, one], [one, one]])
         with pytest.raises(UnsupportedShapeError):
             super_exp_duhamel(m)
+
+    def test_a_matrix_of_numbers_gives_number_coefficients(self):
+        # each path walk starts from the number 1, so its products of numbers
+        # stay numbers; a polynomial 1 would turn them all into polynomials
+        model = c_plane_uv()
+        f0, f1 = model.curvature
+        fnum = (f0 + f1.scale(1.3)).evaluate(full_point(model.algebra, {"u": 0.45, "v": 0.9j}))
+        coeffs = [c for row in super_exp_duhamel(fnum).entries for f in row
+                  for c in f.terms.values()]
+        assert len(coeffs) > 4 and all(type(c) is complex for c in coeffs)
 
     def test_agreement_on_random_diagonal_body(self, plane_algebra, grading, rng):
         worst = 0.0
@@ -422,6 +431,20 @@ class TestDividedDifferences:
     def test_confluent_pair_is_derivative(self):
         assert abs(exp_divided_difference([2.0, 2.0]) - cmath.exp(2.0)) < 1e-14
         assert abs(exp_divided_difference([2.0, 2.0 + 1e-12]) - cmath.exp(2.0)) < 1e-11
+
+    @pytest.mark.parametrize("a, b", [
+        (1, 1 + 2e-8), (1, 1 + 1e-6), (3j, 3j + 1e-6j),
+        (0, 0.5), (0, 3), (100j, 100.5j), (0, -700),
+    ])
+    def test_two_nodes_keep_their_digits(self, a, b):
+        # the quotient (e^a - e^b)/(a - b) loses about 2^-53/|a - b|: it read
+        # 1.1e-9 relative at [1, 1 + 2e-8], so pairs closer than 1 take the series
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            x, y = mpmath.mpc(a), mpmath.mpc(b)
+            ref = (mpmath.exp(x) - mpmath.exp(y)) / (x - y)
+            err = abs(mpmath.mpc(exp_divided_difference([a, b])) - ref) / abs(ref)
+        assert err <= 2.2e-16
 
     def test_fully_confluent(self):
         # exp divided difference at k+1 equal nodes is e^x / k!
@@ -631,9 +654,9 @@ class TestInvariants:
         assert (lhs - rhs).norm_max() < 1e-10
 
     def test_parity_audit(self, plane_algebra, grading):
-        z = plane_algebra.zero(NUMERIC)
-        du = plane_algebra.gen("du", NUMERIC)
-        one = plane_algebra.one(NUMERIC)
+        z = plane_algebra.zero()
+        du = plane_algebra.gen("du").evaluate({})
+        one = plane_algebra.one().evaluate({})
         odd = SuperMatrix(plane_algebra, grading,
                           [[z, z, one, z], [z, z, z, z],
                            [z, z, z, z], [z, z, z, z]])
@@ -646,16 +669,16 @@ class TestInvariants:
         assert mixed.homogeneous_parity() is None
 
     def test_is_odd(self, plane_algebra, grading):
-        z = plane_algebra.zero(NUMERIC)
-        du = plane_algebra.gen("du", NUMERIC)
-        one = plane_algebra.one(NUMERIC)
+        z = plane_algebra.zero()
+        du = plane_algebra.gen("du").evaluate({})
+        one = plane_algebra.one().evaluate({})
 
         def single(i, j, f):
             rows = [[z] * 4 for _ in range(4)]
             rows[i][j] = f
             return SuperMatrix(plane_algebra, grading, rows)
 
-        assert SuperMatrix.zero(plane_algebra, grading, NUMERIC).is_odd()
+        assert SuperMatrix.zero(plane_algebra, grading).is_odd()
         assert single(0, 2, one).is_odd()
         assert single(0, 1, du).is_odd()
         assert not single(0, 2, du).is_odd()

@@ -14,7 +14,6 @@ from conftest import (
 )
 from equichern import scan
 from equichern.cli import main
-from equichern.exterior import SYMBOLIC
 from equichern.geometry import (
     ActionModel,
     BundleSpec,
@@ -160,7 +159,7 @@ class TestFiberlessModel:
         model = ActionModel("no-fiber", (Coordinate("z", "complex", 1, "base"),),
                             graded, graded)
         alg = model.algebra
-        zero = alg.zero(SYMBOLIC)
+        zero = alg.zero()
         model.set_symbol([[zero, alg.scalar(alg.coord("zbar"))],
                           [alg.scalar(alg.coord("z")), zero]])
         with pytest.raises(UnsupportedShapeError, match="no fiber coordinate"):
