@@ -15,8 +15,8 @@ contract it, and `chern_form` reads it at a point through
 the plan once per pair and evaluates it at the latest theta, at any spread
 of its nodes; the model stores nothing compiled), falling back to
 `supermatrix.super_exp` of the curvature at the point (the one dense Taylor
-exponential, numpy's `kernels.taylor_exp`) only for a pair the plan
-refuses.  The soul-path
+exponential, numpy's `kernels.taylor_exp`) only where the plan refuses
+the pair with UnsupportedShapeError.  The soul-path
 walk (`duhamel_paths`, over the split of `diagonal_body`) is this module's;
 the Duhamel exponential of `equichern.kernels`, the oracle of the Taylor
 route, walks it too.  Each walk starts from the number 1, so a polynomial
@@ -290,7 +290,8 @@ def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex])
     point is that Gaussian form evaluated term by term in plain Python and
     one exponential, at every theta (the divided differences are squared
     past `supermatrix.SERIES_SPREAD`); or, only for a pair the plan refuses
-    (`split_body`), as `super_exp` of F0 + theta F1 evaluated at the point.
+    (`split_body` raises UnsupportedShapeError), as `super_exp` of
+    F0 + theta F1 evaluated at the point.
     A non-finite theta or point value raises ValueError, and a form that
     overflows at a finite point raises OverflowError; one whose Gaussian
     factor underflows is the zero form.  The form is entire in theta:
@@ -298,7 +299,7 @@ def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex])
     """
     from .pointwise import pointwise_chern
 
-    return pointwise_chern(model.algebra, _curvature(model), theta, point)
+    return pointwise_chern(_curvature(model), theta, point)
 
 
 def w_character(model: ActionModel, theta: complex) -> complex:

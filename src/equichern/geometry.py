@@ -155,8 +155,8 @@ class ActionModel:
         F1 = mu(1) - iota_zeta(1) A, so ``curvature`` holds the pair (F0, F1),
         symbolic supermatrices; nothing is compiled here (the pointwise
         Chern form builds the pair's Chern plan where it evaluates it, in
-        `pointwise.pair_plan`, and its Taylor side evaluates the pair at the
-        point).
+        `pointwise.pair_plan`, a memo of `equivariant.curvature_plan` on the
+        pair, and its Taylor side evaluates the pair at the point).
         """
         mat = rows if isinstance(rows, SuperMatrix) else SuperMatrix(
             self.algebra, self.bundle_script_e.grading(), rows)

@@ -76,12 +76,16 @@ def taylor_parameters(norm: float, tol: float) -> tuple[int, int]:
 
     The degree-m sum of exp(X), ||X|| = r, is exp(X)(I + E) with ||E|| at most
     e^r r^(m+1) / (m+1)! (m+2) / (m+2-r); m is the least with 2^s ||E|| <= tol,
-    so the 2^s-th power is within about ``tol ||exp(A)||`` of exp(A).
+    so the 2^s-th power is within about ``tol ||exp(A)||`` of exp(A).  s comes
+    from the binary exponent of the norm (`math.frexp`) and 2^s only as
+    2^-s, exact for every finite norm, so a norm near the float limit scales
+    as any other.
     """
-    s = 0 if norm <= 0.5 else max(0, math.ceil(math.log2(norm / 0.5)))
-    r = norm / 2.0**s
+    mantissa, exponent = math.frexp(norm)  # norm = mantissa 2^exponent, mantissa in [0.5, 1)
+    s = max(0, exponent + (mantissa > 0.5))
+    r = norm * 2.0**-s
     m, tail = 0, r  # tail = r^(m+1) / (m+1)!
-    while 2.0**s * math.exp(r) * tail * (m + 2) / (m + 2 - r) > tol:
+    while math.exp(r) * tail * (m + 2) / (m + 2 - r) > tol * 2.0**-s:
         m += 1
         tail *= r / (m + 1)
     return s, m
@@ -116,7 +120,7 @@ def taylor_exp(X: np.ndarray, algebra: ExteriorAlgebra, tol: float = TAYLOR_TOL)
             raise OverflowError("the exponent has entries that are not finite, "
                                 "or a trace or norm past the float range")
         s, m = taylor_parameters(norm, tol)
-        R = right_operator(shifted / 2.0**s, pairs)
+        R = right_operator(shifted * 2.0**-s, pairs)
         term = np.zeros((d, d * K), dtype=np.complex128)
         term[rows, rows * K] = 1.0
         acc = term.copy()

@@ -12,11 +12,12 @@ u = Im r(X)/(2 sqrt(eps)) leaves one Gaussian-weighted integral in u per eps,
 taken on a panel Gauss-Legendre rule.  The module also holds the zero
 operator's model (`zero_op_s1`) and the ``run-example zero-op`` command
 (`run_zero_op`), so that no other command compiles them.  It is plain
-Python (`math`, lists): it loads no numpy.
+Python (`math`, `cmath`, lists): it loads no numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Callable, NamedTuple, Sequence
 
@@ -164,14 +165,25 @@ class DeltaReport(NamedTuple):
 
 
 def richardson_extrapolate(eps: Sequence[float], values: Sequence[complex]) -> complex:
-    """Neville polynomial extrapolation of values(eps) to eps = 0."""
+    """Neville polynomial extrapolation of values(eps) to eps = 0.
+
+    Each step is (x_i t_{i+1} - x_j t_i)/(x_i - x_j).  Where finite values
+    give a result that is not finite (a product x t past the float range, as
+    eps near 1e300 against values near 1e308 make), the steps run again in
+    their difference form t_{i+1} + (t_{i+1} - t_i) x_j/(x_i - x_j), whose
+    terms stay near the values; a result out of range there raises
+    OverflowError.
+    """
     xs = list(map(float, eps))
-    t = list(map(complex, values))
-    n = len(t)
-    for level in range(1, n):
-        for i in range(n - level):
-            t[i] = (xs[i] * t[i + 1] - xs[i + level] * t[i]) / (xs[i] - xs[i + level])
-    return t[0]
+    for step in (lambda a, b, x, y: (x * b - y * a) / (x - y),
+                 lambda a, b, x, y: b + (b - a) * (y / (x - y))):
+        t = list(map(complex, values))
+        for level in range(1, len(t)):
+            for i in range(len(t) - level):
+                t[i] = step(t[i], t[i + 1], xs[i], xs[i + level])
+        if cmath.isfinite(t[0]) or not all(map(cmath.isfinite, values)):
+            return t[0]
+    raise OverflowError("Richardson extrapolation out of range")
 
 
 def delta_pairing(model: ActionModel, test_fn: Callable[[float], complex],

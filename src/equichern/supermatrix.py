@@ -153,24 +153,14 @@ class SuperMatrix:
                            [[f.scale(factor) for f in row] for row in self.entries])
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
-        """Matrix product; entry products are wedge products."""
+        """Matrix product; entry products are wedge products, summed from zero in order."""
         self._check(other)
-        d = self.dim
         z = self.algebra.zero()
-        out = []
-        for i in range(d):
-            row = []
-            for k in range(d):
-                acc = z
-                for j in range(d):
-                    a = self.entries[i][j]
-                    b = other.entries[j][k]
-                    if a.is_zero or b.is_zero:
-                        continue
-                    acc = acc + a.wedge(b)
-                row.append(acc)
-            out.append(row)
-        return SuperMatrix(self.algebra, self.grading, out)
+        cols = list(zip(*other.entries))
+        return SuperMatrix(self.algebra, self.grading,
+                           [[sum((a.wedge(b) for a, b in zip(row, col)
+                                  if not (a.is_zero or b.is_zero)), z) for col in cols]
+                            for row in self.entries])
 
     def map_entries(self, fn: Callable[[Form], Form]) -> "SuperMatrix":
         return SuperMatrix(self.algebra, self.grading,
@@ -250,13 +240,18 @@ def exp_divided_difference(nodes):
     a node from the nodes' mean, so past R = SERIES_SPREAD it runs on the
     nodes times 2^-s instead, s the least with 2R 2^-s <= SERIES_SPREAD: the
     triangle of sub-differences of Opitz's bidiagonal form, squared s times.
-    A value out of the float range there raises OverflowError.
+    A value out of the float range there, and a node whose e^x passes it on
+    the other routes, raise OverflowError("divided difference of exp out of
+    range").
     """
     if not len(nodes):
         raise ValueError("need at least one node")
-    if hasattr(nodes[0], "__len__"):
-        return [_exp_dd(column) for column in zip(*nodes)]
-    return _exp_dd(nodes)
+    try:
+        if hasattr(nodes[0], "__len__"):
+            return [_exp_dd(column) for column in zip(*nodes)]
+        return _exp_dd(nodes)
+    except OverflowError:  # cmath's, where e^x of a node passes the float range
+        raise OverflowError("divided difference of exp out of range") from None
 
 
 def _exp_dd(nodes) -> complex:
@@ -303,4 +298,3 @@ def _exp_dd(nodes) -> complex:
         total += h[k] * coeff
         tail *= r / (m + 1)
     return cmath.exp(shift) * total
-

@@ -1,4 +1,4 @@
-"""The code-line counter of tools/code_lines.py on a small fixture source."""
+"""The code-line counter of tools/code_lines.py on a fixture source, and its --loaded mode."""
 
 import importlib.util
 from pathlib import Path
@@ -63,3 +63,14 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
         [str(FIXTURE_LINES), str(tmp_path / "a.py")],
         ["2", str(tmp_path / "b.py")],
         [str(FIXTURE_LINES + 2), "total"]]
+
+
+def test_loaded_mode_counts_the_equichern_modules_a_run_imports(capsys):
+    src = TOOL.parents[1] / "src" / "equichern"
+    assert code_lines.main(["--loaded", "-c", "import equichern.polyeval"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    # polyeval imports exterior, and the package's __init__ loads first
+    names = ["__init__.py", "exterior.py", "polyeval.py"]
+    counts = [code_lines.code_lines((src / name).read_text(encoding="utf-8")) for name in names]
+    assert lines == [*([str(n), str(src / name)] for n, name in zip(counts, names)),
+                     [str(sum(counts)), "total"]]

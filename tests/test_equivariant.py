@@ -758,7 +758,7 @@ class TestPointwiseSides:
 
         monkeypatch.setattr(pointwise, "super_exp", refuse)
         got = chern_form(m, theta, POINT_UV)
-        assert plan_at(m.curvature, float, theta) is not None
+        assert plan_at(m.curvature, theta) is not None
         assert all(cmath.isfinite(c) for c in got.terms.values())
         assert got.isclose(ref, 1e-12 * max(1.0, ref.norm_max()))
 
@@ -789,14 +789,16 @@ class TestPointwiseSides:
         m = non_splitting_model()
         with pytest.raises(UnsupportedShapeError, match="outside the diagonal body"):
             chern_plan(m)
-        assert pair_plan(m.curvature) is None
+        with pytest.raises(UnsupportedShapeError, match="outside the diagonal body"):
+            pair_plan(m.curvature)
 
         def refuse(self, theta):
             raise AssertionError("a refused pair evaluated a Chern plan")
 
         monkeypatch.setattr(ChernPlan, "evaluate", refuse)
         got = chern_form(m, 0.3, POINT_UV)
-        assert plan_at(m.curvature, float, 0.3) is None
+        with pytest.raises(UnsupportedShapeError, match="outside the diagonal body"):
+            plan_at(m.curvature, 0.3)
         assert got == taylor_side(m, 0.3, POINT_UV)
 
     def test_the_dense_workload_range_takes_the_plan_side(self, monkeypatch):
@@ -809,7 +811,7 @@ class TestPointwiseSides:
 
         monkeypatch.setattr(pointwise, "super_exp", refuse)
         got = chern_form(m, theta, POINT_UV)
-        assert plan_at(m.curvature, float, theta) is not None
+        assert plan_at(m.curvature, theta) is not None
         assert got.isclose(closed_form_reference(m, POINT_UV["u"], POINT_UV["v"], theta), 1e-14)
 
     def test_latest_theta_memo_is_bit_identical_to_a_fresh_model(self):
@@ -819,6 +821,14 @@ class TestPointwiseSides:
         fresh = [chern_form(c_plane_uv(), theta, POINT_UV).terms for theta in thetas]
         assert got == fresh
         assert got[0] == got[2]
+
+    def test_the_theta_memo_keeps_theta_types_apart(self):
+        pair = c_plane_uv().curvature
+        plan_at.cache_clear()
+        first = plan_at(pair, 1.3)
+        assert plan_at(pair, 1.3) is first
+        assert plan_at(pair, 1.3 + 0j) is not first
+        assert plan_at.cache_info().misses == 2
 
     def test_set_odd_term_and_curvature_assignment_recompile(self):
         m = c_plane_uv()
@@ -840,7 +850,7 @@ class TestPointwiseSides:
         assert bumped.isclose(taylor_route(m, theta, POINT_UV), 1e-13)
         assert not bumped.isclose(after, 1e-3)
         # each new pair built its own plan, the one its curvature gives
-        assert None not in plans and len({id(p) for p in plans}) == 3
+        assert len({id(p) for p in plans}) == 3
         assert plans[-1] == curvature_plan(m.curvature)
 
     @pytest.mark.parametrize("point", [{"u": 1e160, "v": 0}, {"u": 0.3, "v": -1e200j}],
@@ -858,13 +868,16 @@ class TestPointwiseSides:
         (non_splitting_model, 1 - 800j, POINT_UV, "Taylor exponential overflows"),
         (parsed_plane_model, 1.0, {"z": 1e160, "xi": 0.5}, "Chern form overflows"),
         (non_splitting_model, 0.3, {"u": 0.5, "v": 1e154}, "trace or norm past the float range"),
+        (c_plane_uv, 1 - 800j, POINT_UV, "divided difference of exp out of range"),
     ], ids=["taylor-side-square", "taylor-side-theta", "plan-side-inf-minus-inf",
-            "taylor-side-norm"])
+            "taylor-side-norm", "plan-side-theta"])
     def test_overflow_is_named(self, make, theta, point, message):
         # the unsplit curvature's |u|^2 is inf; its exponential at theta =
         # 1 - 800i exceeds the float range (about e^260 at 1 - 300i); the
         # parsed c-plane's Gaussian exponent is inf - inf at z = 1e160; at
-        # v = 1e154 |v|^2 is finite but the trace and the row sums are not
+        # v = 1e154 |v|^2 is finite but the trace and the row sums are not;
+        # at theta = 1 - 800i the plan's divided differences of exp pass the
+        # float range before any point is read
         m = make()
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,13 @@ from equichern.quadrature import (
 from equichern.supermatrix import SuperMatrix, UnsupportedShapeError
 
 from conftest import weighted_plane_uv
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # declared in the test extra, but skip where it is absent
+    hypothesis = None
+needs_hypothesis = pytest.mark.skipif(hypothesis is None, reason="hypothesis is not installed")
 
 
 def golden_index(theta):
@@ -655,3 +663,82 @@ class TestRichardson:
         eps = [1e-1, 1e-2, 1e-3]
         vals = [2.0 + 3.0 * e - 1.5 * e * e for e in eps]
         assert abs(richardson_extrapolate(eps, vals) - 2.0) < 1e-12
+
+    def test_products_past_the_float_range_take_the_difference_form(self):
+        # 1e300 * 2e10 overflows, but the extrapolated value is about 2.1e10
+        eps, vals = [1e300, 1e299], [1e10, 2e10]
+        want = 2e10 + (2e10 - 1e10) * (1e299 / (1e300 - 1e299))
+        assert richardson_extrapolate(eps, vals) == want
+        assert abs(want - 19e9 / 0.9) <= 1e-15 * want
+
+    def test_a_value_out_of_range_is_named(self):
+        with pytest.raises(OverflowError, match="Richardson extrapolation out of range"):
+            richardson_extrapolate([1.0, 1.0 + 2**-52], [-1e308, 1e308])
+
+    def test_values_that_are_not_finite_pass_through(self):
+        assert cmath.isnan(richardson_extrapolate([1e-1, 1e-2], [float("nan"), 1.0]))
+
+
+WEIGHTS = (*range(-8, 0), *range(1, 9))
+WEIGHTED_MODELS = {}
+
+
+@needs_hypothesis
+def test_index_character_at_extreme_grids_is_finite_or_named():
+    """Drawn weights, sample counts and windows: finite values, or AliasError or PoleGuardError.
+
+    `weighted_plane_uv(m)` for |m| <= 8, theta_samples 2..4096 and
+    fourier_window 0..63.  From |m| = 5 on the W-cleared density has terms
+    past NUMERATOR_DEGREE, so AliasError; a grid point at a pole of the W
+    character (theta m in 2 pi Z) raises PoleGuardError.
+    """
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.sampled_from(WEIGHTS), st.integers(2, 4096), st.integers(0, 63))
+    @hypothesis.example(1, 4096, 63)
+    @hypothesis.example(-4, 4096, 0)
+    @hypothesis.example(5, 2, 63)
+    @hypothesis.example(-8, 2, 0)
+    def check(m, theta_samples, fourier_window):
+        if m not in WEIGHTED_MODELS:
+            WEIGHTED_MODELS[m] = weighted_plane_uv(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                report = index_character(WEIGHTED_MODELS[m], theta_samples, fourier_window)
+            except AliasError:
+                assert abs(m) >= 5
+                return
+            except PoleGuardError:
+                return
+        assert abs(m) < 5
+        coefficients = [report.fourier.coeff(n) for n in range(-fourier_window,
+                                                              fourier_window + 1)]
+        assert len(report.values) == theta_samples
+        assert all(cmath.isfinite(v) for v in [*report.values, *coefficients])
+
+    check()
+
+
+@needs_hypothesis
+def test_delta_pairing_at_extreme_eps_and_scales_is_finite():
+    """Drawn distinct eps in 5e-324..1e300 and test functions c e^{-(x - s)^2}, |c| <= 1e308.
+
+    Every value, the extrapolation and test(0) are finite numbers.  The
+    examples pair eps 1e300 with c = 1e308, where the extrapolation's
+    products eps * value pass the float range.
+    """
+    model = zero_op_s1()
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.floats(5e-324, 1e300), min_size=1, max_size=4, unique=True),
+                      st.floats(-1e308, 1e308), st.floats(-20, 20))
+    @hypothesis.example([5e-324, 1e300], 1e308, 0.0)
+    @hypothesis.example([1e300, 1e299, 5e-324], -1e308, 3.0)
+    def check(eps, c, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = delta_pairing(model, lambda x: c * math.exp(-(x - s) ** 2), eps)
+        numbers = [*report.values, report.extrapolated, report.test_at_zero]
+        assert all(type(v) is complex and cmath.isfinite(v) for v in numbers)
+
+    check()

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from equichern.kernels import (
     from_array,
     right_operator,
     super_exp_duhamel,
+    taylor_exp,
     taylor_parameters,
     to_array,
 )
@@ -348,6 +350,26 @@ class TestTaylorKernel:
             degrees = [m for _, m in params]
             assert degrees == sorted(degrees)
 
+    def test_scaling_is_the_least_that_reaches_half(self):
+        # a norm just above a power of two takes one more halving, which
+        # log2 of it rounded away
+        for norm in (float(np.nextafter(8.0, 9.0)), 2.0**100, 1e308):
+            s, _ = taylor_parameters(norm, 1e-12)
+            assert norm * 2.0**-s <= 0.5 < norm * 2.0**(1 - s)
+
+    @pytest.mark.parametrize("entry", [5e307, 1e308])
+    def test_norm_near_the_float_limit(self, plane_algebra, entry):
+        # X = entry E_01 du squares to 0, so exp(X) = I + X exactly; its
+        # scaling 2^-s and degree bound tol 2^-s are finite for a finite norm
+        X = np.zeros((4, 4, plane_algebra.n_components), dtype=complex)
+        X[0, 1, plane_algebra.mask_of(("du",))[0]] = entry
+        want = X.copy()
+        want[np.arange(4), np.arange(4), 0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = taylor_exp(X, plane_algebra)
+        assert np.array_equal(got, want)
+
 
 class TestDuhamel:
     def test_reduces_to_taylor_for_pure_soul(self, plane_algebra, grading, rng):
@@ -445,6 +467,15 @@ class TestDividedDifferences:
             ref = (mpmath.exp(x) - mpmath.exp(y)) / (x - y)
             err = abs(mpmath.mpc(exp_divided_difference([a, b])) - ref) / abs(ref)
         assert err <= 2.2e-16
+
+    @pytest.mark.parametrize("nodes", [[800, 800.5], [800, 900], [0, 720], [710, 710.5, 711]])
+    def test_out_of_range_is_named(self, nodes):
+        # cmath's unnamed "math range error" of e^x at a node, in the series'
+        # e^shift ([800, 800.5] and the triple) or the quotient's e^a, is named
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="divided difference of exp out of range"):
+                exp_divided_difference(nodes)
 
     def test_fully_confluent(self):
         # exp divided difference at k+1 equal nodes is e^x / k!
