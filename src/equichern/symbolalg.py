@@ -12,6 +12,13 @@ projection phi = rho Re(xi conj(rho)) on arrays, and phi as a polynomial,
 which the augmentation of a symbol (`geometry.augmented_symbol`) reads.  The
 ``check-symbol`` command runs here (`check_symbol`), beside the checks it
 reports, so that no other command compiles it.
+
+On a complex base and fiber, the checks sample the transversal remainder on
+one angle of the base when its compiled monomials x^a conj(x)^b xi^c
+conj(xi)^e all have charge a - b + c - e = 0: the remainder is then
+invariant under the phase rotation (x, xi) -> (e^{i beta} x, e^{i beta} xi),
+and so is everything else the checks read (`_base_points`).  Other symbols
+take the full grid.
 """
 
 from __future__ import annotations
@@ -68,12 +75,12 @@ def orbital_projection(model: ActionModel, x, xi):
     """phi = rho rho^t: the covectors xi at base values x projected onto the orbit.
 
     Elementwise rho Re(xi conj(rho)), with rho the `infinitesimal_generator`.
-    The product xi conj(rho) is taken by the ufunc even for scalars, so an
-    array call equals its scalar calls bit for bit: numpy's array loop may
-    fuse a multiply and an add, the ``*`` of two numpy scalars does not.
+    Re(xi conj(rho)) is formed from real products, so an array call equals its
+    scalar calls bit for bit on every host: numpy's complex multiply on arrays
+    fuses a multiply and an add where the host's SIMD loops do.
     """
     rho = infinitesimal_generator(model, x)
-    return rho * np.multiply(xi, np.conj(rho)).real
+    return rho * (xi.real * rho.real + xi.imag * rho.imag)
 
 
 def _fiber(model: ActionModel) -> Coordinate:
@@ -109,25 +116,42 @@ class SymbolFunction(NamedTuple):
 
     The evaluator maps base values x and fiber covectors xi (complex arrays,
     broadcastable) to complex values; the magnitude is their modulus,
-    pointwise.
+    pointwise.  ``phase_invariant`` records that the values are invariant
+    under the phase rotation (x, xi) -> (e^{i beta} x, e^{i beta} xi) on a
+    complex base and fiber, so that the membership checks sample one angle
+    of the base (`_base_points`).
     """
 
     evaluator: Callable
     x_support_radius: float
+    phase_invariant: bool = False
 
     def magnitude(self, x, xi) -> np.ndarray:
         return np.abs(self.evaluator(x, xi))
 
 
 def _base_points(model: ActionModel, b: SymbolFunction) -> np.ndarray:
-    """Sample the base within the symbol's x-support."""
-    if model.base.kind == COMPLEX:
-        n_r = max(2, int(round(math.sqrt(N_X))))
-        n_a = max(1, N_X // n_r)
-        radii = np.linspace(0.0, b.x_support_radius, n_r)
-        angles = np.linspace(0.0, 2 * math.pi, n_a, endpoint=False)
-        return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    return np.linspace(0.0, 2 * math.pi, N_X, endpoint=False).astype(complex)
+    """Sample the base within the symbol's x-support.
+
+    A complex base is sampled on radii times angles, with x = 0 once; a
+    ``phase_invariant`` symbol on its angle-0 slice, the radii alone.  The
+    phase rotation (x, xi) -> (e^{i beta} x, e^{i beta} xi) by an angle beta
+    of the grid fixes such a symbol (its s^2, cutoff a(|x|) and remainder
+    alike) and the bound core of `condition_c_fit`: rho is linear in x, so
+    xi conj(rho) is fixed, and |phi| with it.  It maps the N_DIRS fiber
+    directions onto themselves, as N_DIRS is a multiple of the angle count,
+    and the transverse directions of `restriction_decay_check` at x (the
+    fixed 8 at rho = 0) onto those at e^{i beta} x.  So at every other angle
+    both checks see the values of the slice again, up to rounding.
+    """
+    if model.base.kind != COMPLEX:
+        return np.linspace(0.0, 2 * math.pi, N_X, endpoint=False).astype(complex)
+    n_r = max(2, int(round(math.sqrt(N_X))))
+    radii = np.linspace(0.0, b.x_support_radius, n_r)
+    if b.phase_invariant:
+        return radii.astype(complex)
+    angles = np.linspace(0.0, 2 * math.pi, N_X // n_r, endpoint=False)
+    return np.append(0j, radii[1:, None] * np.exp(1j * angles))
 
 
 def _fiber_directions(model: ActionModel) -> np.ndarray:
@@ -296,7 +320,8 @@ def normalized_remainder_symbol(model: ActionModel,
     two diagonal grading blocks are compiled, and the operator norm comes
     from them.  The evaluator flattens its broadcast ``(x, xi)`` and reduces
     them to operator norms in slices of at most ``scan.BATCH_POINTS`` points
-    (`scan.fill_batches`).
+    (`scan.fill_batches`).  The symbol is ``phase_invariant`` when every
+    monomial of the table has charge 0 on a complex base and fiber.
     """
     base, fiber = model.base.name, _fiber(model).name
     alg, polys, d = model.algebra, _entry_polys(model.symbol), model.symbol.dim
@@ -308,6 +333,13 @@ def normalized_remainder_symbol(model: ActionModel,
                                  if polys[i, j] is not None and polys[j, k] is not None)
         if parities[i] == parities[k] else None for i in range(d) for k in range(d)] + [s2])
     blocks = parity_blocks(parities, EVEN)
+    # the table is phase invariant when every monomial x^a conj(x)^b xi^c
+    # conj(xi)^e of it has charge a - b + c - e = 0
+    charge = {base: 1, fiber: 1, alg.conjugates.get(base): -1, alg.conjugates.get(fiber): -1}
+    invariant = (model.base.kind == COMPLEX == model.fiber.kind
+                 and set(table.coords) <= set(charge)
+                 and not any(sum(charge[table.coords[k]] * e for k, e in f)
+                             for f in table.factors))
 
     def sigma_max(x, xi):
         vals = table.entries(full_point(alg, {base: x, fiber: xi}))
@@ -322,7 +354,7 @@ def normalized_remainder_symbol(model: ActionModel,
         fill_batches(out, lambda s: sigma_max(x[s], xi[s]), 1)
         return (bump(x, cutoff_radius) * out).reshape(shape)
 
-    return SymbolFunction(evaluator=evaluator, x_support_radius=cutoff_radius)
+    return SymbolFunction(evaluator, cutoff_radius, invariant)
 
 
 def _entry_terms(model: ActionModel):

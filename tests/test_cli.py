@@ -232,7 +232,12 @@ class TestCheckSymbol:
             tmp_path, ["check-symbol", PLANE_MODEL.with_name(f"{name}.model")],
             "symbol_report.json")
         assert codes[0] == codes[1]
-        assert_floats_close(*map(json.loads, reports), 1e-12, relative=True)
+        docs = [json.loads(r)["runs"][0]["payload"] for r in reports]
+        assert_floats_close(*docs, 1e-12, relative=True)
+        # condition C forms its bound core from real products, which no SIMD
+        # loop fuses; the remainder's complex products and moduli still may
+        assert (docs[0]["transversal_ellipticity"]["condition_c"]
+                == docs[1]["transversal_ellipticity"]["condition_c"])
 
     def test_run_does_not_import_numpy_ma(self, tmp_path):
         # np.median imports numpy.ma (10-16 ms) to look for masked arrays

@@ -115,6 +115,19 @@ class TestOrbitalProjection:
             point = full_point(m.algebra, {m.base.name: x[k], m.fiber.name: xi[k]})
             assert abs(symbolic.evaluate(point) - phi[k]) <= 1e-13 * abs(phi[k])
 
+    def test_array_call_is_plain_float_arithmetic(self, rng):
+        # Re(xi conj(rho)) from real products, as Python floats form them:
+        # numpy's complex multiply on arrays fuses a multiply and an add on
+        # some hosts and not on others, and differs from this in about a
+        # quarter of the points where it does
+        m = c_plane()
+        x = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
+        xi = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
+        rho, phi = infinitesimal_generator(m, x), orbital_projection(m, x, xi)
+        for r, v, got in zip(rho.tolist(), xi.tolist(), phi.tolist()):
+            pairing = v.real * r.real + v.imag * r.imag
+            assert got == complex(r.real * pairing, r.imag * pairing)
+
 
 @needs_hypothesis
 def test_compiled_phi_matches_orbital_projection():

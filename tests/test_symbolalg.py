@@ -12,7 +12,7 @@ from conftest import (
     saturating_symbol,
     term_scale,
 )
-from equichern import scan
+from equichern import scan, symbolalg
 from equichern.cli import main
 from equichern.geometry import (
     ActionModel,
@@ -26,6 +26,8 @@ from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.pairing import zero_op_s1
 from equichern.scan import ScanGrid, ellipticity_scan
 from equichern.symbolalg import (
+    CUTOFF_RADII,
+    N_DIRS,
     N_RADII,
     N_X,
     R_MIN,
@@ -392,5 +394,144 @@ def test_drawn_symbols(tmp_path):
             reports.append(report.read_bytes())
             report.unlink()
         assert reports[0] == reports[1]
+
+    check()
+
+
+# -- the angle-0 slice of a phase-invariant remainder against the full grid ----------
+
+
+def max_degree(model):
+    """Largest total degree of the compiled remainder s^2 1 - sigma sigma (2 for s^2)."""
+    return max([2] + [2 * sum(m) for f in scan._entry_polys(model.symbol).ravel()
+                      if f is not None for m in f.terms])
+
+
+def assert_slice_matches_full_grid(model, r_max):
+    """Condition C and the decay check on the slice and on the full grid agree.
+
+    The rotation that carries the slice to another base angle rounds each
+    coordinate of a grid point by a few ulps, and a monomial of degree n by
+    about n of those; the values may move by that much, so the tolerance is
+    1e-15 relative up to degree 4 and 2.5e-16 per degree beyond it.
+    """
+    tol = 1e-15 * max(1, max_degree(model) / 4)
+    for radius in CUTOFF_RADII:
+        b = normalized_remainder_symbol(model, radius)
+        assert b.phase_invariant
+        # the same symbol, not known to be invariant, takes the full grid
+        pairs = [(f(b), f(b._replace(phase_invariant=False))) for f in (
+            lambda s: condition_c_fit(s, model, (0.1, 0.01, 0.001), r_max=r_max),
+            lambda s: restriction_decay_check(s, model, r_max=r_max))]
+        (c_slice, c_full), (d_slice, d_full) = pairs
+        assert c_slice.passed == c_full.passed and d_slice.passed == d_full.passed
+        assert [e["passed"] for e in c_slice.entries] == [e["passed"] for e in c_full.entries]
+        floats = [(a[k], z[k]) for a, z in zip(c_slice.entries, c_full.entries)
+                  for k in ("c_eps", "c_eps_half_radius")]
+        for a, z in floats + list(zip(d_slice.shell_sup, d_full.shell_sup)):
+            assert abs(a - z) <= tol * max(abs(a), abs(z))
+
+
+@pytest.mark.parametrize("name", ["c-plane", "constant-symbol"])
+@pytest.mark.parametrize("r_max", [1e2, 1e3])
+def test_template_slice_matches_full_grid(tmp_path, name, r_max):
+    model = parse_model_text(builtin_model_text(name))
+    assert_slice_matches_full_grid(model, r_max)
+    path = tmp_path / "template.model"
+    path.write_text(builtin_model_text(name))
+    reports = []
+    for out in ("a", "b"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["check-symbol", str(path), "--xi-max", str(r_max), "--scan-samples", "50",
+                  "--out-dir", str(tmp_path / out)])
+        reports.append((tmp_path / out / "symbol_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+# c-plane with a term z added to its upper entry: z (z + i xi) has charge 2
+CHARGE_BREAKING = builtin_model_text("c-plane").replace(
+    "0, conj(z) - i*conj(xi)", "0, conj(z) - i*conj(xi) + z")
+
+
+@pytest.mark.parametrize("name, base, decay_base", [
+    # 8 radii; the decay check takes 8 directions at x = 0, 2 elsewhere
+    ("c-plane", 8, 8 + 7 * 2),
+    # x = 0 once, then 7 radii x 8 angles
+    ("charge-breaking", 1 + 7 * 8, 8 + 56 * 2)])
+def test_grid_sizes(monkeypatch, name, base, decay_base):
+    # the points the remainder evaluator receives, per call
+    sizes = []
+
+    def counting(out, values, width):
+        sizes.append(out.size)
+        return scan.fill_batches(out, values, width)
+
+    monkeypatch.setattr(symbolalg, "fill_batches", counting)
+    text = CHARGE_BREAKING if name == "charge-breaking" else builtin_model_text(name)
+    transversal_ellipticity_check(parse_model_text(text))
+    per_cutoff = [base * N_DIRS * N_RADII, decay_base * N_RADII]
+    assert sizes == per_cutoff * len(CUTOFF_RADII)
+
+
+def ringed_base_points(model, b):
+    """The full base grid with the radius-0 ring's 8 copies of x = 0."""
+    radii = np.linspace(0.0, b.x_support_radius, 8)
+    angles = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+    return (radii[:, None] * np.exp(1j * angles)).ravel()
+
+
+@pytest.mark.parametrize("name", ["charge-breaking", "rank-4", "rank-3"])
+def test_one_origin_leaves_the_full_grid_bit_identical(monkeypatch, rng, name):
+    model = (parse_model_text(CHARGE_BREAKING) if name == "charge-breaking"
+             else REMAINDER_MODELS[name](rng))
+    assert not normalized_remainder_symbol(model, 1.0).phase_invariant
+    once = transversal_ellipticity_check(model).to_dict()
+    monkeypatch.setattr(symbolalg, "_base_points", ringed_base_points)
+    assert transversal_ellipticity_check(model).to_dict() == once
+
+
+@pytest.mark.skipif(hypothesis is None, reason="hypothesis is not installed")
+def test_drawn_phase_invariant_symbols():
+    """Drawn 2x2 odd symbols whose remainder has charge 0, and some that break it.
+
+    A term c z^a conj(z)^b xi^c conj(xi)^e has charge a - b + c - e.  The upper
+    entry's terms all have charge q and the lower entry's -q, so every product
+    in sigma sigma has charge 0, and the slice must match the full grid.  An
+    extra upper term of charge q + 1 makes products of charge 1 with the
+    lower entry, which holds a term, so that symbol must take the full grid.
+    """
+    head = builtin_model_text("c-plane").split("[symbol]")[0]
+
+    def term(charge):
+        def build(c, exps):
+            a, b, d = exps
+            e = a - b + d - charge
+            return "*".join([c] + [f"{v}^{k}" for v, k in
+                                   zip(("z", "conj(z)", "xi", "conj(xi)"), (a, b, d, e)) if k])
+        return st.builds(build, st.sampled_from(("1", "2", "3", "i", "2*i")),
+                         st.tuples(*[st.integers(0, 3)] * 3).filter(
+                             lambda t: 0 <= t[0] - t[1] + t[2] - charge <= 3))
+
+    def entry(charge):
+        return st.lists(term(charge), min_size=1, max_size=3).map(" + ".join)
+
+    @st.composite
+    def symbols(draw):
+        q = draw(st.integers(-1, 1))
+        upper, lower = draw(entry(q)), draw(entry(-q))
+        extra = draw(st.none() | term(q + 1))
+        return upper + (f" + {extra}" if extra else ""), lower, extra is None
+
+    @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(symbols())
+    def check(drawn):
+        upper, lower, invariant = drawn
+        model = parse_model_text(f"{head}[symbol]\n0, {upper}\n{lower}, 0\n")
+        if invariant:
+            assert_slice_matches_full_grid(model, 1e3)
+        else:
+            b = normalized_remainder_symbol(model, 1.0)
+            assert not b.phase_invariant
+            assert len(symbolalg._base_points(model, b)) == 1 + 7 * 8
 
     check()
