@@ -65,7 +65,7 @@ class ExteriorAlgebra:
     conjugates:
         declared conjugate pairs ``z -> zbar``; a coordinate in no pair is
         real.  Read by the model's ``conj_poly``, ``polyeval.full_point``,
-        ``orientation_sign``, ``cartan_field``, the model parser's ``conj()``,
+        ``orientation_sign``, the model parser's ``conj()``,
         the Gaussian moments (``quadrature.gaussian_integral``) and the
         ellipticity scan.
     """

@@ -34,7 +34,11 @@ REAL = "real"
 
 
 class Coordinate:
-    """A declared coordinate with its rotation weight and base/fiber role."""
+    """A declared coordinate with its rotation weight and base/fiber role.
+
+    ``names`` lists the polynomial coordinates it declares: its name, and for
+    a complex coordinate z also its conjugate zbar.
+    """
 
     __slots__ = ("name", "kind", "weight", "role")
 
@@ -44,6 +48,10 @@ class Coordinate:
         if role not in ("base", "fiber"):
             raise ValueError(f"unknown coordinate role {role!r}")
         self.name, self.kind, self.weight, self.role = name, kind, weight, role
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return (self.name, self.name + "bar") if self.kind == COMPLEX else (self.name,)
 
 
 class BundleSpec:
@@ -103,19 +111,10 @@ class ActionModel:
                              f"coordinate, got {len(bases)} and {len(fibers)}")
         self.base = bases[0]
         self.fiber = fibers[0] if fibers else None
-        coord_names: list[str] = []
-        gen_names: list[str] = []
-        conjugates: dict[str, str] = {}
-        for c in self.coordinates_meta:
-            if c.kind == COMPLEX:
-                bar = c.name + "bar"
-                coord_names += [c.name, bar]
-                gen_names += ["d" + c.name, "d" + bar]
-                conjugates[c.name] = bar
-            else:
-                coord_names.append(c.name)
-                gen_names.append("d" + c.name)
-        self.algebra = ExteriorAlgebra(gen_names, coord_names, conjugates=conjugates)
+        coord_names = [n for c in self.coordinates_meta for n in c.names]
+        self.algebra = ExteriorAlgebra(
+            ["d" + n for n in coord_names], coord_names,
+            conjugates=dict(c.names for c in self.coordinates_meta if c.kind == COMPLEX))
         self.bundle_e = bundle_e
         self.bundle_w = bundle_w
         if bundle_w is not None:
@@ -127,13 +126,8 @@ class ActionModel:
         self.odd_term = None
         self.curvature = None  # (F0, F1), set with the odd term by set_odd_term
 
-        if volume is None:
-            volume = []
-            for c in self.coordinates_meta:
-                if c.kind == COMPLEX:
-                    volume += ["d" + c.name + "bar", "d" + c.name]
-                else:
-                    volume.append("d" + c.name)
+        if volume is None:  # dzbar before dz
+            volume = ["d" + n for c in self.coordinates_meta for n in reversed(c.names)]
         self.volume = tuple(volume)
         if set(self.volume) != set(self.algebra.generators):
             raise ValueError("volume ordering must use every generator exactly once")
@@ -220,9 +214,8 @@ def cartan_field(model: ActionModel, theta: complex) -> dict[str, Poly]:
         if c.weight == 0:
             continue
         if c.kind == COMPLEX:
-            comps["d" + c.name] = (1j * c.weight * theta) * model.algebra.coord(c.name)
-            bar = model.algebra.conjugates[c.name]
-            comps["d" + bar] = (-1j * c.weight * theta) * model.algebra.coord(bar)
+            for n, unit in zip(c.names, (1j, -1j)):
+                comps["d" + n] = (unit * c.weight * theta) * model.algebra.coord(n)
         elif c.kind == ANGLE:
             comps["d" + c.name] = model.algebra.const(c.weight * theta)
     return comps

@@ -1,9 +1,15 @@
 """Structured-text model files: coordinates, bundles and symbol matrix.
 
-The format is line-based with bracketed sections; symbol entries are
-polynomial strings over the declared coordinates (complex literals, names,
-+ - * ^, parentheses, and conj(name) for the conjugate symbol).  No code is
-executed; parse errors carry line and column.  A parsed model holds its
+The format is line-based with bracketed sections.  A coordinate line takes
+the keys ``weight`` (default 0) and ``role`` (default ``base``), a summand
+line ``weight`` (default 0) and ``parity`` (default ``even``); an unknown or
+repeated key is an error.  Symbol entries are polynomial strings over the
+declared coordinates: decimal numbers, ``i``, coordinate names and
+``conj(name)`` for a complex coordinate's conjugate, joined by + - * ^ and
+parentheses, so ``i`` and ``conj`` may not name a coordinate.  A sign binds
+looser than ``^`` wherever it stands (``2*-z^2`` is -2 z^2), and signs and
+parentheses together nest at most MAX_NESTING deep.  No code is executed;
+parse errors carry line and column.  A parsed model holds its
 coordinates, bundles and symbol only: it has no superconnection odd term, so
 the Chern routes refuse it until one is set with ``set_odd_term``.
 
@@ -58,7 +64,7 @@ _TOKEN_RE = re.compile(r"""
 # Largest power accepted after ``^``: Poly.__pow__ multiplies once per unit of
 # the exponent, and symbols of interest have low degree.
 MAX_EXPONENT = 64
-# Deepest nesting of parentheses and unary minus signs accepted in an entry:
+# Deepest nesting of parentheses and signs accepted in an entry:
 # the parser recurses once per level, and Python's recursion limit is finite.
 MAX_NESTING = 64
 
@@ -97,8 +103,9 @@ class _PolyParser:
         return self.tokens[self.pos]
 
     def next(self) -> _Token:
+        """The current token, then step past it unless it is the end token."""
         t = self.tokens[self.pos]
-        self.pos += 1
+        self.pos += t.kind != "end"
         return t
 
     def fail(self, msg: str):
@@ -115,11 +122,7 @@ class _PolyParser:
         return p
 
     def expr(self) -> Poly:
-        sign = 1.0
-        while self.peek().text in ("+", "-"):
-            if self.next().text == "-":
-                sign = -sign
-        p = self.term() * sign
+        p = self.term()
         while self.peek().text in ("+", "-"):
             op = self.next().text
             q = self.term()
@@ -134,6 +137,9 @@ class _PolyParser:
         return p
 
     def factor(self) -> Poly:
+        # a sign, wherever it stands, binds looser than ^: -z^2 is -(z^2)
+        if self.peek().text in ("+", "-"):
+            return self.nested(self.next())
         p = self.atom()
         if self.peek().text == "^":
             self.next()
@@ -151,7 +157,7 @@ class _PolyParser:
     def atom(self) -> Poly:
         t = self.next()
         alg = self.model.algebra
-        if t.text in ("-", "("):
+        if t.text == "(":
             return self.nested(t)
         if t.kind == "num":
             if not cmath.isfinite(float(t.text)):
@@ -161,16 +167,9 @@ class _PolyParser:
             if t.text == "i":
                 return alg.const(1j)
             if t.text == "conj":
-                lp = self.next()
-                if lp.text != "(":
-                    raise ModelParseError("expected '(' after conj", self.line, lp.col)
-                name = self.next()
-                if name.kind != "name":
-                    raise ModelParseError("expected coordinate name in conj()",
-                                          self.line, name.col)
-                rp = self.next()
-                if rp.text != ")":
-                    raise ModelParseError("expected ')'", self.line, rp.col)
+                lp, name, rp = self.next(), self.next(), self.next()
+                if (lp.text, name.kind, rp.text) != ("(", "name", ")"):
+                    raise ModelParseError("expected conj(coordinate)", self.line, t.col)
                 bar = self.model.algebra.conjugates.get(name.text)
                 if bar is None:
                     raise ModelParseError(
@@ -182,19 +181,19 @@ class _PolyParser:
         raise ModelParseError(f"unexpected {t.text!r}", self.line, t.col)
 
     def nested(self, t: _Token) -> Poly:
-        """A unary minus or a parenthesized expression, opened by ``t``, one level deeper."""
+        """A signed factor or a parenthesized expression, opened by ``t``, one level deeper."""
         if self.depth == MAX_NESTING:
             raise ModelParseError(
                 f"parentheses and unary signs nested more than {MAX_NESTING} deep",
                 self.line, t.col)
         self.depth += 1
-        if t.text == "-":
-            p = -self.atom()
-        else:
+        if t.text == "(":
             p = self.expr()
             closing = self.next()
             if closing.text != ")":
                 raise ModelParseError("expected ')'", self.line, closing.col)
+        else:
+            p = self.factor() if t.text == "+" else -self.factor()
         self.depth -= 1
         return p
 
@@ -205,17 +204,25 @@ def parse_polynomial(text: str, model: ActionModel, line: int = 1) -> Poly:
 
 # -- model files --------------------------------------------------------------------
 
+# Names the polynomial grammar gives a meaning of its own.
+_RESERVED = ("i", "conj")
+
 _KV_RE = re.compile(r"(\w+)\s*=\s*([^\s]+)")
 
 
-def _parse_kv(parts: Sequence[str], line: int) -> dict[str, str]:
+def _parse_kv(parts: Sequence[str], line: int, defaults: dict[str, str]) -> dict[str, str]:
+    """The ``key=value`` parts of a line over ``defaults``, which name the keys it takes."""
     out = {}
     for part in parts:
         m = _KV_RE.fullmatch(part)
         if not m:
             raise ModelParseError(f"expected key=value, got {part!r}", line)
-        out[m.group(1)] = m.group(2)
-    return out
+        key = m.group(1)
+        if key not in defaults or key in out:
+            raise ModelParseError(f"{'repeated' if key in out else 'unknown'} key {key!r}; "
+                                  f"this line takes {' and '.join(defaults)}", line)
+        out[key] = m.group(2)
+    return {**defaults, **out}
 
 
 # Largest integer magnitude a float holds exactly; weights enter float arithmetic.
@@ -224,7 +231,7 @@ _MAX_WEIGHT = 2 ** 53
 
 def _int_value(kv: dict[str, str], key: str, line: int) -> int:
     try:
-        value = int(kv.get(key, "0"))
+        value = int(kv[key])
     except ValueError:
         raise ModelParseError(f"{key} must be an integer, got {kv[key]!r}", line) from None
     if abs(value) > _MAX_WEIGHT:
@@ -271,15 +278,15 @@ def parse_model_text(text: str) -> ActionModel:
             if len(parts) < 2:
                 raise ModelParseError("expected: name kind [weight=..] [role=..]",
                                       lineno)
-            kv = _parse_kv(parts[2:], lineno)
+            kv = _parse_kv(parts[2:], lineno, {"weight": "0", "role": "base"})
             weight = _int_value(kv, "weight", lineno)
             try:
-                coord = Coordinate(parts[0], parts[1], weight, kv.get("role", "base"))
+                coord = Coordinate(parts[0], parts[1], weight, kv["role"])
             except ValueError as exc:
                 raise ModelParseError(str(exc), lineno) from None
-            # a complex coordinate z also declares its conjugate zbar
-            names = [coord.name] + ([coord.name + "bar"] if coord.kind == COMPLEX else [])
-            for n in names:
+            if coord.name in _RESERVED:
+                raise ModelParseError(f"coordinate name {coord.name!r} is reserved", lineno)
+            for n in coord.names:
                 if n in taken:
                     raise ModelParseError(
                         f"coordinate name {n!r} already declared on line {taken[n]}",
@@ -291,10 +298,10 @@ def parse_model_text(text: str) -> ActionModel:
             parts = stripped.split()
             if parts[0] != "summand":
                 raise ModelParseError("expected 'summand weight=.. parity=..'", lineno)
-            kv = _parse_kv(parts[1:], lineno)
-            parity = {"even": 0, "odd": 1}.get(kv.get("parity", "even"))
+            kv = _parse_kv(parts[1:], lineno, {"weight": "0", "parity": "even"})
+            parity = {"even": 0, "odd": 1}.get(kv["parity"])
             if parity is None:
-                raise ModelParseError(f"bad parity {kv.get('parity')!r}", lineno)
+                raise ModelParseError(f"bad parity {kv['parity']!r}", lineno)
             bundles[section.split(".", 1)[1]].append(
                 (_int_value(kv, "weight", lineno), parity))
         elif section == "symbol":
@@ -372,7 +379,8 @@ def parse_model_text(text: str) -> ActionModel:
 
 
 def parse_model_file(path) -> ActionModel:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark some editors write
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_model_text(fh.read())
 
 

@@ -216,7 +216,7 @@ def delta_pairing(model: ActionModel, test_fn: Callable[[float], complex],
     tops, (a0, a1) = _oscillatory_density(model, plan)
     angle_volume = 1.0
     for c in model.coordinates_meta:
-        if c.kind == "angle":
+        if c.kind == ANGLE:
             angle_volume *= 2 * math.pi
     norm = angle_volume / (2j * math.pi) / (2 * math.pi) * (2 * math.sqrt(math.pi) / abs(a1))
     reach = X_HALFWIDTH * abs(a1)

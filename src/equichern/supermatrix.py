@@ -240,9 +240,10 @@ def exp_divided_difference(nodes):
     a node from the nodes' mean, so past R = SERIES_SPREAD it runs on the
     nodes times 2^-s instead, s the least with 2R 2^-s <= SERIES_SPREAD: the
     triangle of sub-differences of Opitz's bidiagonal form, squared s times.
-    A value out of the float range there, and a node whose e^x passes it on
-    the other routes, raise OverflowError("divided difference of exp out of
-    range").
+    Nodes whose largest real part c passes 709, where e^c nears the float
+    limit, are shifted by -c and the value multiplied by e^(c/2) twice; a
+    value out of the float range raises OverflowError("divided difference of
+    exp out of range").
     """
     if not len(nodes):
         raise ValueError("need at least one node")
@@ -250,12 +251,18 @@ def exp_divided_difference(nodes):
         if hasattr(nodes[0], "__len__"):
             return [_exp_dd(column) for column in zip(*nodes)]
         return _exp_dd(nodes)
-    except OverflowError:  # cmath's, where e^x of a node passes the float range
+    except OverflowError:  # math's, where e^(c/2) itself passes the float range
         raise OverflowError("divided difference of exp out of range") from None
 
 
 def _exp_dd(nodes) -> complex:
     xs = [complex(x) for x in nodes]
+    c = max(x.real for x in xs)
+    if c > 709:  # e^c passes the float range at about 709.78: take it in halves
+        value = _exp_dd([x - c for x in xs]) * math.exp(c / 2) * math.exp(c / 2)
+        if not cmath.isfinite(value):
+            raise OverflowError("divided difference of exp out of range")
+        return value
     k = len(xs) - 1
     if k == 1:
         a, b = xs

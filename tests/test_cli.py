@@ -500,6 +500,72 @@ class TestCheckSymbol:
         assert str(path) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def _report(self, tmp_path, name, data: bytes) -> tuple[int, bytes]:
+        """Exit code and report bytes of check-symbol on a model file holding ``data``."""
+        (tmp_path / name).mkdir()
+        path = tmp_path / name / "input.model"
+        path.write_bytes(data)
+        code = run(["check-symbol", path, "--scan-samples", 100, "--out-dir", tmp_path / name])
+        return code, (tmp_path / name / "symbol_report.json").read_bytes()
+
+    def test_a_sign_after_an_operator_reads_as_a_leading_sign(self, tmp_path):
+        # "z + -xi^2" once read z + xi^2
+        text = builtin_model_text("c-plane")
+        signed = text.replace("z + i*xi", "z + -xi^2").replace(
+            "conj(z) - i*conj(xi)", "conj(z) + -conj(xi)^2")
+        twin = text.replace("z + i*xi", "z - xi^2").replace(
+            "conj(z) - i*conj(xi)", "conj(z) - conj(xi)^2")
+        assert (self._report(tmp_path, "signed", signed.encode())
+                == self._report(tmp_path, "twin", twin.encode()))
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        plain = PLANE_MODEL.read_bytes()
+        assert (self._report(tmp_path, "bom", b"\xef\xbb\xbf" + plain)
+                == self._report(tmp_path, "plain", plain))
+
+    @pytest.mark.parametrize("old, new, message", [
+        # an unknown key was once dropped, so the fiber weight read 0
+        ("xi complex weight=1 role=fiber", "xi complex wieght=1 role=fiber",
+         "line 5,.*unknown key 'wieght'"),
+        ("summand weight=1 parity=odd\n[bundle.W]",
+         "summand weight=1 parity=odd colour=red\n[bundle.W]", "line 8,.*unknown key 'colour'"),
+        ("summand weight=1 parity=odd\n[bundle.W]",
+         "summand weight=1 weight=2 parity=odd\n[bundle.W]", "line 8,.*repeated key 'weight'"),
+        ("z  complex weight=1 role=base", "z  complex weight=1 parity=odd role=base",
+         "line 4,.*unknown key 'parity'"),
+        ("summand weight=0 parity=even\nsummand weight=1 parity=odd\n[symbol]",
+         "summand weight=0 role=base parity=even\nsummand weight=1 parity=odd\n[symbol]",
+         "line 10,.*unknown key 'role'"),
+    ])
+    def test_unknown_or_repeated_key_exit_three(self, tmp_path, capsys, old, new, message):
+        text = builtin_model_text("c-plane")
+        assert text.count(old) == 1
+        path = tmp_path / "bad.model"
+        path.write_text(text.replace(old, new))
+        assert run(["check-symbol", path, "--out-dir", tmp_path / "out"]) == 3
+        assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old, new, line", [
+        # a coordinate named i was once read as the imaginary unit
+        ("xi complex", "i complex", 5), ("z  complex", "conj complex", 4)])
+    def test_reserved_coordinate_name_exit_three(self, tmp_path, capsys, old, new, line):
+        path = tmp_path / "bad.model"
+        path.write_text(builtin_model_text("c-plane").replace(old, new))
+        assert run(["check-symbol", path, "--out-dir", tmp_path / "out"]) == 3
+        name = new.split()[0]
+        assert re.search(f"line {line},.*coordinate name '{name}' is reserved",
+                         capsys.readouterr().err)
+
+    @pytest.mark.parametrize("entry", ["conj", "conj(", "conj(z", "conj(1)", "conj z"])
+    def test_malformed_conj_exit_three(self, tmp_path, capsys, entry):
+        path = tmp_path / "bad.model"
+        path.write_text(builtin_model_text("c-plane").replace("z + i*xi", entry))
+        assert run(["check-symbol", path, "--out-dir", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"line 14, col 1: symbol entry \(2,1\): expected conj\(coordinate\)", err)
+        assert "Traceback" not in err
+
 
 class TestReport:
     @pytest.fixture

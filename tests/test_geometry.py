@@ -42,6 +42,17 @@ def entry_values(matrix, point):
                      for i in range(d)])
 
 
+def test_coordinate_names_are_the_model_names():
+    coords = (Coordinate("z", "complex", 1, "base"), Coordinate("t", "angle", 2, "fiber"),
+              Coordinate("x", "real"))
+    assert [c.names for c in coords] == [("z", "zbar"), ("t",), ("x",)]
+    model = ActionModel("m", coords[:2], BundleSpec((0, 1), (0, 1)))
+    assert model.algebra.coordinates == ("z", "zbar", "t")
+    assert model.algebra.generators == ("dz", "dzbar", "dt")
+    assert model.algebra.conjugates == {"z": "zbar"}
+    assert model.volume == ("dzbar", "dz", "dt")
+
+
 class TestInfinitesimalGenerator:
     def test_plane_unit_speed(self):
         m = c_plane()

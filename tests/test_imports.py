@@ -165,16 +165,15 @@ def test_a_wide_spread_reads_the_plan_and_loads_no_taylor_kernel():
 
 
 # entry point -> (script, its arguments, most code lines of equichern modules it
-# may load): the commands' values are those reached when forms lost their
-# symbolic/numeric tag (a coefficient's type says which it is; the CLI
-# import's value is older), the dense op's the one reached when the pointwise
-# Chern form lost its refusal sentinel, so code put back on a path fails here.
-# `python3 tools/code_lines.py --loaded -c SCRIPT ARGS...` prints a total.
+# may load): the values are those reached when coordinates came to name their
+# own conjugates and the divided differences of exp took e^c in halves past
+# c = 709 (the CLI import's value is older), so code put back on a path fails
+# here.  `python3 tools/code_lines.py --loaded -c SCRIPT ARGS...` prints a total.
 CODE_LINE_BUDGETS = {
-    "run-example zero-op": (CLI_RUN, ("run-example", "zero-op"), 1082),
-    "run-example c-plane": (CLI_RUN, ("run-example", "c-plane"), 1208),
-    "check-symbol": (CLI_RUN, ("check-symbol", str(PLANE_MODEL)), 1645),
-    "dense": (DENSE_OP, (), 910),
+    "run-example zero-op": (CLI_RUN, ("run-example", "zero-op"), 1073),
+    "run-example c-plane": (CLI_RUN, ("run-example", "c-plane"), 1195),
+    "check-symbol": (CLI_RUN, ("check-symbol", str(PLANE_MODEL)), 1636),
+    "dense": (DENSE_OP, (), 904),
     "import equichern.cli": ("import equichern.cli", (), 143),
 }
 

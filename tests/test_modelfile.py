@@ -186,3 +186,139 @@ class TestModelFiles:
         with pytest.raises(ModelParseError,
                            match=f"line 14, col {col}: .*nested more than 64 deep"):
             parse_model_text(text)
+
+    def test_leading_signs_count_toward_the_cap(self, parsed_plane):
+        # a leading sign is a nesting level like any other sign
+        z = parsed_plane.algebra.coord("z")
+        assert parse_polynomial("-" * 64 + "z", parsed_plane) == z
+        with pytest.raises(ModelParseError, match="col 65: .*nested more than 64 deep"):
+            parse_polynomial("-" * 65 + "z", parsed_plane)
+
+
+class TestSigns:
+    @pytest.mark.parametrize("entry, same", [
+        ("z + -xi^2", "z - xi^2"),
+        ("2*-z^2", "-2*z^2"),
+        ("z - -z^2", "z + z^2"),
+        ("-z^2", "-(z^2)"),
+        ("z*+xi", "z*xi"),
+        ("-2^2*z", "-4*z"),
+        ("conj(z) + -conj(xi)^2", "conj(z) - conj(xi)^2"),
+        ("(-z)^2", "z^2"),
+    ])
+    def test_a_sign_binds_looser_than_a_power_wherever_it_stands(self, parsed_plane,
+                                                                 entry, same):
+        assert parse_polynomial(entry, parsed_plane) == parse_polynomial(same, parsed_plane)
+
+
+@pytest.mark.parametrize("entry, col", [
+    ("conj", 1), ("conj(", 1), ("conj(z", 1), ("conj(1)", 1), ("conj z", 1),
+    ("z + conj(xi", 5), ("conj()", 1), ("conj(z))", 8),
+])
+def test_malformed_conj_is_a_parse_error_with_a_column(parsed_plane, entry, col):
+    with pytest.raises(ModelParseError) as err:
+        parse_polynomial(entry, parsed_plane)
+    assert err.value.col == col
+
+
+# -- a grammar oracle: drawn expression trees against Python complex arithmetic ------
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # declared in the test extra, but skip where it is absent
+    hypothesis = None
+
+# Binding levels of a rendered tree: a sum, a product, a signed factor, a power
+# and an atom.  An operand below the level its place needs is parenthesized.
+SUM, PRODUCT, SIGNED, POWER, ATOM = range(5)
+
+
+def _decimal(digits: int, point: int) -> str:
+    text = str(digits)
+    point = min(point, len(text))
+    return text[:len(text) - point] + "." + text[len(text) - point:] if point else text
+
+
+if hypothesis is not None:
+    _leaves = st.one_of(
+        st.builds(lambda d, p: ("num", _decimal(d, p)), st.integers(0, 999), st.integers(0, 3)),
+        st.just(("i",)),
+        st.sampled_from(("z", "xi")).map(lambda n: ("coord", n)),
+        st.sampled_from(("z", "xi")).map(lambda n: ("conj", n)))
+    _trees = st.recursive(_leaves, lambda kids: st.one_of(
+        st.tuples(st.sampled_from("+-*"), kids, kids),
+        st.tuples(st.sampled_from(("neg", "pos")), kids),
+        st.tuples(st.just("^"), kids, st.integers(0, 3)),
+        st.tuples(st.just("paren"), kids)), max_leaves=10)
+
+
+def _render(tree) -> tuple[list[str], int]:
+    """Tokens of ``tree`` in model syntax, and their binding level."""
+    def at(level, sub):
+        tokens, got = _render(sub)
+        return ["(", *tokens, ")"] if got < level else tokens
+
+    kind = tree[0]
+    if kind == "num":
+        return [tree[1]], ATOM
+    if kind == "i":
+        return ["i"], ATOM
+    if kind == "coord":
+        return [tree[1]], ATOM
+    if kind == "conj":
+        return ["conj", "(", tree[1], ")"], ATOM
+    if kind == "paren":
+        return ["(", *_render(tree[1])[0], ")"], ATOM
+    if kind in ("neg", "pos"):
+        return ["-" if kind == "neg" else "+", *at(SIGNED, tree[1])], SIGNED
+    if kind == "^":
+        return [*at(ATOM, tree[1]), "^", str(tree[2])], POWER
+    if kind == "*":
+        return [*at(PRODUCT, tree[1]), "*", *at(SIGNED, tree[2])], PRODUCT
+    return [*at(SUM, tree[1]), kind, *at(PRODUCT, tree[2])], SUM
+
+
+def _value(tree, point) -> tuple[complex, float]:
+    """The value of ``tree`` at ``point``, and the sum of its term magnitudes."""
+    kind = tree[0]
+    if kind == "num":
+        return complex(float(tree[1])), abs(float(tree[1]))
+    if kind == "i":
+        return 1j, 1.0
+    if kind in ("coord", "conj"):
+        v = point[tree[1] + ("bar" if kind == "conj" else "")]
+        return v, abs(v)
+    if kind in ("paren", "pos"):
+        return _value(tree[1], point)
+    if kind == "neg":
+        v, m = _value(tree[1], point)
+        return -v, m
+    if kind == "^":
+        v, m = _value(tree[1], point)
+        return v ** tree[2], m ** tree[2]
+    (a, ma), (b, mb) = _value(tree[1], point), _value(tree[2], point)
+    if kind == "*":
+        return a * b, ma * mb
+    return (a + b if kind == "+" else a - b), ma + mb
+
+
+@pytest.mark.skipif(hypothesis is None, reason="hypothesis is not installed")
+def test_drawn_expressions_match_complex_arithmetic(parsed_plane):
+    # at the parent grammar, a sign after an operator bound tighter than ^,
+    # so that "z*-xi^2" read z*xi^2 and "z*+xi" was an error
+    coordinate = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(_trees, st.lists(st.sampled_from(("", " ", "  ", "\t")), min_size=1),
+                      st.fixed_dictionaries({n: coordinate for n in ("z", "zbar", "xi", "xibar")}))
+    def check(tree, spaces, point):
+        tokens = _render(tree)[0]
+        # each sign and parenthesis opens at most one nesting level
+        hypothesis.assume(sum(t in ("(", "+", "-") for t in tokens) <= 64)
+        text = "".join(tok + spaces[k % len(spaces)] for k, tok in enumerate(tokens))
+        want, scale = _value(tree, point)
+        got = parse_polynomial(text, parsed_plane).evaluate(point)
+        assert abs(got - want) <= 1e-12 * scale, text
+
+    check()

@@ -477,6 +477,22 @@ class TestDividedDifferences:
             with pytest.raises(OverflowError, match="divided difference of exp out of range"):
                 exp_divided_difference(nodes)
 
+    @pytest.mark.parametrize("nodes", [[710, 0], [0, 710 + 3j], [710, 710, 710], [709.5, 0]])
+    def test_value_in_range_past_e709(self, nodes):
+        # e^710 alone passes the float range, but the value fits: these three
+        # once raised OverflowError; 709.5 keeps the unshifted route
+        mpmath = pytest.importorskip("mpmath")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = exp_divided_difference(nodes)
+        with mpmath.workdps(50):
+            xs = [mpmath.mpc(x) for x in nodes]
+            if len(set(nodes)) == 1:
+                ref = mpmath.exp(xs[0]) / mpmath.factorial(len(xs) - 1)
+            else:
+                ref = (mpmath.exp(xs[0]) - mpmath.exp(xs[1])) / (xs[0] - xs[1])
+            assert abs(mpmath.mpc(got) - ref) / abs(ref) <= 1e-15
+
     def test_fully_confluent(self):
         # exp divided difference at k+1 equal nodes is e^x / k!
         x = 0.31j
@@ -645,6 +661,17 @@ class TestBatchedDividedDifferences:
         for col in range(nodes.shape[1]):
             ref = opitz_divided_difference(nodes[:, col])
             assert abs(batch[col] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_batch_with_a_column_past_e709(self):
+        # only the column whose e^x passes the float range is shifted
+        nodes = [[710.0, 1.0, 800.0], [0.0, 2.0, 900.0]]
+        with pytest.raises(OverflowError, match="divided difference of exp out of range"):
+            exp_divided_difference(nodes)
+        batch = exp_divided_difference([col[:2] for col in nodes])
+        assert batch == [exp_divided_difference([710.0, 0.0]),
+                         exp_divided_difference([1.0, 2.0])]
+        assert batch[1] == (cmath.exp(1.0) - cmath.exp(2.0)) / (1.0 - 2.0)
+        assert math.isclose(batch[0].real, math.exp(355) / 710 * math.exp(355), rel_tol=1e-14)
 
     def test_batch_of_lists_is_the_array_batch(self):
         # a trailing sequence of any kind is a batch; the node order within a
