@@ -30,7 +30,10 @@ scalar evaluation of polynomials and forms, the fiber integration, the
 character series and the delta pairing are plain Python, so
 ``run-example c-plane`` (the index character), ``run-example zero-op``
 (the delta pairing) and ``chern_form`` on a pair the plan takes run without
-numpy.
+numpy.  A symbol is a matrix of polynomials of the coordinate ring
+(``ring``); forms (``exterior``) and supermatrices (``supermatrix``) are
+built only for a superconnection's curvature, so ``check-symbol`` loads
+neither.
 """
 
 import importlib
@@ -44,20 +47,20 @@ _EXPORTS = {
     **dict.fromkeys(("GaussianForm", "PoleGuardError", "bundle_character", "chern_form",
                      "equivariant_curvature", "symbolic_chern", "transverse_chern"),
                     "equivariant"),
-    **dict.fromkeys(("ExteriorAlgebra", "Form", "Poly"), "exterior"),
+    "Form": "exterior",
     **dict.fromkeys(("ActionModel", "BundleSpec", "Coordinate", "augmented_symbol",
                      "builtin_model", "cartan_field", "moment"), "geometry"),
     **dict.fromkeys(("HomotopyPath", "c_plane", "clifford_multiplication", "homotopy_path"),
                     "homotopy"),
     **dict.fromkeys(("closedness_residual", "super_exp_duhamel"), "kernels"),
-    **dict.fromkeys(("ModelParseError", "parse_model_file", "parse_model_text"),
-                    "modelfile"),
+    **dict.fromkeys(("ModelParseError", "parse_model_file", "parse_model_text"), "modelfile"),
     **dict.fromkeys(("delta_pairing", "richardson_extrapolate", "zero_op_s1"), "pairing"),
     **dict.fromkeys(("DivergenceError", "IndexReport", "index_character",
                      "integrate_top_form"), "quadrature"),
+    **dict.fromkeys(("ExteriorAlgebra", "Poly", "UnsupportedShapeError"), "ring"),
     **dict.fromkeys(("ScanGrid", "ellipticity_scan"), "scan"),
-    **dict.fromkeys(("Grading", "SuperMatrix", "UnsupportedShapeError",
-                     "exp_divided_difference", "super_exp"), "supermatrix"),
+    **dict.fromkeys(("Grading", "SuperMatrix", "exp_divided_difference", "super_exp"),
+                    "supermatrix"),
     **dict.fromkeys(("SymbolFunction", "condition_c_fit", "infinitesimal_generator",
                      "orbital_projection", "restriction_decay_check",
                      "transversal_ellipticity_check"), "symbolalg"),

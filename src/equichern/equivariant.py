@@ -30,9 +30,10 @@ from __future__ import annotations
 import cmath
 from typing import Mapping, NamedTuple, Sequence
 
-from .exterior import Form, Poly
+from .exterior import Form
 from .geometry import ActionModel
-from .supermatrix import SuperMatrix, UnsupportedShapeError, exp_divided_difference
+from .ring import Poly, UnsupportedShapeError
+from .supermatrix import SuperMatrix, exp_divided_difference
 
 POLE_GUARD_W = 1e-8
 

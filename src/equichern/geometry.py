@@ -2,22 +2,26 @@
 
 An action model declares coordinates with integer rotation weights, the
 graded bundles the symbol acts on, an auxiliary rank-2 Clifford-model bundle
-used to absorb the orbital directions, the symbol matrix itself, and the
-odd term of a superconnection with its equivariant curvature, which is affine
-in theta and stored once per model as (F0, F1).  The module provides the
-oriented volume form's sign and coefficient (read by fiber integration and
-by the delta pairing alike), the Cartan vector field and the moment of the
-action, the augmented symbol sigma (x) 1 + 1 (x) c(phi), and the built-in
-models by name; it holds what every command runs.  The rest lives with the
-commands that run it, so that no other command compiles it: the Clifford
-augmentation and the sheared plane model `c_plane_uv` in
-`equichern.augmentation`; the symbol side of the geometry (the action
-derivative, and the orbital projection phi numerically and as a polynomial)
-in `equichern.symbolalg`; the zero-operator model in `equichern.pairing`;
-the c-plane model and the homotopy of its augmented symbol to the
-constant-coefficient normal form in `equichern.homotopy`, which no command
-loads; and the ellipticity scan in `equichern.scan`.  `builtin_model` loads
-the module of the model it builds.
+used to absorb the orbital directions, the symbol matrix itself, a
+`ring.PolyMatrix` of polynomials graded by E, and the odd term of a
+superconnection with its equivariant curvature, which is affine in theta and
+stored once per model as (F0, F1).  Forms and supermatrices
+(`equichern.supermatrix`, loaded on first use) are built only for the
+superconnection, its curvature and the moment, so a model read from a file
+for ``check-symbol`` builds none.  The module provides the oriented volume
+form's sign and coefficient (read by fiber integration and by the delta
+pairing alike), the Cartan vector field and the moment of the action, the
+augmented symbol sigma (x) 1 + 1 (x) c(phi) (a `ring.PolyMatrix` graded by E
+(x) W), and the built-in models by name; it holds what every command runs.
+The rest lives with the commands that run it, so that no other command
+compiles it: the Clifford augmentation and the sheared plane model
+`c_plane_uv` in `equichern.augmentation`; the symbol side of the geometry
+(the action derivative, and the orbital projection phi numerically and as a
+polynomial) in `equichern.symbolalg`; the zero-operator model in
+`equichern.pairing`; the c-plane model and the homotopy of its augmented
+symbol to the constant-coefficient normal form in `equichern.homotopy`,
+which no command loads; and the ellipticity scan in `equichern.scan`.
+`builtin_model` loads the module of the model it builds.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from __future__ import annotations
 import importlib
 from typing import Sequence
 
-from .exterior import ExteriorAlgebra, Poly
-from .supermatrix import Grading, SuperMatrix, UnsupportedShapeError
+from .ring import ExteriorAlgebra, Poly, PolyMatrix, UnsupportedShapeError
 
 COMPLEX = "complex"
 ANGLE = "angle"
@@ -70,9 +73,6 @@ class BundleSpec:
     def rank(self) -> int:
         return len(self.weights)
 
-    def grading(self) -> Grading:
-        return Grading(self.parities)
-
 
 def _tensor_bundle(e: BundleSpec, w: BundleSpec) -> tuple[BundleSpec, tuple]:
     """Graded tensor product E (x) W, listing even summands first.
@@ -80,14 +80,12 @@ def _tensor_bundle(e: BundleSpec, w: BundleSpec) -> tuple[BundleSpec, tuple]:
     Returns the combined spec and the (E index, W index) pair per summand,
     in the basis order used by augmented symbols and moments.
     """
-    evens, odds = [], []
-    for i, (we, pe) in enumerate(zip(e.weights, e.parities)):
-        for j, (ww, pw) in enumerate(zip(w.weights, w.parities)):
-            target = evens if (pe + pw) % 2 == 0 else odds
-            target.append((we + ww, (i, j)))
-    weights = tuple(wt for wt, _ in evens) + tuple(wt for wt, _ in odds)
-    parities = (0,) * len(evens) + (1,) * len(odds)
-    pairs = tuple(p for _, p in evens) + tuple(p for _, p in odds)
+    # a stable sort on the parity keeps each parity's summands in order
+    summands = sorted((((pe + pw) % 2, we + ww, (i, j))
+                       for i, (we, pe) in enumerate(zip(e.weights, e.parities))
+                       for j, (ww, pw) in enumerate(zip(w.weights, w.parities))),
+                      key=lambda s: s[0])
+    parities, weights, pairs = (tuple(s[k] for s in summands) for k in range(3))
     return BundleSpec(weights, parities), pairs
 
 
@@ -133,13 +131,14 @@ class ActionModel:
             raise ValueError("volume ordering must use every generator exactly once")
 
     def set_symbol(self, rows) -> None:
-        mat = rows if isinstance(rows, SuperMatrix) else SuperMatrix(
-            self.algebra, self.bundle_e.grading(), rows)
-        if mat.dim != self.bundle_e.rank:
+        """Set the symbol from rows of polynomials, odd with respect to the E-grading."""
+        parities, rows = self.bundle_e.parities, tuple(map(tuple, rows))
+        if any(len(row) != len(parities) for row in (rows, *rows)):
             raise ValueError("symbol dimension must match the E bundle rank")
-        if not mat.is_odd():
+        if any(a == b and not p.is_zero for a, row in zip(parities, rows)
+               for b, p in zip(parities, row)):
             raise ValueError("symbol must be odd with respect to the E-grading")
-        self.symbol = mat
+        self.symbol = PolyMatrix(self.algebra, parities, rows)
 
     def set_odd_term(self, rows) -> None:
         """Set the superconnection's odd term A (stored times i) and its curvature.
@@ -151,9 +150,13 @@ class ActionModel:
         Chern form builds the pair's Chern plan where it evaluates it, in
         `pointwise.pair_plan`, a memo of `equivariant.curvature_plan` on the
         pair, and its Taylor side evaluates the pair at the point).
+        ``rows`` is a supermatrix, or rows of forms or polynomials, which
+        are wrapped in one.
         """
+        from .supermatrix import Grading, SuperMatrix
+
         mat = rows if isinstance(rows, SuperMatrix) else SuperMatrix(
-            self.algebra, self.bundle_script_e.grading(), rows)
+            self.algebra, Grading(self.bundle_script_e.parities), rows)
         if mat.dim != self.bundle_script_e.rank:
             raise ValueError("odd term dimension must match the full bundle rank")
         if not mat.is_odd():
@@ -221,17 +224,19 @@ def cartan_field(model: ActionModel, theta: complex) -> dict[str, Poly]:
     return comps
 
 
-def moment(model: ActionModel, theta: complex) -> SuperMatrix:
-    """Moment of the action: i theta times the diagonal of full-bundle weights."""
+def moment(model: ActionModel, theta: complex):
+    """Moment of the action: i theta times the diagonal of full-bundle weights, a supermatrix."""
+    from .supermatrix import Grading, SuperMatrix
+
     spec = model.bundle_script_e
     if spec is None:
         raise UnsupportedShapeError("model carries no bundle weights")
     alg = model.algebra
     diag = [alg.scalar(1j * theta * w) for w in spec.weights]
-    return SuperMatrix.diagonal(alg, spec.grading(), diag)
+    return SuperMatrix.diagonal(alg, Grading(spec.parities), diag)
 
 
-def augmented_symbol(model: ActionModel) -> SuperMatrix:
+def augmented_symbol(model: ActionModel) -> PolyMatrix:
     """Augment the symbol by orbital Clifford multiplication: sigma (x) 1 + 1 (x) c(phi).
 
     phi is the orbital projection of the tautological covector

@@ -4,19 +4,22 @@
 Cauchy-Riemann symbol; the odd term of its superconnection is i times the
 constant-coefficient endpoint of `homotopy_path`, the two-stage linear
 homotopy from the symbol augmented by orbital Clifford multiplication
-(`geometry.augmented_symbol`) to that normal form.
+(`geometry.augmented_symbol`) to that normal form.  The path's stages are
+polynomial matrices, which the ellipticity scan reads; only the odd term is
+wrapped in a supermatrix (`ActionModel.set_odd_term`).
 `clifford_multiplication` is the Clifford multiplication of the
-augmentation, by one orbital value.  No command loads this module:
-``check-symbol`` reads its models from files, and ``run-example c-plane``
-builds the sheared model `augmentation.c_plane_uv`.
+augmentation, by one orbital value, a supermatrix of numbers.  No command
+loads this module: ``check-symbol`` reads its models from files, and
+``run-example c-plane`` builds the sheared model `augmentation.c_plane_uv`.
 """
 
 from __future__ import annotations
 
-from .exterior import Form
 from .augmentation import augment_by_clifford
+from .exterior import Form
 from .geometry import COMPLEX, ActionModel, BundleSpec, Coordinate, augmented_symbol
-from .supermatrix import SuperMatrix, UnsupportedShapeError
+from .ring import PolyMatrix, UnsupportedShapeError
+from .supermatrix import Grading, SuperMatrix
 
 
 def clifford_multiplication(model: ActionModel, w) -> SuperMatrix:
@@ -26,7 +29,7 @@ def clifford_multiplication(model: ActionModel, w) -> SuperMatrix:
     w = complex(w)
     alg = model.algebra
     z = alg.zero()
-    return SuperMatrix(alg, model.bundle_w.grading(),
+    return SuperMatrix(alg, Grading(model.bundle_w.parities),
                        [[z, Form(alg, {0: w.conjugate()})], [Form(alg, {0: w}), z]])
 
 
@@ -42,23 +45,22 @@ def c_plane() -> ActionModel:
     zb = alg.coord("zbar")
     x = alg.coord("xi")
     xb = alg.coord("xibar")
-    zero = alg.zero()
-    sigma = [[zero, alg.scalar(zb - 1j * xb)], [alg.scalar(z + 1j * x), zero]]
-    model.set_symbol(sigma)
+    zero = alg.const(0.0)
+    model.set_symbol([[zero, zb - 1j * xb], [z + 1j * x, zero]])
     # superconnection odd term: i * (constant-coefficient endpoint of the homotopy)
-    model.set_odd_term(augment_by_clifford(model, 1j * z + x).scale(1j))
+    model.set_odd_term([[1j * p for p in row]
+                        for row in augment_by_clifford(model, 1j * z + x).rows])
     return model
 
 
 class HomotopyPath:
-    """Consecutive linear interpolations between symbol matrices."""
+    """Consecutive linear interpolations between symbol matrices (`ring.PolyMatrix`)."""
 
     __slots__ = ("stages",)
 
-    def __init__(self, stages: tuple[tuple[SuperMatrix, SuperMatrix], ...]):
+    def __init__(self, stages: tuple[tuple[PolyMatrix, PolyMatrix], ...]):
         for (a0, a1), (b0, b1) in zip(stages, stages[1:]):
-            if not all(x == y for r1, r2 in zip(a1.entries, b0.entries)
-                       for x, y in zip(r1, r2)):
+            if a1 != b0:
                 raise ValueError("endpoints of consecutive stages must match")
         self.stages = stages
 
@@ -66,9 +68,11 @@ class HomotopyPath:
     def stage_count(self) -> int:
         return len(self.stages)
 
-    def matrix_at(self, stage: int, s: float) -> SuperMatrix:
+    def matrix_at(self, stage: int, s: float) -> PolyMatrix:
+        """The symbol matrix a fraction s along a stage, which the ellipticity scan reads."""
         a, b = self.stages[stage]
-        return a.scale(1.0 - s) + b.scale(s)
+        return a._replace(rows=tuple(tuple(x * (1.0 - s) + y * s for x, y in zip(r1, r2))
+                                     for r1, r2 in zip(a.rows, b.rows)))
 
 
 def homotopy_path(model: ActionModel) -> HomotopyPath:

@@ -5,7 +5,7 @@ runs: the trace shift, then scaling-and-squaring of a truncated Taylor sum
 (`taylor_parameters`) over the row space of a ``(d, d, 2^n)`` component
 array, ``d`` rows of ``d 2^n`` pairs (column, generator subset), with the
 wedge applied as one ``(d 2^n)^2`` right-multiplication operator
-(`right_operator`, built from `ExteriorAlgebra.pair_table`).  The module
+(`right_operator`, built from `pair_columns`).  The module
 is the one home of the component array: `to_array` (which raises
 BackendError on a polynomial coefficient) and `from_array`, both of which
 `super_exp` calls.  It also holds the two independent checks of
@@ -25,9 +25,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .equivariant import diagonal_body, duhamel_paths, symbolic_chern
-from .exterior import BackendError, ExteriorAlgebra, Form, Poly
+from .exterior import Form
 from .geometry import ActionModel, cartan_field
 from .polyeval import full_point
+from .ring import BackendError, ExteriorAlgebra, Poly, merge_sign
 from .supermatrix import TAYLOR_TOL, Grading, SuperMatrix, exp_divided_difference
 
 
@@ -50,6 +51,13 @@ def from_array(algebra: ExteriorAlgebra, grading: Grading, arr) -> SuperMatrix:
                                            for f in row] for row in arr])
 
 
+def pair_columns(algebra: ExteriorAlgebra) -> list[np.ndarray]:
+    """Wedge structure: the columns a, b, union c and sign of every disjoint pair (a, b)."""
+    K = algebra.n_components
+    return [np.array(column) for column in zip(*[
+        (a, b, a | b, float(merge_sign(a, b))) for a in range(K) for b in range(K) if not a & b])]
+
+
 def right_operator(B: np.ndarray, pairs: Sequence[np.ndarray]) -> np.ndarray:
     """The right-multiplication operator of a component array B, ``(d 2^n, d 2^n)``.
 
@@ -57,7 +65,7 @@ def right_operator(B: np.ndarray, pairs: Sequence[np.ndarray]) -> np.ndarray:
     (k, c), column and generator subset, and ``X B = X @ R`` with
     ``R[(j, a), (k, c)] = sign(a, b) B[j, k, b]`` for every disjoint pair
     (a, b) with union c; ``pairs`` holds the columns a, b, c and sign of
-    `ExteriorAlgebra.pair_table`.
+    `pair_columns`.
     """
     a, b, c, sign = pairs
     d, _, K = B.shape
@@ -108,7 +116,7 @@ def taylor_exp(X: np.ndarray, algebra: ExteriorAlgebra, tol: float = TAYLOR_TOL)
     if not tol > 0:
         raise ValueError(f"tol must be positive, not {tol!r}")
     d, _, K = X.shape
-    pairs = [np.array(column) for column in zip(*algebra.pair_table())]
+    pairs = pair_columns(algebra)
     rows = np.arange(d)
     shifted = X.astype(np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):

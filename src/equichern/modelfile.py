@@ -6,12 +6,14 @@ line ``weight`` (default 0) and ``parity`` (default ``even``); an unknown or
 repeated key is an error.  Symbol entries are polynomial strings over the
 declared coordinates: decimal numbers, ``i``, coordinate names and
 ``conj(name)`` for a complex coordinate's conjugate, joined by + - * ^ and
-parentheses, so ``i`` and ``conj`` may not name a coordinate.  A sign binds
-looser than ``^`` wherever it stands (``2*-z^2`` is -2 z^2), and signs and
-parentheses together nest at most MAX_NESTING deep.  No code is executed;
-parse errors carry line and column.  A parsed model holds its
-coordinates, bundles and symbol only: it has no superconnection odd term, so
-the Chern routes refuse it until one is set with ``set_odd_term``.
+parentheses, so ``i`` and ``conj`` may not name a coordinate, and a
+coordinate name is one name of that grammar: a letter or ``_``, then
+letters, digits or ``_``.  A sign binds looser than ``^`` wherever it stands
+(``2*-z^2`` is -2 z^2), and signs and parentheses together nest at most
+MAX_NESTING deep.  No code is executed; parse errors carry line and column.
+A parsed model holds its coordinates, bundles and symbol (a polynomial
+matrix, `ring.PolyMatrix`) only: it has no superconnection odd term, so the
+Chern routes refuse it until one is set with ``set_odd_term``.
 
 Example::
 
@@ -37,8 +39,8 @@ import re
 from importlib import resources
 from typing import NamedTuple, Sequence
 
-from .exterior import Poly
 from .geometry import COMPLEX, ActionModel, BundleSpec, Coordinate
+from .ring import Poly
 
 
 class ModelParseError(ValueError):
@@ -166,19 +168,23 @@ class _PolyParser:
         if t.kind == "name":
             if t.text == "i":
                 return alg.const(1j)
-            if t.text == "conj":
-                lp, name, rp = self.next(), self.next(), self.next()
-                if (lp.text, name.kind, rp.text) != ("(", "name", ")"):
-                    raise ModelParseError("expected conj(coordinate)", self.line, t.col)
-                bar = self.model.algebra.conjugates.get(name.text)
-                if bar is None:
-                    raise ModelParseError(
-                        f"coordinate {name.text!r} has no conjugate", self.line, name.col)
-                return alg.coord(bar)
-            if t.text in alg.coord_index:
-                return alg.coord(t.text)
-            raise ModelParseError(f"unknown coordinate {t.text!r}", self.line, t.col)
+            if t.text != "conj":
+                return alg.coord(self.coordinate(t))
+            lp, name, rp = self.next(), self.next(), self.next()
+            if (lp.text, name.kind, rp.text) != ("(", "name", ")"):
+                raise ModelParseError("expected conj(coordinate)", self.line, t.col)
+            bar = alg.conjugates.get(self.coordinate(name))
+            if bar is None:
+                raise ModelParseError(
+                    f"coordinate {name.text!r} has no conjugate", self.line, name.col)
+            return alg.coord(bar)
         raise ModelParseError(f"unexpected {t.text!r}", self.line, t.col)
+
+    def coordinate(self, t: _Token) -> str:
+        """The name token ``t`` as a declared coordinate."""
+        if t.text not in self.model.algebra.coord_index:
+            raise ModelParseError(f"unknown coordinate {t.text!r}", self.line, t.col)
+        return t.text
 
     def nested(self, t: _Token) -> Poly:
         """A signed factor or a parenthesized expression, opened by ``t``, one level deeper."""
@@ -207,7 +213,9 @@ def parse_polynomial(text: str, model: ActionModel, line: int = 1) -> Poly:
 # Names the polynomial grammar gives a meaning of its own.
 _RESERVED = ("i", "conj")
 
-_KV_RE = re.compile(r"(\w+)\s*=\s*([^\s]+)")
+# A part has no whitespace (the parts come from str.split), so "weight = 1" is
+# three parts, and no key=value.
+_KV_RE = re.compile(r"(\w+)=(\S+)")
 
 
 def _parse_kv(parts: Sequence[str], line: int, defaults: dict[str, str]) -> dict[str, str]:
@@ -286,6 +294,12 @@ def parse_model_text(text: str) -> ActionModel:
                 raise ModelParseError(str(exc), lineno) from None
             if coord.name in _RESERVED:
                 raise ModelParseError(f"coordinate name {coord.name!r} is reserved", lineno)
+            # a name the symbol entries can spell: one name token of the grammar
+            spelled = _TOKEN_RE.fullmatch(coord.name)
+            if spelled is None or spelled.lastgroup != "name":
+                raise ModelParseError(
+                    f"coordinate name {coord.name!r} is not a name: a letter or '_', "
+                    "then letters, digits or '_'", lineno)
             for n in coord.names:
                 if n in taken:
                     raise ModelParseError(
@@ -368,7 +382,7 @@ def parse_model_text(text: str) -> ActionModel:
                 raise ModelParseError(
                     f"symbol entry ({r + 1},{c + 1}): {exc.message}",
                     lineno, offset + exc.col) from None
-            row.append(model.algebra.scalar(poly))
+            row.append(poly)
             start += len(cell) + 1
         rows.append(row)
     try:

@@ -22,7 +22,6 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 from .equivariant import ChernPlan, chern_plan, w_character
-from .exterior import Poly
 from .geometry import (
     ANGLE,
     COMPLEX,
@@ -32,7 +31,7 @@ from .geometry import (
     Coordinate,
     oriented_volume_coefficient,
 )
-from .supermatrix import SuperMatrix, UnsupportedShapeError
+from .ring import Poly, UnsupportedShapeError
 
 # Panel Gauss-Legendre rule of the delta pairing in u = Im r(X)/(2 sqrt(eps)):
 # |u| <= U_HALFWIDTH, where exp(-u^2) has fallen below 5e-22, clipped to the
@@ -49,11 +48,9 @@ def zero_op_s1() -> ActionModel:
     w = BundleSpec((0,), (0,))
     model = ActionModel("zero-op", coords, e, w, volume=("dxi", "dtheta"))
     alg = model.algebra
-    zero = alg.zero()
-    model.set_symbol([[zero]])
+    model.set_symbol([[alg.const(0.0)]])
     liouville = alg.scalar(alg.coord("xi")) * alg.gen("dtheta")
-    model.set_odd_term(SuperMatrix(alg, model.bundle_script_e.grading(),
-                                   [[liouville]]).scale(1j))
+    model.set_odd_term([[liouville.scale(1j)]])
     return model
 
 

@@ -38,9 +38,10 @@ import functools
 from typing import Mapping
 
 from .equivariant import GaussianForm, curvature_plan
-from .exterior import EvaluationError, Form, Poly
+from .exterior import Form
 from .polyeval import full_point
-from .supermatrix import UnsupportedShapeError, super_exp
+from .ring import EvaluationError, Poly, UnsupportedShapeError
+from .supermatrix import super_exp
 
 
 def poly_value(poly: Poly, point: Mapping[str, complex]) -> complex:

@@ -8,7 +8,8 @@ evaluate through it.  A point of scalars is not evaluated here but term by
 term in plain Python (`pointwise.poly_value`, behind `Poly.evaluate`):
 per call, a numpy table costs more than the few sums it forms.
 `full_point` completes a point with the conjugate coordinates that the
-polynomials read.  numpy loads with the first `CompiledPolys`, not with
+polynomials read.  The module reads only the coordinate ring
+(`equichern.ring`), never a form.  numpy loads with the first `CompiledPolys`, not with
 this module, so `full_point` (which the pointwise Chern form reads) and the
 index character and the delta pairing never load it.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .exterior import EvaluationError, ExteriorAlgebra, Poly
+from .ring import EvaluationError, ExteriorAlgebra, Poly
 
 
 class CompiledPolys:

@@ -32,9 +32,8 @@ from . import characters
 from .augmentation import c_plane_uv
 from .characters import CharacterSeries
 from .equivariant import ChernPlan, chern_plan, w_character
-from .exterior import Poly
 from .geometry import ActionModel, orientation_sign, oriented_volume_coefficient
-from .supermatrix import UnsupportedShapeError
+from .ring import Poly, UnsupportedShapeError
 
 
 # The index numerator is fitted from NUMERATOR_SAMPLES real-grid points as a

@@ -2,11 +2,11 @@
 
 The scan samples shells of the real coordinate space (the real structure
 comes from the algebra's declared conjugate pairs), reads |det| and the
-extreme singular values of a graded matrix from its 1x1 and 2x2 grading
-blocks in closed form, and finds determinant zeros by damped Gauss-Newton on
-the smallest singular value.  Grids are evaluated in slices of at most
-``BATCH_POINTS`` points (`fill_batches`), which the symbol-algebra checks
-share with the scan.
+extreme singular values of a graded polynomial matrix (`ring.PolyMatrix`)
+from its 1x1 and 2x2 grading blocks in closed form, and finds determinant
+zeros by damped Gauss-Newton on the smallest singular value.  Grids are
+evaluated in slices of at most ``BATCH_POINTS`` points (`fill_batches`),
+which the symbol-algebra checks share with the scan.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .exterior import ExteriorAlgebra
 from .polyeval import CompiledPolys
-from .supermatrix import EVEN, ODD, SuperMatrix
+from .ring import EVEN, ODD, ExteriorAlgebra, PolyMatrix
 
 
 class ScanGrid(NamedTuple):
@@ -78,17 +77,13 @@ def _coords_from_real(algebra: ExteriorAlgebra, pts: np.ndarray) -> dict[str, np
     return out
 
 
-def _entry_polys(matrix: SuperMatrix) -> np.ndarray:
-    """Object array ``(d, d)`` of a degree-0 matrix's entry polynomials, None for zero."""
-    d = matrix.dim
+def _entry_polys(matrix: PolyMatrix) -> np.ndarray:
+    """Object array ``(d, d)`` of the matrix's entries, None for zero."""
+    d = len(matrix.rows)
     out = np.full((d, d), None, dtype=object)
-    for i, row in enumerate(matrix.entries):
-        for j, f in enumerate(row):
-            if f.is_zero:
-                continue
-            if f.max_degree > 0:
-                raise ValueError("expected a degree-0 symbol matrix")
-            out[i, j] = f.terms[0]
+    for i, row in enumerate(matrix.rows):
+        for j, p in enumerate(row):
+            out[i, j] = None if p.is_zero else p
     return out
 
 
@@ -144,16 +139,21 @@ def block_singular_values(a, b, c, d):
     return np.ldexp(det, 2 * e), np.ldexp(smax, e), np.ldexp(smin, e)
 
 
-def _grading_blocks(matrix: SuperMatrix):
+def _grading_blocks(matrix: PolyMatrix):
     """Row and column indices of the grading blocks holding every entry, or None.
 
-    An odd matrix lives on its two off-diagonal blocks, an even one on its
-    two diagonal blocks, so its singular values are the union of theirs and
-    its |det| their product.  None (use a full svd) when the matrix is not
-    homogeneous or a non-empty block is not square of size 1 or 2.
+    The parity of the matrix is that of its non-zero entries (even for the
+    zero matrix).  An odd matrix lives on its two off-diagonal blocks, an
+    even one on its two diagonal blocks, so its singular values are the
+    union of theirs and its |det| their product.  None (use a full svd) when
+    the entries' parities differ or a non-empty block is not square of size
+    1 or 2.
     """
-    parity = matrix.homogeneous_parity()
-    return None if parity is None else parity_blocks(matrix.grading.parities, parity)
+    parities = {(a + b) % 2 for a, row in zip(matrix.parities, matrix.rows)
+                for b, p in zip(matrix.parities, row) if not p.is_zero}
+    if len(parities) > 1:
+        return None
+    return parity_blocks(matrix.parities, max(parities, default=EVEN))
 
 
 def parity_blocks(parities: Sequence[int], parity: int):
@@ -257,7 +257,7 @@ DEGENERATE_TOL = 1e-12
 _GN_MIN_DAMPING = 2.0 ** -6
 
 
-def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanReport:
+def ellipticity_scan(matrix: PolyMatrix, grid: ScanGrid = ScanGrid()) -> ScanReport:
     """Shell scan of the pointwise-normalized determinant of a symbol matrix.
 
     Reports min |det| of the operator-norm-normalized symbol per shell and a
@@ -281,7 +281,7 @@ def ellipticity_scan(matrix: SuperMatrix, grid: ScanGrid = ScanGrid()) -> ScanRe
     algebra = matrix.algebra
     pairs, singles = _real_structure(algebra)
     dim_real = 2 * len(pairs) + len(singles)
-    d = matrix.dim
+    d = len(matrix.rows)
     polys = _entry_polys(matrix)
     blocks = _grading_blocks(matrix)
 

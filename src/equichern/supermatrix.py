@@ -1,27 +1,31 @@
 """Z2-graded square matrices with exterior-form entries.
 
+A supermatrix is built only where a curvature is built: the
+superconnection's odd term, its curvature pair and the moment.  A symbol is
+a `ring.PolyMatrix`, whose rows a supermatrix wraps (a `Poly` entry is a
+degree-0 form); the parities EVEN and ODD of a `Grading` are the ring's.
 Provides the graded product (entrywise wedge), the grading-signed
-supertrace, the one parity rule (`SuperMatrix.homogeneous_parity`), the
+supertrace, the parity rule of a matrix of forms
+(`SuperMatrix.homogeneous_parity`, block parity plus form degree), the
 divided differences of exp, and `super_exp`, the matrix exponential of a
 supermatrix of numbers.  Entries are forms with either kind of coefficient
 (`equichern.exterior`): the matrix carries no mark of which, and only
 `super_exp`, through `kernels.to_array`, requires numbers.  This module is
-plain Python.  `super_exp` runs
-`equichern.kernels.taylor_exp`, the one dense exponential, in the numpy
-module that loads on first use: the trace shift (the mean of the degree-0
-diagonal, central, so its exponential factors out exactly), then a
-scaling-and-squaring truncated Taylor sum whose products apply the wedge as
-a right-multiplication operator on the row space of the component array.
-The component array ``(d, d, 2^n)`` is the kernel's format, so
-`equichern.kernels` holds both directions (`to_array`, `from_array`).  The
-divided differences of exp weight the closed soul paths of the symbolic
-Chern plan (`equichern.equivariant`, which walks them) and take batches of
-nodes (a whole theta axis) column by column.  They are one routine at every
-spread, in plain Python: the mean-shifted series up to `SERIES_SPREAD`, and
-past it the series on nodes scaled by 2^-s, squared s times (McCurdy, Ng
-and Parlett, Math. Comp. 43, 1984).  Matrix grading is metadata
-consumed by the supertrace; products carry no Koszul signs beyond those of
-the wedge.
+plain Python.  `super_exp` runs `equichern.kernels.taylor_exp`, the one
+dense exponential, in the numpy module that loads on first use: the trace
+shift (the mean of the degree-0 diagonal, central, so its exponential
+factors out exactly), then a scaling-and-squaring truncated Taylor sum whose
+products apply the wedge as a right-multiplication operator on the row space
+of the component array.  The component array ``(d, d, 2^n)`` is the kernel's
+format, so `equichern.kernels` holds both directions (`to_array`,
+`from_array`).  The divided differences of exp weight the closed soul paths
+of the symbolic Chern plan (`equichern.equivariant`, which walks them) and
+take batches of nodes (a whole theta axis) column by column.  They are one
+routine at every spread, in plain Python: the mean-shifted series up to
+`SERIES_SPREAD`, and past it the series on nodes scaled by 2^-s, squared s
+times (McCurdy, Ng and Parlett, Math. Comp. 43, 1984).  Matrix grading is
+metadata consumed by the supertrace; products carry no Koszul signs beyond
+those of the wedge.
 """
 from __future__ import annotations
 
@@ -31,10 +35,8 @@ from itertools import accumulate
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
-from .exterior import AlgebraMismatchError, ExteriorAlgebra, Form
-
-EVEN = 0
-ODD = 1
+from .exterior import Form
+from .ring import EVEN, ODD, AlgebraMismatchError, ExteriorAlgebra
 
 # Relative forward-error target of the dense Taylor exponential.
 TAYLOR_TOL = 1e-12
@@ -47,10 +49,6 @@ SERIES_SPREAD = math.log(TAYLOR_TOL * 2.0**53)
 
 class ShapeError(ValueError):
     """Dimension or grading mismatch between graded matrices."""
-
-
-class UnsupportedShapeError(ValueError):
-    """Matrix shape outside what an algorithm supports (e.g. non-diagonal body)."""
 
 
 class ConvergenceError(RuntimeError):

@@ -11,7 +11,10 @@ geometry that these checks read: the action derivative rho, the orbital
 projection phi = rho Re(xi conj(rho)) on arrays, and phi as a polynomial,
 which the augmentation of a symbol (`geometry.augmented_symbol`) reads.  The
 ``check-symbol`` command runs here (`check_symbol`), beside the checks it
-reports, so that no other command compiles it.
+reports, so that no other command compiles it.  A symbol and its
+augmentation are polynomial matrices (`ring.PolyMatrix`), read entry by
+entry, so the command builds no form and loads neither `equichern.exterior`
+nor `equichern.supermatrix`.
 
 On a complex base and fiber, the checks sample the transversal remainder on
 one angle of the base when its compiled monomials x^a conj(x)^b xi^c
@@ -29,9 +32,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .exterior import Poly
 from .geometry import ANGLE, COMPLEX, ActionModel, Coordinate, augmented_symbol
 from .polyeval import CompiledPolys, full_point
+from .ring import EVEN, Poly, UnsupportedShapeError
 from .scan import (
     ScanGrid,
     _entry_polys,
@@ -40,7 +43,6 @@ from .scan import (
     fill_batches,
     parity_blocks,
 )
-from .supermatrix import EVEN, UnsupportedShapeError
 
 STABILITY_RATIO = 1.1   # heuristic: c_eps(R)/c_eps(R/2) below this counts as stable
 DECAY_DELTA = 1e-3
@@ -324,8 +326,8 @@ def normalized_remainder_symbol(model: ActionModel,
     monomial of the table has charge 0 on a complex base and fiber.
     """
     base, fiber = model.base.name, _fiber(model).name
-    alg, polys, d = model.algebra, _entry_polys(model.symbol), model.symbol.dim
-    parities = model.symbol.grading.parities
+    alg, polys, parities = model.algebra, _entry_polys(model.symbol), model.symbol.parities
+    d = len(parities)
     s2 = 1 + sum(alg.coord(n) * model.conj_poly(alg.coord(n)) for n in (base, fiber))
     # R_ik row-major, then s^2; R is even, so its odd blocks vanish and stay None
     table = CompiledPolys(alg, [
@@ -359,8 +361,7 @@ def normalized_remainder_symbol(model: ActionModel,
 
 def _entry_terms(model: ActionModel):
     """(monomial, coefficient) of every term of the symbol's entries."""
-    return [(m, c) for row in model.symbol.entries for f in row
-            for poly in f.terms.values() for m, c in poly.terms.items()]
+    return [(m, c) for row in model.symbol.rows for p in row for m, c in p.terms.items()]
 
 
 def _degree(model: ActionModel, name: str, m) -> int:
@@ -402,7 +403,7 @@ def largest_r_max(model: ActionModel, linear: float) -> float:
     R_MAX_DIGITS.  As C <= E, a model that passes has k >= 0, a cap of at
     least 1.
     """
-    fiber, base, d = _fiber(model).name, model.base, model.symbol.dim
+    fiber, base, d = _fiber(model).name, model.base, len(model.symbol.rows)
     terms = [(m, abs(c)) for m, c in _entry_terms(model)]
     log_shell = math.log10(max(ScanGrid().radii))
     digits, n, c = max(((math.log10(c) + sum(m) * log_shell, sum(m), c) for m, c in terms),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from equichern import supermatrix, symbolalg
-from equichern.exterior import EvaluationError, ExteriorAlgebra, Poly
+from equichern.ring import EVEN, ODD, EvaluationError, ExteriorAlgebra, Poly, UnsupportedShapeError
 
 
 @pytest.fixture
@@ -100,9 +100,9 @@ def odd_symbol_model(n_even, n_odd, rng):
     model = ActionModel(f"odd-symbol-{n_even}-{n_odd}", coords,
                         BundleSpec(tuple(range(len(parities))), parities))
     alg = model.algebra
-    rows = [[alg.scalar(random_poly(alg, rng, max_degree=1)) if p != q else 0.0
+    rows = [[random_poly(alg, rng, max_degree=1) if p != q else alg.const(0.0)
              for q in parities] for p in parities]
-    rows[0][n_even] = rows[n_even][0] = 0.0
+    rows[0][n_even] = rows[n_even][0] = alg.const(0.0)
     model.set_symbol(rows)
     return model
 
@@ -123,9 +123,10 @@ def weighted_plane_uv(m):
     spec = BundleSpec((0, m), (0, 1))
     model = ActionModel(f"c-plane-uv-weight-{m}", coords, spec, spec)
     alg = model.algebra
-    zero = alg.zero()
-    model.set_symbol([[zero, alg.scalar(alg.coord("ubar"))], [alg.scalar(alg.coord("u")), zero]])
-    model.set_odd_term(augment_by_clifford(model, alg.coord("v")).scale(1j))
+    zero = alg.const(0.0)
+    model.set_symbol([[zero, alg.coord("ubar")], [alg.coord("u"), zero]])
+    model.set_odd_term([[1j * p for p in row]
+                        for row in augment_by_clifford(model, alg.coord("v")).rows])
     return model
 
 
@@ -154,7 +155,7 @@ def corrupted_moment_model():
 # Wedge products by gathering every pair (a, b) of disjoint components, one
 # batched matmul per pair and a reduceat over the pairs of each result
 # component c = a | b; no trace shift, and the Taylor sum stops adaptively.
-# The signs come from Form.wedge, not from ExteriorAlgebra.pair_table, and
+# The signs come from Form.wedge, not from kernels.pair_columns, and
 # nothing here is shared with the kernel.
 
 
@@ -213,14 +214,14 @@ class Grading(supermatrix.Grading):
 
     @classmethod
     def from_string(cls, signs: str) -> "Grading":
-        return cls(tuple({"+": supermatrix.EVEN, "-": supermatrix.ODD}[ch] for ch in signs))
+        return cls(tuple({"+": EVEN, "-": ODD}[ch] for ch in signs))
 
 
 def graded_commutator(a, b):
     """[a, b] = ab - (-1)^{|a||b|} ba for totally homogeneous a, b."""
     pa, pb = a.homogeneous_parity(), b.homogeneous_parity()
     if pa is None or pb is None:
-        raise supermatrix.UnsupportedShapeError("graded commutator requires homogeneous operands")
+        raise UnsupportedShapeError("graded commutator requires homogeneous operands")
     ba = b @ a
     return (a @ b) - (ba if (pa * pb) % 2 == 0 else -ba)
 

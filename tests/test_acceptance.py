@@ -143,7 +143,7 @@ def test_criterion_6_equivariant_closedness():
 
 def test_criterion_7_exponential_oracle_equivalence():
     """Scaling-squaring Taylor and Duhamel expansions agree entrywise."""
-    from equichern.exterior import ExteriorAlgebra
+    from equichern.ring import ExteriorAlgebra
 
     alg = ExteriorAlgebra(["da", "db", "dc", "dd"], [])
     grading = Grading.from_string("++--")

@@ -69,8 +69,8 @@ def test_loaded_mode_counts_the_equichern_modules_a_run_imports(capsys):
     src = TOOL.parents[1] / "src" / "equichern"
     assert code_lines.main(["--loaded", "-c", "import equichern.polyeval"]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
-    # polyeval imports exterior, and the package's __init__ loads first
-    names = ["__init__.py", "exterior.py", "polyeval.py"]
+    # polyeval imports ring, and the package's __init__ loads first
+    names = ["__init__.py", "polyeval.py", "ring.py"]
     counts = [code_lines.code_lines((src / name).read_text(encoding="utf-8")) for name in names]
     assert lines == [*([str(n), str(src / name)] for n, name in zip(counts, names)),
                      [str(sum(counts)), "total"]]

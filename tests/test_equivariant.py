@@ -24,12 +24,10 @@ from equichern.equivariant import (
     transverse_chern,
     w_character,
 )
-from equichern.exterior import EvaluationError, Poly
 from equichern.geometry import (
     ActionModel,
     BundleSpec,
     Coordinate,
-    SuperMatrix,
     cartan_field,
     moment,
     orientation_sign,
@@ -47,7 +45,8 @@ from equichern.quadrature import (
     index_character,
     integrate_top_form,
 )
-from equichern.supermatrix import UnsupportedShapeError, exp_divided_difference, super_exp
+from equichern.ring import EvaluationError, Poly, UnsupportedShapeError
+from equichern.supermatrix import Grading, SuperMatrix, exp_divided_difference, super_exp
 from conftest import corrupted_moment_model, reduceat_taylor_exp, weighted_plane_uv
 
 
@@ -69,7 +68,7 @@ def moment_only_model():
     coords = (Coordinate("x", "complex", 1, "base"),)
     e = BundleSpec((0, 1), (0, 1))
     m = ActionModel("moment-only", coords, e)
-    m.set_odd_term(SuperMatrix.zero(m.algebra, e.grading()))
+    m.set_odd_term(SuperMatrix.zero(m.algebra, Grading(e.parities)))
     return m
 
 
@@ -175,7 +174,7 @@ class TestEquivariantCurvature:
         flat = ActionModel("flat", (Coordinate("x", "complex", 1, "base"),),
                            BundleSpec((0, 0), (0, 1)))
         flat.set_odd_term(SuperMatrix.zero(flat.algebra,
-                                           flat.bundle_e.grading()))
+                                           Grading(flat.bundle_e.parities)))
         curv = equivariant_curvature(flat, 0.7)
         assert all(f.is_zero for row in curv.entries for f in row)
 
@@ -420,7 +419,7 @@ class TestClosedness:
         flat = ActionModel("flat", (Coordinate("x", "complex", 1, "base"),),
                            BundleSpec((0, 0), (0, 1)))
         flat.set_odd_term(SuperMatrix.zero(flat.algebra,
-                                           flat.bundle_e.grading()))
+                                           Grading(flat.bundle_e.parities)))
         assert closedness_residual(flat, 1.0, {"x": 0.7 + 0.1j}) == 0.0
 
     def test_corrupted_moment_detected(self):
@@ -663,7 +662,7 @@ class TestChernPlan:
 def parsed_plane_model():
     """The parsed c_plane.model with i times its augmented symbol as the odd term."""
     m = parse_model_text(builtin_model_text("c-plane"))
-    m.set_odd_term(geometry.augmented_symbol(m).scale(1j))
+    m.set_odd_term([[1j * p for p in row] for row in geometry.augmented_symbol(m).rows])
     return m
 
 

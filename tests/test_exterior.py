@@ -2,13 +2,13 @@ import itertools
 
 import pytest
 
-from equichern.exterior import (
+from equichern.exterior import Form
+from equichern.ring import (
     AlgebraError,
     AlgebraMismatchError,
     BackendError,
     EvaluationError,
     ExteriorAlgebra,
-    Form,
     Poly,
 )
 

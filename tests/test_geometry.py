@@ -6,14 +6,10 @@ import pytest
 
 from equichern import scan
 from equichern.augmentation import c_plane_uv
-from equichern.exterior import EvaluationError, Poly
 from equichern.geometry import (
     ActionModel,
     BundleSpec,
     Coordinate,
-    Grading,
-    SuperMatrix,
-    UnsupportedShapeError,
     augmented_symbol,
     builtin_model,
 )
@@ -21,7 +17,9 @@ from equichern.homotopy import c_plane, clifford_multiplication, homotopy_path
 from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.pairing import zero_op_s1
 from equichern.polyeval import CompiledPolys, full_point
+from equichern.ring import EvaluationError, Poly, PolyMatrix, UnsupportedShapeError
 from equichern.scan import ScanGrid, block_singular_values, ellipticity_scan, gaussian_draws
+from equichern.supermatrix import Grading, SuperMatrix
 from equichern.symbolalg import infinitesimal_generator, orbital_projection, phi_poly
 from conftest import eval_grid, odd_symbol_model, term_scale, weighted_plane_uv
 
@@ -36,10 +34,15 @@ needs_hypothesis = pytest.mark.skipif(hypothesis is None,
 
 
 def entry_values(matrix, point):
-    num = matrix.evaluate(point)
-    d = num.dim
-    return np.array([[num.entries[i][j].terms.get(0, 0.0) for j in range(d)]
-                     for i in range(d)])
+    """The entries of a polynomial matrix at a point."""
+    return np.array([[p.evaluate(point) for p in row] for row in matrix.rows])
+
+
+def diagonal_matrix(like, value):
+    """The polynomial matrix graded as ``like`` with the constant ``value`` on its diagonal."""
+    alg, d = like.algebra, len(like.parities)
+    rows = tuple(tuple(alg.const(value * (i == j)) for j in range(d)) for i in range(d))
+    return PolyMatrix(alg, like.parities, rows)
 
 
 def test_coordinate_names_are_the_model_names():
@@ -228,10 +231,10 @@ class TestAugmentedSymbol:
         e = BundleSpec((0, 0), (0, 1))
         w = BundleSpec((0, 0), (0, 1))
         m = ActionModel("null", coords, e, w)
-        z = m.algebra.zero()
+        z = m.algebra.const(0.0)
         m.set_symbol([[z, z], [z, z]])
         aug = augmented_symbol(m)
-        assert all(f.is_zero for row in aug.entries for f in row)
+        assert all(p.is_zero for row in aug.rows for p in row)
 
     def test_transverse_covectors_leave_only_symbol_block(self, rng):
         # on rays with the covector orthogonal to the orbit, the orbital
@@ -274,7 +277,7 @@ class TestEllipticityScan:
 
     def test_identity_passes_with_unit_det(self):
         m = c_plane()
-        eye = SuperMatrix.identity(m.algebra, augmented_symbol(m).grading)
+        eye = diagonal_matrix(augmented_symbol(m), 1.0)
         report = ellipticity_scan(eye, ScanGrid(samples=200, refine_iters=5))
         assert report.passed
         assert all(abs(s.min_normalized_det - 1.0) < 1e-9 for s in report.shells)
@@ -288,7 +291,7 @@ class TestEllipticityScan:
         # the zero symbol is degenerate everywhere and refines nothing, so
         # each shell counts its samples and no copies of its candidates
         m = c_plane()
-        zero = SuperMatrix.zero(m.algebra, augmented_symbol(m).grading)
+        zero = diagonal_matrix(augmented_symbol(m), 0.0)
         report = ellipticity_scan(zero, ScanGrid(samples=100))
         assert [s.degenerate for s in report.shells] == [100] * 7
 
@@ -516,7 +519,7 @@ class TestBlockSingularValues:
 
     def test_zero_matrix(self):
         m = c_plane()
-        zero = SuperMatrix.zero(m.algebra, augmented_symbol(m).grading)
+        zero = diagonal_matrix(augmented_symbol(m), 0.0)
         blocks = scan._grading_blocks(zero)
         assert blocks is not None
         mats = np.zeros((5, 4, 4), dtype=complex)
@@ -526,7 +529,7 @@ class TestBlockSingularValues:
 
     def test_even_identity(self):
         m = c_plane()
-        eye = SuperMatrix.identity(m.algebra, augmented_symbol(m).grading)
+        eye = diagonal_matrix(augmented_symbol(m), 1.0)
         blocks = scan._grading_blocks(eye)
         assert blocks == [([0, 1], [0, 1]), ([2, 3], [2, 3])]
         mats = np.broadcast_to(np.eye(4, dtype=complex), (5, 4, 4))
@@ -537,15 +540,14 @@ class TestBlockSingularValues:
         m = c_plane()
         aug = augmented_symbol(m)
         alg = m.algebra
-        mixed = aug + SuperMatrix.identity(alg, aug.grading)
+        mixed = aug._replace(rows=tuple(tuple(p + float(i == j) for j, p in enumerate(row))
+                                        for i, row in enumerate(aug.rows)))
         assert scan._grading_blocks(mixed) is None
         # an odd matrix whose blocks are 3x3
-        grading = Grading((0, 0, 0, 1, 1, 1))
         z = alg.coord("z")
-        rows = [[alg.scalar(z + i - j) if (i < 3) != (j < 3) else 0.0
-                 for j in range(6)] for i in range(6)]
-        large = SuperMatrix(alg, grading, rows)
-        assert large.is_odd()
+        rows = tuple(tuple(z + i - j if (i < 3) != (j < 3) else alg.const(0.0)
+                           for j in range(6)) for i in range(6))
+        large = PolyMatrix(alg, (0, 0, 0, 1, 1, 1), rows)
         assert scan._grading_blocks(large) is None
 
         calls = []
@@ -562,7 +564,7 @@ class TestBlockSingularValues:
         for matrix in (mixed, large):
             calls.clear()
             ellipticity_scan(matrix, grid)
-            d = matrix.dim
+            d = len(matrix.rows)
             assert calls == [((len(grid.radii), grid.samples, d, d), False)]
 
     def test_scan_stats_match_svd_on_model_samples(self, monkeypatch):
@@ -707,21 +709,18 @@ class TestHomotopy:
         m = c_plane()
         path = homotopy_path(m)
         assert path.stage_count == 2
-        start = path.matrix_at(0, 0.0)
-        aug = augmented_symbol(m)
-        assert all(x == y for r1, r2 in zip(start.entries, aug.entries)
-                   for x, y in zip(r1, r2))
+        assert path.matrix_at(0, 0.0) == augmented_symbol(m)
 
     def test_final_endpoint_is_constant_coefficient_form(self, rng):
         # stage-2 endpoint squares to (|z+i xi|^2 + |i z + xi|^2) I
         m = c_plane()
         path = homotopy_path(m)
         end = path.matrix_at(1, 1.0)
-        sq = end @ end
         for _ in range(5):
             z = complex(rng.standard_normal(), rng.standard_normal())
             xi = complex(rng.standard_normal(), rng.standard_normal())
-            vals = entry_values(sq, full_point(m.algebra, {"z": z, "xi": xi}))
+            vals = entry_values(end, full_point(m.algebra, {"z": z, "xi": xi}))
+            vals = vals @ vals
             scalar = abs(z + 1j * xi) ** 2 + abs(1j * z + xi) ** 2
             assert np.abs(vals - scalar * np.eye(4)).max() < 1e-12
 
@@ -753,19 +752,20 @@ class TestModelValidation:
                   Coordinate("xi", "complex", 1, "fiber"))
         e = BundleSpec((0, 1), (0, 1))
         m = ActionModel("bad", coords, e)
-        one = m.algebra.one()
-        z = m.algebra.zero()
+        one = m.algebra.const(1.0)
+        z = m.algebra.const(0.0)
         with pytest.raises(ValueError):
             m.set_symbol([[one, z], [z, one]])
 
     def test_setters_accept_zero_and_reject_even(self):
+        # both take rows of polynomials; the odd term also takes a supermatrix
         m = c_plane()
-        for setter, grading, error in (
-                (m.set_symbol, m.bundle_e.grading(), ValueError),
-                (m.set_odd_term, m.bundle_script_e.grading(), UnsupportedShapeError)):
-            setter(SuperMatrix.zero(m.algebra, grading))
+        const = m.algebra.const
+        for setter, rank, error in ((m.set_symbol, 2, ValueError),
+                                    (m.set_odd_term, 4, UnsupportedShapeError)):
+            setter([[const(0.0)] * rank for _ in range(rank)])
             with pytest.raises(ValueError, match="odd") as info:
-                setter(SuperMatrix.identity(m.algebra, grading))
+                setter([[const(float(i == j)) for j in range(rank)] for i in range(rank)])
             assert type(info.value) is error
 
     def test_tensor_bundle_weights(self):
@@ -784,7 +784,7 @@ class TestModelValidation:
                    [u, -1 * vb, 0, 0]]
         rows = [[alg.scalar(p) if isinstance(p, Poly) else alg.scalar(float(p))
                  for p in row] for row in written]
-        ref = SuperMatrix(alg, m.bundle_script_e.grading(), rows).scale(1j)
+        ref = SuperMatrix(alg, Grading(m.bundle_script_e.parities), rows).scale(1j)
         assert m.odd_term.entries == ref.entries
 
     def test_builtin_lookup(self):

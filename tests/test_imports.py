@@ -24,7 +24,7 @@ SRC = Path(equichern.__file__).resolve().parents[1]
 PLANE_MODEL = SRC / "equichern" / "models" / "c_plane.model"
 ENGINE = {f"equichern.{m}" for m in ("augmentation", "characters", "equivariant", "exterior",
                                      "geometry", "homotopy", "kernels", "modelfile", "pairing",
-                                     "pointwise", "polyeval", "quadrature", "scan",
+                                     "pointwise", "polyeval", "quadrature", "ring", "scan",
                                      "supermatrix", "symbolalg")}
 # Modules no engine entry point loads: the engine's records are not generated
 # by dataclasses, and its Gauss-Legendre rule needs no numpy.polynomial.
@@ -88,17 +88,19 @@ def test_run_example_loads_no_model_parser_or_symbol_algebra(tmp_path, argv):
 
 
 def test_check_symbol_loads_no_quadrature_or_numpy_random(tmp_path):
+    # a symbol is a matrix of polynomials (ring.PolyMatrix): no form is built
     modules = loaded_modules(CLI_RUN, "check-symbol", str(PLANE_MODEL),
                              "--scan-samples", "100", "--out-dir", str(tmp_path))
-    assert {"equichern.modelfile", "equichern.scan", "equichern.symbolalg"} <= modules
+    assert {"equichern.modelfile", "equichern.ring", "equichern.scan",
+            "equichern.symbolalg"} <= modules
     assert not modules & {"equichern.quadrature", "equichern.pairing", "equichern.characters",
                           "equichern.equivariant", "equichern.kernels", "equichern.pointwise",
-                          "equichern.homotopy", "equichern.report", "numpy.random",
-                          *NOT_LOADED}
+                          "equichern.homotopy", "equichern.report", "equichern.exterior",
+                          "equichern.supermatrix", "numpy.random", *NOT_LOADED}
 
 
 NUMPY_FREE = ("augmentation", "characters", "equivariant", "exterior", "geometry", "homotopy",
-              "pairing", "pointwise", "polyeval", "quadrature", "supermatrix")
+              "pairing", "pointwise", "polyeval", "quadrature", "ring", "supermatrix")
 
 
 @pytest.mark.parametrize("script", [
@@ -165,15 +167,15 @@ def test_a_wide_spread_reads_the_plan_and_loads_no_taylor_kernel():
 
 
 # entry point -> (script, its arguments, most code lines of equichern modules it
-# may load): the values are those reached when coordinates came to name their
-# own conjugates and the divided differences of exp took e^c in halves past
-# c = 709 (the CLI import's value is older), so code put back on a path fails
-# here.  `python3 tools/code_lines.py --loaded -c SCRIPT ARGS...` prints a total.
+# may load): the values are those reached when the symbol became a matrix of
+# polynomials, held apart from the forms of the curvature (the CLI import's
+# value is older), so code put back on a path fails here.
+# `python3 tools/code_lines.py --loaded -c SCRIPT ARGS...` prints a total.
 CODE_LINE_BUDGETS = {
-    "run-example zero-op": (CLI_RUN, ("run-example", "zero-op"), 1073),
-    "run-example c-plane": (CLI_RUN, ("run-example", "c-plane"), 1195),
-    "check-symbol": (CLI_RUN, ("check-symbol", str(PLANE_MODEL)), 1636),
-    "dense": (DENSE_OP, (), 904),
+    "run-example zero-op": (CLI_RUN, ("run-example", "zero-op"), 1068),
+    "run-example c-plane": (CLI_RUN, ("run-example", "c-plane"), 1185),
+    "check-symbol": (CLI_RUN, ("check-symbol", str(PLANE_MODEL)), 1329),
+    "dense": (DENSE_OP, (), 903),
     "import equichern.cli": ("import equichern.cli", (), 143),
 }
 

@@ -9,6 +9,7 @@ from equichern.modelfile import (
     MAX_EXPONENT,
     MAX_NESTING,
     ModelParseError,
+    _parse_kv,
     builtin_model_text,
     parse_model_text,
     parse_polynomial,
@@ -57,9 +58,9 @@ class TestModelFiles:
         pt = full_point(parsed_plane.algebra, {"z": 0.3 + 1j, "xi": -0.4j})
         for i in range(2):
             for j in range(2):
-                a = parsed_plane.symbol.entries[i][j].evaluate(pt)
-                b = built.symbol.entries[i][j].evaluate(pt)
-                assert a.terms.get(0, 0) == b.terms.get(0, 0)
+                a = parsed_plane.symbol.rows[i][j].evaluate(pt)
+                b = built.symbol.rows[i][j].evaluate(pt)
+                assert a == b
 
     def test_readme_example_is_the_shipped_model(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -71,7 +72,7 @@ class TestModelFiles:
 
     def test_augmentable(self, parsed_plane):
         aug = augmented_symbol(parsed_plane)
-        assert aug.dim == 4
+        assert len(aug.rows) == 4 and aug.parities == (0, 0, 1, 1)
 
     def test_parse_builds_no_superconnection(self, parsed_plane):
         # the transversal checks read the symbol only; no Chern form is built
@@ -81,7 +82,7 @@ class TestModelFiles:
     def test_constant_symbol_file(self):
         model = parse_model_text(builtin_model_text("constant-symbol"))
         assert model.name == "constant-symbol"
-        assert model.symbol.entries[0][1].terms[0].is_constant
+        assert model.symbol.rows[0][1].is_constant
 
     def test_missing_header(self):
         with pytest.raises(ModelParseError, match="model"):
@@ -154,7 +155,7 @@ class TestModelFiles:
 
     def test_largest_exponent_accepted(self):
         text = builtin_model_text("c-plane").replace("z + i*xi", "z^64 + i*xi")
-        entry = parse_model_text(text).symbol.entries[1][0].terms[0]
+        entry = parse_model_text(text).symbol.rows[1][0]
         assert MAX_EXPONENT == 64
         assert max(max(m) for m in entry.terms) == 64
 
@@ -193,6 +194,52 @@ class TestModelFiles:
         assert parse_polynomial("-" * 64 + "z", parsed_plane) == z
         with pytest.raises(ModelParseError, match="col 65: .*nested more than 64 deep"):
             parse_polynomial("-" * 65 + "z", parsed_plane)
+
+
+class TestDeclarations:
+    @pytest.mark.parametrize("entry, col", [("conj(w)", 6), ("z + conj(w)", 10)])
+    def test_conj_of_an_undeclared_name_is_an_unknown_coordinate(self, parsed_plane, entry,
+                                                                  col):
+        # it once read "coordinate 'w' has no conjugate", as if w were declared
+        with pytest.raises(ModelParseError, match="^line 1, col .*unknown coordinate 'w'$") as err:
+            parse_polynomial(entry, parsed_plane)
+        assert err.value.col == col
+
+    def test_conj_of_a_declared_conjugate_has_none(self, parsed_plane):
+        with pytest.raises(ModelParseError, match="coordinate 'zbar' has no conjugate") as err:
+            parse_polynomial("conj(zbar)", parsed_plane)
+        assert err.value.col == 6
+
+    @pytest.mark.parametrize("name", ["x-1", "2z", "x.y", "z'", "\u03b6"])
+    def test_a_name_the_entries_cannot_spell_is_rejected_where_declared(self, name):
+        # x-1 was once accepted here, and the file failed at line 13, at an
+        # entry that does not name it
+        text = builtin_model_text("c-plane").replace("xi complex", f"{name} complex")
+        with pytest.raises(ModelParseError,
+                           match=f"^line 5, col 0: coordinate name {re.escape(repr(name))} "
+                                 "is not a name"):
+            parse_model_text(text)
+
+    @pytest.mark.parametrize("name", ["x1", "k2", "eta", "_f", "Xi_2"])
+    def test_identifiers_are_accepted(self, name):
+        text = re.sub(r"\bxi\b", name, builtin_model_text("c-plane"))
+        model = parse_model_text(text)
+        assert model.fiber.name == name
+        assert f"conj({name})" in text
+
+    @pytest.mark.parametrize("part", ["weight =1", "weight= 1", "weight\t=1"])
+    def test_key_value_has_no_space_around_the_sign(self, part):
+        # the parts of a line come from str.split, so a space around "=" makes
+        # more than one part; a part that holds one is no key=value either
+        with pytest.raises(ModelParseError, match="expected key=value"):
+            _parse_kv([part], 4, {"weight": "0", "role": "base"})
+
+    def test_spaced_key_value_is_rejected_on_its_line(self):
+        text = builtin_model_text("c-plane").replace("z  complex weight=1",
+                                                     "z  complex weight = 1")
+        with pytest.raises(ModelParseError,
+                           match="^line 4, col 0: expected key=value, got 'weight'$"):
+            parse_model_text(text)
 
 
 class TestSigns:

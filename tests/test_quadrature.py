@@ -11,7 +11,6 @@ from equichern import augmentation, geometry, pairing, quadrature
 from equichern.augmentation import c_plane_uv
 from equichern.characters import ahat_squared, integrality_report, series_to_csv
 from equichern.equivariant import PoleGuardError, chern_plan, transverse_chern, w_character
-from equichern.exterior import Poly
 from equichern.geometry import (
     COMPLEX,
     REAL,
@@ -40,7 +39,8 @@ from equichern.quadrature import (
     integrate_top_form,
     _index_numerator,
 )
-from equichern.supermatrix import SuperMatrix, UnsupportedShapeError
+from equichern.ring import Poly, UnsupportedShapeError
+from equichern.supermatrix import Grading, SuperMatrix
 
 from conftest import weighted_plane_uv
 
@@ -180,9 +180,10 @@ def plane_uv_with_w(even, odd):
     m = ActionModel("c-plane-uv-w", coords, BundleSpec((0, 1), (0, 1)),
                     BundleSpec((even, odd), (0, 1)))
     alg = m.algebra
-    zero = alg.zero()
-    m.set_symbol([[zero, alg.scalar(alg.coord("ubar"))], [alg.scalar(alg.coord("u")), zero]])
-    m.set_odd_term(augmentation.augment_by_clifford(m, alg.coord("v")).scale(1j))
+    zero = alg.const(0.0)
+    m.set_symbol([[zero, alg.coord("ubar")], [alg.coord("u"), zero]])
+    m.set_odd_term([[1j * p for p in row]
+                    for row in augmentation.augment_by_clifford(m, alg.coord("v")).rows])
     return m
 
 
@@ -617,7 +618,7 @@ class TestDeltaPairing:
         model = zero_op_s1()
         alg = model.algebra
         liouville = alg.scalar(alg.coord("xi")) * alg.gen("dtheta")
-        model.set_odd_term(SuperMatrix(alg, model.bundle_script_e.grading(),
+        model.set_odd_term(SuperMatrix(alg, Grading(model.bundle_script_e.parities),
                                        [[liouville]]).scale(1j + 1e-12))
         with pytest.raises(UnsupportedShapeError, match="purely oscillatory"):
             delta_pairing(model, gaussian_test, [1e-3])
@@ -630,9 +631,9 @@ class TestDeltaPairing:
         model = ActionModel("zero-op", coords, BundleSpec((0,), (0,)), BundleSpec((0,), (0,)),
                             volume=("dxi", "dtheta"))
         alg = model.algebra
-        model.set_symbol([[alg.zero()]])
+        model.set_symbol([[alg.const(0.0)]])
         liouville = alg.scalar(alg.coord("xi")) * alg.gen("dtheta")
-        model.set_odd_term(SuperMatrix(alg, model.bundle_script_e.grading(),
+        model.set_odd_term(SuperMatrix(alg, Grading(model.bundle_script_e.parities),
                                        [[liouville]]).scale(1j))
         with pytest.raises(UnsupportedShapeError, match="does not depend on the parameter"):
             delta_pairing(model, gaussian_test, [1e-3])

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from equichern.augmentation import c_plane_uv
-from equichern.exterior import BackendError, ExteriorAlgebra, Form
+from equichern.exterior import Form
 from equichern.kernels import (
     _array_norm,
     from_array,
+    pair_columns,
     right_operator,
     super_exp_duhamel,
     taylor_exp,
@@ -17,14 +18,13 @@ from equichern.kernels import (
     to_array,
 )
 from equichern.polyeval import full_point
+from equichern.ring import EVEN, BackendError, ExteriorAlgebra, UnsupportedShapeError
 from equichern import supermatrix
 from equichern.supermatrix import (
     SERIES_SPREAD,
-    EVEN,
     ConvergenceError,
     ShapeError,
     SuperMatrix,
-    UnsupportedShapeError,
     exp_divided_difference,
     super_exp,
 )
@@ -201,7 +201,7 @@ def array_exp(A, algebra, grading=None):
 
 
 def unshifted_taylor_exp(A, algebra, tol=1e-12):
-    pairs = [np.array(column) for column in zip(*algebra.pair_table())]
+    pairs = pair_columns(algebra)
     s, m = taylor_parameters(_array_norm(A), tol)
     d, _, K = A.shape
     R = right_operator(A / 2.0**s, pairs)
@@ -246,7 +246,7 @@ class TestTaylorKernel:
         d, _, K = A.shape
         gr = Grading((0,) * d)
         want = to_array(from_array(alg, gr, A) @ from_array(alg, gr, B))
-        pairs = [np.array(column) for column in zip(*alg.pair_table())]
+        pairs = pair_columns(alg)
         kernel = A.reshape(d, d * K) @ right_operator(B, pairs)
         oracle = reduceat_matmul(A, B, reduceat_table(alg))
         scale = np.abs(want).max()

@@ -18,12 +18,12 @@ from equichern.geometry import (
     ActionModel,
     BundleSpec,
     Coordinate,
-    UnsupportedShapeError,
     augmented_symbol,
 )
 from equichern.homotopy import c_plane
 from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.pairing import zero_op_s1
+from equichern.ring import UnsupportedShapeError
 from equichern.scan import ScanGrid, ellipticity_scan
 from equichern.symbolalg import (
     CUTOFF_RADII,
@@ -161,9 +161,8 @@ class TestFiberlessModel:
         model = ActionModel("no-fiber", (Coordinate("z", "complex", 1, "base"),),
                             graded, graded)
         alg = model.algebra
-        zero = alg.zero()
-        model.set_symbol([[zero, alg.scalar(alg.coord("zbar"))],
-                          [alg.scalar(alg.coord("z")), zero]])
+        zero = alg.const(0.0)
+        model.set_symbol([[zero, alg.coord("zbar")], [alg.coord("z"), zero]])
         with pytest.raises(UnsupportedShapeError, match="no fiber coordinate"):
             build(model)
 
@@ -207,7 +206,7 @@ def einsum_svd_remainder(model, radius, x, xi):
     arrays = {model.base.name: x, model.fiber.name: xi}
     for a, b in model.algebra.conjugates.items():
         arrays[b] = np.conj(arrays[a])
-    d = model.symbol.dim
+    d = len(model.symbol.rows)
     sig = np.zeros(x.shape + (d, d), dtype=complex)
     for (i, j), f in np.ndenumerate(scan._entry_polys(model.symbol)):
         if f is not None:
@@ -232,7 +231,7 @@ def expanded_scale(model, radius, x, xi):
     arrays = {model.base.name: x, model.fiber.name: xi}
     for a, b in model.algebra.conjugates.items():
         arrays[b] = np.conj(arrays[a])
-    d = model.symbol.dim
+    d = len(model.symbol.rows)
     T = np.zeros((d, d) + np.shape(x))
     for (i, j), f in np.ndenumerate(scan._entry_polys(model.symbol)):
         if f is not None:

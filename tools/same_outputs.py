@@ -12,7 +12,9 @@ with ``PYTHONPATH=<tree>/src``, ``PYTHONDONTWRITEBYTECODE=1`` and
   ``--theta-samples 128 --fourier-window 24``;
 - ``run-example zero-op``, with default arguments and with
   ``--test shifted-gaussian --eps 1e-2,3e-3,1e-3,3e-4``;
-- ``check-symbol`` on both shipped templates at ``--xi-max`` 1e2, 1e3 and 1e6;
+- ``check-symbol`` on both shipped templates at ``--xi-max`` 1e2, 1e3 and 1e6,
+  and at ``--seed 7 --scan-samples 500``, the benchmark's smallest sample
+  count off the default seed, so the scan's refinement is compared there too;
 - ``<tree>/perfbench/dense_op.py`` on a fixed seeded input.
 
 It compares exit codes, stdout and stderr (with each tree's path replaced by
@@ -45,6 +47,8 @@ INVOCATIONS = [
     *(["-m", "equichern.cli", "check-symbol", f"{{tree}}/src/equichern/models/{name}.model",
        "--xi-max", xi_max]
       for name in ("c_plane", "constant_symbol") for xi_max in ("1e2", "1e3", "1e6")),
+    *(["-m", "equichern.cli", "check-symbol", f"{{tree}}/src/equichern/models/{name}.model",
+       "--seed", "7", "--scan-samples", "500"] for name in ("c_plane", "constant_symbol")),
     ["{tree}/perfbench/dense_op.py", "dense_input.json", "dense_output.json"],
 ]
 
