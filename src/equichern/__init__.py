@@ -17,9 +17,10 @@ The dense route never loads the quadrature, the scan or the model parser,
 the delta pairing loads neither the quadrature nor the character series, the
 ellipticity scan (``scan``) loads only with ``check-symbol``, and
 ``homotopy`` (the c-plane model and its homotopy to the normal form),
-``pointwise`` (the pointwise Chern form from the compiled Chern plan) and
-``kernels`` (``taylor_exp``, the one dense exponential, which ``super_exp``
-runs, and the oracles) load with no command.
+``pointwise`` (the pointwise Chern form from the compiled Chern plan, its
+numeric fold at one theta and the one scalar evaluator) and ``kernels``
+(``taylor_exp``, the one dense exponential, which ``super_exp`` runs, and
+the oracles) load with no command.
 
 numpy is loaded by ``kernels``, ``scan`` and ``symbolalg`` at import, by
 ``polyeval`` with its first compiled table (the grid evaluator of
@@ -30,10 +31,11 @@ scalar evaluation of polynomials and forms, the fiber integration, the
 character series and the delta pairing are plain Python, so
 ``run-example c-plane`` (the index character), ``run-example zero-op``
 (the delta pairing) and ``chern_form`` on a pair the plan takes run without
-numpy.  A symbol is a matrix of polynomials of the coordinate ring
-(``ring``); forms (``exterior``) and supermatrices (``supermatrix``) are
-built only for a superconnection's curvature, so ``check-symbol`` loads
-neither.
+numpy; that dense route loads neither ``kernels`` nor ``polyeval`` (a point
+is completed by ``ring.full_point``).  A symbol is a matrix of polynomials
+of the coordinate ring (``ring``); forms (``exterior``) and supermatrices
+(``supermatrix``) are built only for a superconnection's curvature, so
+``check-symbol`` loads neither.
 """
 
 import importlib

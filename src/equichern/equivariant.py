@@ -13,7 +13,8 @@ serves all three Chern uses: the index numerator and the delta pairing
 contract it, and `chern_form` reads it at a point through
 `equichern.pointwise` (plain Python, loaded on the first call, which builds
 the plan once per pair and evaluates it at the latest theta, at any spread
-of its nodes; the model stores nothing compiled), falling back to
+of its nodes, into a flat table of terms; the model stores nothing
+compiled), falling back to
 `supermatrix.super_exp` of the curvature at the point (the one dense Taylor
 exponential, numpy's `kernels.taylor_exp`) only where the plan refuses
 the pair with UnsupportedShapeError.  The soul-path
@@ -165,12 +166,9 @@ class GaussianForm(NamedTuple):
 
     def evaluate(self, point: Mapping[str, complex]) -> Form:
         """The form at a point: the zero form where the Gaussian factor is 0, not inf times 0."""
-        # one import of the evaluator per call, not one per coefficient (Poly.evaluate)
-        from .pointwise import poly_value
+        from .pointwise import FlatGaussian
 
-        gauss = cmath.exp(poly_value(self.exponent, point))
-        kept = self.form.terms.items() if gauss else ()
-        return Form(self.form.algebra, {m: poly_value(c, point) * gauss for m, c in kept})
+        return FlatGaussian.of(self).evaluate(point)
 
 
 class ChernPlan(NamedTuple):
@@ -219,9 +217,16 @@ class ChernPlan(NamedTuple):
         return totals
 
     def evaluate(self, theta: complex) -> GaussianForm:
-        """The supertrace at one theta, with its Gaussian exponent factored out."""
-        total, = self.contract(self.forms, [theta], self.shared[0].algebra.zero())
-        return GaussianForm(self.shared[0] + self.shared[1] * theta, total)
+        """The supertrace at one theta, with its Gaussian exponent factored out.
+
+        The forms are summed as numbers by `pointwise.fold`, with the bits of
+        ``contract`` over the forms from the zero form.
+        """
+        from .pointwise import fold
+
+        alg = self.shared[0].algebra
+        form = Form(alg, {m: Poly(alg, c) for m, c in fold(self, theta).items()})
+        return GaussianForm(self.shared[0] + self.shared[1] * theta, form)
 
 
 def chern_plan(model: ActionModel) -> ChernPlan:
@@ -286,10 +291,10 @@ def chern_form(model: ActionModel, theta: complex, point: Mapping[str, complex])
 
     `equichern.pointwise` evaluates it, where only this route loads it: from
     the model's Chern plan, built once per curvature pair and evaluated at
-    the latest theta (`ChernPlan.evaluate`, the weights theta^p
-    Delta[nodes(theta)]exp folded into the coefficient polynomials), so a
-    point is that Gaussian form evaluated term by term in plain Python and
-    one exponential, at every theta (the divided differences are squared
+    the latest theta (`ChernPlan.evaluate`, the forms times their weights
+    theta^p Delta[nodes(theta)]exp summed in numbers) and flattened to a
+    table of terms, so a point is one pass over that table in plain Python
+    and one exponential, at every theta (the divided differences are squared
     past `supermatrix.SERIES_SPREAD`); or, only for a pair the plan refuses
     (`split_body` raises UnsupportedShapeError), as `super_exp` of
     F0 + theta F1 evaluated at the point.

@@ -146,8 +146,7 @@ class Form:
         mask, sign = self.algebra.mask_of(names)
         if mask not in self.terms:
             return 0j
-        c = self.terms[mask]
-        return c if sign > 0 else -c
+        return self.terms[mask] if sign > 0 else -self.terms[mask]
 
     def component(self, degree: int) -> "Form":
         return Form(self.algebra, {m: c for m, c in self.terms.items() if m.bit_count() == degree})

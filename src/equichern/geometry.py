@@ -166,18 +166,17 @@ class ActionModel:
                           moment(self, 1.0) - mat.interior(cartan_field(self, 1.0)))
 
     def conj_poly(self, p: Poly) -> Poly:
-        """Formal conjugate: swap conjugate-pair exponents, conjugate coefficients."""
-        swap = {}
+        """Formal conjugate: swap conjugate-pair exponents, conjugate coefficients.
+
+        The swap is a permutation, so no two terms meet; each coefficient is
+        0.0 + conj(c), a sum from 0.0 as every `Poly` operation forms it.
+        """
+        index = self.algebra.coord_index
+        swap = list(range(len(index)))
         for a, b in self.algebra.conjugates.items():
-            swap[self.algebra.coord_index[a]] = self.algebra.coord_index[b]
-            swap[self.algebra.coord_index[b]] = self.algebra.coord_index[a]
-        out = {}
-        for m, c in p.terms.items():
-            m2 = list(m)
-            for i, j in swap.items():
-                m2[j] = m[i]
-            out[tuple(m2)] = out.get(tuple(m2), 0.0) + c.conjugate()
-        return Poly(self.algebra, out)
+            swap[index[a]], swap[index[b]] = index[b], index[a]
+        return Poly(self.algebra, {tuple(m[k] for k in swap): 0.0 + c.conjugate()
+                                   for m, c in p.terms.items()})
 
     def __repr__(self):
         return f"ActionModel({self.name!r})"

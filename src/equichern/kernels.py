@@ -27,8 +27,7 @@ import numpy as np
 from .equivariant import diagonal_body, duhamel_paths, symbolic_chern
 from .exterior import Form
 from .geometry import ActionModel, cartan_field
-from .polyeval import full_point
-from .ring import BackendError, ExteriorAlgebra, Poly, merge_sign
+from .ring import BackendError, ExteriorAlgebra, Poly, full_point, merge_sign
 from .supermatrix import TAYLOR_TOL, Grading, SuperMatrix, exp_divided_difference
 
 

@@ -7,11 +7,11 @@ polynomials are then one product of that matrix and the monomials.
 evaluate through it.  A point of scalars is not evaluated here but term by
 term in plain Python (`pointwise.poly_value`, behind `Poly.evaluate`):
 per call, a numpy table costs more than the few sums it forms.
-`full_point` completes a point with the conjugate coordinates that the
-polynomials read.  The module reads only the coordinate ring
-(`equichern.ring`), never a form.  numpy loads with the first `CompiledPolys`, not with
-this module, so `full_point` (which the pointwise Chern form reads) and the
-index character and the delta pairing never load it.
+The module reads only the coordinate ring (`equichern.ring`, whose
+`full_point` completes a grid with the conjugate coordinates the
+polynomials read), never a form.  numpy loads with the first
+`CompiledPolys`, not with this module; the pointwise Chern form, the index
+character and the delta pairing load neither.
 """
 
 from __future__ import annotations
@@ -88,16 +88,3 @@ def _flatten(polys) -> tuple[tuple[int, ...], list]:
     parts = [_flatten(p) for p in polys]
     shape = (len(parts),) + (parts[0][0] if parts else ())
     return shape, [f for _, flat in parts for f in flat]
-
-
-def full_point(algebra: ExteriorAlgebra, point: Mapping[str, complex]) -> dict[str, complex]:
-    """Extend a point on the real locus with its conjugate coordinates.
-
-    The values may be numbers or numpy arrays; conjugates are taken
-    elementwise.
-    """
-    out = dict(point)
-    for a, b in algebra.conjugates.items():
-        if a in out and b not in out:
-            out[b] = out[a].conjugate()
-    return out

@@ -10,9 +10,12 @@ scan read it.  Forms (`equichern.exterior`) enter only where a curvature is
 built: the algebra's form constructors ``zero``, ``one``, ``scalar`` and
 ``gen`` load that module when called, so the symbol checks compile no form.
 A polynomial is evaluated at a point of scalars term by term in plain Python
-(`equichern.pointwise.poly_value`) and on a grid of points by
+(`equichern.pointwise.poly_value`, over its terms flattened to a number and
+the coordinates it multiplies) and on a grid of points by
 `equichern.polyeval.CompiledPolys`, which loads numpy; this module loads
-neither until a value is asked for.
+neither until a value is asked for.  `full_point`, beside the algebra that
+declares the conjugate pairs, completes a point or a grid with the
+conjugate coordinates, for both evaluators.
 """
 
 from __future__ import annotations
@@ -65,8 +68,8 @@ class ExteriorAlgebra:
         polynomial coordinate names (conjugates are separate entries).
     conjugates:
         declared conjugate pairs ``z -> zbar``; a coordinate in no pair is
-        real.  Read by the model's ``conj_poly``, ``polyeval.full_point``,
-        ``orientation_sign``, the model parser's ``conj()``,
+        real.  Read by the model's ``conj_poly``, `full_point` (beside this
+        class), ``orientation_sign``, the model parser's ``conj()``,
         the Gaussian moments (``quadrature.gaussian_integral``) and the
         ellipticity scan.
     """
@@ -90,6 +93,7 @@ class ExteriorAlgebra:
         self.differentials = {c: "d" + c for c in self.coordinates
                               if "d" + c in self.gen_index}
         self.conjugates = dict(conjugates or {})
+        self._words: dict[tuple, tuple[int, int]] = {}
         paired = list(self.conjugates) + list(self.conjugates.values())
         if len(set(paired)) != len(paired) or not set(paired) <= set(self.coordinates):
             raise AlgebraError("conjugate pairs must be disjoint declared coordinates")
@@ -127,20 +131,37 @@ class ExteriorAlgebra:
         return Form(self, {mask: self.const(1.0)})
 
     def mask_of(self, names: Iterable[str]) -> tuple[int, int]:
-        """Bitmask of a generator tuple plus the sign of sorting it canonically."""
-        mask, sign = 0, 1
-        for name in names:
-            if name not in self.gen_index:
-                raise AlgebraError(f"unknown generator {name!r}")
-            bit = 1 << self.gen_index[name]
-            if mask & bit:
-                raise AlgebraError("repeated generator in subset")
-            sign *= merge_sign(mask, bit)
-            mask |= bit
-        return mask, sign
+        """Bitmask of a generator tuple plus the sign of sorting it canonically.
+
+        Each word that passes its checks is kept, so reading it again is one lookup.
+        """
+        names = tuple(names)
+        if names not in self._words:
+            mask, sign = 0, 1
+            for name in names:
+                if name not in self.gen_index:
+                    raise AlgebraError(f"unknown generator {name!r}")
+                bit = 1 << self.gen_index[name]
+                if mask & bit:
+                    raise AlgebraError("repeated generator in subset")
+                sign *= merge_sign(mask, bit)
+                mask |= bit
+            self._words[names] = mask, sign
+        return self._words[names]
 
     def __repr__(self):
         return f"ExteriorAlgebra(generators={self.generators}, coordinates={self.coordinates})"
+
+
+def full_point(algebra: ExteriorAlgebra, point: Mapping[str, complex]) -> dict[str, complex]:
+    """Extend a point on the real locus with its conjugate coordinates.
+
+    The values may be numbers or numpy arrays; conjugates are taken
+    elementwise.
+    """
+    added = {b: point[a].conjugate() for a, b in algebra.conjugates.items()
+             if a in point and b not in point}
+    return {**point, **added}
 
 
 class Poly:
@@ -207,12 +228,9 @@ class Poly:
         i = self.algebra.coord_index[coord]
         out: dict[tuple, complex] = {}
         for m, c in self.terms.items():
-            if m[i] == 0:
-                continue
-            m2 = list(m)
-            m2[i] -= 1
-            m2 = tuple(m2)
-            out[m2] = out.get(m2, 0.0) + c * m[i]
+            if m[i]:
+                m2 = m[:i] + (m[i] - 1,) + m[i + 1:]
+                out[m2] = out.get(m2, 0.0) + c * m[i]
         return Poly(self.algebra, out)
 
     def evaluate(self, point: Mapping[str, complex]) -> complex:

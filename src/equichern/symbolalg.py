@@ -33,8 +33,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .geometry import ANGLE, COMPLEX, ActionModel, Coordinate, augmented_symbol
-from .polyeval import CompiledPolys, full_point
-from .ring import EVEN, Poly, UnsupportedShapeError
+from .polyeval import CompiledPolys
+from .ring import EVEN, Poly, UnsupportedShapeError, full_point
 from .scan import (
     ScanGrid,
     _entry_polys,

@@ -74,3 +74,27 @@ def test_loaded_mode_counts_the_equichern_modules_a_run_imports(capsys):
     counts = [code_lines.code_lines((src / name).read_text(encoding="utf-8")) for name in names]
     assert lines == [*([str(n), str(src / name)] for n, name in zip(counts, names)),
                      [str(sum(counts)), "total"]]
+
+
+def test_help_prints_the_usage_and_exits_0(capsys):
+    for flag in ("-h", "--help"):
+        assert code_lines.main([flag]) == 0
+        out = capsys.readouterr().out
+        assert "python3 tools/code_lines.py [PATH ...]" in out
+        assert "--loaded" in out
+
+
+def test_a_missing_path_exits_2_with_one_line(tmp_path, capsys):
+    (tmp_path / "a.py").write_text("x = 1\n")
+    missing = tmp_path / "no_such_module.py"
+    assert code_lines.main([str(tmp_path / "a.py"), str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"code_lines.py: no such file or directory: {missing}"]
+
+
+def test_a_loaded_run_that_fails_exits_2_with_one_line(capsys):
+    assert code_lines.main(["--loaded", "-c", "raise SystemExit(3)"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["code_lines.py: python3 -c raise SystemExit(3) exited 3"]

@@ -34,18 +34,18 @@ from equichern.geometry import (
     oriented_volume_coefficient,
 )
 from equichern.homotopy import c_plane
+from equichern.exterior import Form
 from equichern.kernels import closedness_residual, from_array, to_array
 from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.pairing import zero_op_s1
 from equichern.pointwise import pair_plan, plan_at
-from equichern.polyeval import full_point
 from equichern.quadrature import (
     DivergenceError,
     gaussian_integral,
     index_character,
     integrate_top_form,
 )
-from equichern.ring import EvaluationError, Poly, UnsupportedShapeError
+from equichern.ring import EvaluationError, Poly, UnsupportedShapeError, full_point
 from equichern.supermatrix import Grading, SuperMatrix, exp_divided_difference, super_exp
 from conftest import corrupted_moment_model, reduceat_taylor_exp, weighted_plane_uv
 
@@ -719,6 +719,109 @@ def test_chern_form_matches_the_taylor_route():
         assert got.isclose(ref, 1e-12 * max(1.0, ref.norm_max()))
 
     check()
+
+
+def contract_route(plan, theta):
+    """The plan at theta summed symbolically: ``contract`` over its forms from the zero form."""
+    total, = plan.contract(plan.forms, [theta], plan.shared[0].algebra.zero())
+    return GaussianForm(plan.shared[0] + plan.shared[1] * theta, total)
+
+
+def term_by_term(gaussian, point):
+    """A Gaussian form at a point, each polynomial summed term by term from 0j.
+
+    Each term is its coefficient times its coordinates one factor at a time,
+    in declaration order; the coefficients are not read where the Gaussian
+    factor is 0.
+    """
+    coords = gaussian.form.algebra.coordinates
+
+    def value(poly):
+        total = 0j
+        for mono, c in poly.terms.items():
+            for name, e in zip(coords, mono):
+                for _ in range(e):
+                    c *= point[name]
+            total += c
+        return total
+
+    gauss = cmath.exp(value(gaussian.exponent))
+    kept = gaussian.form.terms.items() if gauss else ()
+    return Form(gaussian.form.algebra, {m: value(c) * gauss for m, c in kept})
+
+
+def form_bits(form):
+    """A form's masks and coefficients in order, each number by its repr (signed zeros kept)."""
+    return [(m, [(k, repr(x)) for k, x in c.terms.items()] if isinstance(c, Poly) else repr(c))
+            for m, c in form.terms.items()]
+
+
+# thetas where the divided differences are squared (100, 1000), 0 and complex ones
+ORACLE_THETAS = (0.0, 0j, 100.0, -100.0, 1000.0, 1000.0 + 0.5j, -100.0 - 2j, 2.5 + 1j)
+
+
+@pytest.mark.skipif(hypothesis is None, reason="hypothesis is not installed")
+def test_the_numeric_fold_is_the_symbolic_contraction_bit_for_bit():
+    """Drawn weights, thetas and points: the fold and a point against the symbolic route.
+
+    The oracle sums the plan's forms with ``ChernPlan.contract`` from the
+    zero form, in polynomials, and evaluates the result term by term.
+    `ChernPlan.evaluate` (the numeric fold of `pointwise.fold`) must give the
+    same polynomials, and `chern_form` (the flattened table of `plan_at`)
+    the same numbers, bit for bit and in the same order.  The explicit
+    examples include u = 30, where e^-900 underflows to the zero form.
+    """
+    coordinate = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+    theta = st.one_of(st.sampled_from(ORACLE_THETAS), st.floats(-7, 7),
+                      st.builds(complex, st.floats(-7, 7), st.floats(-3, 3)))
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(-4, 4), theta, coordinate, coordinate)
+    @hypothesis.example(1, 1000.0, 30 + 0j, 0j)
+    @hypothesis.example(-3, 2.5 + 1j, 0j, 30 + 0j)
+    @hypothesis.example(4, -100.0, 0.45 + 0.2j, -0.3 + 0.9j)
+    def check(weight, theta, u, v):
+        m = weighted_plane_uv(weight)
+        plan = chern_plan(m)
+        want = contract_route(plan, theta)
+        got = plan.evaluate(theta)
+        assert got.exponent == want.exponent
+        assert got.form.terms == want.form.terms
+        assert form_bits(got.form) == form_bits(want.form)
+        point = {"u": u, "v": v}
+        value = term_by_term(want, full_point(m.algebra, point))
+        form = chern_form(m, theta, point)
+        assert form.terms == value.terms
+        assert form_bits(form) == form_bits(value)
+        if abs(u) == 30 or abs(v) == 30:
+            assert form.is_zero
+
+    check()
+
+
+@pytest.mark.parametrize("theta, bound", [(100.0, 1e-13), (1000.0, 2.2e-12)])
+def test_squared_divided_differences_keep_their_error_growth(theta, bound):
+    # Past SERIES_SPREAD the divided differences are squared s ~ log2(spread)
+    # times and lose digits about in proportion to the spread: on the 14
+    # c-plane-uv groups 2.4e-14 at theta = 100 and 5.4e-13 at 1000 against
+    # 50 digits.  The bounds are about 4 times those.  The reference is entry
+    # (0, k) of exp of Opitz's bidiagonal matrix of the nodes, in mpmath.
+    mpmath = pytest.importorskip("mpmath")
+    plan = chern_plan(c_plane_uv())
+    assert len(plan.groups) == 14
+    worst = 0.0
+    with mpmath.workdps(50):
+        for nodes, _ in plan.groups:
+            xs = [o0 + o1 * theta for o0, o1 in nodes]
+            opitz = mpmath.zeros(len(xs))
+            for i, x in enumerate(xs):
+                opitz[i, i] = mpmath.mpc(x)
+                if i + 1 < len(xs):
+                    opitz[i, i + 1] = 1
+            want = complex(mpmath.expm(opitz)[0, len(xs) - 1])
+            got, = exp_divided_difference([[x] for x in xs])  # as ChernPlan.weights calls it
+            worst = max(worst, abs(got - want) / abs(want))
+    assert worst <= bound
 
 
 POINT_UV = {"u": 0.45 + 0.2j, "v": -0.3 + 0.9j}

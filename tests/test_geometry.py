@@ -16,8 +16,8 @@ from equichern.geometry import (
 from equichern.homotopy import c_plane, clifford_multiplication, homotopy_path
 from equichern.modelfile import builtin_model_text, parse_model_text
 from equichern.pairing import zero_op_s1
-from equichern.polyeval import CompiledPolys, full_point
-from equichern.ring import EvaluationError, Poly, PolyMatrix, UnsupportedShapeError
+from equichern.polyeval import CompiledPolys
+from equichern.ring import EvaluationError, Poly, PolyMatrix, UnsupportedShapeError, full_point
 from equichern.scan import ScanGrid, block_singular_values, ellipticity_scan, gaussian_draws
 from equichern.supermatrix import Grading, SuperMatrix
 from equichern.symbolalg import infinitesimal_generator, orbital_projection, phi_poly

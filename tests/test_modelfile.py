@@ -14,7 +14,7 @@ from equichern.modelfile import (
     parse_model_text,
     parse_polynomial,
 )
-from equichern.polyeval import full_point
+from equichern.ring import full_point
 
 
 @pytest.fixture(scope="module")

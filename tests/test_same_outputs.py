@@ -1,12 +1,15 @@
 """The output comparison of tools/same_outputs.py, on two temporary directories."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
 spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
 same_outputs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(same_outputs)
+
+DENSE_OP = TOOL.parents[1] / "perfbench" / "dense_op.py"
 
 
 def _tree(root: Path, files: dict[str, bytes]) -> Path:
@@ -46,3 +49,31 @@ def test_outcome_masks_the_tree_path(tmp_path):
     assert same_outputs.differences(*runs) == []
     runs[1]["stderr"] += b"warning\n"
     assert same_outputs.differences(*runs) == ["stderr"]
+
+
+def test_a_revision_git_cannot_export_exits_2_naming_it(capsys):
+    assert same_outputs.main(["no-such-rev"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "same_outputs.py: git archive cannot export revision 'no-such-rev'"]
+
+
+def test_the_dense_stress_input_reaches_wide_spreads_and_the_zero_form(tmp_path):
+    # the second dense_op.py invocation: thetas past the series and a point
+    # whose Gaussian factor underflows, run as the tool runs it
+    assert ["{tree}/perfbench/dense_op.py", "dense_stress.json", "dense_output.json"] \
+        in same_outputs.INVOCATIONS
+    spec = same_outputs.DENSE_STRESS
+    assert {0.0, 1000.0} <= set(spec["thetas"])
+    run = same_outputs.outcome(TOOL.parents[1], ["{tree}/perfbench/dense_op.py",
+                                                 "dense_stress.json", "out.json"], tmp_path / "w")
+    assert run["exit code"] == b"0", run["stderr"]
+    rows = json.loads(run["file out.json"])["rows"]
+    assert len(rows) == len(spec["thetas"]) * len(spec["points"])
+    for k, row in enumerate(rows):
+        point = spec["points"][k % len(spec["points"])]
+        if point[0] == 30.0:
+            assert all(c == [0.0, 0.0] for c in row["coefficients"].values())
+        else:
+            assert any(c != [0.0, 0.0] for c in row["coefficients"].values())

@@ -17,8 +17,7 @@ from equichern.kernels import (
     taylor_parameters,
     to_array,
 )
-from equichern.polyeval import full_point
-from equichern.ring import EVEN, BackendError, ExteriorAlgebra, UnsupportedShapeError
+from equichern.ring import EVEN, BackendError, ExteriorAlgebra, UnsupportedShapeError, full_point
 from equichern import supermatrix
 from equichern.supermatrix import (
     SERIES_SPREAD,

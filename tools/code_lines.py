@@ -2,6 +2,7 @@
 
     python3 tools/code_lines.py [PATH ...]
     python3 tools/code_lines.py --loaded ARGV...
+    python3 tools/code_lines.py -h | --help
 
 Each PATH is a ``.py`` file or a directory, whose ``*.py`` files (not its
 subdirectories) are counted; the default is ``src/equichern`` beside this
@@ -12,7 +13,9 @@ that ``python3 ARGV...`` loads, run with ``PYTHONPATH=src`` (it must exit
 ``tokenize`` finds a token on it other than a comment, a line break or an
 indentation change, and ``ast`` does not place it in a docstring (the
 leading string of a module, class or function).
-Prints one ``count path`` line per module, then the total.
+Prints one ``count path`` line per module, then the total.  ``-h`` or
+``--help`` prints this text; a PATH that does not exist, or a ``--loaded``
+run that exits non-zero, exits 2 with one line naming it.
 """
 
 from __future__ import annotations
@@ -77,8 +80,23 @@ def loaded_modules(argv) -> list[Path]:
 
 
 def main(argv) -> int:
+    if argv[:1] in (["-h"], ["--help"]):
+        print(__doc__)
+        return 0
+    if argv[:1] == ["--loaded"]:
+        try:
+            paths = loaded_modules(argv[1:])
+        except subprocess.CalledProcessError as exc:
+            print(f"code_lines.py: python3 {' '.join(argv[1:])} exited {exc.returncode}",
+                  file=sys.stderr)
+            return 2
+    else:
+        missing = [p for p in argv if not Path(p).exists()]
+        if missing:
+            print(f"code_lines.py: no such file or directory: {missing[0]}", file=sys.stderr)
+            return 2
+        paths = modules(argv or [DEFAULT])
     total = 0
-    paths = loaded_modules(argv[1:]) if argv[:1] == ["--loaded"] else modules(argv or [DEFAULT])
     for path in paths:
         n = code_lines(path.read_text(encoding="utf-8"))
         total += n

@@ -15,11 +15,16 @@ with ``PYTHONPATH=<tree>/src``, ``PYTHONDONTWRITEBYTECODE=1`` and
 - ``check-symbol`` on both shipped templates at ``--xi-max`` 1e2, 1e3 and 1e6,
   and at ``--seed 7 --scan-samples 500``, the benchmark's smallest sample
   count off the default seed, so the scan's refinement is compared there too;
-- ``<tree>/perfbench/dense_op.py`` on a fixed seeded input.
+- ``<tree>/perfbench/dense_op.py`` on a fixed seeded input, and on a fixed
+  stress input: theta 0, -2.5, 40 and 1000 (nodes spread past the series,
+  so the divided differences are squared), with a point at u = 30 whose
+  Gaussian factor underflows to the zero form and one at u = 27 where it is
+  subnormal.
 
 It compares exit codes, stdout and stderr (with each tree's path replaced by
 ``<tree>``) and every file the invocation leaves in its directory, byte for
-byte; prints one line per invocation; and exits 1 on any difference.
+byte; prints one line per invocation; and exits 1 on any difference.  A REV
+that ``git archive`` cannot export exits 2 with one line naming it.
 """
 
 from __future__ import annotations
@@ -50,7 +55,14 @@ INVOCATIONS = [
     *(["-m", "equichern.cli", "check-symbol", f"{{tree}}/src/equichern/models/{name}.model",
        "--seed", "7", "--scan-samples", "500"] for name in ("c_plane", "constant_symbol")),
     ["{tree}/perfbench/dense_op.py", "dense_input.json", "dense_output.json"],
+    ["{tree}/perfbench/dense_op.py", "dense_stress.json", "dense_output.json"],
 ]
+
+# dense_op.py input of thetas past the dense workload's range, and points at
+# the zero form (u = 30: e^-900 underflows) and a subnormal Gaussian (u = 27)
+DENSE_STRESS = {"thetas": [0.0, -2.5, 40.0, 1000.0],
+                "points": [[0.3, -0.2, 0.5, 0.1], [30.0, 0.0, 0.0, 0.0],
+                           [27.0, 0.0, 0.0, 0.0], [-1.5, 1.0, -1.2, 0.7]]}
 
 
 def dense_input() -> bytes:
@@ -65,6 +77,7 @@ def outcome(tree: Path, argv: list[str], work: Path) -> dict[str, bytes]:
     """Exit code, stdout, stderr and the files left in ``work`` by one run on ``tree``."""
     work.mkdir(parents=True)
     (work / "dense_input.json").write_bytes(dense_input())
+    (work / "dense_stress.json").write_text(json.dumps(DENSE_STRESS))
     done = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning",
          *(a.replace("{tree}", str(tree)) for a in argv)],
@@ -102,7 +115,12 @@ def main(argv) -> int:
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         old = Path(tmp) / "rev"
-        export(argv[0], old)
+        try:
+            export(argv[0], old)
+        except subprocess.CalledProcessError:
+            print(f"same_outputs.py: git archive cannot export revision {argv[0]!r}",
+                  file=sys.stderr)
+            return 2
         for k, args in enumerate(INVOCATIONS):
             diff = differences(outcome(old, args, Path(tmp) / f"old{k}"),
                                outcome(ROOT, args, Path(tmp) / f"new{k}"))
