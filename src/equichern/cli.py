@@ -10,6 +10,16 @@ beside the engine code it calls and is imported only when that command runs:
 `equichern.pairing`, ``check-symbol`` in `equichern.symbolalg` and ``report``
 in `equichern.report`.  So importing this module loads no engine module, and
 ``run-example`` loads no numpy.
+
+Run as the program (``main()`` with no arguments: the ``equichern`` script,
+``python -m equichern.cli``), `main` freezes the heap (`gc.freeze`) once the
+command has returned its exit code, so the collections of interpreter
+shutdown skip the modules' import-time objects and the OS reclaims them at
+exit.  The exit code, stream flushing, ``atexit`` handlers and the reports
+(each closed before its command returns) are unchanged; anything written at
+exit, such as a trace file, must be closed before the freeze or written
+from ``atexit``.  A usage error returns before the freeze, and
+``main(argv)``, the library call, never freezes its caller's heap.
 """
 
 from __future__ import annotations
@@ -58,7 +68,8 @@ EXAMPLES = ("c-plane", "zero-op")
 
 
 def write_report(path: Path, runs: list[dict]) -> None:
-    """Write a report document holding ``runs``, with sorted keys."""
+    """Write a report document holding ``runs``, with sorted keys, making its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     doc = {"schema_version": SCHEMA_VERSION, "generated_by": "equichern", "runs": runs}
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
@@ -88,14 +99,12 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _float_in(lo: float, hi: float):
-    """argparse type: a number in [lo, hi], for positive lo."""
-    def parse(text: str) -> float:
-        value = _positive_float(text)
-        if not lo <= value <= hi:
-            raise argparse.ArgumentTypeError(f"{text!r} is not between {lo:g} and {hi:g}")
-        return value
-    return parse
+def _xi_max(text: str) -> float:
+    """argparse type: a number in [MIN_XI, MAX_XI]."""
+    value = _positive_float(text)
+    if not MIN_XI <= value <= MAX_XI:
+        raise argparse.ArgumentTypeError(f"{text!r} is not between {MIN_XI:g} and {MAX_XI:g}")
+    return value
 
 
 def _out_dir(text: str) -> Path:
@@ -139,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check-symbol", help="symbol-algebra and ellipticity checks")
     chk.add_argument("model_file")
-    chk.add_argument("--xi-max", type=_float_in(MIN_XI, MAX_XI), default=1e3)
+    chk.add_argument("--xi-max", type=_xi_max, default=1e3)
     chk.add_argument("--scan-samples", type=_int_in(1, MAX_SCAN_SAMPLES), default=2000)
     chk.add_argument("--seed", type=_int_in(0), default=0)
     chk.add_argument("--tol", type=_positive_float, default=1e-6)
@@ -153,9 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     # each command runs beside the engine code it calls, and loads with it
@@ -163,13 +171,16 @@ def main(argv=None) -> int:
         from .report import merge_reports as command
     elif args.command == "check-symbol":
         from .symbolalg import check_symbol as command
+    elif args.name == "c-plane":
+        from .quadrature import run_c_plane as command
     else:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
-        if args.name == "c-plane":
-            from .quadrature import run_c_plane as command
-        else:
-            from .pairing import run_zero_op as command
-    return command(args)
+        from .pairing import run_zero_op as command
+    code = command(args)
+    if argv is None:
+        # the program exits next: shutdown's collections skip a frozen heap
+        import gc
+        gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

@@ -458,7 +458,6 @@ def check_symbol(args) -> int:
               f"symbol of degree {fiber_degree(model)} in xi with these "
               "coefficients", file=sys.stderr)
         return EXIT_USAGE
-    args.out_dir.mkdir(parents=True, exist_ok=True)
 
     transversal = transversal_ellipticity_check(model, r_max=args.xi_max)
     scan = ellipticity_scan(augmented_symbol(model),

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -681,6 +682,64 @@ class TestFourierCsv:
         assert rows[0] == ["n", "re", "im"]
         assert rows[1:] == [[str(n), repr(fourier["coefficients"][str(n)][0]),
                              repr(fourier["coefficients"][str(n)][1])] for n in range(-6, 7)]
+
+
+def _python(script, *argv, cwd=None):
+    """``python3 -c script argv...`` with the package on the path, its output as text.
+
+    Standard output is block-buffered (no ``PYTHONUNBUFFERED``), so what a
+    run prints reaches the pipe only when the stream is flushed at exit.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(equichern.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", script, *map(str, argv)], cwd=cwd,
+                          env=env, capture_output=True, text=True)
+
+
+class TestProgramEntry:
+    # main() with no arguments is the program (the equichern script,
+    # python -m equichern.cli): it freezes the heap after the command returns
+    def test_the_program_freezes_after_the_command_and_not_on_a_usage_error(self, tmp_path):
+        # one interpreter, the heap unfrozen again after each call
+        probe = ("import gc, sys\nfrom equichern.cli import main\n"
+                 "for argv in (['run-example', 'zero-op'],\n"
+                 "             ['check-symbol', sys.argv[1], '--scan-samples', '50'],\n"
+                 "             ['check-symbol', 'missing.model'],\n"
+                 "             ['run-example', 'c-plane', '--theta-samples', '1']):\n"
+                 "    sys.argv = ['equichern', *argv]\n"
+                 "    code = main()\n"
+                 "    print('frozen', code, gc.get_freeze_count() > 0)\n"
+                 "    gc.unfreeze()\n")
+        done = _python(probe, PLANE_MODEL.with_name("constant_symbol.model"), cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert [line for line in done.stdout.splitlines() if line.startswith("frozen")] == [
+            "frozen 0 True", "frozen 1 True", "frozen 3 True", "frozen 2 False"]
+
+    def test_a_library_call_leaves_the_heap_unfrozen(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert run(["run-example", "zero-op", "--out-dir", tmp_path]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("argv, report", [
+        (["run-example", "c-plane", "--theta-samples", "8", "--fourier-window", "4"],
+         "index_report.json"),
+        (["run-example", "zero-op"], "delta_report.json"),
+        (["check-symbol", PLANE_MODEL, "--scan-samples", "200"], "symbol_report.json"),
+        (["check-symbol", PLANE_MODEL.with_name("constant_symbol.model"),
+          "--scan-samples", "200"], "symbol_report.json"),
+    ], ids=["c-plane", "zero-op", "c_plane.model", "constant_symbol.model"])
+    def test_the_program_writes_what_the_library_call_writes(self, tmp_path, argv, report):
+        runs = {}
+        for name, call in (("program", "sys.argv = ['equichern', *sys.argv[1:]]\n"
+                                        "sys.exit(main())"),
+                           ("library", "sys.exit(main(sys.argv[1:]))")):
+            (tmp_path / name).mkdir()
+            done = _python(f"import sys\nfrom equichern.cli import main\n{call}", *argv,
+                           cwd=tmp_path / name)
+            runs[name] = (done.returncode, done.stdout,
+                          (tmp_path / name / report).read_bytes())
+        assert runs["program"] == runs["library"]
+        assert runs["program"][0] in (0, 1)
 
 
 def readme_commands():

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
 spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
 same_outputs = importlib.util.module_from_spec(spec)
@@ -77,3 +79,20 @@ def test_the_dense_stress_input_reaches_wide_spreads_and_the_zero_form(tmp_path)
             assert all(c == [0.0, 0.0] for c in row["coefficients"].values())
         else:
             assert any(c != [0.0, 0.0] for c in row["coefficients"].values())
+
+
+@pytest.mark.parametrize("args, code", [
+    (["run-example", "c-plane", "--theta-samples", "1"], b"2"),
+    (["check-symbol", "missing.model"], b"3"),
+    (["report", "--inputs", "not_a_report.json"], b"3"),
+    (["report", "--inputs", "report_input.json"], b"0"),
+])
+def test_the_error_and_report_invocations_exit_as_named(tmp_path, args, code):
+    # every exit path of the program entry is compared, not only its passes
+    argv = ["-m", "equichern.cli", *args]
+    assert argv in same_outputs.INVOCATIONS
+    run = same_outputs.outcome(TOOL.parents[1], argv, tmp_path / "w")
+    assert run["exit code"] == code, run["stderr"]
+    if code == b"0":
+        runs = json.loads(run["file merged_report.json"])["runs"]
+        assert [r["kind"] for r in runs] == ["delta-pairing", "symbol-check"]

@@ -15,11 +15,19 @@ with ``PYTHONPATH=<tree>/src``, ``PYTHONDONTWRITEBYTECODE=1`` and
 - ``check-symbol`` on both shipped templates at ``--xi-max`` 1e2, 1e3 and 1e6,
   and at ``--seed 7 --scan-samples 500``, the benchmark's smallest sample
   count off the default seed, so the scan's refinement is compared there too;
+- ``report --inputs`` on a fixed two-run report, and on a JSON file that is
+  not a report (exit 3);
+- one invocation for each other exit path of the program entry:
+  ``run-example c-plane --theta-samples 1`` (a usage error, exit 2) and
+  ``check-symbol missing.model`` (a missing model file, exit 3);
 - ``<tree>/perfbench/dense_op.py`` on a fixed seeded input, and on a fixed
   stress input: theta 0, -2.5, 40 and 1000 (nodes spread past the series,
   so the divided differences are squared), with a point at u = 30 whose
   Gaussian factor underflows to the zero form and one at u = 27 where it is
   subnormal.
+
+The inputs of ``report`` and ``dense_op.py`` are written into each run's
+directory before it starts.
 
 It compares exit codes, stdout and stderr (with each tree's path replaced by
 ``<tree>``) and every file the invocation leaves in its directory, byte for
@@ -54,6 +62,10 @@ INVOCATIONS = [
       for name in ("c_plane", "constant_symbol") for xi_max in ("1e2", "1e3", "1e6")),
     *(["-m", "equichern.cli", "check-symbol", f"{{tree}}/src/equichern/models/{name}.model",
        "--seed", "7", "--scan-samples", "500"] for name in ("c_plane", "constant_symbol")),
+    ["-m", "equichern.cli", "report", "--inputs", "report_input.json"],
+    ["-m", "equichern.cli", "report", "--inputs", "not_a_report.json"],
+    ["-m", "equichern.cli", "run-example", "c-plane", "--theta-samples", "1"],
+    ["-m", "equichern.cli", "check-symbol", "missing.model"],
     ["{tree}/perfbench/dense_op.py", "dense_input.json", "dense_output.json"],
     ["{tree}/perfbench/dense_op.py", "dense_stress.json", "dense_output.json"],
 ]
@@ -63,6 +75,13 @@ INVOCATIONS = [
 DENSE_STRESS = {"thetas": [0.0, -2.5, 40.0, 1000.0],
                 "points": [[0.3, -0.2, 0.5, 0.1], [30.0, 0.0, 0.0, 0.0],
                            [27.0, 0.0, 0.0, 0.0], [-1.5, 1.0, -1.2, 0.7]]}
+
+# report --inputs: a report of two runs out of sort order, and a JSON document
+# that is not a report (it has no schema_version)
+REPORT_INPUT = {"schema_version": "1", "generated_by": "equichern", "runs": [
+    {"kind": "symbol-check", "label": "c-plane", "payload": {"passed": True}},
+    {"kind": "delta-pairing", "label": "zero-op", "payload": {"golden": {"passed": False}}}]}
+NOT_A_REPORT = {"runs": []}
 
 
 def dense_input() -> bytes:
@@ -78,6 +97,8 @@ def outcome(tree: Path, argv: list[str], work: Path) -> dict[str, bytes]:
     work.mkdir(parents=True)
     (work / "dense_input.json").write_bytes(dense_input())
     (work / "dense_stress.json").write_text(json.dumps(DENSE_STRESS))
+    (work / "report_input.json").write_text(json.dumps(REPORT_INPUT))
+    (work / "not_a_report.json").write_text(json.dumps(NOT_A_REPORT))
     done = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning",
          *(a.replace("{tree}", str(tree)) for a in argv)],
